@@ -1,6 +1,7 @@
 package darshan
 
 import (
+	"io"
 	"testing"
 
 	"repro/internal/sim"
@@ -40,13 +41,30 @@ func TestSteadyStateDXTAppendZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestMergedLogWriteAllocsIndependentOfTimeline pins the encoder's
+// allocations per (*Log).Write to a constant: it reuses one chunk buffer,
+// so a 100x longer timeline allocates no more often.
+func TestMergedLogWriteAllocsIndependentOfTimeline(t *testing.T) {
+	allocs := func(segs int) float64 {
+		log := Merge(timelineSnapshots(benchRanks, 16, segs)).Log()
+		return testing.AllocsPerRun(10, func() {
+			if err := log.Write(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(1_000), allocs(100_000); small != large {
+		t.Fatalf("(*Log).Write allocates %v times at 1k segments but %v at 100k", small, large)
+	}
+}
+
 // TestAccessSizeInlineTable verifies the inline small-N array fronting the
 // access-size map: ≤4 distinct sizes never allocate the map, >4 spill to
 // it, and ACCESS1..4 finalization sees the union either way.
 func TestAccessSizeInlineTable(t *testing.T) {
 	rec := &PosixRecord{ID: 1}
 	for _, s := range []int64{100, 200, 100, 300, 400, 100, 200} {
-		rec.bumpAccess(s)
+		rec.bumpAccess(s, 1)
 	}
 	if rec.accessSizes != nil {
 		t.Fatalf("map allocated for %d distinct sizes", rec.accessInlineN)
@@ -68,7 +86,7 @@ func TestAccessSizeInlineTable(t *testing.T) {
 	// re-ranked table draws from both stores.
 	rec2 := &PosixRecord{ID: 2}
 	for _, s := range []int64{1, 2, 3, 4, 5, 5, 5, 6, 2} {
-		rec2.bumpAccess(s)
+		rec2.bumpAccess(s, 1)
 	}
 	if rec2.accessSizes == nil {
 		t.Fatal("overflow map not allocated for 6 distinct sizes")

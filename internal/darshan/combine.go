@@ -35,7 +35,6 @@ func CombineSnapshots(snaps ...*Snapshot) *Snapshot {
 	posixIdx := make(map[uint64]int)
 	stdioIdx := make(map[uint64]int)
 	dxtIdx := make(map[uint64]int)
-	accessTables := make(map[uint64]map[int64]int64)
 
 	for _, snap := range live {
 		if snap.Time > out.Time {
@@ -52,9 +51,8 @@ func CombineSnapshots(snaps ...*Snapshot) *Snapshot {
 				j = len(out.Posix)
 				posixIdx[src.ID] = j
 				out.Posix = append(out.Posix, PosixRecord{ID: src.ID, Rank: src.Rank})
-				accessTables[src.ID] = make(map[int64]int64)
 			}
-			foldPosixCounters(&out.Posix[j], src, accessTables[src.ID])
+			foldPosixCounters(&out.Posix[j], src)
 		}
 		for i := range snap.Stdio {
 			src := &snap.Stdio[i]
@@ -81,11 +79,6 @@ func CombineSnapshots(snaps ...*Snapshot) *Snapshot {
 		}
 	}
 
-	for id, table := range accessTables {
-		rec := &out.Posix[posixIdx[id]]
-		rec.accessSizes = table
-		finalizeAccessCounters(rec)
-		rec.clearAccessState()
-	}
+	finalizeAccessPosix(out.Posix)
 	return out
 }

@@ -1,0 +1,89 @@
+package darshan
+
+import (
+	"bytes"
+	"cmp"
+	"fmt"
+	"io"
+	"math/rand"
+	"slices"
+	"testing"
+)
+
+// timelineSnapshots builds ranks per-rank snapshots over the same files
+// shared files with about segs DXT segments in total. Like a data-parallel
+// epoch, each rank walks the files in its own order with read times rising
+// through the job, and each record's run is in completion order (the order
+// DXT appends concurrent readers' segments in), not start order.
+func timelineSnapshots(ranks, files, segs int) []*Snapshot {
+	rng := rand.New(rand.NewSource(1))
+	perRecord := max(1, segs/(ranks*files))
+	snaps := make([]*Snapshot, ranks)
+	for r := range snaps {
+		snap := &Snapshot{Time: float64(files + 1), Names: make(map[uint64]string, files)}
+		for i, f := range rng.Perm(files) {
+			id := uint64(f + 1)
+			snap.Names[id] = fmt.Sprintf("/pfs/train/file-%05d", f)
+			rec := PosixRecord{ID: id, Rank: r}
+			rec.Counters[POSIX_OPENS] = 1
+			rec.Counters[POSIX_READS] = int64(perRecord)
+			rec.Counters[POSIX_BYTES_READ] = int64(perRecord) << 16
+			rec.Counters[POSIX_ACCESS1_ACCESS] = 1 << 16
+			rec.Counters[POSIX_ACCESS1_COUNT] = int64(perRecord)
+			snap.Posix = append(snap.Posix, rec)
+
+			dxt := DXTRecord{ID: id, ReadSegs: make([]Segment, perRecord)}
+			for j := range dxt.ReadSegs {
+				start := float64(i) + rng.Float64()
+				dxt.ReadSegs[j] = Segment{
+					Offset: int64(j) << 16, Length: 1 << 16,
+					Start: start, End: start + rng.Float64()/64,
+					TID: 1 + rng.Intn(4),
+				}
+			}
+			slices.SortStableFunc(dxt.ReadSegs, func(a, b Segment) int { return cmp.Compare(a.End, b.End) })
+			snap.DXT = append(snap.DXT, dxt)
+		}
+		snaps[r] = snap
+	}
+	return snaps
+}
+
+// The layer microbenchmarks run an 8-rank merge of about 100k segments,
+// the size of the cluster workloads' merged timelines.
+const (
+	benchRanks = 8
+	benchFiles = 2000
+	benchSegs  = 100_000
+)
+
+func BenchmarkMerge(b *testing.B) {
+	snaps := timelineSnapshots(benchRanks, benchFiles, benchSegs)
+	b.ReportAllocs()
+	for b.Loop() {
+		Merge(snaps)
+	}
+}
+
+func BenchmarkWriteMergedLog(b *testing.B) {
+	m := Merge(timelineSnapshots(benchRanks, benchFiles, benchSegs))
+	b.ReportAllocs()
+	for b.Loop() {
+		if err := WriteMergedLog(io.Discard, m); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkReadMergedLog(b *testing.B) {
+	var buf bytes.Buffer
+	if err := WriteMergedLog(&buf, Merge(timelineSnapshots(benchRanks, benchFiles, benchSegs))); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := ReadMergedLog(bytes.NewReader(buf.Bytes())); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

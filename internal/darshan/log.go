@@ -1,6 +1,7 @@
 package darshan
 
 import (
+	"bufio"
 	"compress/gzip"
 	"encoding/binary"
 	"errors"
@@ -164,45 +165,87 @@ func WriteMergedLog(w io.Writer, m *MergedLog) error {
 	return m.Log().Write(w)
 }
 
-// logEncoder wraps the compressed stream with sticky-error binary writes.
+// logChunk is how many encoded bytes the encoder buffers before handing
+// them to the compressor, and the decoder's read-buffer size.
+const logChunk = 64 << 10
+
+// logEncoder appends typed little-endian fields to a reused buffer and
+// hands the compressor whole chunks of it, with a sticky write error.
+// Deflate's output is a function of the uncompressed byte stream alone,
+// not of how it is split across Write calls, so the chunking never shows
+// in the log bytes.
 type logEncoder struct {
 	zw  *gzip.Writer
+	buf []byte
 	err error
 }
 
-func (e *logEncoder) val(v any) {
-	if e.err == nil {
-		e.err = binary.Write(e.zw, binary.LittleEndian, v)
+func (e *logEncoder) u8(v byte)     { e.buf = append(e.buf, v) }
+func (e *logEncoder) u16(v uint16)  { e.buf = binary.LittleEndian.AppendUint16(e.buf, v) }
+func (e *logEncoder) u32(v uint32)  { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
+func (e *logEncoder) u64(v uint64)  { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
+func (e *logEncoder) i32(v int32)   { e.u32(uint32(v)) }
+func (e *logEncoder) i64(v int64)   { e.u64(uint64(v)) }
+func (e *logEncoder) f64(v float64) { e.u64(math.Float64bits(v)) }
+
+// record encodes one POSIX or STDIO module record.
+func (e *logEncoder) record(id uint64, rank int, counters []int64, fcounters []float64) {
+	e.u64(id)
+	e.i64(int64(rank))
+	for _, v := range counters {
+		e.i64(v)
+	}
+	for _, v := range fcounters {
+		e.f64(v)
+	}
+	e.endRecord()
+}
+
+// segment encodes one DXT segment.
+func (e *logEncoder) segment(s *Segment) {
+	e.i64(s.Offset)
+	e.i64(s.Length)
+	e.f64(s.Start)
+	e.f64(s.End)
+	e.i32(int32(s.TID))
+}
+
+// endRecord hands the buffer to the compressor once a chunk is full.
+func (e *logEncoder) endRecord() {
+	if len(e.buf) >= logChunk {
+		e.flush()
 	}
 }
 
-func (e *logEncoder) bytes(b []byte) {
-	if e.err == nil {
-		_, e.err = e.zw.Write(b)
+func (e *logEncoder) flush() {
+	if e.err == nil && len(e.buf) > 0 {
+		_, e.err = e.zw.Write(e.buf)
 	}
+	e.buf = e.buf[:0]
 }
 
 // Write serializes the log. The encoding is canonical: the name table is
 // written in ascending record-id order and record blocks in slice order,
 // so writing a freshly parsed log reproduces the input bytes exactly.
 func (l *Log) Write(w io.Writer) error {
-	if _, err := w.Write(logMagic[:]); err != nil {
+	var header [len(logMagic) + 4]byte
+	copy(header[:], logMagic[:])
+	binary.LittleEndian.PutUint32(header[len(logMagic):], LogVersion)
+	if _, err := w.Write(header[:]); err != nil {
 		return err
 	}
-	if err := binary.Write(w, binary.LittleEndian, LogVersion); err != nil {
-		return err
-	}
-	e := &logEncoder{zw: gzip.NewWriter(w)}
+	// Room for a chunk plus the record that crosses its boundary.
+	e := &logEncoder{zw: gzip.NewWriter(w), buf: make([]byte, 0, 2*logChunk)}
 
 	kind := logKindSingle
 	if l.Merged {
 		kind = logKindMerged
 	}
-	e.val(kind)
+	e.u8(kind)
 
 	// Job record.
-	e.val(l.JobEnd)
-	e.val(l.NProcs)
+	e.f64(l.JobEnd)
+	e.i64(l.NProcs)
 
 	// Name table, ascending id for a canonical byte stream.
 	ids := make([]uint64, 0, len(l.Names))
@@ -210,91 +253,143 @@ func (l *Log) Write(w io.Writer) error {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	e.val(uint32(len(ids)))
+	e.u32(uint32(len(ids)))
 	for _, id := range ids {
 		name := l.Names[id]
-		e.val(id)
-		e.val(uint16(len(name)))
-		e.bytes([]byte(name))
+		e.u64(id)
+		e.u16(uint16(len(name)))
+		e.buf = append(e.buf, name...)
+		e.endRecord()
 	}
 
 	// POSIX module block.
-	e.val(uint32(len(l.Posix)))
+	e.u32(uint32(len(l.Posix)))
 	for i := range l.Posix {
 		r := &l.Posix[i]
-		e.val(r.ID)
-		e.val(int64(r.Rank))
-		e.val(r.Counters[:])
-		e.val(r.FCounters[:])
+		e.record(r.ID, r.Rank, r.Counters[:], r.FCounters[:])
 	}
 
 	// STDIO module block.
-	e.val(uint32(len(l.Stdio)))
+	e.u32(uint32(len(l.Stdio)))
 	for i := range l.Stdio {
 		r := &l.Stdio[i]
-		e.val(r.ID)
-		e.val(int64(r.Rank))
-		e.val(r.Counters[:])
-		e.val(r.FCounters[:])
+		e.record(r.ID, r.Rank, r.Counters[:], r.FCounters[:])
 	}
 
 	if l.Merged {
 		// Merged DXT: one flat rank-attributed timeline in stored order
 		// (globally sorted by start time by the merger).
-		e.val(l.DroppedSegments)
-		e.val(uint32(len(l.Timeline)))
+		e.i64(l.DroppedSegments)
+		e.u32(uint32(len(l.Timeline)))
 		for i := range l.Timeline {
 			s := &l.Timeline[i]
-			e.val(s.ID)
-			e.val(int32(s.Rank))
+			e.u64(s.ID)
+			e.i32(int32(s.Rank))
 			var write byte
 			if s.Write {
 				write = 1
 			}
-			e.val(write)
-			e.val(s.Offset)
-			e.val(s.Length)
-			e.val(s.Start)
-			e.val(s.End)
-			e.val(int32(s.TID))
+			e.u8(write)
+			e.segment(&s.Segment)
+			e.endRecord()
 		}
 	} else {
 		// Single-process DXT: per-file records.
-		e.val(uint32(len(l.DXT)))
+		e.u32(uint32(len(l.DXT)))
 		for i := range l.DXT {
 			r := &l.DXT[i]
-			e.val(r.ID)
-			e.val(r.Dropped)
+			e.u64(r.ID)
+			e.i64(r.Dropped)
 			for _, segs := range [2][]Segment{r.ReadSegs, r.WriteSegs} {
-				e.val(uint32(len(segs)))
-				for _, s := range segs {
-					e.val(s.Offset)
-					e.val(s.Length)
-					e.val(s.Start)
-					e.val(s.End)
-					e.val(int32(s.TID))
+				e.u32(uint32(len(segs)))
+				for j := range segs {
+					e.segment(&segs[j])
+					e.endRecord()
 				}
 			}
 		}
 	}
+	e.flush()
 	if e.err != nil {
 		return e.err
 	}
 	return e.zw.Close()
 }
 
-// logDecoder wraps the compressed stream with sticky-error binary reads.
+// Sizes of the fixed-size records in the compressed stream, in bytes.
+const (
+	// id, rank, counters, float counters
+	posixRecordBytes = 8 + 8 + 8*int(PosixNumCounters) + 8*int(PosixNumFCounters)
+	stdioRecordBytes = 8 + 8 + 8*int(StdioNumCounters) + 8*int(StdioNumFCounters)
+	// offset, length, start, end, thread
+	segmentBytes = 8 + 8 + 8 + 8 + 4
+	// id, rank, direction, segment
+	timelineSegmentBytes = 8 + 4 + 1 + segmentBytes
+)
+
+// logDecoder reads the decompressed stream through a buffered reader, one
+// whole record at a time into a scratch buffer, and then hands out that
+// record's little-endian fields in order. The read error is sticky.
 type logDecoder struct {
-	zr  io.Reader
+	r   *bufio.Reader
+	buf []byte // the record last read by next
+	off int    // field cursor into buf
 	err error
 }
 
-func (d *logDecoder) val(v any) bool {
+// next reads the next n bytes of the stream into buf and rewinds the
+// field cursor.
+func (d *logDecoder) next(n int) bool {
 	if d.err != nil {
 		return false
 	}
-	d.err = binary.Read(d.zr, binary.LittleEndian, v)
+	if n > cap(d.buf) {
+		d.buf = make([]byte, n)
+	}
+	d.buf, d.off = d.buf[:n], 0
+	_, d.err = io.ReadFull(d.r, d.buf)
 	return d.err == nil
+}
+
+func (d *logDecoder) u8() byte {
+	v := d.buf[d.off]
+	d.off++
+	return v
+}
+
+func (d *logDecoder) u16() uint16 {
+	v := binary.LittleEndian.Uint16(d.buf[d.off:])
+	d.off += 2
+	return v
+}
+
+func (d *logDecoder) u32() uint32 {
+	v := binary.LittleEndian.Uint32(d.buf[d.off:])
+	d.off += 4
+	return v
+}
+
+func (d *logDecoder) u64() uint64 {
+	v := binary.LittleEndian.Uint64(d.buf[d.off:])
+	d.off += 8
+	return v
+}
+
+func (d *logDecoder) i32() int32   { return int32(d.u32()) }
+func (d *logDecoder) i64() int64   { return int64(d.u64()) }
+func (d *logDecoder) f64() float64 { return math.Float64frombits(d.u64()) }
+
+// record decodes the fields of one POSIX or STDIO module record.
+func (d *logDecoder) record(id *uint64, counters []int64, fcounters []float64) (rank int64) {
+	*id = d.u64()
+	rank = d.i64()
+	for i := range counters {
+		counters[i] = d.i64()
+	}
+	for i := range fcounters {
+		fcounters[i] = d.f64()
+	}
+	return rank
 }
 
 func (d *logDecoder) fail(format string, args ...any) error {
@@ -306,10 +401,10 @@ func (d *logDecoder) fail(format string, args ...any) error {
 
 // count reads a u32 element count and validates it against a bound.
 func (d *logDecoder) count(what string, max uint32) (int, error) {
-	var n uint32
-	if !d.val(&n) {
+	if !d.next(4) {
 		return 0, d.fail("%s count", what)
 	}
+	n := d.u32()
 	if n > max {
 		return 0, fmt.Errorf("%w: %s count %d exceeds bound %d", ErrBadLog, what, n, max)
 	}
@@ -390,12 +485,11 @@ func ReadLog(r io.Reader) (*Log, error) {
 	return log, nil
 }
 
-// readSegment decodes and validates one DXT segment.
+// readSegment decodes and validates one DXT segment from the decoder's
+// current record.
 func readSegment(d *logDecoder, s *Segment, what string, i int) error {
-	var tid int32
-	if !d.val(&s.Offset) || !d.val(&s.Length) || !d.val(&s.Start) || !d.val(&s.End) || !d.val(&tid) {
-		return d.fail("%s %d", what, i)
-	}
+	s.Offset, s.Length, s.Start, s.End = d.i64(), d.i64(), d.f64(), d.f64()
+	tid := d.i32()
 	if s.Offset < 0 || s.Length < 0 || s.Length > math.MaxInt64-s.Offset || tid < 0 ||
 		!finiteTime(s.Start) || !finiteTime(s.End) || s.End < s.Start {
 		return fmt.Errorf("%w: %s %d: invalid segment geometry", ErrBadLog, what, i)

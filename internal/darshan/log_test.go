@@ -2,7 +2,9 @@ package darshan
 
 import (
 	"bytes"
+	"compress/gzip"
 	"errors"
+	"io"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -160,22 +162,50 @@ func corrupt(b []byte, i int, v byte) []byte {
 	return out
 }
 
+// recompress returns log b with extra appended to its decompressed
+// payload: a well-formed gzip stream that carries data after the final
+// block.
+func recompress(t *testing.T, b []byte, extra ...byte) []byte {
+	t.Helper()
+	zr, err := gzip.NewReader(bytes.NewReader(b[len(logMagic)+4:]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := bytes.NewBuffer(append([]byte(nil), b[:len(logMagic)+4]...))
+	zw := gzip.NewWriter(out)
+	if _, err := zw.Write(append(payload, extra...)); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
+
 func TestReadLogRejectsStructuralCorruption(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteMergedLog(&buf, Merge(syntheticSnapshots())); err != nil {
 		t.Fatal(err)
 	}
 	valid := buf.Bytes()
+	if _, err := ReadLog(bytes.NewReader(recompress(t, valid))); err != nil {
+		t.Fatalf("recompressed log without extra bytes: %v", err)
+	}
 
 	cases := map[string][]byte{
-		"bad version":       corrupt(valid, 8, 0xFF),
-		"flipped magic":     corrupt(valid, 0, 'X'),
-		"corrupt gzip body": corrupt(valid, len(valid)/2, valid[len(valid)/2]^0xA5),
-		"truncated half":    valid[:len(valid)/2],
-		"truncated tail":    valid[:len(valid)-3],
-		"truncated header":  valid[:10],
-		"empty":             nil,
-		"magic only":        valid[:8],
+		"byte after final block": recompress(t, valid, 0),
+		"bad version":            corrupt(valid, 8, 0xFF),
+		"flipped magic":          corrupt(valid, 0, 'X'),
+		"corrupt gzip body":      corrupt(valid, len(valid)/2, valid[len(valid)/2]^0xA5),
+		"truncated half":         valid[:len(valid)/2],
+		"truncated tail":         valid[:len(valid)-3],
+		"truncated header":       valid[:10],
+		"empty":                  nil,
+		"magic only":             valid[:8],
 	}
 	for name, b := range cases {
 		if _, err := ReadLog(bytes.NewReader(b)); !errors.Is(err, ErrBadLog) {

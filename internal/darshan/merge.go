@@ -1,6 +1,9 @@
 package darshan
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // This file implements the cross-rank log merger of the distributed
 // scenario: N ranks each run their own Runtime over a shared parallel file
@@ -77,10 +80,10 @@ func mergeStartTimestamp(dst *float64, v float64) {
 }
 
 // foldPosixCounters folds src's POSIX counters into dst per the merge
-// counter classes, accumulating src's ACCESS1..4 table into table for a
-// later combined re-rank. Shared by the cross-rank Merge and the
-// same-rank CombineSnapshots.
-func foldPosixCounters(dst, src *PosixRecord, table map[int64]int64) {
+// counter classes, adding src's ACCESS1..4 entries to dst's access table
+// for the combined re-rank of finalizeAccessPosix. Shared by the
+// cross-rank Merge and the same-rank CombineSnapshots.
+func foldPosixCounters(dst, src *PosixRecord) {
 	for c := PosixCounter(0); c < PosixNumCounters; c++ {
 		switch {
 		case PosixCounterAdditive(c):
@@ -90,9 +93,8 @@ func foldPosixCounters(dst, src *PosixRecord, table map[int64]int64) {
 		}
 	}
 	for k := 0; k < 4; k++ {
-		count := src.Counters[POSIX_ACCESS1_COUNT+PosixCounter(k)]
-		if count > 0 {
-			table[src.Counters[POSIX_ACCESS1_ACCESS+PosixCounter(k)]] += count
+		if count := src.Counters[POSIX_ACCESS1_COUNT+PosixCounter(k)]; count > 0 {
+			dst.bumpAccess(src.Counters[POSIX_ACCESS1_ACCESS+PosixCounter(k)], count)
 		}
 	}
 	for c := POSIX_F_OPEN_START_TIMESTAMP; c <= POSIX_F_CLOSE_START_TIMESTAMP; c++ {
@@ -143,7 +145,21 @@ func Merge(perRank []*Snapshot) *MergedLog {
 	}
 	posixIdx := make(map[uint64]int)
 	stdioIdx := make(map[uint64]int)
-	accessTables := make(map[uint64]map[int64]int64)
+
+	// The timeline is sized up front; it stays nil without segments, as
+	// the log decoder leaves an empty timeline.
+	nSegs := 0
+	for _, snap := range perRank {
+		if snap == nil {
+			continue
+		}
+		for i := range snap.DXT {
+			nSegs += len(snap.DXT[i].ReadSegs) + len(snap.DXT[i].WriteSegs)
+		}
+	}
+	if nSegs > 0 {
+		out.Timeline = make([]MergedSegment, 0, nSegs)
+	}
 
 	for rank, snap := range perRank {
 		if snap == nil {
@@ -167,13 +183,12 @@ func Merge(perRank []*Snapshot) *MergedLog {
 				// the timeline uses (stamped record ranks may be absent
 				// when merging independently captured runs).
 				out.Posix = append(out.Posix, PosixRecord{ID: src.ID, Rank: rank})
-				accessTables[src.ID] = make(map[int64]int64)
 			}
 			dst := &out.Posix[j]
 			if seen && dst.Rank != rank {
 				dst.Rank = MergedRank // shared across ranks
 			}
-			foldPosixCounters(dst, src, accessTables[src.ID])
+			foldPosixCounters(dst, src)
 		}
 		for i := range snap.Stdio {
 			src := &snap.Stdio[i]
@@ -201,36 +216,88 @@ func Merge(perRank []*Snapshot) *MergedLog {
 		}
 	}
 
-	// Re-rank the combined access tables into ACCESS1..4.
-	for id, table := range accessTables {
-		rec := &out.Posix[posixIdx[id]]
-		rec.accessSizes = table
-		finalizeAccessCounters(rec)
-		rec.clearAccessState()
-	}
-
-	// Global timeline order: start time, then fully deterministic
-	// tie-breaks (end, rank, file, offset, direction).
-	sort.SliceStable(out.Timeline, func(i, j int) bool {
-		a, b := &out.Timeline[i], &out.Timeline[j]
-		if a.Start != b.Start {
-			return a.Start < b.Start
-		}
-		if a.End != b.End {
-			return a.End < b.End
-		}
-		if a.Rank != b.Rank {
-			return a.Rank < b.Rank
-		}
-		if a.ID != b.ID {
-			return a.ID < b.ID
-		}
-		if a.Offset != b.Offset {
-			return a.Offset < b.Offset
-		}
-		return !a.Write && b.Write
-	})
+	finalizeAccessPosix(out.Posix)
+	sortTimeline(out.Timeline)
 	return out
+}
+
+// finalizeAccessPosix re-ranks every folded record's combined access
+// table into ACCESS1..4 and drops the table.
+func finalizeAccessPosix(recs []PosixRecord) {
+	for i := range recs {
+		finalizeAccessCounters(&recs[i])
+		recs[i].clearAccessState()
+	}
+}
+
+// compareSegments is the global timeline order: start time, then fully
+// deterministic tie-breaks (end, rank, file, offset, reads before writes).
+// Segments that differ only in length or thread compare equal.
+func compareSegments(a, b *MergedSegment) int {
+	if c := cmp.Compare(a.Start, b.Start); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.End, b.End); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Rank, b.Rank); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.ID, b.ID); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Offset, b.Offset); c != 0 {
+		return c
+	}
+	switch {
+	case a.Write == b.Write:
+		return 0
+	case b.Write:
+		return -1
+	}
+	return 1
+}
+
+// sortTimeline puts tl into global timeline order, stably: segments that
+// compare equal keep their input order (rank-major, record order, reads
+// before writes). Per-record runs are not start-ordered — DXT appends a
+// segment when the operation completes, so concurrent readers interleave
+// — hence a full sort. It sorts an int32 index permutation with the input
+// index as the last tie-break, which is the stable order in O(n log n)
+// without moving 64-byte segments while sorting, then applies the
+// permutation in place along its cycles, so no second timeline is held.
+// Timelines stay far below 2^31 segments (the log format caps them at
+// 2^24).
+func sortTimeline(tl []MergedSegment) {
+	perm := make([]int32, len(tl))
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	slices.SortFunc(perm, func(i, j int32) int {
+		if c := compareSegments(&tl[i], &tl[j]); c != 0 {
+			return c
+		}
+		return cmp.Compare(i, j)
+	})
+	// perm[k] is the input index of the segment that belongs at k; a slot
+	// is marked -1 once filled.
+	for start := range perm {
+		if perm[start] < 0 || int(perm[start]) == start {
+			continue
+		}
+		held := tl[start]
+		k := start
+		for {
+			src := int(perm[k])
+			perm[k] = -1
+			if src == start {
+				tl[k] = held
+				break
+			}
+			tl[k] = tl[src]
+			k = src
+		}
+	}
 }
 
 func totalPosix(recs []PosixRecord, c PosixCounter) int64 {

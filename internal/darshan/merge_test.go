@@ -2,6 +2,7 @@ package darshan
 
 import (
 	"bytes"
+	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
@@ -241,6 +242,130 @@ func TestMergedLogByteStableAcrossMapOrder(t *testing.T) {
 				t.Fatalf("merged log bytes unstable at iteration %d", i)
 			}
 		}
+	}
+}
+
+// stableTimelineOrder is the reference for Merge's timeline order:
+// sort.SliceStable with the merge's comparator over the segments in input
+// order. Merge's permutation sort must reproduce it exactly.
+func stableTimelineOrder(perRank []*Snapshot) []MergedSegment {
+	var tl []MergedSegment
+	for rank, snap := range perRank {
+		if snap == nil {
+			continue
+		}
+		for _, rec := range snap.DXT {
+			for _, seg := range rec.ReadSegs {
+				tl = append(tl, MergedSegment{Segment: seg, Rank: rank, ID: rec.ID})
+			}
+			for _, seg := range rec.WriteSegs {
+				tl = append(tl, MergedSegment{Segment: seg, Rank: rank, ID: rec.ID, Write: true})
+			}
+		}
+	}
+	sort.SliceStable(tl, func(i, j int) bool {
+		a, b := &tl[i], &tl[j]
+		if a.Start != b.Start {
+			return a.Start < b.Start
+		}
+		if a.End != b.End {
+			return a.End < b.End
+		}
+		if a.Rank != b.Rank {
+			return a.Rank < b.Rank
+		}
+		if a.ID != b.ID {
+			return a.ID < b.ID
+		}
+		if a.Offset != b.Offset {
+			return a.Offset < b.Offset
+		}
+		return !a.Write && b.Write
+	})
+	return tl
+}
+
+// randomTimelineSnapshots builds up to 8 ranks (some nil) whose DXT runs
+// are completion-ordered, not start-ordered, on a coarse time grid so
+// starts and ends collide, with deliberate full-key twins: segments equal
+// on start, end, rank, file, offset and direction that differ only in
+// length or thread, whose relative order only stability decides.
+func randomTimelineSnapshots(rng *rand.Rand) []*Snapshot {
+	snaps := make([]*Snapshot, 1+rng.Intn(8))
+	for r := range snaps {
+		if rng.Intn(6) == 0 {
+			continue
+		}
+		snap := &Snapshot{Time: 10}
+		for _, f := range rng.Perm(6)[:1+rng.Intn(6)] {
+			rec := DXTRecord{ID: uint64(f + 1)}
+			for _, segs := range []*[]Segment{&rec.ReadSegs, &rec.WriteSegs} {
+				for n := rng.Intn(30); n > 0; n-- {
+					start := float64(rng.Intn(16)) / 4
+					s := Segment{
+						Offset: int64(rng.Intn(3)) << 12, Length: int64(rng.Intn(3)) << 12,
+						Start: start, End: start + float64(rng.Intn(3))/4, TID: rng.Intn(3),
+					}
+					*segs = append(*segs, s)
+					if rng.Intn(3) == 0 {
+						twin := s
+						twin.Length++
+						twin.TID++
+						*segs = append(*segs, twin)
+					}
+				}
+				sort.SliceStable(*segs, func(i, j int) bool { return (*segs)[i].End < (*segs)[j].End })
+			}
+			snap.DXT = append(snap.DXT, rec)
+		}
+		snaps[r] = snap
+	}
+	return snaps
+}
+
+func TestMergeTimelineMatchesStableOrder(t *testing.T) {
+	twins := 0
+	for seed := int64(1); seed <= 300; seed++ {
+		snaps := randomTimelineSnapshots(rand.New(rand.NewSource(seed)))
+		want := stableTimelineOrder(snaps)
+		got := Merge(snaps).Timeline
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: timeline order differs from the stable reference", seed)
+		}
+		for i := 1; i < len(want); i++ {
+			a, b := want[i-1], want[i]
+			if a.Start == b.Start && a.End == b.End && a.Rank == b.Rank && a.ID == b.ID &&
+				a.Offset == b.Offset && a.Write == b.Write && a.Segment != b.Segment {
+				twins++
+			}
+		}
+	}
+	if twins == 0 {
+		t.Fatal("no full-key ties generated: the stability half of the order went untested")
+	}
+}
+
+// TestMergeWithoutDXTRoundTrips: a merge of DXT-free snapshots keeps a nil
+// timeline, so it equals its own log round trip.
+func TestMergeWithoutDXTRoundTrips(t *testing.T) {
+	snaps := syntheticSnapshots()
+	for _, s := range snaps {
+		s.DXT = nil
+	}
+	m := Merge(snaps)
+	if m.Timeline != nil {
+		t.Fatalf("DXT-free merge has a non-nil timeline of %d segments", len(m.Timeline))
+	}
+	var buf bytes.Buffer
+	if err := WriteMergedLog(&buf, m); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadMergedLog(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, m) {
+		t.Fatalf("DXT-free merged log did not round-trip:\n got %+v\nwant %+v", got, m)
 	}
 }
 

@@ -43,23 +43,24 @@ type PosixRecord struct {
 	everWritten     bool
 }
 
-// bumpAccess counts one access of the given size.
-func (rec *PosixRecord) bumpAccess(size int64) {
+// bumpAccess counts count accesses of the given size: one per operation
+// at runtime, a whole ACCESS1..4 entry when merging records.
+func (rec *PosixRecord) bumpAccess(size, count int64) {
 	for i := 0; i < rec.accessInlineN; i++ {
 		if rec.accessInline[i].size == size {
-			rec.accessInline[i].count++
+			rec.accessInline[i].count += count
 			return
 		}
 	}
 	if rec.accessInlineN < accessInlineCap {
-		rec.accessInline[rec.accessInlineN] = accessEntry{size: size, count: 1}
+		rec.accessInline[rec.accessInlineN] = accessEntry{size: size, count: count}
 		rec.accessInlineN++
 		return
 	}
 	if rec.accessSizes == nil {
 		rec.accessSizes = make(map[int64]int64)
 	}
-	rec.accessSizes[size]++
+	rec.accessSizes[size] += count
 }
 
 // clearAccessState drops the runtime access-pattern table after the
@@ -195,7 +196,7 @@ func (m *PosixModule) recordOpen(rec *PosixRecord, start, end float64) {
 func (m *PosixModule) recordRead(t *sim.Thread, rec *PosixRecord, offset, size int64, start, end float64) {
 	rec.Counters[POSIX_READS]++
 	rec.Counters[readSizeBucket(size)]++
-	rec.bumpAccess(size)
+	rec.bumpAccess(size, 1)
 	if rec.everRead {
 		if offset > rec.lastByteRead {
 			rec.Counters[POSIX_SEQ_READS]++
@@ -231,7 +232,7 @@ func (m *PosixModule) recordRead(t *sim.Thread, rec *PosixRecord, offset, size i
 func (m *PosixModule) recordWrite(t *sim.Thread, rec *PosixRecord, offset, size int64, start, end float64) {
 	rec.Counters[POSIX_WRITES]++
 	rec.Counters[writeSizeBucket(size)]++
-	rec.bumpAccess(size)
+	rec.bumpAccess(size, 1)
 	if rec.everWritten {
 		if offset > rec.lastByteWritten {
 			rec.Counters[POSIX_SEQ_WRITES]++

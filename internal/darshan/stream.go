@@ -1,6 +1,7 @@
 package darshan
 
 import (
+	"bufio"
 	"bytes"
 	"compress/gzip"
 	"encoding/binary"
@@ -86,14 +87,13 @@ func NewLogReader(r io.Reader) (*LogReader, error) {
 		return nil, fmt.Errorf("%w: %v", ErrBadLog, err)
 	}
 	lr.zr = zr
-	lr.d = &logDecoder{zr: zr}
+	lr.d = &logDecoder{r: bufio.NewReaderSize(zr, logChunk), buf: make([]byte, 0, posixRecordBytes)}
 	d := lr.d
 
-	var kind byte
-	if !d.val(&kind) {
+	if !d.next(1) {
 		return nil, d.fail("kind")
 	}
-	switch kind {
+	switch kind := d.u8(); kind {
 	case logKindSingle:
 	case logKindMerged:
 		lr.merged = true
@@ -102,9 +102,10 @@ func NewLogReader(r io.Reader) (*LogReader, error) {
 	}
 
 	// Job record.
-	if !d.val(&lr.jobEnd) || !d.val(&lr.nprocs) {
+	if !d.next(16) {
 		return nil, d.fail("job record")
 	}
+	lr.jobEnd, lr.nprocs = d.f64(), d.i64()
 	if !finiteTime(lr.jobEnd) {
 		return nil, fmt.Errorf("%w: job end time %v", ErrBadLog, lr.jobEnd)
 	}
@@ -121,16 +122,14 @@ func NewLogReader(r io.Reader) (*LogReader, error) {
 		return nil, err
 	}
 	for i := 0; i < nNames; i++ {
-		var id uint64
-		var ln uint16
-		if !d.val(&id) || !d.val(&ln) {
+		if !d.next(10) {
 			return nil, d.fail("name table entry %d", i)
 		}
-		buf := make([]byte, ln)
-		if _, err := io.ReadFull(zr, buf); err != nil {
-			return nil, fmt.Errorf("%w: name table entry %d: %v", ErrBadLog, i, err)
+		id, ln := d.u64(), d.u16()
+		if !d.next(int(ln)) {
+			return nil, d.fail("name table entry %d", i)
 		}
-		lr.names[id] = string(buf)
+		lr.names[id] = string(d.buf)
 	}
 	return lr, nil
 }
@@ -192,9 +191,10 @@ func (lr *LogReader) open(s logSection) error {
 		n, err = lr.d.count("stdio block", maxLogRecords)
 	case secTrace:
 		if lr.merged {
-			if !lr.d.val(&lr.dropped) {
+			if !lr.d.next(8) {
 				return lr.d.fail("timeline header")
 			}
+			lr.dropped = lr.d.i64()
 			if lr.dropped < 0 {
 				return fmt.Errorf("%w: negative timeline drop count", ErrBadLog)
 			}
@@ -260,10 +260,10 @@ func (lr *LogReader) NextPosix() (rec PosixRecord, ok bool, err error) {
 		lr.closeSection()
 		return rec, false, nil
 	}
-	var rank int64
-	if !lr.d.val(&rec.ID) || !lr.d.val(&rank) || !lr.d.val(rec.Counters[:]) || !lr.d.val(rec.FCounters[:]) {
+	if !lr.d.next(posixRecordBytes) {
 		return rec, false, lr.d.fail("posix record %d", lr.idx)
 	}
+	rank := lr.d.record(&rec.ID, rec.Counters[:], rec.FCounters[:])
 	if !lr.validRank(rank) {
 		return rec, false, fmt.Errorf("%w: posix record %d: rank %d out of range (nprocs %d)", ErrBadLog, lr.idx, rank, lr.nprocs)
 	}
@@ -286,10 +286,10 @@ func (lr *LogReader) NextStdio() (rec StdioRecord, ok bool, err error) {
 		lr.closeSection()
 		return rec, false, nil
 	}
-	var rank int64
-	if !lr.d.val(&rec.ID) || !lr.d.val(&rank) || !lr.d.val(rec.Counters[:]) || !lr.d.val(rec.FCounters[:]) {
+	if !lr.d.next(stdioRecordBytes) {
 		return rec, false, lr.d.fail("stdio record %d", lr.idx)
 	}
+	rank := lr.d.record(&rec.ID, rec.Counters[:], rec.FCounters[:])
 	if !lr.validRank(rank) {
 		return rec, false, fmt.Errorf("%w: stdio record %d: rank %d out of range (nprocs %d)", ErrBadLog, lr.idx, rank, lr.nprocs)
 	}
@@ -316,9 +316,10 @@ func (lr *LogReader) NextDXT() (rec DXTRecord, ok bool, err error) {
 		lr.closeSection()
 		return rec, false, nil
 	}
-	if !lr.d.val(&rec.ID) || !lr.d.val(&rec.Dropped) {
+	if !lr.d.next(16) {
 		return rec, false, lr.d.fail("dxt record %d", lr.idx)
 	}
+	rec.ID, rec.Dropped = lr.d.u64(), lr.d.i64()
 	if rec.Dropped < 0 {
 		return rec, false, fmt.Errorf("%w: dxt record %d: negative drop count", ErrBadLog, lr.idx)
 	}
@@ -333,6 +334,9 @@ func (lr *LogReader) NextDXT() (rec DXTRecord, ok bool, err error) {
 				*out = make([]Segment, 0, min(nSegs, logAllocChunk))
 			}
 			var s Segment
+			if !lr.d.next(segmentBytes) {
+				return rec, false, lr.d.fail("%s %d", what, j)
+			}
 			if err := readSegment(lr.d, &s, what, j); err != nil {
 				return rec, false, err
 			}
@@ -360,11 +364,11 @@ func (lr *LogReader) NextSegment() (ms MergedSegment, ok bool, err error) {
 		lr.closeSection()
 		return ms, false, nil
 	}
-	var rank int32
-	var write byte
-	if !lr.d.val(&ms.ID) || !lr.d.val(&rank) || !lr.d.val(&write) {
+	if !lr.d.next(timelineSegmentBytes) {
 		return ms, false, lr.d.fail("timeline segment %d", lr.idx)
 	}
+	ms.ID = lr.d.u64()
+	rank, write := lr.d.i32(), lr.d.u8()
 	// Timeline segments are always owned by a concrete rank: the shared
 	// sentinel never appears here.
 	if rank < 0 || int64(rank) >= lr.nprocs {
@@ -396,7 +400,7 @@ func (lr *LogReader) Finish() error {
 		}
 	}
 	var trailer [1]byte
-	if n, err := lr.zr.Read(trailer[:]); n != 0 || err != io.EOF {
+	if n, err := lr.d.r.Read(trailer[:]); n != 0 || err != io.EOF {
 		return fmt.Errorf("%w: trailing data after final block", ErrBadLog)
 	}
 	lr.finished = true
