@@ -43,8 +43,9 @@ type ClusterProbeFunc func(threads, prefetch int) (ClusterObservation, error)
 // depth per rank, in rank order.
 type ClusterAdvice struct {
 	Ranks int
-	// Threads and Prefetch hold the per-rank choices (distributed.Options
-	// RankThreads/RankPrefetch shaped).
+	// Threads and Prefetch hold the per-rank choices. Every rank gets the
+	// same one, which a run applies as distributed.Options Threads and
+	// Prefetch (ThreadsPerRank, PrefetchPerRank).
 	Threads  []int
 	Prefetch []int
 	// BandwidthThreads is the hill-climb's bandwidth-greedy choice before

@@ -253,10 +253,7 @@ func (s *Service) Register(t *sim.Thread, spec JobSpec) (*Job, error) {
 	j.res.AdmitNs = t.Now() - admitStart
 
 	w := s.Workers()
-	leases := make([][]string, w)
-	for i := 0; i < w; i++ {
-		leases[i] = distributed.ShardPaths(spec.Paths, spec.Shuffle, w, i)
-	}
+	leases := distributed.Shards(spec.Paths, spec.Shuffle, w)
 	s.disp.register(t, w)
 	s.jobs++
 	j.res.Workers = w

@@ -42,35 +42,18 @@ type Options struct {
 	Batch int
 	// Prefetch is the per-rank prefetch depth.
 	Prefetch int
-	// RankThreads, when non-empty (length must equal the rank count),
-	// overrides Threads with one map parallelism per rank — the cluster
-	// tuner's per-rank decision.
-	RankThreads []int
-	// RankPrefetch, when non-empty (length must equal the rank count),
-	// overrides Prefetch per rank.
-	RankPrefetch []int
-	// ProbeSteps caps the lockstep step count (0 = the full epoch): the
+	// ProbeSteps caps the lockstep step count (0 = the full job): the
 	// short probe windows the cluster tuner measures before committing to
 	// a configuration.
 	ProbeSteps int
-	// Epochs repeats the shard (tfdata.Repeat); 0 or 1 is a single epoch.
+	// Epochs is the job length in epochs (0 or 1 is one). Each epoch
+	// reshuffles the full list with seed Shuffle+e before sharding it
+	// (NewPlan), the order the clairvoyant prefetcher walks.
 	Epochs int
-	// InterleaveCycle/InterleaveBlock, when both positive, rearrange each
-	// rank's shard into block-cyclic per-worker streams
-	// (tfdata.Interleave) before mapping.
-	InterleaveCycle int
-	InterleaveBlock int
 	// Shuffle seeds the shared file shuffle. Every rank shuffles the full
 	// list with the same seed and then shards, the standard data-parallel
 	// recipe that keeps shards disjoint.
 	Shuffle int64
-	// RankPaths, when non-nil (length must equal the rank count), hands
-	// each rank an explicit file sequence instead of the shuffle+shard
-	// prefix — the clairvoyant schedules of the prefetch experiment, where
-	// epoch e's order is a fresh seeded reshuffle and all epochs are
-	// concatenated per rank. Shuffle and Epochs are ignored; the paths
-	// argument of Run still names the underlying file set.
-	RankPaths [][]string
 	// AfterRank, when set, runs on the rank's sim thread after the rank
 	// finishes (success or failure, before the thread exits) — the hook a
 	// per-node prefetcher uses to stop cleanly once its consumer is done.
@@ -85,9 +68,6 @@ type Options struct {
 	Model func() *keras.Model
 	// MapFn is the capture function of every rank's input pipeline.
 	MapFn tfdata.MapFunc
-	// LinkBandwidth is the allreduce interconnect bandwidth in bytes/s
-	// (DefaultLinkBandwidth when 0; negative disables gradient cost).
-	LinkBandwidth float64
 	// VerifyContent disables the zero-materialization read fast path on
 	// every rank.
 	VerifyContent bool
@@ -100,10 +80,10 @@ type Options struct {
 	Failures []FailureEvent
 	// Elastic switches the failure protocol from rollback to
 	// continue-on-failure: survivors re-shard the victim's remaining
-	// epoch work across N−1 live ranks and keep committing steps; the
-	// reborn rank restores the last checkpoint alone and is absorbed at
-	// the next step boundary (no restore storm, no replay). Requires
-	// exactly one failure event and the shuffle+shard path layout.
+	// work across N−1 live ranks (Plan.Without) and keep committing
+	// steps; the reborn rank restores the last checkpoint alone and is
+	// absorbed at the next step boundary (no restore storm, no replay).
+	// Requires exactly one failure event.
 	Elastic bool
 	// Retry arms every rank's transient-read retry policy (tf.Env.Retry):
 	// bounded retries with seeded exponential backoff against injected
@@ -124,7 +104,7 @@ type RankResult struct {
 	// For a rank that died, the pre-failure incarnations' records are
 	// folded in (darshan.CombineSnapshots).
 	Snapshot *darshan.Snapshot
-	// ShardFiles is the number of files in the rank's shard.
+	// ShardFiles is the number of files in the rank's per-epoch shard.
 	ShardFiles int
 	// Lifecycle is the rank's state transitions; a run without failures
 	// has the single initial running event.
@@ -203,50 +183,13 @@ func (r *Result) SerializeLogs() (*LogSet, error) {
 	return set, nil
 }
 
-// threadsFor resolves rank r's map parallelism.
-func (o *Options) threadsFor(r int) int {
-	if len(o.RankThreads) > 0 {
-		return o.RankThreads[r]
-	}
-	return o.Threads
-}
-
-// prefetchFor resolves rank r's prefetch depth.
-func (o *Options) prefetchFor(r int) int {
-	if len(o.RankPrefetch) > 0 {
-		return o.RankPrefetch[r]
-	}
-	return o.Prefetch
-}
-
-// validate checks the per-rank shape of the options.
+// validate checks that the policies are well formed for the rank count.
 func (o *Options) validate(ranks int) error {
-	if o.Batch < 1 {
-		return fmt.Errorf("distributed: invalid batch %d", o.Batch)
+	if o.Threads < 1 {
+		return fmt.Errorf("distributed: invalid threads %d", o.Threads)
 	}
-	if len(o.RankThreads) > 0 && len(o.RankThreads) != ranks {
-		return fmt.Errorf("distributed: RankThreads has %d entries for %d ranks", len(o.RankThreads), ranks)
-	}
-	if len(o.RankPrefetch) > 0 && len(o.RankPrefetch) != ranks {
-		return fmt.Errorf("distributed: RankPrefetch has %d entries for %d ranks", len(o.RankPrefetch), ranks)
-	}
-	if o.RankPaths != nil {
-		if len(o.RankPaths) != ranks {
-			return fmt.Errorf("distributed: RankPaths has %d entries for %d ranks", len(o.RankPaths), ranks)
-		}
-		for r, ps := range o.RankPaths {
-			if len(ps) == 0 {
-				return fmt.Errorf("distributed: rank %d of %d has an empty path sequence", r, ranks)
-			}
-		}
-	}
-	for r := 0; r < ranks; r++ {
-		if o.threadsFor(r) < 1 {
-			return fmt.Errorf("distributed: rank %d has invalid threads %d", r, o.threadsFor(r))
-		}
-		if o.prefetchFor(r) < 0 {
-			return fmt.Errorf("distributed: rank %d has invalid prefetch %d", r, o.prefetchFor(r))
-		}
+	if o.Prefetch < 0 {
+		return fmt.Errorf("distributed: invalid prefetch %d", o.Prefetch)
 	}
 	if o.Checkpoint.Pattern != CkptNone {
 		if o.Checkpoint.EverySteps < 1 {
@@ -256,68 +199,28 @@ func (o *Options) validate(ranks int) error {
 			return fmt.Errorf("distributed: checkpoint needs a directory")
 		}
 	}
-	if len(o.Failures) > 0 {
-		if o.InterleaveCycle > 0 && o.InterleaveBlock > 0 {
-			return fmt.Errorf("distributed: failure schedules are not supported with interleave")
+	prev := 0
+	for i, ev := range o.Failures {
+		if ev.Rank < 0 || ev.Rank >= ranks {
+			return fmt.Errorf("distributed: failure %d targets rank %d of %d", i, ev.Rank, ranks)
 		}
-		prev := 0
-		for i, ev := range o.Failures {
-			if ev.Rank < 0 || ev.Rank >= ranks {
-				return fmt.Errorf("distributed: failure %d targets rank %d of %d", i, ev.Rank, ranks)
-			}
-			if ev.Step <= prev {
-				return fmt.Errorf("distributed: failure steps must be ascending and >= 1, got %d after %d", ev.Step, prev)
-			}
-			prev = ev.Step
+		if ev.Step <= prev {
+			return fmt.Errorf("distributed: failure steps must be ascending and >= 1, got %d after %d", ev.Step, prev)
 		}
+		prev = ev.Step
 	}
-	if o.Elastic {
-		if len(o.Failures) != 1 {
-			return fmt.Errorf("distributed: elastic mode needs exactly one failure event, got %d", len(o.Failures))
-		}
-		if o.RankPaths != nil {
-			return fmt.Errorf("distributed: elastic mode re-shards the shuffle+shard layout; explicit RankPaths are not supported")
-		}
+	if o.Elastic && len(o.Failures) != 1 {
+		return fmt.Errorf("distributed: elastic mode needs exactly one failure event, got %d", len(o.Failures))
 	}
 	return nil
 }
 
-// ShardPaths returns the file list rank `rank` of `ranks` consumes: the
-// full list shuffled with the job's seed, then sharded with tf.data
-// semantics — the same pipeline prefix every rank builds in Run, and the
-// single source of truth for shard membership (the per-rank staging
-// advisor stages exactly these files).
-func ShardPaths(paths []string, shuffle int64, ranks, rank int) []string {
-	return tfdata.FromFiles(nil, paths).Shuffle(shuffle).Shard(ranks, rank).Paths()
-}
-
-// lockstepSteps returns the number of steps every rank can run without
-// exhausting its shard: the minimum across ranks of full batches per
-// shard (at least one — the final partial batch — so tiny shards still
-// train).
-func lockstepSteps(nFiles, ranks, epochs, batch int) (int, error) {
-	steps := -1
-	for r := 0; r < ranks; r++ {
-		n := tfdata.ShardLen(nFiles, ranks, r) * epochs
-		if n == 0 {
-			return 0, fmt.Errorf("distributed: rank %d of %d has an empty shard (%d files)", r, ranks, nFiles)
-		}
-		s := n / batch
-		if s < 1 {
-			s = 1
-		}
-		if steps < 0 || s < steps {
-			steps = s
-		}
-	}
-	return steps, nil
-}
-
 // Run executes one synchronous data-parallel training job over the
-// cluster: every rank builds shuffle→shard→(repeat/interleave)→map→batch→
-// prefetch over the same shared file list, fits its model replica in
-// lockstep with the others, and exports its Darshan record set. The
-// per-rank sets are merged before returning.
+// cluster: the run plan (NewPlan) fixes every rank's file sequence and the
+// lockstep step count, every rank builds map→batch→prefetch over its
+// sequence, fits its model replica in lockstep with the others, and
+// exports its Darshan record set. The per-rank sets are merged before
+// returning.
 func Run(c *platform.Cluster, paths []string, opts Options) (*Result, error) {
 	ranks := len(c.Nodes)
 	if ranks == 0 {
@@ -326,40 +229,21 @@ func Run(c *platform.Cluster, paths []string, opts Options) (*Result, error) {
 	if err := opts.validate(ranks); err != nil {
 		return nil, err
 	}
-	epochs := opts.Epochs
-	if epochs < 1 {
-		epochs = 1
+	plan, err := NewPlan(paths, opts.Shuffle, ranks, opts.Epochs, opts.Batch)
+	if err != nil {
+		return nil, err
 	}
-	var steps int
-	var err error
-	if opts.RankPaths != nil {
-		// Explicit schedules: the minimum full-batch count across ranks
-		// (at least one), mirroring lockstepSteps over the given lengths.
-		for r := range opts.RankPaths {
-			s := len(opts.RankPaths[r]) / opts.Batch
-			if s < 1 {
-				s = 1
-			}
-			if r == 0 || s < steps {
-				steps = s
-			}
-		}
-	} else {
-		steps, err = lockstepSteps(len(paths), ranks, epochs, opts.Batch)
-		if err != nil {
-			return nil, err
-		}
+	if opts.ProbeSteps > 0 {
+		plan.Steps = min(plan.Steps, opts.ProbeSteps)
 	}
-	if opts.ProbeSteps > 0 && steps > opts.ProbeSteps {
-		steps = opts.ProbeSteps
-	}
+	steps := plan.Steps
 	for i, ev := range opts.Failures {
 		if ev.Step > steps {
 			return nil, fmt.Errorf("distributed: failure %d at step %d beyond the job's %d steps", i, ev.Step, steps)
 		}
 	}
 
-	d := newDriver(c, opts, steps, epochs)
+	d := newDriver(c, opts, plan)
 	res := &Result{Steps: steps, PerRank: make([]RankResult, ranks)}
 	d.res = res
 	errs := make([]error, ranks)
@@ -369,13 +253,7 @@ func Run(c *platform.Cluster, paths []string, opts Options) (*Result, error) {
 			if opts.AfterRank != nil {
 				defer opts.AfterRank(t, r)
 			}
-			if err := d.runRank(t, r, paths); err != nil {
-				errs[r] = err
-				// A failed rank must still occupy its barrier slot for
-				// every lockstep step, or its peers park forever and the
-				// job surfaces a kernel deadlock instead of errs[r].
-				d.drainBarrier(t)
-			}
+			errs[r] = d.runRank(t, r)
 		})
 	}
 	if err := c.K.Run(); err != nil {

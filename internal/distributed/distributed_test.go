@@ -117,28 +117,6 @@ func TestSingleRankBitIdenticalToSingleProcessPipeline(t *testing.T) {
 			t.Errorf("merged %v = %d, single-process %d", c, distRes.Merged.TotalPosix(c), soloSnap.TotalPosix(c))
 		}
 	}
-
-	// The prefetch-disabled invariant: handing the same one-epoch shard
-	// order in explicitly via RankPaths (the mechanism the clairvoyant
-	// prefetcher schedules through — prefetch.Schedule of one epoch IS
-	// ShardPaths) must not perturb a single bit of the run.
-	cluster2 := platform.NewKebnekaiseCluster(1, platform.Options{PreloadDarshan: true})
-	dExplicit := buildDataset(t, cluster2, files)
-	explicitOpts := opts
-	explicitOpts.RankPaths = [][]string{ShardPaths(dExplicit.Paths, opts.Shuffle, 1, 0)}
-	explicitRes, err := Run(cluster2, dExplicit.Paths, explicitOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if explicitRes.WallSeconds != distRes.WallSeconds {
-		t.Errorf("explicit schedule wall time diverged: %v vs %v", explicitRes.WallSeconds, distRes.WallSeconds)
-	}
-	if !reflect.DeepEqual(explicitRes.PerRank[0].Snapshot, distRes.PerRank[0].Snapshot) {
-		t.Error("explicit one-epoch schedule diverged from the sharded run's Darshan records")
-	}
-	if !reflect.DeepEqual(explicitRes.PerRank[0].History.StepWaitNs, rank0.History.StepWaitNs) {
-		t.Error("explicit one-epoch schedule diverged on per-step input waits")
-	}
 }
 
 func TestMergedCountersEqualPerRankSums(t *testing.T) {
@@ -253,11 +231,12 @@ func TestLockstepSynchronizationCouplesRanks(t *testing.T) {
 	}
 }
 
-func TestEpochsAndInterleave(t *testing.T) {
+// TestEpochsReshuffle: a two-epoch job reads every file exactly once per
+// epoch, runs the lockstep steps of both epochs, and reports the
+// per-epoch shard size.
+func TestEpochsReshuffle(t *testing.T) {
 	opts := defaultOpts()
 	opts.Epochs = 2
-	opts.InterleaveCycle = 4
-	opts.InterleaveBlock = 2
 	opts.Batch = 4
 	opts.Model = nil // STREAM-style lockstep loop
 	opts.MapFn = workload.StreamMap
@@ -265,6 +244,11 @@ func TestEpochsAndInterleave(t *testing.T) {
 	// 24 files, 2 ranks, 2 epochs: every file is opened exactly twice.
 	if got := res.Merged.TotalPosix(darshan.POSIX_OPENS); got != 48 {
 		t.Fatalf("merged opens = %d, want 48", got)
+	}
+	for i := range res.Merged.Posix {
+		if got := res.Merged.Posix[i].Counters[darshan.POSIX_OPENS]; got != 2 {
+			t.Fatalf("file %s opened %d times, want once per epoch", res.Merged.Names[res.Merged.Posix[i].ID], got)
+		}
 	}
 	if res.Steps != 6 { // 12 files x 2 epochs / batch 4
 		t.Fatalf("steps = %d, want 6", res.Steps)
@@ -434,42 +418,24 @@ func TestShardPathsMatchConsumedShards(t *testing.T) {
 	}
 }
 
-func TestPerRankThreadOverridesChangeOnlyThatRank(t *testing.T) {
-	// A heterogeneous thread assignment must run, and giving one rank a
-	// single thread must slow the whole lockstep job versus the uniform
-	// run (its straggling stalls every barrier).
-	uniform := runRanks(t, 2, 64, defaultOpts())
-	opts := defaultOpts()
-	opts.RankThreads = []int{4, 1}
-	opts.RankPrefetch = []int{4, 2}
-	skewed := runRanks(t, 2, 64, opts)
-	if skewed.Steps != uniform.Steps {
-		t.Fatalf("step counts diverged: %d vs %d", skewed.Steps, uniform.Steps)
-	}
-	if !(skewed.WallSeconds > uniform.WallSeconds) {
-		t.Fatalf("starving rank 1 did not slow the job: %.3fs vs %.3fs",
-			skewed.WallSeconds, uniform.WallSeconds)
-	}
-}
-
+// TestPerRankOptionValidation: every rank's pipeline needs at least one
+// map thread, a non-negative prefetch depth and a positive batch.
 func TestPerRankOptionValidation(t *testing.T) {
 	c := platform.NewKebnekaiseCluster(2, platform.Options{PreloadDarshan: true})
 	d := buildDataset(t, c, 32)
-	opts := defaultOpts()
-	opts.RankThreads = []int{4} // wrong length
-	if _, err := Run(c, d.Paths, opts); err == nil {
-		t.Fatal("RankThreads length mismatch accepted")
-	}
-	opts = defaultOpts()
-	opts.Threads = 0
-	opts.RankThreads = []int{4, 0} // rank 1 invalid
-	if _, err := Run(c, d.Paths, opts); err == nil {
-		t.Fatal("zero per-rank threads accepted")
-	}
-	opts = defaultOpts()
-	opts.RankPrefetch = []int{1, 2, 3}
-	if _, err := Run(c, d.Paths, opts); err == nil {
-		t.Fatal("RankPrefetch length mismatch accepted")
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Options)
+	}{
+		{"zero threads", func(o *Options) { o.Threads = 0 }},
+		{"negative prefetch", func(o *Options) { o.Prefetch = -1 }},
+		{"zero batch", func(o *Options) { o.Batch = 0 }},
+	} {
+		opts := defaultOpts()
+		tc.mutate(&opts)
+		if _, err := Run(c, d.Paths, opts); err == nil {
+			t.Fatalf("%s accepted", tc.name)
+		}
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/tf"
 	"repro/internal/tf/keras"
-	"repro/internal/tf/tfdata"
 )
 
 // Elastic continue-on-failure mode: instead of rolling every rank back to
@@ -35,23 +34,6 @@ const (
 // structured error instead of panicking in the barrier.
 var ErrNoSurvivors = errors.New("distributed: no surviving ranks")
 
-// elasticPlan is the deterministic continuation the survivors adopt after
-// the failure event: one re-sharded file sequence per surviving rank and
-// the lockstep step count of the continuation segment.
-type elasticPlan struct {
-	// seq[r] is rank r's continuation sequence (nil for the victim).
-	seq [][]string
-	// steps is the continuation segment's lockstep step count.
-	steps int
-	// total is the job's total barrier generations: the broken step (which
-	// the survivors commit) plus the continuation steps. The victim drains
-	// generations up to this count after it rejoins.
-	total int
-	// reshardFiles is how many of the victim's remaining files were
-	// reassigned to survivors.
-	reshardFiles int
-}
-
 // envFaultCounters maps a process env's retry tally into the Darshan-side
 // fault counters stamped on that process's exported snapshot.
 func envFaultCounters(env *tf.Env) darshan.FaultCounters {
@@ -65,54 +47,26 @@ func envFaultCounters(env *tf.Env) darshan.FaultCounters {
 	}
 }
 
-// ensureElasticPlan computes the continuation plan once per job. It is a
-// pure function of the options, the file list and the failure event, so
-// whichever rank reaches it first (the victim, before it leaves the
-// barrier) writes what every other rank would have written.
-func (d *driver) ensureElasticPlan(paths []string) {
-	if d.elastic.total != 0 {
+// ensureContinuation computes the elastic continuation once per job. It
+// is a pure function of the run plan and the failure event, so whichever
+// rank reaches it first (the victim, before it leaves the barrier) writes
+// what every other rank would have written.
+func (d *driver) ensureContinuation() {
+	if d.cont != nil {
 		return
 	}
 	fs := &d.fails[0]
-	victim := fs.ev.Rank
-	brk := fs.ev.Step // the broken step; survivors commit it without gradients
-	ranks := len(d.c.Nodes)
-	batch := d.opts.Batch
-
-	// The victim died at the start of step brk, so its batches for steps
-	// brk.. remain unconsumed. (Its step-brk batch was never read: the
-	// death fires before the iterator pull.)
-	vseq := epochSequence(ShardPaths(paths, d.opts.Shuffle, ranks, victim), d.epochs, false)
-	voff := min((brk-1)*batch, len(vseq))
-	vrem := vseq[voff:]
-
-	live := ranks - 1
-	plan := elasticPlan{seq: make([][]string, ranks), reshardFiles: len(vrem)}
-	idx := 0
-	for r := 0; r < ranks; r++ {
-		if r == victim {
-			continue
-		}
-		seq := epochSequence(ShardPaths(paths, d.opts.Shuffle, ranks, r), d.epochs, false)
-		off := min(brk*batch, len(seq))
-		// Own remaining work, then this survivor's deterministic share of
-		// the victim's remainder (tf.data shard semantics over the live
-		// ranks in ascending rank order).
-		cont := append(append([]string(nil), seq[off:]...),
-			tfdata.FromFiles(nil, vrem).Shard(live, idx).Paths()...)
-		plan.seq[r] = cont
-		s := max(len(cont)/batch, 1)
-		if plan.steps == 0 || s < plan.steps {
-			plan.steps = s
-		}
-		idx++
-	}
-	plan.total = brk + plan.steps
-	d.elastic = plan
+	// The victim died at the start of step brk, before its iterator pull,
+	// so its batches for steps brk.. remain unconsumed; the survivors
+	// commit brk without gradients and continue after it.
+	brk := fs.ev.Step
+	cont, reshard := d.plan.Without(fs.ev.Rank, brk, d.opts.Batch)
+	d.cont = cont
+	d.contTotal = brk + cont.Steps
 
 	fs.elastic = true
-	fs.elasticSteps = plan.steps
-	fs.reshardFiles = plan.reshardFiles
+	fs.elasticSteps = cont.Steps
+	fs.reshardFiles = reshard
 }
 
 // applyRetry arms the rank's process-wide transient-retry policy, giving
@@ -132,7 +86,7 @@ func (d *driver) applyRetry(env *tf.Env, r int) {
 // survivors are parked on), reboot, restore the last checkpoint alone —
 // the catch-up read burst — then rejoin the barrier and drain the
 // remaining generations until the survivors finish the epoch.
-func (d *driver) elasticVictim(t *sim.Thread, r, killed int, paths []string, newModel func() *keras.Model) error {
+func (d *driver) elasticVictim(t *sim.Thread, r, killed int, newModel func() *keras.Model) error {
 	opts := &d.opts
 	fs := &d.fails[0]
 	rr := &d.res.PerRank[r]
@@ -142,7 +96,7 @@ func (d *driver) elasticVictim(t *sim.Thread, r, killed int, paths []string, new
 	d.mark(rr, t, LifeFailed, killed)
 	// The plan must exist before the survivors wake from the broken
 	// generation; the victim computes it (deterministically) on its way out.
-	d.ensureElasticPlan(paths)
+	d.ensureContinuation()
 	survivors := d.bar.Leave(t)
 	d.c.KillNode(r)
 	if !survivors {
@@ -183,7 +137,7 @@ func (d *driver) elasticVictim(t *sim.Thread, r, killed int, paths []string, new
 	g := d.bar.Gen()
 	fs.resumeStep = g + 1
 	d.mark(rr, t, LifeRunning, g+1)
-	for ; g < d.elastic.total; g++ {
+	for ; g < d.contTotal; g++ {
 		d.bar.Await(t)
 	}
 	return nil

@@ -270,8 +270,7 @@ func TestElasticValidate(t *testing.T) {
 		t.Fatal("elastic with two failure events must not validate")
 	}
 	opts.Failures = opts.Failures[:1]
-	opts.RankPaths = [][]string{{"/a"}, {"/b"}}
-	if err := opts.validate(2); err == nil {
-		t.Fatal("elastic with explicit RankPaths must not validate")
+	if err := opts.validate(2); err != nil {
+		t.Fatalf("elastic with one failure event: %v", err)
 	}
 }

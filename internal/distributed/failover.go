@@ -161,14 +161,12 @@ type failureState struct {
 	reshardFiles int
 }
 
-// driver is one distributed run's shared state: the elastic step barrier
-// plus the failure blackboards.
+// driver is one distributed run's shared state: the run plan, the
+// elastic step barrier and the failure blackboards.
 type driver struct {
-	c      *platform.Cluster
-	opts   Options
-	steps  int
-	epochs int
-	linkBW float64
+	c    *platform.Cluster
+	opts Options
+	plan *Plan
 	// bar is the per-step gradient barrier. A single-party barrier is a
 	// no-op, keeping one-rank runs bit-identical to the plain
 	// single-process training loop.
@@ -185,20 +183,18 @@ type driver struct {
 	// at the death instant (the simulator's failure oracle preserves what
 	// a real crash would lose) and folded into the rank's job-end export.
 	preFail [][]*darshan.Snapshot
-	// elastic is the continue-on-failure continuation plan (elastic.go),
-	// computed once at the failure instant when Options.Elastic is set.
-	elastic elasticPlan
-	res     *Result
+	// cont is the elastic continuation plan (Plan.Without), computed once
+	// at the failure instant when Options.Elastic is set; contTotal is the
+	// job's total barrier generations under it (elastic.go).
+	cont      *Plan
+	contTotal int
+	res       *Result
 }
 
-func newDriver(c *platform.Cluster, opts Options, steps, epochs int) *driver {
+func newDriver(c *platform.Cluster, opts Options, plan *Plan) *driver {
 	ranks := len(c.Nodes)
-	linkBW := opts.LinkBandwidth
-	if linkBW == 0 {
-		linkBW = DefaultLinkBandwidth
-	}
 	d := &driver{
-		c: c, opts: opts, steps: steps, epochs: epochs, linkBW: linkBW,
+		c: c, opts: opts, plan: plan,
 		bar:     sim.NewBarrier(ranks),
 		halted:  make([]bool, ranks),
 		fails:   make([]failureState, len(opts.Failures)),
@@ -211,21 +207,24 @@ func newDriver(c *platform.Cluster, opts Options, steps, epochs int) *driver {
 	return d
 }
 
-// drainBarrier occupies the rank's slot for every lockstep step after an
-// unrecoverable per-rank error, so healthy peers do not park forever. In
-// elastic mode the job's length is the plan's generation total, not the
-// nominal step count, so the drain is generation-based once a plan exists.
-func (d *driver) drainBarrier(t *sim.Thread) {
-	if d.opts.Elastic && d.elastic.total > 0 {
+// drainBarrier occupies the rank's slot for every generation its peers
+// still run after an unrecoverable per-rank error, so they do not park
+// forever and the job surfaces the error instead of a kernel deadlock.
+// The rank has taken part in the generations up to global step from; the
+// peers run (or replay, after a rollback) the rest of the job's steps. In
+// elastic mode the job's length is the continuation's generation total,
+// so the drain is generation-based once a continuation exists.
+func (d *driver) drainBarrier(t *sim.Thread, from int) {
+	if d.cont != nil {
 		// Each Await participates in exactly one generation, so the count
 		// is fixed up front (a gen-polling loop would spin forever on a
 		// single-party barrier whose generations cost no simulated time).
-		for g := d.bar.Gen(); g < d.elastic.total; g++ {
+		for g := d.bar.Gen(); g < d.contTotal; g++ {
 			d.bar.Await(t)
 		}
 		return
 	}
-	for s := 0; s < d.steps; s++ {
+	for s := from; s < d.plan.Steps; s++ {
 		d.bar.Await(t)
 	}
 }
@@ -340,32 +339,27 @@ func mergeHistories(segs []*keras.History) *keras.History {
 	return out
 }
 
-// epochSequence materializes the file sequence a rank consumes over the
-// whole job: the shard repeated per epoch (explicit RankPaths schedules
-// already concatenate their epochs). Replay segments slice into this to
-// resume mid-job.
-func epochSequence(rankPaths []string, epochs int, explicit bool) []string {
-	if explicit || epochs <= 1 {
-		return rankPaths
-	}
-	seq := make([]string, 0, len(rankPaths)*epochs)
-	for e := 0; e < epochs; e++ {
-		seq = append(seq, rankPaths...)
-	}
-	return seq
-}
-
 // runRank is one rank's whole job: an event loop over fit segments with
 // the per-rank lifecycle running → failed → rejoined → restoring →
-// running. A run without failure events executes exactly one segment
-// whose pipeline, fit and barrier traffic are byte-identical to the
-// pre-failure lockstep driver.
-func (d *driver) runRank(t *sim.Thread, r int, paths []string) error {
+// running. Every segment reads a suffix of a plan sequence: the first one
+// all of the rank's sequence, a rollback replay the part after the
+// rollback step's batches, an elastic survivor its continuation sequence.
+// A run without failure events executes exactly one segment. An error
+// drains the barrier generations the peers still run before returning.
+func (d *driver) runRank(t *sim.Thread, r int) (err error) {
 	opts := &d.opts
 	ranks := len(d.c.Nodes)
 	node := d.c.Nodes[r]
 	node.Env.VerifyContent = opts.VerifyContent
 	d.applyRetry(node.Env, r)
+	// base is the number of global steps committed before the current
+	// segment; seq[off:] is the segment's input and segSteps its length.
+	base, seq, off, segSteps := 0, d.plan.Seq[r], 0, d.plan.Steps
+	defer func() {
+		if err != nil {
+			d.drainBarrier(t, base)
+		}
+	}()
 	newModel := func() *keras.Model {
 		if opts.Model != nil {
 			return opts.Model()
@@ -379,11 +373,11 @@ func (d *driver) runRank(t *sim.Thread, r int, paths []string) error {
 	// mid-step: the step did not commit, so the gradient exchange is
 	// skipped and the rank stops at the next step boundary.
 	gradCostFor := func(n int) sim.Duration {
-		if d.linkBW <= 0 || n <= 1 {
+		if n <= 1 {
 			return 0
 		}
 		bytes := float64(model.ParamBytes())
-		return sim.Duration(2 * float64(n-1) / float64(n) * bytes / d.linkBW * 1e9)
+		return sim.Duration(2 * float64(n-1) / float64(n) * bytes / DefaultLinkBandwidth * 1e9)
 	}
 	gradCost := gradCostFor(ranks)
 	allReduce := func(t *sim.Thread, step int) {
@@ -407,47 +401,17 @@ func (d *driver) runRank(t *sim.Thread, r int, paths []string) error {
 			return err
 		}
 	}
-	rankPaths := ShardPaths(paths, opts.Shuffle, ranks, r)
-	if opts.RankPaths != nil {
-		rankPaths = opts.RankPaths[r]
-	}
 
 	rr := &d.res.PerRank[r]
 	rr.Rank = r
 	rr.Incarnations = 1
+	rr.ShardFiles = d.plan.ShardFiles[r]
 	d.mark(rr, t, LifeRunning, 1)
 	cb := &rankCallback{d: d, rank: r, result: rr}
 	var histories []*keras.History
-	base := 0
-	// contSeq, when non-nil, is this rank's elastic continuation sequence:
-	// its own remaining files plus its share of the victim's (elastic.go).
-	var contSeq []string
 	for {
-		// Build this segment's input pipeline. The first segment is the
-		// exact pre-failure construction; replay segments resume at the
-		// job sequence's base*Batch offset (steps 1..base committed their
-		// batches before the rollback point); elastic continuation
-		// segments consume the re-sharded sequence.
-		var ds *tfdata.Dataset
-		segSteps := d.steps - base
-		switch {
-		case contSeq != nil:
-			ds = tfdata.FromFiles(node.Env, contSeq)
-			segSteps = d.elastic.steps
-		case base == 0:
-			ds = tfdata.FromFiles(node.Env, rankPaths)
-			rr.ShardFiles = ds.Size()
-			if opts.RankPaths == nil && d.epochs > 1 {
-				ds = ds.Repeat(d.epochs)
-			}
-			if opts.InterleaveCycle > 0 && opts.InterleaveBlock > 0 {
-				ds = ds.Interleave(opts.InterleaveCycle, opts.InterleaveBlock)
-			}
-		default:
-			seq := epochSequence(rankPaths, d.epochs, opts.RankPaths != nil)
-			ds = tfdata.FromFiles(node.Env, seq[base*opts.Batch:])
-		}
-		ds = ds.Map(opts.MapFn, opts.threadsFor(r)).Batch(opts.Batch).Prefetch(opts.prefetchFor(r))
+		ds := tfdata.FromFiles(node.Env, seq[off:]).
+			Map(opts.MapFn, opts.Threads).Batch(opts.Batch).Prefetch(opts.Prefetch)
 		it, err := ds.MakeIterator()
 		if err != nil {
 			return err
@@ -470,22 +434,21 @@ func (d *driver) runRank(t *sim.Thread, r int, paths []string) error {
 		}
 		if opts.Elastic {
 			if killed > 0 {
-				if err := d.elasticVictim(t, r, killed, paths, newModel); err != nil {
+				if err := d.elasticVictim(t, r, killed, newModel); err != nil {
 					return err
 				}
 				break
 			}
 			// Survivor: the broken step committed locally (the gradient
 			// exchange was skipped), so its history stands. Adopt the
-			// continuation shard and keep going with N−1 peers.
+			// continuation sequence and keep going with N−1 peers.
 			histories = append(histories, hist)
 			fs := &d.fails[cb.nextEv]
-			d.ensureElasticPlan(paths)
+			d.ensureContinuation()
 			d.mark(rr, t, LifeDegraded, fs.ev.Step)
-			contSeq = d.elastic.seq[r]
 			d.halted[r] = false
 			cb.nextEv++
-			base = fs.ev.Step
+			base, seq, off, segSteps = fs.ev.Step, d.cont.Seq[r], 0, d.cont.Steps
 			gradCost = gradCostFor(ranks - 1)
 			d.mark(rr, t, LifeResharded, base+1)
 			continue
@@ -516,9 +479,11 @@ func (d *driver) runRank(t *sim.Thread, r int, paths []string) error {
 
 		// Recovery rendezvous: survivors park here until the reborn rank
 		// is back (straggler time), then everyone restores the rollback
-		// checkpoint concurrently — the restore read storm — and replays.
+		// checkpoint concurrently — the restore read storm — and replays
+		// from the rollback step: steps 1..base committed their batches.
 		d.rendezvous[cb.nextEv].Await(t)
-		d.mark(rr, t, LifeRestoring, fs.ckptStep+1)
+		base, off, segSteps = fs.ckptStep, fs.ckptStep*opts.Batch, d.plan.Steps-fs.ckptStep
+		d.mark(rr, t, LifeRestoring, base+1)
 		restoreStart := t.Now()
 		if fs.restoreStartNs == 0 || restoreStart < fs.restoreStartNs {
 			fs.restoreStartNs = restoreStart
@@ -535,7 +500,6 @@ func (d *driver) runRank(t *sim.Thread, r int, paths []string) error {
 		}
 		d.halted[r] = false
 		cb.nextEv++
-		base = fs.ckptStep
 		d.mark(rr, t, LifeRunning, base+1)
 	}
 	rr.History = mergeHistories(histories)

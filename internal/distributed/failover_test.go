@@ -1,12 +1,14 @@
 package distributed
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"repro/internal/darshan"
 	"repro/internal/platform"
 	"repro/internal/sim"
+	"repro/internal/vfs"
 )
 
 const ckptDir = platform.KebnekaiseLustre + "/ckpt"
@@ -259,5 +261,31 @@ func TestCheckpointRoundTripBytes(t *testing.T) {
 				t.Fatalf("pattern %d: rank %d restored %d bytes, want %d", pattern, r, got, want)
 			}
 		}
+	}
+}
+
+// TestFailoverRestoreErrorSurfaces: a restore that fails after the
+// rollback rendezvous must surface as the rank's error. The failed rank
+// drains only the generations its peers still replay (from the rollback
+// step on); draining the whole job would park it on the barrier after the
+// peers finish and turn the restore error into a kernel deadlock.
+func TestFailoverRestoreErrorSurfaces(t *testing.T) {
+	const ranks, files = 2, 64
+	opts := failoverOpts(CkptAllRanks)
+	failSec := runRanks(t, ranks, files, opts).Failures[0].FailSec
+
+	c := platform.NewKebnekaiseCluster(ranks, platform.Options{PreloadDarshan: true})
+	d := buildDataset(t, c, files)
+	c.K.Spawn("ckpt-loss", func(th *sim.Thread) {
+		th.SleepUntil(sim.FromSeconds(failSec + 0.5))
+		c.FS.RemoveTree(ckptDir + "/rank0")
+	})
+	_, err := Run(c, d.Paths, opts)
+	var dl *sim.DeadlockError
+	if errors.As(err, &dl) {
+		t.Fatalf("restore error hidden by a deadlock: %v", err)
+	}
+	if !errors.Is(err, vfs.ErrNotExist) {
+		t.Fatalf("err = %v, want the restore's vfs.ErrNotExist", err)
 	}
 }

@@ -228,7 +228,11 @@ func runElasticRankCount(c Config, ranks int) (ElasticRow, error) {
 		return ElasticRow{}, err
 	}
 	opts := untunedClusterOptions(c)
-	steps := failoverSteps(c, d.Paths, ranks, opts.Batch)
+	plan, err := distributed.NewPlan(d.Paths, opts.Shuffle, ranks, 1, opts.Batch)
+	if err != nil {
+		return ElasticRow{}, err
+	}
+	steps := plan.Steps
 	if steps < 4 {
 		return ElasticRow{}, fmt.Errorf("ranks=%d: %d steps is too short to fail late-epoch (raise -scale)", ranks, steps)
 	}

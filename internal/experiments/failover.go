@@ -128,19 +128,6 @@ func buildFailoverCluster(c Config, ranks int) (*platform.Cluster, *workload.Dat
 	return cluster, d, nil
 }
 
-// failoverSteps precomputes the run's lockstep step count (min shard
-// length over ranks / batch) so the failure can be scheduled mid-epoch.
-func failoverSteps(c Config, paths []string, ranks, batch int) int {
-	steps := -1
-	for r := 0; r < ranks; r++ {
-		s := len(distributed.ShardPaths(paths, c.shuffleSeed(), ranks, r)) / batch
-		if steps < 0 || s < steps {
-			steps = s
-		}
-	}
-	return steps
-}
-
 // runFailoverVariant executes one variant on a fresh cluster.
 func runFailoverVariant(c Config, ranks int, pattern distributed.CheckpointPattern, every int, fail []distributed.FailureEvent) (*distributed.Result, error) {
 	cluster, d, err := buildFailoverCluster(c, ranks)
@@ -184,7 +171,11 @@ func runFailoverRankCount(c Config, ranks int) (FailoverRow, error) {
 		return FailoverRow{}, err
 	}
 	opts := untunedClusterOptions(c)
-	steps := failoverSteps(c, d.Paths, ranks, opts.Batch)
+	plan, err := distributed.NewPlan(d.Paths, opts.Shuffle, ranks, 1, opts.Batch)
+	if err != nil {
+		return FailoverRow{}, err
+	}
+	steps := plan.Steps
 	if steps < 2 {
 		return FailoverRow{}, fmt.Errorf("ranks=%d: %d steps is too short to fail mid-epoch (raise -scale)", ranks, steps)
 	}

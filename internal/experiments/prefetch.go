@@ -26,7 +26,7 @@ import (
 // experiment verifies prefetching beats the static plan there, and beats
 // the cold baseline on every rung, rather than just reporting the numbers.
 
-// prefetchEpochs is the schedule length: two epochs, so per-epoch
+// prefetchEpochs is the job length: two epochs, so per-epoch
 // reshuffling moves shard membership between ranks (what peer-cache
 // serving exploits) and retention across the epoch boundary matters.
 const prefetchEpochs = 2
@@ -196,15 +196,6 @@ func capStagingAdvice(adv *core.StagingAdvice, capacity int64, sizeOf func(strin
 	return capped
 }
 
-// prefetchSchedules derives every rank's two-epoch clairvoyant schedule.
-func prefetchSchedules(c Config, paths []string, ranks int) [][]string {
-	schedules := make([][]string, ranks)
-	for r := 0; r < ranks; r++ {
-		schedules[r] = prefetch.Schedule(paths, c.shuffleSeed(), ranks, r, prefetchEpochs)
-	}
-	return schedules
-}
-
 // runPrefetchPoint executes one rank count: the cold profile pass (staging
 // plans come from disjoint single-epoch shards, so the merged-log
 // shared-record exclusion does not gut them), the cold baseline, and per
@@ -234,9 +225,9 @@ func runPrefetchPoint(c Config, ranks int) (PrefetchRow, error) {
 
 	// The working set the ladder scales: the largest per-rank epoch shard.
 	var shardBytes int64
-	for r := 0; r < ranks; r++ {
+	for _, shard := range distributed.Shards(d.Paths, c.shuffleSeed(), ranks) {
 		var b int64
-		for _, p := range distributed.ShardPaths(d.Paths, c.shuffleSeed(), ranks, r) {
+		for _, p := range shard {
 			if sz, ok := sizeOf(p); ok {
 				b += sz
 			}
@@ -255,19 +246,15 @@ func runPrefetchPoint(c Config, ranks int) (PrefetchRow, error) {
 		SizeOf:          sizeOf,
 	})
 
-	schedules := prefetchSchedules(c, d.Paths, ranks)
-	scheduleOpts := func() distributed.Options {
-		o := untunedClusterOptions(c)
-		o.RankPaths = schedules
-		return o
-	}
+	epochOpts := untunedClusterOptions(c)
+	epochOpts.Epochs = prefetchEpochs
 
-	// Cold baseline: the explicit two-epoch schedules with no cache tier.
+	// Cold baseline: the same two reshuffled epochs with no cache tier.
 	coldCluster, coldData, err := buildImageNetCluster(c, ranks)
 	if err != nil {
 		return PrefetchRow{}, err
 	}
-	cold, err := distributed.Run(coldCluster, coldData.Paths, scheduleOpts())
+	cold, err := distributed.Run(coldCluster, coldData.Paths, epochOpts)
 	if err != nil {
 		return PrefetchRow{}, err
 	}
@@ -314,7 +301,7 @@ func runPrefetchPoint(c Config, ranks int) (PrefetchRow, error) {
 		if err := applyClusterStaging(stagedCluster, advices); err != nil {
 			return PrefetchRow{}, fmt.Errorf("prefetch: ranks=%d: %w", ranks, err)
 		}
-		staged, err := distributed.Run(stagedCluster, stagedData.Paths, scheduleOpts())
+		staged, err := distributed.Run(stagedCluster, stagedData.Paths, epochOpts)
 		if err != nil {
 			return PrefetchRow{}, err
 		}
@@ -323,7 +310,7 @@ func runPrefetchPoint(c Config, ranks int) (PrefetchRow, error) {
 		}
 		rung.StagedEpochSec = staged.WallSeconds / prefetchEpochs
 
-		// Prefetched runs: one daemon per node over the same schedules.
+		// Prefetched runs: one daemon per node over the same run plan.
 		runPrefetched := func(peer bool) (*distributed.Result, []prefetch.NodeReport, error) {
 			cluster, data, err := buildImageNetCluster(c, ranks)
 			if err != nil {

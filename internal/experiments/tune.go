@@ -195,9 +195,9 @@ func adviseTuneStaging(c Config, ranks int, cluster *platform.Cluster, d *worklo
 			return ino.Size, true
 		},
 	})
-	seed := untunedClusterOptions(c).Shuffle
+	shards := distributed.Shards(d.Paths, untunedClusterOptions(c).Shuffle, ranks)
 	for r, adv := range advices {
-		shard := distributed.ShardPaths(d.Paths, seed, ranks, r)
+		shard := shards[r]
 		sort.Strings(shard)
 		for _, p := range adv.Files {
 			i := sort.SearchStrings(shard, p)
@@ -263,10 +263,9 @@ func runTunePoint(c Config, ranks int) (TuneRow, error) {
 	row.Prefetch = stagedAdv.PrefetchPerRank()
 	row.Probes = len(lustreAdv.History) + len(stagedAdv.History)
 
-	// Tuned epoch: staged layout, per-rank threads/prefetch.
+	// Tuned epoch: staged layout, the tuner's per-rank threads/prefetch.
 	tuned, err := runTuneWindow(c, ranks, advices, func(o *distributed.Options) {
-		o.RankThreads = stagedAdv.Threads
-		o.RankPrefetch = stagedAdv.Prefetch
+		o.Threads, o.Prefetch = row.Threads, row.Prefetch
 	})
 	if err != nil {
 		return TuneRow{}, err

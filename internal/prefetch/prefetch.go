@@ -112,22 +112,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Schedule returns rank's clairvoyant access order over epochs: each epoch
-// reshuffles the full list with its own derived seed and shards it, and
-// the per-epoch shard orders are concatenated. Epoch 0 uses the base seed
-// unchanged, so a one-epoch schedule is exactly distributed.ShardPaths —
-// the identity the ranks=1 determinism test pins down.
-func Schedule(paths []string, shuffle int64, ranks, rank, epochs int) []string {
-	if epochs < 1 {
-		epochs = 1
-	}
-	out := make([]string, 0, epochs*(len(paths)/max(ranks, 1)+1))
-	for e := 0; e < epochs; e++ {
-		out = append(out, distributed.ShardPaths(paths, shuffle+int64(e), ranks, rank)...)
-	}
-	return out
-}
-
 // Stats counts one prefetcher's own activity (cache traffic is counted by
 // vfs.NodeCacheStats).
 type Stats struct {
@@ -353,27 +337,26 @@ func (n NodeReport) LocalHitRate() float64 {
 	return float64(n.Cache.LocalHits) / float64(total)
 }
 
-// RunCluster executes a distributed training job with a clairvoyant
-// prefetcher on every node: per-rank per-epoch reshuffled schedules
-// (Schedule) become the ranks' explicit access orders, one prefetch daemon
-// per node walks the same schedule ahead of its rank, and each rank's
-// AfterRank hook stops its daemon. Returns the run result plus per-node
-// reports, in node order.
+// RunCluster executes an epochs-long distributed training job with a
+// clairvoyant prefetcher on every node: one prefetch daemon per node walks
+// its rank's whole-job sequence of the run plan (distributed.NewPlan, a
+// fresh seeded reshuffle per epoch) ahead of the rank, which reads the same
+// sequence, and each rank's AfterRank hook stops its daemon. Returns the
+// run result plus per-node reports, in node order.
 func RunCluster(c *platform.Cluster, paths []string, opts distributed.Options, cfg Config, epochs int) (*distributed.Result, []NodeReport, error) {
 	ranks := len(c.Nodes)
 	if ranks == 0 {
 		return nil, nil, fmt.Errorf("prefetch: cluster has no nodes")
 	}
-	schedules := make([][]string, ranks)
-	for r := 0; r < ranks; r++ {
-		schedules[r] = Schedule(paths, opts.Shuffle, ranks, r, epochs)
+	opts.Epochs = epochs
+	plan, err := distributed.NewPlan(paths, opts.Shuffle, ranks, opts.Epochs, opts.Batch)
+	if err != nil {
+		return nil, nil, err
 	}
 	prefetchers := make([]*Prefetcher, ranks)
 	for r := 0; r < ranks; r++ {
-		prefetchers[r] = Start(c.K, c.FS, c.Nodes[r].Node, c.Nodes[r].Optane, schedules[r], cfg)
+		prefetchers[r] = Start(c.K, c.FS, c.Nodes[r].Node, c.Nodes[r].Optane, plan.Seq[r], cfg)
 	}
-	opts.RankPaths = schedules
-	opts.Epochs = 0
 	opts.AfterRank = func(t *sim.Thread, rank int) { prefetchers[rank].Stop(t) }
 	res, err := distributed.Run(c, paths, opts)
 	if err != nil {

@@ -51,70 +51,6 @@ func readWholeFile(t *testing.T, th *sim.Thread, v *vfs.View, p string, size int
 	}
 }
 
-// TestScheduleEpochOneIsShardPaths pins the identity that keeps prefetch
-// schedules compatible with the plain shard order: one epoch of Schedule
-// is exactly distributed.ShardPaths.
-func TestScheduleEpochOneIsShardPaths(t *testing.T) {
-	paths := make([]string, 40)
-	for i := range paths {
-		paths[i] = fmt.Sprintf("/pfs/f%02d", i)
-	}
-	for _, ranks := range []int{1, 4} {
-		for r := 0; r < ranks; r++ {
-			got := Schedule(paths, testSeed, ranks, r, 1)
-			want := distributed.ShardPaths(paths, testSeed, ranks, r)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("ranks=%d rank=%d: one-epoch schedule != ShardPaths", ranks, r)
-			}
-		}
-	}
-}
-
-// TestScheduleEpochsReshuffle: successive epochs of a one-rank schedule
-// visit the same file set in different orders, and multi-rank epochs move
-// files between ranks (the overlap peer serving exploits) while each
-// epoch's shards still partition the full list.
-func TestScheduleEpochsReshuffle(t *testing.T) {
-	paths := make([]string, 64)
-	for i := range paths {
-		paths[i] = fmt.Sprintf("/pfs/f%02d", i)
-	}
-	set := func(ps []string) map[string]bool {
-		m := make(map[string]bool, len(ps))
-		for _, p := range ps {
-			m[p] = true
-		}
-		return m
-	}
-	s := Schedule(paths, testSeed, 1, 0, 2)
-	ep1, ep2 := s[:len(paths)], s[len(paths):]
-	if !reflect.DeepEqual(set(ep1), set(ep2)) {
-		t.Fatal("one-rank epochs cover different file sets")
-	}
-	if reflect.DeepEqual(ep1, ep2) {
-		t.Fatal("epoch 2 repeats epoch 1's order (no reshuffle)")
-	}
-	// Two ranks: each epoch's shards are disjoint and cover everything,
-	// and rank 0's shard changes membership across epochs.
-	r0 := Schedule(paths, testSeed, 2, 0, 2)
-	r1 := Schedule(paths, testSeed, 2, 1, 2)
-	n := len(paths) / 2
-	for e := 0; e < 2; e++ {
-		s0, s1 := set(r0[e*n:(e+1)*n]), set(r1[e*n:(e+1)*n])
-		for p := range s0 {
-			if s1[p] {
-				t.Fatalf("epoch %d shards overlap on %s", e, p)
-			}
-		}
-		if len(s0)+len(s1) != len(paths) {
-			t.Fatalf("epoch %d shards do not cover the file list", e)
-		}
-	}
-	if reflect.DeepEqual(set(r0[:n]), set(r0[n:])) {
-		t.Fatal("rank 0's shard membership never changes across epochs")
-	}
-}
-
 // TestEvictionLadder is the cache-ladder coverage: with a shard set larger
 // than the node tier, eviction keeps the cache within bound at every rung,
 // and the second-epoch hit rate (retention — epoch 2 is read with no
@@ -132,13 +68,13 @@ func TestEvictionLadder(t *testing.T) {
 		capacity := rf * fileSize
 		k, fs, cacheDev, paths := ladderFixture(t, nFiles, fileSize)
 		// The prefetcher walks epoch 1 only; epoch 2 measures retention.
-		p := Start(k, fs, 0, cacheDev, Schedule(paths, testSeed, 1, 0, 1), Config{
+		p := Start(k, fs, 0, cacheDev, distributed.ShardPaths(paths, testSeed, 1, 0), Config{
 			CacheBytes: capacity, Depth: 8,
 		})
 		var ep2Hits int64
 		v := fs.NodeView(0)
 		k.Spawn("consumer", func(th *sim.Thread) {
-			for _, f := range Schedule(paths, testSeed, 1, 0, 1) {
+			for _, f := range distributed.ShardPaths(paths, testSeed, 1, 0) {
 				readWholeFile(t, th, v, f, fileSize)
 				// Per-sample compute: the headroom that lets the daemon run
 				// ahead of consumption, as training's map+step time does.
@@ -188,7 +124,7 @@ func TestStopUnblocksTruncatedConsumer(t *testing.T) {
 	const nFiles = 32
 	const fileSize = int64(64 << 10)
 	k, fs, cacheDev, paths := ladderFixture(t, nFiles, fileSize)
-	sched := Schedule(paths, testSeed, 1, 0, 1)
+	sched := distributed.ShardPaths(paths, testSeed, 1, 0)
 	p := Start(k, fs, 0, cacheDev, sched, Config{
 		CacheBytes: 4 * fileSize, Depth: 2,
 	})
@@ -246,11 +182,50 @@ func TestRunClusterEndToEnd(t *testing.T) {
 			t.Fatalf("node %d: prefetcher fetched nothing", r.Node)
 		}
 	}
+	for _, rr := range res.PerRank {
+		// The per-epoch shard, not the two-epoch sequence.
+		if rr.ShardFiles != files/ranks {
+			t.Fatalf("rank %d shard files = %d, want %d", rr.Rank, rr.ShardFiles, files/ranks)
+		}
+	}
 	res2, reports2 := run()
 	if res.WallSeconds != res2.WallSeconds {
 		t.Fatalf("wall time not deterministic: %v vs %v", res.WallSeconds, res2.WallSeconds)
 	}
 	if !reflect.DeepEqual(reports, reports2) {
 		t.Fatal("node reports not deterministic across identical runs")
+	}
+}
+
+// TestElasticOverPrefetchSchedules: elastic recovery re-shards a
+// prefetched multi-epoch job like any other run plan. Rank 1 dies at step
+// 5; the survivors absorb its remaining two-epoch sequence and the job
+// completes without a deadlock.
+func TestElasticOverPrefetchSchedules(t *testing.T) {
+	const ranks, files = 4, 128
+	c := platform.NewKebnekaiseCluster(ranks, platform.Options{PreloadDarshan: true})
+	spec := workload.DatasetSpec{
+		Name: "pf", Dir: platform.KebnekaiseLustre + "/pf",
+		NumFiles: files, TotalBytes: int64(files) * 96 * 1024, Seed: testSeed,
+	}
+	d, err := workload.Generate(c.FS, spec, workload.ImageNetSizes(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := distributed.Options{
+		Threads: 4, Batch: 4, Prefetch: 4, Shuffle: testSeed,
+		Model: workload.AlexNet, MapFn: workload.ImageNetMap,
+		Elastic:  true,
+		Failures: []distributed.FailureEvent{{Rank: 1, Step: 5, RebootDelay: sim.Second}},
+	}
+	res, _, err := RunCluster(c, d.Paths, opts, Config{CacheBytes: 64 << 20, PeerServing: true}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Failures) != 1 {
+		t.Fatalf("got %d failure records, want 1", len(res.Failures))
+	}
+	if f := res.Failures[0]; !f.Elastic || f.ReshardFiles <= 0 {
+		t.Fatalf("failure record %+v, want an elastic re-shard", f)
 	}
 }

@@ -60,67 +60,14 @@ func TestShardInvalidArgsPanic(t *testing.T) {
 	}
 }
 
-func TestRepeatConcatenatesEpochs(t *testing.T) {
-	paths := pathList(3)
-	got := FromFiles(nil, paths).Repeat(3).Paths()
-	if len(got) != 9 {
-		t.Fatalf("repeat(3) length = %d", len(got))
+func TestShuffleOrderMatchesShuffle(t *testing.T) {
+	paths := pathList(23)
+	order := ShuffleOrder(len(paths), 7)
+	got := make([]string, len(order))
+	for i, j := range order {
+		got[i] = paths[j]
 	}
-	for i, p := range got {
-		if p != paths[i%3] {
-			t.Fatalf("repeat order broken at %d: %s", i, p)
-		}
-	}
-	if recovered := func() (r any) {
-		defer func() { r = recover() }()
-		FromFiles(nil, paths).Repeat(0)
-		return nil
-	}(); recovered == nil {
-		t.Fatal("repeat(0) did not panic")
-	}
-}
-
-func TestInterleaveBlockCyclicOrder(t *testing.T) {
-	// 6 files, 2 streams of 3, block length 2:
-	// streams [0 1 2] [3 4 5] -> 0 1 | 3 4 | 2 | 5.
-	paths := pathList(6)
-	got := FromFiles(nil, paths).Interleave(2, 2).Paths()
-	want := []string{paths[0], paths[1], paths[3], paths[4], paths[2], paths[5]}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("interleave order = %v, want %v", got, want)
-	}
-}
-
-func TestInterleavePreservesElements(t *testing.T) {
-	paths := pathList(11)
-	got := FromFiles(nil, paths).Interleave(4, 3).Paths()
-	if len(got) != len(paths) {
-		t.Fatalf("interleave changed length: %d", len(got))
-	}
-	a := append([]string(nil), got...)
-	b := append([]string(nil), paths...)
-	sort.Strings(a)
-	sort.Strings(b)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("interleave lost elements: %v", got)
-	}
-	// Degenerate cycle lengths are identity.
-	if one := FromFiles(nil, paths).Interleave(1, 5).Paths(); !reflect.DeepEqual(one, paths) {
-		t.Fatalf("interleave(1, n) changed the order")
-	}
-}
-
-func TestShardRepeatInterleaveCompose(t *testing.T) {
-	// The ops chain fluently and deterministically: two identical chains
-	// yield identical orders.
-	build := func() []string {
-		return FromFiles(nil, pathList(24)).Shard(2, 1).Repeat(2).Interleave(3, 2).Paths()
-	}
-	a, b := build(), build()
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("op chain is not deterministic")
-	}
-	if len(a) != 24 {
-		t.Fatalf("chain length = %d, want 24 (12-file shard x 2 epochs)", len(a))
+	if want := FromFiles(nil, paths).Shuffle(7).Paths(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("ShuffleOrder gathers %v, Shuffle gives %v", got, want)
 	}
 }

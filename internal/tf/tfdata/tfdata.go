@@ -75,11 +75,30 @@ func FromFiles(env *tf.Env, paths []string) *Dataset {
 // list_files shuffle; the paper's datasets are consumed in shuffled order
 // while living contiguously on disk).
 func (d *Dataset) Shuffle(seed int64) *Dataset {
-	rng := rand.New(rand.NewSource(seed))
-	rng.Shuffle(len(d.paths), func(i, j int) {
+	seededShuffle(len(d.paths), seed, func(i, j int) {
 		d.paths[i], d.paths[j] = d.paths[j], d.paths[i]
 	})
 	return d
+}
+
+// ShuffleOrder returns the permutation Shuffle(seed) applies to an
+// n-element dataset: element i of the shuffled order is element
+// ShuffleOrder(n, seed)[i] of the original. Drivers that cut one shuffle
+// into many shards use it to gather each shard without first copying and
+// shuffling the paths themselves.
+func ShuffleOrder(n int, seed int64) []int32 {
+	order := make([]int32, n)
+	for i := range order {
+		order[i] = int32(i)
+	}
+	seededShuffle(n, seed, func(i, j int) { order[i], order[j] = order[j], order[i] })
+	return order
+}
+
+// seededShuffle permutes n elements through swap, deterministically from
+// seed: the one shuffle Shuffle and ShuffleOrder share.
+func seededShuffle(n int, seed int64, swap func(i, j int)) {
+	rand.New(rand.NewSource(seed)).Shuffle(n, swap)
 }
 
 // checkShardArgs panics on arguments tf.data would reject at graph
@@ -133,71 +152,6 @@ func (d *Dataset) Shard(numShards, index int) *Dataset {
 		kept = append(kept, d.paths[i])
 	}
 	d.paths = kept
-	return d
-}
-
-// Repeat concatenates count passes over the dataset's current file order
-// (dataset.repeat(count) for a count-epoch run; the unbounded form is not
-// representable in a finite simulation, so count must be >= 1).
-func (d *Dataset) Repeat(count int) *Dataset {
-	if count < 1 {
-		panic(fmt.Sprintf("tfdata: invalid repeat(%d)", count))
-	}
-	if count == 1 {
-		return d
-	}
-	base := d.paths
-	out := make([]string, 0, len(base)*count)
-	for i := 0; i < count; i++ {
-		out = append(out, base...)
-	}
-	d.paths = out
-	return d
-}
-
-// Interleave rearranges the source into cycleLength block-cyclic streams:
-// the current file order is split into cycleLength contiguous
-// sub-sequences and the output pulls blockLength elements from each in
-// round-robin — the deterministic output order of tf.data's
-// interleave(cycle_length, block_length) over per-stream file sequences,
-// the per-worker access-stream shape Clairvoyant Prefetching exploits.
-// The rearranged source feeds the same map/batch/prefetch sim-thread
-// stages as any other pipeline.
-func (d *Dataset) Interleave(cycleLength, blockLength int) *Dataset {
-	if cycleLength < 1 || blockLength < 1 {
-		panic(fmt.Sprintf("tfdata: invalid interleave(%d, %d)", cycleLength, blockLength))
-	}
-	n := len(d.paths)
-	if cycleLength > n {
-		cycleLength = n
-	}
-	if cycleLength <= 1 {
-		return d
-	}
-	// Contiguous split, longer streams first (sizes differ by at most one).
-	streams := make([][]string, cycleLength)
-	base, extra := n/cycleLength, n%cycleLength
-	pos := 0
-	for s := range streams {
-		sz := base
-		if s < extra {
-			sz++
-		}
-		streams[s] = d.paths[pos : pos+sz]
-		pos += sz
-	}
-	out := make([]string, 0, n)
-	for len(out) < n {
-		for s := range streams {
-			take := blockLength
-			if take > len(streams[s]) {
-				take = len(streams[s])
-			}
-			out = append(out, streams[s][:take]...)
-			streams[s] = streams[s][take:]
-		}
-	}
-	d.paths = out
 	return d
 }
 
