@@ -73,8 +73,7 @@ func run(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	renderTrace(w, doc, *limit)
-	return nil
+	return renderTrace(w, doc, *limit)
 }
 
 // rawEvent mirrors the union of event and metadata records.
@@ -88,14 +87,17 @@ type rawEvent struct {
 	Args map[string]string `json:"args"`
 }
 
-func renderTrace(w io.Writer, doc *trace.File, limit int) {
+// renderTrace prints the events per process and thread. An event that
+// does not decode is an error: skipping it would render a damaged
+// document as a shorter, plausible-looking trace.
+func renderTrace(w io.Writer, doc *trace.File, limit int) error {
 	procNames := map[int]string{}
 	threadNames := map[[2]int64]string{}
 	byThread := map[[2]int64][]rawEvent{}
-	for _, raw := range doc.TraceEvents {
+	for i, raw := range doc.TraceEvents {
 		var ev rawEvent
 		if err := json.Unmarshal(raw, &ev); err != nil {
-			continue
+			return fmt.Errorf("trace event %d: %w", i, err)
 		}
 		switch {
 		case ev.Ph == "M" && ev.Name == "process_name":
@@ -148,6 +150,7 @@ func renderTrace(w io.Writer, doc *trace.File, limit int) {
 			fmt.Fprintf(w, "     ... %d more events\n", len(evs)-n)
 		}
 	}
+	return nil
 }
 
 // lane accumulates one rank's streamed timeline statistics: a bucketed

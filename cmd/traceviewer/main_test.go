@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"compress/gzip"
 	"flag"
 	"fmt"
 	"os"
@@ -67,14 +68,13 @@ func writeTraceFixture(t *testing.T) string {
 			}},
 		},
 	}}}
-	f := trace.FromXSpace(space, 0)
 	p := filepath.Join(t.TempDir(), "trace.json.gz")
 	out, err := os.Create(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer out.Close()
-	if err := f.WriteJSONGz(out); err != nil {
+	if err := trace.WriteJSONGz(out, space, 0); err != nil {
 		t.Fatal(err)
 	}
 	return p
@@ -206,6 +206,32 @@ func TestUsageAndErrors(t *testing.T) {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("-h output missing %s docs:\n%s", want, buf.String())
 		}
+	}
+}
+
+// TestMalformedTraceEventErrors: an event that does not decode fails the
+// render and names its index instead of being dropped from the view.
+func TestMalformedTraceEventErrors(t *testing.T) {
+	p := filepath.Join(t.TempDir(), "bad.trace.json.gz")
+	var doc bytes.Buffer
+	zw := gzip.NewWriter(&doc)
+	fmt.Fprint(zw, `{"traceEvents":[`+
+		`{"name":"process_name","ph":"M","pid":1,"args":{"name":"/host:CPU"}},`+
+		`{"name":"read","ph":"X","ts":"soon","dur":1,"pid":1,"tid":1},`+
+		`{"name":"read","ph":"X","ts":2,"dur":1,"pid":1,"tid":1}]}`)
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(p, doc.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	err := run([]string{p}, &buf)
+	if err == nil {
+		t.Fatalf("malformed event rendered without error:\n%s", buf.String())
+	}
+	if !strings.Contains(err.Error(), "event 1") {
+		t.Fatalf("error %q does not name event 1", err)
 	}
 }
 

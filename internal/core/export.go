@@ -25,7 +25,7 @@ func Export(space *profiler.XSpace, analysis *SessionStats, sessionStartNs int64
 		return nil, fmt.Errorf("core: nothing to export")
 	}
 	var buf bytes.Buffer
-	if err := trace.FromXSpace(space, sessionStartNs).WriteJSONGz(&buf); err != nil {
+	if err := trace.WriteJSONGz(&buf, space, sessionStartNs); err != nil {
 		return nil, fmt.Errorf("core: export trace: %w", err)
 	}
 	return &Artifacts{

@@ -164,6 +164,13 @@ func (ev *XEvent) SetIO(offset, length int64) {
 	ev.ioLength = length
 }
 
+// IO returns the typed I/O arguments set by SetIO; ok is false when the
+// event carries none. Unlike Arg and Args it formats and allocates
+// nothing, so streaming exporters can write the numbers directly.
+func (ev *XEvent) IO() (offset, length int64, ok bool) {
+	return ev.ioOffset, ev.ioLength, ev.hasIO
+}
+
 // Arg returns the named argument as a string, drawing from the typed I/O
 // fields or the Metadata map.
 func (ev *XEvent) Arg(key string) (string, bool) {

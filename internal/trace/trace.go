@@ -5,110 +5,262 @@
 package trace
 
 import (
+	"bufio"
 	"compress/gzip"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/tf/profiler"
 )
 
-// Event is a Chrome trace-event ("X" complete events only, which is what
-// TensorBoard emits for op spans).
-type Event struct {
-	Name string            `json:"name"`
-	Cat  string            `json:"cat,omitempty"`
-	Ph   string            `json:"ph"`
-	TS   float64           `json:"ts"`  // microseconds
-	Dur  float64           `json:"dur"` // microseconds
-	PID  int               `json:"pid"`
-	TID  int64             `json:"tid"`
-	Args map[string]string `json:"args,omitempty"`
-}
-
-// Metadata is a process/thread-name metadata event.
-type Metadata struct {
-	Name string            `json:"name"`
-	Ph   string            `json:"ph"`
-	PID  int               `json:"pid"`
-	TID  int64             `json:"tid,omitempty"`
-	Args map[string]string `json:"args"`
-}
-
-// File is a complete trace document.
+// File is a complete trace document as read back by ReadJSONGz.
 type File struct {
 	TraceEvents []json.RawMessage `json:"traceEvents"`
 }
 
-// FromXSpace converts an XSpace to trace events: one trace "process" per
-// plane, one thread per line, preserving names. Event times are converted
-// from virtual nanoseconds to microseconds relative to sessionStartNs.
-func FromXSpace(space *profiler.XSpace, sessionStartNs int64) *File {
-	f := &File{}
-	add := func(v any) {
-		b, err := json.Marshal(v)
-		if err != nil {
-			panic(err) // static shapes: cannot fail
-		}
-		f.TraceEvents = append(f.TraceEvents, b)
-	}
+// chunk is how many encoded bytes the writer buffers before handing them
+// to the compressor.
+const chunk = 64 << 10
+
+// WriteJSONGz writes space as trace.json.gz, the document TensorBoard's
+// TraceViewer loads: one trace "process" per plane and one thread per
+// line, each named by a metadata event, then one "X" complete event per
+// XEvent with times converted from virtual nanoseconds to microseconds
+// relative to sessionStartNs.
+//
+// The bytes are exactly those encoding/json writes for the same document
+// (events with fields name, ph, ts, dur, pid, tid and sorted args; tid
+// omitted on thread metadata when 0, args omitted on events when empty;
+// {"traceEvents":null} for a space without planes), but each event is
+// appended as typed JSON straight into one reused buffer instead of
+// going through reflection, an args map and a second compaction pass.
+func WriteJSONGz(w io.Writer, space *profiler.XSpace, sessionStartNs int64) error {
+	jw := &jsonWriter{zw: gzip.NewWriter(w), buf: make([]byte, 0, 2*chunk)}
+	jw.buf = append(jw.buf, `{"traceEvents":`...)
 	for pi, plane := range space.Planes {
-		pid := pi + 1
-		add(Metadata{Name: "process_name", Ph: "M", PID: pid,
-			Args: map[string]string{"name": plane.Name}})
+		pid := int64(pi + 1)
+		jw.meta("process_name", pid, 0, plane.Name)
 		for _, line := range plane.Lines {
-			add(Metadata{Name: "thread_name", Ph: "M", PID: pid, TID: line.ID,
-				Args: map[string]string{"name": line.Name}})
-			for _, ev := range line.Events {
-				add(Event{
-					Name: ev.Name,
-					Ph:   "X",
-					TS:   float64(ev.StartNs-sessionStartNs) / 1e3,
-					Dur:  float64(ev.DurNs) / 1e3,
-					PID:  pid,
-					TID:  line.ID,
-					Args: ev.Args(),
-				})
+			jw.meta("thread_name", pid, line.ID, line.Name)
+			for i := range line.Events {
+				jw.event(&line.Events[i], pid, line.ID, sessionStartNs)
 			}
 		}
 	}
-	return f
-}
-
-// WriteJSON writes the trace as plain JSON.
-func (f *File) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(f)
-}
-
-// WriteJSONGz writes trace.json.gz, the artifact TensorBoard loads.
-func (f *File) WriteJSONGz(w io.Writer) error {
-	zw := gzip.NewWriter(w)
-	if err := f.WriteJSON(zw); err != nil {
-		return err
+	if jw.events == 0 {
+		jw.buf = append(jw.buf, "null"...)
+	} else {
+		jw.buf = append(jw.buf, ']')
 	}
-	return zw.Close()
+	jw.buf = append(jw.buf, "}\n"...)
+	jw.flush()
+	if jw.err != nil {
+		return jw.err
+	}
+	return jw.zw.Close()
 }
 
-// ReadJSONGz parses a trace.json.gz document.
+// jsonWriter appends typed JSON to a reused buffer and hands the
+// compressor whole chunks of it, with a sticky write error. Deflate's
+// output is a function of the uncompressed byte stream alone, not of how
+// it is split across Write calls, so the chunking never shows in the
+// trace bytes.
+type jsonWriter struct {
+	zw     *gzip.Writer
+	buf    []byte
+	keys   []string // scratch for an event's sorted arg keys
+	events int
+	err    error
+}
+
+// begin opens the traceEvents array or separates the next event.
+func (w *jsonWriter) begin() {
+	if w.events == 0 {
+		w.buf = append(w.buf, '[')
+	} else {
+		w.buf = append(w.buf, ',')
+	}
+	w.events++
+}
+
+// end closes an event and hands the buffer to the compressor once a
+// chunk is full.
+func (w *jsonWriter) end() {
+	w.buf = append(w.buf, '}')
+	if len(w.buf) >= chunk {
+		w.flush()
+	}
+}
+
+func (w *jsonWriter) flush() {
+	if w.err == nil && len(w.buf) > 0 {
+		_, w.err = w.zw.Write(w.buf)
+	}
+	w.buf = w.buf[:0]
+}
+
+// meta writes a process_name or thread_name metadata event.
+func (w *jsonWriter) meta(kind string, pid, tid int64, name string) {
+	w.begin()
+	w.buf = append(w.buf, `{"name":"`...)
+	w.buf = append(w.buf, kind...)
+	w.buf = append(w.buf, `","ph":"M","pid":`...)
+	w.buf = strconv.AppendInt(w.buf, pid, 10)
+	if tid != 0 {
+		w.buf = append(w.buf, `,"tid":`...)
+		w.buf = strconv.AppendInt(w.buf, tid, 10)
+	}
+	w.buf = append(w.buf, `,"args":{"name":`...)
+	w.str(name)
+	w.buf = append(w.buf, '}')
+	w.end()
+}
+
+// event writes one "X" complete event.
+func (w *jsonWriter) event(ev *profiler.XEvent, pid, tid, sessionStartNs int64) {
+	w.begin()
+	w.buf = append(w.buf, `{"name":`...)
+	w.str(ev.Name)
+	w.buf = append(w.buf, `,"ph":"X","ts":`...)
+	w.buf = appendFloat(w.buf, float64(ev.StartNs-sessionStartNs)/1e3)
+	w.buf = append(w.buf, `,"dur":`...)
+	w.buf = appendFloat(w.buf, float64(ev.DurNs)/1e3)
+	w.buf = append(w.buf, `,"pid":`...)
+	w.buf = strconv.AppendInt(w.buf, pid, 10)
+	w.buf = append(w.buf, `,"tid":`...)
+	w.buf = strconv.AppendInt(w.buf, tid, 10)
+	w.args(ev)
+	w.end()
+}
+
+// args writes an event's arguments in sorted key order: the typed I/O
+// offset and length (which override same-named Metadata keys, as
+// XEvent.Args does) merged with Metadata. Nothing is written when there
+// are none.
+func (w *jsonWriter) args(ev *profiler.XEvent) {
+	offset, length, hasIO := ev.IO()
+	if !hasIO && len(ev.Metadata) == 0 {
+		return
+	}
+	w.buf = append(w.buf, `,"args":{`...)
+	if len(ev.Metadata) == 0 {
+		// The traced-I/O common case: both keys, already in order.
+		w.buf = append(w.buf, `"length":`...)
+		w.quotedInt(length)
+		w.buf = append(w.buf, `,"offset":`...)
+		w.quotedInt(offset)
+		w.buf = append(w.buf, '}')
+		return
+	}
+	keys := w.keys[:0]
+	for k := range ev.Metadata {
+		if hasIO && (k == "offset" || k == "length") {
+			continue
+		}
+		keys = append(keys, k)
+	}
+	if hasIO {
+		keys = append(keys, "offset", "length")
+	}
+	sort.Strings(keys)
+	w.keys = keys
+	for i, k := range keys {
+		if i > 0 {
+			w.buf = append(w.buf, ',')
+		}
+		w.str(k)
+		w.buf = append(w.buf, ':')
+		switch {
+		case hasIO && k == "offset":
+			w.quotedInt(offset)
+		case hasIO && k == "length":
+			w.quotedInt(length)
+		default:
+			w.str(ev.Metadata[k])
+		}
+	}
+	w.buf = append(w.buf, '}')
+}
+
+func (w *jsonWriter) quotedInt(v int64) {
+	w.buf = append(w.buf, '"')
+	w.buf = strconv.AppendInt(w.buf, v, 10)
+	w.buf = append(w.buf, '"')
+}
+
+// str appends s as a JSON string. Names are almost always printable
+// ASCII with nothing to escape and are copied as they are; anything else
+// goes through encoding/json, so HTML escaping, invalid UTF-8 and
+// U+2028/U+2029 come out exactly as it writes them.
+func (w *jsonWriter) str(s string) {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			b, err := json.Marshal(s)
+			if err != nil {
+				panic(err) // a string always marshals
+			}
+			w.buf = append(w.buf, b...)
+			return
+		}
+	}
+	w.buf = append(w.buf, '"')
+	w.buf = append(w.buf, s...)
+	w.buf = append(w.buf, '"')
+}
+
+// appendFloat appends a finite f formatted as encoding/json formats a
+// float64: the shortest 'f' form, or 'e' below 1e-6 and from 1e21 up,
+// with a one-digit negative exponent's leading zero dropped (e-07 → e-7).
+func appendFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
+}
+
+// ReadJSONGz parses a trace.json.gz document. Only whitespace may follow
+// the JSON value, and the gzip stream must end cleanly, so a corrupt
+// CRC32 or length trailer, a truncated stream and trailing garbage are
+// all errors.
 func ReadJSONGz(r io.Reader) (*File, error) {
 	zr, err := gzip.NewReader(r)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("trace: gzip header: %w", err)
 	}
 	defer zr.Close()
+	dec := json.NewDecoder(zr)
 	var f File
-	if err := json.NewDecoder(zr).Decode(&f); err != nil {
-		return nil, err
+	if err := dec.Decode(&f); err != nil {
+		return nil, fmt.Errorf("trace: decode: %w", err)
 	}
-	return &f, nil
-}
-
-// parsedEvent is the renderer's decoded view of a raw event.
-type parsedEvent struct {
-	Event
+	// The decoder stops at the closing brace; gzip verifies its trailer
+	// only when the stream is read to EOF.
+	rest := bufio.NewReader(io.MultiReader(dec.Buffered(), zr))
+	for {
+		c, err := rest.ReadByte()
+		if err == io.EOF {
+			return &f, nil
+		}
+		if err != nil {
+			return nil, fmt.Errorf("trace: after document: %w", err)
+		}
+		if c != ' ' && c != '\t' && c != '\r' && c != '\n' {
+			return nil, fmt.Errorf("trace: trailing data %q after document", c)
+		}
+	}
 }
 
 // RenderTimelines renders a text TraceViewer: per plane, per line, events
