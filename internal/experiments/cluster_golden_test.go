@@ -15,12 +15,19 @@ const clusterGolden = "cluster_experiments.golden"
 // TestClusterExperimentsUpToDate pins the cluster experiments' output:
 // every Render() plus every metric at full float precision (RenderMetrics'
 // four decimals could hide virtual-time drift) for ranks, tune, prefetch,
-// failover, elastic and dataservice at two rank counts. Regenerate with
-// go test ./internal/experiments -update after an intentional model change.
+// failover, elastic and dataservice at two pinned rank counts, then once
+// over the default ladders (ranks {1,2,4,8}, elastic's survivors-only
+// {2,4,8}, dataservice fleets {2,4,8}; headed ranks=0) run in parallel.
+// Regenerate with go test ./internal/experiments -update after an
+// intentional model change.
 func TestClusterExperimentsUpToDate(t *testing.T) {
 	var b strings.Builder
-	for _, ranks := range []int{2, 4} {
-		cfg := Config{Scale: 0.02, Ranks: ranks}
+	for _, cfg := range []Config{
+		{Scale: 0.02, Ranks: 2},
+		{Scale: 0.02, Ranks: 4},
+		{Scale: 0.02, Parallel: -1},
+	} {
+		ranks := cfg.Ranks
 		for _, id := range []string{"ranks", "tune", "prefetch", "failover", "elastic", "dataservice"} {
 			r, ok := Find(id)
 			if !ok {
