@@ -22,7 +22,10 @@ import (
 	"repro/internal/workload"
 )
 
-func main() {
+// run trains 8 profiled steps over 256 image-like files and returns what
+// the TensorBoard pages render: tf-Darshan's analysis of the profiling
+// window plus the step history and trace.
+func run() (*tensorboard.ProfileData, error) {
 	// Boot the Greendog workstation: HDD + SSD + Optane, libc over a
 	// virtual file system, Darshan installed as a loadable library.
 	m := platform.NewGreendog(platform.Options{})
@@ -44,7 +47,7 @@ func main() {
 	for i := range paths {
 		paths[i] = fmt.Sprintf("%s/img-%04d.jpg", platform.GreendogHDDPath, i)
 		if _, err := m.FS.CreateFile(paths[i], 88*1024); err != nil {
-			log.Fatal(err)
+			return nil, err
 		}
 	}
 
@@ -52,36 +55,43 @@ func main() {
 	model := workload.MalwareCNN()
 	tb := keras.NewTensorBoard(1, 8)
 	var hist *keras.History
+	var fitErr error
 	m.K.Spawn("main", func(t *sim.Thread) {
 		ds := tfdata.FromFiles(m.Env, paths).Shuffle(1).
 			Map(workload.StreamMap, 4).Batch(32).Prefetch(4)
 		it, err := ds.MakeIterator()
 		if err != nil {
-			log.Fatal(err)
+			fitErr = err
+			return
 		}
-		hist, err = model.Fit(t, m.Env, it, keras.FitOptions{
+		hist, fitErr = model.Fit(t, m.Env, it, keras.FitOptions{
 			Steps: 8, Callbacks: []keras.Callback{tb},
 		})
-		if err != nil {
-			log.Fatal(err)
-		}
 	})
 	if err := m.K.Run(); err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
-
-	// tf-Darshan's in-situ analysis of the profiling window.
-	fmt.Println(handle.Last.Summary())
-	fmt.Println()
-
-	// The TensorBoard pages, rendered for the terminal.
-	pd := &tensorboard.ProfileData{
+	if fitErr != nil {
+		return nil, fitErr
+	}
+	return &tensorboard.ProfileData{
 		Run:            "quickstart",
 		History:        hist,
 		Analysis:       handle.Last,
 		Space:          tb.Space,
 		SessionStartNs: tb.Session.StartNs,
+	}, nil
+}
+
+func main() {
+	pd, err := run()
+	if err != nil {
+		log.Fatal(err)
 	}
+	// tf-Darshan's in-situ analysis of the profiling window, then the
+	// TensorBoard pages rendered for the terminal.
+	fmt.Println(pd.Analysis.Summary())
+	fmt.Println()
 	fmt.Println(pd.OverviewText())
 	fmt.Println(pd.InputPipelineText())
 }

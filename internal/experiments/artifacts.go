@@ -72,7 +72,7 @@ func produceDistributedArtifacts(c Config) (*RunArtifacts, error) {
 	if ranks == 0 {
 		ranks = 4
 	}
-	res, err := runDistributedImageNet(c, ranks)
+	res, err := c.runCluster(clusterRun{ranks: ranks})
 	if err != nil {
 		return nil, err
 	}

@@ -2,7 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
+	"slices"
 
 	"repro/internal/dataservice"
 	"repro/internal/platform"
@@ -33,29 +33,22 @@ var dataserviceJobRamp = []int{4, 16, 64, 256}
 const dataserviceBaselineJobs = 16
 
 // dataserviceFleets is the worker-fleet ladder (Config.Ranks pins one).
-func dataserviceFleets(c Config) []int {
-	if c.Ranks > 0 {
-		return []int{c.Ranks}
-	}
-	return []int{2, 4, 8}
-}
+var dataserviceFleets = []int{2, 4, 8}
 
-// DataServiceRung is one job count of a fleet's ramp.
-type DataServiceRung struct {
-	Jobs int
+// DataServiceRow is one job count of a fleet's ramp.
+type DataServiceRow struct {
+	Fleet int
+	Jobs  int
 	// WallSec is the virtual time to serve every job's epoch.
 	WallSec float64
 	// AggMBps is the delivered (post-decode, batched) bandwidth summed
 	// over jobs.
 	AggMBps float64
-	// PFSBytesRead/ColdBytes: what the fleet actually read off Lustre vs
-	// what the jobs would have read with no sharing; DedupX is their
-	// ratio (jobs-over-one-corpus makes it approach the job count).
+	// PFSBytesRead is what the fleet actually read off Lustre; DedupX is
+	// the ratio of the bytes the jobs would have read with no sharing to
+	// it (jobs-over-one-corpus makes it approach the job count).
 	PFSBytesRead int64
-	ColdBytes    int64
 	DedupX       float64
-	// AdmitSec is the total time jobs queued for admission.
-	AdmitSec float64
 	// Utilizations of the four saturable resources over the run's wall
 	// time; Saturated names the largest.
 	PFSUtil   float64
@@ -63,79 +56,62 @@ type DataServiceRung struct {
 	CacheUtil float64
 	DispUtil  float64
 	Saturated string
-}
-
-// DataServiceRow is one fleet size of the experiment.
-type DataServiceRow struct {
-	Fleet int
-	Rungs []DataServiceRung
-	// KneeJobs is the first ramp rung whose aggregate delivered
+	// KneeJobs is the fleet's first ramp rung whose aggregate delivered
 	// throughput scaled at under half the ideal ratio from the previous
 	// rung — where adding jobs stops buying throughput (the last rung if
-	// the ramp never knees).
-	KneeJobs int
-	// NoCacheWallSec/NoCachePFSBytes are the independent-pipelines
-	// baseline at dataserviceBaselineJobs; SpeedupX and BytesSavedMB
-	// compare the service's same-rung run against it.
-	NoCacheWallSec  float64
-	NoCachePFSBytes int64
-	SpeedupX        float64
-	BytesSavedMB    float64
+	// the ramp never knees). SpeedupX and BytesSavedMB compare the fleet's
+	// dataserviceBaselineJobs rung against the same jobs run as
+	// independent pipelines.
+	KneeJobs     int
+	SpeedupX     float64
+	BytesSavedMB float64
 }
 
 // DataServiceResult is the disaggregated data service experiment.
-type DataServiceResult struct {
-	Rows []DataServiceRow
-}
+type DataServiceResult = table[DataServiceRow]
 
-// ID implements Result.
-func (r *DataServiceResult) ID() string { return "dataservice" }
-
-// Render implements Result.
-func (r *DataServiceResult) Render() string {
-	var b strings.Builder
-	b.WriteString("Disaggregated tf.data service: concurrent-job ramp per worker fleet over shared Lustre\n")
-	fmt.Fprintf(&b, "  %5s %5s %8s %9s %7s %6s %6s %6s %6s  %-10s\n",
-		"fleet", "jobs", "wall(s)", "agg MB/s", "dedup", "pfs%", "mds%", "cache%", "disp%", "saturates")
-	for _, row := range r.Rows {
-		for _, g := range row.Rungs {
-			fmt.Fprintf(&b, "  %5d %5d %8.2f %9.1f %6.1fx %5.1f%% %5.1f%% %5.1f%% %5.1f%%  %-10s\n",
-				row.Fleet, g.Jobs, g.WallSec, g.AggMBps, g.DedupX,
-				g.PFSUtil*100, g.MDSUtil*100, g.CacheUtil*100, g.DispUtil*100, g.Saturated)
+var dataserviceTable = &tableSpec[DataServiceRow]{
+	id:    "dataservice",
+	title: "Disaggregated tf.data service: concurrent-job ramp per worker fleet over shared Lustre",
+	cols: []column[DataServiceRow]{
+		{head: "fleet", width: 5, verb: "%5d", cell: func(r DataServiceRow) any { return r.Fleet }},
+		{head: "jobs", width: 5, verb: "%5d", cell: func(r DataServiceRow) any { return r.Jobs }},
+		{head: "wall(s)", width: 8, verb: "%8.2f", cell: func(r DataServiceRow) any { return r.WallSec }, metric: "wall_s"},
+		{head: "agg MB/s", width: 9, verb: "%9.1f", cell: func(r DataServiceRow) any { return r.AggMBps }, metric: "agg_MBps"},
+		{head: "dedup", width: 7, verb: "%6.1fx", cell: func(r DataServiceRow) any { return r.DedupX }, metric: "dedup_x"},
+		{head: "pfs%", width: 6, verb: "%5.1f%%", cell: func(r DataServiceRow) any { return r.PFSUtil * 100 },
+			metric: "pfs_util", value: func(r DataServiceRow) float64 { return r.PFSUtil }},
+		{head: "mds%", width: 6, verb: "%5.1f%%", cell: func(r DataServiceRow) any { return r.MDSUtil * 100 },
+			metric: "mds_util", value: func(r DataServiceRow) float64 { return r.MDSUtil }},
+		{head: "cache%", width: 6, verb: "%5.1f%%", cell: func(r DataServiceRow) any { return r.CacheUtil * 100 },
+			metric: "cache_util", value: func(r DataServiceRow) float64 { return r.CacheUtil }},
+		{head: "disp%", width: 6, verb: "%5.1f%%", cell: func(r DataServiceRow) any { return r.DispUtil * 100 },
+			metric: "disp_util", value: func(r DataServiceRow) float64 { return r.DispUtil }},
+		{head: " saturates", width: -11, verb: " %-10s", cell: func(r DataServiceRow) any { return r.Saturated }},
+	},
+	key: func(r DataServiceRow) string { return fmt.Sprintf("fleet%d_jobs%03d_", r.Fleet, r.Jobs) },
+	extra: func(rows []DataServiceRow, out map[string]float64) {
+		for _, r := range rows {
+			p := fmt.Sprintf("fleet%d_", r.Fleet)
+			out[p+"knee_jobs"] = float64(r.KneeJobs)
+			out[p+"speedup_vs_independent_x"] = r.SpeedupX
+			out[p+"bytes_saved_MB"] = r.BytesSavedMB
 		}
-		fmt.Fprintf(&b, "  %5d knee at %d jobs; vs %d independent pipelines: %.2fx faster, %.1f MB of PFS reads saved\n",
-			row.Fleet, row.KneeJobs, dataserviceBaselineJobs, row.SpeedupX, row.BytesSavedMB)
-	}
-	return b.String()
-}
-
-// Metrics implements Result.
-func (r *DataServiceResult) Metrics() map[string]float64 {
-	out := map[string]float64{}
-	for _, row := range r.Rows {
-		fp := fmt.Sprintf("fleet%d_", row.Fleet)
-		for _, g := range row.Rungs {
-			p := fmt.Sprintf("%sjobs%03d_", fp, g.Jobs)
-			out[p+"wall_s"] = g.WallSec
-			out[p+"agg_MBps"] = g.AggMBps
-			out[p+"dedup_x"] = g.DedupX
-			out[p+"pfs_util"] = g.PFSUtil
-			out[p+"mds_util"] = g.MDSUtil
-			out[p+"cache_util"] = g.CacheUtil
-			out[p+"disp_util"] = g.DispUtil
+		// Headline metrics for the benchmark snapshots: the largest fleet.
+		last := rows[len(rows)-1]
+		out["dataservice_jobs_knee"] = float64(last.KneeJobs)
+		out["dataservice_speedup_vs_independent_x"] = last.SpeedupX
+		out["dataservice_dedup_ratio"] = last.DedupX
+	},
+	// The fleet's summary line follows its last rung.
+	footer: func(rows []DataServiceRow, i int) string {
+		r := rows[i]
+		if i+1 < len(rows) && rows[i+1].Fleet == r.Fleet {
+			return ""
 		}
-		out[fp+"knee_jobs"] = float64(row.KneeJobs)
-		out[fp+"speedup_vs_independent_x"] = row.SpeedupX
-		out[fp+"bytes_saved_MB"] = row.BytesSavedMB
-	}
-	// Headline metrics for the benchmark snapshots: the largest fleet.
-	last := r.Rows[len(r.Rows)-1]
-	out["dataservice_jobs_knee"] = float64(last.KneeJobs)
-	out["dataservice_speedup_vs_independent_x"] = last.SpeedupX
-	if len(last.Rungs) > 0 {
-		out["dataservice_dedup_ratio"] = last.Rungs[len(last.Rungs)-1].DedupX
-	}
-	return out
+		return fmt.Sprintf("  %5d knee at %d jobs; vs %d independent pipelines: %.2fx faster, %.1f MB of PFS reads saved\n",
+			r.Fleet, r.KneeJobs, dataserviceBaselineJobs, r.SpeedupX, r.BytesSavedMB)
+	},
 }
 
 // buildDataServiceCluster boots a worker fleet with preloaded Darshan
@@ -155,27 +131,13 @@ func buildDataServiceCluster(c Config, fleet int) (*platform.Cluster, *workload.
 	return cluster, d, nil
 }
 
-// dataserviceJobs builds the rung's job set: every job an independently
-// shuffled epoch over the shared corpus.
-func dataserviceJobs(c Config, paths []string, jobs int) []dataservice.JobSpec {
-	specs := make([]dataservice.JobSpec, jobs)
-	for i := range specs {
-		specs[i] = dataservice.JobSpec{
-			Name:    fmt.Sprintf("j%03d", i),
-			Paths:   paths,
-			Shuffle: c.shuffleSeed() + int64(i),
-			Batch:   8,
-		}
-	}
-	return specs
-}
-
-// runDataServicePoint serves one (fleet, jobs) rung, with or without the
-// shared cache tier, verifying the exactness and sharing invariants.
-func runDataServicePoint(c Config, fleet, jobs int, shared bool) (DataServiceRung, error) {
+// serveJobs serves one (fleet, jobs) rung, with or without the shared
+// cache tier, verifying the exactness and sharing invariants.
+func (c Config) serveJobs(fleet, jobs int, shared bool) (row DataServiceRow, err error) {
+	defer wrapErr(&err, "jobs=%d", jobs)
 	cluster, d, err := buildDataServiceCluster(c, fleet)
 	if err != nil {
-		return DataServiceRung{}, err
+		return row, err
 	}
 	corpus := d.Total()
 	cfg := dataservice.Config{MapFn: workload.ImageNetMap, Threads: 2}
@@ -186,146 +148,111 @@ func runDataServicePoint(c Config, fleet, jobs int, shared bool) (DataServiceRun
 		cfg.CacheBytes = 2 * corpus
 		cfg.PeerServing = true
 	}
-	res, err := dataservice.Run(cluster, dataserviceJobs(c, d.Paths, jobs), cfg)
+	// Every job is an independently shuffled epoch over the shared corpus.
+	specs := make([]dataservice.JobSpec, jobs)
+	for i := range specs {
+		specs[i] = dataservice.JobSpec{
+			Name:    fmt.Sprintf("j%03d", i),
+			Paths:   d.Paths,
+			Shuffle: c.shuffleSeed() + int64(i),
+			Batch:   8,
+		}
+	}
+	res, err := dataservice.Run(cluster, specs, cfg)
 	if err != nil {
-		return DataServiceRung{}, err
+		return row, err
 	}
 
-	rung := DataServiceRung{
-		Jobs:         jobs,
-		WallSec:      res.WallSeconds,
-		PFSBytesRead: res.PFSBytesRead,
-		ColdBytes:    res.TotalColdBytes(),
-	}
+	row = DataServiceRow{Fleet: fleet, Jobs: jobs, WallSec: res.WallSeconds, PFSBytesRead: res.PFSBytesRead}
 	var delivered int64
 	for _, j := range res.Jobs {
 		// Exactness: a served epoch delivers exactly the batches its shard
 		// leases imply — no dropped or duplicated work under contention.
 		if j.Batches != j.ExpectedBatches {
-			return DataServiceRung{}, fmt.Errorf(
-				"dataservice: fleet=%d jobs=%d: %s delivered %d batches, leases imply %d",
-				fleet, jobs, j.Name, j.Batches, j.ExpectedBatches)
+			return row, fmt.Errorf("%s delivered %d batches, leases imply %d", j.Name, j.Batches, j.ExpectedBatches)
 		}
 		if j.Bytes != j.ColdBytes {
-			return DataServiceRung{}, fmt.Errorf(
-				"dataservice: fleet=%d jobs=%d: %s consumed %d bytes of a %d-byte epoch",
-				fleet, jobs, j.Name, j.Bytes, j.ColdBytes)
+			return row, fmt.Errorf("%s consumed %d bytes of a %d-byte epoch", j.Name, j.Bytes, j.ColdBytes)
 		}
 		delivered += j.Bytes
-		rung.AdmitSec += sim.Seconds(j.AdmitNs)
 	}
 	// Sharing: the fleet reads every corpus byte at least once, and never
 	// more than the jobs would have read with no sharing at all; with the
 	// shared tier and overlapping jobs, strictly less.
-	if rung.PFSBytesRead < corpus || rung.PFSBytesRead > rung.ColdBytes {
-		return DataServiceRung{}, fmt.Errorf(
-			"dataservice: fleet=%d jobs=%d: PFS read %d bytes outside [corpus %d, cold %d]",
-			fleet, jobs, rung.PFSBytesRead, corpus, rung.ColdBytes)
+	cold := res.TotalColdBytes()
+	if row.PFSBytesRead < corpus || row.PFSBytesRead > cold {
+		return row, fmt.Errorf("PFS read %d bytes outside [corpus %d, cold %d]", row.PFSBytesRead, corpus, cold)
 	}
-	if shared && jobs > 1 && rung.PFSBytesRead >= rung.ColdBytes {
-		return DataServiceRung{}, fmt.Errorf(
-			"dataservice: fleet=%d jobs=%d: shared tier deduplicated nothing (%d of %d cold bytes)",
-			fleet, jobs, rung.PFSBytesRead, rung.ColdBytes)
+	if shared && jobs > 1 && row.PFSBytesRead >= cold {
+		return row, fmt.Errorf("shared tier deduplicated nothing (%d of %d cold bytes)", row.PFSBytesRead, cold)
 	}
-	if rung.PFSBytesRead > 0 {
-		rung.DedupX = float64(rung.ColdBytes) / float64(rung.PFSBytesRead)
-	}
-	if rung.WallSec > 0 {
-		rung.AggMBps = float64(delivered) / 1e6 / rung.WallSec
+	row.DedupX = ratio(float64(cold), float64(row.PFSBytesRead))
+	if row.WallSec > 0 {
+		row.AggMBps = float64(delivered) / 1e6 / row.WallSec
 
 		// Utilization of each saturable resource over the run.
 		p := cluster.Lustre.Params()
-		rung.PFSUtil = float64(rung.PFSBytesRead) / (p.OSSBandwidth * rung.WallSec)
-		rung.MDSUtil = float64(res.PFSMetaOps) * sim.Seconds(p.MDSLatency) /
-			(float64(p.MDSConcurrency) * rung.WallSec)
+		row.PFSUtil = float64(row.PFSBytesRead) / (p.OSSBandwidth * row.WallSec)
+		row.MDSUtil = float64(res.PFSMetaOps) * sim.Seconds(p.MDSLatency) /
+			(float64(p.MDSConcurrency) * row.WallSec)
 		for _, busy := range res.CacheBusy {
-			rung.CacheUtil = max(rung.CacheUtil, sim.Seconds(busy)/rung.WallSec)
+			row.CacheUtil = max(row.CacheUtil, sim.Seconds(busy)/row.WallSec)
 		}
-		rung.DispUtil = sim.Seconds(res.Dispatcher.BusyNs) / rung.WallSec
+		row.DispUtil = sim.Seconds(res.Dispatcher.BusyNs) / row.WallSec
 	}
-	rung.Saturated = "pfs"
-	top := rung.PFSUtil
-	for _, r := range []struct {
-		name string
-		util float64
-	}{{"mds", rung.MDSUtil}, {"cache", rung.CacheUtil}, {"dispatcher", rung.DispUtil}} {
-		if r.util > top {
-			rung.Saturated, top = r.name, r.util
-		}
-	}
-	return rung, nil
+	// The saturating resource is the most utilized one (the first on ties).
+	utils := []float64{row.PFSUtil, row.MDSUtil, row.CacheUtil, row.DispUtil}
+	row.Saturated = []string{"pfs", "mds", "cache", "dispatcher"}[slices.Index(utils, slices.Max(utils))]
+	return row, nil
 }
 
 // kneeJobs finds the first rung whose aggregate throughput scaled at
 // under half the ideal job ratio from the previous rung.
-func kneeJobs(rungs []DataServiceRung) int {
+func kneeJobs(rungs []DataServiceRow) int {
 	for i := 1; i < len(rungs); i++ {
 		prev, cur := rungs[i-1], rungs[i]
-		if prev.AggMBps <= 0 {
-			continue
-		}
 		ideal := float64(cur.Jobs) / float64(prev.Jobs)
-		if cur.AggMBps/prev.AggMBps < 0.5*ideal {
+		if prev.AggMBps > 0 && cur.AggMBps/prev.AggMBps < 0.5*ideal {
 			return cur.Jobs
 		}
 	}
 	return rungs[len(rungs)-1].Jobs
 }
 
-// DataServiceExperiment ramps concurrent jobs per worker-fleet size, plus
-// one independent-pipelines baseline per fleet. Every sweep point builds
-// an independent cluster, so points run concurrently under
-// Config.Parallel with rows assembled in ladder order (byte-identical to
-// a serial run).
-func DataServiceExperiment(c Config) (*DataServiceResult, error) {
-	fleets := dataserviceFleets(c)
-	perFleet := len(dataserviceJobRamp) + 1 // ramp rungs + no-service baseline
-	rungs := make([]DataServiceRung, len(fleets)*perFleet)
-	err := runIndexed(c.Parallel, len(rungs), func(i int) error {
-		fleet := fleets[i/perFleet]
-		k := i % perFleet
-		var err error
-		if k == len(dataserviceJobRamp) {
-			rungs[i], err = runDataServicePoint(c, fleet, dataserviceBaselineJobs, false)
-		} else {
-			rungs[i], err = runDataServicePoint(c, fleet, dataserviceJobRamp[k], true)
+// dataserviceFleet ramps the concurrent jobs one fleet serves, then runs
+// the same jobs as independent cold pipelines at the baseline rung.
+func (c Config) dataserviceFleet(fleet int) (rows []DataServiceRow, err error) {
+	defer wrapErr(&err, "dataservice: fleet=%d", fleet)
+	for _, jobs := range dataserviceJobRamp {
+		row, err := c.serveJobs(fleet, jobs, true)
+		if err != nil {
+			return nil, err
 		}
-		return err
-	})
+		rows = append(rows, row)
+	}
+	baseline, err := c.serveJobs(fleet, dataserviceBaselineJobs, false)
 	if err != nil {
 		return nil, err
 	}
-
-	res := &DataServiceResult{}
-	for fi, fleet := range fleets {
-		row := DataServiceRow{Fleet: fleet}
-		row.Rungs = rungs[fi*perFleet : fi*perFleet+len(dataserviceJobRamp)]
-		baseline := rungs[fi*perFleet+len(dataserviceJobRamp)]
-		row.KneeJobs = kneeJobs(row.Rungs)
-		row.NoCacheWallSec = baseline.WallSec
-		row.NoCachePFSBytes = baseline.PFSBytesRead
-
-		var at *DataServiceRung
-		for i := range row.Rungs {
-			if row.Rungs[i].Jobs == dataserviceBaselineJobs {
-				at = &row.Rungs[i]
-			}
-		}
-		if at == nil {
-			return nil, fmt.Errorf("dataservice: fleet=%d: ramp has no %d-job rung to anchor the baseline",
-				fleet, dataserviceBaselineJobs)
-		}
-		// The service must strictly beat the same jobs run as independent
-		// cold pipelines — on time and on PFS traffic — or disaggregating
-		// the data plane bought nothing.
-		if at.WallSec >= baseline.WallSec || at.PFSBytesRead >= baseline.PFSBytesRead {
-			return nil, fmt.Errorf(
-				"dataservice: fleet=%d jobs=%d: service (%.2fs, %d PFS bytes) did not beat independent pipelines (%.2fs, %d)",
-				fleet, dataserviceBaselineJobs, at.WallSec, at.PFSBytesRead, baseline.WallSec, baseline.PFSBytesRead)
-		}
-		row.SpeedupX = baseline.WallSec / at.WallSec
-		row.BytesSavedMB = float64(baseline.PFSBytesRead-at.PFSBytesRead) / 1e6
-		res.Rows = append(res.Rows, row)
+	// The service must strictly beat the same jobs run as independent cold
+	// pipelines — on time and on PFS traffic — or disaggregating the data
+	// plane bought nothing.
+	at := rows[slices.Index(dataserviceJobRamp, dataserviceBaselineJobs)]
+	if at.WallSec >= baseline.WallSec || at.PFSBytesRead >= baseline.PFSBytesRead {
+		return nil, fmt.Errorf("jobs=%d: service (%.2fs, %d PFS bytes) did not beat independent pipelines (%.2fs, %d)",
+			at.Jobs, at.WallSec, at.PFSBytesRead, baseline.WallSec, baseline.PFSBytesRead)
 	}
-	return res, nil
+	knee := kneeJobs(rows)
+	for i := range rows {
+		rows[i].KneeJobs = knee
+		rows[i].SpeedupX = baseline.WallSec / at.WallSec
+		rows[i].BytesSavedMB = float64(baseline.PFSBytesRead-at.PFSBytesRead) / 1e6
+	}
+	return rows, nil
+}
+
+// DataServiceExperiment ramps concurrent jobs per worker-fleet size, plus
+// one independent-pipelines baseline per fleet.
+func DataServiceExperiment(c Config) (*DataServiceResult, error) {
+	return sweep(c, dataserviceTable, c.ladder(dataserviceFleets), c.dataserviceFleet)
 }

@@ -1,8 +1,8 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/darshan"
@@ -29,151 +29,61 @@ import (
 // only follow the failure instant, and clean runs must record zero
 // retries.
 
-// elasticRetryPolicy is the bounded-retry policy armed on every run.
-func elasticRetryPolicy(c Config) tf.RetryPolicy {
-	return tf.RetryPolicy{
-		MaxRetries:  4,
-		BaseBackoff: 2 * sim.Millisecond,
-		MaxBackoff:  50 * sim.Millisecond,
-		OpTimeout:   sim.Second,
-		Seed:        c.shuffleSeed(),
-	}
-}
-
-// elasticFaultRungs builds the fault ladder. Windows are placed in the
-// pre-failure phase (fractions of the no-failure wall time), so both
-// protocols degrade through identical conditions before the death.
-func elasticFaultRungs(c Config, noFailWall float64) []struct {
-	Name string
-	Plan *vfs.FaultPlan
-} {
-	w := func(a, b float64, f float64) vfs.FaultWindow {
-		return vfs.FaultWindow{
-			Start:  sim.Duration(a * noFailWall * 1e9),
-			End:    sim.Duration(b * noFailWall * 1e9),
-			Factor: f,
-		}
-	}
-	return []struct {
-		Name string
-		Plan *vfs.FaultPlan
-	}{
-		{"clean", nil},
-		{"flaky", &vfs.FaultPlan{Seed: c.shuffleSeed(), ReadErrNth: 97}},
-		{"storm", &vfs.FaultPlan{
-			Seed:         c.shuffleSeed(),
-			ReadErrNth:   41,
-			MDSBrownouts: []vfs.FaultWindow{w(0.20, 0.45, 8)},
-			DegradedOSTs: []vfs.FaultWindow{w(0.20, 0.45, 4)},
-		}},
-	}
-}
-
-// ElasticRung is one fault-ladder rung's rollback-vs-elastic comparison.
-type ElasticRung struct {
-	Name string
-	// RollbackSec/ElasticSec are the two protocols' epoch times under
-	// this rung's faults; DeltaSec is rollback minus elastic (the
-	// downtime the elastic protocol saves).
-	RollbackSec float64
-	ElasticSec  float64
-	DeltaSec    float64
-	// Faults/Retries/Giveups are the elastic run's merged retry tally.
-	Faults  int64
-	Retries int64
-	Giveups int64
-}
-
-// ElasticRow is one rank count of the elastic table.
+// ElasticRow is one fault-ladder rung of one rank count: the rollback
+// vs elastic comparison under that rung's faults.
 type ElasticRow struct {
 	Ranks int
 	Steps int
-	// FailStep/CheckpointStep anchor the failure and the catch-up target.
-	FailStep       int
-	CheckpointStep int
-	// ElasticSteps/ReshardFiles describe the survivors' continuation.
+	// FailStep anchors the failure; ElasticSteps is the survivors'
+	// continuation length (a function of the run plan and the failure, the
+	// same on every rung).
+	FailStep     int
 	ElasticSteps int
-	ReshardFiles int
-	// NoFailEpochSec is the clean no-failure baseline.
+	// NoFailEpochSec is the rank count's clean no-failure baseline.
 	NoFailEpochSec float64
-	// DowntimeSec is the victim's death-to-rejoin window.
-	DowntimeSec float64
-	Rungs       []ElasticRung
-	// MergedDarshanLog is the storm-rung elastic run's serialized merged
-	// log (Config.KeepLogs only), round-trip verified.
-	MergedDarshanLog []byte
+	Rung           string
+	// RollbackSec/ElasticSec are the two protocols' epoch times under
+	// this rung's faults.
+	RollbackSec float64
+	ElasticSec  float64
+	// Faults/Retries are the elastic run's merged retry tally.
+	Faults  int64
+	Retries int64
 }
 
 // ElasticResult is the elastic-vs-rollback experiment over the fault
 // ladder.
-type ElasticResult struct {
-	Rows []ElasticRow
-}
+type ElasticResult = table[ElasticRow]
 
-// ID implements Result.
-func (r *ElasticResult) ID() string { return "elastic" }
-
-// Render implements Result.
-func (r *ElasticResult) Render() string {
-	var b strings.Builder
-	b.WriteString("Elastic continue-on-failure vs checkpoint rollback under transient faults\n")
-	fmt.Fprintf(&b, "  %5s %6s %6s %6s %-6s %11s %11s %10s %8s %8s\n",
-		"ranks", "steps", "fail@", "cont.", "rung", "rollback(s)", "elastic(s)", "delta(s)", "faults", "retries")
-	for _, row := range r.Rows {
-		for _, rung := range row.Rungs {
-			fmt.Fprintf(&b, "  %5d %6d %6d %6d %-6s %11.2f %11.2f %10.2f %8d %8d\n",
-				row.Ranks, row.Steps, row.FailStep, row.ElasticSteps, rung.Name,
-				rung.RollbackSec, rung.ElasticSec, rung.DeltaSec, rung.Faults, rung.Retries)
+var elasticTable = &tableSpec[ElasticRow]{
+	id:    "elastic",
+	title: "Elastic continue-on-failure vs checkpoint rollback under transient faults",
+	cols: []column[ElasticRow]{
+		{head: "ranks", width: 5, verb: "%5d", cell: func(r ElasticRow) any { return r.Ranks }},
+		{head: "steps", width: 6, verb: "%6d", cell: func(r ElasticRow) any { return r.Steps }},
+		{head: "fail@", width: 6, verb: "%6d", cell: func(r ElasticRow) any { return r.FailStep }},
+		{head: "cont.", width: 6, verb: "%6d", cell: func(r ElasticRow) any { return r.ElasticSteps }},
+		{head: "rung", width: -6, verb: "%-6s", cell: func(r ElasticRow) any { return r.Rung }},
+		{head: "rollback(s)", width: 11, verb: "%11.2f", cell: func(r ElasticRow) any { return r.RollbackSec }, metric: "rollback_s"},
+		{head: "elastic(s)", width: 11, verb: "%11.2f", cell: func(r ElasticRow) any { return r.ElasticSec }, metric: "elastic_s"},
+		// delta is the downtime the elastic protocol saves.
+		{head: "delta(s)", width: 10, verb: "%10.2f", cell: func(r ElasticRow) any { return r.RollbackSec - r.ElasticSec }, metric: "delta_s"},
+		{head: "faults", width: 8, verb: "%8d", cell: func(r ElasticRow) any { return r.Faults }},
+		{head: "retries", width: 8, verb: "%8d", cell: func(r ElasticRow) any { return r.Retries }},
+	},
+	key: func(r ElasticRow) string { return ranksKey(r.Ranks) + r.Rung + "_" },
+	// The largest rank count publishes the headline
+	// elastic_downtime_delta_s (clean rung) and retry_total tracked per
+	// commit in the BENCH_<n>.json snapshots.
+	extra: func(rows []ElasticRow, out map[string]float64) {
+		for _, r := range rows {
+			out[ranksKey(r.Ranks)+"nofail_epoch_s"] = r.NoFailEpochSec
+			out[ranksKey(r.Ranks)+"retry_total"] += float64(r.Retries)
 		}
-	}
-	return b.String()
-}
-
-// Metrics implements Result. The last (largest) rank count publishes the
-// headline elastic_downtime_delta_s and retry_total tracked per commit in
-// the BENCH_<n>.json snapshots.
-func (r *ElasticResult) Metrics() map[string]float64 {
-	out := map[string]float64{}
-	for _, row := range r.Rows {
-		p := fmt.Sprintf("ranks%d_", row.Ranks)
-		out[p+"nofail_epoch_s"] = row.NoFailEpochSec
-		var retries int64
-		for _, rung := range row.Rungs {
-			out[p+rung.Name+"_rollback_s"] = rung.RollbackSec
-			out[p+rung.Name+"_elastic_s"] = rung.ElasticSec
-			out[p+rung.Name+"_delta_s"] = rung.DeltaSec
-			retries += rung.Retries
-		}
-		out[p+"retry_total"] = float64(retries)
-	}
-	if n := len(r.Rows); n > 0 {
-		last := r.Rows[n-1]
-		out["elastic_downtime_delta_s"] = last.Rungs[0].DeltaSec
-		var retries int64
-		for _, rung := range last.Rungs {
-			retries += rung.Retries
-		}
-		out["retry_total"] = float64(retries)
-	}
-	return out
-}
-
-// runElasticVariant executes one protocol under one fault plan on a fresh
-// cluster (DXT stdio tracing on, retry policy armed).
-func runElasticVariant(c Config, ranks int, elastic bool, every int, fail []distributed.FailureEvent, plan *vfs.FaultPlan) (*distributed.Result, error) {
-	cluster, d, err := buildFailoverCluster(c, ranks)
-	if err != nil {
-		return nil, err
-	}
-	if plan != nil {
-		cluster.FS.InjectFaults(*plan)
-	}
-	opts := untunedClusterOptions(c)
-	opts.Checkpoint = distributed.CheckpointPolicy{Pattern: distributed.CkptRank0, EverySteps: every, Dir: failoverCkptDir}
-	opts.Failures = fail
-	opts.Elastic = elastic && len(fail) > 0
-	opts.Retry = elasticRetryPolicy(c)
-	return distributed.Run(cluster, d.Paths, opts)
+		p := ranksKey(rows[len(rows)-1].Ranks)
+		out["elastic_downtime_delta_s"] = out[p+"clean_delta_s"]
+		out["retry_total"] = out[p+"retry_total"]
+	},
 }
 
 // datasetReads sums POSIX bytes read outside the checkpoint prefix — the
@@ -195,46 +105,87 @@ func datasetReads(m *darshan.MergedLog) (bytes int64, files int) {
 // checkElasticLifecycles verifies the elastic run's per-rank state
 // machines: survivors degrade and re-shard without ever restoring; the
 // victim is the only rank that restores.
-func checkElasticLifecycles(res *distributed.Result, victim, ranks int) error {
-	for r := range res.PerRank {
+func checkElasticLifecycles(res *distributed.Result, victim int) error {
+	for r, rr := range res.PerRank {
 		states := map[distributed.LifecycleState]bool{}
-		for _, e := range res.PerRank[r].Lifecycle {
+		for _, e := range rr.Lifecycle {
 			states[e.State] = true
 		}
-		if r == victim {
-			if !states[distributed.LifeFailed] || !states[distributed.LifeRestoring] {
-				return fmt.Errorf("victim rank %d lifecycle %v lacks failed/restoring", r, res.PerRank[r].Lifecycle)
-			}
-			continue
-		}
-		if !states[distributed.LifeDegraded] || !states[distributed.LifeResharded] {
-			return fmt.Errorf("survivor rank %d lifecycle %v lacks degraded/resharded", r, res.PerRank[r].Lifecycle)
-		}
-		if states[distributed.LifeRestoring] {
+		switch {
+		case r == victim && (!states[distributed.LifeFailed] || !states[distributed.LifeRestoring]):
+			return fmt.Errorf("victim rank %d lifecycle %v lacks failed/restoring", r, rr.Lifecycle)
+		case r == victim: // the survivor checks below do not apply
+		case !states[distributed.LifeDegraded] || !states[distributed.LifeResharded]:
+			return fmt.Errorf("survivor rank %d lifecycle %v lacks degraded/resharded", r, rr.Lifecycle)
+		case states[distributed.LifeRestoring]:
 			return fmt.Errorf("survivor rank %d restored; elastic mode must not roll survivors back", r)
-		}
-		if res.PerRank[r].RestoreBytes != 0 {
-			return fmt.Errorf("survivor rank %d read %d restore bytes", r, res.PerRank[r].RestoreBytes)
+		case rr.RestoreBytes != 0:
+			return fmt.Errorf("survivor rank %d read %d restore bytes", r, rr.RestoreBytes)
 		}
 	}
 	return nil
 }
 
-// runElasticRankCount runs the fault ladder at one rank count, enforcing
-// the experiment's invariants as errors.
-func runElasticRankCount(c Config, ranks int) (ElasticRow, error) {
-	_, d, err := buildFailoverCluster(c, ranks)
+// checkElasticRung enforces one rung's invariants as errors: each run
+// recovered once and read checkpoints only after the failure, elastic
+// beat rollback, elastic continued without a restore storm and with sound
+// lifecycles, dataset bytes are conserved, and retries surface on the
+// fault rungs and only there.
+func checkElasticRung(rollback, elastic, noFail *distributed.Result, faulty bool, batch int) error {
+	ranks := len(elastic.PerRank)
+	ef, err := restoredAfterFailure(elastic)
 	if err != nil {
-		return ElasticRow{}, err
+		return fmt.Errorf("elastic: %w", err)
 	}
-	opts := untunedClusterOptions(c)
-	plan, err := distributed.NewPlan(d.Paths, opts.Shuffle, ranks, 1, opts.Batch)
+	rf, err := restoredAfterFailure(rollback)
 	if err != nil {
-		return ElasticRow{}, err
+		return fmt.Errorf("rollback: %w", err)
 	}
-	steps := plan.Steps
-	if steps < 4 {
-		return ElasticRow{}, fmt.Errorf("ranks=%d: %d steps is too short to fail late-epoch (raise -scale)", ranks, steps)
+	if elastic.WallSeconds >= rollback.WallSeconds {
+		return fmt.Errorf("elastic %.3fs did not beat rollback %.3fs", elastic.WallSeconds, rollback.WallSeconds)
+	}
+	if !ef.Elastic || ef.ElasticSteps < 1 || ef.ReshardFiles < 1 {
+		return fmt.Errorf("elastic record %+v lacks a continuation", ef)
+	}
+	// No restore storm: the rollback burst is every rank's, the elastic
+	// burst the victim's alone — exactly the rank factor.
+	if ef.RestoreBytes == 0 || rf.RestoreBytes != int64(ranks)*ef.RestoreBytes {
+		return fmt.Errorf("restore bytes rollback %d vs elastic %d, want exactly %dx", rf.RestoreBytes, ef.RestoreBytes, ranks)
+	}
+	if err := checkElasticLifecycles(elastic, ef.Rank); err != nil {
+		return err
+	}
+	// Byte conservation. Elastic covers the dataset once, modulo two
+	// bounded effects: catch-up re-reads (files the victim's pipeline had
+	// read ahead and took to the grave, re-read by the survivors) add
+	// bytes, and batch-granular truncation of the re-sharded continuations
+	// drops at most batch+1 sub-batch tail files per survivor. Rollback
+	// additionally re-reads every replayed step on every rank, so it can
+	// never read fewer bytes than elastic.
+	nfBytes, nfFiles := datasetReads(noFail.Merged)
+	eBytes, eFiles := datasetReads(elastic.Merged)
+	rBytes, _ := datasetReads(rollback.Merged)
+	if slack := (ranks - 1) * (batch + 1); eFiles < nfFiles-slack {
+		return fmt.Errorf("elastic run lost dataset files: %d of %d read (slack %d)", eFiles, nfFiles, slack)
+	}
+	if rBytes < eBytes {
+		return fmt.Errorf("dataset bytes not conserved: nofail %d, elastic %d, rollback %d", nfBytes, eBytes, rBytes)
+	}
+	if !faulty && (!elastic.Merged.Faults.Zero() || !rollback.Merged.Faults.Zero()) {
+		return fmt.Errorf("clean rung recorded faults (%+v / %+v)", elastic.Merged.Faults, rollback.Merged.Faults)
+	}
+	if faulty && (elastic.Merged.Faults.Retries == 0 || rollback.Merged.Faults.Retries == 0) {
+		return fmt.Errorf("fault rung recorded no retries (%+v / %+v)", elastic.Merged.Faults, rollback.Merged.Faults)
+	}
+	return nil
+}
+
+// elasticPoint runs the fault ladder at one rank count.
+func (c Config) elasticPoint(ranks int) (rows []ElasticRow, err error) {
+	defer wrapErr(&err, "ranks=%d", ranks)
+	steps, err := c.epochSteps(ranks, 4)
+	if err != nil {
+		return nil, err
 	}
 	// Checkpoint twice per epoch and die three quarters through — midway
 	// between checkpoints. The cadence is the crux of the comparison:
@@ -249,139 +200,84 @@ func runElasticRankCount(c Config, ranks int) (ElasticRow, error) {
 	// instead — sparse checkpoints are what elastic recovery buys out of.
 	failStep := (3 * steps) / 4
 	every := steps / 2
-	victim := 1
-	fail := []distributed.FailureEvent{{Rank: victim, Step: failStep, RebootDelay: failoverRebootDelay}}
-
-	noFail, err := runElasticVariant(c, ranks, false, every, nil, nil)
-	if err != nil {
-		return ElasticRow{}, err
-	}
-	if !noFail.Merged.Faults.Zero() {
-		return ElasticRow{}, fmt.Errorf("ranks=%d: clean baseline recorded faults %+v", ranks, noFail.Merged.Faults)
-	}
-	row := ElasticRow{Ranks: ranks, Steps: steps, FailStep: failStep, NoFailEpochSec: noFail.WallSeconds}
-
-	for _, rung := range elasticFaultRungs(c, noFail.WallSeconds) {
-		rollback, err := runElasticVariant(c, ranks, false, every, fail, rung.Plan)
-		if err != nil {
-			return ElasticRow{}, fmt.Errorf("ranks=%d rung %s rollback: %w", ranks, rung.Name, err)
-		}
-		elastic, err := runElasticVariant(c, ranks, true, every, fail, rung.Plan)
-		if err != nil {
-			return ElasticRow{}, fmt.Errorf("ranks=%d rung %s elastic: %w", ranks, rung.Name, err)
-		}
-
-		// Elastic must beat rollback on downtime at every rung.
-		if elastic.WallSeconds >= rollback.WallSeconds {
-			return ElasticRow{}, fmt.Errorf("ranks=%d rung %s: elastic %.3fs did not beat rollback %.3fs",
-				ranks, rung.Name, elastic.WallSeconds, rollback.WallSeconds)
-		}
-		ef, rf := elastic.Failures[0], rollback.Failures[0]
-		if !ef.Elastic || ef.ElasticSteps < 1 || ef.ReshardFiles < 1 {
-			return ElasticRow{}, fmt.Errorf("ranks=%d rung %s: elastic record %+v lacks a continuation", ranks, rung.Name, ef)
-		}
-		// No restore storm: the rollback burst is every rank's, the
-		// elastic burst the victim's alone — exactly the rank factor.
-		if ef.RestoreBytes == 0 || rf.RestoreBytes != int64(ranks)*ef.RestoreBytes {
-			return ElasticRow{}, fmt.Errorf("ranks=%d rung %s: restore bytes rollback %d vs elastic %d, want exactly %dx",
-				ranks, rung.Name, rf.RestoreBytes, ef.RestoreBytes, ranks)
-		}
-		if err := checkElasticLifecycles(elastic, victim, ranks); err != nil {
-			return ElasticRow{}, fmt.Errorf("ranks=%d rung %s: %w", ranks, rung.Name, err)
-		}
-		// Byte conservation. Elastic covers the dataset once, modulo two
-		// bounded effects: catch-up re-reads (files the victim's pipeline
-		// had read ahead and took to the grave, re-read by the survivors)
-		// add bytes, and batch-granular truncation of the re-sharded
-		// continuations drops at most batch+1 sub-batch tail files per
-		// survivor. Rollback additionally re-reads every replayed step on
-		// every rank, so it can never read fewer bytes than elastic.
-		nfBytes, nfFiles := datasetReads(noFail.Merged)
-		eBytes, eFiles := datasetReads(elastic.Merged)
-		rBytes, _ := datasetReads(rollback.Merged)
-		if slack := (ranks - 1) * (opts.Batch + 1); eFiles < nfFiles-slack {
-			return ElasticRow{}, fmt.Errorf("ranks=%d rung %s: elastic run lost dataset files: %d of %d read (slack %d)",
-				ranks, rung.Name, eFiles, nfFiles, slack)
-		}
-		if rBytes < eBytes {
-			return ElasticRow{}, fmt.Errorf("ranks=%d rung %s: dataset bytes not conserved: nofail %d, elastic %d, rollback %d",
-				ranks, rung.Name, nfBytes, eBytes, rBytes)
-		}
-		// Checkpoint reads only after the failure instant, in both modes.
-		for _, res := range []*distributed.Result{rollback, elastic} {
-			reads, earliest := ckptTimelineReads(res.Merged)
-			if reads == 0 {
-				return ElasticRow{}, fmt.Errorf("ranks=%d rung %s: no checkpoint reads on the merged timeline", ranks, rung.Name)
+	fail := []distributed.FailureEvent{{Rank: 1, Step: failStep, RebootDelay: failoverRebootDelay}}
+	// run executes one protocol under one fault plan, with the bounded
+	// retry policy armed.
+	run := func(elastic bool, fail []distributed.FailureEvent, faults *vfs.FaultPlan) clusterRun {
+		return clusterRun{ranks: ranks, faults: faults, shape: func(o *distributed.Options) {
+			o.Checkpoint = distributed.CheckpointPolicy{Pattern: distributed.CkptRank0, EverySteps: every, Dir: failoverCkptDir}
+			o.Failures = fail
+			o.Elastic = elastic
+			o.Retry = tf.RetryPolicy{
+				MaxRetries:  4,
+				BaseBackoff: 2 * sim.Millisecond,
+				MaxBackoff:  50 * sim.Millisecond,
+				OpTimeout:   sim.Second,
+				Seed:        c.shuffleSeed(),
 			}
-			if earliest < res.Failures[0].FailSec {
-				return ElasticRow{}, fmt.Errorf("ranks=%d rung %s: checkpoint read at %.3fs precedes the failure at %.3fs",
-					ranks, rung.Name, earliest, res.Failures[0].FailSec)
-			}
-		}
-		// Retries surface on the fault rungs and only there.
-		if rung.Plan == nil && (!elastic.Merged.Faults.Zero() || !rollback.Merged.Faults.Zero()) {
-			return ElasticRow{}, fmt.Errorf("ranks=%d rung %s: clean rung recorded faults (%+v / %+v)",
-				ranks, rung.Name, elastic.Merged.Faults, rollback.Merged.Faults)
-		}
-		if rung.Plan != nil && (elastic.Merged.Faults.Retries == 0 || rollback.Merged.Faults.Retries == 0) {
-			return ElasticRow{}, fmt.Errorf("ranks=%d rung %s: fault rung recorded no retries (%+v / %+v)",
-				ranks, rung.Name, elastic.Merged.Faults, rollback.Merged.Faults)
-		}
+		}}
+	}
 
-		if rung.Plan == nil {
-			row.CheckpointStep = ef.CheckpointStep
-			row.ElasticSteps = ef.ElasticSteps
-			row.ReshardFiles = ef.ReshardFiles
-			row.DowntimeSec = ef.RejoinSec - ef.FailSec
-		}
-		row.Rungs = append(row.Rungs, ElasticRung{
-			Name:        rung.Name,
-			RollbackSec: rollback.WallSeconds,
-			ElasticSec:  elastic.WallSeconds,
-			DeltaSec:    rollback.WallSeconds - elastic.WallSeconds,
-			Faults:      elastic.Merged.Faults.Faults,
-			Retries:     elastic.Merged.Faults.Retries,
-			Giveups:     elastic.Merged.Faults.Giveups,
-		})
-		if c.KeepLogs && rung.Name == "storm" {
-			logs, err := elastic.SerializeLogs()
-			if err != nil {
-				return ElasticRow{}, err
-			}
-			m, err := darshan.ReadMergedLog(bytes.NewReader(logs.Merged))
-			if err != nil {
-				return ElasticRow{}, fmt.Errorf("ranks=%d: merged elastic log does not round-trip: %w", ranks, err)
-			}
-			if m.NProcs != ranks {
-				return ElasticRow{}, fmt.Errorf("ranks=%d: decoded elastic log has nprocs %d", ranks, m.NProcs)
-			}
-			row.MergedDarshanLog = logs.Merged
-		}
-	}
-	return row, nil
-}
-
-// ElasticExperiment sweeps rank counts >= 2 (elastic recovery needs at
-// least one survivor) through the fault ladder. Sweep points are
-// independent clusters, so they run concurrently under Config.Parallel.
-func ElasticExperiment(c Config) (*ElasticResult, error) {
-	var sweep []int
-	for _, r := range c.rankSweep() {
-		if r >= 2 {
-			sweep = append(sweep, r)
-		}
-	}
-	if len(sweep) == 0 {
-		return nil, fmt.Errorf("elastic: no rank counts >= 2 in the sweep (elastic recovery needs a survivor)")
-	}
-	rows := make([]ElasticRow, len(sweep))
-	err := runIndexed(c.Parallel, len(sweep), func(i int) error {
-		var err error
-		rows[i], err = runElasticRankCount(c, sweep[i])
-		return err
-	})
+	noFail, err := c.runCluster(run(false, nil, nil))
 	if err != nil {
 		return nil, err
 	}
-	return &ElasticResult{Rows: rows}, nil
+	if !noFail.Merged.Faults.Zero() {
+		return nil, fmt.Errorf("clean baseline recorded faults %+v", noFail.Merged.Faults)
+	}
+	// The fault ladder. Windows are placed in the pre-failure phase
+	// (fractions of the no-failure wall time), so both protocols degrade
+	// through identical conditions before the death.
+	stormWindow := func(factor float64) []vfs.FaultWindow {
+		return []vfs.FaultWindow{{
+			Start:  sim.Duration(0.20 * noFail.WallSeconds * 1e9),
+			End:    sim.Duration(0.45 * noFail.WallSeconds * 1e9),
+			Factor: factor,
+		}}
+	}
+	for _, rung := range []struct {
+		Name string
+		Plan *vfs.FaultPlan
+	}{
+		{"clean", nil},
+		{"flaky", &vfs.FaultPlan{Seed: c.shuffleSeed(), ReadErrNth: 97}},
+		{"storm", &vfs.FaultPlan{
+			Seed:         c.shuffleSeed(),
+			ReadErrNth:   41,
+			MDSBrownouts: stormWindow(8),
+			DegradedOSTs: stormWindow(4),
+		}},
+	} {
+		outs, err := c.runClusters(run(false, fail, rung.Plan), run(true, fail, rung.Plan))
+		if err == nil {
+			err = checkElasticRung(outs[0].Result, outs[1].Result, noFail.Result, rung.Plan != nil, untunedClusterOptions(c).Batch)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("rung %s: %w", rung.Name, err)
+		}
+		rollback, elastic := outs[0], outs[1]
+		rows = append(rows, ElasticRow{
+			Ranks:          ranks,
+			Steps:          steps,
+			FailStep:       failStep,
+			ElasticSteps:   elastic.Failures[0].ElasticSteps,
+			NoFailEpochSec: noFail.WallSeconds,
+			Rung:           rung.Name,
+			RollbackSec:    rollback.WallSeconds,
+			ElasticSec:     elastic.WallSeconds,
+			Faults:         elastic.Merged.Faults.Faults,
+			Retries:        elastic.Merged.Faults.Retries,
+		})
+	}
+	return rows, nil
+}
+
+// ElasticExperiment sweeps rank counts >= 2 (elastic recovery needs at
+// least one survivor) through the fault ladder.
+func ElasticExperiment(c Config) (*ElasticResult, error) {
+	ranks := slices.DeleteFunc(c.ladder(DefaultRankSweep), func(r int) bool { return r < 2 })
+	if len(ranks) == 0 {
+		return nil, fmt.Errorf("elastic: no rank counts >= 2 in the sweep (elastic recovery needs a survivor)")
+	}
+	return sweep(c, elasticTable, ranks, c.elasticPoint)
 }

@@ -37,18 +37,15 @@ type Config struct {
 	// mode exists to prove exactly that (see the equivalence test) — but
 	// runs are ~an order of magnitude slower in host time.
 	VerifyContent bool
-	// Ranks pins the distributed scaling experiment to one rank count
-	// (cmd/tfdarshan -ranks); 0 runs the default {1,2,4,8} sweep.
+	// Ranks pins the cluster experiments to one rank count, and the data
+	// service experiment to one fleet size (cmd/tfdarshan -ranks); 0 runs
+	// their default ladders.
 	Ranks int
 	// Parallel is the number of simulation kernels run concurrently on
 	// host CPUs (cmd/tfdarshan -parallel): 0 and 1 run serially, negative
 	// means one worker per core. Kernels are independent, so results are
 	// byte-identical at any setting.
 	Parallel int
-	// KeepLogs makes the ranks sweep serialize each sweep point's merged
-	// Darshan log (round-trip verified) into its row. Off by default so
-	// the benchmarks don't pay serialization time.
-	KeepLogs bool
 }
 
 // DefaultConfig runs at paper scale.

@@ -104,10 +104,10 @@ func TestFailoverReferenceLogUpToDate(t *testing.T) {
 }
 
 // TestFailoverExperiment pins the experiment surface at test scale: a
-// positive recovery cost over the no-failure baseline, the headline
-// metric, and (with KeepLogs) a round-tripping merged artifact.
+// positive recovery cost over the no-failure baseline and the headline
+// metric.
 func TestFailoverExperiment(t *testing.T) {
-	res, err := FailoverExperiment(Config{Scale: 0.02, Ranks: 2, KeepLogs: true})
+	res, err := FailoverExperiment(Config{Scale: 0.02, Ranks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,13 +126,6 @@ func TestFailoverExperiment(t *testing.T) {
 	}
 	if _, ok := res.Metrics()["failover_restore_delta_s"]; !ok {
 		t.Fatal("headline failover_restore_delta_s metric missing")
-	}
-	m, err := darshan.ReadMergedLog(bytes.NewReader(row.MergedDarshanLog))
-	if err != nil {
-		t.Fatalf("kept merged log does not round-trip: %v", err)
-	}
-	if m.NProcs != 2 {
-		t.Fatalf("kept log nprocs = %d", m.NProcs)
 	}
 }
 

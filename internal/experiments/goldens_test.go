@@ -111,39 +111,6 @@ func TestMergedReferenceLogUpToDate(t *testing.T) {
 	}
 }
 
-// TestRanksSweepKeepsMergedArtifacts: with Config.KeepLogs the sweep rows
-// carry serialized merged logs that decode back to their rank count — the
-// artifact surface cmd/tfdarshan exposes.
-func TestRanksSweepKeepsMergedArtifacts(t *testing.T) {
-	res, err := RanksExperiment(Config{Scale: 0.02, Ranks: 4, KeepLogs: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 1 {
-		t.Fatalf("rows = %d", len(res.Rows))
-	}
-	row := res.Rows[0]
-	if len(row.MergedDarshanLog) == 0 {
-		t.Fatal("KeepLogs produced no merged log")
-	}
-	m, err := darshan.ReadMergedLog(bytes.NewReader(row.MergedDarshanLog))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.NProcs != 4 || m.TotalPosix(darshan.POSIX_BYTES_READ) != row.MergedBytesRead {
-		t.Fatalf("decoded artifact diverges from the row: nprocs %d bytes %d vs %d",
-			m.NProcs, m.TotalPosix(darshan.POSIX_BYTES_READ), row.MergedBytesRead)
-	}
-	// Off by default: the benchmarks' rows stay lean.
-	lean, err := RanksExperiment(Config{Scale: 0.02, Ranks: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(lean.Rows[0].MergedDarshanLog) != 0 {
-		t.Fatal("merged log kept without KeepLogs")
-	}
-}
-
 // TestDistributedArtifacts covers the cmd/tfdarshan "artifacts
 // distributed" path: merged log plus per-rank logs, all decodable.
 func TestDistributedArtifacts(t *testing.T) {

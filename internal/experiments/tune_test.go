@@ -47,15 +47,7 @@ func TestTuneRanks4BeatsUntunedBaseline(t *testing.T) {
 func TestTuneStagingPlansStageOnlyTheRanksShard(t *testing.T) {
 	const ranks = 4
 	c := Config{Scale: 0.02}
-	cluster, d, err := buildImageNetCluster(c, ranks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := distributed.Run(cluster, d.Paths, untunedClusterOptions(c))
-	if err != nil {
-		t.Fatal(err)
-	}
-	advices, err := adviseTuneStaging(c, ranks, cluster, d, res)
+	res, advices, err := c.clusterStaging(ranks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +58,7 @@ func TestTuneStagingPlansStageOnlyTheRanksShard(t *testing.T) {
 			t.Fatalf("rank %d plan is empty", r)
 		}
 		shard := map[string]bool{}
-		for _, p := range distributed.ShardPaths(d.Paths, seed, ranks, r) {
+		for _, p := range distributed.ShardPaths(res.paths, seed, ranks, r) {
 			shard[p] = true
 		}
 		for _, p := range adv.Files {
@@ -76,8 +68,8 @@ func TestTuneStagingPlansStageOnlyTheRanksShard(t *testing.T) {
 		}
 		total += adv.FileCount
 	}
-	if total > len(d.Paths) {
-		t.Fatalf("plans stage %d files from a %d-file corpus", total, len(d.Paths))
+	if total > len(res.paths) {
+		t.Fatalf("plans stage %d files from a %d-file corpus", total, len(res.paths))
 	}
 }
 
@@ -151,29 +143,18 @@ func TestTuneRanks1DegeneratesToSingleProcessAdvice(t *testing.T) {
 	}
 
 	// Staging degeneracy over a real one-rank run's snapshot.
-	cluster, d, err := buildImageNetCluster(c, 1)
+	res, err := c.runCluster(clusterRun{ranks: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := distributed.Run(cluster, d.Paths, untunedClusterOptions(c))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sizeOf := func(p string) (int64, bool) {
-		ino, ok := cluster.FS.Lookup(p)
-		if !ok {
-			return 0, false
-		}
-		return ino.Size, true
-	}
-	capacity := cluster.Nodes[0].Optane.Capacity()
+	capacity := res.cluster.Nodes[0].Optane.Capacity()
 	snap := res.PerRank[0].Snapshot
 	got := core.AdviseClusterStaging([]*darshan.Snapshot{snap}, core.ClusterStagingOptions{
 		PerNodeCapacity: capacity,
 		Objective:       core.StagingBytesScarce,
-		SizeOf:          sizeOf,
+		SizeOf:          res.sizeOf,
 	})
-	single := core.AdviseStaging(core.AnalyzeSnapshot(snap, sizeOf), capacity)
+	single := core.AdviseStaging(core.AnalyzeSnapshot(snap, res.sizeOf), capacity)
 	if len(got) != 1 || !reflect.DeepEqual(got[0], single) {
 		t.Fatalf("one-rank cluster staging advice diverges from AdviseStaging:\n%+v\nvs\n%+v", got[0], single)
 	}
