@@ -1,9 +1,6 @@
 GO ?= go
-# BENCH_N names the committed perf-trajectory snapshot for this PR series.
-BENCH_OUT ?= BENCH_7.json
-BENCH_SCALE ?= 0.2
 
-.PHONY: build test race lint bench bench-json
+.PHONY: build test race lint
 
 build:
 	$(GO) build ./...
@@ -21,13 +18,3 @@ test:
 
 race:
 	$(GO) test -race ./...
-
-bench:
-	TFDARSHAN_BENCH_SCALE=$(BENCH_SCALE) $(GO) test -run '^$$' -bench . -benchtime 1x -benchmem .
-
-# bench-json runs the benchmark suite once per artifact and emits the
-# machine-readable perf snapshot (per-artifact ns/op, allocs/op, headline
-# metrics). CI uploads it; committing it as BENCH_<n>.json records the
-# perf trajectory across PRs.
-bench-json:
-	$(GO) run ./tools/benchjson -o $(BENCH_OUT) -scale $(BENCH_SCALE)

@@ -97,7 +97,7 @@ var dataserviceTable = &tableSpec[DataServiceRow]{
 			out[p+"speedup_vs_independent_x"] = r.SpeedupX
 			out[p+"bytes_saved_MB"] = r.BytesSavedMB
 		}
-		// Headline metrics for the benchmark snapshots: the largest fleet.
+		// Headline metrics: the largest fleet.
 		last := rows[len(rows)-1]
 		out["dataservice_jobs_knee"] = float64(last.KneeJobs)
 		out["dataservice_speedup_vs_independent_x"] = last.SpeedupX

@@ -73,8 +73,8 @@ var elasticTable = &tableSpec[ElasticRow]{
 	},
 	key: func(r ElasticRow) string { return ranksKey(r.Ranks) + r.Rung + "_" },
 	// The largest rank count publishes the headline
-	// elastic_downtime_delta_s (clean rung) and retry_total tracked per
-	// commit in the BENCH_<n>.json snapshots.
+	// elastic_downtime_delta_s (clean rung) and retry_total, pinned per
+	// commit in testdata/cluster_experiments.golden.
 	extra: func(rows []ElasticRow, out map[string]float64) {
 		for _, r := range rows {
 			out[ranksKey(r.Ranks)+"nofail_epoch_s"] = r.NoFailEpochSec

@@ -4,12 +4,12 @@
 // bandwidth validation (Figs. 3/4), the profiling overhead study (Fig. 5),
 // the checkpoint STDIO capture (Fig. 6), the ImageNet and malware case
 // studies with their threading and staging optimizations (Figs. 7–11), and
-// the whole-run disk-activity comparison (Fig. 12).
+// the whole-run disk-activity comparison (Fig. 12), plus the design
+// ablations of its discussion (§VII).
 //
 // Each experiment is a function from Config to a Result that renders the
 // same rows/series the paper reports. Config.Scale shrinks datasets and
-// step counts proportionally so the suite runs at laptop scale in tests
-// (the benchmarks run closer to paper scale).
+// step counts proportionally so the suite runs at laptop scale in tests.
 package experiments
 
 import (
@@ -78,7 +78,7 @@ type Result interface {
 	ID() string
 	// Render prints the rows/series the paper reports.
 	Render() string
-	// Metrics returns the headline numbers for benchmark reporting.
+	// Metrics returns the headline numbers (tfdarshan metrics, goldens).
 	Metrics() map[string]float64
 }
 
@@ -106,6 +106,9 @@ func All() []Runner {
 		{"fig11a", "Malware with 16 threads", func(c Config) (Result, error) { return Fig11a(c) }},
 		{"fig11b", "Malware with small files staged to Optane", func(c Config) (Result, error) { return Fig11b(c) }},
 		{"fig12", "dstat disk activity across configurations", func(c Config) (Result, error) { return Fig12(c) }},
+		{"ablation-tfrecord", "§VII ablation: per-file reads vs TFRecord containers", func(c Config) (Result, error) { return AblationTFRecord(c) }},
+		{"ablation-prefetch", "§VII ablation: prefetch depth", func(c Config) (Result, error) { return AblationPrefetch(c) }},
+		{"ablation-autotune", "§VII ablation: probe-driven threading autotune", func(c Config) (Result, error) { return AblationAutotune(c) }},
 		{"ranks", "distributed data-parallel scaling on shared Lustre", func(c Config) (Result, error) { return RanksExperiment(c) }},
 		{"tune", "rank-aware autotuning and per-rank staging over merged logs", func(c Config) (Result, error) { return TuneExperiment(c) }},
 		{"prefetch", "clairvoyant per-epoch prefetching over node NVMe caches", func(c Config) (Result, error) { return PrefetchExperiment(c) }},

@@ -310,7 +310,9 @@ func TestFig12Ordering(t *testing.T) {
 
 func TestRegistryCoversAllArtifacts(t *testing.T) {
 	want := []string{"table1", "table2", "fig3", "fig4", "fig5", "fig6",
-		"fig7a", "fig7b", "fig8", "fig9", "fig10", "fig11a", "fig11b", "fig12", "ranks", "tune", "prefetch", "failover", "elastic", "dataservice"}
+		"fig7a", "fig7b", "fig8", "fig9", "fig10", "fig11a", "fig11b", "fig12",
+		"ablation-tfrecord", "ablation-prefetch", "ablation-autotune",
+		"ranks", "tune", "prefetch", "failover", "elastic", "dataservice"}
 	all := All()
 	if len(all) != len(want) {
 		t.Fatalf("registry has %d entries", len(all))

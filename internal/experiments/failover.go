@@ -77,8 +77,8 @@ var failoverTable = &tableSpec[FailoverRow]{
 		{metric: "downtime_s", value: func(r FailoverRow) float64 { return r.DowntimeSec }},
 	},
 	key: func(r FailoverRow) string { return ranksKey(r.Ranks) },
-	// The largest rank count publishes the headline tracked per commit in
-	// the BENCH_<n>.json snapshots.
+	// The largest rank count publishes the headline, pinned per commit in
+	// testdata/cluster_experiments.golden.
 	extra: func(rows []FailoverRow, out map[string]float64) {
 		out["failover_restore_delta_s"] = rows[len(rows)-1].RestoreDeltaSec
 	},

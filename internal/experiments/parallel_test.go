@@ -20,12 +20,12 @@ func renderAll(t *testing.T, cfg Config, ids []string) string {
 }
 
 // TestParallelRunnerDeterminism asserts the parallel harness contract:
-// running artifacts concurrently (including the sweep points inside fig5
-// and fig12) produces byte-identical output to a serial run. The set
-// covers a single-kernel artifact (fig3), a multi-machine sweep artifact
-// (fig12) and the workload×mode grid (fig5).
+// running artifacts concurrently (including the sweep points inside fig5,
+// fig12 and ablation-prefetch) produces byte-identical output to a serial
+// run. The set covers a single-kernel artifact (fig3), multi-machine sweep
+// artifacts (fig12, ablation-prefetch) and the workload×mode grid (fig5).
 func TestParallelRunnerDeterminism(t *testing.T) {
-	ids := []string{"fig3", "fig5", "fig12"}
+	ids := []string{"fig3", "fig5", "fig12", "ablation-prefetch"}
 	serial := renderAll(t, Config{Scale: 0.02, Parallel: 1}, ids)
 	parallel := renderAll(t, Config{Scale: 0.02, Parallel: 4}, ids)
 	if serial != parallel {

@@ -92,7 +92,7 @@ var prefetchTable = &tableSpec[PrefetchRow]{
 		for _, r := range rows {
 			out[ranksKey(r.Ranks)+"cold_epoch_s"] = r.ColdEpochSec
 		}
-		// Headline metrics for the benchmark snapshots: the most
+		// Headline metrics: the most
 		// capacity-constrained rung at the largest rank count.
 		p := prefetchKey(rows[len(rows)-len(prefetchCapacityLadder)])
 		out["prefetch_speedup_vs_staging_x"] = out[p+"speedup_vs_staging_x"]

@@ -160,9 +160,9 @@ func TestTuneRanks1DegeneratesToSingleProcessAdvice(t *testing.T) {
 	}
 }
 
-// TestTuneMetricsCarryEpochDelta pins the benchmark-surface contract: the
+// TestTuneMetricsCarryEpochDelta pins the metrics contract: the
 // tuned-vs-untuned epoch delta must be reported per rank count so it
-// lands in BENCH_<n>.json snapshots.
+// lands in tfdarshan metrics and the cluster experiments' golden.
 func TestTuneMetricsCarryEpochDelta(t *testing.T) {
 	res, err := TuneExperiment(Config{Scale: 0.02, Ranks: 4})
 	if err != nil {

@@ -143,7 +143,7 @@ func Fig3(c Config) (*ValidationResult, error) {
 
 // Fig4 validates on STREAM(Malware): 50 steps (paper Fig. 4). The paper's
 // observation that this bandwidth is roughly 10x the ImageNet STREAM's is
-// checked by the benchmark harness.
+// checked by TestFig4MalwareStreamFasterThanImageNetStream.
 func Fig4(c Config) (*ValidationResult, error) {
 	return runValidation("fig4", c, func(m *platform.Machine) ([]string, error) {
 		d, err := workload.BuildStreamMalware(m.FS, workload.StreamMalwareSpec(platform.GreendogHDDPath+"/stream-mw", c.Scale))
