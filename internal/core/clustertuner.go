@@ -40,14 +40,13 @@ type ClusterObservation struct {
 type ClusterProbeFunc func(threads, prefetch int) (ClusterObservation, error)
 
 // ClusterAdvice is the tuner's decision: one thread count and prefetch
-// depth per rank, in rank order.
+// depth that every rank runs with.
 type ClusterAdvice struct {
 	Ranks int
-	// Threads and Prefetch hold the per-rank choices. Every rank gets the
-	// same one, which a run applies as distributed.Options Threads and
-	// Prefetch (ThreadsPerRank, PrefetchPerRank).
-	Threads  []int
-	Prefetch []int
+	// Threads and Prefetch are the per-rank choices, applied to every rank
+	// as distributed.Options Threads and Prefetch.
+	Threads  int
+	Prefetch int
 	// BandwidthThreads is the hill-climb's bandwidth-greedy choice before
 	// the knee backoff — what per-rank-in-isolation tuning would pick.
 	BandwidthThreads int
@@ -57,12 +56,6 @@ type ClusterAdvice struct {
 	// History records every probe in execution order.
 	History []ClusterObservation
 }
-
-// ThreadsPerRank returns the uniform per-rank thread choice.
-func (a *ClusterAdvice) ThreadsPerRank() int { return a.Threads[0] }
-
-// PrefetchPerRank returns the uniform per-rank prefetch choice.
-func (a *ClusterAdvice) PrefetchPerRank() int { return a.Prefetch[0] }
 
 // ClusterTuner picks per-rank input-pipeline parameters from merged
 // cross-rank profiles.
@@ -139,12 +132,7 @@ func (ct *ClusterTuner) Tune(start int, probe ClusterProbeFunc, maxProbes int) (
 	if err != nil {
 		return nil, fmt.Errorf("core: cluster tune: %w", err)
 	}
-	adv.Threads = make([]int, ct.Ranks)
-	adv.Prefetch = make([]int, ct.Ranks)
-	for r := range adv.Threads {
-		adv.Threads[r] = threads
-		adv.Prefetch[r] = prefetch
-	}
+	adv.Threads, adv.Prefetch = threads, prefetch
 	adv.History = ct.History
 	return adv, nil
 }

@@ -46,16 +46,8 @@ func TestClusterTunerBacksOffAtMDSKnee(t *testing.T) {
 	if adv.BandwidthThreads != 8 {
 		t.Fatalf("bandwidth-greedy choice = %d, want 8", adv.BandwidthThreads)
 	}
-	if got := adv.ThreadsPerRank(); got != 4 {
+	if got := adv.Threads; got != 4 {
 		t.Fatalf("knee backoff chose %d threads/rank, want 4", got)
-	}
-	if len(adv.Threads) != 4 || len(adv.Prefetch) != 4 {
-		t.Fatalf("advice not per-rank shaped: %+v", adv)
-	}
-	for r := range adv.Threads {
-		if adv.Threads[r] != adv.Threads[0] || adv.Prefetch[r] != adv.Prefetch[0] {
-			t.Fatalf("per-rank advice not uniform: %+v", adv)
-		}
 	}
 }
 
@@ -72,7 +64,7 @@ func TestClusterTunerNoKneeWithoutMetaGrowth(t *testing.T) {
 	if adv.KneeDetected {
 		t.Fatal("knee detected with flat metadata time")
 	}
-	if got := adv.ThreadsPerRank(); got != adv.BandwidthThreads {
+	if got := adv.Threads; got != adv.BandwidthThreads {
 		t.Fatalf("threads %d differ from bandwidth-greedy %d without a knee", got, adv.BandwidthThreads)
 	}
 }
@@ -98,7 +90,7 @@ func TestClusterTunerRanks1DegeneratesToAutotune(t *testing.T) {
 		if adv.KneeDetected {
 			t.Fatalf("curve %d: knee backoff ran on a one-rank cluster", i)
 		}
-		if got := adv.ThreadsPerRank(); got != want {
+		if got := adv.Threads; got != want {
 			t.Fatalf("curve %d: cluster chose %d threads, Autotune chose %d", i, got, want)
 		}
 	}
@@ -112,7 +104,7 @@ func TestClusterTunerPrefetchBacksOffOnTies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := adv.PrefetchPerRank(); got != 2 {
+	if got := adv.Prefetch; got != 2 {
 		t.Fatalf("prefetch = %d, want 2 (smallest within tolerance)", got)
 	}
 }

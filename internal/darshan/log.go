@@ -507,8 +507,3 @@ func ReadMergedLog(r io.Reader) (*MergedLog, error) {
 	}
 	return log.MergedLog()
 }
-
-// ParseLog reads a log written by (*Log).Write.
-//
-// Deprecated: use ReadLog; ParseLog is kept for older callers.
-func ParseLog(r io.Reader) (*Log, error) { return ReadLog(r) }

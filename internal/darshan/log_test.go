@@ -28,7 +28,7 @@ func TestLogRoundTrip(t *testing.T) {
 	if err := WriteLog(&buf, r.rt, 12.5); err != nil {
 		t.Fatal(err)
 	}
-	log, err := ParseLog(&buf)
+	log, err := ReadLog(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,16 +261,16 @@ func TestReadLogRejectsStructuralCorruption(t *testing.T) {
 }
 
 func TestParseLogRejectsGarbage(t *testing.T) {
-	if _, err := ParseLog(bytes.NewReader([]byte("not a log at all......."))); !errors.Is(err, ErrBadLog) {
+	if _, err := ReadLog(bytes.NewReader([]byte("not a log at all......."))); !errors.Is(err, ErrBadLog) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := ParseLog(bytes.NewReader(nil)); !errors.Is(err, ErrBadLog) {
+	if _, err := ReadLog(bytes.NewReader(nil)); !errors.Is(err, ErrBadLog) {
 		t.Fatalf("empty err = %v", err)
 	}
 	// Truncated after the magic.
 	var buf bytes.Buffer
 	buf.Write(logMagic[:])
-	if _, err := ParseLog(&buf); !errors.Is(err, ErrBadLog) {
+	if _, err := ReadLog(&buf); !errors.Is(err, ErrBadLog) {
 		t.Fatalf("truncated err = %v", err)
 	}
 }
@@ -300,7 +300,7 @@ func TestPropertyLogRoundTrip(t *testing.T) {
 		if err := WriteLog(&buf, r.rt, 1); err != nil {
 			return false
 		}
-		log, err := ParseLog(&buf)
+		log, err := ReadLog(&buf)
 		if err != nil {
 			return false
 		}

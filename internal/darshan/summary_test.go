@@ -23,7 +23,7 @@ func TestSummarize(t *testing.T) {
 	if err := WriteLog(&buf, r.rt, 2.5); err != nil {
 		t.Fatal(err)
 	}
-	log, err := ParseLog(&buf)
+	log, err := ReadLog(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestSummarizeEmptyLog(t *testing.T) {
 	if err := WriteLog(&buf, rt, 0); err != nil {
 		t.Fatal(err)
 	}
-	log, err := ParseLog(&buf)
+	log, err := ReadLog(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -216,7 +216,7 @@ func AblationAutotune(c Config) (*AutotuneResult, error) {
 	at := core.NewAutoTuner(1, 1, 28)
 	probe := func(threads int) (float64, error) {
 		m := c.boot(platform.NewKebnekaise(platform.Options{}))
-		h := core.Register(m.Env, core.DefaultTracerConfig())
+		h := registerTfDarshan(m)
 		paths := make([]string, 512)
 		for i := range paths {
 			paths[i] = fmt.Sprintf("%s/at/f%04d", platform.KebnekaiseLustre, i)

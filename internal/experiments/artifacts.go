@@ -28,22 +28,21 @@ type RunArtifacts struct {
 // cluster job instead (Config.Ranks ranks, default 4) and emits the
 // merged darshan.log plus one log per rank.
 func ProduceArtifacts(c Config, useCase string) (*RunArtifacts, error) {
-	var setup *trainSetup
-	var err error
+	var w *paperWorkload
 	switch useCase {
 	case "imagenet":
-		setup, err = imagenetSetup(c, 1)
+		w = imageNet
 	case "malware":
-		setup, _, err = malwareSetup(c, 1)
+		w = kaggle
 	case "distributed":
 		return produceDistributedArtifacts(c)
 	default:
 		return nil, fmt.Errorf("unknown use case %q (want imagenet, malware or distributed)", useCase)
 	}
+	setup, err := w.setup(c, runOpts{})
 	if err != nil {
 		return nil, err
 	}
-	setup.profileAll = true
 	out, err := setup.run()
 	if err != nil {
 		return nil, err

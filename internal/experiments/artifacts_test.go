@@ -20,7 +20,7 @@ func TestProduceArtifactsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The darshan log parses and its totals are self-consistent.
-	log, err := darshan.ParseLog(bytes.NewReader(art.DarshanLog))
+	log, err := darshan.ReadLog(bytes.NewReader(art.DarshanLog))
 	if err != nil {
 		t.Fatal(err)
 	}

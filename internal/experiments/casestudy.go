@@ -5,10 +5,8 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/platform"
 	"repro/internal/tensorboard"
 	"repro/internal/tf/profiler"
-	"repro/internal/workload"
 )
 
 // CaseStudyResult is a profiled training epoch (Figs. 7a/7b/9/11a/11b).
@@ -77,7 +75,6 @@ func (r *CaseStudyResult) Metrics() map[string]float64 {
 // runCaseStudy executes a fully profiled epoch and assembles the result
 // from the tf-Darshan analysis and the TensorBoard pages.
 func runCaseStudy(artifact, label string, setup *trainSetup) (*CaseStudyResult, error) {
-	setup.profileAll = true
 	out, err := setup.run()
 	if err != nil {
 		return nil, err
@@ -115,31 +112,11 @@ func runCaseStudy(artifact, label string, setup *trainSetup) (*CaseStudyResult, 
 	return res, nil
 }
 
-// imagenetSetup builds the ImageNet case-study configuration on
-// Kebnekaise: batch 256, prefetch 10, one full epoch profiled.
-func imagenetSetup(c Config, threads int) (*trainSetup, error) {
-	m := c.boot(platform.NewKebnekaise(platform.Options{}))
-	h := registerTfDarshan(m)
-	d, err := workload.BuildImageNet(m.FS, workload.ImageNetSpec(platform.KebnekaiseLustre+"/imagenet", c.Scale))
-	if err != nil {
-		return nil, err
-	}
-	steps := len(d.Paths) / 256
-	if steps < 1 {
-		steps = 1
-	}
-	return &trainSetup{
-		machine: m, handle: h, paths: d.Paths, mapFn: workload.ImageNetMap,
-		model: workload.AlexNet(), threads: threads, batch: 256,
-		steps: steps, prefetch: 10, shuffle: c.shuffleSeed(),
-	}, nil
-}
-
 // Fig7a profiles the ImageNet epoch with one preprocessing thread (paper
 // Fig. 7a): ~3 MB/s, opens ≈ files, reads ≈ 2x opens, ~50% zero-length,
 // ~50% neither sequential nor consecutive.
 func Fig7a(c Config) (*CaseStudyResult, error) {
-	setup, err := imagenetSetup(c, 1)
+	setup, err := imageNet.setup(c, runOpts{})
 	if err != nil {
 		return nil, err
 	}
@@ -149,7 +126,7 @@ func Fig7a(c Config) (*CaseStudyResult, error) {
 // Fig7b repeats with 28 threads (paper Fig. 7b): bandwidth rises to
 // ~24 MB/s, roughly 8x.
 func Fig7b(c Config) (*CaseStudyResult, error) {
-	setup, err := imagenetSetup(c, 28)
+	setup, err := imageNet.setup(c, runOpts{threads: 28})
 	if err != nil {
 		return nil, err
 	}
@@ -232,11 +209,17 @@ func analyzeTimelines(space *profiler.XSpace) (files, zeroTerminated, matched in
 	return files, zeroTerminated, matched
 }
 
-// timelineExtract profiles a short window of a case study and renders its
-// timelines.
-func timelineExtract(artifact, label string, setup *trainSetup, steps int) (*TimelineResult, error) {
-	setup.steps = steps
-	setup.profileAll = true
+// timelineExtract profiles the first two steps of a case study, at most
+// at scale 0.05 (an extract, as in the paper), and renders its timelines.
+func timelineExtract(artifact, label string, c Config, w *paperWorkload) (*TimelineResult, error) {
+	if c.Scale > 0.05 {
+		c.Scale = 0.05
+	}
+	setup, err := w.setup(c, runOpts{})
+	if err != nil {
+		return nil, err
+	}
+	setup.steps = 2
 	out, err := setup.run()
 	if err != nil {
 		return nil, err
@@ -258,13 +241,5 @@ func timelineExtract(artifact, label string, setup *trainSetup, steps int) (*Tim
 // Fig8 zooms into the ImageNet POSIX timelines (paper Fig. 8): every file
 // read is followed by a zero-length read.
 func Fig8(c Config) (*TimelineResult, error) {
-	small := c
-	if small.Scale > 0.05 {
-		small.Scale = 0.05 // an extract, as in the paper
-	}
-	setup, err := imagenetSetup(small, 1)
-	if err != nil {
-		return nil, err
-	}
-	return timelineExtract("fig8", "ImageNet TraceViewer extract: zero-length terminating reads", setup, 2)
+	return timelineExtract("fig8", "ImageNet TraceViewer extract: zero-length terminating reads", c, imageNet)
 }

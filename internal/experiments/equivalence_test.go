@@ -51,7 +51,7 @@ func runForEquivalence(t *testing.T, build func(fs *vfs.FS) (*workload.Dataset, 
 		t.Fatal(err)
 	}
 	setup := &trainSetup{
-		machine: m, paths: d.Paths, mapFn: mapFn,
+		machine: m, data: d, mapFn: mapFn,
 		threads: 2, batch: 8, steps: len(d.Paths) / 8, prefetch: 2,
 		shuffle: 42,
 	}

@@ -23,6 +23,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/tf/keras"
 	"repro/internal/tf/tfdata"
+	"repro/internal/workload"
 )
 
 // Config controls experiment scale.
@@ -132,7 +133,7 @@ func Find(id string) (Runner, bool) {
 type trainSetup struct {
 	machine  *platform.Machine
 	handle   *core.Handle
-	paths    []string
+	data     *workload.Dataset
 	mapFn    tfdata.MapFunc
 	model    *keras.Model
 	threads  int
@@ -147,9 +148,9 @@ type trainSetup struct {
 	// manualEvery opens a manual profiling window every N steps
 	// (Figs. 3/4 mode); 0 disables.
 	manualEvery int
-	// checkpointEvery writes a checkpoint every N steps (Fig. 6).
+	// checkpointEvery writes a checkpoint every N steps to the machine's
+	// checkpoint mount (Fig. 6).
 	checkpointEvery int
-	ckptDir         string
 	// sampler runs dstat in the background when set.
 	sampler *dstat.Sampler
 }
@@ -184,7 +185,7 @@ func (ts *trainSetup) run() (*trainOutcome, error) {
 	// The checkpoint callback is registered ahead of TensorBoard so the
 	// final step's checkpoint still falls inside the profiling window.
 	if ts.checkpointEvery > 0 {
-		out.ckpt = keras.NewModelCheckpoint(ts.ckptDir, ts.checkpointEvery)
+		out.ckpt = keras.NewModelCheckpoint(m.CkptMount.Prefix+"/ckpt", ts.checkpointEvery)
 		cbs = append(cbs, out.ckpt)
 	}
 	if ts.profileAll {
@@ -201,7 +202,7 @@ func (ts *trainSetup) run() (*trainOutcome, error) {
 				ts.sampler.Stop()
 			}
 		}()
-		ds := tfdata.FromFiles(m.Env, ts.paths)
+		ds := tfdata.FromFiles(m.Env, ts.data.Paths)
 		if ts.shuffle != 0 {
 			ds = ds.Shuffle(ts.shuffle)
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -57,6 +58,30 @@ func TestTable2DatasetShapes(t *testing.T) {
 	// Malware files are ~50x larger than ImageNet files.
 	if mw.MedianSize < in.MedianSize*20 {
 		t.Fatal("malware/imagenet size ratio lost")
+	}
+}
+
+// TestTable2StepsMatchRuns pins Table II's Steps column to the steps the
+// Fig. 7a and Fig. 9 epochs execute. At scale 0.053 the malware epoch is
+// 576/32 = 18 steps while the paper's 339 scales down to 17.
+func TestTable2StepsMatchRuns(t *testing.T) {
+	for _, scale := range []float64{0.02, 0.05, 0.053, 0.1} {
+		c := Config{Scale: scale}
+		res, err := Table2(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []*paperWorkload{imageNet, kaggle} {
+			setup, err := w.setup(c, runOpts{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, row := range res.Rows {
+				if row.Name == w.name && row.Steps != fmt.Sprint(setup.steps) {
+					t.Errorf("scale %v %s: Table II reports %s steps, the epoch runs %d", scale, w.name, row.Steps, setup.steps)
+				}
+			}
+		}
 	}
 }
 

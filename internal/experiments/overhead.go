@@ -3,9 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-
-	"repro/internal/platform"
-	"repro/internal/workload"
 )
 
 // profMode selects the profiling configuration of an overhead run.
@@ -75,99 +72,15 @@ func (r *OverheadResult) Metrics() map[string]float64 {
 	return m
 }
 
-// overheadWorkload describes one Fig. 5 bar group.
-type overheadWorkload struct {
-	name  string
-	build func(c Config, mode profMode) (*trainSetup, error)
-}
-
-func overheadWorkloads(c Config) []overheadWorkload {
-	return []overheadWorkload{
-		{"ImageNet", func(c Config, mode profMode) (*trainSetup, error) {
-			m := c.boot(platform.NewKebnekaise(platform.Options{}))
-			setupMode(m, mode)
-			d, err := workload.BuildImageNet(m.FS, workload.ImageNetSpec(platform.KebnekaiseLustre+"/imagenet", c.Scale))
-			if err != nil {
-				return nil, err
-			}
-			return &trainSetup{
-				machine: m, paths: d.Paths, mapFn: workload.ImageNetMap,
-				model: workload.AlexNet(), threads: 1, batch: 128,
-				steps: overheadSteps(len(d.Paths), 128), prefetch: 10,
-				shuffle: c.shuffleSeed(), profileAll: mode != modeNone,
-			}, nil
-		}},
-		{"Malware", func(c Config, mode profMode) (*trainSetup, error) {
-			m := c.boot(platform.NewGreendog(platform.Options{}))
-			setupMode(m, mode)
-			d, err := workload.BuildMalware(m.FS, workload.MalwareSpec(platform.GreendogHDDPath+"/malware", c.Scale))
-			if err != nil {
-				return nil, err
-			}
-			return &trainSetup{
-				machine: m, paths: d.Paths, mapFn: workload.MalwareMap,
-				model: workload.MalwareCNN(), threads: 1, batch: 128,
-				steps: overheadSteps(len(d.Paths), 128), prefetch: 10,
-				shuffle: c.shuffleSeed(), profileAll: mode != modeNone,
-			}, nil
-		}},
-		{"STREAM(ImageNet)", func(c Config, mode profMode) (*trainSetup, error) {
-			m := c.boot(platform.NewGreendog(platform.Options{}))
-			setupMode(m, mode)
-			d, err := workload.BuildStreamImageNet(m.FS, workload.StreamImageNetSpec(platform.GreendogHDDPath+"/stream-in", c.Scale))
-			if err != nil {
-				return nil, err
-			}
-			ts := &trainSetup{
-				machine: m, paths: d.Paths, mapFn: workload.StreamMap,
-				threads: 16, batch: 128, steps: c.steps(100), prefetch: 10,
-				shuffle: c.shuffleSeed(),
-			}
-			if mode != modeNone {
-				ts.manualEvery = 5
-			}
-			return ts, nil
-		}},
-		{"STREAM(Malware)", func(c Config, mode profMode) (*trainSetup, error) {
-			m := c.boot(platform.NewGreendog(platform.Options{}))
-			setupMode(m, mode)
-			d, err := workload.BuildStreamMalware(m.FS, workload.StreamMalwareSpec(platform.GreendogHDDPath+"/stream-mw", c.Scale))
-			if err != nil {
-				return nil, err
-			}
-			ts := &trainSetup{
-				machine: m, paths: d.Paths, mapFn: workload.StreamMap,
-				threads: 16, batch: 128, steps: c.steps(50), prefetch: 10,
-				shuffle: c.shuffleSeed(),
-			}
-			if mode != modeNone {
-				ts.manualEvery = 5
-			}
-			return ts, nil
-		}},
-	}
-}
-
-// overheadSteps matches the paper's 10-step overhead runs, capped by the
-// scaled dataset size.
-func overheadSteps(files, batch int) int {
-	steps := 10
-	if max := files / batch; max < steps && max >= 1 {
-		steps = max
-	}
-	if steps < 1 {
-		steps = 1
-	}
-	return steps
-}
-
-// setupMode registers tf-Darshan only in TFD mode (the TF profiler's host
-// tracer is always present once any profiling starts; no profiling at all
-// happens in modeNone because nothing opens a session).
-func setupMode(m *platform.Machine, mode profMode) {
-	if mode == modeTFD {
-		registerTfDarshan(m)
-	}
+// fig5Bars are Fig. 5's bar groups in paper order, under its labels.
+var fig5Bars = []struct {
+	label string
+	w     *paperWorkload
+}{
+	{"ImageNet", imageNet},
+	{"Malware", kaggle},
+	{"STREAM(ImageNet)", streamImageNet},
+	{"STREAM(Malware)", streamMalware},
 }
 
 // Fig5 quantifies profiling overhead for the four workloads under the
@@ -177,26 +90,29 @@ func setupMode(m *platform.Machine, mode profMode) {
 // cells are independent machines, so they run concurrently under
 // Config.Parallel and fold into rows by index.
 func Fig5(c Config) (*OverheadResult, error) {
-	workloads := overheadWorkloads(c)
 	modes := []profMode{modeNone, modeTF, modeTFD}
-	rows := make([]OverheadRow, len(workloads))
-	for i, w := range workloads {
-		rows[i].Workload = w.name
-		// STREAM rows profile manually (restart-every-5); use-case rows
-		// use the automatic callback. Set once here — the per-cell jobs
-		// below run concurrently and must not share field writes.
-		rows[i].Manual = strings.HasPrefix(w.name, "STREAM")
+	rows := make([]OverheadRow, len(fig5Bars))
+	for i, bar := range fig5Bars {
+		rows[i].Workload = bar.label
+		// Set once here: the per-cell jobs below run concurrently and must
+		// not share field writes.
+		rows[i].Manual = bar.w.manualEvery > 0
 	}
-	err := runIndexed(c.Parallel, len(workloads)*len(modes), func(i int) error {
-		w, mode := workloads[i/len(modes)], modes[i%len(modes)]
-		setup, err := w.build(c, mode)
+	err := runIndexed(c.Parallel, len(fig5Bars)*len(modes), func(i int) error {
+		bar, mode := fig5Bars[i/len(modes)], modes[i%len(modes)]
+		// The TF profiler's host tracer is present once any profiling
+		// starts; tf-Darshan is registered only in TFD mode.
+		setup, err := bar.w.setup(c, runOpts{
+			batch: 128, overhead: true,
+			noProfiler: mode == modeNone, noTfDarshan: mode != modeTFD,
+		})
 		if err != nil {
 			return err
 		}
 		row := &rows[i/len(modes)]
 		out, err := setup.run()
 		if err != nil {
-			return fmt.Errorf("fig5 %s mode %d: %w", w.name, mode, err)
+			return fmt.Errorf("fig5 %s mode %d: %w", bar.label, mode, err)
 		}
 		switch mode {
 		case modeNone:
@@ -258,24 +174,15 @@ func (r *CheckpointResult) Metrics() map[string]float64 {
 // checkpoint after every step, all checkpoints kept; Darshan's STDIO
 // module captures the ~1,400 fwrite calls (paper Fig. 6).
 func Fig6(c Config) (*CheckpointResult, error) {
-	m := c.boot(platform.NewKebnekaise(platform.Options{}))
-	h := registerTfDarshan(m)
-	d, err := workload.BuildImageNet(m.FS, workload.ImageNetSpec(platform.KebnekaiseLustre+"/imagenet", c.Scale))
+	setup, err := imageNet.setup(c, runOpts{threads: 2, overhead: true, checkpointEvery: 1})
 	if err != nil {
 		return nil, err
-	}
-	steps := overheadSteps(len(d.Paths), 256)
-	setup := &trainSetup{
-		machine: m, handle: h, paths: d.Paths, mapFn: workload.ImageNetMap,
-		model: workload.AlexNet(), threads: 2, batch: 256, steps: steps,
-		prefetch: 10, shuffle: c.shuffleSeed(), profileAll: true,
-		checkpointEvery: 1, ckptDir: platform.KebnekaiseLustre + "/ckpt",
 	}
 	out, err := setup.run()
 	if err != nil {
 		return nil, err
 	}
-	a := h.Last
+	a := setup.handle.Last
 	var panel string
 	if a != nil {
 		panel = "\n[tf-Darshan] STDIO layer\n" + kvTable([][2]string{

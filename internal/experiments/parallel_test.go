@@ -89,7 +89,7 @@ func TestRunAllUnknownArtifact(t *testing.T) {
 // force-disabled must render byte-identically — same virtual timestamps,
 // same Darshan counters, same figures.
 func TestSchedulerFastPathEquivalence(t *testing.T) {
-	setupFast, err := imagenetSetup(Config{Scale: 0.02}, 1)
+	setupFast, err := imageNet.setup(Config{Scale: 0.02}, runOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestSchedulerFastPathEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	setupSlow, err := imagenetSetup(Config{Scale: 0.02}, 1)
+	setupSlow, err := imageNet.setup(Config{Scale: 0.02}, runOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

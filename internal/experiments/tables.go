@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/platform"
-	"repro/internal/workload"
 )
 
 // Table1Result is the qualitative Darshan / tf-Darshan comparison
@@ -134,40 +133,20 @@ func (r *Table2Result) Metrics() map[string]float64 {
 	return m
 }
 
-// Table2 generates all four dataset populations and reports their
-// realized characteristics next to the paper's configurations.
+// Table2 builds every row of the workload table as its runs do and reports
+// the realized dataset characteristics next to the configuration.
 func Table2(c Config) (*Table2Result, error) {
 	res := &Table2Result{Scale: c.Scale}
-
-	g := platform.NewGreendog(platform.Options{})
-	streamIN, err := workload.BuildStreamImageNet(g.FS, workload.StreamImageNetSpec(platform.GreendogHDDPath+"/stream-in", c.Scale))
-	if err != nil {
-		return nil, err
-	}
-	streamMW, err := workload.BuildStreamMalware(g.FS, workload.StreamMalwareSpec(platform.GreendogHDDPath+"/stream-mw", c.Scale))
-	if err != nil {
-		return nil, err
-	}
-	mw, err := workload.BuildMalware(g.FS, workload.MalwareSpec(platform.GreendogHDDPath+"/malware", c.Scale))
-	if err != nil {
-		return nil, err
-	}
-	k := platform.NewKebnekaise(platform.Options{})
-	in, err := workload.BuildImageNet(k.FS, workload.ImageNetSpec(platform.KebnekaiseLustre+"/imagenet", c.Scale))
-	if err != nil {
-		return nil, err
-	}
-
-	gb := func(d *workload.Dataset) float64 { return float64(d.Total()) / float64(1<<30) }
-	res.Rows = []Table2Row{
-		{"STREAM(ImageNet)", 128, fmt.Sprint(c.steps(100)), "16", 10,
-			len(streamIN.Paths), gb(streamIN), streamIN.Median(), "Greendog"},
-		{"STREAM(Malware)", 128, fmt.Sprint(c.steps(50)), "16", 10,
-			len(streamMW.Paths), gb(streamMW), streamMW.Median(), "Greendog"},
-		{"Kaggle BIG 2015", 32, fmt.Sprint(c.steps(339)), "1, 16", 10,
-			len(mw.Paths), gb(mw), mw.Median(), "Greendog"},
-		{"ImageNet", 256, fmt.Sprint(c.steps(500)), "1, 28", 10,
-			len(in.Paths), gb(in), in.Median(), "Kebnekaise"},
+	for _, w := range paperWorkloads {
+		ts, err := w.setup(c, runOpts{})
+		if err != nil {
+			return nil, err
+		}
+		d := ts.data
+		res.Rows = append(res.Rows, Table2Row{
+			w.name, ts.batch, fmt.Sprint(ts.steps), w.threadLadder(), ts.prefetch,
+			len(d.Paths), float64(d.Total()) / float64(1<<30), d.Median(), w.system,
+		})
 	}
 	return res, nil
 }

@@ -133,7 +133,7 @@ func (c Config) tunePoint(ranks int) (rows []TuneRow, err error) {
 		return nil, err
 	}
 	row.LustreGreedy = lustre.BandwidthThreads
-	row.LustreThreads = lustre.ThreadsPerRank()
+	row.LustreThreads = lustre.Threads
 	row.LustreKnee = lustre.KneeDetected
 
 	// Tuner pass 2, staged layout: pick the configuration the tuned
@@ -142,8 +142,8 @@ func (c Config) tunePoint(ranks int) (rows []TuneRow, err error) {
 	if err != nil {
 		return nil, err
 	}
-	row.Threads = staged.ThreadsPerRank()
-	row.Prefetch = staged.PrefetchPerRank()
+	row.Threads = staged.Threads
+	row.Prefetch = staged.Prefetch
 	row.Probes = len(lustre.History) + len(staged.History)
 
 	// Tuned epoch: staged layout, the tuner's per-rank threads/prefetch.

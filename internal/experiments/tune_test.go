@@ -138,7 +138,7 @@ func TestTuneRanks1DegeneratesToSingleProcessAdvice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := adv.ThreadsPerRank(); got != want {
+	if got := adv.Threads; got != want {
 		t.Fatalf("one-rank cluster tuner chose %d threads, Autotune chose %d", got, want)
 	}
 

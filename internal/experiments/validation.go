@@ -5,12 +5,8 @@ import (
 	"math"
 	"strings"
 
-	"repro/internal/dstat"
-	"repro/internal/platform"
 	"repro/internal/stats"
-	"repro/internal/storage"
 	"repro/internal/tensorboard"
-	"repro/internal/workload"
 )
 
 // ValidationResult is the Figs. 3/4 artifact: tf-Darshan's per-window
@@ -58,37 +54,23 @@ func (r *ValidationResult) Metrics() map[string]float64 {
 	}
 }
 
-// runValidation executes a STREAM run with manual profiling windows every
-// five steps and dstat sampling in the background.
-func runValidation(artifact string, c Config, buildDataset func(*platform.Machine) ([]string, error), steps int) (*ValidationResult, error) {
-	m := c.boot(platform.NewGreendog(platform.Options{}))
-	h := registerTfDarshan(m)
-	paths, err := buildDataset(m)
+// runValidation executes a STREAM row as Table II configures it, with
+// manual profiling windows every five steps and dstat sampling in the
+// background.
+func runValidation(artifact string, c Config, w *paperWorkload) (*ValidationResult, error) {
+	setup, err := w.setup(c, runOpts{dstat: true})
 	if err != nil {
 		return nil, err
-	}
-	sampler := dstat.New([]storage.Device{m.HDD})
-	setup := &trainSetup{
-		machine:     m,
-		handle:      h,
-		paths:       paths,
-		mapFn:       workload.StreamMap,
-		threads:     16,
-		batch:       128,
-		steps:       steps,
-		prefetch:    10,
-		shuffle:     c.shuffleSeed(),
-		manualEvery: 5,
-		sampler:     sampler,
 	}
 	out, err := setup.run()
 	if err != nil {
 		return nil, err
 	}
+	m, h := setup.machine, setup.handle
 	ts, bw := h.BandwidthSeries()
 	res := &ValidationResult{
 		Artifact: artifact,
-		DstatHDD: sampler.ReadMBps[m.HDD.Name()],
+		DstatHDD: setup.sampler.ReadMBps[m.HDD.Name()],
 		TfdTimes: ts,
 		TfdMBps:  bw,
 		Windows:  len(h.Sessions),
@@ -132,26 +114,14 @@ func mean(xs []float64) float64 {
 // threads, prefetch 10, profiling restarted every five steps, dstat in the
 // background (paper Fig. 3).
 func Fig3(c Config) (*ValidationResult, error) {
-	return runValidation("fig3", c, func(m *platform.Machine) ([]string, error) {
-		d, err := workload.BuildStreamImageNet(m.FS, workload.StreamImageNetSpec(platform.GreendogHDDPath+"/stream-in", c.Scale))
-		if err != nil {
-			return nil, err
-		}
-		return d.Paths, nil
-	}, c.steps(100))
+	return runValidation("fig3", c, streamImageNet)
 }
 
 // Fig4 validates on STREAM(Malware): 50 steps (paper Fig. 4). The paper's
 // observation that this bandwidth is roughly 10x the ImageNet STREAM's is
 // checked by TestFig4MalwareStreamFasterThanImageNetStream.
 func Fig4(c Config) (*ValidationResult, error) {
-	return runValidation("fig4", c, func(m *platform.Machine) ([]string, error) {
-		d, err := workload.BuildStreamMalware(m.FS, workload.StreamMalwareSpec(platform.GreendogHDDPath+"/stream-mw", c.Scale))
-		if err != nil {
-			return nil, err
-		}
-		return d.Paths, nil
-	}, c.steps(50))
+	return runValidation("fig4", c, streamMalware)
 }
 
 // absErr is used by tests to quantify dstat/tf-Darshan agreement.
