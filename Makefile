@@ -1,15 +1,20 @@
 GO ?= go
+GOFMT ?= gofmt
 
 .PHONY: build test race lint goldens
 
 build:
 	$(GO) build ./...
 
-# lint runs simlint (tools/simlint): the five analyzers that machine-check
-# the repo's determinism and kernel-discipline invariants over every
-# production package. Kept separate from `test` so a house-rule violation
-# is distinguishable from a test failure.
+# lint fails on any Go file gofmt would rewrite (except simlint's analyzer
+# fixtures, which are test inputs) and then runs simlint (tools/simlint):
+# the five analyzers that machine-check the repo's determinism and
+# kernel-discipline invariants over every production package. Kept
+# separate from `test` so a house-rule violation is distinguishable from a
+# test failure.
 lint:
+	@unformatted=$$($(GOFMT) -l bench cmd examples internal tools | grep -v '^tools/simlint/rules/testdata/'); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./tools/simlint ./...
 
 test:

@@ -61,6 +61,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "invalid -ranks %d\n", *ranks)
 		return 2
 	}
+	if *parallel < 0 {
+		fmt.Fprintf(stderr, "invalid -parallel %d\n", *parallel)
+		return 2
+	}
 	cfg := experiments.Config{Scale: *scale, Seed: *seed, VerifyContent: *verify, Ranks: *ranks}
 	if *parallel == 0 {
 		cfg.Parallel = -1 // one worker per core

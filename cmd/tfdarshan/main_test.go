@@ -23,6 +23,18 @@ func TestRejectsNonsensicalScale(t *testing.T) {
 	}
 }
 
+func TestRejectsNegativeCounts(t *testing.T) {
+	for _, tc := range []struct{ flag, want string }{
+		{"-ranks", "invalid -ranks -1"},
+		{"-parallel", "invalid -parallel -1"},
+	} {
+		code, out, errOut := runCLI("metrics", tc.flag, "-1", "table2")
+		if code != 2 || out != "" || !strings.Contains(errOut, tc.want) {
+			t.Errorf("%s -1: exit %d, stdout %q, stderr %q; want exit 2 and %q", tc.flag, code, out, errOut, tc.want)
+		}
+	}
+}
+
 func TestUnknownExperiment(t *testing.T) {
 	for _, args := range [][]string{
 		{"metrics", "-scale", "0.05", "fig99"},

@@ -10,6 +10,8 @@
 //     downtime gap and the cluster-wide restore read burst that follows
 //     are visible at a glance.
 //
+// Usage:
+//
 //	traceviewer [-limit n] [-cols n] <trace.json.gz | darshan.log>
 package main
 

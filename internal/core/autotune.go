@@ -21,9 +21,6 @@ import "fmt"
 type AutoTuner struct {
 	// Min and Max bound the candidate thread counts.
 	Min, Max int
-	// Tolerance is the relative improvement below which a move is
-	// considered neutral (measurement noise floor).
-	Tolerance float64
 
 	current   int
 	direction int // +1 growing, -1 shrinking
@@ -35,6 +32,10 @@ type AutoTuner struct {
 	// History records every observation.
 	History []TuneObservation
 }
+
+// tolerance is the relative improvement below which a move is considered
+// neutral (measurement noise floor).
+const tolerance = 0.05
 
 // TuneObservation is one (threads, bandwidth) probe result.
 type TuneObservation struct {
@@ -56,7 +57,7 @@ func NewAutoTuner(start, min, max int) *AutoTuner {
 	if start > max {
 		start = max
 	}
-	return &AutoTuner{Min: min, Max: max, Tolerance: 0.05, current: start, direction: +1}
+	return &AutoTuner{Min: min, Max: max, current: start, direction: +1}
 }
 
 // Current returns the thread count to use for the next window.
@@ -83,7 +84,7 @@ func (at *AutoTuner) Best() TuneObservation {
 // returns the count to try next. Movement is multiplicative (double or
 // halve), which finds the Lustre-style knee in a handful of probes.
 // While climbing, continuing requires a meaningful gain; after the
-// reversal, shrinking only has to hold ground within Tolerance — fewer
+// reversal, shrinking only has to hold ground within tolerance — fewer
 // threads at equal bandwidth are free. A non-positive bandwidth is
 // always a regression, never a baseline, so a dead storage path cannot
 // push the walk blindly to Max.
@@ -101,9 +102,9 @@ func (at *AutoTuner) Observe(bandwidthMBps float64) int {
 		return at.step()
 	}
 	change := (bandwidthMBps - at.lastBW) / at.lastBW
-	ok := change >= at.Tolerance
+	ok := change >= tolerance
 	if at.reversals > 0 {
-		ok = change > -at.Tolerance
+		ok = change > -tolerance
 	}
 	if !ok {
 		return at.regress()

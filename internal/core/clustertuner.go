@@ -64,23 +64,21 @@ type ClusterTuner struct {
 	Ranks int
 	// Min and Max bound the per-rank thread counts.
 	Min, Max int
-	// Tolerance is the relative bandwidth band treated as flat, shared
-	// with the embedded hill-climb.
-	Tolerance float64
-	// MetaKneeGrowth is the merged-meta-time growth factor between two
-	// probed thread counts that, together with flat bandwidth, confirms
-	// the MDS knee.
-	MetaKneeGrowth float64
-	// BasePrefetch is the prefetch depth the thread probes run at.
-	BasePrefetch int
-	// PrefetchLadder holds the candidate depths probed once threads are
-	// chosen; the smallest depth within Tolerance of the best wins (a
-	// deeper buffer that buys nothing is just memory).
-	PrefetchLadder []int
 
 	// History records every probe in execution order.
 	History []ClusterObservation
 }
+
+// The tuner's fixed policy. The relative bandwidth band treated as flat is
+// the embedded hill-climb's tolerance.
+const (
+	// metaKneeGrowth is the merged-meta-time growth factor between two
+	// probed thread counts that, together with flat bandwidth, confirms
+	// the MDS knee.
+	metaKneeGrowth = 1.3
+	// basePrefetch is the prefetch depth the thread probes run at.
+	basePrefetch = 10
+)
 
 // NewClusterTuner returns a tuner for a ranks-node cluster with per-rank
 // thread counts bounded by [min, max].
@@ -88,15 +86,7 @@ func NewClusterTuner(ranks, min, max int) *ClusterTuner {
 	if ranks < 1 {
 		ranks = 1
 	}
-	return &ClusterTuner{
-		Ranks:          ranks,
-		Min:            min,
-		Max:            max,
-		Tolerance:      0.05,
-		MetaKneeGrowth: 1.3,
-		BasePrefetch:   10,
-		PrefetchLadder: []int{2, 10},
-	}
+	return &ClusterTuner{Ranks: ranks, Min: min, Max: max}
 }
 
 // Tune probes short cluster windows and returns the per-rank advice. The
@@ -104,14 +94,12 @@ func NewClusterTuner(ranks, min, max int) *ClusterTuner {
 // one-rank cluster therefore picks exactly what the single-process
 // Autotune would — followed, on real clusters, by the knee backoff; then
 // the prefetch ladder runs at the chosen thread count. maxProbes bounds
-// the hill-climb probes (the prefetch ladder adds at most
-// len(PrefetchLadder) more).
+// the hill-climb probes (the prefetch ladder adds at most two more).
 func (ct *ClusterTuner) Tune(start int, probe ClusterProbeFunc, maxProbes int) (*ClusterAdvice, error) {
 	ct.History = nil // a fresh walk: stale observations from another layout must not feed the knee
 	at := NewAutoTuner(start, ct.Min, ct.Max)
-	at.Tolerance = ct.Tolerance
 	chosen, err := at.Tune(func(threads int) (float64, error) {
-		obs, err := ct.probeAt(probe, threads, ct.BasePrefetch)
+		obs, err := ct.probeAt(probe, threads, basePrefetch)
 		if err != nil {
 			return 0, err
 		}
@@ -160,7 +148,7 @@ func (ct *ClusterTuner) probeAt(probe ClusterProbeFunc, threads, prefetch int) (
 func (ct *ClusterTuner) threadLadder() []ClusterObservation {
 	var out []ClusterObservation
 	for _, o := range ct.History {
-		if o.Prefetch == ct.BasePrefetch {
+		if o.Prefetch == basePrefetch {
 			out = append(out, o)
 		}
 	}
@@ -170,10 +158,10 @@ func (ct *ClusterTuner) threadLadder() []ClusterObservation {
 
 // kneeBackoff detects the shared-MDS saturation knee in the probe ladder
 // and, when present, returns the smallest probed thread count whose
-// aggregate bandwidth stays within Tolerance of the best. The knee:
+// aggregate bandwidth stays within tolerance of the best. The knee:
 // between two probed thread counts, aggregate bandwidth stops scaling
-// (gain below Tolerance) while the merged metadata time keeps growing
-// (by at least MetaKneeGrowth) — the added aggregate concurrency is
+// (gain below tolerance) while the merged metadata time keeps growing
+// (by at least metaKneeGrowth) — the added aggregate concurrency is
 // queueing on the metadata server, not being serviced, so the extra
 // per-rank threads are pure waste.
 func (ct *ClusterTuner) kneeBackoff(chosen int) (int, bool) {
@@ -185,7 +173,7 @@ func (ct *ClusterTuner) kneeBackoff(chosen int) (int, bool) {
 			continue
 		}
 		gain := (b.AggBandwidthMBps - a.AggBandwidthMBps) / a.AggBandwidthMBps
-		if gain < ct.Tolerance && b.MetaTimeSeconds >= a.MetaTimeSeconds*ct.MetaKneeGrowth {
+		if gain < tolerance && b.MetaTimeSeconds >= a.MetaTimeSeconds*metaKneeGrowth {
 			knee = true
 			break
 		}
@@ -200,7 +188,7 @@ func (ct *ClusterTuner) kneeBackoff(chosen int) (int, bool) {
 		}
 	}
 	for _, o := range ladder {
-		if o.AggBandwidthMBps >= best*(1-ct.Tolerance) {
+		if o.AggBandwidthMBps >= best*(1-tolerance) {
 			return o.Threads, true
 		}
 	}
@@ -208,14 +196,12 @@ func (ct *ClusterTuner) kneeBackoff(chosen int) (int, bool) {
 }
 
 // pickPrefetch probes the prefetch ladder at the chosen thread count and
-// returns the smallest depth within Tolerance of the ladder's best
-// bandwidth. Depths already probed (the BasePrefetch thread probes) are
-// reused through probeAt's memoization, not re-run.
+// returns the smallest depth within tolerance of the ladder's best
+// bandwidth (a deeper buffer that buys nothing is just memory). Depths
+// already probed (the basePrefetch thread probes) are reused through
+// probeAt's memoization, not re-run.
 func (ct *ClusterTuner) pickPrefetch(probe ClusterProbeFunc, threads int) (int, error) {
-	candidates := ct.PrefetchLadder
-	if len(candidates) == 0 {
-		return ct.BasePrefetch, nil
-	}
+	candidates := [...]int{2, basePrefetch}
 	results := make([]ClusterObservation, 0, len(candidates))
 	for _, depth := range candidates {
 		obs, err := ct.probeAt(probe, threads, depth)
@@ -232,9 +218,9 @@ func (ct *ClusterTuner) pickPrefetch(probe ClusterProbeFunc, threads int) (int, 
 	}
 	sort.Slice(results, func(i, j int) bool { return results[i].Prefetch < results[j].Prefetch })
 	for _, o := range results {
-		if o.AggBandwidthMBps >= best*(1-ct.Tolerance) {
+		if o.AggBandwidthMBps >= best*(1-tolerance) {
 			return o.Prefetch, nil
 		}
 	}
-	return ct.BasePrefetch, nil
+	return basePrefetch, nil
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/tf/keras"
+	"repro/internal/tf/profiler"
 	"repro/internal/tf/tfdata"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -300,34 +301,43 @@ func TestExportArtifacts(t *testing.T) {
 }
 
 func TestAnalysisOverheadChargedAtCollect(t *testing.T) {
-	// The same run with a costlier analysis config must take longer
-	// in virtual time — the mechanism behind Fig. 5.
-	elapsed := func(perRecord sim.Duration) int64 {
-		m := platform.NewGreendog(platform.Options{})
-		cfg := DefaultTracerConfig()
-		cfg.AnalysisPerRecordCPU = perRecord
-		Register(m.Env, cfg)
-		paths := make([]string, 32)
-		for i := range paths {
-			paths[i] = fmt.Sprintf("%s/x%03d", platform.GreendogHDDPath, i)
-			m.FS.CreateFile(paths[i], 10_000)
+	// CollectData charges exactly the in-situ analysis cost — per file
+	// accessed in the window plus per DXT segment converted — the
+	// mechanism behind Fig. 5.
+	m, h, paths := smallStream(6, 10_000)
+	tr := &DarshanTracer{h: h}
+	space := &profiler.XSpace{}
+	var elapsed int64
+	run(t, m, func(th *sim.Thread) {
+		if err := tr.Start(th); err != nil {
+			t.Error(err)
+			return
 		}
-		tb := keras.NewTensorBoard(1, 4)
-		model := workload.MalwareCNN()
-		m.K.Spawn("main", func(th *sim.Thread) {
-			ds := tfdata.FromFiles(m.Env, paths).Map(workload.StreamMap, 2).Batch(8)
-			it, _ := ds.MakeIterator()
-			model.Fit(th, m.Env, it, keras.FitOptions{Steps: 4, Callbacks: []keras.Callback{tb}})
-		})
-		if err := m.K.Run(); err != nil {
-			panic(err)
+		buf := make([]byte, 4096)
+		for _, p := range paths {
+			fd, _ := m.Env.Libc.Open(th, p, 0)
+			m.Env.Libc.Pread(th, fd, buf, 0)
+			m.Env.Libc.Pread(th, fd, buf, 4096)
+			m.Env.Libc.Close(th, fd)
 		}
-		return m.K.Now()
+		if err := tr.Stop(th); err != nil {
+			t.Error(err)
+			return
+		}
+		start := th.Now()
+		if err := tr.CollectData(th, space); err != nil {
+			t.Error(err)
+			return
+		}
+		elapsed = th.Now() - start
+	})
+	files, segs := int64(h.Last.FilesAccessed), int64(space.TotalEvents())
+	if files != int64(len(paths)) || segs != 2*int64(len(paths)) {
+		t.Fatalf("window saw %d files and %d segments, want %d and %d", files, segs, len(paths), 2*len(paths))
 	}
-	cheap := elapsed(0)
-	costly := elapsed(sim.FromMillis(1))
-	if costly <= cheap {
-		t.Fatalf("analysis cost not charged: %d vs %d", costly, cheap)
+	if want := files*int64(analysisPerRecordCPU) + segs*int64(analysisPerSegmentCPU); elapsed != want {
+		t.Fatalf("CollectData took %dns, want %d files x %v + %d segments x %v = %dns",
+			elapsed, files, analysisPerRecordCPU, segs, analysisPerSegmentCPU, want)
 	}
 }
 

@@ -14,32 +14,27 @@ import (
 // TensorBoard panels and TraceViewer rows of Figs. 7-10.
 const DarshanPlaneName = "/host:tf-darshan(POSIX)"
 
-// TracerConfig tunes the tracer's in-situ analysis costs (the
-// post-profiling work the paper identifies as the dominant overhead
-// contributor in Fig. 5).
+// TracerConfig configures the tracer.
 type TracerConfig struct {
-	// AnalysisPerRecordCPU is charged per live Darshan record when the
-	// stop-snapshot is analyzed.
-	AnalysisPerRecordCPU sim.Duration
-	// AnalysisPerSegmentCPU is charged per DXT segment converted to a
-	// trace event.
-	AnalysisPerSegmentCPU sim.Duration
 	// SizeOf resolves file sizes for the file-size panel (may be nil).
 	SizeOf SizeOfFunc
-	// MaxTimelineFiles bounds the per-file timelines exported to the
-	// TraceViewer (0 = all files; the paper's future-work notes suggest
-	// discarding detailed timelines to cut overhead).
-	MaxTimelineFiles int
 }
 
-// DefaultTracerConfig returns costs calibrated against the paper's Fig. 5
+// DefaultTracerConfig returns the tracer configuration with no file-size
+// resolver.
+func DefaultTracerConfig() TracerConfig { return TracerConfig{} }
+
+// The in-situ analysis costs (the post-profiling work the paper identifies
+// as the dominant overhead contributor in Fig. 5), calibrated against its
 // overhead bands (see EXPERIMENTS.md for the derivation).
-func DefaultTracerConfig() TracerConfig {
-	return TracerConfig{
-		AnalysisPerRecordCPU:  sim.FromMillis(1),
-		AnalysisPerSegmentCPU: sim.FromMicros(20),
-	}
-}
+const (
+	// analysisPerRecordCPU is charged per live Darshan record when the
+	// stop-snapshot is analyzed.
+	analysisPerRecordCPU = sim.Millisecond
+	// analysisPerSegmentCPU is charged per DXT segment converted to a
+	// trace event.
+	analysisPerSegmentCPU = 20 * sim.Microsecond
+)
 
 // Serialization costs of the tf-Darshan plane on the TensorBoard export
 // path (the automatic-callback mode). The per-file timeline conversion
@@ -144,11 +139,11 @@ func (d *DarshanTracer) CollectData(t *sim.Thread, space *profiler.XSpace) error
 	// window plus the trace segments falling inside it (the paper's
 	// "overhead has a strong correlation against the number of files
 	// processed").
-	if c := d.h.cfg.AnalysisPerRecordCPU; c > 0 && analysis.FilesAccessed > 0 {
-		t.Sleep(sim.Duration(analysis.FilesAccessed) * c)
+	if analysis.FilesAccessed > 0 {
+		t.Sleep(sim.Duration(analysis.FilesAccessed) * analysisPerRecordCPU)
 	}
-	if c := d.h.cfg.AnalysisPerSegmentCPU; c > 0 && windowSegs > 0 {
-		t.Sleep(sim.Duration(windowSegs) * c)
+	if windowSegs > 0 {
+		t.Sleep(sim.Duration(windowSegs) * analysisPerSegmentCPU)
 	}
 	plane.SetStat("posix_read_bandwidth_MBps", fmt.Sprintf("%.2f", analysis.ReadBandwidthMBps()))
 	plane.SetStat("posix_opens", fmt.Sprintf("%d", analysis.Opens))
@@ -165,8 +160,6 @@ func (d *DarshanTracer) CollectData(t *sim.Thread, space *profiler.XSpace) error
 // TraceViewer line per file, returning the number of segments converted.
 func (d *DarshanTracer) populateTimelines(plane *profiler.XPlane, analysis *SessionStats) int64 {
 	jobStartOffset := func(sec float64) int64 { return int64(sec * 1e9) }
-	maxFiles := d.h.cfg.MaxTimelineFiles
-	lines := 0
 	var converted int64
 	for i := range d.stopSnap.DXT {
 		rec := &d.stopSnap.DXT[i]
@@ -193,12 +186,8 @@ func (d *DarshanTracer) populateTimelines(plane *profiler.XPlane, analysis *Sess
 		if len(events) == 0 {
 			continue
 		}
-		if maxFiles > 0 && lines >= maxFiles {
-			break
-		}
 		line := plane.Line(int64(rec.ID&0x7FFFFFFFFFFFFFFF), name)
 		line.Events = append(line.Events, events...)
-		lines++
 		converted += int64(len(events))
 	}
 	plane.SortLines()

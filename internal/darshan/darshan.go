@@ -15,53 +15,50 @@ func RecordID(path string) uint64 {
 	return h.Sum64()
 }
 
-// Config tunes the runtime's memory bounds and self-instrumentation costs.
-// The CPU costs are charged to the virtual clock so profiled runs are
-// measurably (and realistically) slower than unprofiled runs — the basis
-// of the paper's Fig. 5 overhead study.
+// Config tunes the runtime's memory bounds.
 type Config struct {
 	// MaxRecordsPerModule bounds tracked files per module (Darshan's
 	// module memory cap; files beyond it are not tracked).
 	MaxRecordsPerModule int
 	// MaxDXTSegsPerRecord bounds trace segments per file per direction.
 	MaxDXTSegsPerRecord int
-	// EnableDXT turns on extended (per-operation) tracing.
-	EnableDXT bool
 	// DXTStdio additionally traces stdio stream reads/writes as DXT
 	// segments at their logical stream offsets. Real Darshan's DXT covers
 	// POSIX/MPI-IO only, so this is off by default; the failure scenario
 	// enables it to see buffered checkpoint writes and restore read
 	// bursts on the merged timeline.
 	DXTStdio bool
-	// WrapCPU is the bookkeeping cost per wrapped I/O call.
-	WrapCPU sim.Duration
-	// NewRecordCPU is the cost of registering a newly seen file (path
-	// hashing, record allocation).
-	NewRecordCPU sim.Duration
-	// DXTSegCPU is the cost of appending one trace segment.
-	DXTSegCPU sim.Duration
-	// SnapshotRecordCPU is the per-record cost of the runtime extraction
-	// (buffer copy + marshalling) added for tf-Darshan. Every profiling
-	// window pays it twice over the *cumulative* record set, which is why
-	// the paper's manual-mode overhead grows with the number of files
-	// processed (Fig. 5, §IV-C).
-	SnapshotRecordCPU sim.Duration
 }
 
 // DefaultConfig returns the runtime configuration used in the paper's
-// experiments: DXT on, generous record limits (the ImageNet epoch tracks
-// 128K files).
+// experiments: generous record limits (the ImageNet epoch tracks 128K
+// files). Extended tracing (DXT) is always on: tf-Darshan's timelines
+// (Figs. 7-10) are built from it.
 func DefaultConfig() Config {
 	return Config{
 		MaxRecordsPerModule: 1 << 20,
 		MaxDXTSegsPerRecord: 1 << 14,
-		EnableDXT:           true,
-		WrapCPU:             200 * sim.Nanosecond,
-		NewRecordCPU:        sim.FromMicros(2),
-		DXTSegCPU:           150 * sim.Nanosecond,
-		SnapshotRecordCPU:   sim.FromMicros(50),
 	}
 }
+
+// The runtime's self-instrumentation costs, charged to the virtual clock so
+// profiled runs are measurably (and realistically) slower than unprofiled
+// runs — the basis of the paper's Fig. 5 overhead study.
+const (
+	// wrapCPU is the bookkeeping cost per wrapped I/O call.
+	wrapCPU = 200 * sim.Nanosecond
+	// newRecordCPU is the cost of registering a newly seen file (path
+	// hashing, record allocation).
+	newRecordCPU = 2 * sim.Microsecond
+	// dxtSegCPU is the cost of appending one trace segment.
+	dxtSegCPU = 150 * sim.Nanosecond
+	// snapshotRecordCPU is the per-record cost of the runtime extraction
+	// (buffer copy + marshalling) added for tf-Darshan. Every profiling
+	// window pays it twice over the *cumulative* record set, which is why
+	// the paper's manual-mode overhead grows with the number of files
+	// processed (Fig. 5, §IV-C).
+	snapshotRecordCPU = 50 * sim.Microsecond
+)
 
 // Runtime is the in-process Darshan runtime (darshan-core plus the POSIX,
 // STDIO and DXT modules). One Runtime instruments one process.
@@ -159,17 +156,13 @@ func (rt *Runtime) NameRecords() map[uint64]string {
 // bookkeeping cost. All wrapper record updates go through it.
 func (rt *Runtime) instrument(t *sim.Thread, fn func()) {
 	rt.mu.Lock(t)
-	if rt.cfg.WrapCPU > 0 {
-		t.Sleep(rt.cfg.WrapCPU)
-	}
+	t.Sleep(wrapCPU)
 	fn()
 	rt.mu.Unlock(t)
 }
 
 func (rt *Runtime) chargeNewRecord(t *sim.Thread) {
-	if rt.cfg.NewRecordCPU > 0 {
-		t.Sleep(rt.cfg.NewRecordCPU)
-	}
+	t.Sleep(newRecordCPU)
 }
 
 // Snapshot deep-copies the module buffers at the current instant. This is
@@ -182,8 +175,8 @@ func (rt *Runtime) chargeNewRecord(t *sim.Thread) {
 func (rt *Runtime) Snapshot(t *sim.Thread) *Snapshot {
 	rt.mu.Lock(t)
 	nRecords := rt.Posix.RecordCount() + rt.Stdio.RecordCount()
-	if rt.cfg.SnapshotRecordCPU > 0 && nRecords > 0 {
-		t.Sleep(sim.Duration(nRecords) * rt.cfg.SnapshotRecordCPU)
+	if nRecords > 0 {
+		t.Sleep(sim.Duration(nRecords) * snapshotRecordCPU)
 	}
 	snap := rt.Export(t.Now())
 	rt.mu.Unlock(t)

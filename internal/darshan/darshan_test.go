@@ -23,7 +23,7 @@ type rig struct {
 
 func newRig(cfg Config) *rig {
 	k := sim.NewKernel()
-	fs := vfs.New(vfs.DefaultConfig())
+	fs := vfs.New()
 	hdd := storage.NewHDD("sda", storage.DefaultHDDParams())
 	fs.AddMount(&vfs.Mount{Prefix: "/data", Dev: hdd, OpenMetaTrips: 1})
 	proc := dynload.NewProcess()
@@ -437,7 +437,7 @@ func TestUninstrumentedWhenNotAttached(t *testing.T) {
 	// Without GOT patching, no records appear (transparent no-profiler
 	// baseline for the Fig 5 overhead study).
 	k := sim.NewKernel()
-	fs := vfs.New(vfs.DefaultConfig())
+	fs := vfs.New()
 	hdd := storage.NewHDD("sda", storage.DefaultHDDParams())
 	fs.AddMount(&vfs.Mount{Prefix: "/data", Dev: hdd, OpenMetaTrips: 1})
 	proc := dynload.NewProcess()

@@ -105,9 +105,6 @@ func (m *DXTModule) recordFor(id uint64) *DXTRecord {
 }
 
 func (m *DXTModule) addRead(t *sim.Thread, id uint64, offset, length int64, start, end float64) {
-	if !m.rt.cfg.EnableDXT {
-		return
-	}
 	rec := m.recordFor(id)
 	if rec == nil {
 		return
@@ -116,16 +113,11 @@ func (m *DXTModule) addRead(t *sim.Thread, id uint64, offset, length int64, star
 		rec.Dropped++
 		return
 	}
-	if m.rt.cfg.DXTSegCPU > 0 {
-		t.Sleep(m.rt.cfg.DXTSegCPU)
-	}
+	t.Sleep(dxtSegCPU)
 	rec.ReadSegs = appendSeg(rec.ReadSegs, Segment{Offset: offset, Length: length, Start: start, End: end, TID: t.ID()})
 }
 
 func (m *DXTModule) addWrite(t *sim.Thread, id uint64, offset, length int64, start, end float64) {
-	if !m.rt.cfg.EnableDXT {
-		return
-	}
 	rec := m.recordFor(id)
 	if rec == nil {
 		return
@@ -134,8 +126,6 @@ func (m *DXTModule) addWrite(t *sim.Thread, id uint64, offset, length int64, sta
 		rec.Dropped++
 		return
 	}
-	if m.rt.cfg.DXTSegCPU > 0 {
-		t.Sleep(m.rt.cfg.DXTSegCPU)
-	}
+	t.Sleep(dxtSegCPU)
 	rec.WriteSegs = appendSeg(rec.WriteSegs, Segment{Offset: offset, Length: length, Start: start, End: end, TID: t.ID()})
 }

@@ -27,7 +27,7 @@ func TestDlopenDlsymAttachFlow(t *testing.T) {
 	// The full tf-Darshan middle-man flow against the loader: install
 	// libdarshan, dlopen it, dlsym the wrap function, scan + patch the GOT.
 	k := sim.NewKernel()
-	fs := vfs.New(vfs.DefaultConfig())
+	fs := vfs.New()
 	hdd := storage.NewHDD("sda", storage.DefaultHDDParams())
 	fs.AddMount(&vfs.Mount{Prefix: "/data", Dev: hdd, OpenMetaTrips: 1})
 	fs.CreateFile("/data/z", 4096)
@@ -81,7 +81,7 @@ func TestDlopenDlsymAttachFlow(t *testing.T) {
 func TestPreloadLibraryInstrumentsWholeRun(t *testing.T) {
 	// Classic Darshan deployment: LD_PRELOAD-style startup interposition.
 	k := sim.NewKernel()
-	fs := vfs.New(vfs.DefaultConfig())
+	fs := vfs.New()
 	hdd := storage.NewHDD("sda", storage.DefaultHDDParams())
 	fs.AddMount(&vfs.Mount{Prefix: "/data", Dev: hdd, OpenMetaTrips: 1})
 	fs.CreateFile("/data/p", 1000)

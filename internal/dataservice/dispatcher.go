@@ -17,36 +17,34 @@ type DispatcherStats struct {
 	PeakJobs      int   // most jobs registered at once
 }
 
-// Dispatcher is the service's control plane: one logical process that
+// dispatcherLatency is the service time of one control-plane RPC
+// (registration, lease grant/release) at the dispatcher.
+const dispatcherLatency = 200 * sim.Microsecond
+
+// dispatcher is the service's control plane: one logical process that
 // registers jobs, grants per-worker shard leases and releases them at
 // unregister. Every RPC serializes through the dispatcher and costs a
 // fixed service latency, so a flood of concurrent registrations queues —
 // the dispatcher is a saturable resource like the MDS, not bookkeeping.
-type Dispatcher struct {
-	mu      sim.Mutex
-	latency sim.Duration
-	active  int
-	stats   DispatcherStats
-}
-
-func newDispatcher(latency sim.Duration) *Dispatcher {
-	return &Dispatcher{latency: latency}
+type dispatcher struct {
+	mu     sim.Mutex
+	active int
+	stats  DispatcherStats
 }
 
 // rpc serializes ops control-plane round trips through the dispatcher,
 // charging the service latency for each to the calling thread.
-func (d *Dispatcher) rpc(t *sim.Thread, ops int64) {
+func (d *dispatcher) rpc(t *sim.Thread, ops int64) {
 	d.mu.Lock(t)
-	if dur := sim.Duration(ops * int64(d.latency)); dur > 0 {
-		t.Sleep(dur)
-		d.stats.BusyNs += int64(dur)
-	}
+	dur := sim.Duration(ops) * dispatcherLatency
+	t.Sleep(dur)
+	d.stats.BusyNs += int64(dur)
 	d.mu.Unlock(t)
 }
 
 // register admits one job and grants its shard leases (one RPC for the
 // registration plus one per lease).
-func (d *Dispatcher) register(t *sim.Thread, leases int) {
+func (d *dispatcher) register(t *sim.Thread, leases int) {
 	d.rpc(t, 1+int64(leases))
 	d.stats.Registers++
 	d.stats.Leases += int64(leases)
@@ -57,15 +55,9 @@ func (d *Dispatcher) register(t *sim.Thread, leases int) {
 }
 
 // unregister releases the job's leases and retires it.
-func (d *Dispatcher) unregister(t *sim.Thread, leases int) {
+func (d *dispatcher) unregister(t *sim.Thread, leases int) {
 	d.rpc(t, 1+int64(leases))
 	d.stats.Unregisters++
 	d.stats.LeaseReleases += int64(leases)
 	d.active--
 }
-
-// Active returns the number of currently registered jobs.
-func (d *Dispatcher) Active() int { return d.active }
-
-// Stats returns a copy of the control-plane counters.
-func (d *Dispatcher) Stats() DispatcherStats { return d.stats }

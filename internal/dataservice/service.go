@@ -37,23 +37,17 @@ import (
 	"repro/internal/vfs"
 )
 
-// Defaults for Config zero fields.
-const (
-	DefaultThreads  = 1
-	DefaultPrefetch = 2
-)
+// DefaultThreads is the per-(job,worker) map parallelism for a zero
+// Config.Threads.
+const DefaultThreads = 1
 
-// DefaultDispatcherLatency is the service time of one control-plane RPC
-// (registration, lease grant/release) at the dispatcher.
-var DefaultDispatcherLatency = sim.FromMicros(200)
+// prefetchDepth is the per-(job,worker) ready-batch buffer depth.
+const prefetchDepth = 2
 
-// DefaultLinkLatency is the per-batch latency of a worker-to-trainer
-// transfer over the interconnect.
-var DefaultLinkLatency = sim.FromMicros(25)
-
-// DefaultPeerLatency is the per-request latency of a peer-cache transfer
-// between workers (one RDMA round trip).
-var DefaultPeerLatency = sim.FromMicros(5)
+// batchRPCOverhead is a batch delivery's cost above the link transfer
+// (storage.LinkTransfer): the worker-to-trainer response is an RPC, not a
+// bare RDMA read.
+const batchRPCOverhead = 20 * sim.Microsecond
 
 // Config shapes the service.
 type Config struct {
@@ -61,9 +55,6 @@ type Config struct {
 	MapFn tfdata.MapFunc
 	// Threads is the per-(job,worker) map parallelism (0 = DefaultThreads).
 	Threads int
-	// Prefetch is the per-(job,worker) ready-batch buffer depth
-	// (0 = DefaultPrefetch).
-	Prefetch int
 	// CacheBytes enables the shared cache tier: each worker gets a
 	// vfs.NodeCache of this capacity on its NVMe, read-through-filled on
 	// first touch. 0 disables the tier (independent cold pipelines).
@@ -71,47 +62,6 @@ type Config struct {
 	// PeerServing lets one worker's cached copy serve the whole fleet over
 	// the interconnect — the cross-worker half of the shared tier.
 	PeerServing bool
-	// PeerLatency/PeerBandwidth shape peer-cache transfers
-	// (0 = DefaultPeerLatency / distributed.DefaultLinkBandwidth).
-	PeerLatency   sim.Duration
-	PeerBandwidth float64
-	// JobSlots bounds concurrently admitted jobs (each job occupies one
-	// slot on every worker of the symmetric fleet); a job registering
-	// beyond the bound queues at the dispatcher until a slot frees.
-	// 0 = unlimited.
-	JobSlots int
-	// DispatcherLatency is the per-RPC control-plane service time
-	// (0 = DefaultDispatcherLatency).
-	DispatcherLatency sim.Duration
-	// LinkLatency/LinkBandwidth shape worker-to-trainer batch transfers
-	// (0 = DefaultLinkLatency / distributed.DefaultLinkBandwidth).
-	LinkLatency   sim.Duration
-	LinkBandwidth float64
-}
-
-func (c Config) withDefaults() Config {
-	if c.Threads <= 0 {
-		c.Threads = DefaultThreads
-	}
-	if c.Prefetch <= 0 {
-		c.Prefetch = DefaultPrefetch
-	}
-	if c.PeerLatency <= 0 {
-		c.PeerLatency = DefaultPeerLatency
-	}
-	if c.PeerBandwidth == 0 {
-		c.PeerBandwidth = distributed.DefaultLinkBandwidth
-	}
-	if c.DispatcherLatency <= 0 {
-		c.DispatcherLatency = DefaultDispatcherLatency
-	}
-	if c.LinkLatency <= 0 {
-		c.LinkLatency = DefaultLinkLatency
-	}
-	if c.LinkBandwidth == 0 {
-		c.LinkBandwidth = distributed.DefaultLinkBandwidth
-	}
-	return c
 }
 
 // JobSpec describes one training job the dispatcher admits.
@@ -144,73 +94,56 @@ type JobResult struct {
 	// ColdBytes is the job's epoch read volume with no sharing at all
 	// (sum of its files' sizes) — the dedup invariant's per-job term.
 	ColdBytes int64
-	// AdmitNs is the time the job queued for an admission slot.
-	AdmitNs int64
 	// WaitNs is the consumer's time blocked waiting on workers.
 	WaitNs int64
 	// StartNs/EndNs bracket the job from lease grant to last batch.
 	StartNs, EndNs int64
-	// Drained reports the job cancelled its epoch mid-stream.
-	Drained bool
 }
 
-// Service is the data service: a dispatcher plus a worker fleet over one
+// service is the data service: a dispatcher plus a worker fleet over one
 // platform.Cluster. Every cluster node hosts one data worker.
-type Service struct {
+type service struct {
 	cluster *platform.Cluster
 	cfg     Config
-	disp    *Dispatcher
-	// slots is the admission bound (nil = unlimited).
-	slots *sim.Semaphore
+	disp    dispatcher
 	// caches is the shared tier, one cache per worker (nil when disabled).
 	caches []*vfs.NodeCache
 	// inflight collapses concurrent cache fills of the same file onto one
 	// fetch: waiters block on the gate, then re-check residency.
 	inflight map[string]*sim.Chan[struct{}]
-	jobs     int
 }
 
-// New builds a service over the cluster's nodes. Call before the kernel
-// runs (cache enablement is setup-time).
-func New(c *platform.Cluster, cfg Config) (*Service, error) {
+// newService builds a service over the cluster's nodes. Call before the
+// kernel runs (cache enablement is setup-time).
+func newService(c *platform.Cluster, cfg Config) (*service, error) {
 	if len(c.Nodes) == 0 {
 		return nil, fmt.Errorf("dataservice: cluster has no nodes")
 	}
 	if cfg.MapFn == nil {
 		return nil, fmt.Errorf("dataservice: Config.MapFn is required")
 	}
-	cfg = cfg.withDefaults()
-	s := &Service{
+	if cfg.Threads <= 0 {
+		cfg.Threads = DefaultThreads
+	}
+	s := &service{
 		cluster:  c,
 		cfg:      cfg,
-		disp:     newDispatcher(cfg.DispatcherLatency),
 		inflight: make(map[string]*sim.Chan[struct{}]),
-	}
-	if cfg.JobSlots > 0 {
-		s.slots = sim.NewSemaphore(cfg.JobSlots)
 	}
 	if cfg.CacheBytes > 0 {
 		for _, n := range c.Nodes {
 			s.caches = append(s.caches, c.FS.EnableNodeCache(n.Node, vfs.NodeCacheConfig{
-				Capacity:      cfg.CacheBytes,
-				Device:        n.Optane,
-				PeerServing:   cfg.PeerServing,
-				PeerLatency:   cfg.PeerLatency,
-				PeerBandwidth: cfg.PeerBandwidth,
+				Capacity:    cfg.CacheBytes,
+				Device:      n.Optane,
+				PeerServing: cfg.PeerServing,
 			}))
 		}
 	}
 	return s, nil
 }
 
-// Workers returns the fleet size.
-func (s *Service) Workers() int { return len(s.cluster.Nodes) }
-
-// Dispatcher returns the control plane (for stats).
-func (s *Service) Dispatcher() *Dispatcher { return s.disp }
-
-// CacheStats returns per-worker cache counters (nil when the tier is off).
-func (s *Service) CacheStats() []vfs.NodeCacheStats {
+// cacheStats returns per-worker cache counters (nil when the tier is off).
+func (s *service) cacheStats() []vfs.NodeCacheStats {
 	if s.caches == nil {
 		return nil
 	}
@@ -221,41 +154,32 @@ func (s *Service) CacheStats() []vfs.NodeCacheStats {
 	return out
 }
 
-// Job is one registered job's consumer handle.
-type Job struct {
-	svc       *Service
-	spec      JobSpec
-	res       JobResult
-	chans     []*sim.Chan[tfdata.Batch]
-	closed    []bool
-	rr        int
-	cancelled bool
+// job is one registered job's consumer handle.
+type job struct {
+	spec   JobSpec
+	res    JobResult
+	chans  []*sim.Chan[tfdata.Batch]
+	closed []bool
+	rr     int
 }
 
-// Register admits a job: it queues for an admission slot if the fleet is
-// saturated, then the dispatcher grants one shard lease per worker (the
-// job's epoch order sharded across the symmetric fleet) and each worker
-// spawns a serving pipeline for the job. Returns the consumer handle the
-// trainer pulls batches from.
-func (s *Service) Register(t *sim.Thread, spec JobSpec) (*Job, error) {
+// register admits a job: the dispatcher grants one shard lease per worker
+// (the job's epoch order sharded across the symmetric fleet) and each
+// worker spawns a serving pipeline for the job. Returns the consumer
+// handle the trainer pulls batches from.
+func (s *service) register(t *sim.Thread, spec JobSpec) (*job, error) {
 	if spec.Batch < 1 {
 		return nil, fmt.Errorf("dataservice: job %q: invalid batch %d", spec.Name, spec.Batch)
 	}
 	if len(spec.Paths) == 0 {
 		return nil, fmt.Errorf("dataservice: job %q: empty dataset", spec.Name)
 	}
-	j := &Job{svc: s, spec: spec}
+	j := &job{spec: spec}
 	j.res.Name = spec.Name
-	admitStart := t.Now()
-	if s.slots != nil {
-		s.slots.Acquire(t, 1)
-	}
-	j.res.AdmitNs = t.Now() - admitStart
 
-	w := s.Workers()
+	w := len(s.cluster.Nodes)
 	leases := distributed.Shards(spec.Paths, spec.Shuffle, w)
 	s.disp.register(t, w)
-	s.jobs++
 	j.res.Workers = w
 	j.res.StartNs = t.Now()
 	for _, p := range spec.Paths {
@@ -282,20 +206,20 @@ func (s *Service) Register(t *sim.Thread, spec JobSpec) (*Job, error) {
 // spawnServer starts worker w's serving pipeline for the job: a tfdata
 // pipeline on the worker's env (its I/O lands in the worker's Darshan
 // runtime) whose batches are pumped into the job's per-worker channel.
-func (s *Service) spawnServer(j *Job, w int, lease []string) {
+func (s *service) spawnServer(j *job, w int, lease []string) {
 	name := fmt.Sprintf("dsworker%d.%s", w, j.spec.Name)
 	s.cluster.K.Spawn(name, func(t *sim.Thread) {
 		env := s.cluster.Nodes[w].Env
 		ds := tfdata.FromFiles(env, lease).
 			Map(s.mapFnFor(w), s.cfg.Threads).
 			Batch(j.spec.Batch).
-			Prefetch(s.cfg.Prefetch)
+			Prefetch(prefetchDepth)
 		it, err := ds.MakeIterator()
 		if err != nil {
 			// Like tfdata's map errors: a configuration mistake, fatal.
 			panic(fmt.Sprintf("dataservice: %s: %v", name, err))
 		}
-		for !j.cancelled {
+		for {
 			b, ok := it.Next(t)
 			if !ok {
 				break
@@ -309,7 +233,7 @@ func (s *Service) spawnServer(j *Job, w int, lease []string) {
 
 // mapFnFor wraps the decode function with the shared tier's read-through
 // fill for worker w; without a cache tier the decode runs cold.
-func (s *Service) mapFnFor(w int) tfdata.MapFunc {
+func (s *service) mapFnFor(w int) tfdata.MapFunc {
 	if s.caches == nil {
 		return s.cfg.MapFn
 	}
@@ -322,7 +246,7 @@ func (s *Service) mapFnFor(w int) tfdata.MapFunc {
 // gateKey scopes the in-flight fetch gate: with peer serving one fetch
 // serves the fleet, so gates are per file; without it each worker fills
 // its own cache, so gates are per (worker, file).
-func (s *Service) gateKey(w int, p string) string {
+func (s *service) gateKey(w int, p string) string {
 	if s.cfg.PeerServing {
 		return p
 	}
@@ -337,7 +261,7 @@ func (s *Service) gateKey(w int, p string) string {
 // Fetch failures (no space after eviction, injected transient faults)
 // degrade to a cold PFS read: the tier accelerates, it is never a
 // correctness dependency.
-func (s *Service) ensureCached(t *sim.Thread, w int, p string) {
+func (s *service) ensureCached(t *sim.Thread, w int, p string) {
 	c := s.caches[w]
 	for {
 		if c.Contains(p) || (s.cfg.PeerServing && c.PeerHas(p)) {
@@ -358,22 +282,16 @@ func (s *Service) ensureCached(t *sim.Thread, w int, p string) {
 	}
 }
 
-// transfer charges the interconnect cost of moving one batch from a
-// worker to the trainer.
-func (j *Job) transfer(t *sim.Thread, n int64) {
-	d := j.svc.cfg.LinkLatency
-	if j.svc.cfg.LinkBandwidth > 0 && n > 0 {
-		d += sim.FromSeconds(float64(n) / j.svc.cfg.LinkBandwidth)
-	}
-	if d > 0 {
-		t.Sleep(d)
-	}
+// transfer charges the cost of moving one n-byte batch from a worker to
+// the trainer.
+func (j *job) transfer(t *sim.Thread, n int64) {
+	t.Sleep(batchRPCOverhead + storage.LinkTransfer(n))
 }
 
-// Next delivers the job's next batch, pulling round-robin across the
+// next delivers the job's next batch, pulling round-robin across the
 // workers still serving and paying the interconnect transfer. ok is false
 // once every worker's shard is exhausted.
-func (j *Job) Next(t *sim.Thread) (tfdata.Batch, bool) {
+func (j *job) next(t *sim.Thread) (tfdata.Batch, bool) {
 	w := len(j.chans)
 	for {
 		progressed := false
@@ -403,57 +321,6 @@ func (j *Job) Next(t *sim.Thread) (tfdata.Batch, bool) {
 			}
 			return tfdata.Batch{}, false
 		}
-	}
-}
-
-// Drain cancels the job's remaining epoch mid-stream: serving pipelines
-// shut down after their in-flight element and everything still queued is
-// discarded. Next returns false afterwards; Unregister still releases the
-// leases and slot.
-func (j *Job) Drain(t *sim.Thread) {
-	if j.cancelled {
-		return
-	}
-	j.cancelled = true
-	j.res.Drained = true
-	for w := range j.chans {
-		for !j.closed[w] {
-			if _, ok := j.chans[w].Recv(t); !ok {
-				j.closed[w] = true
-			}
-		}
-	}
-	if j.res.EndNs == 0 {
-		j.res.EndNs = t.Now()
-	}
-}
-
-// done reports every serving channel closed.
-func (j *Job) done() bool {
-	for _, c := range j.closed {
-		if !c {
-			return false
-		}
-	}
-	return true
-}
-
-// Result returns the job's outcome so far.
-func (j *Job) Result() JobResult { return j.res }
-
-// Unregister releases the job's shard leases and its admission slot. A
-// job abandoned mid-epoch is drained first — leaving serving threads
-// parked on a dead job would wedge the kernel at shutdown.
-func (s *Service) Unregister(t *sim.Thread, j *Job) {
-	if !j.done() {
-		j.Drain(t)
-	}
-	s.disp.unregister(t, j.res.Workers)
-	if s.slots != nil {
-		s.slots.Release(t, 1)
-	}
-	if j.res.EndNs == 0 {
-		j.res.EndNs = t.Now()
 	}
 }
 
@@ -496,7 +363,7 @@ func (r *Result) TotalColdBytes() int64 {
 // Darshan runtimes are exported and merged. The cluster must have been
 // booted with PreloadDarshan for the export to capture service I/O.
 func Run(c *platform.Cluster, jobs []JobSpec, cfg Config) (*Result, error) {
-	svc, err := New(c, cfg)
+	svc, err := newService(c, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -513,18 +380,18 @@ func Run(c *platform.Cluster, jobs []JobSpec, cfg Config) (*Result, error) {
 		i := i
 		spec := jobs[i]
 		c.K.Spawn(fmt.Sprintf("trainer.%s", spec.Name), func(t *sim.Thread) {
-			jb, err := svc.Register(t, spec)
+			jb, err := svc.register(t, spec)
 			if err != nil {
 				errs[i] = err
 				return
 			}
 			for {
-				if _, ok := jb.Next(t); !ok {
+				if _, ok := jb.next(t); !ok {
 					break
 				}
 			}
-			svc.Unregister(t, jb)
-			results[i] = jb.Result()
+			svc.disp.unregister(t, jb.res.Workers)
+			results[i] = jb.res
 		})
 	}
 	if err := c.K.Run(); err != nil {
@@ -539,9 +406,9 @@ func Run(c *platform.Cluster, jobs []JobSpec, cfg Config) (*Result, error) {
 
 	res := &Result{
 		Jobs:        results,
-		Dispatcher:  svc.disp.Stats(),
+		Dispatcher:  svc.disp.stats,
 		WallSeconds: sim.Seconds(c.K.Now() - startNs),
-		CacheStats:  svc.CacheStats(),
+		CacheStats:  svc.cacheStats(),
 	}
 	lustreAfter := c.Lustre.Counters().Sub(lustreBefore)
 	res.PFSBytesRead = lustreAfter.BytesRead

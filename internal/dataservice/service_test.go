@@ -61,9 +61,6 @@ func TestServiceEpochExact(t *testing.T) {
 		if j.ColdBytes != int64(nFiles)*fileSize || j.Bytes != j.ColdBytes {
 			t.Fatalf("%s: bytes %d / cold %d, want both %d", j.Name, j.Bytes, j.ColdBytes, int64(nFiles)*fileSize)
 		}
-		if j.AdmitNs != 0 {
-			t.Fatalf("%s: queued %dns for admission with unlimited slots", j.Name, j.AdmitNs)
-		}
 	}
 	// No sharing: every job reads the corpus cold off the PFS.
 	if want := int64(jobs) * int64(nFiles) * fileSize; res.PFSBytesRead != want {
@@ -90,99 +87,29 @@ func TestServiceEpochExact(t *testing.T) {
 	}
 }
 
-// TestServiceAdmissionAfterSaturation: with one admission slot, a job
-// registering after the fleet is saturated queues at the dispatcher
-// (AdmitNs > 0), is admitted once the running job unregisters, and still
-// completes its epoch exactly.
-func TestServiceAdmissionAfterSaturation(t *testing.T) {
-	const workers, nFiles = 2, 16
-	const fileSize = int64(64 << 10)
-	c, paths := serviceFixture(t, workers, nFiles, fileSize)
-	specs := []JobSpec{
-		{Name: "first", Paths: paths, Shuffle: testSeed, Batch: 4},
-		{Name: "second", Paths: paths, Shuffle: testSeed + 1, Batch: 4},
-	}
-	res, err := Run(c, specs, Config{MapFn: workload.ImageNetMap, JobSlots: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, second := res.Jobs[0], res.Jobs[1]
-	if first.AdmitNs != 0 {
-		t.Fatalf("first job queued %dns with a free slot", first.AdmitNs)
-	}
-	if second.AdmitNs == 0 {
-		t.Fatal("second job admitted instantly past a saturated fleet")
-	}
-	if second.StartNs < first.EndNs {
-		t.Fatalf("second job started (%dns) before the first finished (%dns) despite one slot", second.StartNs, first.EndNs)
-	}
-	for _, j := range res.Jobs {
-		if j.Batches != j.ExpectedBatches || j.Samples != nFiles {
-			t.Fatalf("%s: %d/%d batches, %d samples — queued job lost data", j.Name, j.Batches, j.ExpectedBatches, j.Samples)
+// TestBatchTransferChargesLinkModel: delivering an n-byte batch costs the
+// RPC overhead plus exactly one link transfer (5 µs + n at 12.5 GB/s).
+func TestBatchTransferChargesLinkModel(t *testing.T) {
+	for _, tc := range []struct {
+		n    int64
+		want sim.Duration
+	}{
+		{0, 25 * sim.Microsecond},
+		{12_500_000, 25*sim.Microsecond + sim.Millisecond},
+	} {
+		k := sim.NewKernel()
+		var got sim.Duration
+		k.Spawn("trainer", func(th *sim.Thread) {
+			start := th.Now()
+			(&job{}).transfer(th, tc.n)
+			got = th.Now() - start
+		})
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if res.Dispatcher.PeakJobs != 1 {
-		t.Fatalf("dispatcher peak %d jobs, admission bound is 1", res.Dispatcher.PeakJobs)
-	}
-}
-
-// TestServiceDrainMidEpoch: a job abandoning its epoch mid-stream drains
-// cleanly — serving pipelines shut down (the kernel runs to completion),
-// Unregister releases every shard lease and the admission slot, and a
-// follow-up job admits and runs a full epoch on the freed fleet.
-func TestServiceDrainMidEpoch(t *testing.T) {
-	const workers, nFiles = 2, 20
-	const fileSize = int64(64 << 10)
-	c, paths := serviceFixture(t, workers, nFiles, fileSize)
-	svc, err := New(c, Config{MapFn: workload.ImageNetMap, JobSlots: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var drained, follow JobResult
-	c.K.Spawn("driver", func(th *sim.Thread) {
-		j, err := svc.Register(th, JobSpec{Name: "quitter", Paths: paths, Shuffle: testSeed, Batch: 4})
-		if err != nil {
-			t.Error(err)
-			return
+		if got != tc.want {
+			t.Fatalf("transfer(%d) took %v, want %v", tc.n, got, tc.want)
 		}
-		for i := 0; i < 2; i++ {
-			if _, ok := j.Next(th); !ok {
-				t.Error("epoch ended before the drain point")
-			}
-		}
-		j.Drain(th)
-		if _, ok := j.Next(th); ok {
-			t.Error("Next delivered a batch after Drain")
-		}
-		svc.Unregister(th, j)
-		drained = j.Result()
-		// The slot and leases are free again: with JobSlots=1 this second
-		// registration would park forever if Unregister leaked them.
-		j2, err := svc.Register(th, JobSpec{Name: "follow", Paths: paths, Shuffle: testSeed + 1, Batch: 4})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		for {
-			if _, ok := j2.Next(th); !ok {
-				break
-			}
-		}
-		svc.Unregister(th, j2)
-		follow = j2.Result()
-	})
-	if err := c.K.Run(); err != nil {
-		t.Fatalf("kernel did not drain after mid-epoch unregister: %v", err)
-	}
-	if !drained.Drained || drained.Batches != 2 || drained.Batches >= drained.ExpectedBatches {
-		t.Fatalf("drained job: %+v — want 2 of %d batches and Drained", drained, drained.ExpectedBatches)
-	}
-	if follow.Drained || follow.Batches != follow.ExpectedBatches || follow.Samples != nFiles {
-		t.Fatalf("follow-up job did not run a clean full epoch: %+v", follow)
-	}
-	d := svc.Dispatcher().Stats()
-	if d.LeaseReleases != 2*workers || svc.Dispatcher().Active() != 0 {
-		t.Fatalf("leases not released at unregister: %+v, %d active", d, svc.Dispatcher().Active())
 	}
 }
 

@@ -30,10 +30,6 @@ import (
 	"repro/internal/tf/tfio"
 )
 
-// DefaultLinkBandwidth is the interconnect bandwidth of the allreduce
-// cost model (EDR InfiniBand, ~100 Gbit/s per node).
-const DefaultLinkBandwidth = 12.5e9
-
 // Options configures one distributed training run.
 type Options struct {
 	// Threads is the per-rank map parallelism (num_parallel_calls).

@@ -2,7 +2,6 @@ package distributed
 
 import (
 	"errors"
-	"fmt"
 
 	"repro/internal/darshan"
 	"repro/internal/sim"
@@ -69,11 +68,12 @@ func (d *driver) ensureContinuation() {
 	fs.reshardFiles = reshard
 }
 
-// applyRetry arms the rank's process-wide transient-retry policy, giving
-// each rank its own jitter stream. Reapplied after a rejoin (the reborn
-// process starts from the same policy, so its backoff schedule is
-// reproducible run-to-run).
-func (d *driver) applyRetry(env *tf.Env, r int) {
+// armEnv applies the run's content verification and arms the rank's
+// process-wide transient-retry policy, giving each rank its own jitter
+// stream. Reapplied after a rejoin (the reborn process starts from the
+// same policy, so its backoff schedule is reproducible run-to-run).
+func (d *driver) armEnv(env *tf.Env, r int) {
+	env.VerifyContent = d.opts.VerifyContent
 	pol := d.opts.Retry
 	if pol.Enabled() {
 		pol.Seed += int64(r) * 7919
@@ -87,45 +87,18 @@ func (d *driver) applyRetry(env *tf.Env, r int) {
 // the catch-up read burst — then rejoin the barrier and drain the
 // remaining generations until the survivors finish the epoch.
 func (d *driver) elasticVictim(t *sim.Thread, r, killed int, newModel func() *keras.Model) error {
-	opts := &d.opts
 	fs := &d.fails[0]
-	rr := &d.res.PerRank[r]
-
-	fs.failNs = t.Now()
-	fs.ckptStep = opts.Checkpoint.lastBefore(killed)
-	d.mark(rr, t, LifeFailed, killed)
-	// The plan must exist before the survivors wake from the broken
-	// generation; the victim computes it (deterministically) on its way out.
-	d.ensureContinuation()
-	survivors := d.bar.Leave(t)
-	d.c.KillNode(r)
-	if !survivors {
-		return fmt.Errorf("distributed: rank %d died at step %d: %w", r, killed, ErrNoSurvivors)
+	node, model, err := d.failover(t, r, killed, fs, newModel)
+	if err != nil {
+		return err
 	}
-	t.Sleep(fs.ev.RebootDelay)
-	node := d.c.RejoinNode(r)
-	node.Env.VerifyContent = opts.VerifyContent
-	d.applyRetry(node.Env, r)
-	model := newModel()
-	rr.Incarnations++
-	fs.rejoinNs = t.Now()
-	d.mark(rr, t, LifeRejoined, killed)
-
 	// Catch-up restore: the victim alone re-reads the rollback checkpoint
 	// (survivors never stopped, so nobody else touches the checkpoint
 	// files — the elastic no-restore-storm invariant).
-	if fs.ckptStep >= 1 && opts.Checkpoint.Pattern != CkptNone {
-		d.mark(rr, t, LifeRestoring, fs.ckptStep+1)
-		restoreStart := t.Now()
-		fs.restoreStartNs = restoreStart
-		n, err := d.restore(t, r, node.Env, model, fs.ckptStep)
-		if err != nil {
+	if fs.ckptStep >= 1 && d.opts.Checkpoint.Pattern != CkptNone {
+		if err := d.restore(t, r, node.Env, model, fs); err != nil {
 			return err
 		}
-		rr.RestoreBytes += n
-		rr.RestoreNs += t.Now() - restoreStart
-		fs.restoreBytes += n
-		fs.restoreEndNs = t.Now()
 	}
 
 	// Absorb at the next step boundary: Join raises the quorum, and the
@@ -136,7 +109,7 @@ func (d *driver) elasticVictim(t *sim.Thread, r, killed int, newModel func() *ke
 	d.bar.Join(t)
 	g := d.bar.Gen()
 	fs.resumeStep = g + 1
-	d.mark(rr, t, LifeRunning, g+1)
+	d.mark(&d.res.PerRank[r], t, LifeRunning, g+1)
 	for ; g < d.contTotal; g++ {
 		d.bar.Await(t)
 	}

@@ -6,6 +6,7 @@ import (
 	"repro/internal/darshan"
 	"repro/internal/platform"
 	"repro/internal/sim"
+	"repro/internal/storage"
 	"repro/internal/tf"
 	"repro/internal/tf/keras"
 	"repro/internal/tf/tfdata"
@@ -350,8 +351,7 @@ func (d *driver) runRank(t *sim.Thread, r int) (err error) {
 	opts := &d.opts
 	ranks := len(d.c.Nodes)
 	node := d.c.Nodes[r]
-	node.Env.VerifyContent = opts.VerifyContent
-	d.applyRetry(node.Env, r)
+	d.armEnv(node.Env, r)
 	// base is the number of global steps committed before the current
 	// segment; seq[off:] is the segment's input and segSteps its length.
 	base, seq, off, segSteps := 0, d.plan.Seq[r], 0, d.plan.Steps
@@ -368,8 +368,9 @@ func (d *driver) runRank(t *sim.Thread, r int) (err error) {
 	}
 	model := newModel()
 	// Ring allreduce: every rank sends and receives 2*(N-1)/N of the
-	// gradient payload over its link; all ranks pay it concurrently
-	// after the step barrier. A broken generation means a peer died
+	// gradient payload at storage.LinkBandwidth (the per-message link
+	// latency is not charged); all ranks pay it concurrently after the
+	// step barrier. A broken generation means a peer died
 	// mid-step: the step did not commit, so the gradient exchange is
 	// skipped and the rank stops at the next step boundary.
 	gradCostFor := func(n int) sim.Duration {
@@ -377,7 +378,7 @@ func (d *driver) runRank(t *sim.Thread, r int) (err error) {
 			return 0
 		}
 		bytes := float64(model.ParamBytes())
-		return sim.Duration(2 * float64(n-1) / float64(n) * bytes / DefaultLinkBandwidth * 1e9)
+		return sim.Duration(2 * float64(n-1) / float64(n) * bytes / storage.LinkBandwidth * 1e9)
 	}
 	gradCost := gradCostFor(ranks)
 	allReduce := func(t *sim.Thread, step int) {
@@ -455,21 +456,9 @@ func (d *driver) runRank(t *sim.Thread, r int) (err error) {
 		}
 		fs := &d.fails[cb.nextEv]
 		if killed > 0 {
-			fs.failNs = t.Now()
-			fs.ckptStep = opts.Checkpoint.lastBefore(killed)
-			d.mark(rr, t, LifeFailed, killed)
-			if ranks > 1 {
-				d.bar.Leave(t)
+			if node, model, err = d.failover(t, r, killed, fs, newModel); err != nil {
+				return err
 			}
-			d.c.KillNode(r)
-			t.Sleep(fs.ev.RebootDelay)
-			node = d.c.RejoinNode(r)
-			node.Env.VerifyContent = opts.VerifyContent
-			d.applyRetry(node.Env, r)
-			model = newModel()
-			rr.Incarnations++
-			fs.rejoinNs = t.Now()
-			d.mark(rr, t, LifeRejoined, fs.ckptStep+1)
 			if ranks > 1 {
 				d.bar.Join(t)
 			}
@@ -483,20 +472,8 @@ func (d *driver) runRank(t *sim.Thread, r int) (err error) {
 		// from the rollback step: steps 1..base committed their batches.
 		d.rendezvous[cb.nextEv].Await(t)
 		base, off, segSteps = fs.ckptStep, fs.ckptStep*opts.Batch, d.plan.Steps-fs.ckptStep
-		d.mark(rr, t, LifeRestoring, base+1)
-		restoreStart := t.Now()
-		if fs.restoreStartNs == 0 || restoreStart < fs.restoreStartNs {
-			fs.restoreStartNs = restoreStart
-		}
-		n, err := d.restore(t, r, node.Env, model, fs.ckptStep)
-		if err != nil {
+		if err := d.restore(t, r, node.Env, model, fs); err != nil {
 			return err
-		}
-		rr.RestoreBytes += n
-		rr.RestoreNs += t.Now() - restoreStart
-		fs.restoreBytes += n
-		if t.Now() > fs.restoreEndNs {
-			fs.restoreEndNs = t.Now()
 		}
 		d.halted[r] = false
 		cb.nextEv++
@@ -537,17 +514,72 @@ func (d *driver) fitSegment(t *sim.Thread, node *platform.Machine, model *keras.
 	return hist, 0, err
 }
 
-// restore replays the recovery read burst for one rank: every rank
-// re-reads the rollback checkpoint through the buffered STDIO reader
-// (rank 0's files under CkptRank0 — the shared-file read storm — or its
-// own under CkptAllRanks). Returns the bytes read.
-func (d *driver) restore(t *sim.Thread, r int, env *tf.Env, model *keras.Model, ckptStep int) (int64, error) {
-	if ckptStep < 1 || d.opts.Checkpoint.Pattern == CkptNone {
-		return 0, nil
+// failover runs a scheduled death's victim side up to its rejoin: record
+// the failure on the event's blackboard, leave the step barrier (breaking
+// the generation the peers are parked on), kill the node and — when a
+// peer survives to carry the job — reboot it into a fresh process with a
+// fresh model. Under rollback the rank rejoins at the step after the
+// checkpoint; an elastic victim first computes the continuation plan and
+// rejoins at its fatal step.
+func (d *driver) failover(t *sim.Thread, r, killed int, fs *failureState, newModel func() *keras.Model) (*platform.Machine, *keras.Model, error) {
+	rr := &d.res.PerRank[r]
+	fs.failNs = t.Now()
+	fs.ckptStep = d.opts.Checkpoint.lastBefore(killed)
+	d.mark(rr, t, LifeFailed, killed)
+	rejoinStep, survivors := fs.ckptStep+1, true
+	if d.opts.Elastic {
+		// The plan must exist before the survivors wake from the broken
+		// generation; the victim computes it (deterministically) on its
+		// way out.
+		d.ensureContinuation()
+		rejoinStep = killed
+		survivors = d.bar.Leave(t)
+	} else if len(d.c.Nodes) > 1 {
+		d.bar.Leave(t)
 	}
-	readRank := 0
-	if d.opts.Checkpoint.Pattern == CkptAllRanks {
-		readRank = r
+	d.c.KillNode(r)
+	if !survivors {
+		return nil, nil, fmt.Errorf("distributed: rank %d died at step %d: %w", r, killed, ErrNoSurvivors)
 	}
-	return tfio.RestoreCheckpoint(t, env, d.opts.Checkpoint.prefix(readRank, ckptStep), model.Vars)
+	t.Sleep(fs.ev.RebootDelay)
+	node := d.c.RejoinNode(r)
+	d.armEnv(node.Env, r)
+	model := newModel()
+	rr.Incarnations++
+	fs.rejoinNs = t.Now()
+	d.mark(rr, t, LifeRejoined, rejoinStep)
+	return node, model, nil
+}
+
+// restore replays the recovery read burst for one rank: the rank re-reads
+// the event's rollback checkpoint through the buffered STDIO reader (rank
+// 0's files under CkptRank0 — the shared-file read storm — or its own
+// under CkptAllRanks). The burst is booked on the rank and on the event,
+// whose restore window spans the earliest start to the latest end across
+// ranks.
+func (d *driver) restore(t *sim.Thread, r int, env *tf.Env, model *keras.Model, fs *failureState) error {
+	rr := &d.res.PerRank[r]
+	d.mark(rr, t, LifeRestoring, fs.ckptStep+1)
+	start := t.Now()
+	if fs.restoreStartNs == 0 || start < fs.restoreStartNs {
+		fs.restoreStartNs = start
+	}
+	var n int64
+	if p := d.opts.Checkpoint; fs.ckptStep >= 1 && p.Pattern != CkptNone {
+		readRank := 0
+		if p.Pattern == CkptAllRanks {
+			readRank = r
+		}
+		var err error
+		if n, err = tfio.RestoreCheckpoint(t, env, p.prefix(readRank, fs.ckptStep), model.Vars); err != nil {
+			return err
+		}
+	}
+	rr.RestoreBytes += n
+	rr.RestoreNs += t.Now() - start
+	fs.restoreBytes += n
+	if t.Now() > fs.restoreEndNs {
+		fs.restoreEndNs = t.Now()
+	}
+	return nil
 }

@@ -127,9 +127,11 @@ func TestTuneRanks1DegeneratesToSingleProcessAdvice(t *testing.T) {
 	if adv.KneeDetected {
 		t.Fatal("knee backoff fired on a one-rank cluster")
 	}
+	// The thread walk's probes (History[0] first) run at the tuner's base
+	// prefetch depth.
 	at := core.NewAutoTuner(1, 1, tuneMaxThreads)
 	want, err := at.Tune(func(threads int) (float64, error) {
-		obs, err := probe(threads, ct.BasePrefetch)
+		obs, err := probe(threads, adv.History[0].Prefetch)
 		if err != nil {
 			return 0, err
 		}

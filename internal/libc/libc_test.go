@@ -10,7 +10,7 @@ import (
 )
 
 func newProc() (*dynload.Process, *vfs.FS) {
-	fs := vfs.New(vfs.DefaultConfig())
+	fs := vfs.New()
 	hdd := storage.NewHDD("sda", storage.DefaultHDDParams())
 	fs.AddMount(&vfs.Mount{Prefix: "/data", Dev: hdd, OpenMetaTrips: 1})
 	p := dynload.NewProcess()
@@ -94,7 +94,7 @@ func TestIsIOSymbol(t *testing.T) {
 }
 
 func TestLibraryExportsAllIOSymbols(t *testing.T) {
-	fs := vfs.New(vfs.DefaultConfig())
+	fs := vfs.New()
 	lib := NewLibrary(fs)
 	for _, s := range IOSymbols {
 		if _, ok := lib.Sym(s); !ok {

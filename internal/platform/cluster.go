@@ -71,7 +71,7 @@ func NewKebnekaiseCluster(ranks int, opts Options) *Cluster {
 		panic(fmt.Sprintf("platform: invalid rank count %d", ranks))
 	}
 	k := sim.NewKernel()
-	fs := vfs.New(vfs.DefaultConfig())
+	fs := vfs.New()
 	data, lustre := wireKebnekaiseLustre(fs)
 	c := &Cluster{K: k, FS: fs, Lustre: lustre, DataMount: data,
 		opts: opts, bootNs: k.Now(), gens: make([]int, ranks)}

@@ -119,7 +119,7 @@ func bootNodeAt(k *sim.Kernel, fs *vfs.FS, node, cores int, gpu *tf.GPU, opts Op
 
 func buildMachine(name string, cores int, gpu *tf.GPU, wire func(fs *vfs.FS) []*vfs.Mount, opts Options) (*Machine, []*vfs.Mount) {
 	k := sim.NewKernel()
-	fs := vfs.New(vfs.DefaultConfig())
+	fs := vfs.New()
 	mounts := wire(fs)
 	proc, cpu, env, rt := bootNode(k, fs, 0, cores, gpu, opts)
 	return &Machine{

@@ -12,13 +12,13 @@
 // Fetchers parallel fetch workers (async prefetch I/O, the queue depth a
 // real burst-buffer agent would drive) sharing two bounds — a window of at
 // most Depth files fetched ahead of consumption, and at most
-// MaxInFlightBytes unconsumed prefetched bytes. When the epoch's working
+// maxInFlightBytes unconsumed prefetched bytes. When the epoch's working
 // set exceeds the node tier, LRU eviction (preferring consumed entries —
 // an unconsumed entry is a pinned in-window prefetch) keeps the cache
 // within capacity.
 //
 // A separate statahead thread warms metadata in batches: one MDS round
-// trip per MetaBatch files (vfs.BulkColdOpen), the way Lustre's statahead
+// trip per metaBatch files (vfs.BulkColdOpen), the way Lustre's statahead
 // thread services detected access patterns — except the clairvoyant
 // schedule removes the pattern-detection risk, so the thread walks the
 // whole epoch order. Warm metadata has no capacity footprint, so the
@@ -37,7 +37,6 @@ import (
 	"repro/internal/platform"
 	"repro/internal/sim"
 	"repro/internal/storage"
-	"repro/internal/tf"
 	"repro/internal/vfs"
 )
 
@@ -46,62 +45,35 @@ type Config struct {
 	// Depth is the prefetch window: at most this many files fetched ahead
 	// of the consumer (0 = DefaultDepth).
 	Depth int
-	// MaxInFlightBytes bounds the unconsumed prefetched bytes (0 =
-	// DefaultMaxInFlightBytes; always additionally clamped to CacheBytes).
-	MaxInFlightBytes int64
 	// CacheBytes is the node cache capacity (required, > 0).
 	CacheBytes int64
 	// PeerServing lets misses (data and metadata) be served from peer node
 	// caches over the interconnect, and makes the prefetcher skip files
 	// already resident on a peer instead of duplicating them.
 	PeerServing bool
-	// PeerLatency is the per-request interconnect latency (0 =
-	// DefaultPeerLatency).
-	PeerLatency sim.Duration
-	// PeerBandwidth is the interconnect bandwidth in bytes/s (0 =
-	// distributed.DefaultLinkBandwidth).
-	PeerBandwidth float64
-	// MetaBatch is the statahead bulk-lookup batch size (0 =
-	// DefaultMetaBatch).
-	MetaBatch int
 	// Fetchers is the number of parallel fetch workers (0 =
 	// DefaultFetchers; always additionally clamped to Depth, since more
 	// workers than window permits just park).
 	Fetchers int
-	// Retry bounds how fetch workers retry transient fetch faults (EIO
-	// from a flaky OST). The zero policy gives up on the first fault; the
-	// file is then served cold to the consumer later — a degraded window,
-	// never a wedged one.
-	Retry tf.RetryPolicy
 }
 
 // Defaults for Config zero fields.
 const (
-	DefaultDepth            = 8
-	DefaultMaxInFlightBytes = 256 << 20
-	DefaultMetaBatch        = 32
-	DefaultFetchers         = 4
+	DefaultDepth    = 8
+	DefaultFetchers = 4
 )
 
-// DefaultPeerLatency is the per-request interconnect latency of a peer
-// cache transfer (one RDMA round trip).
-var DefaultPeerLatency = sim.FromMicros(5)
+// maxInFlightBytes bounds the unconsumed prefetched bytes (additionally
+// clamped to the cache capacity), and metaBatch is the statahead
+// bulk-lookup batch size: one MDS round trip per metaBatch files.
+const (
+	maxInFlightBytes = 256 << 20
+	metaBatch        = 32
+)
 
 func (c Config) withDefaults() Config {
 	if c.Depth <= 0 {
 		c.Depth = DefaultDepth
-	}
-	if c.MaxInFlightBytes <= 0 {
-		c.MaxInFlightBytes = DefaultMaxInFlightBytes
-	}
-	if c.PeerLatency <= 0 {
-		c.PeerLatency = DefaultPeerLatency
-	}
-	if c.PeerBandwidth == 0 {
-		c.PeerBandwidth = distributed.DefaultLinkBandwidth
-	}
-	if c.MetaBatch <= 0 {
-		c.MetaBatch = DefaultMetaBatch
 	}
 	if c.Fetchers <= 0 {
 		c.Fetchers = DefaultFetchers
@@ -119,9 +91,7 @@ type Stats struct {
 	FetchedBytes int64
 	SkippedPeer  int64 // schedule entries already resident on a peer
 	Refused      int64 // files that did not fit even after eviction
-	FetchFaults  int64 // transient fetch faults observed
-	FetchRetries int64 // fetches reissued after a transient fault
-	FetchGiveups int64 // schedule entries abandoned after exhausting retries
+	FetchFaults  int64 // schedule entries abandoned after a transient fetch fault
 }
 
 // inflight is one fetched-but-unconsumed schedule entry: the permits it
@@ -151,7 +121,7 @@ type Prefetcher struct {
 // byteBound is the byte-semaphore size: in-flight bytes can never usefully
 // exceed the cache capacity.
 func (c Config) byteBound() int {
-	return int(min(c.MaxInFlightBytes, c.CacheBytes))
+	return int(min(maxInFlightBytes, c.CacheBytes))
 }
 
 // Start attaches a node cache to node (capacity cfg.CacheBytes on dev) and
@@ -163,11 +133,9 @@ func Start(k *sim.Kernel, fs *vfs.FS, node int, dev storage.Device, schedule []s
 		panic("prefetch: CacheBytes must be positive")
 	}
 	cache := fs.EnableNodeCache(node, vfs.NodeCacheConfig{
-		Capacity:      cfg.CacheBytes,
-		Device:        dev,
-		PeerServing:   cfg.PeerServing,
-		PeerLatency:   cfg.PeerLatency,
-		PeerBandwidth: cfg.PeerBandwidth,
+		Capacity:    cfg.CacheBytes,
+		Device:      dev,
+		PeerServing: cfg.PeerServing,
 	})
 	p := &Prefetcher{
 		fs:       fs,
@@ -199,11 +167,11 @@ func (p *Prefetcher) Stats() Stats { return p.stats }
 // data fetch workers cannot. Batches whose files are all warm already
 // (epoch-two entries) charge nothing.
 func (p *Prefetcher) statahead(t *sim.Thread) {
-	for i := 0; i < len(p.schedule); i += p.cfg.MetaBatch {
+	for i := 0; i < len(p.schedule); i += metaBatch {
 		if p.stopped {
 			return
 		}
-		end := min(i+p.cfg.MetaBatch, len(p.schedule))
+		end := min(i+metaBatch, len(p.schedule))
 		p.fs.BulkColdOpen(t, p.node, p.schedule[i:end])
 	}
 }
@@ -231,24 +199,18 @@ func (p *Prefetcher) fetchLoop(t *sim.Thread) {
 			p.bytes.Acquire(t, need)
 		}
 		if p.stopped {
-			p.window.Release(t, 1)
-			if need > 0 {
-				p.bytes.Release(t, need)
-			}
+			p.release(t, need)
 			return
 		}
-		if err := p.fetch(t, path); err != nil {
+		if _, err := p.cache.Fetch(t, path); err != nil {
 			if errors.Is(err, vfs.ErrIO) {
-				// Transient fault survived every retry: abandon the entry;
-				// the consumer reads the file cold from the PFS later.
-				p.stats.FetchGiveups++
+				// Transient fault: abandon the entry; the consumer reads
+				// the file cold from the PFS later.
+				p.stats.FetchFaults++
 			} else {
 				p.stats.Refused++
 			}
-			p.window.Release(t, 1)
-			if need > 0 {
-				p.bytes.Release(t, need)
-			}
+			p.release(t, need)
 			continue
 		}
 		p.stats.Fetched++
@@ -256,39 +218,9 @@ func (p *Prefetcher) fetchLoop(t *sim.Thread) {
 		if e, ok := p.inflight[path]; ok && !e.released {
 			// Refetched while still in-window (epoch boundary): the entry
 			// already holds permits; drop this fetch's immediately.
-			p.window.Release(t, 1)
-			if need > 0 {
-				p.bytes.Release(t, need)
-			}
+			p.release(t, need)
 		} else {
 			p.inflight[path] = &inflight{bytes: need}
-		}
-	}
-}
-
-// fetch pulls one schedule entry into the cache under the retry policy:
-// transient faults (ErrIO) are reissued up to MaxRetries times with
-// backed-off seeded-jitter sleeps; other errors (and an exhausted budget)
-// surface to the caller. The schedule cursor seeds each entry's jitter, so
-// the backoff schedule is reproducible run-to-run.
-func (p *Prefetcher) fetch(t *sim.Thread, path string) error {
-	pol := p.cfg.Retry
-	op := int64(p.next) // cursor already advanced past this entry
-	for attempt := 0; ; attempt++ {
-		_, err := p.cache.Fetch(t, path)
-		if err == nil || !errors.Is(err, vfs.ErrIO) {
-			return err
-		}
-		p.stats.FetchFaults++
-		if attempt >= pol.MaxRetries {
-			return err
-		}
-		if d := pol.Backoff(op, attempt+1); d > 0 {
-			t.Sleep(d)
-		}
-		p.stats.FetchRetries++
-		if p.stopped {
-			return err
 		}
 	}
 }
@@ -301,9 +233,14 @@ func (p *Prefetcher) consumed(t *sim.Thread, path string) {
 		return
 	}
 	e.released = true
+	p.release(t, e.bytes)
+}
+
+// release returns one entry's window slot and its need bytes.
+func (p *Prefetcher) release(t *sim.Thread, need int) {
 	p.window.Release(t, 1)
-	if e.bytes > 0 {
-		p.bytes.Release(t, e.bytes)
+	if need > 0 {
+		p.bytes.Release(t, need)
 	}
 }
 

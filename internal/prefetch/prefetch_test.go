@@ -20,7 +20,7 @@ const testSeed = 20200812
 func ladderFixture(t *testing.T, nFiles int, fileSize int64) (*sim.Kernel, *vfs.FS, *storage.Flash, []string) {
 	t.Helper()
 	k := sim.NewKernel()
-	fs := vfs.New(vfs.DefaultConfig())
+	fs := vfs.New()
 	lustre := storage.NewLustre("lustre", storage.DefaultLustreParams())
 	fs.AddMount(&vfs.Mount{Prefix: "/pfs", Dev: lustre, OpenMetaTrips: 1, DirMetaTrips: 1})
 	paths := make([]string, nFiles)

@@ -13,7 +13,7 @@ import (
 
 func testEnv() (*sim.Kernel, *Env) {
 	k := sim.NewKernel()
-	fs := vfs.New(vfs.DefaultConfig())
+	fs := vfs.New()
 	hdd := storage.NewHDD("sda", storage.DefaultHDDParams())
 	fs.AddMount(&vfs.Mount{Prefix: "/data", Dev: hdd, OpenMetaTrips: 1})
 	proc := dynload.NewProcess()

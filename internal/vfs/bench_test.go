@@ -11,7 +11,7 @@ import (
 // benchFS builds a one-file FS for read-path benchmarks.
 func benchFS(b *testing.B, size int64) (*FS, *Mount) {
 	b.Helper()
-	fs := New(Config{}) // no syscall CPU: isolate the content path
+	fs := New()
 	dev := storage.NewFlash("bench0", storage.DefaultSSDParams())
 	m := fs.AddMount(&Mount{Prefix: "/bench", Dev: dev})
 	if _, err := fs.CreateFile("/bench/f", size); err != nil {

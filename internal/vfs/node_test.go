@@ -78,11 +78,9 @@ func nodeCacheFixture(t *testing.T, capacity int64, peer bool) (*FS, *storage.HD
 	for n := 0; n < 2; n++ {
 		dev := storage.NewFlash("cache", storage.DefaultOptaneParams())
 		caches[n] = fs.EnableNodeCache(n, NodeCacheConfig{
-			Capacity:      capacity,
-			Device:        dev,
-			PeerServing:   peer,
-			PeerLatency:   sim.FromMicros(5),
-			PeerBandwidth: 12.5e9,
+			Capacity:    capacity,
+			Device:      dev,
+			PeerServing: peer,
 		})
 	}
 	return fs, hdd, caches
@@ -279,4 +277,31 @@ func TestNodeCacheRefusesOversizedFile(t *testing.T) {
 			t.Fatal("refused oversized fetch evicted resident entries")
 		}
 	})
+}
+
+// TestPeerTransferChargesLinkModel: a peer serve of n bytes costs exactly
+// one link transfer (5 µs + n at 12.5 GB/s); n = 0 is a metadata-only
+// round trip.
+func TestPeerTransferChargesLinkModel(t *testing.T) {
+	for _, tc := range []struct {
+		n    int64
+		want sim.Duration
+	}{
+		{0, 5 * sim.Microsecond},
+		{12_500_000, 5*sim.Microsecond + sim.Millisecond},
+	} {
+		k := sim.NewKernel()
+		var got sim.Duration
+		k.Spawn("reader", func(th *sim.Thread) {
+			start := th.Now()
+			(&NodeCache{}).peerTransfer(th, tc.n)
+			got = th.Now() - start
+		})
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if got != tc.want {
+			t.Fatalf("peerTransfer(%d) took %v, want %v", tc.n, got, tc.want)
+		}
+	}
 }

@@ -17,14 +17,8 @@ type NodeCacheConfig struct {
 	// from the cache charge this device).
 	Device storage.Device
 	// PeerServing lets this node's misses be served from peer node caches
-	// over the interconnect instead of the PFS.
+	// over the interconnect (storage.LinkTransfer) instead of the PFS.
 	PeerServing bool
-	// PeerLatency is the per-request interconnect latency of a peer-cache
-	// transfer (also charged for peer metadata resolution).
-	PeerLatency sim.Duration
-	// PeerBandwidth is the interconnect bandwidth in bytes/second for
-	// peer-cache data transfers.
-	PeerBandwidth float64
 }
 
 // NodeCacheStats counts cache traffic. All byte counters refer to data
@@ -273,15 +267,9 @@ func (fs *FS) invalidateCached(ino *Inode) {
 }
 
 // peerTransfer charges the interconnect cost of moving n bytes from a peer
-// node (per-request latency plus serialized bandwidth).
+// node; n = 0 is a metadata-only round trip.
 func (c *NodeCache) peerTransfer(t *sim.Thread, n int64) {
-	d := c.cfg.PeerLatency
-	if c.cfg.PeerBandwidth > 0 && n > 0 {
-		d += sim.FromSeconds(float64(n) / c.cfg.PeerBandwidth)
-	}
-	if d > 0 {
-		t.Sleep(d)
-	}
+	t.Sleep(storage.LinkTransfer(n))
 }
 
 // peerHolder scans peer caches in ascending node order for a resident copy.

@@ -15,9 +15,7 @@ type FileInfo struct {
 }
 
 func (fs *FS) syscall(t *sim.Thread) {
-	if fs.cfg.SyscallCPU > 0 {
-		t.Sleep(fs.cfg.SyscallCPU)
-	}
+	t.Sleep(syscallCPU)
 }
 
 // Open opens a file, charging cold metadata I/O on first touch. It returns
@@ -93,7 +91,7 @@ func (fs *FS) preadSpan(t *sim.Thread, fd int, count, off int64) (*openFile, int
 		return nil, -1, err
 	}
 	if accMode(of.flags) == O_WRONLY {
-		return nil, -1, ErrWriteOny
+		return nil, -1, ErrWriteOnly
 	}
 	if off < 0 || count < 0 {
 		return nil, -1, ErrInvalid

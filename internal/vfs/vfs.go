@@ -33,15 +33,15 @@ import (
 
 // Errors returned by VFS operations, mirroring their errno counterparts.
 var (
-	ErrNotExist = errors.New("vfs: no such file or directory") // ENOENT
-	ErrExist    = errors.New("vfs: file exists")               // EEXIST
-	ErrBadFD    = errors.New("vfs: bad file descriptor")       // EBADF
-	ErrReadOnly = errors.New("vfs: file not open for writing") // EBADF on write
-	ErrWriteOny = errors.New("vfs: file not open for reading") // EBADF on read
-	ErrNoMount  = errors.New("vfs: no mount for path")
-	ErrInvalid  = errors.New("vfs: invalid argument") // EINVAL
-	ErrIO       = errors.New("vfs: input/output error") // EIO (transient)
-	ErrNoSpace  = errors.New("vfs: no space on device") // ENOSPC
+	ErrNotExist  = errors.New("vfs: no such file or directory") // ENOENT
+	ErrExist     = errors.New("vfs: file exists")               // EEXIST
+	ErrBadFD     = errors.New("vfs: bad file descriptor")       // EBADF
+	ErrReadOnly  = errors.New("vfs: file not open for writing") // EBADF on write
+	ErrWriteOnly = errors.New("vfs: file not open for reading") // EBADF on read
+	ErrNoMount   = errors.New("vfs: no mount for path")
+	ErrInvalid   = errors.New("vfs: invalid argument")   // EINVAL
+	ErrIO        = errors.New("vfs: input/output error") // EIO (transient)
+	ErrNoSpace   = errors.New("vfs: no space on device") // ENOSPC
 )
 
 // Open flags (subset of fcntl.h).
@@ -61,17 +61,9 @@ const (
 	SeekEnd = 2
 )
 
-// Config tunes FS-wide costs.
-type Config struct {
-	// SyscallCPU is the fixed CPU cost charged per syscall entry
-	// (trap + vfs path, excluding device time).
-	SyscallCPU sim.Duration
-}
-
-// DefaultConfig returns typical Linux syscall entry costs.
-func DefaultConfig() Config {
-	return Config{SyscallCPU: sim.FromMicros(1.2)}
-}
+// syscallCPU is the fixed CPU cost charged per syscall entry (trap + vfs
+// path, excluding device time): a typical Linux syscall entry.
+const syscallCPU = 1200 * sim.Nanosecond
 
 // MaxNodes bounds the number of compute nodes one FS can back: per-node
 // warm-metadata state is a bitmask per inode, so the bound is the word
@@ -80,7 +72,6 @@ const MaxNodes = 64
 
 // FS is a virtual file system with one or more mounted devices.
 type FS struct {
-	cfg     Config
 	mounts  []*Mount
 	inodes  map[string]*Inode
 	dirs    map[string]*dirState
@@ -162,9 +153,8 @@ type openFile struct {
 }
 
 // New returns an empty file system.
-func New(cfg Config) *FS {
+func New() *FS {
 	return &FS{
-		cfg:    cfg,
 		inodes: make(map[string]*Inode),
 		dirs:   make(map[string]*dirState),
 		fds:    make(map[int]*openFile),

@@ -12,7 +12,7 @@ import (
 // testFS builds an FS with one HDD mount at /data and one Optane mount at
 // /fast.
 func testFS() (*FS, *Mount, *Mount, *storage.HDD, *storage.Flash) {
-	fs := New(DefaultConfig())
+	fs := New()
 	hdd := storage.NewHDD("sda", storage.DefaultHDDParams())
 	opt := storage.NewFlash("nvme0n1", storage.DefaultOptaneParams())
 	mData := fs.AddMount(&Mount{Prefix: "/data", Dev: hdd, OpenMetaTrips: 1, DirMetaTrips: 1})
@@ -171,7 +171,7 @@ func TestColdMetadataChargedOncePerFile(t *testing.T) {
 }
 
 func TestFractionalMetaTripsAmortize(t *testing.T) {
-	fs := New(DefaultConfig())
+	fs := New()
 	hdd := storage.NewHDD("sda", storage.DefaultHDDParams())
 	fs.AddMount(&Mount{Prefix: "/d", Dev: hdd, OpenMetaTrips: 0.25, DirMetaTrips: 0})
 	for i := 0; i < 16; i++ {
@@ -280,7 +280,7 @@ func TestOpenErrors(t *testing.T) {
 		}
 		fs.Close(th, fd)
 		fd, _ = fs.Open(th, "/data/ro", O_WRONLY)
-		if _, err := fs.Read(th, fd, make([]byte, 4)); !errors.Is(err, ErrWriteOny) {
+		if _, err := fs.Read(th, fd, make([]byte, 4)); !errors.Is(err, ErrWriteOnly) {
 			t.Fatalf("read from O_WRONLY err = %v", err)
 		}
 		fs.Close(th, fd)
@@ -290,7 +290,7 @@ func TestOpenErrors(t *testing.T) {
 func TestMigrateEnforcesCapacity(t *testing.T) {
 	// Staging to a too-small fast tier must panic like allocExtent does,
 	// not silently overflow the device.
-	fs := New(DefaultConfig())
+	fs := New()
 	hdd := storage.NewHDD("sda", storage.DefaultHDDParams())
 	p := storage.DefaultOptaneParams()
 	p.Capacity = 1000
