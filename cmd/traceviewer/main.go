@@ -257,11 +257,6 @@ func renderDarshan(w io.Writer, r io.Reader, cols int) error {
 				break
 			}
 			files[s.ID] = true
-			if s.Rank < 0 {
-				// The decoder tolerates MergedRank on segments even though
-				// Merge only emits it on records; don't crash on such a log.
-				continue
-			}
 			lanes[s.Rank].add(s, span)
 		}
 	} else {

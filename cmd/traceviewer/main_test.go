@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"compress/gzip"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -10,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/darshan"
 	"repro/internal/tf/profiler"
 	"repro/internal/trace"
 )
@@ -249,5 +251,33 @@ func TestTruncatedDarshanLogErrors(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run([]string{p}, &buf); err == nil {
 		t.Fatal("truncated darshan log rendered without error")
+	}
+}
+
+// TestSharedRankSegmentErrors: the shared-record rank (MergedRank) is
+// record-only, so a merged log carrying it on a timeline segment is
+// corrupt and must fail the render with ErrBadLog.
+func TestSharedRankSegmentErrors(t *testing.T) {
+	f, err := os.Open(mergedLog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := darshan.ReadMergedLog(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Timeline[0].Rank = darshan.MergedRank
+	var log bytes.Buffer
+	if err := darshan.WriteMergedLog(&log, m); err != nil {
+		t.Fatal(err)
+	}
+	p := filepath.Join(t.TempDir(), "shared-rank.darshan.log")
+	if err := os.WriteFile(p, log.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := run([]string{p}, &buf); !errors.Is(err, darshan.ErrBadLog) {
+		t.Fatalf("err = %v, want ErrBadLog", err)
 	}
 }

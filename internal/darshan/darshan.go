@@ -109,9 +109,8 @@ func (rt *Runtime) Rank() int { return rt.rank }
 
 // Export copies the module buffers at job end without charging simulated
 // time: Darshan's shutdown reduction runs after the application's threads
-// have exited, so there is no instrumented thread to bill (WriteLog
-// already relies on the same convention). now is the kernel time at
-// export.
+// have exited, so there is no instrumented thread to bill. now is the
+// kernel time at export.
 func (rt *Runtime) Export(now int64) *Snapshot {
 	return &Snapshot{
 		Time:  rt.rel(now),
@@ -205,16 +204,6 @@ func (s *Snapshot) PosixByID(id uint64) (PosixRecord, bool) {
 		}
 	}
 	return PosixRecord{}, false
-}
-
-// StdioByID returns the STDIO record with the given id, if present.
-func (s *Snapshot) StdioByID(id uint64) (StdioRecord, bool) {
-	for i := range s.Stdio {
-		if s.Stdio[i].ID == id {
-			return s.Stdio[i], true
-		}
-	}
-	return StdioRecord{}, false
 }
 
 // accessEntryLess is the explicit ACCESS1..4 ranking order: larger count

@@ -38,15 +38,6 @@ func newDXTModule(rt *Runtime) *DXTModule {
 // RecordCount returns the number of traced files.
 func (m *DXTModule) RecordCount() int { return len(m.records) }
 
-// TotalSegments returns the count of stored segments across all records.
-func (m *DXTModule) TotalSegments() int64 {
-	var n int64
-	for _, r := range m.records {
-		n += int64(len(r.ReadSegs) + len(r.WriteSegs))
-	}
-	return n
-}
-
 // Records returns live records in first-seen order (not copies).
 func (m *DXTModule) Records() []*DXTRecord {
 	out := make([]*DXTRecord, 0, len(m.order))

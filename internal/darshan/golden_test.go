@@ -40,7 +40,7 @@ func buildReferenceLog(t *testing.T) []byte {
 		r.c.Fclose(th, st)
 	})
 	var buf bytes.Buffer
-	if err := WriteLog(&buf, r.rt, sim.Seconds(r.k.Now())); err != nil {
+	if err := writeLog(&buf, r.rt, sim.Seconds(r.k.Now())); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

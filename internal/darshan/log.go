@@ -82,21 +82,6 @@ type Log struct {
 	DroppedSegments int64
 }
 
-// LogFromRuntime builds the single-process log view of a runtime's
-// records. endTime is the job end in seconds since job start (Darshan
-// writes its log at application exit).
-func LogFromRuntime(rt *Runtime, endTime float64) *Log {
-	return &Log{
-		Version: LogVersion,
-		JobEnd:  endTime,
-		NProcs:  1,
-		Names:   rt.NameRecords(),
-		Posix:   rt.Posix.copyRecords(),
-		Stdio:   rt.Stdio.copyRecords(),
-		DXT:     rt.DXT.copyRecords(),
-	}
-}
-
 // LogFromSnapshot builds the single-process log view of a job-end
 // snapshot (the per-rank logs of a cluster run). The snapshot time is the
 // job end.
@@ -146,14 +131,8 @@ func (l *Log) MergedLog() (*MergedLog, error) {
 	}, nil
 }
 
-// WriteLog serializes the runtime's records as a single-process log.
-// endTime is the job end in seconds since job start.
-func WriteLog(w io.Writer, rt *Runtime, endTime float64) error {
-	return LogFromRuntime(rt, endTime).Write(w)
-}
-
-// WriteSnapshotLog serializes a job-end snapshot as a single-process log
-// (one per-rank darshan log of a cluster run).
+// WriteSnapshotLog serializes a job-end snapshot as a single-process log:
+// the log of a single machine, or one per-rank log of a cluster run.
 func WriteSnapshotLog(w io.Writer, snap *Snapshot) error {
 	return LogFromSnapshot(snap).Write(w)
 }

@@ -12,6 +12,14 @@ import (
 	"repro/internal/sim"
 )
 
+// writeLog writes rt's records as a single-process log ending at endTime
+// seconds, the way a single machine's job-end export does.
+func writeLog(w io.Writer, rt *Runtime, endTime float64) error {
+	snap := rt.Export(rt.JobStart())
+	snap.Time = endTime
+	return WriteSnapshotLog(w, snap)
+}
+
 func TestLogRoundTrip(t *testing.T) {
 	r := newRig(DefaultConfig())
 	r.fs.CreateFile("/data/a.jpg", 88*1024)
@@ -25,7 +33,7 @@ func TestLogRoundTrip(t *testing.T) {
 	})
 
 	var buf bytes.Buffer
-	if err := WriteLog(&buf, r.rt, 12.5); err != nil {
+	if err := writeLog(&buf, r.rt, 12.5); err != nil {
 		t.Fatal(err)
 	}
 	log, err := ReadLog(&buf)
@@ -109,7 +117,7 @@ func TestLogWriteIsCanonical(t *testing.T) {
 		readWholeFileTFStyle(th, r.c, "/data/a.jpg", 1<<20)
 	})
 	var single bytes.Buffer
-	if err := WriteLog(&single, r.rt, 3.25); err != nil {
+	if err := writeLog(&single, r.rt, 3.25); err != nil {
 		t.Fatal(err)
 	}
 	var merged bytes.Buffer
@@ -252,7 +260,7 @@ func TestReadLogRejectsStructuralCorruption(t *testing.T) {
 	r.fs.CreateFile("/data/a.jpg", 4096)
 	r.run(t, func(th *sim.Thread) { readWholeFileTFStyle(th, r.c, "/data/a.jpg", 1<<20) })
 	var single bytes.Buffer
-	if err := WriteLog(&single, r.rt, 1); err != nil {
+	if err := writeLog(&single, r.rt, 1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ReadMergedLog(bytes.NewReader(single.Bytes())); !errors.Is(err, ErrBadLog) {
@@ -297,7 +305,7 @@ func TestPropertyLogRoundTrip(t *testing.T) {
 			}
 		})
 		var buf bytes.Buffer
-		if err := WriteLog(&buf, r.rt, 1); err != nil {
+		if err := writeLog(&buf, r.rt, 1); err != nil {
 			return false
 		}
 		log, err := ReadLog(&buf)

@@ -134,9 +134,6 @@ func NewLogReader(r io.Reader) (*LogReader, error) {
 	return lr, nil
 }
 
-// Version returns the log format version.
-func (lr *LogReader) Version() uint32 { return lr.version }
-
 // Merged reports whether this is a merged-kind (cross-rank) log.
 func (lr *LogReader) Merged() bool { return lr.merged }
 
@@ -145,15 +142,6 @@ func (lr *LogReader) JobEnd() float64 { return lr.jobEnd }
 
 // NProcs returns the process count (1 for single logs).
 func (lr *LogReader) NProcs() int { return int(lr.nprocs) }
-
-// Names returns the id→path table (shared, not a copy).
-func (lr *LogReader) Names() map[uint64]string { return lr.names }
-
-// LookupName resolves a record id to its path.
-func (lr *LogReader) LookupName(id uint64) (string, bool) {
-	p, ok := lr.names[id]
-	return p, ok
-}
 
 // DroppedSegments returns the merged timeline's drop counter. It is zero
 // until the timeline section has been reached (first NextSegment or

@@ -20,7 +20,7 @@ func TestSummarize(t *testing.T) {
 		r.c.Close(th, fd)
 	})
 	var buf bytes.Buffer
-	if err := WriteLog(&buf, r.rt, 2.5); err != nil {
+	if err := writeLog(&buf, r.rt, 2.5); err != nil {
 		t.Fatal(err)
 	}
 	log, err := ReadLog(&buf)
@@ -51,7 +51,7 @@ func TestSummarize(t *testing.T) {
 func TestSummarizeEmptyLog(t *testing.T) {
 	rt := NewRuntime(DefaultConfig(), 0)
 	var buf bytes.Buffer
-	if err := WriteLog(&buf, rt, 0); err != nil {
+	if err := writeLog(&buf, rt, 0); err != nil {
 		t.Fatal(err)
 	}
 	log, err := ReadLog(&buf)

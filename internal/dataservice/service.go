@@ -395,7 +395,6 @@ func Run(c *platform.Cluster, jobs []JobSpec, cfg Config) (*Result, error) {
 		})
 	}
 	if err := c.K.Run(); err != nil {
-		c.K.Shutdown()
 		return nil, err
 	}
 	for _, e := range errs {

@@ -253,9 +253,6 @@ func Run(c *platform.Cluster, paths []string, opts Options) (*Result, error) {
 		})
 	}
 	if err := c.K.Run(); err != nil {
-		// Reap parked rank threads so an aborted job (deadlocked barrier,
-		// failed pipeline) does not strand their goroutines.
-		c.K.Shutdown()
 		return nil, err
 	}
 	for r, err := range errs {

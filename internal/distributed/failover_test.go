@@ -277,7 +277,7 @@ func TestFailoverRestoreErrorSurfaces(t *testing.T) {
 	c := platform.NewKebnekaiseCluster(ranks, platform.Options{PreloadDarshan: true})
 	d := buildDataset(t, c, files)
 	c.K.Spawn("ckpt-loss", func(th *sim.Thread) {
-		th.SleepUntil(sim.FromSeconds(failSec + 0.5))
+		th.Sleep(sim.Duration((failSec + 0.5) * float64(sim.Second))) // from t=0
 		c.FS.RemoveTree(ckptDir + "/rank0")
 	})
 	_, err := Run(c, d.Paths, opts)

@@ -13,9 +13,8 @@ import (
 // Sampler polls device counters every interval of virtual time and
 // records per-interval activity series.
 type Sampler struct {
-	devices  []storage.Device
-	interval sim.Duration
-	stopped  bool
+	devices []storage.Device
+	stopped bool
 
 	last map[string]storage.Counters
 	// ReadMBps has one series per device (MB per second read).
@@ -27,20 +26,19 @@ type Sampler struct {
 	TotalMiB map[string]*stats.Series
 }
 
-// New creates a sampler over devices with a 1-second interval.
+// interval is the sampling period, dstat's default of one second.
+const interval = sim.Second
+
+// New creates a sampler over devices.
 func New(devices []storage.Device) *Sampler {
 	return &Sampler{
 		devices:   devices,
-		interval:  sim.Second,
 		last:      make(map[string]storage.Counters),
 		ReadMBps:  make(map[string]*stats.Series),
 		WriteMBps: make(map[string]*stats.Series),
 		TotalMiB:  make(map[string]*stats.Series),
 	}
 }
-
-// SetInterval overrides the sampling interval (before Start).
-func (s *Sampler) SetInterval(d sim.Duration) { s.interval = d }
 
 // Start spawns the background sampling thread. The sampler runs until
 // Stop is called; it must be stopped before the simulation can finish.
@@ -53,7 +51,7 @@ func (s *Sampler) Start(k *sim.Kernel) {
 	}
 	k.Spawn("dstat", func(t *sim.Thread) {
 		for !s.stopped {
-			t.Sleep(s.interval)
+			t.Sleep(interval)
 			s.sample(t)
 		}
 	})
@@ -64,7 +62,7 @@ func (s *Sampler) Stop() { s.stopped = true }
 
 func (s *Sampler) sample(t *sim.Thread) {
 	now := sim.Seconds(t.Now())
-	secs := sim.Seconds(s.interval)
+	secs := sim.Seconds(interval)
 	for _, d := range s.devices {
 		cur := d.Counters()
 		delta := cur.Sub(s.last[d.Name()])
@@ -73,31 +71,4 @@ func (s *Sampler) sample(t *sim.Thread) {
 		s.WriteMBps[d.Name()].Add(now, float64(delta.BytesWritten)/1e6/secs)
 		s.TotalMiB[d.Name()].Add(now, float64(delta.BytesRead+delta.BytesWritten)/float64(1<<20))
 	}
-}
-
-// CombinedReadMBps sums the read series across all devices into one
-// (useful when a workload spans tiers, as the staged malware run does).
-func (s *Sampler) CombinedReadMBps() *stats.Series {
-	out := &stats.Series{Name: "all:readMBps"}
-	var first *stats.Series
-	for _, d := range s.devices {
-		ser := s.ReadMBps[d.Name()]
-		if first == nil {
-			first = ser
-		}
-	}
-	if first == nil {
-		return out
-	}
-	for i := range first.Points {
-		total := 0.0
-		for _, d := range s.devices {
-			ser := s.ReadMBps[d.Name()]
-			if i < len(ser.Points) {
-				total += ser.Points[i].V
-			}
-		}
-		out.Add(first.Points[i].T, total)
-	}
-	return out
 }

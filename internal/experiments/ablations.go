@@ -24,7 +24,6 @@ func runThread(m *platform.Machine, fn func(t *sim.Thread) error) error {
 	var err error
 	m.K.Spawn("ablation", func(t *sim.Thread) { err = fn(t) })
 	if runErr := m.K.Run(); runErr != nil {
-		m.K.Shutdown()
 		return runErr
 	}
 	return err
@@ -49,7 +48,6 @@ type ContainerRow struct {
 type ContainerResult = table[ContainerRow]
 
 var containerTable = &tableSpec[ContainerRow]{
-	id:    "ablation-tfrecord",
 	title: fmt.Sprintf("§VII ablation: one pass over %d 88 KiB files on HDD, per-file reads vs TFRecord shards", containerFiles),
 	cols: []column[ContainerRow]{
 		{head: "layout", width: -8, verb: "%-8s", cell: func(r ContainerRow) any { return r.Layout }},
@@ -120,7 +118,6 @@ type PrefetchDepthRow struct {
 type PrefetchDepthResult = table[PrefetchDepthRow]
 
 var prefetchDepthTable = &tableSpec[PrefetchDepthRow]{
-	id:    "ablation-prefetch",
 	title: "§VII ablation: malware training on HDD by prefetch depth, 400 ms steps",
 	cols: []column[PrefetchDepthRow]{
 		{head: "prefetch", width: 8, verb: "%8d", cell: func(r PrefetchDepthRow) any { return r.Depth }},
@@ -185,7 +182,6 @@ type TuneProbeRow struct {
 type AutotuneResult = table[TuneProbeRow]
 
 var autotuneTable = &tableSpec[TuneProbeRow]{
-	id:    "ablation-autotune",
 	title: "§VII ablation: tf-Darshan-driven num_parallel_calls tuning, STREAM(ImageNet) on Lustre",
 	cols: []column[TuneProbeRow]{
 		{head: "window", width: 6, verb: "%6d", cell: func(r TuneProbeRow) any { return r.Window }},

@@ -53,7 +53,7 @@ func ProduceArtifacts(c Config, useCase string) (*RunArtifacts, error) {
 		return nil, err
 	}
 	var logBuf bytes.Buffer
-	if err := darshan.WriteLog(&logBuf, setup.machine.Darshan, out.wallSeconds); err != nil {
+	if err := darshan.WriteSnapshotLog(&logBuf, setup.machine.Darshan.Export(setup.machine.K.Now())); err != nil {
 		return nil, err
 	}
 	return &RunArtifacts{

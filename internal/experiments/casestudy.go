@@ -31,9 +31,6 @@ type CaseStudyResult struct {
 	Pages string // rendered TensorBoard pages
 }
 
-// ID implements Result.
-func (r *CaseStudyResult) ID() string { return r.Artifact }
-
 // Render implements Result.
 func (r *CaseStudyResult) Render() string {
 	var b strings.Builder
@@ -146,9 +143,6 @@ type TimelineResult struct {
 	// ReadFile op's span (Fig. 10's correspondence).
 	Matched int
 }
-
-// ID implements Result.
-func (r *TimelineResult) ID() string { return r.Artifact }
 
 // Render implements Result.
 func (r *TimelineResult) Render() string {

@@ -71,7 +71,6 @@ type DataServiceRow struct {
 type DataServiceResult = table[DataServiceRow]
 
 var dataserviceTable = &tableSpec[DataServiceRow]{
-	id:    "dataservice",
 	title: "Disaggregated tf.data service: concurrent-job ramp per worker fleet over shared Lustre",
 	cols: []column[DataServiceRow]{
 		{head: "fleet", width: 5, verb: "%5d", cell: func(r DataServiceRow) any { return r.Fleet }},

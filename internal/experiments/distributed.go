@@ -40,7 +40,6 @@ type RanksRow struct {
 type RanksResult = table[RanksRow]
 
 var ranksTable = &tableSpec[RanksRow]{
-	id:    "ranks",
 	title: "Distributed data-parallel ImageNet on shared Lustre (per-rank Darshan logs, cross-rank merge)",
 	cols: []column[RanksRow]{
 		{head: "ranks", width: 5, verb: "%5d", cell: func(r RanksRow) any { return r.Ranks }},

@@ -56,7 +56,6 @@ type ElasticRow struct {
 type ElasticResult = table[ElasticRow]
 
 var elasticTable = &tableSpec[ElasticRow]{
-	id:    "elastic",
 	title: "Elastic continue-on-failure vs checkpoint rollback under transient faults",
 	cols: []column[ElasticRow]{
 		{head: "ranks", width: 5, verb: "%5d", cell: func(r ElasticRow) any { return r.Ranks }},

@@ -49,9 +49,6 @@ type Config struct {
 	Parallel int
 }
 
-// DefaultConfig runs at paper scale.
-func DefaultConfig() Config { return Config{Scale: 1.0} }
-
 // TestConfig runs the suite at a laptop-test scale.
 func TestConfig() Config { return Config{Scale: 0.02} }
 
@@ -75,8 +72,6 @@ func (c Config) steps(paper int) int {
 
 // Result is a regenerated table or figure.
 type Result interface {
-	// ID is the paper artifact id ("table1", "fig7a", ...).
-	ID() string
 	// Render prints the rows/series the paper reports.
 	Render() string
 	// Metrics returns the headline numbers (tfdarshan metrics, goldens).
@@ -223,9 +218,6 @@ func (ts *trainSetup) run() (*trainOutcome, error) {
 		})
 	})
 	if err := m.K.Run(); err != nil {
-		// A failed run (e.g. DeadlockError) leaves blocked threads parked
-		// forever; reap their goroutines before reporting the error.
-		m.K.Shutdown()
 		return nil, err
 	}
 	if runErr != nil {

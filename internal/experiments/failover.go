@@ -61,7 +61,6 @@ type FailoverRow struct {
 type FailoverResult = table[FailoverRow]
 
 var failoverTable = &tableSpec[FailoverRow]{
-	id:    "failover",
 	title: "Failure-aware elastic training: mid-epoch rank death, rollback and restore read burst",
 	cols: []column[FailoverRow]{
 		{head: "ranks", width: 5, verb: "%5d", cell: func(r FailoverRow) any { return r.Ranks }},

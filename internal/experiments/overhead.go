@@ -41,9 +41,6 @@ type OverheadResult struct {
 	Rows []OverheadRow
 }
 
-// ID implements Result.
-func (r *OverheadResult) ID() string { return "fig5" }
-
 // Render implements Result.
 func (r *OverheadResult) Render() string {
 	var b strings.Builder
@@ -140,9 +137,6 @@ type CheckpointResult struct {
 	FwritesPerCkp float64
 	Panel         string
 }
-
-// ID implements Result.
-func (r *CheckpointResult) ID() string { return "fig6" }
 
 // Render implements Result.
 func (r *CheckpointResult) Render() string {

@@ -13,8 +13,8 @@ func renderAll(t *testing.T, cfg Config, ids []string) string {
 		t.Fatal(err)
 	}
 	var out string
-	for _, res := range results {
-		out += "== " + res.ID() + " ==\n" + res.Render() + RenderMetrics(res.Metrics())
+	for i, res := range results {
+		out += "== " + ids[i] + " ==\n" + res.Render() + RenderMetrics(res.Metrics())
 	}
 	return out
 }

@@ -67,7 +67,6 @@ type PrefetchRow struct {
 type PrefetchResult = table[PrefetchRow]
 
 var prefetchTable = &tableSpec[PrefetchRow]{
-	id:    "prefetch",
 	title: "Clairvoyant per-epoch prefetching over node NVMe caches vs cold Lustre and offline staging",
 	cols: []column[PrefetchRow]{
 		{head: "ranks", width: 5, verb: "%5d", cell: func(r PrefetchRow) any { return r.Ranks }},

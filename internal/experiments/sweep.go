@@ -324,11 +324,11 @@ type column[R any] struct {
 	value  func(R) float64
 }
 
-// tableSpec is what a sweep experiment declares once: its id, title,
-// columns and metric keys.
+// tableSpec is what a sweep experiment declares once: its title, columns
+// and metric keys.
 type tableSpec[R any] struct {
-	id, title string
-	cols      []column[R]
+	title string
+	cols  []column[R]
 	// key is a row's metric-key prefix ("ranks4_", "ranks4_cap025_").
 	key func(R) string
 	// extra, when set, adds per-point and headline metrics.
@@ -343,9 +343,6 @@ type table[R any] struct {
 	*tableSpec[R]
 	Rows []R
 }
-
-// ID implements Result.
-func (t *table[R]) ID() string { return t.id }
 
 // Render implements Result.
 func (t *table[R]) Render() string {

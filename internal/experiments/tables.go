@@ -16,9 +16,6 @@ type Table1Result struct {
 	VerifiedRows int
 }
 
-// ID implements Result.
-func (r *Table1Result) ID() string { return "table1" }
-
 // Render implements Result.
 func (r *Table1Result) Render() string {
 	var b strings.Builder
@@ -104,9 +101,6 @@ type Table2Result struct {
 	Scale float64
 	Rows  []Table2Row
 }
-
-// ID implements Result.
-func (r *Table2Result) ID() string { return "table2" }
 
 // Render implements Result.
 func (r *Table2Result) Render() string {

@@ -60,7 +60,6 @@ type TuneRow struct {
 type TuneResult = table[TuneRow]
 
 var tuneTable = &tableSpec[TuneRow]{
-	id:    "tune",
 	title: "Rank-aware tuning and per-rank staging over merged logs (untuned baseline: 4 threads/rank, shared Lustre)",
 	cols: []column[TuneRow]{
 		{head: "ranks", width: 5, verb: "%5d", cell: func(r TuneRow) any { return r.Ranks }},

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"repro/internal/stats"
@@ -22,9 +21,6 @@ type ValidationResult struct {
 	DstatMean float64
 	TfdMean   float64
 }
-
-// ID implements Result.
-func (r *ValidationResult) ID() string { return r.Artifact }
 
 // Render implements Result.
 func (r *ValidationResult) Render() string {
@@ -122,12 +118,4 @@ func Fig3(c Config) (*ValidationResult, error) {
 // checked by TestFig4MalwareStreamFasterThanImageNetStream.
 func Fig4(c Config) (*ValidationResult, error) {
 	return runValidation("fig4", c, streamMalware)
-}
-
-// absErr is used by tests to quantify dstat/tf-Darshan agreement.
-func absErr(a, b float64) float64 {
-	if b == 0 {
-		return math.Inf(1)
-	}
-	return math.Abs(a-b) / b
 }

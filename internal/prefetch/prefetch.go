@@ -264,16 +264,6 @@ type NodeReport struct {
 	Cache    vfs.NodeCacheStats
 }
 
-// LocalHitRate returns the fraction of the node's data reads served from
-// its own cache.
-func (n NodeReport) LocalHitRate() float64 {
-	total := n.Cache.LocalHits + n.Cache.PeerHits + n.Cache.PFSReads
-	if total == 0 {
-		return 0
-	}
-	return float64(n.Cache.LocalHits) / float64(total)
-}
-
 // RunCluster executes an epochs-long distributed training job with a
 // clairvoyant prefetcher on every node: one prefetch daemon per node walks
 // its rank's whole-job sequence of the run plan (distributed.NewPlan, a

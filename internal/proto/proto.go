@@ -29,9 +29,6 @@ type Encoder struct {
 // Bytes returns the encoded message.
 func (e *Encoder) Bytes() []byte { return e.buf }
 
-// Len returns the current encoded size.
-func (e *Encoder) Len() int { return len(e.buf) }
-
 func (e *Encoder) key(field int, wire int) {
 	e.varint(uint64(field)<<3 | uint64(wire))
 }
@@ -52,21 +49,6 @@ func (e *Encoder) Uint64(field int, v uint64) {
 
 // Int64 writes a varint field (two's complement, as proto3 int64).
 func (e *Encoder) Int64(field int, v int64) { e.Uint64(field, uint64(v)) }
-
-// Sint64 writes a zigzag-encoded field.
-func (e *Encoder) Sint64(field int, v int64) {
-	e.key(field, WireVarint)
-	e.varint(uint64((v << 1) ^ (v >> 63)))
-}
-
-// Bool writes a varint 0/1 field.
-func (e *Encoder) Bool(field int, v bool) {
-	if v {
-		e.Uint64(field, 1)
-	} else {
-		e.Uint64(field, 0)
-	}
-}
 
 // Double writes a fixed64 IEEE-754 field.
 func (e *Encoder) Double(field int, v float64) {
@@ -144,21 +126,6 @@ func (d *Decoder) Uint64() (uint64, error) { return d.varint() }
 func (d *Decoder) Int64() (int64, error) {
 	v, err := d.varint()
 	return int64(v), err
-}
-
-// Sint64 reads a zigzag payload.
-func (d *Decoder) Sint64() (int64, error) {
-	v, err := d.varint()
-	if err != nil {
-		return 0, err
-	}
-	return int64(v>>1) ^ -int64(v&1), nil
-}
-
-// Bool reads a varint payload as bool.
-func (d *Decoder) Bool() (bool, error) {
-	v, err := d.varint()
-	return v != 0, err
 }
 
 // Double reads a fixed64 payload.

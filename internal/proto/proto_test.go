@@ -25,19 +25,6 @@ func TestVarintRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSint64ZigZag(t *testing.T) {
-	for _, v := range []int64{0, -1, 1, -2, 63, -64, math.MaxInt64, math.MinInt64} {
-		var e Encoder
-		e.Sint64(3, v)
-		d := NewDecoder(e.Bytes())
-		d.Key()
-		got, err := d.Sint64()
-		if err != nil || got != v {
-			t.Fatalf("Sint64(%d) = %d, %v", v, got, err)
-		}
-	}
-}
-
 func TestDoubleRoundTrip(t *testing.T) {
 	for _, v := range []float64{0, -1.5, math.Pi, math.Inf(1), math.SmallestNonzeroFloat64} {
 		var e Encoder
@@ -55,7 +42,6 @@ func TestStringAndBytes(t *testing.T) {
 	var e Encoder
 	e.String(1, "hello")
 	e.BytesField(2, []byte{0, 1, 2})
-	e.Bool(3, true)
 	d := NewDecoder(e.Bytes())
 	d.Key()
 	if s, _ := d.StringField(); s != "hello" {
@@ -64,10 +50,6 @@ func TestStringAndBytes(t *testing.T) {
 	d.Key()
 	if b, _ := d.Bytes(); !bytes.Equal(b, []byte{0, 1, 2}) {
 		t.Fatalf("bytes = %v", b)
-	}
-	d.Key()
-	if v, _ := d.Bool(); !v {
-		t.Fatal("bool lost")
 	}
 	if d.More() {
 		t.Fatal("trailing data")

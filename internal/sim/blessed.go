@@ -3,7 +3,7 @@ package sim
 // BlessedExternalGoroutines is the exhaustive whitelist of places where raw
 // goroutines, native channels and sync primitives are legal. Everywhere
 // else, concurrency must go through the kernel (Kernel.Spawn, Mutex,
-// Semaphore, Barrier, WaitGroup, Chan): a goroutine the kernel cannot see
+// Semaphore, Barrier, Chan): a goroutine the kernel cannot see
 // is excluded from deadlock detection, runs outside virtual time, and can
 // race the single-threaded scheduler state.
 //

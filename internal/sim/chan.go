@@ -30,12 +30,6 @@ func NewChan[T any](capacity int) *Chan[T] {
 // Len returns the number of buffered elements.
 func (c *Chan[T]) Len() int { return len(c.buf) }
 
-// Cap returns the channel capacity.
-func (c *Chan[T]) Cap() int { return c.cap }
-
-// Closed reports whether Close has been called.
-func (c *Chan[T]) Closed() bool { return c.closed }
-
 // Send delivers v, parking t until a receiver or buffer slot is available.
 func (c *Chan[T]) Send(t *Thread, v T) {
 	if c.closed {
@@ -66,25 +60,6 @@ func (c *Chan[T]) Send(t *Thread, v T) {
 func deposit[T any](r *Thread, v T) {
 	r.chanVal = &v
 	r.chanOK = true
-}
-
-// TrySend delivers v without blocking, reporting success.
-func (c *Chan[T]) TrySend(t *Thread, v T) bool {
-	if c.closed {
-		panic("sim: send on closed channel")
-	}
-	if len(c.recvq) > 0 {
-		r := c.recvq[0]
-		c.recvq = c.recvq[1:]
-		deposit(r, v)
-		t.k.makeReady(r)
-		return true
-	}
-	if len(c.buf) < c.cap {
-		c.buf = append(c.buf, v)
-		return true
-	}
-	return false
 }
 
 // Recv receives a value; ok is false only when the channel is closed and
@@ -126,21 +101,6 @@ func (c *Chan[T]) Recv(t *Thread) (v T, ok bool) {
 		return zero, false
 	}
 	return *(box.(*T)), true
-}
-
-// TryRecv receives without blocking. ok is false if nothing was available;
-// closed is true if the channel is closed and drained.
-func (c *Chan[T]) TryRecv(t *Thread) (v T, ok bool, closed bool) {
-	if len(c.buf) > 0 || len(c.sendq) > 0 {
-		v, _ = c.Recv(t) // cannot block: data is available
-		return v, true, false
-	}
-	if c.closed {
-		var zero T
-		return zero, false, true
-	}
-	var zero T
-	return zero, false, false
 }
 
 // Close marks the channel closed, waking all parked receivers with

@@ -133,35 +133,6 @@ func TestChanDrainAfterClose(t *testing.T) {
 	}
 }
 
-func TestChanTrySendTryRecv(t *testing.T) {
-	k := NewKernel()
-	ch := NewChan[int](1)
-	k.Spawn("a", func(th *Thread) {
-		if !ch.TrySend(th, 1) {
-			t.Error("TrySend into empty buffer failed")
-		}
-		if ch.TrySend(th, 2) {
-			t.Error("TrySend into full buffer succeeded")
-		}
-		v, ok, closed := ch.TryRecv(th)
-		if !ok || closed || v != 1 {
-			t.Errorf("TryRecv = %d,%v,%v", v, ok, closed)
-		}
-		_, ok, closed = ch.TryRecv(th)
-		if ok || closed {
-			t.Errorf("TryRecv on empty = %v,%v", ok, closed)
-		}
-		ch.Close(th)
-		_, ok, closed = ch.TryRecv(th)
-		if ok || !closed {
-			t.Errorf("TryRecv on closed = %v,%v", ok, closed)
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestChanNilValueRoundTrip(t *testing.T) {
 	k := NewKernel()
 	ch := NewChan[any](0)
@@ -192,8 +163,7 @@ func TestChanPropertyAllDeliveredInOrder(t *testing.T) {
 
 		k := NewKernel()
 		ch := NewChan[[2]int](capacity)
-		var wg WaitGroup
-		wg.Add(producers)
+		done := NewChan[struct{}](producers)
 		for p := 0; p < producers; p++ {
 			p := p
 			k.Spawn("p", func(th *Thread) {
@@ -201,11 +171,13 @@ func TestChanPropertyAllDeliveredInOrder(t *testing.T) {
 					th.Sleep(Duration(rng.Intn(100)) * Microsecond)
 					ch.Send(th, [2]int{p, i})
 				}
-				wg.Done(th)
+				done.Send(th, struct{}{})
 			})
 		}
 		k.Spawn("closer", func(th *Thread) {
-			wg.Wait(th)
+			for p := 0; p < producers; p++ {
+				done.Recv(th)
+			}
 			ch.Close(th)
 		})
 		received := make([][]int, producers)

@@ -5,16 +5,20 @@ import (
 	"testing"
 )
 
-// TestSleepFastPathMatchesSlowPath drives an identical multi-thread,
-// timer-mixed schedule with the inline time-warp enabled and disabled and
-// requires the same event order and timestamps: the fast path must be
-// observationally invisible.
+// TestSleepFastPathMatchesSlowPath drives an identical multi-thread
+// schedule, with a third sleeper due at the same deadline as one of the
+// others, with the inline time-warp enabled and disabled and requires the
+// same event order and timestamps: the fast path must be observationally
+// invisible.
 func TestSleepFastPathMatchesSlowPath(t *testing.T) {
 	run := func(force bool) (trace []int64, end int64) {
 		k := NewKernel()
 		k.ForceSlowPath = force
 		var mu Mutex
-		k.AfterFunc(3*Millisecond, func(kk *Kernel) { trace = append(trace, -1) })
+		k.Spawn("c", func(th *Thread) {
+			th.Sleep(3 * Millisecond)
+			trace = append(trace, -1)
+		})
 		k.Spawn("a", func(th *Thread) {
 			for i := 0; i < 5; i++ {
 				th.Sleep(Millisecond)
@@ -52,22 +56,25 @@ func TestSleepFastPathMatchesSlowPath(t *testing.T) {
 }
 
 // TestSleepFastPathRespectsEqualDeadlineTimer pins the boundary condition:
-// a timer at exactly the sleep deadline was created earlier, so it must
-// fire before the sleeper resumes (it may wake another thread); the warp
-// must not skip it.
+// a thread already asleep until exactly the sole runnable thread's deadline
+// went to sleep first, so it must wake before that thread resumes; the
+// warp must not skip it.
 func TestSleepFastPathRespectsEqualDeadlineTimer(t *testing.T) {
 	k := NewKernel()
 	var order []string
-	k.AfterFunc(Millisecond, func(kk *Kernel) { order = append(order, "timer") })
-	k.Spawn("s", func(th *Thread) {
+	k.Spawn("first", func(th *Thread) {
 		th.Sleep(Millisecond)
+		order = append(order, "first")
+	})
+	k.Spawn("s", func(th *Thread) {
+		th.Sleep(Millisecond) // sole runnable, deadline equal to first's
 		order = append(order, "sleeper")
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(order) != 2 || order[0] != "timer" || order[1] != "sleeper" {
-		t.Fatalf("order = %v, want [timer sleeper]", order)
+	if len(order) != 2 || order[0] != "first" || order[1] != "sleeper" {
+		t.Fatalf("order = %v, want [first sleeper]", order)
 	}
 }
 
@@ -159,9 +166,10 @@ func TestSemaphoreSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestShutdownReapsBlockedThreads covers Kernel.Shutdown across every
-// blocked shape: mutex waiter, semaphore waiter, channel receiver, sleeper
-// and a never-started thread.
+// TestShutdownReapsBlockedThreads covers the reaping of every blocked
+// shape: mutex waiter, semaphore waiter and channel receiver (which Run
+// reaps when it reports the deadlock), and a never-started thread on a
+// kernel that is shut down without running.
 func TestShutdownReapsBlockedThreads(t *testing.T) {
 	k := NewKernel()
 	var mu Mutex
@@ -176,21 +184,25 @@ func TestShutdownReapsBlockedThreads(t *testing.T) {
 	if !errors.As(err, &dl) {
 		t.Fatalf("want DeadlockError, got %v", err)
 	}
-	// Spawn one more thread that will never run, then reap everything.
-	k.Spawn("never-started", func(th *Thread) { th.Sleep(Second) })
-	k.Shutdown()
 	if k.Live() != 0 {
-		t.Fatalf("after Shutdown: %d live threads, want 0", k.Live())
-	}
-	if !k.Stopped() {
-		t.Fatal("Stopped() = false after Shutdown")
+		t.Fatalf("after deadlock: %d live threads, want 0", k.Live())
 	}
 	k.Shutdown() // idempotent
+
+	idle := NewKernel()
+	idle.Spawn("never-started", func(th *Thread) { th.Sleep(Second) })
+	idle.Shutdown()
+	if idle.Live() != 0 {
+		t.Fatalf("after Shutdown: %d live threads, want 0", idle.Live())
+	}
+	if !idle.Stopped() {
+		t.Fatal("Stopped() = false after Shutdown")
+	}
 }
 
 // TestShutdownRunsDeferredCleanup verifies a reaped thread's defers run
 // (the kill unwinds the stack rather than abandoning it), including defers
-// that touch sim primitives.
+// that touch sim primitives. Run reaps the deadlocked worker itself.
 func TestShutdownRunsDeferredCleanup(t *testing.T) {
 	k := NewKernel()
 	var mu Mutex
@@ -208,7 +220,6 @@ func TestShutdownRunsDeferredCleanup(t *testing.T) {
 	if !errors.As(err, &dl) {
 		t.Fatalf("want DeadlockError, got %v", err)
 	}
-	k.Shutdown()
 	if !cleaned {
 		t.Fatal("deferred cleanup did not run during Shutdown")
 	}

@@ -8,9 +8,11 @@
 // results.
 //
 // Simulated threads block on virtual time (Sleep), on synchronization
-// primitives (Mutex, Semaphore, Cond, WaitGroup, Chan), or on resources
-// built from those primitives (see internal/storage). Virtual time advances
-// only when no thread is runnable.
+// primitives (Mutex, Semaphore, Barrier, Chan), or on resources built from
+// those primitives (see internal/storage). Virtual time advances only when
+// no thread is runnable. The only timers are sleeping threads: the kernel
+// keeps them in a heap ordered by (wake time, sleep sequence number) and
+// wakes the earliest when the run queue is empty.
 //
 // # Fast paths
 //
@@ -18,12 +20,13 @@
 // allocation and no goroutine switch:
 //
 //   - Inline time-warp: when a sleeping thread is the only runnable thread
-//     and no timer fires before its deadline, Sleep advances the clock in
-//     place and returns — no timer, no park, no kernel round trip. The
-//     observable schedule is identical to the parked path (nothing else
-//     could have run in between), so results stay bit-identical.
-//   - Zero-alloc sleep: the parked path reuses a per-Thread embedded Timer
-//     (a thread pointer instead of a wakeup closure), so even contended
+//     and no other sleeper wakes before its deadline, Sleep advances the
+//     clock in place and returns — no heap push, no park, no kernel round
+//     trip. The observable schedule is identical to the parked path
+//     (nothing else could have run in between), so results stay
+//     bit-identical.
+//   - Zero-alloc sleep: the parked path stores the wake time on the Thread
+//     itself and pushes the thread onto the sleeper heap, so even contended
 //     sleeps allocate nothing in steady state.
 //   - The ready queue is a growable ring buffer rather than a slice that is
 //     re-sliced from the front, so enqueue/dequeue never shift or leak
@@ -47,9 +50,6 @@ const (
 	Millisecond Duration = 1000 * Microsecond
 	Second      Duration = 1000 * Millisecond
 )
-
-// FromSeconds converts seconds to a virtual Duration.
-func FromSeconds(s float64) Duration { return Duration(s * float64(Second)) }
 
 // Seconds converts a virtual Duration to seconds.
 func Seconds(d Duration) float64 { return float64(d) / float64(Second) }
@@ -130,16 +130,16 @@ func (q *readyRing) grow() {
 // Kernel is a deterministic discrete-event scheduler. The zero value is not
 // usable; create one with NewKernel.
 type Kernel struct {
-	now     int64
-	seq     uint64
-	timers  timerHeap
-	ready   readyRing
-	yieldCh chan struct{}
-	cur     *Thread
-	threads []*Thread
-	live    int
-	nextTID int
-	stopped bool
+	now      int64
+	seq      uint64
+	sleepers sleeperHeap
+	ready    readyRing
+	yieldCh  chan struct{}
+	cur      *Thread
+	threads  []*Thread
+	live     int
+	nextTID  int
+	stopped  bool
 
 	// ForceSlowPath disables the inline time-warp and yield fast paths so
 	// equivalence tests can prove the fast paths are observationally
@@ -224,21 +224,9 @@ func (k *Kernel) runThread(t *Thread) {
 	k.cur = nil
 }
 
-// nextTimer returns the earliest pending live timer without firing it,
-// discarding cancelled timers as they surface at the top of the heap.
-func (k *Kernel) nextTimer() *Timer {
-	for k.timers.Len() > 0 {
-		if k.timers[0].cancelled {
-			heap.Pop(&k.timers)
-			continue
-		}
-		return k.timers[0]
-	}
-	return nil
-}
-
-// Run executes the simulation until every thread has exited. It returns a
-// DeadlockError if threads remain but none can ever become runnable.
+// Run executes the simulation until every thread has exited. If threads
+// remain but none can ever become runnable, Run reaps them (see Shutdown)
+// and returns a DeadlockError naming them.
 func (k *Kernel) Run() error {
 	for {
 		if k.ready.n > 0 {
@@ -249,28 +237,28 @@ func (k *Kernel) Run() error {
 			k.runThread(t)
 			continue
 		}
-		if tm := k.nextTimer(); tm != nil {
-			heap.Pop(&k.timers)
-			if tm.when < k.now {
-				panic("sim: timer fired in the past")
+		if len(k.sleepers) > 0 {
+			t := heap.Pop(&k.sleepers).(*Thread)
+			if t.wake < k.now {
+				panic("sim: sleeper woke in the past")
 			}
-			k.now = tm.when
-			tm.fired = true
-			tm.fire(k)
+			k.now = t.wake
+			k.makeReady(t)
 			continue
 		}
 		if k.live > 0 {
-			return k.deadlockError()
+			err := k.deadlockError()
+			k.Shutdown()
+			return err
 		}
 		return nil
 	}
 }
 
 // Shutdown reaps every thread that has not yet exited, releasing its
-// backing goroutine. A kernel abandoned after a DeadlockError (or dropped
-// mid-run) otherwise strands each blocked thread's goroutine on its resume
-// channel forever, which accumulates leaked goroutines across experiment
-// artifacts under `go test -race`.
+// backing goroutine. Run calls it before returning a DeadlockError; a
+// kernel that is never run otherwise strands each spawned thread's
+// goroutine on its resume channel forever.
 //
 // Shutdown must be called from the goroutine that owns the kernel (the one
 // that called or would call Run), never from inside a simulated thread. It
@@ -326,10 +314,11 @@ type Thread struct {
 	resume    chan struct{}
 	blockedOn string
 
-	// sleepTimer is the thread's reusable wakeup timer: a thread has at
-	// most one pending sleep, so the parked Sleep path re-arms this
-	// embedded Timer instead of allocating one (plus a closure) per call.
-	sleepTimer Timer
+	// wake and wakeSeq order the thread in the kernel's sleeper heap while
+	// it sleeps: a thread has at most one pending sleep, so its wake time
+	// lives on the thread and a parked Sleep allocates nothing.
+	wake    int64
+	wakeSeq uint64
 
 	// scratch slot used by Chan handoff.
 	chanVal any
@@ -369,10 +358,11 @@ func (t *Thread) park(state threadState, desc string) {
 // Sleep advances the thread by d of virtual time. Non-positive durations
 // yield the processor without advancing the clock.
 //
-// When the caller is the sole runnable thread and no timer fires before the
-// deadline, the clock is warped forward inline — no timer, no park, no
-// goroutine switch — which is observationally identical to the parked path
-// because nothing else could have been scheduled in the interval.
+// When the caller is the sole runnable thread and no other sleeper wakes
+// before the deadline, the clock is warped forward inline — no heap push,
+// no park, no goroutine switch — which is observationally identical to the
+// parked path because nothing else could have been scheduled in the
+// interval.
 func (t *Thread) Sleep(d Duration) {
 	if d <= 0 {
 		t.Yield()
@@ -381,34 +371,46 @@ func (t *Thread) Sleep(d Duration) {
 	k := t.k
 	deadline := k.now + d
 	if k.ready.n == 0 && !k.ForceSlowPath && !k.stopped {
-		if tm := k.nextTimer(); tm == nil || tm.when > deadline {
-			// Inline time-warp: a timer at exactly `deadline` would fire
-			// first under the parked schedule (it was created earlier),
-			// possibly waking another thread, so equality takes the slow
-			// path.
+		if len(k.sleepers) == 0 || k.sleepers[0].wake > deadline {
+			// Inline time-warp: a sleeper due at exactly `deadline` would
+			// wake first under the parked schedule (it slept earlier), so
+			// equality takes the slow path.
 			k.now = deadline
 			return
 		}
 	}
-	tm := &t.sleepTimer
-	tm.when = deadline
-	tm.seq = k.seq
+	t.wake = deadline
+	t.wakeSeq = k.seq
 	k.seq++
-	tm.fn = nil
-	tm.thread = t
-	tm.cancelled = false
-	tm.fired = false
-	heap.Push(&k.timers, tm)
+	heap.Push(&k.sleepers, t)
 	t.park(stateSleeping, "sleep")
 }
 
-// SleepUntil sleeps until the given absolute virtual time; it returns
-// immediately if that time has passed.
-func (t *Thread) SleepUntil(when int64) {
-	if when <= t.k.now {
-		return
+// sleeperHeap orders sleeping threads by wake time, breaking ties by the
+// order in which they went to sleep, which keeps the schedule
+// deterministic.
+type sleeperHeap []*Thread
+
+func (h sleeperHeap) Len() int { return len(h) }
+
+func (h sleeperHeap) Less(i, j int) bool {
+	if h[i].wake != h[j].wake {
+		return h[i].wake < h[j].wake
 	}
-	t.Sleep(when - t.k.now)
+	return h[i].wakeSeq < h[j].wakeSeq
+}
+
+func (h sleeperHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+
+func (h *sleeperHeap) Push(x any) { *h = append(*h, x.(*Thread)) }
+
+func (h *sleeperHeap) Pop() any {
+	old := *h
+	n := len(old)
+	t := old[n-1]
+	old[n-1] = nil
+	*h = old[:n-1]
+	return t
 }
 
 // Yield requeues the thread at the back of the run queue without advancing

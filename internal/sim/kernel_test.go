@@ -115,62 +115,57 @@ func TestDeadlockDetection(t *testing.T) {
 	if len(dl.Blocked) != 1 {
 		t.Fatalf("blocked threads = %v, want exactly one", dl.Blocked)
 	}
-	k.Shutdown() // reap the forever-blocked waiter's goroutine
-	if k.Live() != 0 {
-		t.Fatalf("after Shutdown: %d live threads", k.Live())
-	}
 }
 
-func TestTimerCancel(t *testing.T) {
+// TestRunReapsDeadlock pins that Run never strands goroutines: once it has
+// returned a DeadlockError, every thread has exited and the kernel is
+// stopped without an explicit Shutdown.
+func TestRunReapsDeadlock(t *testing.T) {
 	k := NewKernel()
-	fired := false
-	tm := k.AfterFunc(Second, func(*Kernel) { fired = true })
-	if !tm.Cancel() {
-		t.Fatal("Cancel returned false for pending timer")
+	ch := NewChan[int](0)
+	k.Spawn("sender", func(th *Thread) {
+		th.Sleep(Millisecond)
+		ch.Send(th, 1)
+	})
+	k.Spawn("receiver", func(th *Thread) {
+		ch.Recv(th)
+		ch.Recv(th)
+	})
+	var dl *DeadlockError
+	if err := k.Run(); !errors.As(err, &dl) {
+		t.Fatalf("want DeadlockError, got %v", err)
 	}
-	k.Spawn("a", func(th *Thread) { th.Sleep(2 * Second) })
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
+	if k.Live() != 0 {
+		t.Fatalf("after deadlock: %d live threads, want 0", k.Live())
 	}
-	if fired {
-		t.Fatal("cancelled timer fired")
-	}
-	if tm.Cancel() {
-		t.Fatal("second Cancel should report false")
+	if !k.Stopped() {
+		t.Fatal("Stopped() = false after a deadlocked Run")
 	}
 }
 
-func TestAfterFuncOrderingAtSameInstant(t *testing.T) {
+// TestSameDeadlineSleepersWakeInSpawnOrder pins the sleeper heap's tie
+// break: threads due at the same instant wake in the order they went to
+// sleep, here their spawn order.
+func TestSameDeadlineSleepersWakeInSpawnOrder(t *testing.T) {
 	k := NewKernel()
 	var order []int
-	k.AfterFunc(Second, func(*Kernel) { order = append(order, 1) })
-	k.AfterFunc(Second, func(*Kernel) { order = append(order, 2) })
-	k.AfterFunc(Second, func(*Kernel) { order = append(order, 3) })
+	for i := 1; i <= 3; i++ {
+		k.Spawn("s", func(th *Thread) {
+			th.Sleep(Second)
+			order = append(order, i)
+		})
+	}
 	k.Spawn("a", func(th *Thread) { th.Sleep(2 * Second) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
+	}
+	if len(order) != 3 {
+		t.Fatalf("woke %v, want three sleepers", order)
 	}
 	for i, v := range order {
 		if v != i+1 {
-			t.Fatalf("same-instant timers fired out of order: %v", order)
+			t.Fatalf("same-deadline sleepers woke out of order: %v", order)
 		}
-	}
-}
-
-func TestSleepUntil(t *testing.T) {
-	k := NewKernel()
-	var times []int64
-	k.Spawn("a", func(th *Thread) {
-		th.SleepUntil(10 * Millisecond)
-		times = append(times, th.Now())
-		th.SleepUntil(5 * Millisecond) // in the past: no-op
-		times = append(times, th.Now())
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if times[0] != 10*Millisecond || times[1] != 10*Millisecond {
-		t.Fatalf("times = %v", times)
 	}
 }
 
@@ -204,17 +199,16 @@ func TestManyThreadsInterleaveDeterministically(t *testing.T) {
 func TestCPUSetContention(t *testing.T) {
 	k := NewKernel()
 	cpu := NewCPUSet(2)
-	var wg WaitGroup
-	wg.Add(4)
+	done := NewBarrier(5)
 	for i := 0; i < 4; i++ {
 		k.Spawn("w", func(th *Thread) {
 			cpu.Compute(th, 10*Millisecond)
-			wg.Done(th)
+			done.Await(th)
 		})
 	}
 	var finished int64
 	k.Spawn("waiter", func(th *Thread) {
-		wg.Wait(th)
+		done.Await(th)
 		finished = th.Now()
 	})
 	if err := k.Run(); err != nil {
@@ -232,9 +226,6 @@ func TestCPUSetContention(t *testing.T) {
 func TestSeconds(t *testing.T) {
 	if got := Seconds(1500 * Millisecond); got != 1.5 {
 		t.Fatalf("Seconds = %v", got)
-	}
-	if got := FromSeconds(2.5); got != 2500*Millisecond {
-		t.Fatalf("FromSeconds = %v", got)
 	}
 	if got := FromMillis(0.5); got != 500*Microsecond {
 		t.Fatalf("FromMillis = %v", got)

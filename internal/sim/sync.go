@@ -23,15 +23,6 @@ func (m *Mutex) Lock(t *Thread) {
 	t.park(stateBlocked, "mutex")
 }
 
-// TryLock acquires the mutex if it is free and reports whether it succeeded.
-func (m *Mutex) TryLock(t *Thread) bool {
-	if m.owner == nil {
-		m.owner = t
-		return true
-	}
-	return false
-}
-
 // Unlock releases the mutex, handing it to the longest-waiting thread.
 func (m *Mutex) Unlock(t *Thread) {
 	if m.owner != t {
@@ -46,9 +37,6 @@ func (m *Mutex) Unlock(t *Thread) {
 	m.owner = next
 	t.k.makeReady(next)
 }
-
-// Locked reports whether the mutex is currently held.
-func (m *Mutex) Locked() bool { return m.owner != nil }
 
 func ownerName(t *Thread) string {
 	if t == nil {
@@ -111,15 +99,6 @@ func (s *Semaphore) Acquire(t *Thread, n int) {
 	t.park(stateBlocked, "semaphore")
 }
 
-// TryAcquire takes n permits without blocking, reporting success.
-func (s *Semaphore) TryAcquire(n int) bool {
-	if s.waiting() == 0 && s.avail >= n {
-		s.avail -= n
-		return true
-	}
-	return false
-}
-
 // Release returns n permits and wakes any waiters that can now proceed.
 func (s *Semaphore) Release(t *Thread, n int) {
 	if n <= 0 {
@@ -136,41 +115,23 @@ func (s *Semaphore) Release(t *Thread, n int) {
 // Available returns the number of free permits.
 func (s *Semaphore) Available() int { return s.avail }
 
-// Waiting returns the number of parked acquirers.
-func (s *Semaphore) Waiting() int { return s.waiting() }
-
-// Cond is a condition variable bound to a Mutex.
-type Cond struct {
-	M       *Mutex
+// cond is the condition variable behind Barrier, bound to its mutex.
+type cond struct {
+	m       *Mutex
 	waiters []*Thread
 }
 
-// NewCond returns a condition variable using m.
-func NewCond(m *Mutex) *Cond { return &Cond{M: m} }
-
-// Wait atomically releases the mutex and parks t; on wakeup it reacquires
-// the mutex before returning. As with sync.Cond, callers must re-check
-// their predicate in a loop.
-func (c *Cond) Wait(t *Thread) {
+// wait atomically releases the mutex and parks t; on wakeup it reacquires
+// the mutex before returning. Callers re-check their predicate in a loop.
+func (c *cond) wait(t *Thread) {
 	c.waiters = append(c.waiters, t)
-	c.M.Unlock(t)
+	c.m.Unlock(t)
 	t.park(stateBlocked, "cond")
-	c.M.Lock(t)
+	c.m.Lock(t)
 }
 
-// Signal wakes the longest-waiting thread, if any. The caller should hold
-// the mutex (not enforced, as with sync.Cond).
-func (c *Cond) Signal(t *Thread) {
-	if len(c.waiters) == 0 {
-		return
-	}
-	w := c.waiters[0]
-	c.waiters = c.waiters[1:]
-	t.k.makeReady(w)
-}
-
-// Broadcast wakes all waiting threads in FIFO order.
-func (c *Cond) Broadcast(t *Thread) {
+// broadcast wakes all waiting threads in FIFO order.
+func (c *cond) broadcast(t *Thread) {
 	for _, w := range c.waiters {
 		t.k.makeReady(w)
 	}
@@ -188,7 +149,7 @@ func (c *Cond) Broadcast(t *Thread) {
 // rank). Both are legal at any point of the barrier cycle.
 type Barrier struct {
 	mu      Mutex
-	cond    *Cond
+	cond    cond
 	parties int
 	count   int
 	gen     int
@@ -205,7 +166,7 @@ func NewBarrier(parties int) *Barrier {
 		panic("sim: barrier needs at least one party")
 	}
 	b := &Barrier{parties: parties}
-	b.cond = NewCond(&b.mu)
+	b.cond.m = &b.mu
 	return b
 }
 
@@ -238,7 +199,7 @@ func (b *Barrier) AwaitBroken(t *Thread) bool {
 		b.release(t)
 	} else {
 		for gen == b.gen {
-			b.cond.Wait(t)
+			b.cond.wait(t)
 		}
 	}
 	// Every waiter reads its generation's status under the mutex before
@@ -267,7 +228,7 @@ func (b *Barrier) release(t *Thread) {
 	b.gen++
 	b.lastBroken = b.genBroken
 	b.genBroken = false
-	b.cond.Broadcast(t)
+	b.cond.broadcast(t)
 }
 
 // Leave removes the caller's party from the barrier, marking the
@@ -303,43 +264,4 @@ func (b *Barrier) Join(t *Thread) {
 	b.mu.Lock(t)
 	b.parties++
 	b.mu.Unlock(t)
-}
-
-// WaitGroup waits for a collection of simulated threads to finish.
-type WaitGroup struct {
-	count   int
-	waiters []*Thread
-}
-
-// Add adds delta to the counter. It may be called from any simulated thread
-// but, unlike sync.WaitGroup, requires the current thread for wakeups when
-// the counter reaches zero, so Done takes a thread argument.
-func (wg *WaitGroup) Add(delta int) {
-	wg.count += delta
-	if wg.count < 0 {
-		panic("sim: negative WaitGroup counter")
-	}
-}
-
-// Done decrements the counter, waking waiters when it reaches zero.
-func (wg *WaitGroup) Done(t *Thread) {
-	wg.count--
-	if wg.count < 0 {
-		panic("sim: negative WaitGroup counter")
-	}
-	if wg.count == 0 {
-		for _, w := range wg.waiters {
-			t.k.makeReady(w)
-		}
-		wg.waiters = nil
-	}
-}
-
-// Wait parks t until the counter is zero.
-func (wg *WaitGroup) Wait(t *Thread) {
-	if wg.count == 0 {
-		return
-	}
-	wg.waiters = append(wg.waiters, t)
-	t.park(stateBlocked, "waitgroup")
 }

@@ -53,26 +53,6 @@ func TestMutexFIFO(t *testing.T) {
 	}
 }
 
-func TestMutexTryLock(t *testing.T) {
-	k := NewKernel()
-	var m Mutex
-	k.Spawn("a", func(th *Thread) {
-		if !m.TryLock(th) {
-			t.Error("TryLock on free mutex failed")
-		}
-		th.Kernel().Spawn("b", func(th2 *Thread) {
-			if m.TryLock(th2) {
-				t.Error("TryLock on held mutex succeeded")
-			}
-		})
-		th.Sleep(Millisecond)
-		m.Unlock(th)
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSemaphoreLimitsConcurrency(t *testing.T) {
 	k := NewKernel()
 	sem := NewSemaphore(3)
@@ -121,37 +101,17 @@ func TestSemaphoreMultiPermit(t *testing.T) {
 	}
 }
 
-func TestSemaphoreTryAcquire(t *testing.T) {
-	k := NewKernel()
-	sem := NewSemaphore(1)
-	k.Spawn("a", func(th *Thread) {
-		if !sem.TryAcquire(1) {
-			t.Error("TryAcquire on free semaphore failed")
-		}
-		if sem.TryAcquire(1) {
-			t.Error("TryAcquire on empty semaphore succeeded")
-		}
-		sem.Release(th, 1)
-		if sem.Available() != 1 {
-			t.Errorf("available = %d", sem.Available())
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestCondSignalAndBroadcast(t *testing.T) {
 	k := NewKernel()
 	var m Mutex
-	c := NewCond(&m)
+	c := &cond{m: &m}
 	ready := 0
 	var woken int
 	for i := 0; i < 3; i++ {
 		k.Spawn("waiter", func(th *Thread) {
 			m.Lock(th)
 			for ready == 0 {
-				c.Wait(th)
+				c.wait(th)
 			}
 			woken++
 			m.Unlock(th)
@@ -161,7 +121,7 @@ func TestCondSignalAndBroadcast(t *testing.T) {
 		th.Sleep(Millisecond)
 		m.Lock(th)
 		ready = 1
-		c.Broadcast(th)
+		c.broadcast(th)
 		m.Unlock(th)
 	})
 	if err := k.Run(); err != nil {
@@ -169,48 +129,6 @@ func TestCondSignalAndBroadcast(t *testing.T) {
 	}
 	if woken != 3 {
 		t.Fatalf("woken = %d, want 3", woken)
-	}
-}
-
-func TestWaitGroup(t *testing.T) {
-	k := NewKernel()
-	var wg WaitGroup
-	wg.Add(5)
-	done := 0
-	for i := 0; i < 5; i++ {
-		i := i
-		k.Spawn("w", func(th *Thread) {
-			th.Sleep(Duration(i) * Millisecond)
-			done++
-			wg.Done(th)
-		})
-	}
-	var sawAll bool
-	k.Spawn("waiter", func(th *Thread) {
-		wg.Wait(th)
-		sawAll = done == 5
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !sawAll {
-		t.Fatal("Wait returned before all Done calls")
-	}
-}
-
-func TestWaitGroupImmediateWait(t *testing.T) {
-	k := NewKernel()
-	var wg WaitGroup
-	ran := false
-	k.Spawn("a", func(th *Thread) {
-		wg.Wait(th) // count already zero: no block
-		ran = true
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !ran {
-		t.Fatal("thread blocked on empty WaitGroup")
 	}
 }
 

@@ -55,9 +55,6 @@ func (h *Histogram) BucketFor(v int64) int {
 // Add counts v.
 func (h *Histogram) Add(v int64) { h.Counts[h.BucketFor(v)]++ }
 
-// AddN counts v n times.
-func (h *Histogram) AddN(v int64, n int64) { h.Counts[h.BucketFor(v)] += n }
-
 // Total returns the number of counted values.
 func (h *Histogram) Total() int64 {
 	var t int64
@@ -193,18 +190,6 @@ func (s *Series) MaxV() float64 {
 		}
 	}
 	return m
-}
-
-// MeanV returns the mean value (0 when empty).
-func (s *Series) MeanV() float64 {
-	if len(s.Points) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, p := range s.Points {
-		sum += p.V
-	}
-	return sum / float64(len(s.Points))
 }
 
 // RenderASCII draws series as a simple aligned table, one row per sample

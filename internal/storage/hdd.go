@@ -124,6 +124,3 @@ func (d *HDD) Metadata(t *sim.Thread, pos int64) {
 	st := d.service(t, pos, d.p.MetadataSize)
 	d.meta(d.p.MetadataSize, st)
 }
-
-// Head returns the current head position (for tests).
-func (d *HDD) Head() int64 { return d.head }

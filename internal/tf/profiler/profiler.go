@@ -207,10 +207,12 @@ func (ev *XEvent) Args() map[string]string {
 // when a session is active, which is the profiler's own contribution to
 // Fig. 5 overhead.
 type TraceMeRecorder struct {
-	active   bool
-	events   []RecordedEvent
-	EventCPU sim.Duration // bookkeeping cost charged per recorded event
+	active bool
+	events []RecordedEvent
 }
+
+// traceMeEventCPU is the bookkeeping cost charged per recorded event.
+const traceMeEventCPU = 300 * sim.Nanosecond
 
 // RecordedEvent is one completed TraceMe annotation.
 type RecordedEvent struct {
@@ -221,13 +223,8 @@ type RecordedEvent struct {
 	EndNs   int64
 }
 
-// NewTraceMeRecorder returns a recorder with a realistic per-event cost.
-func NewTraceMeRecorder() *TraceMeRecorder {
-	return &TraceMeRecorder{EventCPU: 300 * sim.Nanosecond}
-}
-
-// Active reports whether the recorder is collecting.
-func (r *TraceMeRecorder) Active() bool { return r.active }
+// NewTraceMeRecorder returns an inactive recorder.
+func NewTraceMeRecorder() *TraceMeRecorder { return &TraceMeRecorder{} }
 
 // Start begins collection.
 func (r *TraceMeRecorder) Start() { r.active = true }
@@ -262,9 +259,7 @@ func (tm TraceMe) End(t *sim.Thread) {
 	if !tm.started || tm.r == nil {
 		return
 	}
-	if tm.r.EventCPU > 0 {
-		t.Sleep(tm.r.EventCPU)
-	}
+	t.Sleep(traceMeEventCPU)
 	tm.r.events = append(tm.r.events, RecordedEvent{
 		Name:    tm.name,
 		TID:     t.ID(),
@@ -326,18 +321,19 @@ type Profiler struct {
 	// Sessions counts completed sessions (for tooling).
 	Sessions int
 
-	// DefaultExportCost is the serialization cost per event charged by
-	// ChargeExportCost when a collected profile is exported to
-	// TensorBoard artifacts (the automatic-callback path). Plane-specific
-	// overrides go in ExportCosts, and ExportLineCosts adds a per-line
-	// (per-timeline) cost — tf-Darshan's per-file timelines pass through
-	// a heavier conversion than the native host/device planes, which is
-	// why the paper's automatic-mode overhead (Fig. 5) far exceeds its
-	// manual extract-only mode.
-	DefaultExportCost sim.Duration
-	ExportCosts       map[string]sim.Duration
-	ExportLineCosts   map[string]sim.Duration
+	// ExportCosts overrides defaultExportCost per plane, and
+	// ExportLineCosts adds a per-line (per-timeline) cost — tf-Darshan's
+	// per-file timelines pass through a heavier conversion than the native
+	// host/device planes, which is why the paper's automatic-mode overhead
+	// (Fig. 5) far exceeds its manual extract-only mode.
+	ExportCosts     map[string]sim.Duration
+	ExportLineCosts map[string]sim.Duration
 }
+
+// defaultExportCost is the serialization cost per event charged by
+// ChargeExportCost when a collected profile is exported to TensorBoard
+// artifacts (the automatic-callback path).
+const defaultExportCost = 150 * sim.Microsecond
 
 // ErrSessionActive is returned by Start when a session is running.
 var ErrSessionActive = errors.New("profiler: session already active")
@@ -348,17 +344,13 @@ var ErrNoSession = errors.New("profiler: no active session")
 // New returns a profiler with the host tracer pre-registered, like TF.
 func New() *Profiler {
 	p := &Profiler{
-		recorder:          NewTraceMeRecorder(),
-		DefaultExportCost: 150 * Microsecond,
-		ExportCosts:       make(map[string]sim.Duration),
-		ExportLineCosts:   make(map[string]sim.Duration),
+		recorder:        NewTraceMeRecorder(),
+		ExportCosts:     make(map[string]sim.Duration),
+		ExportLineCosts: make(map[string]sim.Duration),
 	}
 	p.RegisterTracer(func() Tracer { return NewHostTracer(p.recorder) })
 	return p
 }
-
-// Microsecond re-exported for the cost defaults above.
-const Microsecond = sim.Microsecond
 
 // ChargeExportCost charges the artifact-serialization cost of exporting
 // space (protobuf + trace.json.gz conversion). Callers that only extract
@@ -371,7 +363,7 @@ func (p *Profiler) ChargeExportCost(t *sim.Thread, space *XSpace) {
 	for _, plane := range space.Planes {
 		cost, ok := p.ExportCosts[plane.Name]
 		if !ok {
-			cost = p.DefaultExportCost
+			cost = defaultExportCost
 		}
 		n := 0
 		for _, l := range plane.Lines {

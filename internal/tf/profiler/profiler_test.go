@@ -57,7 +57,7 @@ func TestTraceMeChargesCPUOnlyWhenActive(t *testing.T) {
 	if inactive != 0 {
 		t.Fatalf("inactive tracing cost %dns", inactive)
 	}
-	if active != 100*int64(r.EventCPU) {
+	if active != 100*traceMeEventCPU {
 		t.Fatalf("active tracing cost %dns", active)
 	}
 }

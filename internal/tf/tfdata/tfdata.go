@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/sim"
 	"repro/internal/tf"
-	"repro/internal/tf/tfio"
 )
 
 // AUTOTUNE requests automatic parallelism selection, like
@@ -53,21 +52,18 @@ type Dataset struct {
 	batchSize     int
 	prefetchDepth int
 	prefetchSet   bool
-	// shardSizes maps container shard paths to their indices when the
-	// dataset was built by FromTFRecordShards.
-	shardSizes map[string]*tfio.ShardIndex
-	// BatchCopyBytesPerSec models batch-assembly memcpy cost.
-	BatchCopyBytesPerSec float64
 }
+
+// batchCopyBytesPerSec models batch-assembly memcpy cost.
+const batchCopyBytesPerSec = 8e9
 
 // FromFiles lists the dataset's files in the given order.
 func FromFiles(env *tf.Env, paths []string) *Dataset {
 	return &Dataset{
-		env:                  env,
-		paths:                append([]string(nil), paths...),
-		parallelCalls:        1,
-		batchSize:            1,
-		BatchCopyBytesPerSec: 8e9,
+		env:           env,
+		paths:         append([]string(nil), paths...),
+		parallelCalls: 1,
+		batchSize:     1,
 	}
 }
 
@@ -285,8 +281,8 @@ func (it *Iterator) batcher(t *sim.Thread) {
 			cur, bytes = nil, 0
 			return
 		}
-		if it.d.BatchCopyBytesPerSec > 0 && bytes > 0 {
-			t.Sleep(sim.Duration(float64(bytes) / it.d.BatchCopyBytesPerSec * 1e9))
+		if bytes > 0 {
+			t.Sleep(sim.Duration(float64(bytes) / batchCopyBytesPerSec * 1e9))
 		}
 		it.out.Send(t, Batch{Samples: cur, Bytes: bytes, Index: index})
 		index++

@@ -202,11 +202,6 @@ func (w *WritableFile) Append(t *sim.Thread, data []byte) error {
 	return nil
 }
 
-// Flush forces buffered bytes down.
-func (w *WritableFile) Flush(t *sim.Thread) error {
-	return w.env.Libc.Fflush(t, w.stream)
-}
-
 // Close flushes and closes the file.
 func (w *WritableFile) Close(t *sim.Thread) error {
 	return w.env.Libc.Fclose(t, w.stream)

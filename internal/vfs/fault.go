@@ -117,9 +117,6 @@ func (fs *FS) InjectFaults(plan FaultPlan) {
 	fs.faults = &faultState{plan: plan}
 }
 
-// ClearFaults disarms fault injection, keeping nothing.
-func (fs *FS) ClearFaults() { fs.faults = nil }
-
 // FaultStatsAt returns the faults injected into node's traffic so far.
 func (fs *FS) FaultStatsAt(node int) FaultStats {
 	if fs.faults == nil || node >= len(fs.faults.stats) {

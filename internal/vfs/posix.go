@@ -260,17 +260,6 @@ func (fs *FS) statNode(t *sim.Thread, node int, p string) (FileInfo, error) {
 	return FileInfo{Path: ino.Path, Size: ino.Size, Ino: ino.Ino}, nil
 }
 
-// Fstat returns metadata for an open descriptor (never cold).
-func (fs *FS) Fstat(t *sim.Thread, fd int) (FileInfo, error) {
-	fs.syscall(t)
-	of, err := fs.lookupFD(fd)
-	if err != nil {
-		return FileInfo{}, err
-	}
-	ino := of.inode
-	return FileInfo{Path: ino.Path, Size: ino.Size, Ino: ino.Ino}, nil
-}
-
 // Fsync forces written data to the device. Data writes are synchronous in
 // this model, so fsync costs only the syscall plus a small device barrier.
 func (fs *FS) Fsync(t *sim.Thread, fd int) error {

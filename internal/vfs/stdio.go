@@ -43,10 +43,6 @@ type Stdio struct {
 	node int
 }
 
-// NewStdio returns the STDIO layer for fs on node 0 (the single-node
-// surface).
-func NewStdio(fs *FS) *Stdio { return &Stdio{fs: fs} }
-
 // NewStdioNode returns the STDIO layer for fs as seen from node.
 func NewStdioNode(fs *FS, node int) *Stdio {
 	checkNode(node)

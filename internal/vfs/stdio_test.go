@@ -10,7 +10,7 @@ import (
 
 func TestFwriteBuffersSmallWrites(t *testing.T) {
 	fs, _, _, hdd, _ := testFS()
-	stdio := NewStdio(fs)
+	stdio := NewStdioNode(fs, 0)
 	runSim(t, func(th *sim.Thread) {
 		st, err := stdio.Fopen(th, "/data/log.txt", "w")
 		if err != nil {
@@ -40,7 +40,7 @@ func TestFwriteBuffersSmallWrites(t *testing.T) {
 
 func TestFwriteLargeWritesBypassBuffer(t *testing.T) {
 	fs, _, _, hdd, _ := testFS()
-	stdio := NewStdio(fs)
+	stdio := NewStdioNode(fs, 0)
 	runSim(t, func(th *sim.Thread) {
 		st, _ := stdio.Fopen(th, "/data/ckpt", "w")
 		big := make([]byte, 2*StdioBufSize)
@@ -54,7 +54,7 @@ func TestFwriteLargeWritesBypassBuffer(t *testing.T) {
 
 func TestFreadDiscardAdvancesLikeFread(t *testing.T) {
 	fs, _, _, _, _ := testFS()
-	stdio := NewStdio(fs)
+	stdio := NewStdioNode(fs, 0)
 	fs.CreateFile("/data/fd", 10)
 	runSim(t, func(th *sim.Thread) {
 		st, err := stdio.Fopen(th, "/data/fd", "r")
@@ -78,7 +78,7 @@ func TestFreadDiscardAdvancesLikeFread(t *testing.T) {
 
 func TestFreadRoundTrip(t *testing.T) {
 	fs, _, _, _, _ := testFS()
-	stdio := NewStdio(fs)
+	stdio := NewStdioNode(fs, 0)
 	runSim(t, func(th *sim.Thread) {
 		st, _ := stdio.Fopen(th, "/data/w", "w")
 		stdio.Fwrite(th, st, []byte("abcdefgh"))
@@ -104,7 +104,7 @@ func TestFreadRoundTrip(t *testing.T) {
 
 func TestFopenModes(t *testing.T) {
 	fs, _, _, _, _ := testFS()
-	stdio := NewStdio(fs)
+	stdio := NewStdioNode(fs, 0)
 	fs.CreateFile("/data/exists", 50)
 	runSim(t, func(th *sim.Thread) {
 		if _, err := stdio.Fopen(th, "/data/nope", "r"); !errors.Is(err, ErrNotExist) {
@@ -138,7 +138,7 @@ func TestFopenModes(t *testing.T) {
 
 func TestFseekFlushesAndRepositions(t *testing.T) {
 	fs, _, _, _, _ := testFS()
-	stdio := NewStdio(fs)
+	stdio := NewStdioNode(fs, 0)
 	runSim(t, func(th *sim.Thread) {
 		st, _ := stdio.Fopen(th, "/data/seek", "w+")
 		stdio.Fwrite(th, st, []byte("0123456789"))
@@ -155,7 +155,7 @@ func TestFseekFlushesAndRepositions(t *testing.T) {
 
 func TestStreamFlushCountTracksBufferFills(t *testing.T) {
 	fs, _, _, _, _ := testFS()
-	stdio := NewStdio(fs)
+	stdio := NewStdioNode(fs, 0)
 	runSim(t, func(th *sim.Thread) {
 		st, _ := stdio.Fopen(th, "/data/fills", "w")
 		chunk := make([]byte, StdioBufSize/2)
@@ -171,7 +171,7 @@ func TestStreamFlushCountTracksBufferFills(t *testing.T) {
 
 func TestClosedStreamOperationsFail(t *testing.T) {
 	fs, _, _, _, _ := testFS()
-	stdio := NewStdio(fs)
+	stdio := NewStdioNode(fs, 0)
 	runSim(t, func(th *sim.Thread) {
 		st, _ := stdio.Fopen(th, "/data/c", "w")
 		stdio.Fclose(th, st)
@@ -186,7 +186,7 @@ func TestClosedStreamOperationsFail(t *testing.T) {
 
 func TestStdioWritesLandOnCorrectDevice(t *testing.T) {
 	fs, _, _, _, opt := testFS()
-	stdio := NewStdio(fs)
+	stdio := NewStdioNode(fs, 0)
 	runSim(t, func(th *sim.Thread) {
 		st, _ := stdio.Fopen(th, "/fast/f", "w")
 		stdio.Fwrite(th, st, make([]byte, 2*StdioBufSize))

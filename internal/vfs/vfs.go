@@ -234,22 +234,6 @@ func (fs *FS) allocExtent(ino *Inode, size int64) {
 	ino.alloc = true
 }
 
-// SetContent stores explicit content for a file (test fixtures, small
-// configuration files). The file's size becomes len(data).
-func (fs *FS) SetContent(p string, data []byte) error {
-	ino, ok := fs.inodes[path.Clean(p)]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotExist, p)
-	}
-	ino.content = append([]byte(nil), data...)
-	grow := int64(len(data)) - ino.Size
-	ino.Size = int64(len(data))
-	if grow > 0 {
-		ino.Mnt.cursor += grow
-	}
-	return nil
-}
-
 // Lookup returns the inode for p without charging any simulated I/O.
 func (fs *FS) Lookup(p string) (*Inode, bool) {
 	ino, ok := fs.inodes[path.Clean(p)]
@@ -335,13 +319,6 @@ func (ino *Inode) fillContent(buf []byte, off int64) {
 		buf[i] = byte(x >> 16)
 		x += contentMul
 	}
-}
-
-// ContentByte returns the procedural content byte at offset (for tests).
-func (ino *Inode) ContentByte(off int64) byte {
-	var b [1]byte
-	ino.fillContent(b[:], off)
-	return b[0]
 }
 
 // FNV-1a parameters of the content checksum used by verify-content reads.

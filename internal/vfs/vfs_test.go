@@ -331,7 +331,7 @@ func TestMigrateMovesDataToFastTier(t *testing.T) {
 	}
 }
 
-func TestStatAndFstat(t *testing.T) {
+func TestStat(t *testing.T) {
 	fs, _, _, _, _ := testFS()
 	fs.CreateFile("/data/s", 12345)
 	runSim(t, func(th *sim.Thread) {
@@ -339,12 +339,6 @@ func TestStatAndFstat(t *testing.T) {
 		if err != nil || fi.Size != 12345 {
 			t.Fatalf("Stat = %+v, %v", fi, err)
 		}
-		fd, _ := fs.Open(th, "/data/s", O_RDONLY)
-		fi, err = fs.Fstat(th, fd)
-		if err != nil || fi.Size != 12345 {
-			t.Fatalf("Fstat = %+v, %v", fi, err)
-		}
-		fs.Close(th, fd)
 	})
 }
 

@@ -67,9 +67,6 @@ func (v *View) Stat(t *sim.Thread, p string) (FileInfo, error) {
 	return v.fs.statNode(t, v.node, p)
 }
 
-// Fstat stats an open descriptor.
-func (v *View) Fstat(t *sim.Thread, fd int) (FileInfo, error) { return v.fs.Fstat(t, fd) }
-
 // Fsync syncs a descriptor.
 func (v *View) Fsync(t *sim.Thread, fd int) error { return v.fs.Fsync(t, fd) }
 

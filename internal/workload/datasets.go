@@ -49,19 +49,6 @@ func (d *Dataset) Median() int64 {
 	return stats.MedianInt64(d.Sizes)
 }
 
-// CountBelow returns how many files are smaller than limit and their total
-// bytes — the quantities behind the paper's staging decision (4,420 files
-// under 2MB holding ~8% of the bytes).
-func (d *Dataset) CountBelow(limit int64) (files int, bytes int64) {
-	for _, s := range d.Sizes {
-		if s < limit {
-			files++
-			bytes += s
-		}
-	}
-	return files, bytes
-}
-
 // scaleTo rescales sizes so they sum exactly to total (preserving shape).
 func scaleTo(sizes []int64, total int64) {
 	var cur int64

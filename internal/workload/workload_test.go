@@ -44,7 +44,13 @@ func TestMalwareCharacteristics(t *testing.T) {
 	}
 	// The decisive staging shape (paper §V-B): files under 2MB are ~40%
 	// of the population but hold under ~10% of the bytes.
-	files, bytes := d.CountBelow(2 << 20)
+	files, bytes := 0, int64(0)
+	for _, s := range d.Sizes {
+		if s < 2<<20 {
+			files++
+			bytes += s
+		}
+	}
 	fracFiles := float64(files) / float64(len(d.Paths))
 	fracBytes := float64(bytes) / float64(d.Total())
 	if fracFiles < 0.33 || fracFiles > 0.47 {

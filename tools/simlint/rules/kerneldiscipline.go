@@ -21,7 +21,7 @@ deadlock detector assumes it can see every runnable thread, and Sleep's
 time-warp fast path assumes no one else advances state concurrently. A
 raw goroutine, sync.Mutex or native channel is invisible to both — the
 classic way deadlock detection and time-warp go wrong. Use Kernel.Spawn,
-sim.Mutex/Semaphore/Barrier/WaitGroup and sim.Chan. The only blessed
+sim.Mutex/Semaphore/Barrier and sim.Chan. The only blessed
 exceptions are enumerated in sim.BlessedExternalGoroutines, which this
 analyzer consumes directly.`,
 	Run: runKernelDiscipline,
@@ -56,7 +56,7 @@ func runKernelDiscipline(pass *analysis.Pass) error {
 				pass.Reportf(n.Pos(), "raw goroutine is invisible to the sim kernel (deadlock detection and virtual time skip it); use sim.Kernel.Spawn, or bless this site in sim.BlessedExternalGoroutines")
 			case *ast.SelectorExpr:
 				if obj := pass.TypesInfo.Uses[n.Sel]; obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "sync" {
-					pass.Reportf(n.Pos(), "sync.%s blocks the host thread outside the kernel's view; use sim.Mutex/sim.Semaphore/sim.WaitGroup under kernel discipline", n.Sel.Name)
+					pass.Reportf(n.Pos(), "sync.%s blocks the host thread outside the kernel's view; use sim.Mutex/sim.Semaphore/sim.Barrier under kernel discipline", n.Sel.Name)
 				}
 			case *ast.SendStmt:
 				pass.Reportf(n.Pos(), "raw channel send bypasses the sim kernel; use sim.Chan")
