@@ -16,9 +16,10 @@ package sim
 // until the site is either ported to the kernel API or added here with a
 // justification.
 var BlessedExternalGoroutines = []string{
-	// The kernel itself: Spawn's goroutine-per-thread multiplexing, the
-	// park/unpark channel handoff and Shutdown's reaper are the one place
-	// native concurrency is the implementation, not an escape hatch.
+	// The kernel itself: Spawn's coroutine-per-thread multiplexing, the
+	// park/resume handoff through iter.Pull and Shutdown's reaper are the
+	// one place native concurrency is the implementation, not an escape
+	// hatch.
 	"repro/internal/sim",
 
 	// The parallel experiment harness: a worker pool distributing whole,

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 )
 
@@ -261,5 +262,104 @@ func TestYieldFastPathNoOpWhenAlone(t *testing.T) {
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestContendedYieldZeroAlloc pins the coroutine handoff: a park/resume
+// round trip between two runnable threads allocates nothing.
+func TestContendedYieldZeroAlloc(t *testing.T) {
+	k := NewKernel()
+	var allocs float64
+	done := false
+	k.Spawn("peer", func(th *Thread) {
+		for !done {
+			th.Yield()
+		}
+	})
+	k.Spawn("bench", func(th *Thread) {
+		for i := 0; i < 64; i++ {
+			th.Yield()
+		}
+		allocs = testing.AllocsPerRun(1000, th.Yield)
+		done = true
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("contended Yield: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestNoGoroutineLeakAfterRun ends kernels alternately in a reaped
+// deadlock and a normal exit and requires every thread's coroutine
+// goroutine to be gone afterwards.
+func TestNoGoroutineLeakAfterRun(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for i := 0; i < 50; i++ {
+		k := NewKernel()
+		ch := NewChan[int](1)
+		k.Spawn("sender", func(th *Thread) {
+			th.Sleep(Microsecond)
+			ch.Send(th, i)
+		})
+		k.Spawn("receiver", func(th *Thread) {
+			ch.Recv(th)
+			if i%2 == 0 {
+				ch.Recv(th) // nobody sends again: deadlock
+			}
+		})
+		err := k.Run()
+		var dl *DeadlockError
+		if deadlock := errors.As(err, &dl); deadlock != (i%2 == 0) || (!deadlock && err != nil) {
+			t.Fatalf("kernel %d: Run = %v", i, err)
+		}
+		if k.Live() != 0 {
+			t.Fatalf("kernel %d: %d live threads after Run", i, k.Live())
+		}
+	}
+	// The previous test's goroutine may still be exiting when base is
+	// read, so the count can drop below it; a leak raises it.
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("goroutines: %d after 50 kernels, want at most baseline %d", n, base)
+	}
+}
+
+// TestThreadPanicSurfacesFromRun verifies a panic in a thread body
+// reaches Run's caller with its original value, and that Run first marks
+// the panicking thread done and reaps its parked peer (running the peer's
+// defers) so no thread or goroutine is left behind.
+func TestThreadPanicSurfacesFromRun(t *testing.T) {
+	base := runtime.NumGoroutine()
+	k := NewKernel()
+	ch := NewChan[int](0)
+	reaped := false
+	k.Spawn("peer", func(th *Thread) {
+		defer func() { reaped = true }()
+		ch.Recv(th)
+	})
+	k.Spawn("boom", func(th *Thread) {
+		th.Sleep(Millisecond)
+		panic("boom")
+	})
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		_ = k.Run()
+		return nil
+	}()
+	if got != "boom" {
+		t.Fatalf("recovered %v, want boom", got)
+	}
+	if k.Live() != 0 {
+		t.Fatalf("after panic: %d live threads, want 0", k.Live())
+	}
+	if !k.Stopped() {
+		t.Fatal("Stopped() = false after a thread panic")
+	}
+	if !reaped {
+		t.Fatal("parked peer was not reaped")
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("goroutines: %d after the panic, want at most baseline %d", n, base)
 	}
 }

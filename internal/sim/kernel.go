@@ -1,11 +1,13 @@
 // Package sim implements a deterministic discrete-event simulation kernel.
 //
-// The kernel multiplexes simulated threads (each backed by a goroutine) over
-// a virtual clock. Exactly one goroutine — either the kernel or a single
-// simulated thread — runs at any moment, so kernel and thread state need no
-// locking and every run with the same inputs produces the same event order,
-// the same virtual timestamps, and therefore bit-identical experiment
-// results.
+// The kernel multiplexes simulated threads over a virtual clock. Each thread
+// is an iter.Pull coroutine: the kernel resumes it with next and the thread
+// parks with yield, so control passes directly between the two goroutines
+// (runtime.coroswitch) rather than through channels and the Go scheduler.
+// Exactly one goroutine — either the kernel or a single simulated thread —
+// runs at any moment, so kernel and thread state need no locking and every
+// run with the same inputs produces the same event order, the same virtual
+// timestamps, and therefore bit-identical experiment results.
 //
 // Simulated threads block on virtual time (Sleep), on synchronization
 // primitives (Mutex, Semaphore, Barrier, Chan), or on resources built from
@@ -36,6 +38,7 @@ package sim
 import (
 	"container/heap"
 	"fmt"
+	"iter"
 	"sort"
 	"strings"
 )
@@ -134,7 +137,6 @@ type Kernel struct {
 	seq      uint64
 	sleepers sleeperHeap
 	ready    readyRing
-	yieldCh  chan struct{}
 	cur      *Thread
 	threads  []*Thread
 	live     int
@@ -149,7 +151,7 @@ type Kernel struct {
 
 // NewKernel returns an empty kernel at virtual time zero.
 func NewKernel() *Kernel {
-	return &Kernel{yieldCh: make(chan struct{})}
+	return &Kernel{}
 }
 
 // Now returns the current virtual time in nanoseconds.
@@ -162,25 +164,29 @@ func (k *Kernel) Live() int { return k.live }
 // before Run or from inside a running simulated thread. The thread becomes
 // runnable immediately (FIFO order with other ready threads).
 func (k *Kernel) Spawn(name string, fn func(t *Thread)) *Thread {
-	t := &Thread{
-		k:      k,
-		id:     k.nextTID,
-		name:   name,
-		resume: make(chan struct{}),
-		state:  stateReady,
-	}
+	t := &Thread{k: k, id: k.nextTID, name: name, state: stateReady}
 	k.nextTID++
 	k.live++
 	k.threads = append(k.threads, t)
-	go func() {
-		<-t.resume
+	t.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		t.yield = yield
+		// However the body ends, the thread is done: a return, the
+		// Shutdown kill sentinel (absorbed, so a reaped thread exits
+		// cleanly) or a real panic, which iter.Pull carries out of
+		// t.next to Run on the kernel's goroutine.
+		defer func() {
+			t.state = stateDone
+			k.live--
+			if r := recover(); r != nil {
+				if _, ok := r.(threadKilled); !ok {
+					panic(r)
+				}
+			}
+		}()
 		if !k.stopped {
-			runThreadFn(t, fn)
+			fn(t)
 		}
-		t.state = stateDone
-		k.live--
-		k.yieldCh <- struct{}{}
-	}()
+	})
 	k.ready.push(t)
 	return t
 }
@@ -188,19 +194,6 @@ func (k *Kernel) Spawn(name string, fn func(t *Thread)) *Thread {
 // threadKilled is the panic sentinel Shutdown uses to unwind a parked
 // thread's goroutine through arbitrarily deep call stacks.
 type threadKilled struct{}
-
-// runThreadFn runs the thread body, absorbing the Shutdown kill sentinel so
-// reaped goroutines exit cleanly while real panics still propagate.
-func runThreadFn(t *Thread, fn func(*Thread)) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(threadKilled); !ok {
-				panic(r)
-			}
-		}
-	}()
-	fn(t)
-}
 
 // makeReady moves a parked thread to the back of the run queue.
 func (k *Kernel) makeReady(t *Thread) {
@@ -219,15 +212,27 @@ func (k *Kernel) makeReady(t *Thread) {
 func (k *Kernel) runThread(t *Thread) {
 	t.state = stateRunning
 	k.cur = t
-	t.resume <- struct{}{}
-	<-k.yieldCh
+	if _, ok := t.next(); !ok {
+		// The body returned: drop the coroutine so the thread record
+		// does not keep its closure reachable for the rest of the run.
+		t.next, t.yield = nil, nil
+	}
 	k.cur = nil
 }
 
 // Run executes the simulation until every thread has exited. If threads
 // remain but none can ever become runnable, Run reaps them (see Shutdown)
-// and returns a DeadlockError naming them.
+// and returns a DeadlockError naming them. A panic in a thread body
+// surfaces from Run on the caller's goroutine, after the panicking thread
+// is marked done and every other thread is reaped.
 func (k *Kernel) Run() error {
+	defer func() {
+		if r := recover(); r != nil {
+			k.cur = nil
+			k.Shutdown()
+			panic(r)
+		}
+	}()
 	for {
 		if k.ready.n > 0 {
 			t := k.ready.pop()
@@ -256,9 +261,9 @@ func (k *Kernel) Run() error {
 }
 
 // Shutdown reaps every thread that has not yet exited, releasing its
-// backing goroutine. Run calls it before returning a DeadlockError; a
+// coroutine goroutine. Run calls it before returning a DeadlockError; a
 // kernel that is never run otherwise strands each spawned thread's
-// goroutine on its resume channel forever.
+// coroutine, never started or parked in yield, forever.
 //
 // Shutdown must be called from the goroutine that owns the kernel (the one
 // that called or would call Run), never from inside a simulated thread. It
@@ -269,13 +274,13 @@ func (k *Kernel) Shutdown() {
 	}
 	k.stopped = true
 	for _, t := range k.threads {
-		if t.state == stateDone {
-			continue
+		if t.state != stateDone {
+			// Resume the coroutine: new threads see k.stopped and skip
+			// their body; parked threads unwind via the threadKilled
+			// sentinel.
+			t.next()
 		}
-		// Wake the goroutine: new threads see k.stopped and skip their
-		// body; parked threads unwind via the threadKilled sentinel.
-		t.resume <- struct{}{}
-		<-k.yieldCh
+		t.next, t.yield = nil, nil
 	}
 }
 
@@ -311,8 +316,12 @@ type Thread struct {
 	id        int
 	name      string
 	state     threadState
-	resume    chan struct{}
 	blockedOn string
+
+	// next resumes the thread's coroutine from the kernel; yield parks it
+	// from inside. Both are dropped once the body has returned.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
 
 	// wake and wakeSeq order the thread in the kernel's sleeper heap while
 	// it sleeps: a thread has at most one pending sleep, so its wake time
@@ -347,8 +356,7 @@ func (t *Thread) park(state threadState, desc string) {
 	}
 	t.state = state
 	t.blockedOn = desc
-	t.k.yieldCh <- struct{}{}
-	<-t.resume
+	t.yield(struct{}{})
 	if t.k.stopped {
 		panic(threadKilled{})
 	}

@@ -10,18 +10,20 @@ import (
 )
 
 // KernelDiscipline forbids concurrency the sim kernel cannot see: raw go
-// statements, the sync package, and native channel operations, everywhere
-// except the whitelist exported by the sim package itself.
+// statements, iter.Pull coroutines, the sync package, and native channel
+// operations, everywhere except the whitelist exported by the sim package
+// itself.
 var KernelDiscipline = &analysis.Analyzer{
 	Name: "kerneldiscipline",
-	Doc: `forbid raw goroutines, sync primitives and channels outside sim.
+	Doc: `forbid raw goroutines, coroutines, sync primitives and channels outside sim.
 
 The kernel multiplexes sim threads cooperatively over virtual time: its
 deadlock detector assumes it can see every runnable thread, and Sleep's
 time-warp fast path assumes no one else advances state concurrently. A
-raw goroutine, sync.Mutex or native channel is invisible to both — the
-classic way deadlock detection and time-warp go wrong. Use Kernel.Spawn,
-sim.Mutex/Semaphore/Barrier and sim.Chan. The only blessed
+raw goroutine, an iter.Pull/iter.Pull2 coroutine (which runs its sequence
+on a goroutine of its own), sync.Mutex or native channel is invisible to
+both — the classic way deadlock detection and time-warp go wrong. Use
+Kernel.Spawn, sim.Mutex/Semaphore/Barrier and sim.Chan. The only blessed
 exceptions are enumerated in sim.BlessedExternalGoroutines, which this
 analyzer consumes directly.`,
 	Run: runKernelDiscipline,
@@ -55,8 +57,17 @@ func runKernelDiscipline(pass *analysis.Pass) error {
 			case *ast.GoStmt:
 				pass.Reportf(n.Pos(), "raw goroutine is invisible to the sim kernel (deadlock detection and virtual time skip it); use sim.Kernel.Spawn, or bless this site in sim.BlessedExternalGoroutines")
 			case *ast.SelectorExpr:
-				if obj := pass.TypesInfo.Uses[n.Sel]; obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "sync" {
+				obj := pass.TypesInfo.Uses[n.Sel]
+				if obj == nil || obj.Pkg() == nil {
+					break
+				}
+				switch obj.Pkg().Path() {
+				case "sync":
 					pass.Reportf(n.Pos(), "sync.%s blocks the host thread outside the kernel's view; use sim.Mutex/sim.Semaphore/sim.Barrier under kernel discipline", n.Sel.Name)
+				case "iter":
+					if obj.Name() == "Pull" || obj.Name() == "Pull2" {
+						pass.Reportf(n.Pos(), "iter.%s starts a coroutine goroutine invisible to the sim kernel; use sim.Kernel.Spawn, or bless this site in sim.BlessedExternalGoroutines", n.Sel.Name)
+					}
 				}
 			case *ast.SendStmt:
 				pass.Reportf(n.Pos(), "raw channel send bypasses the sim kernel; use sim.Chan")

@@ -1,12 +1,26 @@
 // Package kerneldiscipline is a fixture for the raw-concurrency analyzer:
-// nothing here is blessed, so every goroutine, sync primitive and channel
-// op must be flagged.
+// nothing here is blessed, so every goroutine, coroutine, sync primitive
+// and channel op must be flagged.
 package kerneldiscipline
 
-import "sync"
+import (
+	"iter"
+	"sync"
+)
 
 func Spawn(work func()) {
 	go work() // want `raw goroutine is invisible to the sim kernel`
+}
+
+func Coroutines(seq iter.Seq[int], seq2 iter.Seq2[int, int]) {
+	next, stop := iter.Pull(seq) // want `iter\.Pull starts a coroutine goroutine invisible to the sim kernel`
+	defer stop()
+	next()
+	next2, stop2 := iter.Pull2(seq2) // want `iter\.Pull2 starts a coroutine goroutine invisible to the sim kernel`
+	defer stop2()
+	next2()
+	for range seq { // ok: a range-over-func loop runs on the caller's goroutine
+	}
 }
 
 func Locked(n *int) {
