@@ -21,6 +21,14 @@ type Variable struct {
 // Fig. 6.
 const CheckpointChunk = 2 << 20
 
+// zeroChunk is the source of every checkpoint header and payload chunk.
+// Writes are counted, not stored, so one shared chunk serves every call.
+// It is read-only: nothing may ever write to it.
+var zeroChunk [CheckpointChunk]byte
+
+// checkpointHeaderLen is the size of the header written before each tensor.
+const checkpointHeaderLen = 256
+
 // CheckpointResult summarizes one written checkpoint.
 type CheckpointResult struct {
 	Path       string
@@ -44,22 +52,17 @@ func WriteCheckpoint(t *sim.Thread, env *tf.Env, prefix string, vars []Variable)
 		return CheckpointResult{}, err
 	}
 	var total int64
-	header := make([]byte, 256)
-	payload := make([]byte, CheckpointChunk)
 	var offsets []int64
 	for _, v := range vars {
 		offsets = append(offsets, total)
-		if err := data.Append(t, header); err != nil {
+		if err := data.Append(t, zeroChunk[:checkpointHeaderLen]); err != nil {
 			return CheckpointResult{}, err
 		}
-		total += int64(len(header))
+		total += checkpointHeaderLen
 		remaining := v.Bytes
 		for remaining > 0 {
-			n := int64(len(payload))
-			if remaining < n {
-				n = remaining
-			}
-			if err := data.Append(t, payload[:n]); err != nil {
+			n := min(remaining, CheckpointChunk)
+			if err := data.Append(t, zeroChunk[:n]); err != nil {
 				return CheckpointResult{}, err
 			}
 			total += n

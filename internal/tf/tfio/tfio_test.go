@@ -1,6 +1,7 @@
 package tfio
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/darshan"
@@ -98,8 +99,9 @@ func TestReadFileVerifyContentMatchesDiscard(t *testing.T) {
 }
 
 func TestRestoreCheckpointVerifyContent(t *testing.T) {
-	// Restoring a written (content-backed) checkpoint under VerifyContent
-	// exercises the checksum round-trip over stored bytes.
+	// Restoring a written checkpoint under VerifyContent exercises the
+	// checksum round-trip over written ranges: writes are counted, not
+	// stored, so the restore reads the files' procedural bytes.
 	m := greendog()
 	m.Env.VerifyContent = true
 	vars := []Variable{{Name: "w", Bytes: 1 << 20}, {Name: "b", Bytes: 4096}}
@@ -168,6 +170,25 @@ func TestCheckpointFwriteCount(t *testing.T) {
 	}
 	if res.DurationNs <= 0 {
 		t.Fatal("checkpoint cost no time")
+	}
+}
+
+// Checkpoint writes are counted, not stored, and every header and payload
+// chunk comes from one shared zero chunk: saving a 16 MiB variable must not
+// allocate anything on the order of its size.
+func TestWriteCheckpointAllocatesNoPayload(t *testing.T) {
+	m := greendog()
+	vars := []Variable{{Name: "w", Bytes: 16 << 20}}
+	var before, after runtime.MemStats
+	run(t, m, func(th *sim.Thread) {
+		runtime.ReadMemStats(&before)
+		if _, err := WriteCheckpoint(th, m.Env, platform.GreendogSSDPath+"/alloc", vars); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+	})
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Fatalf("WriteCheckpoint of 16 MiB allocated %d bytes, want < 64 KiB", got)
 	}
 }
 

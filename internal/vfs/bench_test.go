@@ -79,3 +79,45 @@ func BenchmarkVFSPread(b *testing.B) { benchPread(b, false) }
 
 // BenchmarkVFSPreadDiscard measures the count-only pread path end to end.
 func BenchmarkVFSPreadDiscard(b *testing.B) { benchPread(b, true) }
+
+// BenchmarkStdioFwriteCheckpoint measures the STDIO write path with the
+// shape of one checkpoint tensor: fopen "w", a 256 B header, four 2 MiB
+// fwrites (each past the stream buffer, so written through) and fclose.
+// Writes are counted, not stored, so bytes/op stays flat in the payload.
+func BenchmarkStdioFwriteCheckpoint(b *testing.B) {
+	const chunk = 2 << 20
+	fs, _ := benchFS(b, 0)
+	stdio := NewStdioNode(fs, 0)
+	payload := make([]byte, chunk)
+	var err error
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := sim.NewKernel()
+		k.Spawn("bench", func(t *sim.Thread) {
+			st, e := stdio.Fopen(t, "/bench/ckpt", "w")
+			if e != nil {
+				err = e
+				return
+			}
+			if _, e := stdio.Fwrite(t, st, payload[:256]); e != nil {
+				err = e
+			}
+			for j := 0; j < 4; j++ {
+				if _, e := stdio.Fwrite(t, st, payload); e != nil {
+					err = e
+				}
+			}
+			if e := stdio.Fclose(t, st); e != nil {
+				err = e
+			}
+		})
+		if e := k.Run(); e != nil {
+			err = e
+		}
+	}
+	b.StopTimer()
+	if err != nil {
+		b.Fatal(err)
+	}
+}

@@ -44,7 +44,6 @@ func (fs *FS) openNode(t *sim.Thread, node int, p string, flags int) (int, error
 	}
 	if flags&O_TRUNC != 0 {
 		ino.Size = 0
-		ino.content = nil
 	}
 	of := &openFile{inode: ino, node: node, flags: flags}
 	if flags&O_APPEND != 0 {
@@ -169,7 +168,9 @@ func (fs *FS) Pwrite(t *sim.Thread, fd int, buf []byte, off int64) (int, error) 
 
 // writeAt performs the device write and bookkeeping shared by Pwrite and
 // the STDIO flush path (which bypasses the syscall wrappers, as libc's
-// internals bypass the PLT).
+// internals bypass the PLT). Only the size and cost of buf count: its bytes
+// are never stored, so a written range reads back as the inode's procedural
+// content like every other file.
 func (fs *FS) writeAt(t *sim.Thread, ino *Inode, buf []byte, off int64) (int, error) {
 	n := int64(len(buf))
 	if n == 0 {
@@ -188,15 +189,6 @@ func (fs *FS) writeAt(t *sim.Thread, ino *Inode, buf []byte, off int64) (int, er
 			ino.Mnt.cursor += grow
 		}
 		ino.Size = end
-	}
-	const contentCap = 4 << 20
-	if end <= contentCap && (ino.content != nil || off == 0 || int64(len(ino.content)) >= off) {
-		if int64(len(ino.content)) < end {
-			ino.content = append(ino.content, make([]byte, end-int64(len(ino.content)))...)
-		}
-		copy(ino.content[off:end], buf)
-	} else if end > contentCap {
-		ino.content = nil // too large to store; sizes/timing only
 	}
 	ino.Mnt.Dev.Write(t, ino.Extent+off, n)
 	return int(n), nil

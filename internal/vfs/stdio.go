@@ -88,7 +88,6 @@ func (s *Stdio) Fopen(t *sim.Thread, p, mode string) (*Stream, error) {
 	}
 	if trunc {
 		ino.Size = 0
-		ino.content = nil
 	}
 	st := &Stream{fs: s.fs, node: s.node, inode: ino, read: rd, write: wr}
 	if appnd {

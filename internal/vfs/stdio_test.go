@@ -76,24 +76,32 @@ func TestFreadDiscardAdvancesLikeFread(t *testing.T) {
 	})
 }
 
+// An fwrite/fread round trip returns the written count in order and then
+// EOF; the bytes read are the inode's procedural content at each offset.
 func TestFreadRoundTrip(t *testing.T) {
 	fs, _, _, _, _ := testFS()
 	stdio := NewStdioNode(fs, 0)
 	runSim(t, func(th *sim.Thread) {
 		st, _ := stdio.Fopen(th, "/data/w", "w")
-		stdio.Fwrite(th, st, []byte("abcdefgh"))
+		if n, err := stdio.Fwrite(th, st, []byte("abcdefgh")); n != 8 || err != nil {
+			t.Fatalf("Fwrite = %d, %v", n, err)
+		}
 		stdio.Fclose(th, st)
+		ino, _ := fs.Lookup("/data/w")
+		if ino.Size != 8 {
+			t.Fatalf("size = %d, want 8", ino.Size)
+		}
 
 		st, err := stdio.Fopen(th, "/data/w", "r")
 		if err != nil {
 			t.Fatal(err)
 		}
 		buf := make([]byte, 4)
-		if n, _ := stdio.Fread(th, st, buf); n != 4 || string(buf) != "abcd" {
-			t.Fatalf("Fread = %d %q", n, buf)
-		}
-		if n, _ := stdio.Fread(th, st, buf); n != 4 || string(buf) != "efgh" {
-			t.Fatalf("Fread2 = %d %q", n, buf)
+		for _, off := range []int64{0, 4} {
+			if n, _ := stdio.Fread(th, st, buf); n != 4 {
+				t.Fatalf("Fread at %d = %d", off, n)
+			}
+			wantProcedural(t, ino, off, buf)
 		}
 		if n, _ := stdio.Fread(th, st, buf); n != 0 {
 			t.Fatalf("Fread at EOF = %d", n)
@@ -136,18 +144,37 @@ func TestFopenModes(t *testing.T) {
 	})
 }
 
+// Fseek flushes buffered output before repositioning, so a read after the
+// seek sees the written size and returns the bytes at the new offset.
 func TestFseekFlushesAndRepositions(t *testing.T) {
-	fs, _, _, _, _ := testFS()
+	fs, _, _, hdd, _ := testFS()
 	stdio := NewStdioNode(fs, 0)
 	runSim(t, func(th *sim.Thread) {
 		st, _ := stdio.Fopen(th, "/data/seek", "w+")
 		stdio.Fwrite(th, st, []byte("0123456789"))
+		if got := hdd.Counters().WriteOps; got != 0 {
+			t.Fatalf("device writes before fseek = %d, want 0 (buffered)", got)
+		}
 		if err := stdio.Fseek(th, st, 2, SeekSet); err != nil {
 			t.Fatal(err)
 		}
+		if got := hdd.Counters().WriteOps; got != 1 {
+			t.Fatalf("device writes after fseek = %d, want 1 (flushed)", got)
+		}
+		if off := stdio.Ftell(st); off != 2 {
+			t.Fatalf("offset after fseek = %d, want 2", off)
+		}
+		ino, _ := fs.Lookup("/data/seek")
+		if ino.Size != 10 {
+			t.Fatalf("size after fseek = %d, want 10", ino.Size)
+		}
 		buf := make([]byte, 3)
-		if n, _ := stdio.Fread(th, st, buf); n != 3 || string(buf) != "234" {
-			t.Fatalf("read after seek = %q", buf)
+		if n, _ := stdio.Fread(th, st, buf); n != 3 {
+			t.Fatalf("read after seek = %d", n)
+		}
+		wantProcedural(t, ino, 2, buf)
+		if off := stdio.Ftell(st); off != 5 {
+			t.Fatalf("offset after read = %d, want 5", off)
 		}
 		stdio.Fclose(th, st)
 	})

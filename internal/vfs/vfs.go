@@ -138,10 +138,9 @@ type Inode struct {
 	Extent int64 // device position of the file's data
 	Mnt    *Mount
 
-	warm    nodeSet // per-node: metadata cached (first open/stat done)
-	alloc   bool    // extent assigned
-	content []byte  // stored content for small written files
-	seed    int64   // procedural content seed
+	warm  nodeSet // per-node: metadata cached (first open/stat done)
+	alloc bool    // extent assigned
+	seed  int64   // procedural content seed
 }
 
 type openFile struct {
@@ -289,20 +288,14 @@ func (fs *FS) Migrate(p string, dst *Mount) error {
 // byte i of a file is byte((seed + i*contentMul) >> 16).
 const contentMul = 1103515245
 
-// fillContent fills buf with the file's bytes at off: stored content when
-// present, otherwise deterministic procedural bytes so content round-trips
-// are checkable without materializing multi-GB datasets. Generation is
-// word-wise — eight bytes assembled per stored uint64, with the multiply
-// strength-reduced to a running addition (exact under two's-complement
-// wraparound) — instead of one multiply per byte.
+// fillContent fills buf with the file's bytes at off. Every file's bytes
+// are procedural and deterministic, written ranges included (writes are
+// counted, not stored), so content round-trips are checkable without
+// materializing multi-GB datasets. Generation is word-wise — eight bytes
+// assembled per stored uint64, with the multiply strength-reduced to a
+// running addition (exact under two's-complement wraparound) — instead of
+// one multiply per byte.
 func (ino *Inode) fillContent(buf []byte, off int64) {
-	if ino.content != nil {
-		n := copy(buf, ino.content[off:])
-		for i := n; i < len(buf); i++ {
-			buf[i] = 0
-		}
-		return
-	}
 	x := ino.seed + off*contentMul
 	i := 0
 	for ; i+8 <= len(buf); i += 8 {
