@@ -194,11 +194,6 @@ func readSizeBucket(size int64) PosixCounter {
 	return POSIX_SIZE_READ_0_100 + sizeBucketOffset(size)
 }
 
-// writeSizeBucket returns the POSIX_SIZE_WRITE_* counter for size.
-func writeSizeBucket(size int64) PosixCounter {
-	return POSIX_SIZE_WRITE_0_100 + sizeBucketOffset(size)
-}
-
 func sizeBucketOffset(size int64) PosixCounter {
 	switch {
 	case size <= 100:

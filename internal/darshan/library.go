@@ -42,24 +42,10 @@ func (rt *Runtime) WrapperFor(symbol string, real any) (any, bool) {
 		return rt.Posix.wrapOpen(real.(libc.OpenFunc)), true
 	case "close":
 		return rt.Posix.wrapClose(real.(libc.CloseFunc)), true
-	case "read":
-		return rt.Posix.wrapRead(real.(libc.ReadFunc)), true
 	case "pread":
 		return rt.Posix.wrapPread(real.(libc.PreadFunc)), true
 	case "pread_discard":
 		return rt.Posix.wrapPreadDiscard(real.(libc.PreadDiscardFunc)), true
-	case "write":
-		return rt.Posix.wrapWrite(real.(libc.WriteFunc)), true
-	case "pwrite":
-		return rt.Posix.wrapPwrite(real.(libc.PwriteFunc)), true
-	case "lseek":
-		return rt.Posix.wrapLseek(real.(libc.LseekFunc)), true
-	case "stat":
-		return rt.Posix.wrapStat(real.(libc.StatFunc)), true
-	case "fsync":
-		return rt.Posix.wrapFsync(real.(libc.FsyncFunc)), true
-	case "unlink":
-		return rt.Posix.wrapUnlink(real.(libc.UnlinkFunc)), true
 	case "fopen":
 		return rt.Stdio.wrapFopen(real.(libc.FopenFunc)), true
 	case "fread":
@@ -68,10 +54,6 @@ func (rt *Runtime) WrapperFor(symbol string, real any) (any, bool) {
 		return rt.Stdio.wrapFreadDiscard(real.(libc.FreadDiscardFunc)), true
 	case "fwrite":
 		return rt.Stdio.wrapFwrite(real.(libc.FwriteFunc)), true
-	case "fseek":
-		return rt.Stdio.wrapFseek(real.(libc.FseekFunc)), true
-	case "fflush":
-		return rt.Stdio.wrapFflush(real.(libc.FflushFunc)), true
 	case "fclose":
 		return rt.Stdio.wrapFclose(real.(libc.FcloseFunc)), true
 	}

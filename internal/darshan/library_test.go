@@ -96,7 +96,7 @@ func TestPreloadLibraryInstrumentsWholeRun(t *testing.T) {
 	k.Spawn("app", func(th *sim.Thread) {
 		fd, _ := calls.Open(th, "/data/p", vfs.O_RDONLY)
 		buf := make([]byte, 1000)
-		calls.Read(th, fd, buf)
+		calls.Pread(th, fd, buf, 0)
 		calls.Close(th, fd)
 	})
 	if err := k.Run(); err != nil {

@@ -430,9 +430,6 @@ func TestSizeBucketEdges(t *testing.T) {
 			t.Errorf("readSizeBucket(%d) = %v, want %v", c.size, got, c.want)
 		}
 	}
-	if got := writeSizeBucket(1 << 20); got != POSIX_SIZE_WRITE_100K_1M {
-		t.Errorf("writeSizeBucket(1MiB) = %v", got)
-	}
 }
 
 func TestCounterNames(t *testing.T) {

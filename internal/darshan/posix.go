@@ -3,7 +3,6 @@ package darshan
 import (
 	"repro/internal/libc"
 	"repro/internal/sim"
-	"repro/internal/vfs"
 )
 
 // accessEntry is one (size, count) pair of a record's access-size table.
@@ -34,13 +33,10 @@ type PosixRecord struct {
 	accessInline  [accessInlineCap]accessEntry
 	accessInlineN int
 	accessSizes   map[int64]int64
-	// lastByteRead/Written hold the offset of the last byte touched, the
-	// state behind Darshan's sequential/consecutive classification.
-	lastByteRead    int64
-	lastByteWritten int64
-	lastOpWasWrite  bool
-	everRead        bool
-	everWritten     bool
+	// lastByteRead holds the offset of the last byte read, the state
+	// behind Darshan's sequential/consecutive classification.
+	lastByteRead int64
+	everRead     bool
 }
 
 // bumpAccess counts count accesses of the given size: one per operation
@@ -79,29 +75,20 @@ func (rec *PosixRecord) clearAccessState() {
 func (rec *PosixRecord) clearRuntimeState() {
 	rec.clearAccessState()
 	rec.lastByteRead = 0
-	rec.lastByteWritten = 0
-	rec.lastOpWasWrite = false
 	rec.everRead = false
-	rec.everWritten = false
 }
 
 // Name is resolved through the runtime name registry by callers; records
 // themselves carry only the id, as in Darshan's binary format.
 
-// posixFD is the per-descriptor shadow state (Darshan tracks file offsets
-// itself since the libc offset is invisible to a preloaded wrapper).
-type posixFD struct {
-	rec    *PosixRecord
-	path   string
-	offset int64
-}
-
 // PosixModule instruments the POSIX I/O functions.
 type PosixModule struct {
-	rt        *Runtime
-	records   map[uint64]*PosixRecord
-	order     []uint64
-	fds       map[int]*posixFD
+	rt      *Runtime
+	records map[uint64]*PosixRecord
+	order   []uint64
+	// fds maps each open descriptor to its file's record; a nil record
+	// means the file is open but beyond the record cap.
+	fds       map[int]*PosixRecord
 	Untracked int64 // files beyond the record cap
 }
 
@@ -109,7 +96,7 @@ func newPosixModule(rt *Runtime) *PosixModule {
 	return &PosixModule{
 		rt:      rt,
 		records: make(map[uint64]*PosixRecord),
-		fds:     make(map[int]*posixFD),
+		fds:     make(map[int]*PosixRecord),
 	}
 }
 
@@ -217,50 +204,11 @@ func (m *PosixModule) recordRead(t *sim.Thread, rec *PosixRecord, offset, size i
 	rec.lastByteRead = offset + size - 1
 	rec.Counters[POSIX_BYTES_READ] += size
 	rec.Counters[POSIX_MAX_BYTE_READ] = maxI64(rec.Counters[POSIX_MAX_BYTE_READ], offset+size-1)
-	if rec.lastOpWasWrite {
-		rec.Counters[POSIX_RW_SWITCHES]++
-	}
-	rec.lastOpWasWrite = false
 	setFirst(&rec.FCounters[POSIX_F_READ_START_TIMESTAMP], start)
 	rec.FCounters[POSIX_F_READ_END_TIMESTAMP] = end
 	rec.FCounters[POSIX_F_READ_TIME] += end - start
 	rec.FCounters[POSIX_F_MAX_READ_TIME] = maxF(rec.FCounters[POSIX_F_MAX_READ_TIME], end-start)
 	m.rt.DXT.addRead(t, rec.ID, offset, size, start, end)
-}
-
-// recordWrite applies Darshan's write semantics.
-func (m *PosixModule) recordWrite(t *sim.Thread, rec *PosixRecord, offset, size int64, start, end float64) {
-	rec.Counters[POSIX_WRITES]++
-	rec.Counters[writeSizeBucket(size)]++
-	rec.bumpAccess(size, 1)
-	if rec.everWritten {
-		if offset > rec.lastByteWritten {
-			rec.Counters[POSIX_SEQ_WRITES]++
-		}
-		if offset == rec.lastByteWritten+1 {
-			rec.Counters[POSIX_CONSEC_WRITES]++
-		}
-	} else {
-		if offset > 0 {
-			rec.Counters[POSIX_SEQ_WRITES]++
-		}
-		if offset == 1 {
-			rec.Counters[POSIX_CONSEC_WRITES]++
-		}
-		rec.everWritten = true
-	}
-	rec.lastByteWritten = offset + size - 1
-	rec.Counters[POSIX_BYTES_WRITTEN] += size
-	rec.Counters[POSIX_MAX_BYTE_WRITTEN] = maxI64(rec.Counters[POSIX_MAX_BYTE_WRITTEN], offset+size-1)
-	if rec.everRead && !rec.lastOpWasWrite {
-		rec.Counters[POSIX_RW_SWITCHES]++
-	}
-	rec.lastOpWasWrite = true
-	setFirst(&rec.FCounters[POSIX_F_WRITE_START_TIMESTAMP], start)
-	rec.FCounters[POSIX_F_WRITE_END_TIMESTAMP] = end
-	rec.FCounters[POSIX_F_WRITE_TIME] += end - start
-	rec.FCounters[POSIX_F_MAX_WRITE_TIME] = maxF(rec.FCounters[POSIX_F_MAX_WRITE_TIME], end-start)
-	m.rt.DXT.addWrite(t, rec.ID, offset, size, start, end)
 }
 
 // wrapOpen builds the instrumented open(2).
@@ -277,7 +225,7 @@ func (m *PosixModule) wrapOpen(real libc.OpenFunc) libc.OpenFunc {
 			if rec != nil {
 				m.recordOpen(rec, start, end)
 			}
-			m.fds[fd] = &posixFD{rec: rec, path: path}
+			m.fds[fd] = rec
 		})
 		return fd, err
 	}
@@ -289,36 +237,22 @@ func (m *PosixModule) wrapClose(real libc.CloseFunc) libc.CloseFunc {
 		err := real(t, fd)
 		end := m.rt.rel(t.Now())
 		m.rt.instrument(t, func() {
-			if st, ok := m.fds[fd]; ok {
-				if st.rec != nil {
-					setFirst(&st.rec.FCounters[POSIX_F_CLOSE_START_TIMESTAMP], start)
-					st.rec.FCounters[POSIX_F_CLOSE_END_TIMESTAMP] = end
-					st.rec.FCounters[POSIX_F_META_TIME] += end - start
-				}
-				delete(m.fds, fd)
+			if rec := m.fds[fd]; rec != nil {
+				setFirst(&rec.FCounters[POSIX_F_CLOSE_START_TIMESTAMP], start)
+				rec.FCounters[POSIX_F_CLOSE_END_TIMESTAMP] = end
+				rec.FCounters[POSIX_F_META_TIME] += end - start
 			}
+			delete(m.fds, fd)
 		})
 		return err
 	}
 }
 
-func (m *PosixModule) wrapRead(real libc.ReadFunc) libc.ReadFunc {
-	return func(t *sim.Thread, fd int, buf []byte) (int, error) {
-		start := m.rt.rel(t.Now())
-		n, err := real(t, fd, buf)
-		end := m.rt.rel(t.Now())
-		m.rt.instrument(t, func() {
-			if err != nil || n < 0 {
-				return
-			}
-			if st, ok := m.fds[fd]; ok {
-				if st.rec != nil {
-					m.recordRead(t, st.rec, st.offset, int64(n), start, end)
-				}
-				st.offset += int64(n)
-			}
-		})
-		return n, err
+// recordPread applies a pread's record updates to fd's file (shared by
+// the materializing and count-only wrappers).
+func (m *PosixModule) recordPread(t *sim.Thread, fd int, off, n int64, start, end float64) {
+	if rec := m.fds[fd]; rec != nil {
+		m.recordRead(t, rec, off, n, start, end)
 	}
 }
 
@@ -331,9 +265,7 @@ func (m *PosixModule) wrapPread(real libc.PreadFunc) libc.PreadFunc {
 			if err != nil || n < 0 {
 				return
 			}
-			if st, ok := m.fds[fd]; ok && st.rec != nil {
-				m.recordRead(t, st.rec, off, int64(n), start, end)
-			}
+			m.recordPread(t, fd, off, int64(n), start, end)
 		})
 		return n, err
 	}
@@ -352,121 +284,8 @@ func (m *PosixModule) wrapPreadDiscard(real libc.PreadDiscardFunc) libc.PreadDis
 			if err != nil || n < 0 {
 				return
 			}
-			if st, ok := m.fds[fd]; ok && st.rec != nil {
-				m.recordRead(t, st.rec, off, int64(n), start, end)
-			}
+			m.recordPread(t, fd, off, int64(n), start, end)
 		})
 		return n, err
-	}
-}
-
-func (m *PosixModule) wrapWrite(real libc.WriteFunc) libc.WriteFunc {
-	return func(t *sim.Thread, fd int, buf []byte) (int, error) {
-		start := m.rt.rel(t.Now())
-		n, err := real(t, fd, buf)
-		end := m.rt.rel(t.Now())
-		m.rt.instrument(t, func() {
-			if err != nil || n < 0 {
-				return
-			}
-			if st, ok := m.fds[fd]; ok {
-				if st.rec != nil {
-					m.recordWrite(t, st.rec, st.offset, int64(n), start, end)
-				}
-				st.offset += int64(n)
-			}
-		})
-		return n, err
-	}
-}
-
-func (m *PosixModule) wrapPwrite(real libc.PwriteFunc) libc.PwriteFunc {
-	return func(t *sim.Thread, fd int, buf []byte, off int64) (int, error) {
-		start := m.rt.rel(t.Now())
-		n, err := real(t, fd, buf, off)
-		end := m.rt.rel(t.Now())
-		m.rt.instrument(t, func() {
-			if err != nil || n < 0 {
-				return
-			}
-			if st, ok := m.fds[fd]; ok && st.rec != nil {
-				m.recordWrite(t, st.rec, off, int64(n), start, end)
-			}
-		})
-		return n, err
-	}
-}
-
-func (m *PosixModule) wrapLseek(real libc.LseekFunc) libc.LseekFunc {
-	return func(t *sim.Thread, fd int, off int64, whence int) (int64, error) {
-		start := m.rt.rel(t.Now())
-		pos, err := real(t, fd, off, whence)
-		end := m.rt.rel(t.Now())
-		m.rt.instrument(t, func() {
-			if err != nil {
-				return
-			}
-			if st, ok := m.fds[fd]; ok {
-				st.offset = pos
-				if st.rec != nil {
-					st.rec.Counters[POSIX_SEEKS]++
-					st.rec.FCounters[POSIX_F_META_TIME] += end - start
-				}
-			}
-		})
-		return pos, err
-	}
-}
-
-func (m *PosixModule) wrapStat(real libc.StatFunc) libc.StatFunc {
-	return func(t *sim.Thread, path string) (fi vfs.FileInfo, err error) {
-		start := m.rt.rel(t.Now())
-		fi, err = real(t, path)
-		end := m.rt.rel(t.Now())
-		m.rt.instrument(t, func() {
-			if err != nil {
-				return
-			}
-			if rec := m.recordFor(t, path); rec != nil {
-				rec.Counters[POSIX_STATS]++
-				rec.FCounters[POSIX_F_META_TIME] += end - start
-			}
-		})
-		return fi, err
-	}
-}
-
-func (m *PosixModule) wrapFsync(real libc.FsyncFunc) libc.FsyncFunc {
-	return func(t *sim.Thread, fd int) error {
-		start := m.rt.rel(t.Now())
-		err := real(t, fd)
-		end := m.rt.rel(t.Now())
-		m.rt.instrument(t, func() {
-			if err != nil {
-				return
-			}
-			if st, ok := m.fds[fd]; ok && st.rec != nil {
-				st.rec.Counters[POSIX_FSYNCS]++
-				st.rec.FCounters[POSIX_F_WRITE_TIME] += end - start
-			}
-		})
-		return err
-	}
-}
-
-func (m *PosixModule) wrapUnlink(real libc.UnlinkFunc) libc.UnlinkFunc {
-	return func(t *sim.Thread, path string) error {
-		start := m.rt.rel(t.Now())
-		err := real(t, path)
-		end := m.rt.rel(t.Now())
-		m.rt.instrument(t, func() {
-			if err != nil {
-				return
-			}
-			if rec := m.recordFor(t, path); rec != nil {
-				rec.FCounters[POSIX_F_META_TIME] += end - start
-			}
-		})
-		return err
 	}
 }

@@ -19,23 +19,20 @@ type StdioRecord struct {
 
 // StdioModule instruments the stdio stream functions.
 type StdioModule struct {
-	rt        *Runtime
-	records   map[uint64]*StdioRecord
-	order     []uint64
-	streams   map[*vfs.Stream]*stdioStream
+	rt      *Runtime
+	records map[uint64]*StdioRecord
+	order   []uint64
+	// streams maps each open stream to its file's record; a nil record
+	// means the file is open but beyond the record cap.
+	streams   map[*vfs.Stream]*StdioRecord
 	Untracked int64
-}
-
-type stdioStream struct {
-	rec  *StdioRecord
-	path string
 }
 
 func newStdioModule(rt *Runtime) *StdioModule {
 	return &StdioModule{
 		rt:      rt,
 		records: make(map[uint64]*StdioRecord),
-		streams: make(map[*vfs.Stream]*stdioStream),
+		streams: make(map[*vfs.Stream]*StdioRecord),
 	}
 }
 
@@ -95,7 +92,7 @@ func (m *StdioModule) wrapFopen(real libc.FopenFunc) libc.FopenFunc {
 				rec.FCounters[STDIO_F_OPEN_END_TIMESTAMP] = end
 				rec.FCounters[STDIO_F_META_TIME] += end - start
 			}
-			m.streams[st] = &stdioStream{rec: rec, path: path}
+			m.streams[st] = rec
 		})
 		return st, err
 	}
@@ -104,8 +101,7 @@ func (m *StdioModule) wrapFopen(real libc.FopenFunc) libc.FopenFunc {
 // recordFread applies fread semantics to the stream's record (shared by
 // the materializing and count-only wrappers).
 func (m *StdioModule) recordFread(t *sim.Thread, st *vfs.Stream, n int64, start, end float64) {
-	if ss, ok := m.streams[st]; ok && ss.rec != nil {
-		rec := ss.rec
+	if rec := m.streams[st]; rec != nil {
 		rec.Counters[STDIO_READS]++
 		rec.Counters[STDIO_BYTES_READ] += n
 		rec.Counters[STDIO_MAX_BYTE_READ] = maxI64(rec.Counters[STDIO_MAX_BYTE_READ], n)
@@ -157,8 +153,7 @@ func (m *StdioModule) wrapFwrite(real libc.FwriteFunc) libc.FwriteFunc {
 			if err != nil || n < 0 {
 				return
 			}
-			if ss, ok := m.streams[st]; ok && ss.rec != nil {
-				rec := ss.rec
+			if rec := m.streams[st]; rec != nil {
 				rec.Counters[STDIO_WRITES]++
 				rec.Counters[STDIO_BYTES_WRITTEN] += int64(n)
 				rec.Counters[STDIO_MAX_BYTE_WRITTEN] = maxI64(rec.Counters[STDIO_MAX_BYTE_WRITTEN], int64(n))
@@ -172,56 +167,18 @@ func (m *StdioModule) wrapFwrite(real libc.FwriteFunc) libc.FwriteFunc {
 	}
 }
 
-func (m *StdioModule) wrapFseek(real libc.FseekFunc) libc.FseekFunc {
-	return func(t *sim.Thread, st *vfs.Stream, off int64, whence int) error {
-		start := m.rt.rel(t.Now())
-		err := real(t, st, off, whence)
-		end := m.rt.rel(t.Now())
-		m.rt.instrument(t, func() {
-			if err != nil {
-				return
-			}
-			if ss, ok := m.streams[st]; ok && ss.rec != nil {
-				ss.rec.Counters[STDIO_SEEKS]++
-				ss.rec.FCounters[STDIO_F_META_TIME] += end - start
-			}
-		})
-		return err
-	}
-}
-
-func (m *StdioModule) wrapFflush(real libc.FflushFunc) libc.FflushFunc {
-	return func(t *sim.Thread, st *vfs.Stream) error {
-		start := m.rt.rel(t.Now())
-		err := real(t, st)
-		end := m.rt.rel(t.Now())
-		m.rt.instrument(t, func() {
-			if err != nil {
-				return
-			}
-			if ss, ok := m.streams[st]; ok && ss.rec != nil {
-				ss.rec.Counters[STDIO_FLUSHES]++
-				ss.rec.FCounters[STDIO_F_WRITE_TIME] += end - start
-			}
-		})
-		return err
-	}
-}
-
 func (m *StdioModule) wrapFclose(real libc.FcloseFunc) libc.FcloseFunc {
 	return func(t *sim.Thread, st *vfs.Stream) error {
 		start := m.rt.rel(t.Now())
 		err := real(t, st)
 		end := m.rt.rel(t.Now())
 		m.rt.instrument(t, func() {
-			if ss, ok := m.streams[st]; ok {
-				if ss.rec != nil {
-					setFirst(&ss.rec.FCounters[STDIO_F_CLOSE_START_TIMESTAMP], start)
-					ss.rec.FCounters[STDIO_F_CLOSE_END_TIMESTAMP] = end
-					ss.rec.FCounters[STDIO_F_META_TIME] += end - start
-				}
-				delete(m.streams, st)
+			if rec := m.streams[st]; rec != nil {
+				setFirst(&rec.FCounters[STDIO_F_CLOSE_START_TIMESTAMP], start)
+				rec.FCounters[STDIO_F_CLOSE_END_TIMESTAMP] = end
+				rec.FCounters[STDIO_F_META_TIME] += end - start
 			}
+			delete(m.streams, st)
 		})
 		return err
 	}

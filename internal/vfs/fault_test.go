@@ -111,9 +111,7 @@ func TestFaultMDSBrownout(t *testing.T) {
 		}
 		fs.InjectFaults(plan)
 		end := runSim(t, func(th *sim.Thread) {
-			if _, err := fs.Stat(th, "/data/a.bin"); err != nil {
-				t.Fatal(err)
-			}
+			warmOpen(t, th, fs.NodeView(0), "/data/a.bin")
 		})
 		return end, fs.TotalFaultStats()
 	}
@@ -261,9 +259,7 @@ func TestNodeCachePeerDiesMidServe(t *testing.T) {
 				t.Fatal("fetch refused:", err)
 			}
 			v1 := fs.NodeView(1)
-			if _, err := v1.Stat(th, "/data/warmup.bin"); err != nil {
-				t.Fatal(err)
-			}
+			warmOpen(t, th, v1, "/data/warmup.bin")
 			fd, err := v1.Open(th, "/data/x.bin", O_RDONLY)
 			if err != nil {
 				t.Fatal(err)
@@ -337,9 +333,7 @@ func TestNodeCachePeerServeFaultInjection(t *testing.T) {
 			t.Fatal("fetch refused:", err)
 		}
 		v1 := fs.NodeView(1)
-		if _, err := v1.Stat(th, "/data/warmup.bin"); err != nil {
-			t.Fatal(err)
-		}
+		warmOpen(t, th, v1, "/data/warmup.bin")
 		before := hdd.Counters().ReadOps
 		fd, err := v1.Open(th, "/data/x.bin", O_RDONLY)
 		if err != nil {

@@ -48,6 +48,19 @@ func TestPerNodeColdOpen(t *testing.T) {
 	})
 }
 
+// warmOpen opens and closes p through v, charging v's node the cold metadata
+// cost on first touch.
+func warmOpen(t *testing.T, th *sim.Thread, v *View, p string) {
+	t.Helper()
+	fd, err := v.Open(th, p, O_RDONLY)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := v.Close(th, fd); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestPlainFSIsNodeZero pins the compat surface: warming through the plain
 // FS methods is exactly node 0's view.
 func TestPlainFSIsNodeZero(t *testing.T) {
@@ -56,15 +69,17 @@ func TestPlainFSIsNodeZero(t *testing.T) {
 		t.Fatal(err)
 	}
 	runSim(t, func(th *sim.Thread) {
-		if _, err := fs.Stat(th, "/data/a.bin"); err != nil {
+		fd, err := fs.Open(th, "/data/a.bin", O_RDONLY)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.Close(th, fd); err != nil {
 			t.Fatal(err)
 		}
 		cold := hdd.Counters().MetaOps
-		if _, err := fs.NodeView(0).Stat(th, "/data/a.bin"); err != nil {
-			t.Fatal(err)
-		}
+		warmOpen(t, th, fs.NodeView(0), "/data/a.bin")
 		if got := hdd.Counters().MetaOps; got != cold {
-			t.Fatalf("NodeView(0) re-stat charged metadata I/O (%d -> %d)", cold, got)
+			t.Fatalf("NodeView(0) re-open charged metadata I/O (%d -> %d)", cold, got)
 		}
 	})
 }
@@ -123,9 +138,7 @@ func TestNodeCacheLocalAndPeerServing(t *testing.T) {
 		}
 		// Warm node 1's directory cache first (peer serving replaces the
 		// per-file inode RPC, not the once-per-directory lookup).
-		if _, err := v1.Stat(th, "/data/warmup.bin"); err != nil {
-			t.Fatal(err)
-		}
+		warmOpen(t, th, v1, "/data/warmup.bin")
 		// Node 1 is cold on the file but peer serving resolves both the
 		// metadata and the data from node 0's cache: the shared data device
 		// sees no new traffic.
@@ -151,14 +164,15 @@ func TestNodeCacheWriteInvalidates(t *testing.T) {
 		if _, err := caches[0].Fetch(th, "/data/x.bin"); err != nil {
 			t.Fatal("fetch refused:", err)
 		}
-		fd, err := fs.Open(th, "/data/x.bin", O_WRONLY)
+		stdio := NewStdioNode(fs, 0)
+		st, err := stdio.Fopen(th, "/data/x.bin", "w")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := fs.Pwrite(th, fd, []byte("fresh"), 0); err != nil {
+		if _, err := stdio.Fwrite(th, st, []byte("fresh")); err != nil {
 			t.Fatal(err)
 		}
-		if err := fs.Close(th, fd); err != nil {
+		if err := stdio.Fclose(th, st); err != nil {
 			t.Fatal(err)
 		}
 		if caches[0].Contains("/data/x.bin") {
@@ -197,9 +211,7 @@ func TestBulkColdOpen(t *testing.T) {
 			t.Fatalf("open after bulk warm charged metadata I/O (%d -> %d)", warm, got)
 		}
 		// Node 1 was not part of the bulk lookup and still pays cold cost.
-		if _, err := fs.NodeView(1).Stat(th, paths[0]); err != nil {
-			t.Fatal(err)
-		}
+		warmOpen(t, th, fs.NodeView(1), paths[0])
 		if got := hdd.Counters().MetaOps; got == warm {
 			t.Fatal("node 1 open after node 0 bulk warm charged no metadata I/O")
 		}

@@ -7,13 +7,6 @@ import (
 	"repro/internal/sim"
 )
 
-// FileInfo is the result of Stat.
-type FileInfo struct {
-	Path string
-	Size int64
-	Ino  int64
-}
-
 func (fs *FS) syscall(t *sim.Thread) {
 	t.Sleep(syscallCPU)
 }
@@ -30,28 +23,12 @@ func (fs *FS) openNode(t *sim.Thread, node int, p string, flags int) (int, error
 	p = path.Clean(p)
 	ino, ok := fs.inodes[p]
 	if !ok {
-		if flags&O_CREAT == 0 {
-			return -1, fmt.Errorf("open %s: %w", p, ErrNotExist)
-		}
-		m, err := fs.MountFor(p)
-		if err != nil {
-			return -1, fmt.Errorf("open %s: %w", p, err)
-		}
-		ino = fs.newInode(p, m)
-		ino.warm.add(node) // creator holds the metadata in cache
-	} else {
-		fs.chargeColdOpen(t, node, ino)
+		return -1, fmt.Errorf("open %s: %w", p, ErrNotExist)
 	}
-	if flags&O_TRUNC != 0 {
-		ino.Size = 0
-	}
-	of := &openFile{inode: ino, node: node, flags: flags}
-	if flags&O_APPEND != 0 {
-		of.offset = ino.Size
-	}
+	fs.chargeColdOpen(t, node, ino)
 	fd := fs.nextFD
 	fs.nextFD++
-	fs.fds[fd] = of
+	fs.fds[fd] = &openFile{inode: ino, node: node, flags: flags}
 	return fd, nil
 }
 
@@ -136,41 +113,11 @@ func (fs *FS) PreadDiscard(t *sim.Thread, fd int, count int64, off int64) (int, 
 	return int(n), nil
 }
 
-// Read reads from the current offset and advances it.
-func (fs *FS) Read(t *sim.Thread, fd int, buf []byte) (int, error) {
-	of, err := fs.lookupFD(fd)
-	if err != nil {
-		fs.syscall(t)
-		return -1, err
-	}
-	n, err := fs.Pread(t, fd, buf, of.offset)
-	if n > 0 {
-		of.offset += int64(n)
-	}
-	return n, err
-}
-
-// Pwrite writes buf at the given offset without moving the file offset.
-func (fs *FS) Pwrite(t *sim.Thread, fd int, buf []byte, off int64) (int, error) {
-	fs.syscall(t)
-	of, err := fs.lookupFD(fd)
-	if err != nil {
-		return -1, err
-	}
-	if accMode(of.flags) == O_RDONLY {
-		return -1, ErrReadOnly
-	}
-	if off < 0 {
-		return -1, ErrInvalid
-	}
-	return fs.writeAt(t, of.inode, buf, off)
-}
-
-// writeAt performs the device write and bookkeeping shared by Pwrite and
-// the STDIO flush path (which bypasses the syscall wrappers, as libc's
-// internals bypass the PLT). Only the size and cost of buf count: its bytes
-// are never stored, so a written range reads back as the inode's procedural
-// content like every other file.
+// writeAt performs the device write and bookkeeping of the STDIO write
+// path (which bypasses the syscall wrappers, as libc's internals bypass the
+// PLT). Only the size and cost of buf count: its bytes are never stored, so
+// a written range reads back as the inode's procedural content like every
+// other file.
 func (fs *FS) writeAt(t *sim.Thread, ino *Inode, buf []byte, off int64) (int, error) {
 	n := int64(len(buf))
 	if n == 0 {
@@ -192,85 +139,6 @@ func (fs *FS) writeAt(t *sim.Thread, ino *Inode, buf []byte, off int64) (int, er
 	}
 	ino.Mnt.Dev.Write(t, ino.Extent+off, n)
 	return int(n), nil
-}
-
-// Write writes at the current offset and advances it.
-func (fs *FS) Write(t *sim.Thread, fd int, buf []byte) (int, error) {
-	of, err := fs.lookupFD(fd)
-	if err != nil {
-		fs.syscall(t)
-		return -1, err
-	}
-	if of.flags&O_APPEND != 0 {
-		of.offset = of.inode.Size
-	}
-	n, err := fs.Pwrite(t, fd, buf, of.offset)
-	if n > 0 {
-		of.offset += int64(n)
-	}
-	return n, err
-}
-
-// Lseek repositions the file offset.
-func (fs *FS) Lseek(t *sim.Thread, fd int, off int64, whence int) (int64, error) {
-	fs.syscall(t)
-	of, err := fs.lookupFD(fd)
-	if err != nil {
-		return -1, err
-	}
-	var base int64
-	switch whence {
-	case SeekSet:
-		base = 0
-	case SeekCur:
-		base = of.offset
-	case SeekEnd:
-		base = of.inode.Size
-	default:
-		return -1, ErrInvalid
-	}
-	np := base + off
-	if np < 0 {
-		return -1, ErrInvalid
-	}
-	of.offset = np
-	return np, nil
-}
-
-// Stat returns file metadata, charging cold metadata I/O on first touch.
-func (fs *FS) Stat(t *sim.Thread, p string) (FileInfo, error) {
-	return fs.statNode(t, 0, p)
-}
-
-func (fs *FS) statNode(t *sim.Thread, node int, p string) (FileInfo, error) {
-	fs.syscall(t)
-	ino, ok := fs.inodes[path.Clean(p)]
-	if !ok {
-		return FileInfo{}, fmt.Errorf("stat %s: %w", p, ErrNotExist)
-	}
-	fs.chargeColdOpen(t, node, ino)
-	return FileInfo{Path: ino.Path, Size: ino.Size, Ino: ino.Ino}, nil
-}
-
-// Fsync forces written data to the device. Data writes are synchronous in
-// this model, so fsync costs only the syscall plus a small device barrier.
-func (fs *FS) Fsync(t *sim.Thread, fd int) error {
-	fs.syscall(t)
-	_, err := fs.lookupFD(fd)
-	return err
-}
-
-// Unlink removes a file from the namespace.
-func (fs *FS) Unlink(t *sim.Thread, p string) error {
-	fs.syscall(t)
-	p = path.Clean(p)
-	ino, ok := fs.inodes[p]
-	if !ok {
-		return fmt.Errorf("unlink %s: %w", p, ErrNotExist)
-	}
-	fs.invalidateCached(ino)
-	delete(fs.inodes, p)
-	return nil
 }
 
 // OpenFDs returns the number of open descriptors (for leak checks).

@@ -107,7 +107,7 @@ func (s *Stdio) Fwrite(t *sim.Thread, st *Stream, data []byte) (int, error) {
 		return 0, nil
 	}
 	if len(data) >= StdioBufSize {
-		if err := s.Fflush(t, st); err != nil {
+		if err := s.fflush(t, st); err != nil {
 			return 0, err
 		}
 		n, err := st.fs.writeAt(t, st.inode, data, st.offset)
@@ -122,7 +122,7 @@ func (s *Stdio) Fwrite(t *sim.Thread, st *Stream, data []byte) (int, error) {
 	st.buf = append(st.buf, data...)
 	st.offset += int64(len(data))
 	if len(st.buf) >= StdioBufSize {
-		if err := s.Fflush(t, st); err != nil {
+		if err := s.fflush(t, st); err != nil {
 			return 0, err
 		}
 	}
@@ -136,7 +136,7 @@ func (s *Stdio) freadSpan(t *sim.Thread, st *Stream, count int64) (off int64, n 
 	if st.closed || !st.read {
 		return 0, 0, ErrBadFD
 	}
-	if err := s.Fflush(t, st); err != nil {
+	if err := s.fflush(t, st); err != nil {
 		return 0, 0, err
 	}
 	ino := st.inode
@@ -186,38 +186,12 @@ func (s *Stdio) FreadDiscard(t *sim.Thread, st *Stream, count int64) (int, error
 	return int(n), nil
 }
 
-// Fseek repositions the stream, flushing pending output first.
-func (s *Stdio) Fseek(t *sim.Thread, st *Stream, off int64, whence int) error {
-	if st.closed {
-		return ErrBadFD
-	}
-	if err := s.Fflush(t, st); err != nil {
-		return err
-	}
-	var base int64
-	switch whence {
-	case SeekSet:
-		base = 0
-	case SeekCur:
-		base = st.offset
-	case SeekEnd:
-		base = st.inode.Size
-	default:
-		return ErrInvalid
-	}
-	np := base + off
-	if np < 0 {
-		return ErrInvalid
-	}
-	st.offset = np
-	return nil
-}
-
 // Ftell returns the current stream offset.
 func (s *Stdio) Ftell(st *Stream) int64 { return st.offset }
 
-// Fflush writes any buffered data to the device.
-func (s *Stdio) Fflush(t *sim.Thread, st *Stream) error {
+// fflush writes any buffered data to the device. Only the stream layer
+// calls it: fflush(3) is not on the interposable surface.
+func (s *Stdio) fflush(t *sim.Thread, st *Stream) error {
 	if st.closed {
 		return ErrBadFD
 	}
@@ -235,7 +209,7 @@ func (s *Stdio) Fclose(t *sim.Thread, st *Stream) error {
 	if st.closed {
 		return ErrBadFD
 	}
-	if err := s.Fflush(t, st); err != nil {
+	if err := s.fflush(t, st); err != nil {
 		return err
 	}
 	s.fs.syscall(t)

@@ -144,37 +144,30 @@ func TestFopenModes(t *testing.T) {
 	})
 }
 
-// Fseek flushes buffered output before repositioning, so a read after the
-// seek sees the written size and returns the bytes at the new offset.
-func TestFseekFlushesAndRepositions(t *testing.T) {
+// Fread flushes buffered output first, so a read on a "w+" stream sees
+// the written size: at the end of what was written it is at EOF.
+func TestFreadFlushesBufferedOutput(t *testing.T) {
 	fs, _, _, hdd, _ := testFS()
 	stdio := NewStdioNode(fs, 0)
 	runSim(t, func(th *sim.Thread) {
-		st, _ := stdio.Fopen(th, "/data/seek", "w+")
+		st, _ := stdio.Fopen(th, "/data/rw", "w+")
 		stdio.Fwrite(th, st, []byte("0123456789"))
 		if got := hdd.Counters().WriteOps; got != 0 {
-			t.Fatalf("device writes before fseek = %d, want 0 (buffered)", got)
-		}
-		if err := stdio.Fseek(th, st, 2, SeekSet); err != nil {
-			t.Fatal(err)
-		}
-		if got := hdd.Counters().WriteOps; got != 1 {
-			t.Fatalf("device writes after fseek = %d, want 1 (flushed)", got)
-		}
-		if off := stdio.Ftell(st); off != 2 {
-			t.Fatalf("offset after fseek = %d, want 2", off)
-		}
-		ino, _ := fs.Lookup("/data/seek")
-		if ino.Size != 10 {
-			t.Fatalf("size after fseek = %d, want 10", ino.Size)
+			t.Fatalf("device writes before fread = %d, want 0 (buffered)", got)
 		}
 		buf := make([]byte, 3)
-		if n, _ := stdio.Fread(th, st, buf); n != 3 {
-			t.Fatalf("read after seek = %d", n)
+		if n, err := stdio.Fread(th, st, buf); n != 0 || err != nil {
+			t.Fatalf("fread at end of written data = %d, %v; want EOF", n, err)
 		}
-		wantProcedural(t, ino, 2, buf)
-		if off := stdio.Ftell(st); off != 5 {
-			t.Fatalf("offset after read = %d, want 5", off)
+		if got := hdd.Counters().WriteOps; got != 1 {
+			t.Fatalf("device writes after fread = %d, want 1 (flushed)", got)
+		}
+		ino, _ := fs.Lookup("/data/rw")
+		if ino.Size != 10 {
+			t.Fatalf("size after fread = %d, want 10", ino.Size)
+		}
+		if off := stdio.Ftell(st); off != 10 {
+			t.Fatalf("offset after fread = %d, want 10", off)
 		}
 		stdio.Fclose(th, st)
 	})

@@ -6,7 +6,7 @@
 //
 // Caching model: the paper drops the page cache before every benchmark and
 // runs a single epoch, so every file is cold exactly once. The VFS mirrors
-// that: the first open (or stat) of a file charges cold metadata I/O to the
+// that: the first open of a file charges cold metadata I/O to the
 // device; afterwards metadata is cached in memory. Data reads always hit
 // the device (each file's data is read once per epoch) unless a node-local
 // data cache (NodeCache) holds the file.
@@ -36,7 +36,6 @@ var (
 	ErrNotExist  = errors.New("vfs: no such file or directory") // ENOENT
 	ErrExist     = errors.New("vfs: file exists")               // EEXIST
 	ErrBadFD     = errors.New("vfs: bad file descriptor")       // EBADF
-	ErrReadOnly  = errors.New("vfs: file not open for writing") // EBADF on write
 	ErrWriteOnly = errors.New("vfs: file not open for reading") // EBADF on read
 	ErrNoMount   = errors.New("vfs: no mount for path")
 	ErrInvalid   = errors.New("vfs: invalid argument")   // EINVAL
@@ -48,17 +47,6 @@ var (
 const (
 	O_RDONLY = 0x0
 	O_WRONLY = 0x1
-	O_RDWR   = 0x2
-	O_CREAT  = 0x40
-	O_TRUNC  = 0x200
-	O_APPEND = 0x400
-)
-
-// Whence values for Lseek.
-const (
-	SeekSet = 0
-	SeekCur = 1
-	SeekEnd = 2
 )
 
 // syscallCPU is the fixed CPU cost charged per syscall entry (trap + vfs
@@ -138,7 +126,7 @@ type Inode struct {
 	Extent int64 // device position of the file's data
 	Mnt    *Mount
 
-	warm  nodeSet // per-node: metadata cached (first open/stat done)
+	warm  nodeSet // per-node: metadata cached (first open done)
 	alloc bool    // extent assigned
 	seed  int64   // procedural content seed
 }
@@ -147,7 +135,6 @@ type openFile struct {
 	inode  *Inode
 	node   int // node whose libc opened the descriptor
 	flags  int
-	offset int64
 	closed bool
 }
 

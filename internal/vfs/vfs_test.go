@@ -41,21 +41,13 @@ func TestOpenReadCloseRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		buf := make([]byte, 400)
-		n, err := fs.Read(th, fd, buf)
-		if err != nil || n != 400 {
-			t.Fatalf("Read = %d, %v", n, err)
-		}
-		n, err = fs.Read(th, fd, buf)
-		if err != nil || n != 400 {
-			t.Fatalf("Read2 = %d, %v", n, err)
-		}
-		n, err = fs.Read(th, fd, buf)
-		if err != nil || n != 200 {
-			t.Fatalf("Read3 = %d, %v (partial at EOF)", n, err)
-		}
-		n, err = fs.Read(th, fd, buf)
-		if err != nil || n != 0 {
-			t.Fatalf("Read4 = %d, %v (EOF)", n, err)
+		for _, c := range []struct {
+			off  int64
+			want int
+		}{{0, 400}, {400, 400}, {800, 200}, {1000, 0}} { // partial, then EOF
+			if n, err := fs.Pread(th, fd, buf, c.off); err != nil || n != c.want {
+				t.Fatalf("Pread at %d = %d, %v; want %d", c.off, n, err, c.want)
+			}
 		}
 		if err := fs.Close(th, fd); err != nil {
 			t.Fatal(err)
@@ -100,11 +92,13 @@ func TestPreadDiscardMatchesPread(t *testing.T) {
 	tPread = runSim(t, func(th *sim.Thread) {
 		fd, _ := fs.Open(th, "/data/d", O_RDONLY)
 		buf := make([]byte, 400)
+		var off int64
 		for _, want := range []int{400, 400, 200, 0} {
-			n, err := fs.Read(th, fd, buf)
+			n, err := fs.Pread(th, fd, buf, off)
 			if err != nil || n != want {
-				t.Fatalf("Read = %d, %v (want %d)", n, err, want)
+				t.Fatalf("Pread = %d, %v (want %d)", n, err, want)
 			}
+			off += int64(n)
 		}
 		fs.Close(th, fd)
 	})
@@ -203,28 +197,29 @@ func wantProcedural(t *testing.T, ino *Inode, off int64, buf []byte) {
 // written size, as the inode's procedural bytes like every other file.
 func TestWriteReadBackContent(t *testing.T) {
 	fs, _, _, _, _ := testFS()
+	stdio := NewStdioNode(fs, 0)
 	runSim(t, func(th *sim.Thread) {
-		fd, err := fs.Open(th, "/data/out.bin", O_WRONLY|O_CREAT)
+		st, err := stdio.Fopen(th, "/data/out.bin", "w")
 		if err != nil {
 			t.Fatal(err)
 		}
 		msg := []byte("hello darshan")
-		if n, err := fs.Write(th, fd, msg); n != len(msg) || err != nil {
-			t.Fatalf("Write = %d, %v", n, err)
+		if n, err := stdio.Fwrite(th, st, msg); n != len(msg) || err != nil {
+			t.Fatalf("Fwrite = %d, %v", n, err)
 		}
-		fs.Close(th, fd)
+		stdio.Fclose(th, st)
 
 		ino, _ := fs.Lookup("/data/out.bin")
 		if ino.Size != int64(len(msg)) {
 			t.Fatalf("size = %d, want %d", ino.Size, len(msg))
 		}
-		fd, _ = fs.Open(th, "/data/out.bin", O_RDONLY)
+		fd, _ := fs.Open(th, "/data/out.bin", O_RDONLY)
 		buf := make([]byte, len(msg))
-		if n, _ := fs.Read(th, fd, buf); n != len(msg) {
+		if n, _ := fs.Pread(th, fd, buf, 0); n != len(msg) {
 			t.Fatalf("read back %d bytes", n)
 		}
 		wantProcedural(t, ino, 0, buf)
-		if n, _ := fs.Read(th, fd, buf); n != 0 {
+		if n, _ := fs.Pread(th, fd, buf, int64(len(msg))); n != 0 {
 			t.Fatalf("read at EOF = %d", n)
 		}
 		fs.Close(th, fd)
@@ -255,47 +250,21 @@ func TestProceduralContentDeterministic(t *testing.T) {
 	}
 }
 
-func TestLseekWhence(t *testing.T) {
-	fs, _, _, _, _ := testFS()
-	fs.CreateFile("/data/f", 1000)
-	runSim(t, func(th *sim.Thread) {
-		fd, _ := fs.Open(th, "/data/f", O_RDONLY)
-		if off, _ := fs.Lseek(th, fd, 100, SeekSet); off != 100 {
-			t.Fatalf("SeekSet = %d", off)
-		}
-		if off, _ := fs.Lseek(th, fd, 50, SeekCur); off != 150 {
-			t.Fatalf("SeekCur = %d", off)
-		}
-		if off, _ := fs.Lseek(th, fd, -10, SeekEnd); off != 990 {
-			t.Fatalf("SeekEnd = %d", off)
-		}
-		if _, err := fs.Lseek(th, fd, -5000, SeekCur); !errors.Is(err, ErrInvalid) {
-			t.Fatalf("negative seek err = %v", err)
-		}
-		fs.Close(th, fd)
-	})
-}
-
 func TestOpenErrors(t *testing.T) {
 	fs, _, _, _, _ := testFS()
 	runSim(t, func(th *sim.Thread) {
 		if _, err := fs.Open(th, "/data/missing", O_RDONLY); !errors.Is(err, ErrNotExist) {
 			t.Fatalf("err = %v", err)
 		}
-		if _, err := fs.Open(th, "/nomount/x", O_CREAT|O_WRONLY); !errors.Is(err, ErrNoMount) {
+		if _, err := NewStdioNode(fs, 0).Fopen(th, "/nomount/x", "w"); !errors.Is(err, ErrNoMount) {
 			t.Fatalf("err = %v", err)
 		}
 		if err := fs.Close(th, 999); !errors.Is(err, ErrBadFD) {
 			t.Fatalf("err = %v", err)
 		}
-		fs.CreateFile("/data/ro", 10)
-		fd, _ := fs.Open(th, "/data/ro", O_RDONLY)
-		if _, err := fs.Write(th, fd, []byte("x")); !errors.Is(err, ErrReadOnly) {
-			t.Fatalf("write to O_RDONLY err = %v", err)
-		}
-		fs.Close(th, fd)
-		fd, _ = fs.Open(th, "/data/ro", O_WRONLY)
-		if _, err := fs.Read(th, fd, make([]byte, 4)); !errors.Is(err, ErrWriteOnly) {
+		fs.CreateFile("/data/wo", 10)
+		fd, _ := fs.Open(th, "/data/wo", O_WRONLY)
+		if _, err := fs.Pread(th, fd, make([]byte, 4), 0); !errors.Is(err, ErrWriteOnly) {
 			t.Fatalf("read from O_WRONLY err = %v", err)
 		}
 		fs.Close(th, fd)
@@ -335,7 +304,7 @@ func TestMigrateMovesDataToFastTier(t *testing.T) {
 			t.Fatal(err)
 		}
 		buf := make([]byte, 500*storage.KiB)
-		fs.Read(th, fd, buf)
+		fs.Pread(th, fd, buf, 0)
 		fs.Close(th, fd)
 	})
 	if hdd.Counters().ReadOps != 0 {
@@ -344,17 +313,6 @@ func TestMigrateMovesDataToFastTier(t *testing.T) {
 	if opt.Counters().BytesRead < 500*storage.KiB {
 		t.Fatalf("optane bytes read = %d", opt.Counters().BytesRead)
 	}
-}
-
-func TestStat(t *testing.T) {
-	fs, _, _, _, _ := testFS()
-	fs.CreateFile("/data/s", 12345)
-	runSim(t, func(th *sim.Thread) {
-		fi, err := fs.Stat(th, "/data/s")
-		if err != nil || fi.Size != 12345 {
-			t.Fatalf("Stat = %+v, %v", fi, err)
-		}
-	})
 }
 
 func TestTotalBytesAndFiles(t *testing.T) {
@@ -401,22 +359,23 @@ func TestPropertyWriteReadRoundTrip(t *testing.T) {
 			return true
 		}
 		fs, _, _, _, _ := testFS()
+		stdio := NewStdioNode(fs, 0)
 		ok := true
 		k := sim.NewKernel()
 		k.Spawn("t", func(th *sim.Thread) {
-			fd, err := fs.Open(th, "/data/rt", O_CREAT|O_WRONLY)
+			st, err := stdio.Fopen(th, "/data/rt", "w")
 			if err != nil {
 				ok = false
 				return
 			}
-			if n, err := fs.Write(th, fd, data); n != len(data) || err != nil {
+			if n, err := stdio.Fwrite(th, st, data); n != len(data) || err != nil {
 				ok = false
 			}
-			fs.Close(th, fd)
+			stdio.Fclose(th, st)
 			ino, _ := fs.Lookup("/data/rt")
-			fd, _ = fs.Open(th, "/data/rt", O_RDONLY)
+			fd, _ := fs.Open(th, "/data/rt", O_RDONLY)
 			buf := make([]byte, len(data)+1)
-			n, _ := fs.Read(th, fd, buf)
+			n, _ := fs.Pread(th, fd, buf, 0)
 			if n != len(data) || ino.Size != int64(len(data)) {
 				ok = false
 			}
