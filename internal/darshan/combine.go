@@ -7,17 +7,15 @@ package darshan
 // up to the failure instant (which the simulator's failure oracle
 // preserves; real Darshan would lose them with the process) and the
 // reborn process's records from rejoin to job end. Merge cannot take
-// both directly (its snapshot index is the rank and NProcs counts
-// snapshots), so incarnations are pre-combined here and the result takes
-// the rank's slot.
+// both directly (its snapshot index is the rank), so incarnations are
+// pre-combined here and the result takes the rank's slot.
 //
-// Counters fold with the same per-class semantics as the cross-rank
-// Merge (sums, watermarks, earliest/latest timestamps, re-ranked access
-// tables); DXT segments concatenate in incarnation order, which keeps
-// per-record segments time-ordered because a later incarnation only
-// records after the earlier one died. Nil snapshots are skipped. Records
-// keep their stamped Rank — incarnations of one rank agree on it.
-func CombineSnapshots(snaps ...*Snapshot) *Snapshot {
+// Records fold exactly as in the cross-rank Merge (recordFold), stamped
+// with rank; DXT segments concatenate per record in incarnation order,
+// which keeps per-record segments time-ordered because a later
+// incarnation only records after the earlier one died. Nil snapshots are
+// skipped, and a single live snapshot is returned as is.
+func CombineSnapshots(rank int, snaps ...*Snapshot) *Snapshot {
 	var live []*Snapshot
 	for _, s := range snaps {
 		if s != nil {
@@ -31,54 +29,24 @@ func CombineSnapshots(snaps ...*Snapshot) *Snapshot {
 		return live[0]
 	}
 
-	out := &Snapshot{Names: make(map[uint64]string)}
-	posixIdx := make(map[uint64]int)
-	stdioIdx := make(map[uint64]int)
+	f := newRecordFold()
 	dxtIdx := make(map[uint64]int)
-
 	for _, snap := range live {
-		if snap.Time > out.Time {
-			out.Time = snap.Time
-		}
-		out.Faults.Add(snap.Faults)
-		for id, name := range snap.Names {
-			out.Names[id] = name
-		}
-		for i := range snap.Posix {
-			src := &snap.Posix[i]
-			j, seen := posixIdx[src.ID]
-			if !seen {
-				j = len(out.Posix)
-				posixIdx[src.ID] = j
-				out.Posix = append(out.Posix, PosixRecord{ID: src.ID, Rank: src.Rank})
-			}
-			foldPosixCounters(&out.Posix[j], src)
-		}
-		for i := range snap.Stdio {
-			src := &snap.Stdio[i]
-			j, seen := stdioIdx[src.ID]
-			if !seen {
-				j = len(out.Stdio)
-				stdioIdx[src.ID] = j
-				out.Stdio = append(out.Stdio, StdioRecord{ID: src.ID, Rank: src.Rank})
-			}
-			foldStdioCounters(&out.Stdio[j], src)
-		}
+		f.add(rank, snap)
 		for i := range snap.DXT {
 			src := &snap.DXT[i]
 			j, seen := dxtIdx[src.ID]
 			if !seen {
-				j = len(out.DXT)
+				j = len(f.DXT)
 				dxtIdx[src.ID] = j
-				out.DXT = append(out.DXT, DXTRecord{ID: src.ID})
+				f.DXT = append(f.DXT, DXTRecord{ID: src.ID})
 			}
-			dst := &out.DXT[j]
+			dst := &f.DXT[j]
 			dst.ReadSegs = append(dst.ReadSegs, src.ReadSegs...)
 			dst.WriteSegs = append(dst.WriteSegs, src.WriteSegs...)
 			dst.Dropped += src.Dropped
 		}
 	}
-
-	finalizeAccessPosix(out.Posix)
-	return out
+	f.finish()
+	return f.Snapshot
 }

@@ -35,9 +35,6 @@ func newDXTModule(rt *Runtime) *DXTModule {
 	return &DXTModule{rt: rt, records: make(map[uint64]*DXTRecord)}
 }
 
-// RecordCount returns the number of traced files.
-func (m *DXTModule) RecordCount() int { return len(m.records) }
-
 // Records returns live records in first-seen order (not copies).
 func (m *DXTModule) Records() []*DXTRecord {
 	out := make([]*DXTRecord, 0, len(m.order))
@@ -95,28 +92,21 @@ func (m *DXTModule) recordFor(id uint64) *DXTRecord {
 	return rec
 }
 
-func (m *DXTModule) addRead(t *sim.Thread, id uint64, offset, length int64, start, end float64) {
+// add traces one read or write segment of file id, or counts it as
+// dropped once the record holds its per-direction segment bound.
+func (m *DXTModule) add(t *sim.Thread, id uint64, write bool, offset, length int64, start, end float64) {
 	rec := m.recordFor(id)
 	if rec == nil {
 		return
 	}
-	if len(rec.ReadSegs) >= m.rt.cfg.MaxDXTSegsPerRecord {
+	segs := &rec.ReadSegs
+	if write {
+		segs = &rec.WriteSegs
+	}
+	if len(*segs) >= m.rt.cfg.MaxDXTSegsPerRecord {
 		rec.Dropped++
 		return
 	}
 	t.Sleep(dxtSegCPU)
-	rec.ReadSegs = appendSeg(rec.ReadSegs, Segment{Offset: offset, Length: length, Start: start, End: end, TID: t.ID()})
-}
-
-func (m *DXTModule) addWrite(t *sim.Thread, id uint64, offset, length int64, start, end float64) {
-	rec := m.recordFor(id)
-	if rec == nil {
-		return
-	}
-	if len(rec.WriteSegs) >= m.rt.cfg.MaxDXTSegsPerRecord {
-		rec.Dropped++
-		return
-	}
-	t.Sleep(dxtSegCPU)
-	rec.WriteSegs = appendSeg(rec.WriteSegs, Segment{Offset: offset, Length: length, Start: start, End: end, TID: t.ID()})
+	*segs = appendSeg(*segs, Segment{Offset: offset, Length: length, Start: start, End: end, TID: t.ID()})
 }

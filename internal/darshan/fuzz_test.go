@@ -3,6 +3,8 @@ package darshan
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -143,6 +145,113 @@ func FuzzReadLog(f *testing.F) {
 		}
 		if lr2.DroppedSegments() != log.DroppedSegments {
 			t.Fatalf("streamed drop count %d, materialized %d", lr2.DroppedSegments(), log.DroppedSegments)
+		}
+	})
+}
+
+// foldSnapshots builds three random snapshots over four shared files.
+// Float counters are multiples of 1/64 below 64, so their sums are exact
+// in any order, and each file draws its access sizes from four fixed
+// ones, so a nested fold never truncates its ACCESS1..4 table.
+func foldSnapshots(rng *rand.Rand) []*Snapshot {
+	const files = 4
+	floats := func(fs []float64) {
+		for c := range fs {
+			if rng.Intn(3) > 0 { // a third stay 0: never happened
+				fs[c] = float64(rng.Intn(64*64)) / 64
+			}
+		}
+	}
+	snaps := make([]*Snapshot, 3)
+	for r := range snaps {
+		s := &Snapshot{
+			Time:   float64(rng.Intn(64)),
+			Names:  make(map[uint64]string),
+			Faults: FaultCounters{Faults: rng.Int63n(4), Retries: rng.Int63n(4), BackoffNs: rng.Int63n(1000)},
+		}
+		for id := uint64(1); id <= files; id++ {
+			if rng.Intn(4) == 0 {
+				continue
+			}
+			s.Names[id] = fmt.Sprintf("/pfs/f%d", id)
+			p := PosixRecord{ID: id, Rank: r}
+			for c := range p.Counters {
+				p.Counters[c] = rng.Int63n(1000)
+			}
+			for k, j := range rng.Perm(accessInlineCap) {
+				size, count := int64(100*id)+int64(j), int64(0)
+				if rng.Intn(3) > 0 {
+					count = 1 + rng.Int63n(9)
+				}
+				p.Counters[POSIX_ACCESS1_ACCESS+PosixCounter(k)] = size
+				p.Counters[POSIX_ACCESS1_COUNT+PosixCounter(k)] = count
+			}
+			floats(p.FCounters[:])
+			s.Posix = append(s.Posix, p)
+
+			st := StdioRecord{ID: id, Rank: r}
+			for c := range st.Counters {
+				st.Counters[c] = rng.Int63n(1000)
+			}
+			floats(st.FCounters[:])
+			s.Stdio = append(s.Stdio, st)
+
+			d := DXTRecord{ID: id, Dropped: rng.Int63n(3)}
+			for range rng.Intn(3) {
+				d.ReadSegs = append(d.ReadSegs, Segment{Offset: rng.Int63n(1000), Length: rng.Int63n(100), Start: float64(rng.Intn(64)), TID: r})
+			}
+			for range rng.Intn(2) {
+				d.WriteSegs = append(d.WriteSegs, Segment{Offset: rng.Int63n(1000), Length: rng.Int63n(100), Start: float64(rng.Intn(64)), TID: r})
+			}
+			s.DXT = append(s.DXT, d)
+		}
+		snaps[r] = s
+	}
+	return snaps
+}
+
+// FuzzFoldOrderIndependent checks that the counter fold is order
+// independent: every permutation of the ranks handed to Merge gives the
+// same per-file counters, and CombineSnapshots is associative.
+func FuzzFoldOrderIndependent(f *testing.F) {
+	for seed := range int64(8) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		snaps := foldSnapshots(rand.New(rand.NewSource(seed)))
+		type fileCounters struct {
+			posix  [PosixNumCounters]int64
+			posixF [PosixNumFCounters]float64
+			stdio  [StdioNumCounters]int64
+			stdioF [StdioNumFCounters]float64
+		}
+		perFile := func(m *MergedLog) map[uint64]fileCounters {
+			out := make(map[uint64]fileCounters)
+			for _, r := range m.Posix {
+				fc := out[r.ID]
+				fc.posix, fc.posixF = r.Counters, r.FCounters
+				out[r.ID] = fc
+			}
+			for _, r := range m.Stdio {
+				fc := out[r.ID]
+				fc.stdio, fc.stdioF = r.Counters, r.FCounters
+				out[r.ID] = fc
+			}
+			return out
+		}
+		want := perFile(Merge(snaps))
+		for _, perm := range [][3]int{{0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {
+			got := perFile(Merge([]*Snapshot{snaps[perm[0]], snaps[perm[1]], snaps[perm[2]]}))
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("merge order %v changes per-file counters:\n got %v\nwant %v", perm, got, want)
+			}
+		}
+
+		a, b, c := snaps[0], snaps[1], snaps[2]
+		flat := CombineSnapshots(7, a, b, c)
+		nested := CombineSnapshots(7, CombineSnapshots(7, a, b), c)
+		if !reflect.DeepEqual(flat, nested) {
+			t.Fatalf("combine is not associative:\n flat   %+v\n nested %+v", flat, nested)
 		}
 	})
 }

@@ -295,11 +295,9 @@ func (l *Log) Write(w io.Writer) error {
 	return e.zw.Close()
 }
 
-// Sizes of the fixed-size records in the compressed stream, in bytes.
+// Sizes of the fixed-size segments in the compressed stream, in bytes
+// (module records size themselves from their counter arrays).
 const (
-	// id, rank, counters, float counters
-	posixRecordBytes = 8 + 8 + 8*int(PosixNumCounters) + 8*int(PosixNumFCounters)
-	stdioRecordBytes = 8 + 8 + 8*int(StdioNumCounters) + 8*int(StdioNumFCounters)
 	// offset, length, start, end, thread
 	segmentBytes = 8 + 8 + 8 + 8 + 4
 	// id, rank, direction, segment

@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"compress/gzip"
 	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -448,16 +452,75 @@ func TestCounterNames(t *testing.T) {
 	if PosixCounter(-1).String() != "POSIX_UNKNOWN" {
 		t.Error("out of range name")
 	}
-	if len(posixCounterNames) != int(PosixNumCounters) {
-		t.Fatal("posix counter name table out of sync")
+}
+
+// counterEnums parses counters.go and returns, per counter type, its
+// constant names in declaration order (the Num* sentinels excluded).
+func counterEnums(t *testing.T) map[string][]string {
+	t.Helper()
+	file, err := parser.ParseFile(token.NewFileSet(), "counters.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(posixFCounterNames) != int(PosixNumFCounters) {
-		t.Fatal("posix fcounter name table out of sync")
+	enums := make(map[string][]string)
+	for _, decl := range file.Decls {
+		gd, ok := decl.(*ast.GenDecl)
+		if !ok || gd.Tok != token.CONST || len(gd.Specs) == 0 {
+			continue
+		}
+		typ, ok := gd.Specs[0].(*ast.ValueSpec).Type.(*ast.Ident)
+		if !ok {
+			continue
+		}
+		for _, spec := range gd.Specs {
+			for _, name := range spec.(*ast.ValueSpec).Names {
+				if !strings.Contains(name.Name, "Num") {
+					enums[typ.Name] = append(enums[typ.Name], name.Name)
+				}
+			}
+		}
 	}
-	if len(stdioCounterNames) != int(StdioNumCounters) {
-		t.Fatal("stdio counter name table out of sync")
+	return enums
+}
+
+// TestCounterKindsMatchNames pins every counter table entry against its
+// enum constant (same name, same position, same count) and its reduction
+// kind against its Darshan name.
+func TestCounterKindsMatchNames(t *testing.T) {
+	wantKind := func(name string) counterKind {
+		switch {
+		case strings.HasSuffix(name, "_START_TIMESTAMP"):
+			return kindEarliest
+		case strings.HasSuffix(name, "_END_TIMESTAMP"),
+			strings.Contains(name, "MAX_BYTE"),
+			strings.Contains(name, "_F_MAX_"):
+			return kindMax
+		case strings.Contains(name, "ACCESS"):
+			return kindAccess
+		}
+		return kindSum
 	}
-	if len(stdioFCounterNames) != int(StdioNumFCounters) {
-		t.Fatal("stdio fcounter name table out of sync")
+	enums := counterEnums(t)
+	for _, tb := range []struct {
+		enum string
+		defs []counterDef
+	}{
+		{"PosixCounter", posixCounters[:]},
+		{"PosixFCounter", posixFCounters[:]},
+		{"StdioCounter", stdioCounters[:]},
+		{"StdioFCounter", stdioFCounters[:]},
+	} {
+		consts := enums[tb.enum]
+		if len(consts) == 0 || len(tb.defs) != len(consts) {
+			t.Fatalf("%s: table has %d entries, enum has %d", tb.enum, len(tb.defs), len(consts))
+		}
+		for i, d := range tb.defs {
+			if d.name != consts[i] {
+				t.Errorf("%s[%d] = %s, want %s", tb.enum, i, d.name, consts[i])
+			}
+			if want := wantKind(d.name); d.kind != want {
+				t.Errorf("%s: kind %d, want %d", d.name, d.kind, want)
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package darshan
 
 import (
 	"cmp"
+	"maps"
 	"slices"
 )
 
@@ -50,101 +51,113 @@ type MergedLog struct {
 }
 
 // PosixCounterAdditive reports whether c aggregates across ranks by
-// summation. MAX_BYTE_* take the maximum and the ACCESS1..4 table is
-// re-ranked from the combined per-size counts.
-func PosixCounterAdditive(c PosixCounter) bool {
-	switch {
-	case c == POSIX_MAX_BYTE_READ || c == POSIX_MAX_BYTE_WRITTEN:
-		return false
-	case c >= POSIX_ACCESS1_ACCESS && c <= POSIX_ACCESS4_COUNT:
-		return false
-	}
-	return true
-}
+// summation (kindSum in posixCounters).
+func PosixCounterAdditive(c PosixCounter) bool { return posixCounters[c].kind == kindSum }
 
 // StdioCounterAdditive reports whether c aggregates across ranks by
-// summation (all but the MAX_BYTE_* watermarks).
-func StdioCounterAdditive(c StdioCounter) bool {
-	return c != STDIO_MAX_BYTE_READ && c != STDIO_MAX_BYTE_WRITTEN
-}
+// summation (kindSum in stdioCounters).
+func StdioCounterAdditive(c StdioCounter) bool { return stdioCounters[c].kind == kindSum }
 
-// mergeStartTimestamp folds a *_START_TIMESTAMP: earliest nonzero (zero
-// means the operation never happened on that rank).
-func mergeStartTimestamp(dst *float64, v float64) {
-	if v == 0 {
-		return
-	}
-	if *dst == 0 || v < *dst {
-		*dst = v
-	}
-}
-
-// foldPosixCounters folds src's POSIX counters into dst per the merge
-// counter classes, adding src's ACCESS1..4 entries to dst's access table
-// for the combined re-rank of finalizeAccessPosix. Shared by the
-// cross-rank Merge and the same-rank CombineSnapshots.
+// foldPosixCounters folds src's POSIX counters into dst by their kinds,
+// adding src's ACCESS1..4 entries to dst's access table for the combined
+// re-rank in recordFold.finish.
 func foldPosixCounters(dst, src *PosixRecord) {
-	for c := PosixCounter(0); c < PosixNumCounters; c++ {
-		switch {
-		case PosixCounterAdditive(c):
-			dst.Counters[c] += src.Counters[c]
-		case c == POSIX_MAX_BYTE_READ || c == POSIX_MAX_BYTE_WRITTEN:
-			dst.Counters[c] = maxI64(dst.Counters[c], src.Counters[c])
+	fold(dst.Counters[:], src.Counters[:], posixCounters[:])
+	fold(dst.FCounters[:], src.FCounters[:], posixFCounters[:])
+	for k := range PosixCounter(4) {
+		if count := src.Counters[POSIX_ACCESS1_COUNT+k]; count > 0 {
+			dst.bumpAccess(src.Counters[POSIX_ACCESS1_ACCESS+k], count)
 		}
-	}
-	for k := 0; k < 4; k++ {
-		if count := src.Counters[POSIX_ACCESS1_COUNT+PosixCounter(k)]; count > 0 {
-			dst.bumpAccess(src.Counters[POSIX_ACCESS1_ACCESS+PosixCounter(k)], count)
-		}
-	}
-	for c := POSIX_F_OPEN_START_TIMESTAMP; c <= POSIX_F_CLOSE_START_TIMESTAMP; c++ {
-		mergeStartTimestamp(&dst.FCounters[c], src.FCounters[c])
-	}
-	for c := POSIX_F_OPEN_END_TIMESTAMP; c <= POSIX_F_CLOSE_END_TIMESTAMP; c++ {
-		dst.FCounters[c] = maxF(dst.FCounters[c], src.FCounters[c])
-	}
-	for _, c := range []PosixFCounter{POSIX_F_READ_TIME, POSIX_F_WRITE_TIME, POSIX_F_META_TIME} {
-		dst.FCounters[c] += src.FCounters[c]
-	}
-	for _, c := range []PosixFCounter{POSIX_F_MAX_READ_TIME, POSIX_F_MAX_WRITE_TIME} {
-		dst.FCounters[c] = maxF(dst.FCounters[c], src.FCounters[c])
 	}
 }
 
-// foldStdioCounters folds src's STDIO counters into dst per the merge
-// counter classes.
+// foldStdioCounters folds src's STDIO counters into dst by their kinds.
 func foldStdioCounters(dst, src *StdioRecord) {
-	for c := StdioCounter(0); c < StdioNumCounters; c++ {
-		if StdioCounterAdditive(c) {
-			dst.Counters[c] += src.Counters[c]
-		} else {
-			dst.Counters[c] = maxI64(dst.Counters[c], src.Counters[c])
-		}
+	fold(dst.Counters[:], src.Counters[:], stdioCounters[:])
+	fold(dst.FCounters[:], src.FCounters[:], stdioFCounters[:])
+}
+
+// recordFold reduces the module records of many snapshots to one record
+// per file id, ordered by first appearance (snapshot order, then record
+// order). Merge feeds it one snapshot per rank, CombineSnapshots one per
+// process incarnation of a single rank. The accumulator is a Snapshot:
+// the latest snapshot time, the summed fault tallies, the union of the
+// name tables and the folded POSIX and STDIO records; DXT is left to the
+// caller.
+type recordFold struct {
+	*Snapshot
+	posixIdx map[uint64]int
+	stdioIdx map[uint64]int
+}
+
+func newRecordFold() *recordFold {
+	return &recordFold{
+		Snapshot: &Snapshot{Names: make(map[uint64]string)},
+		posixIdx: make(map[uint64]int),
+		stdioIdx: make(map[uint64]int),
 	}
-	mergeStartTimestamp(&dst.FCounters[STDIO_F_OPEN_START_TIMESTAMP], src.FCounters[STDIO_F_OPEN_START_TIMESTAMP])
-	mergeStartTimestamp(&dst.FCounters[STDIO_F_CLOSE_START_TIMESTAMP], src.FCounters[STDIO_F_CLOSE_START_TIMESTAMP])
-	dst.FCounters[STDIO_F_OPEN_END_TIMESTAMP] = maxF(dst.FCounters[STDIO_F_OPEN_END_TIMESTAMP], src.FCounters[STDIO_F_OPEN_END_TIMESTAMP])
-	dst.FCounters[STDIO_F_CLOSE_END_TIMESTAMP] = maxF(dst.FCounters[STDIO_F_CLOSE_END_TIMESTAMP], src.FCounters[STDIO_F_CLOSE_END_TIMESTAMP])
-	for _, c := range []StdioFCounter{STDIO_F_READ_TIME, STDIO_F_WRITE_TIME, STDIO_F_META_TIME} {
-		dst.FCounters[c] += src.FCounters[c]
+}
+
+// add folds snap in as rank's. A file's record is stamped with the first
+// rank that touches it and becomes MergedRank once another rank does.
+func (f *recordFold) add(rank int, snap *Snapshot) {
+	f.Time = max(f.Time, snap.Time)
+	f.Faults.Add(snap.Faults)
+	maps.Copy(f.Names, snap.Names)
+	for i := range snap.Posix {
+		src := &snap.Posix[i]
+		j, seen := f.posixIdx[src.ID]
+		if !seen {
+			j = len(f.Posix)
+			f.posixIdx[src.ID] = j
+			f.Posix = append(f.Posix, PosixRecord{ID: src.ID, Rank: rank})
+		}
+		dst := &f.Posix[j]
+		if dst.Rank != rank {
+			dst.Rank = MergedRank
+		}
+		foldPosixCounters(dst, src)
+	}
+	for i := range snap.Stdio {
+		src := &snap.Stdio[i]
+		j, seen := f.stdioIdx[src.ID]
+		if !seen {
+			j = len(f.Stdio)
+			f.stdioIdx[src.ID] = j
+			f.Stdio = append(f.Stdio, StdioRecord{ID: src.ID, Rank: rank})
+		}
+		dst := &f.Stdio[j]
+		if dst.Rank != rank {
+			dst.Rank = MergedRank
+		}
+		foldStdioCounters(dst, src)
+	}
+}
+
+// finish re-ranks every folded POSIX record's combined access table into
+// ACCESS1..4 and drops the table.
+func (f *recordFold) finish() {
+	for i := range f.Posix {
+		finalizeAccessCounters(&f.Posix[i])
+		f.Posix[i].clearAccessState()
 	}
 }
 
 // Merge reduces per-rank job-end snapshots (index = rank) into one
-// aggregate log. Counter semantics per class:
+// aggregate log. Each counter reduces by its kind in counters.go:
 //
-//   - operation/byte/bucket counters: summed, so the merged value equals
-//     the sum of the per-rank values exactly;
-//   - MAX_BYTE_* watermarks and F_MAX_*_TIME: maximum across ranks;
-//   - *_START_TIMESTAMP: earliest nonzero; *_END_TIMESTAMP: latest;
-//   - F_*_TIME accumulators: summed (total time across ranks);
+//   - operation/byte/bucket counters and F_*_TIME accumulators: summed,
+//     so the merged value equals the sum of the per-rank values exactly;
+//   - MAX_BYTE_* watermarks, *_END_TIMESTAMP and F_MAX_*_TIME: maximum
+//     across ranks;
+//   - *_START_TIMESTAMP: earliest nonzero;
 //   - ACCESS1..4: re-ranked from the union of the per-rank access tables.
+//
+// NProcs is the number of rank slots; a nil slot is a rank without
+// records.
 func Merge(perRank []*Snapshot) *MergedLog {
-	out := &MergedLog{
-		Names: make(map[uint64]string),
-	}
-	posixIdx := make(map[uint64]int)
-	stdioIdx := make(map[uint64]int)
+	f := newRecordFold()
+	out := &MergedLog{NProcs: len(perRank)}
 
 	// The timeline is sized up front; it stays nil without segments, as
 	// the log decoder leaves an empty timeline.
@@ -165,45 +178,10 @@ func Merge(perRank []*Snapshot) *MergedLog {
 		if snap == nil {
 			continue
 		}
-		out.NProcs++
-		if snap.Time > out.JobEnd {
-			out.JobEnd = snap.Time
-		}
-		out.Faults.Add(snap.Faults)
-		for id, name := range snap.Names {
-			out.Names[id] = name
-		}
-		for i := range snap.Posix {
-			src := &snap.Posix[i]
-			j, seen := posixIdx[src.ID]
-			if !seen {
-				j = len(out.Posix)
-				posixIdx[src.ID] = j
-				// The snapshot index is the rank, the same source of truth
-				// the timeline uses (stamped record ranks may be absent
-				// when merging independently captured runs).
-				out.Posix = append(out.Posix, PosixRecord{ID: src.ID, Rank: rank})
-			}
-			dst := &out.Posix[j]
-			if seen && dst.Rank != rank {
-				dst.Rank = MergedRank // shared across ranks
-			}
-			foldPosixCounters(dst, src)
-		}
-		for i := range snap.Stdio {
-			src := &snap.Stdio[i]
-			j, seen := stdioIdx[src.ID]
-			if !seen {
-				j = len(out.Stdio)
-				stdioIdx[src.ID] = j
-				out.Stdio = append(out.Stdio, StdioRecord{ID: src.ID, Rank: rank})
-			}
-			dst := &out.Stdio[j]
-			if seen && dst.Rank != rank {
-				dst.Rank = MergedRank // shared across ranks
-			}
-			foldStdioCounters(dst, src)
-		}
+		// The snapshot index is the rank, for records and timeline alike
+		// (stamped record ranks may be absent when merging independently
+		// captured runs).
+		f.add(rank, snap)
 		for i := range snap.DXT {
 			rec := &snap.DXT[i]
 			out.DroppedSegments += rec.Dropped
@@ -216,18 +194,11 @@ func Merge(perRank []*Snapshot) *MergedLog {
 		}
 	}
 
-	finalizeAccessPosix(out.Posix)
+	f.finish()
 	sortTimeline(out.Timeline)
+	out.JobEnd, out.Names, out.Faults = f.Time, f.Names, f.Faults
+	out.Posix, out.Stdio = f.Posix, f.Stdio
 	return out
-}
-
-// finalizeAccessPosix re-ranks every folded record's combined access
-// table into ACCESS1..4 and drops the table.
-func finalizeAccessPosix(recs []PosixRecord) {
-	for i := range recs {
-		finalizeAccessCounters(&recs[i])
-		recs[i].clearAccessState()
-	}
 }
 
 // compareSegments is the global timeline order: start time, then fully

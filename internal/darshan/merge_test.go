@@ -369,6 +369,28 @@ func TestMergeWithoutDXTRoundTrips(t *testing.T) {
 	}
 }
 
+// TestMergeNilRankSlotRoundTrips: a nil slot is a rank without records.
+// NProcs counts rank slots, so the records and segments of the rank after
+// the gap stay in range and the merged log reads back as written.
+func TestMergeNilRankSlotRoundTrips(t *testing.T) {
+	snaps := syntheticSnapshots()
+	m := Merge([]*Snapshot{snaps[0], nil, snaps[1]})
+	if m.NProcs != 3 {
+		t.Fatalf("nprocs = %d, want 3 rank slots", m.NProcs)
+	}
+	var buf bytes.Buffer
+	if err := WriteMergedLog(&buf, m); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadMergedLog(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, m) {
+		t.Fatalf("merged log with a nil rank slot did not round-trip:\n got %+v\nwant %+v", got, m)
+	}
+}
+
 func TestMergeDeterministic(t *testing.T) {
 	a := Merge(syntheticSnapshots())
 	b := Merge(syntheticSnapshots())

@@ -147,20 +147,6 @@ func (m *PosixModule) recordFor(t *sim.Thread, path string) *PosixRecord {
 	return rec
 }
 
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func maxF(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // setFirst sets a start timestamp only on first occurrence, Darshan's
 // convention for *_START_TIMESTAMP counters.
 func setFirst(f *float64, v float64) {
@@ -203,12 +189,12 @@ func (m *PosixModule) recordRead(t *sim.Thread, rec *PosixRecord, offset, size i
 	}
 	rec.lastByteRead = offset + size - 1
 	rec.Counters[POSIX_BYTES_READ] += size
-	rec.Counters[POSIX_MAX_BYTE_READ] = maxI64(rec.Counters[POSIX_MAX_BYTE_READ], offset+size-1)
+	rec.Counters[POSIX_MAX_BYTE_READ] = max(rec.Counters[POSIX_MAX_BYTE_READ], offset+size-1)
 	setFirst(&rec.FCounters[POSIX_F_READ_START_TIMESTAMP], start)
 	rec.FCounters[POSIX_F_READ_END_TIMESTAMP] = end
 	rec.FCounters[POSIX_F_READ_TIME] += end - start
-	rec.FCounters[POSIX_F_MAX_READ_TIME] = maxF(rec.FCounters[POSIX_F_MAX_READ_TIME], end-start)
-	m.rt.DXT.addRead(t, rec.ID, offset, size, start, end)
+	rec.FCounters[POSIX_F_MAX_READ_TIME] = max(rec.FCounters[POSIX_F_MAX_READ_TIME], end-start)
+	m.rt.DXT.add(t, rec.ID, false, offset, size, start, end)
 }
 
 // wrapOpen builds the instrumented open(2).

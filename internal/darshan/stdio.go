@@ -104,10 +104,10 @@ func (m *StdioModule) recordFread(t *sim.Thread, st *vfs.Stream, n int64, start,
 	if rec := m.streams[st]; rec != nil {
 		rec.Counters[STDIO_READS]++
 		rec.Counters[STDIO_BYTES_READ] += n
-		rec.Counters[STDIO_MAX_BYTE_READ] = maxI64(rec.Counters[STDIO_MAX_BYTE_READ], n)
+		rec.Counters[STDIO_MAX_BYTE_READ] = max(rec.Counters[STDIO_MAX_BYTE_READ], n)
 		rec.FCounters[STDIO_F_READ_TIME] += end - start
 		if m.rt.cfg.DXTStdio {
-			m.rt.DXT.addRead(t, rec.ID, st.Offset()-n, n, start, end)
+			m.rt.DXT.add(t, rec.ID, false, st.Offset()-n, n, start, end)
 		}
 	}
 }
@@ -156,10 +156,10 @@ func (m *StdioModule) wrapFwrite(real libc.FwriteFunc) libc.FwriteFunc {
 			if rec := m.streams[st]; rec != nil {
 				rec.Counters[STDIO_WRITES]++
 				rec.Counters[STDIO_BYTES_WRITTEN] += int64(n)
-				rec.Counters[STDIO_MAX_BYTE_WRITTEN] = maxI64(rec.Counters[STDIO_MAX_BYTE_WRITTEN], int64(n))
+				rec.Counters[STDIO_MAX_BYTE_WRITTEN] = max(rec.Counters[STDIO_MAX_BYTE_WRITTEN], int64(n))
 				rec.FCounters[STDIO_F_WRITE_TIME] += end - start
 				if m.rt.cfg.DXTStdio {
-					m.rt.DXT.addWrite(t, rec.ID, st.Offset()-int64(n), int64(n), start, end)
+					m.rt.DXT.add(t, rec.ID, true, st.Offset()-int64(n), int64(n), start, end)
 				}
 			}
 		})

@@ -87,7 +87,7 @@ func NewLogReader(r io.Reader) (*LogReader, error) {
 		return nil, fmt.Errorf("%w: %v", ErrBadLog, err)
 	}
 	lr.zr = zr
-	lr.d = &logDecoder{r: bufio.NewReaderSize(zr, logChunk), buf: make([]byte, 0, posixRecordBytes)}
+	lr.d = &logDecoder{r: bufio.NewReaderSize(zr, logChunk)}
 	d := lr.d
 
 	if !d.next(1) {
@@ -238,53 +238,42 @@ func (lr *LogReader) skipSection() error {
 // NextPosix decodes the next POSIX record. ok is false once the block is
 // exhausted (or already consumed by a later block's Next*).
 func (lr *LogReader) NextPosix() (rec PosixRecord, ok bool, err error) {
-	if lr.section > secPosix {
-		return rec, false, nil
-	}
-	if err := lr.open(secPosix); err != nil {
-		return rec, false, err
-	}
-	if lr.remaining == 0 {
-		lr.closeSection()
-		return rec, false, nil
-	}
-	if !lr.d.next(posixRecordBytes) {
-		return rec, false, lr.d.fail("posix record %d", lr.idx)
-	}
-	rank := lr.d.record(&rec.ID, rec.Counters[:], rec.FCounters[:])
-	if !lr.validRank(rank) {
-		return rec, false, fmt.Errorf("%w: posix record %d: rank %d out of range (nprocs %d)", ErrBadLog, lr.idx, rank, lr.nprocs)
-	}
-	rec.Rank = int(rank)
-	lr.remaining--
-	lr.idx++
-	return rec, true, nil
+	ok, err = lr.nextRecord(secPosix, "posix", &rec.ID, &rec.Rank, rec.Counters[:], rec.FCounters[:])
+	return rec, ok, err
 }
 
 // NextStdio decodes the next STDIO record, draining any unread POSIX
 // records first.
 func (lr *LogReader) NextStdio() (rec StdioRecord, ok bool, err error) {
-	if lr.section > secStdio {
-		return rec, false, nil
+	ok, err = lr.nextRecord(secStdio, "stdio", &rec.ID, &rec.Rank, rec.Counters[:], rec.FCounters[:])
+	return rec, ok, err
+}
+
+// nextRecord decodes the next module record of block s into the given
+// fields. The record is an id, a rank and the counter arrays, so its
+// size follows from the counter slices.
+func (lr *LogReader) nextRecord(s logSection, what string, id *uint64, rank *int, counters []int64, fcounters []float64) (bool, error) {
+	if lr.section > s {
+		return false, nil
 	}
-	if err := lr.open(secStdio); err != nil {
-		return rec, false, err
+	if err := lr.open(s); err != nil {
+		return false, err
 	}
 	if lr.remaining == 0 {
 		lr.closeSection()
-		return rec, false, nil
+		return false, nil
 	}
-	if !lr.d.next(stdioRecordBytes) {
-		return rec, false, lr.d.fail("stdio record %d", lr.idx)
+	if !lr.d.next(8 + 8 + 8*len(counters) + 8*len(fcounters)) {
+		return false, lr.d.fail("%s record %d", what, lr.idx)
 	}
-	rank := lr.d.record(&rec.ID, rec.Counters[:], rec.FCounters[:])
-	if !lr.validRank(rank) {
-		return rec, false, fmt.Errorf("%w: stdio record %d: rank %d out of range (nprocs %d)", ErrBadLog, lr.idx, rank, lr.nprocs)
+	r := lr.d.record(id, counters, fcounters)
+	if !lr.validRank(r) {
+		return false, fmt.Errorf("%w: %s record %d: rank %d out of range (nprocs %d)", ErrBadLog, what, lr.idx, r, lr.nprocs)
 	}
-	rec.Rank = int(rank)
+	*rank = int(r)
 	lr.remaining--
 	lr.idx++
-	return rec, true, nil
+	return true, nil
 }
 
 // NextDXT decodes the next per-file DXT record of a single-process log

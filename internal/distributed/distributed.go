@@ -273,7 +273,7 @@ func Run(c *platform.Cluster, paths []string, opts Options) (*Result, error) {
 		// incarnations were stamped at the death instant); CombineSnapshots
 		// sums the side channel across incarnations.
 		final.Faults = envFaultCounters(c.Nodes[r].Env)
-		snaps[r] = darshan.CombineSnapshots(append(d.preFail[r], final)...)
+		snaps[r] = darshan.CombineSnapshots(r, append(d.preFail[r], final)...)
 		res.PerRank[r].Snapshot = snaps[r]
 	}
 	res.Merged = darshan.Merge(snaps)
