@@ -29,7 +29,7 @@ func CombineSnapshots(rank int, snaps ...*Snapshot) *Snapshot {
 		return live[0]
 	}
 
-	f := newRecordFold()
+	f := newRecordFold(live)
 	dxtIdx := make(map[uint64]int)
 	for _, snap := range live {
 		f.add(rank, snap)

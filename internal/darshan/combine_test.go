@@ -1,6 +1,8 @@
 package darshan
 
 import (
+	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -181,5 +183,61 @@ func TestCombineSnapshotsNilAndSingle(t *testing.T) {
 	}
 	if got, want := CombineSnapshots(3, nil, dead, nil, reborn, nil), CombineSnapshots(3, dead, reborn); !reflect.DeepEqual(got, want) {
 		t.Error("nil snapshots change the combine")
+	}
+}
+
+// TestFoldKeepsEmptyModulesNil: a module that none of the folded
+// snapshots has records of stays nil through Merge and CombineSnapshots,
+// as the log decoder leaves an empty block, so each fold DeepEquals its
+// own decoded log.
+func TestFoldKeepsEmptyModulesNil(t *testing.T) {
+	for _, module := range []string{"stdio", "posix"} {
+		strip := func(s *Snapshot) *Snapshot {
+			if module == "stdio" {
+				s.Stdio = nil
+			} else {
+				s.Posix = nil
+			}
+			s.Faults = FaultCounters{} // a side channel the log does not carry
+			return s
+		}
+		wantNil := func(what string, posix []PosixRecord, stdio []StdioRecord) {
+			t.Helper()
+			if (posix == nil) != (module == "posix") || (stdio == nil) != (module == "stdio") {
+				t.Fatalf("no %s: %s has posix nil %v, stdio nil %v", module, what, posix == nil, stdio == nil)
+			}
+		}
+		dead, reborn := incarnations()
+		dead, reborn = strip(dead), strip(reborn)
+
+		for _, snaps := range [][]*Snapshot{{dead}, {dead, reborn}} {
+			m := Merge(snaps)
+			wantNil(fmt.Sprintf("merge of %d ranks", len(snaps)), m.Posix, m.Stdio)
+			var buf bytes.Buffer
+			if err := WriteMergedLog(&buf, m); err != nil {
+				t.Fatal(err)
+			}
+			got, err := ReadMergedLog(bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, m) {
+				t.Errorf("no %s: merge of %d ranks did not round-trip:\n got %+v\nwant %+v", module, len(snaps), got, m)
+			}
+		}
+
+		c := CombineSnapshots(3, dead, reborn)
+		wantNil("combine", c.Posix, c.Stdio)
+		var buf bytes.Buffer
+		if err := WriteSnapshotLog(&buf, c); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadLog(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := LogFromSnapshot(c); !reflect.DeepEqual(got, want) {
+			t.Errorf("no %s: combine did not round-trip:\n got %+v\nwant %+v", module, got, want)
+		}
 	}
 }

@@ -50,19 +50,33 @@ func timelineSnapshots(ranks, files, segs int) []*Snapshot {
 }
 
 // The layer microbenchmarks run an 8-rank merge of about 100k segments,
-// the size of the cluster workloads' merged timelines.
+// the size of the cluster workloads' merged timelines. Merge and the
+// decoder also run over benchClusterFiles files, as many as the cluster
+// workloads merge: at 2,000 files the record slices are too small for
+// their growth to show.
 const (
-	benchRanks = 8
-	benchFiles = 2000
-	benchSegs  = 100_000
+	benchRanks        = 8
+	benchFiles        = 2000
+	benchClusterFiles = 32_000
+	benchSegs         = 100_000
 )
 
-func BenchmarkMerge(b *testing.B) {
-	snaps := timelineSnapshots(benchRanks, benchFiles, benchSegs)
-	b.ReportAllocs()
-	for b.Loop() {
-		Merge(snaps)
+// benchFileCounts runs f once per file count as a sub-benchmark.
+func benchFileCounts(b *testing.B, f func(b *testing.B, snaps []*Snapshot)) {
+	for _, files := range []int{benchFiles, benchClusterFiles} {
+		b.Run(fmt.Sprintf("files=%d", files), func(b *testing.B) {
+			f(b, timelineSnapshots(benchRanks, files, benchSegs))
+		})
 	}
+}
+
+func BenchmarkMerge(b *testing.B) {
+	benchFileCounts(b, func(b *testing.B, snaps []*Snapshot) {
+		b.ReportAllocs()
+		for b.Loop() {
+			Merge(snaps)
+		}
+	})
 }
 
 func BenchmarkWriteMergedLog(b *testing.B) {
@@ -76,14 +90,16 @@ func BenchmarkWriteMergedLog(b *testing.B) {
 }
 
 func BenchmarkReadMergedLog(b *testing.B) {
-	var buf bytes.Buffer
-	if err := WriteMergedLog(&buf, Merge(timelineSnapshots(benchRanks, benchFiles, benchSegs))); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for b.Loop() {
-		if _, err := ReadMergedLog(bytes.NewReader(buf.Bytes())); err != nil {
+	benchFileCounts(b, func(b *testing.B, snaps []*Snapshot) {
+		var buf bytes.Buffer
+		if err := WriteMergedLog(&buf, Merge(snaps)); err != nil {
 			b.Fatal(err)
 		}
-	}
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := ReadMergedLog(bytes.NewReader(buf.Bytes())); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

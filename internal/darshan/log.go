@@ -50,11 +50,28 @@ const (
 	maxLogRecords  = 1 << 20
 	maxLogSegments = 1 << 24
 	maxLogNProcs   = 1 << 20
-	// logAllocChunk bounds up-front slice allocation: slices grow as
-	// elements actually decode, so a lying count field hits EOF long
-	// before it can exhaust memory.
-	logAllocChunk = 1 << 12
+	// logAllocChunk is the most elements the decoder allocates room for
+	// on a count field's word alone; past it, slices grow only as
+	// elements actually decode (appendDecoded), so a lying count field
+	// hits EOF long before it can exhaust memory.
+	logAllocChunk = 1 << 10
 )
+
+// appendDecoded appends v, one decoded element of a block whose count
+// field declared n elements, to s. A full slice grows to
+// min(n, logAllocChunk) first and then doubles, never past n: a block of
+// up to logAllocChunk elements is allocated once at its size, a larger
+// honest block ends at capacity n exactly, and a false count keeps the
+// slice within logAllocChunk elements or twice the elements that actually
+// decoded, whichever is more.
+func appendDecoded[T any](s []T, v T, n int) []T {
+	if len(s) == cap(s) {
+		grown := make([]T, len(s), min(n, max(2*cap(s), logAllocChunk)))
+		copy(grown, s)
+		s = grown
+	}
+	return append(s, v)
+}
 
 // ErrBadLog reports a malformed or foreign log file.
 var ErrBadLog = errors.New("darshan: bad log file")
@@ -420,7 +437,7 @@ func ReadLog(r io.Reader) (*Log, error) {
 		if !ok {
 			break
 		}
-		log.Posix = append(log.Posix, rec)
+		log.Posix = appendDecoded(log.Posix, rec, lr.blockCount())
 	}
 	for {
 		rec, ok, err := lr.NextStdio()
@@ -430,7 +447,7 @@ func ReadLog(r io.Reader) (*Log, error) {
 		if !ok {
 			break
 		}
-		log.Stdio = append(log.Stdio, rec)
+		log.Stdio = appendDecoded(log.Stdio, rec, lr.blockCount())
 	}
 	if log.Merged {
 		for {
@@ -441,7 +458,7 @@ func ReadLog(r io.Reader) (*Log, error) {
 			if !ok {
 				break
 			}
-			log.Timeline = append(log.Timeline, ms)
+			log.Timeline = appendDecoded(log.Timeline, ms, lr.blockCount())
 		}
 		log.DroppedSegments = lr.DroppedSegments()
 	} else {
@@ -453,7 +470,7 @@ func ReadLog(r io.Reader) (*Log, error) {
 			if !ok {
 				break
 			}
-			log.DXT = append(log.DXT, rec)
+			log.DXT = appendDecoded(log.DXT, rec, lr.blockCount())
 		}
 	}
 	if err := lr.Finish(); err != nil {

@@ -3,12 +3,14 @@ package darshan
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/binary"
 	"errors"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"io"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -179,6 +181,13 @@ func corrupt(b []byte, i int, v byte) []byte {
 // block.
 func recompress(t *testing.T, b []byte, extra ...byte) []byte {
 	t.Helper()
+	return rewritePayload(t, b, func(payload []byte) []byte { return append(payload, extra...) })
+}
+
+// rewritePayload returns log b with its decompressed payload replaced by
+// edit's result, in a well-formed gzip stream.
+func rewritePayload(t *testing.T, b []byte, edit func(payload []byte) []byte) []byte {
+	t.Helper()
 	zr, err := gzip.NewReader(bytes.NewReader(b[len(logMagic)+4:]))
 	if err != nil {
 		t.Fatal(err)
@@ -189,13 +198,45 @@ func recompress(t *testing.T, b []byte, extra ...byte) []byte {
 	}
 	out := bytes.NewBuffer(append([]byte(nil), b[:len(logMagic)+4]...))
 	zw := gzip.NewWriter(out)
-	if _, err := zw.Write(append(payload, extra...)); err != nil {
+	if _, err := zw.Write(edit(payload)); err != nil {
 		t.Fatal(err)
 	}
 	if err := zw.Close(); err != nil {
 		t.Fatal(err)
 	}
 	return out.Bytes()
+}
+
+// TestReadLogFalseCountAllocatesLittle pins the decoder's defence against
+// a lying count field: a POSIX block that claims maxLogRecords records
+// but carries one fails with ErrBadLog having allocated room for about
+// what decoded, not for the claimed count (which would be 560 MiB).
+func TestReadLogFalseCountAllocatesLittle(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteSnapshotLog(&buf, &Snapshot{Time: 1, Posix: []PosixRecord{{ID: 1}}}); err != nil {
+		t.Fatal(err)
+	}
+	// The kind byte, the job record and an empty name table's count come
+	// before the POSIX count.
+	const posixCountAt = 1 + 16 + 4
+	lying := rewritePayload(t, buf.Bytes(), func(payload []byte) []byte {
+		if n := binary.LittleEndian.Uint32(payload[posixCountAt:]); n != 1 {
+			t.Fatalf("posix count field reads %d, want 1", n)
+		}
+		binary.LittleEndian.PutUint32(payload[posixCountAt:], maxLogRecords)
+		return payload
+	})
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadLog(bytes.NewReader(lying))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrBadLog) {
+		t.Fatalf("err = %v, want ErrBadLog", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("decoding a one-record block that claims %d records allocated %d bytes, want < 1 MiB", maxLogRecords, alloc)
+	}
 }
 
 func TestReadLogRejectsStructuralCorruption(t *testing.T) {

@@ -86,30 +86,69 @@ func foldStdioCounters(dst, src *StdioRecord) {
 // caller.
 type recordFold struct {
 	*Snapshot
+	// posixIdx and stdioIdx map a file id to its record's index, assigned
+	// in first-appearance order before any record is folded.
 	posixIdx map[uint64]int
 	stdioIdx map[uint64]int
 }
 
-func newRecordFold() *recordFold {
-	return &recordFold{
-		Snapshot: &Snapshot{Names: make(map[uint64]string)},
-		posixIdx: make(map[uint64]int),
-		stdioIdx: make(map[uint64]int),
+// newRecordFold sizes a fold of snaps (nil entries skipped) before any
+// record is folded: it indexes the union of the record ids in
+// first-appearance order and allocates Posix and Stdio once at the size of
+// that union. A module no snapshot has records of stays nil, as the log
+// decoder leaves an empty block, so folds and decoded logs DeepEqual. The
+// index maps and the name table are sized by the largest per-snapshot
+// count, the least their union can hold.
+func newRecordFold(snaps []*Snapshot) *recordFold {
+	var nNames, nPosix, nStdio int
+	for _, snap := range snaps {
+		if snap != nil {
+			nNames = max(nNames, len(snap.Names))
+			nPosix = max(nPosix, len(snap.Posix))
+			nStdio = max(nStdio, len(snap.Stdio))
+		}
 	}
+	f := &recordFold{
+		Snapshot: &Snapshot{Names: make(map[uint64]string, nNames)},
+		posixIdx: make(map[uint64]int, nPosix),
+		stdioIdx: make(map[uint64]int, nStdio),
+	}
+	for _, snap := range snaps {
+		if snap == nil {
+			continue
+		}
+		for i := range snap.Posix {
+			if _, seen := f.posixIdx[snap.Posix[i].ID]; !seen {
+				f.posixIdx[snap.Posix[i].ID] = len(f.posixIdx)
+			}
+		}
+		for i := range snap.Stdio {
+			if _, seen := f.stdioIdx[snap.Stdio[i].ID]; !seen {
+				f.stdioIdx[snap.Stdio[i].ID] = len(f.stdioIdx)
+			}
+		}
+	}
+	if n := len(f.posixIdx); n > 0 {
+		f.Posix = make([]PosixRecord, 0, n)
+	}
+	if n := len(f.stdioIdx); n > 0 {
+		f.Stdio = make([]StdioRecord, 0, n)
+	}
+	return f
 }
 
-// add folds snap in as rank's. A file's record is stamped with the first
-// rank that touches it and becomes MergedRank once another rank does.
+// add folds snap, one of the snapshots the fold was sized for, in as
+// rank's, in the order they were given to newRecordFold. A file's record
+// is created where its id was first indexed, stamped with the first rank
+// that touches it, and becomes MergedRank once another rank does.
 func (f *recordFold) add(rank int, snap *Snapshot) {
 	f.Time = max(f.Time, snap.Time)
 	f.Faults.Add(snap.Faults)
 	maps.Copy(f.Names, snap.Names)
 	for i := range snap.Posix {
 		src := &snap.Posix[i]
-		j, seen := f.posixIdx[src.ID]
-		if !seen {
-			j = len(f.Posix)
-			f.posixIdx[src.ID] = j
+		j := f.posixIdx[src.ID]
+		if j == len(f.Posix) {
 			f.Posix = append(f.Posix, PosixRecord{ID: src.ID, Rank: rank})
 		}
 		dst := &f.Posix[j]
@@ -120,10 +159,8 @@ func (f *recordFold) add(rank int, snap *Snapshot) {
 	}
 	for i := range snap.Stdio {
 		src := &snap.Stdio[i]
-		j, seen := f.stdioIdx[src.ID]
-		if !seen {
-			j = len(f.Stdio)
-			f.stdioIdx[src.ID] = j
+		j := f.stdioIdx[src.ID]
+		if j == len(f.Stdio) {
 			f.Stdio = append(f.Stdio, StdioRecord{ID: src.ID, Rank: rank})
 		}
 		dst := &f.Stdio[j]
@@ -156,7 +193,7 @@ func (f *recordFold) finish() {
 // NProcs is the number of rank slots; a nil slot is a rank without
 // records.
 func Merge(perRank []*Snapshot) *MergedLog {
-	f := newRecordFold()
+	f := newRecordFold(perRank)
 	out := &MergedLog{NProcs: len(perRank)}
 
 	// The timeline is sized up front; it stays nil without segments, as

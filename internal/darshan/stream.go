@@ -75,7 +75,7 @@ func NewLogReader(r io.Reader) (*LogReader, error) {
 	if magic != logMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrBadLog)
 	}
-	lr := &LogReader{names: make(map[uint64]string)}
+	lr := &LogReader{}
 	if err := binaryReadU32(r, &lr.version); err != nil {
 		return nil, err
 	}
@@ -121,6 +121,7 @@ func NewLogReader(r io.Reader) (*LogReader, error) {
 	if err != nil {
 		return nil, err
 	}
+	lr.names = make(map[uint64]string, min(nNames, logAllocChunk))
 	for i := 0; i < nNames; i++ {
 		if !d.next(10) {
 			return nil, d.fail("name table entry %d", i)
@@ -199,6 +200,9 @@ func (lr *LogReader) open(s logSection) error {
 	lr.opened = true
 	return nil
 }
+
+// blockCount is the element count the current block's header declared.
+func (lr *LogReader) blockCount() int { return lr.idx + lr.remaining }
 
 // closeSection advances past an exhausted section.
 func (lr *LogReader) closeSection() {
@@ -307,9 +311,6 @@ func (lr *LogReader) NextDXT() (rec DXTRecord, ok bool, err error) {
 			return rec, false, err
 		}
 		for j := 0; j < nSegs; j++ {
-			if *out == nil {
-				*out = make([]Segment, 0, min(nSegs, logAllocChunk))
-			}
 			var s Segment
 			if !lr.d.next(segmentBytes) {
 				return rec, false, lr.d.fail("%s %d", what, j)
@@ -317,7 +318,7 @@ func (lr *LogReader) NextDXT() (rec DXTRecord, ok bool, err error) {
 			if err := readSegment(lr.d, &s, what, j); err != nil {
 				return rec, false, err
 			}
-			*out = append(*out, s)
+			*out = appendDecoded(*out, s, nSegs)
 		}
 	}
 	lr.remaining--

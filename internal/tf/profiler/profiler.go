@@ -208,8 +208,14 @@ func (ev *XEvent) Args() map[string]string {
 // Fig. 5 overhead.
 type TraceMeRecorder struct {
 	active bool
-	events []RecordedEvent
+	// pages holds the recorded events in order, in pages of traceMePage
+	// events: a long session appends a page at a time instead of
+	// regrowing (and copying) one slice of every event so far.
+	pages [][]RecordedEvent
 }
+
+// traceMePage is how many events one recorder page holds.
+const traceMePage = 1024
 
 // traceMeEventCPU is the bookkeeping cost charged per recorded event.
 const traceMeEventCPU = 300 * sim.Nanosecond
@@ -229,11 +235,12 @@ func NewTraceMeRecorder() *TraceMeRecorder { return &TraceMeRecorder{} }
 // Start begins collection.
 func (r *TraceMeRecorder) Start() { r.active = true }
 
-// StopAndCollect ends collection and returns the events gathered.
-func (r *TraceMeRecorder) StopAndCollect() []RecordedEvent {
+// StopAndCollect ends collection and returns the events gathered, in
+// recording order, as pages of at most traceMePage events.
+func (r *TraceMeRecorder) StopAndCollect() [][]RecordedEvent {
 	r.active = false
-	out := r.events
-	r.events = nil
+	out := r.pages
+	r.pages = nil
 	return out
 }
 
@@ -260,7 +267,12 @@ func (tm TraceMe) End(t *sim.Thread) {
 		return
 	}
 	t.Sleep(traceMeEventCPU)
-	tm.r.events = append(tm.r.events, RecordedEvent{
+	r := tm.r
+	if n := len(r.pages); n == 0 || len(r.pages[n-1]) == traceMePage {
+		r.pages = append(r.pages, make([]RecordedEvent, 0, traceMePage))
+	}
+	page := &r.pages[len(r.pages)-1]
+	*page = append(*page, RecordedEvent{
 		Name:    tm.name,
 		TID:     t.ID(),
 		Thread:  t.Name(),
@@ -276,7 +288,7 @@ const HostPlaneName = "/host:CPU"
 // for TF's host tracer built on the same recorder.
 type HostTracer struct {
 	recorder *TraceMeRecorder
-	events   []RecordedEvent
+	pages    [][]RecordedEvent
 }
 
 // NewHostTracer returns a host tracer over the shared recorder.
@@ -293,20 +305,33 @@ func (h *HostTracer) Start(t *sim.Thread) error {
 
 // Stop implements Tracer.
 func (h *HostTracer) Stop(t *sim.Thread) error {
-	h.events = h.recorder.StopAndCollect()
+	h.pages = h.recorder.StopAndCollect()
 	return nil
 }
 
-// CollectData implements Tracer: one line per host thread.
+// CollectData implements Tracer: one line per host thread, each line's
+// events allocated once at that thread's event count.
 func (h *HostTracer) CollectData(t *sim.Thread, space *XSpace) error {
+	perThread := make(map[int]int)
+	for _, page := range h.pages {
+		for i := range page {
+			perThread[page[i].TID]++
+		}
+	}
 	plane := space.Plane(HostPlaneName)
-	for _, ev := range h.events {
-		line := plane.Line(int64(ev.TID), ev.Thread)
-		line.Events = append(line.Events, XEvent{
-			Name:    ev.Name,
-			StartNs: ev.StartNs,
-			DurNs:   ev.EndNs - ev.StartNs,
-		})
+	for _, page := range h.pages {
+		for i := range page {
+			ev := &page[i]
+			line := plane.Line(int64(ev.TID), ev.Thread)
+			if line.Events == nil {
+				line.Events = make([]XEvent, 0, perThread[ev.TID])
+			}
+			line.Events = append(line.Events, XEvent{
+				Name:    ev.Name,
+				StartNs: ev.StartNs,
+				DurNs:   ev.EndNs - ev.StartNs,
+			})
+		}
 	}
 	plane.SortLines()
 	return nil

@@ -1,7 +1,10 @@
 package profiler
 
 import (
+	"cmp"
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/sim"
@@ -26,7 +29,7 @@ func TestTraceMeRecordsOnlyWhenActive(t *testing.T) {
 		tm = r.Begin(th, "kept")
 		th.Sleep(sim.Millisecond)
 		tm.End(th)
-		evs := r.StopAndCollect()
+		evs := slices.Concat(r.StopAndCollect()...)
 		if len(evs) != 1 || evs[0].Name != "kept" {
 			t.Fatalf("events = %+v", evs)
 		}
@@ -186,5 +189,86 @@ func TestXPlaneLineAndStats(t *testing.T) {
 	}
 	if s.FindPlane("/missing") != nil {
 		t.Fatal("FindPlane invented a plane")
+	}
+}
+
+// recordHostEvents runs threads sim threads that each record perThread
+// interleaved TraceMe events into a host tracer's session, and returns
+// the stopped tracer, ready to collect.
+func recordHostEvents(tb testing.TB, threads, perThread int) *HostTracer {
+	tb.Helper()
+	h := NewHostTracer(NewTraceMeRecorder())
+	k := sim.NewKernel()
+	if err := h.Start(nil); err != nil {
+		tb.Fatal(err)
+	}
+	for i := range threads {
+		k.Spawn(fmt.Sprintf("worker-%d", i), func(th *sim.Thread) {
+			for range perThread {
+				tm := h.recorder.Begin(th, "op")
+				th.Sleep(sim.Microsecond)
+				tm.End(th)
+			}
+		})
+	}
+	if err := k.Run(); err != nil {
+		tb.Fatal(err)
+	}
+	if err := h.Stop(nil); err != nil {
+		tb.Fatal(err)
+	}
+	return h
+}
+
+// TestHostTracerPagesAndLines: the recorder keeps events in recording
+// order across full pages, and CollectData gives each thread one line
+// whose events are allocated once, at the thread's event count.
+func TestHostTracerPagesAndLines(t *testing.T) {
+	const threads, perThread = 3, traceMePage + 1
+	h := recordHostEvents(t, threads, perThread)
+	if got, want := len(h.pages), (threads*perThread+traceMePage-1)/traceMePage; got != want {
+		t.Fatalf("pages = %d, want %d", got, want)
+	}
+	for i, page := range h.pages[:len(h.pages)-1] {
+		if len(page) != traceMePage {
+			t.Fatalf("page %d holds %d events, want a full page of %d", i, len(page), traceMePage)
+		}
+	}
+	events := slices.Concat(h.pages...)
+	if len(events) != threads*perThread {
+		t.Fatalf("recorded %d events, want %d", len(events), threads*perThread)
+	}
+	if !slices.IsSortedFunc(events, func(a, b RecordedEvent) int { return cmp.Compare(a.EndNs, b.EndNs) }) {
+		t.Fatal("pages lost the recording order")
+	}
+
+	space := &XSpace{}
+	if err := h.CollectData(nil, space); err != nil {
+		t.Fatal(err)
+	}
+	plane := space.FindPlane(HostPlaneName)
+	if plane == nil || len(plane.Lines) != threads {
+		t.Fatalf("host plane = %+v, want %d lines", plane, threads)
+	}
+	for _, line := range plane.Lines {
+		if len(line.Events) != perThread || cap(line.Events) != perThread {
+			t.Errorf("line %d: %d events in capacity %d, want %d in %d", line.ID, len(line.Events), cap(line.Events), perThread, perThread)
+		}
+		if !slices.IsSortedFunc(line.Events, func(a, b XEvent) int { return cmp.Compare(a.StartNs, b.StartNs) }) {
+			t.Errorf("line %d events out of order", line.ID)
+		}
+	}
+}
+
+// BenchmarkHostTracerCollectData converts a session of 200k TraceMe
+// events over 4 host threads, about an ImageNet epoch's worth, into the
+// host plane.
+func BenchmarkHostTracerCollectData(b *testing.B) {
+	h := recordHostEvents(b, 4, 50_000)
+	b.ReportAllocs()
+	for b.Loop() {
+		if err := h.CollectData(nil, &XSpace{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
