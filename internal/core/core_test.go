@@ -316,8 +316,8 @@ func TestAnalysisOverheadChargedAtCollect(t *testing.T) {
 		buf := make([]byte, 4096)
 		for _, p := range paths {
 			fd, _ := m.Env.Libc.Open(th, p, 0)
-			m.Env.Libc.Pread(th, fd, buf, 0)
-			m.Env.Libc.Pread(th, fd, buf, 4096)
+			m.Env.Libc.Pread(th, fd, buf, int64(len(buf)), 0)
+			m.Env.Libc.Pread(th, fd, buf, int64(len(buf)), 4096)
 			m.Env.Libc.Close(th, fd)
 		}
 		if err := tr.Stop(th); err != nil {
@@ -456,7 +456,7 @@ func TestApplyStagingMovesFiles(t *testing.T) {
 	m.K.Spawn("reread", func(th *sim.Thread) {
 		fd, _ := m.Env.Libc.Open(th, adv.Files[0], 0)
 		buf := make([]byte, 1000)
-		m.Env.Libc.Pread(th, fd, buf, 0)
+		m.Env.Libc.Pread(th, fd, buf, int64(len(buf)), 0)
 		m.Env.Libc.Close(th, fd)
 	})
 	if err := m.K.Run(); err != nil {

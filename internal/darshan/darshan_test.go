@@ -79,7 +79,7 @@ func readWholeFileTFStyle(th *sim.Thread, c *libc.Calls, path string, chunk int)
 	var off int64
 	reads := 0
 	for {
-		n, err := c.Pread(th, fd, buf, off)
+		n, err := c.Pread(th, fd, buf, int64(len(buf)), off)
 		if err != nil {
 			panic(err)
 		}
@@ -171,10 +171,10 @@ func TestAccessSizeTop4(t *testing.T) {
 		buf1 := make([]byte, 1024)
 		buf2 := make([]byte, 4096)
 		for i := 0; i < 5; i++ {
-			r.c.Pread(th, fd, buf1, int64(i)*1024)
+			r.c.Pread(th, fd, buf1, int64(len(buf1)), int64(i)*1024)
 		}
 		for i := 0; i < 3; i++ {
-			r.c.Pread(th, fd, buf2, int64(i)*4096)
+			r.c.Pread(th, fd, buf2, int64(len(buf2)), int64(i)*4096)
 		}
 		r.c.Close(th, fd)
 	})
@@ -207,7 +207,7 @@ func TestLseekTracksOffsetForRead(t *testing.T) {
 	r.run(t, func(th *sim.Thread) {
 		fd, _ := r.c.Open(th, "/data/seek", vfs.O_RDONLY)
 		buf := make([]byte, 100)
-		r.c.Pread(th, fd, buf, 5000)
+		r.c.Pread(th, fd, buf, int64(len(buf)), 5000)
 		r.c.Close(th, fd)
 	})
 	rec := r.posixRec(t, "/data/seek")
@@ -405,48 +405,38 @@ func TestRecordIDStable(t *testing.T) {
 	}
 }
 
-func TestDiscardWrappersRecordLikeMaterializingReads(t *testing.T) {
-	// Count-only reads through the patched GOT must produce the same
-	// POSIX/STDIO records as materializing reads of the same spans.
-	mat := newRig(DefaultConfig())
-	mat.fs.CreateFile("/data/f", 1000)
-	mat.run(t, func(th *sim.Thread) {
-		fd, _ := mat.c.Open(th, "/data/f", vfs.O_RDONLY)
-		buf := make([]byte, 600)
-		mat.c.Pread(th, fd, buf, 0)
-		mat.c.Pread(th, fd, buf, 600)
-		mat.c.Pread(th, fd, buf, 1000) // zero-length EOF probe
-		mat.c.Close(th, fd)
-		st, _ := mat.c.Fopen(th, "/data/f", "r")
-		mat.c.Fread(th, st, buf)
-		mat.c.Fclose(th, st)
-	})
-
-	disc := newRig(DefaultConfig())
-	disc.fs.CreateFile("/data/f", 1000)
-	disc.run(t, func(th *sim.Thread) {
-		fd, _ := disc.c.Open(th, "/data/f", vfs.O_RDONLY)
-		disc.c.PreadDiscard(th, fd, 600, 0)
-		disc.c.PreadDiscard(th, fd, 600, 600)
-		disc.c.PreadDiscard(th, fd, 600, 1000)
-		disc.c.Close(th, fd)
-		st, _ := disc.c.Fopen(th, "/data/f", "r")
-		disc.c.FreadDiscard(th, st, 600)
-		disc.c.Fclose(th, st)
-	})
-
-	pm, pd := mat.posixRec(t, "/data/f"), disc.posixRec(t, "/data/f")
-	if pm.Counters != pd.Counters {
-		t.Fatalf("POSIX counters diverged:\nmaterialized %v\ndiscard      %v", pm.Counters, pd.Counters)
+func TestNilBufferReadsRecordLikeRealBuffer(t *testing.T) {
+	// Count-only reads (nil buffer) through the patched GOT must produce
+	// the same POSIX/STDIO records as materializing reads of the same spans.
+	read := func(buf []byte) *rig {
+		r := newRig(DefaultConfig())
+		r.fs.CreateFile("/data/f", 1000)
+		r.run(t, func(th *sim.Thread) {
+			fd, _ := r.c.Open(th, "/data/f", vfs.O_RDONLY)
+			r.c.Pread(th, fd, buf, 600, 0)
+			r.c.Pread(th, fd, buf, 600, 600)
+			r.c.Pread(th, fd, buf, 600, 1000) // zero-length EOF probe
+			r.c.Close(th, fd)
+			st, _ := r.c.Fopen(th, "/data/f", "r")
+			r.c.Fread(th, st, buf, 600)
+			r.c.Fclose(th, st)
+		})
+		return r
 	}
-	sm, sd := mat.rt.Stdio.Records(), disc.rt.Stdio.Records()
+	withBuf, nilBuf := read(make([]byte, 600)), read(nil)
+
+	pm, pd := withBuf.posixRec(t, "/data/f"), nilBuf.posixRec(t, "/data/f")
+	if pm.Counters != pd.Counters {
+		t.Fatalf("POSIX counters diverged:\nreal buffer %v\nnil buffer  %v", pm.Counters, pd.Counters)
+	}
+	sm, sd := withBuf.rt.Stdio.Records(), nilBuf.rt.Stdio.Records()
 	if len(sm) != 1 || len(sd) != 1 {
 		t.Fatalf("stdio records = %d, %d", len(sm), len(sd))
 	}
 	if sm[0].Counters != sd[0].Counters {
-		t.Fatalf("STDIO counters diverged:\nmaterialized %v\ndiscard      %v", sm[0].Counters, sd[0].Counters)
+		t.Fatalf("STDIO counters diverged:\nreal buffer %v\nnil buffer  %v", sm[0].Counters, sd[0].Counters)
 	}
 	if sd[0].Counters[STDIO_READS] != 1 || sd[0].Counters[STDIO_BYTES_READ] != 600 {
-		t.Fatalf("fread_discard not recorded: %v", sd[0].Counters)
+		t.Fatalf("nil-buffer fread not recorded: %v", sd[0].Counters)
 	}
 }

@@ -44,14 +44,10 @@ func (rt *Runtime) WrapperFor(symbol string, real any) (any, bool) {
 		return rt.Posix.wrapClose(real.(libc.CloseFunc)), true
 	case "pread":
 		return rt.Posix.wrapPread(real.(libc.PreadFunc)), true
-	case "pread_discard":
-		return rt.Posix.wrapPreadDiscard(real.(libc.PreadDiscardFunc)), true
 	case "fopen":
 		return rt.Stdio.wrapFopen(real.(libc.FopenFunc)), true
 	case "fread":
 		return rt.Stdio.wrapFread(real.(libc.FreadFunc)), true
-	case "fread_discard":
-		return rt.Stdio.wrapFreadDiscard(real.(libc.FreadDiscardFunc)), true
 	case "fwrite":
 		return rt.Stdio.wrapFwrite(real.(libc.FwriteFunc)), true
 	case "fclose":

@@ -62,7 +62,7 @@ func TestDlopenDlsymAttachFlow(t *testing.T) {
 	k.Spawn("app", func(th *sim.Thread) {
 		fd, _ := calls.Open(th, "/data/z", vfs.O_RDONLY)
 		buf := make([]byte, 4096)
-		calls.Pread(th, fd, buf, 0)
+		calls.Pread(th, fd, buf, int64(len(buf)), 0)
 		calls.Close(th, fd)
 	})
 	if err := k.Run(); err != nil {
@@ -96,7 +96,7 @@ func TestPreloadLibraryInstrumentsWholeRun(t *testing.T) {
 	k.Spawn("app", func(th *sim.Thread) {
 		fd, _ := calls.Open(th, "/data/p", vfs.O_RDONLY)
 		buf := make([]byte, 1000)
-		calls.Pread(th, fd, buf, 0)
+		calls.Pread(th, fd, buf, int64(len(buf)), 0)
 		calls.Close(th, fd)
 	})
 	if err := k.Run(); err != nil {

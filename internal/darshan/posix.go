@@ -234,43 +234,22 @@ func (m *PosixModule) wrapClose(real libc.CloseFunc) libc.CloseFunc {
 	}
 }
 
-// recordPread applies a pread's record updates to fd's file (shared by
-// the materializing and count-only wrappers).
-func (m *PosixModule) recordPread(t *sim.Thread, fd int, off, n int64, start, end float64) {
-	if rec := m.fds[fd]; rec != nil {
-		m.recordRead(t, rec, off, n, start, end)
-	}
-}
-
+// wrapPread builds the instrumented pread. A count-only read (nil buf)
+// records exactly what a materializing read of the same span does, so the
+// zero-materialization fast path is invisible in the counters, access
+// histograms and DXT segments.
 func (m *PosixModule) wrapPread(real libc.PreadFunc) libc.PreadFunc {
-	return func(t *sim.Thread, fd int, buf []byte, off int64) (int, error) {
+	return func(t *sim.Thread, fd int, buf []byte, count, off int64) (int, error) {
 		start := m.rt.rel(t.Now())
-		n, err := real(t, fd, buf, off)
+		n, err := real(t, fd, buf, count, off)
 		end := m.rt.rel(t.Now())
 		m.rt.instrument(t, func() {
 			if err != nil || n < 0 {
 				return
 			}
-			m.recordPread(t, fd, off, int64(n), start, end)
-		})
-		return n, err
-	}
-}
-
-// wrapPreadDiscard builds the instrumented count-only pread. The record
-// updates are byte-for-byte those of a materializing pread over the same
-// span — the zero-materialization fast path is invisible in the counters,
-// access histograms and DXT segments.
-func (m *PosixModule) wrapPreadDiscard(real libc.PreadDiscardFunc) libc.PreadDiscardFunc {
-	return func(t *sim.Thread, fd int, count int64, off int64) (int, error) {
-		start := m.rt.rel(t.Now())
-		n, err := real(t, fd, count, off)
-		end := m.rt.rel(t.Now())
-		m.rt.instrument(t, func() {
-			if err != nil || n < 0 {
-				return
+			if rec := m.fds[fd]; rec != nil {
+				m.recordRead(t, rec, off, int64(n), start, end)
 			}
-			m.recordPread(t, fd, off, int64(n), start, end)
 		})
 		return n, err
 	}

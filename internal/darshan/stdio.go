@@ -98,47 +98,26 @@ func (m *StdioModule) wrapFopen(real libc.FopenFunc) libc.FopenFunc {
 	}
 }
 
-// recordFread applies fread semantics to the stream's record (shared by
-// the materializing and count-only wrappers).
-func (m *StdioModule) recordFread(t *sim.Thread, st *vfs.Stream, n int64, start, end float64) {
-	if rec := m.streams[st]; rec != nil {
-		rec.Counters[STDIO_READS]++
-		rec.Counters[STDIO_BYTES_READ] += n
-		rec.Counters[STDIO_MAX_BYTE_READ] = max(rec.Counters[STDIO_MAX_BYTE_READ], n)
-		rec.FCounters[STDIO_F_READ_TIME] += end - start
-		if m.rt.cfg.DXTStdio {
-			m.rt.DXT.add(t, rec.ID, false, st.Offset()-n, n, start, end)
-		}
-	}
-}
-
+// wrapFread builds the instrumented fread; a count-only read (nil buf)
+// records exactly what a materializing read of the same span does.
 func (m *StdioModule) wrapFread(real libc.FreadFunc) libc.FreadFunc {
-	return func(t *sim.Thread, st *vfs.Stream, buf []byte) (int, error) {
+	return func(t *sim.Thread, st *vfs.Stream, buf []byte, count int64) (int, error) {
 		start := m.rt.rel(t.Now())
-		n, err := real(t, st, buf)
+		n, err := real(t, st, buf, count)
 		end := m.rt.rel(t.Now())
 		m.rt.instrument(t, func() {
 			if err != nil || n < 0 {
 				return
 			}
-			m.recordFread(t, st, int64(n), start, end)
-		})
-		return n, err
-	}
-}
-
-// wrapFreadDiscard builds the instrumented count-only fread; record
-// updates match a materializing fread of the same span exactly.
-func (m *StdioModule) wrapFreadDiscard(real libc.FreadDiscardFunc) libc.FreadDiscardFunc {
-	return func(t *sim.Thread, st *vfs.Stream, count int64) (int, error) {
-		start := m.rt.rel(t.Now())
-		n, err := real(t, st, count)
-		end := m.rt.rel(t.Now())
-		m.rt.instrument(t, func() {
-			if err != nil || n < 0 {
-				return
+			if rec := m.streams[st]; rec != nil {
+				rec.Counters[STDIO_READS]++
+				rec.Counters[STDIO_BYTES_READ] += int64(n)
+				rec.Counters[STDIO_MAX_BYTE_READ] = max(rec.Counters[STDIO_MAX_BYTE_READ], int64(n))
+				rec.FCounters[STDIO_F_READ_TIME] += end - start
+				if m.rt.cfg.DXTStdio {
+					m.rt.DXT.add(t, rec.ID, false, st.Offset()-int64(n), int64(n), start, end)
+				}
 			}
-			m.recordFread(t, st, int64(n), start, end)
 		})
 		return n, err
 	}

@@ -93,7 +93,7 @@ func TestPreloadAndRuntimeAttachAgree(t *testing.T) {
 				}
 				var off int64
 				for {
-					n, _ := m.Env.Libc.Pread(th, fd, buf, off)
+					n, _ := m.Env.Libc.Pread(th, fd, buf, int64(len(buf)), off)
 					if n == 0 {
 						break
 					}

@@ -29,7 +29,7 @@ func TestCallsRouteThroughGOT(t *testing.T) {
 			t.Fatal(err)
 		}
 		buf := make([]byte, 64)
-		if n, _ := c.Pread(th, fd, buf, 0); n != 64 {
+		if n, _ := c.Pread(th, fd, buf, int64(len(buf)), 0); n != 64 {
 			t.Fatalf("pread = %d", n)
 		}
 		if err := c.Close(th, fd); err != nil {
@@ -127,11 +127,11 @@ func TestStdioThroughGOT(t *testing.T) {
 		// count of the file's procedural bytes.
 		st, _ = c.Fopen(th, "/data/new.txt", "r")
 		buf := make([]byte, 4)
-		n, _ := c.Fread(th, st, buf)
+		n, _ := c.Fread(th, st, buf, int64(len(buf)))
 		if n != 2 || vfs.ChecksumUpdate(vfs.ChecksumSeed(), buf[:n]) != ino.ContentChecksum(0, 2) {
 			t.Fatalf("fread = %d %q", n, buf[:n])
 		}
-		if n, _ := c.Fread(th, st, buf); n != 0 {
+		if n, _ := c.Fread(th, st, buf, int64(len(buf))); n != 0 {
 			t.Fatalf("fread at EOF = %d", n)
 		}
 		c.Fclose(th, st)

@@ -61,6 +61,9 @@ func TestEveryCallsMethodHasAProductionCaller(t *testing.T) {
 		}
 	}
 	ct := reflect.TypeOf(&Calls{})
+	if ct.NumMethod() != len(IOSymbols) {
+		t.Errorf("Calls has %d methods for %d IOSymbols %v: one method per symbol", ct.NumMethod(), len(IOSymbols), IOSymbols)
+	}
 	for i := 0; i < ct.NumMethod(); i++ {
 		if name := ct.Method(i).Name; !called[name] {
 			t.Errorf("Calls.%s has no production caller (<x>.Libc.%s( in cmd/, examples/ or internal/): delete its symbol through every layer", name, name)

@@ -34,19 +34,19 @@ func ladderFixture(t *testing.T, nFiles int, fileSize int64) (*sim.Kernel, *vfs.
 	return k, fs, cacheDev, paths
 }
 
-// readWholeFile consumes one file through the node's view, the way the
-// training pipeline's ReadFile loop does.
-func readWholeFile(t *testing.T, th *sim.Thread, v *vfs.View, p string, size int64) {
+// readWholeFile consumes one file as node 0 with a count-only pread, the
+// way the training pipeline's ReadFile loop does.
+func readWholeFile(t *testing.T, th *sim.Thread, fs *vfs.FS, p string, size int64) {
 	t.Helper()
-	fd, err := v.Open(th, p, vfs.O_RDONLY)
+	fd, err := fs.Open(th, p, vfs.O_RDONLY)
 	if err != nil {
 		t.Error(err)
 		return
 	}
-	if _, err := v.PreadDiscard(th, fd, size, 0); err != nil {
+	if _, err := fs.Pread(th, fd, nil, size, 0); err != nil {
 		t.Error(err)
 	}
-	if err := v.Close(th, fd); err != nil {
+	if err := fs.Close(th, fd); err != nil {
 		t.Error(err)
 	}
 }
@@ -72,10 +72,9 @@ func TestEvictionLadder(t *testing.T) {
 			CacheBytes: capacity, Depth: 8,
 		})
 		var ep2Hits int64
-		v := fs.NodeView(0)
 		k.Spawn("consumer", func(th *sim.Thread) {
 			for _, f := range distributed.ShardPaths(paths, testSeed, 1, 0) {
-				readWholeFile(t, th, v, f, fileSize)
+				readWholeFile(t, th, fs, f, fileSize)
 				// Per-sample compute: the headroom that lets the daemon run
 				// ahead of consumption, as training's map+step time does.
 				th.Sleep(sim.FromMillis(2))
@@ -85,7 +84,7 @@ func TestEvictionLadder(t *testing.T) {
 			}
 			afterEp1 := p.Cache().Stats().LocalHits
 			for _, f := range epoch2(paths) {
-				readWholeFile(t, th, v, f, fileSize)
+				readWholeFile(t, th, fs, f, fileSize)
 			}
 			ep2Hits = p.Cache().Stats().LocalHits - afterEp1
 			// The daemon's tail fetches may never be consumed again; stop
@@ -128,10 +127,9 @@ func TestStopUnblocksTruncatedConsumer(t *testing.T) {
 	p := Start(k, fs, 0, cacheDev, sched, Config{
 		CacheBytes: 4 * fileSize, Depth: 2,
 	})
-	v := fs.NodeView(0)
 	k.Spawn("consumer", func(th *sim.Thread) {
 		for _, f := range sched[:4] {
-			readWholeFile(t, th, v, f, fileSize)
+			readWholeFile(t, th, fs, f, fileSize)
 		}
 		p.Stop(th)
 	})

@@ -25,11 +25,11 @@ type Env struct {
 	GPU  *GPU
 	Prof *profiler.Profiler
 
-	// VerifyContent disables the zero-materialization read fast path:
-	// whole-file readers materialize every byte through the regular
-	// pread/fread symbols and checksum the content against the VFS
-	// generator. Simulated time and Darshan counters are identical either
-	// way; only host CPU time differs. Off by default.
+	// VerifyContent turns off the zero-materialization read fast path:
+	// the whole-file readers hand their pread/fread calls a scratch buffer
+	// instead of nil, so every byte is generated, and checksum it against
+	// the VFS generator at EOF. Simulated time and Darshan counters are
+	// identical either way; only host CPU time differs. Off by default.
 	VerifyContent bool
 
 	// Retry is the process-wide policy for retrying transient I/O errors

@@ -7,10 +7,10 @@
 // measures (Figs. 7b and 11a).
 //
 // Zero-materialization contract: samples flowing through the pipeline are
-// summarized by their byte counts (Sample.Bytes); payload bytes are never
-// materialized by the map functions' whole-file reads unless the
-// environment's VerifyContent mode is on. Timing, counters and Darshan
-// records are identical in both modes.
+// summarized by their byte counts (Sample.Bytes); the map functions'
+// whole-file reads pass a nil buffer, so payload bytes are never
+// materialized unless the environment's VerifyContent mode is on. Timing,
+// counters and Darshan records are identical in both modes.
 package tfdata
 
 import (

@@ -23,73 +23,68 @@ const ReadChunk = 1 << 20
 // ReadFile reads the whole file like TF's ReadFileOp: open, pread in
 // chunks until a zero-length read signals EOF, close. It returns the byte
 // count read.
-//
-// Since no caller consumes the payload (samples are summarized by their
-// byte count), the loop issues count-only preads by default, skipping
-// content generation entirely while charging identical simulated time and
-// producing identical Darshan records. Env.VerifyContent restores the
-// materializing preads plus a checksum round-trip against the VFS content
-// generator.
 func ReadFile(t *sim.Thread, env *tf.Env, path string) (int64, error) {
 	tm := env.Trace(t, "ReadFile")
 	defer tm.End(t)
+	return preadFile(t, env, path, ReadChunk)
+}
+
+// preadFile is the open, pread-until-0, close loop shared by ReadFile and
+// ScanShard.
+func preadFile(t *sim.Thread, env *tf.Env, path string, chunk int64) (int64, error) {
 	fd, err := env.Libc.Open(t, path, vfs.O_RDONLY)
 	if err != nil {
 		return 0, fmt.Errorf("tfio: %w", err)
 	}
 	defer env.Libc.Close(t, fd)
-	if env.VerifyContent {
-		total, err := verifiedPreadLoop(t, env, path, fd, ReadChunk)
-		if err != nil {
-			return total, fmt.Errorf("tfio: %w", err)
-		}
-		return total, nil
-	}
-	var total int64
-	for {
-		var n int
-		err := retryRead(t, env, func() (e error) {
-			n, e = env.Libc.PreadDiscard(t, fd, ReadChunk, total)
-			return e
-		})
-		if err != nil {
-			return total, fmt.Errorf("tfio: %w", err)
-		}
-		if n == 0 {
-			return total, nil
-		}
-		total += int64(n)
-	}
+	return readAll(t, env, path, chunk, func(buf []byte, off int64) (int, error) {
+		return env.Libc.Pread(t, fd, buf, chunk, off)
+	})
 }
 
-// verifiedPreadLoop is the VerifyContent whole-file read: materializing
-// preads with the same chunking as the fast path, feeding a running
-// checksum that must match the VFS generator's over the same range.
-func verifiedPreadLoop(t *sim.Thread, env *tf.Env, path string, fd int, chunk int) (int64, error) {
-	buf := env.ScratchBuf(t, chunk)
+// readAll issues read until it returns 0 and returns the bytes read, each
+// attempt guarded by the retry policy; off is the running total.
+//
+// No caller consumes the payload (samples are summarized by their byte
+// count), so the reads are count-only by default: a nil buffer skips
+// content generation entirely while charging identical simulated time and
+// producing identical Darshan records. Env.VerifyContent hands the same
+// calls a scratch buffer instead and checks the bytes' running checksum
+// against the VFS content generator at EOF.
+func readAll(t *sim.Thread, env *tf.Env, path string, chunk int64, read func(buf []byte, off int64) (int, error)) (int64, error) {
+	var buf []byte
 	sum := vfs.ChecksumSeed()
+	if env.VerifyContent {
+		buf = env.ScratchBuf(t, int(chunk))
+	}
 	var total int64
 	for {
 		var n int
 		err := retryRead(t, env, func() (e error) {
-			n, e = env.Libc.Pread(t, fd, buf, total)
+			n, e = read(buf, total)
 			return e
 		})
 		if err != nil {
-			return total, err
+			return total, fmt.Errorf("tfio: %w", err)
 		}
 		if n == 0 {
 			break
 		}
-		sum = vfs.ChecksumUpdate(sum, buf[:n])
+		if buf != nil {
+			sum = vfs.ChecksumUpdate(sum, buf[:n])
+		}
 		total += int64(n)
 	}
-	return total, verifyChecksum(env, path, sum, total)
+	if buf != nil {
+		if err := verifyChecksum(env, path, sum, total); err != nil {
+			return total, fmt.Errorf("tfio: %w", err)
+		}
+	}
+	return total, nil
 }
 
 // verifyChecksum compares a reader's running checksum over [0, total)
-// against the VFS content generator's — the single verification tail
-// shared by the POSIX and STDIO verify-content read loops.
+// against the VFS content generator's.
 func verifyChecksum(env *tf.Env, path string, sum uint64, total int64) error {
 	ino, ok := env.FS.Lookup(path)
 	if !ok {
@@ -110,12 +105,8 @@ const StdioReadChunk = 256 << 10
 // ReadFileBuffered reads the whole file through the STDIO stream layer
 // (fopen + an fread loop until a short/zero read signals EOF + fclose),
 // the path TF's buffered readers take. Darshan's STDIO module sees these
-// reads; its POSIX module does not (stream flushes bypass the PLT).
-//
-// Like ReadFile, the loop issues count-only freads by default — the
-// zero-materialization fast path — and Env.VerifyContent restores
-// materializing freads plus a checksum round-trip against the VFS
-// content generator.
+// reads; its POSIX module does not (stream flushes bypass the PLT). Like
+// ReadFile, the freads are count-only unless Env.VerifyContent is set.
 func ReadFileBuffered(t *sim.Thread, env *tf.Env, path string) (int64, error) {
 	tm := env.Trace(t, "ReadFileBuffered")
 	defer tm.End(t)
@@ -124,53 +115,9 @@ func ReadFileBuffered(t *sim.Thread, env *tf.Env, path string) (int64, error) {
 		return 0, fmt.Errorf("tfio: %w", err)
 	}
 	defer env.Libc.Fclose(t, st)
-	if env.VerifyContent {
-		total, err := verifiedFreadLoop(t, env, path, st, StdioReadChunk)
-		if err != nil {
-			return total, fmt.Errorf("tfio: %w", err)
-		}
-		return total, nil
-	}
-	var total int64
-	for {
-		var n int
-		err := retryRead(t, env, func() (e error) {
-			n, e = env.Libc.FreadDiscard(t, st, StdioReadChunk)
-			return e
-		})
-		if err != nil {
-			return total, fmt.Errorf("tfio: %w", err)
-		}
-		if n == 0 {
-			return total, nil
-		}
-		total += int64(n)
-	}
-}
-
-// verifiedFreadLoop is the VerifyContent whole-file stream read:
-// materializing freads with the same chunking as the fast path, feeding a
-// running checksum that must match the VFS generator's over the same range.
-func verifiedFreadLoop(t *sim.Thread, env *tf.Env, path string, st *vfs.Stream, chunk int) (int64, error) {
-	buf := env.ScratchBuf(t, chunk)
-	sum := vfs.ChecksumSeed()
-	var total int64
-	for {
-		var n int
-		err := retryRead(t, env, func() (e error) {
-			n, e = env.Libc.Fread(t, st, buf)
-			return e
-		})
-		if err != nil {
-			return total, err
-		}
-		if n == 0 {
-			break
-		}
-		sum = vfs.ChecksumUpdate(sum, buf[:n])
-		total += int64(n)
-	}
-	return total, verifyChecksum(env, path, sum, total)
+	return readAll(t, env, path, StdioReadChunk, func(buf []byte, _ int64) (int, error) {
+		return env.Libc.Fread(t, st, buf, StdioReadChunk)
+	})
 }
 
 // WritableFile is TF's buffered writable file: appends go through STDIO

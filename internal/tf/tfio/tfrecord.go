@@ -1,21 +1,20 @@
 package tfio
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/sim"
 	"repro/internal/tf"
-	"repro/internal/vfs"
 )
 
 // TFRecord container support. The paper's discussion (§VII) identifies
 // sample containers as the standard fix for small-file I/O: "One way to
 // improve bandwidth performance is to use data containers such as TFRecord
-// that contains multiple data samples." This implements the TFRecord wire
-// format (length-prefixed records with CRC fields) over the simulated
-// VFS, plus a shard writer that packs a file population into containers —
-// the preparation step the paper notes "still requires a separate
+// that contains multiple data samples." This writes the TFRecord wire
+// format's framing (length-prefixed records with CRC fields; writes are
+// counted, so only the field sizes matter) over the simulated VFS, plus a
+// shard writer that packs a file population into containers — the
+// preparation step the paper notes "still requires a separate
 // preprocessing step with I/O for each sample."
 
 // tfrecordHeaderLen is the per-record framing: 8-byte length, 4-byte
@@ -40,21 +39,18 @@ func NewTFRecordWriter(t *sim.Thread, env *tf.Env, path string) (*TFRecordWriter
 	return &TFRecordWriter{w: w}, nil
 }
 
-// WriteRecord appends one framed record of the given payload size. The
-// payload content is synthetic (sizes drive all simulated costs).
+// WriteRecord appends one framed record of the given payload as three
+// fwrites: header, payload, footer. Writes are counted, not stored (sizes
+// drive all simulated costs), so the framing comes from the shared
+// zeroChunk and no CRC is computed.
 func (tw *TFRecordWriter) WriteRecord(t *sim.Thread, payload []byte) error {
-	header := make([]byte, tfrecordHeaderLen)
-	binary.LittleEndian.PutUint64(header, uint64(len(payload)))
-	binary.LittleEndian.PutUint32(header[8:], maskedCRC(header[:8]))
-	if err := tw.w.Append(t, header); err != nil {
+	if err := tw.w.Append(t, zeroChunk[:tfrecordHeaderLen]); err != nil {
 		return err
 	}
 	if err := tw.w.Append(t, payload); err != nil {
 		return err
 	}
-	footer := make([]byte, tfrecordFooterLen)
-	binary.LittleEndian.PutUint32(footer, maskedCRC(payload))
-	if err := tw.w.Append(t, footer); err != nil {
+	if err := tw.w.Append(t, zeroChunk[:tfrecordFooterLen]); err != nil {
 		return err
 	}
 	tw.Records++
@@ -65,65 +61,25 @@ func (tw *TFRecordWriter) WriteRecord(t *sim.Thread, payload []byte) error {
 // Close flushes and closes the container.
 func (tw *TFRecordWriter) Close(t *sim.Thread) error { return tw.w.Close(t) }
 
-// maskedCRC is TFRecord's masked CRC32C; a cheap stand-in keeps the wire
-// format's shape without pulling in real checksumming costs.
-func maskedCRC(b []byte) uint32 {
-	var h uint32 = 2166136261
-	for _, c := range b {
-		h = (h ^ uint32(c)) * 16777619
-	}
-	return ((h >> 15) | (h << 17)) + 0xa282ead8
-}
-
 // TFRecordReadBuf is the shard scanner's buffer size (TF uses large input
 // buffers for sequential container scans).
 const TFRecordReadBuf = 8 << 20
 
-// ShardIndex describes one container shard: the samples packed into it.
-// Since simulated file content is procedural, the index carries the record
-// sizes (real TFRecord scans discover them from the framing; the I/O
-// pattern — large sequential reads — is identical).
+// ShardIndex describes one container shard: its path, byte size and the
+// number of samples packed into it.
 type ShardIndex struct {
 	Path    string
-	Sizes   []int64
 	Bytes   int64
 	Samples int
 }
 
 // ScanShard reads the whole shard with large sequential preads, returning
-// per-record payload sizes as samples. This is the container equivalent of
-// the per-file ReadFile loop, and like it the scan is count-only by
-// default (Env.VerifyContent re-enables materialization + checksumming).
+// the bytes read. This is the container equivalent of the per-file
+// ReadFile loop, and shares it.
 func ScanShard(t *sim.Thread, env *tf.Env, idx *ShardIndex) (int64, error) {
 	tm := env.Trace(t, "TFRecordDataset")
 	defer tm.End(t)
-	fd, err := env.Libc.Open(t, idx.Path, vfs.O_RDONLY)
-	if err != nil {
-		return 0, fmt.Errorf("tfio: %w", err)
-	}
-	defer env.Libc.Close(t, fd)
-	if env.VerifyContent {
-		total, err := verifiedPreadLoop(t, env, idx.Path, fd, TFRecordReadBuf)
-		if err != nil {
-			return total, fmt.Errorf("tfio: %w", err)
-		}
-		return total, nil
-	}
-	var total int64
-	for {
-		var n int
-		err := retryRead(t, env, func() (e error) {
-			n, e = env.Libc.PreadDiscard(t, fd, TFRecordReadBuf, total)
-			return e
-		})
-		if err != nil {
-			return total, fmt.Errorf("tfio: %w", err)
-		}
-		if n == 0 {
-			return total, nil
-		}
-		total += int64(n)
-	}
+	return preadFile(t, env, idx.Path, TFRecordReadBuf)
 }
 
 // BuildTFRecordShards packs sample sizes into container shards of roughly
@@ -134,7 +90,9 @@ func BuildTFRecordShards(t *sim.Thread, env *tf.Env, samples []string, dir strin
 	var shards []*ShardIndex
 	var cur *TFRecordWriter
 	var curIdx *ShardIndex
-	payload := make([]byte, 0)
+	// Payloads come from the read-only zero chunk; only a sample larger
+	// than it gets a buffer of its own.
+	payload := zeroChunk[:]
 	openShard := func() error {
 		path := fmt.Sprintf("%s/shard-%05d.tfrecord", dir, len(shards))
 		w, err := NewTFRecordWriter(t, env, path)
@@ -174,7 +132,6 @@ func BuildTFRecordShards(t *sim.Thread, env *tf.Env, samples []string, dir strin
 		if err := cur.WriteRecord(t, payload[:n]); err != nil {
 			return nil, err
 		}
-		curIdx.Sizes = append(curIdx.Sizes, n)
 		if cur.Bytes >= shardBytes {
 			if err := closeShard(); err != nil {
 				return nil, err

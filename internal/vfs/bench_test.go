@@ -37,48 +37,44 @@ func BenchmarkFillContent(b *testing.B) {
 	}
 }
 
-// benchPread runs whole-file chunked preads, materialized or discarded.
-func benchPread(b *testing.B, discard bool) {
+// BenchmarkVFSPread measures one whole-file 1 MiB pread end to end,
+// count-only (buf=nil) and materializing (buf=chunk).
+func BenchmarkVFSPread(b *testing.B) {
 	const fileSize = 1 << 20
 	const chunk = 1 << 20
-	fs, _ := benchFS(b, fileSize)
-	buf := make([]byte, chunk)
-	var err error
-	var k *sim.Kernel
-	b.SetBytes(fileSize)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// A fresh kernel per iteration keeps virtual time bounded; thread
-		// setup is negligible next to the 1MiB read.
-		k = sim.NewKernel()
-		k.Spawn("bench", func(t *sim.Thread) {
-			fd, e := fs.Open(t, "/bench/f", O_RDONLY)
-			if e != nil {
-				err = e
-				return
+	for _, bc := range []struct {
+		name string
+		buf  []byte
+	}{{"buf=nil", nil}, {"buf=chunk", make([]byte, chunk)}} {
+		b.Run(bc.name, func(b *testing.B) {
+			fs, _ := benchFS(b, fileSize)
+			var err error
+			b.SetBytes(fileSize)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				// A fresh kernel per iteration keeps virtual time bounded;
+				// thread setup is negligible next to the 1MiB read.
+				k := sim.NewKernel()
+				k.Spawn("bench", func(t *sim.Thread) {
+					fd, e := fs.Open(t, "/bench/f", O_RDONLY)
+					if e != nil {
+						err = e
+						return
+					}
+					_, err = fs.Pread(t, fd, bc.buf, chunk, 0)
+					fs.Close(t, fd)
+				})
+				if e := k.Run(); e != nil {
+					err = e
+				}
 			}
-			if discard {
-				_, err = fs.PreadDiscard(t, fd, chunk, 0)
-			} else {
-				_, err = fs.Pread(t, fd, buf, 0)
+			b.StopTimer()
+			if err != nil {
+				b.Fatal(err)
 			}
-			fs.Close(t, fd)
 		})
-		if e := k.Run(); e != nil {
-			err = e
-		}
-	}
-	b.StopTimer()
-	if err != nil {
-		b.Fatal(err)
 	}
 }
-
-// BenchmarkVFSPread measures the materializing pread path end to end.
-func BenchmarkVFSPread(b *testing.B) { benchPread(b, false) }
-
-// BenchmarkVFSPreadDiscard measures the count-only pread path end to end.
-func BenchmarkVFSPreadDiscard(b *testing.B) { benchPread(b, true) }
 
 // BenchmarkStdioFwriteCheckpoint measures the STDIO write path with the
 // shape of one checkpoint tensor: fopen "w", a 256 B header, four 2 MiB

@@ -24,8 +24,8 @@ func TestFaultReadErrNth(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, err = v.PreadDiscard(th, fd, 512, 0)
-			if cerr := v.Close(th, fd); cerr != nil {
+			_, err = fs.Pread(th, fd, nil, 512, 0)
+			if cerr := fs.Close(th, fd); cerr != nil {
 				t.Fatal(cerr)
 			}
 			return err
@@ -142,7 +142,7 @@ func TestFaultDegradedOST(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := fs.PreadDiscard(th, fd, 1<<20, 0); err != nil {
+			if _, err := fs.Pread(th, fd, nil, 1<<20, 0); err != nil {
 				t.Fatal(err)
 			}
 			if err := fs.Close(th, fd); err != nil {
@@ -182,7 +182,7 @@ func TestFaultRateDeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := 0; i < 40; i++ {
-				if _, err := fs.PreadDiscard(th, fd, 64, 0); errors.Is(err, ErrIO) {
+				if _, err := fs.Pread(th, fd, nil, 64, 0); errors.Is(err, ErrIO) {
 					failed = append(failed, i)
 				}
 			}
@@ -220,7 +220,7 @@ func TestFaultDisarmedIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := fs.PreadDiscard(th, fd, 1<<20, 0); err != nil {
+			if _, err := fs.Pread(th, fd, nil, 1<<20, 0); err != nil {
 				t.Fatal(err)
 			}
 			if err := fs.Close(th, fd); err != nil {
@@ -265,10 +265,10 @@ func TestNodeCachePeerDiesMidServe(t *testing.T) {
 				t.Fatal(err)
 			}
 			*preadStart = th.Now()
-			if n, err := v1.PreadDiscard(th, fd, fileSize, 0); err != nil || n != fileSize {
+			if n, err := fs.Pread(th, fd, nil, fileSize, 0); err != nil || n != fileSize {
 				t.Fatalf("peer-abandoned read = %d, %v; want full fallback read", n, err)
 			}
-			if err := v1.Close(th, fd); err != nil {
+			if err := fs.Close(th, fd); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -339,10 +339,10 @@ func TestNodeCachePeerServeFaultInjection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n, err := v1.PreadDiscard(th, fd, 1<<20, 0); err != nil || n != 1<<20 {
+		if n, err := fs.Pread(th, fd, nil, 1<<20, 0); err != nil || n != 1<<20 {
 			t.Fatalf("read = %d, %v", n, err)
 		}
-		if err := v1.Close(th, fd); err != nil {
+		if err := fs.Close(th, fd); err != nil {
 			t.Fatal(err)
 		}
 		if hdd.Counters().ReadOps == before {

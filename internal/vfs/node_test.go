@@ -22,7 +22,7 @@ func TestPerNodeColdOpen(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := v.Close(th, fd); err != nil {
+			if err := fs.Close(th, fd); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -56,7 +56,7 @@ func warmOpen(t *testing.T, th *sim.Thread, v *View, p string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := v.Close(th, fd); err != nil {
+	if err := v.fs.Close(th, fd); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -115,10 +115,10 @@ func TestNodeCacheLocalAndPeerServing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := v.PreadDiscard(th, fd, 1<<20, 0); err != nil {
+		if _, err := fs.Pread(th, fd, nil, 1<<20, 0); err != nil {
 			t.Fatal(err)
 		}
-		if err := v.Close(th, fd); err != nil {
+		if err := fs.Close(th, fd); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -245,10 +245,10 @@ func TestNodeCacheEvictionBound(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := v.PreadDiscard(th, fd, fileSize, 0); err != nil {
+			if _, err := fs.Pread(th, fd, nil, fileSize, 0); err != nil {
 				t.Fatal(err)
 			}
-			v.Close(th, fd)
+			fs.Close(th, fd)
 		}
 		s := c.Stats()
 		if s.Evictions != 4 {

@@ -54,74 +54,50 @@ func (fs *FS) lookupFD(fd int) (*openFile, error) {
 
 func accMode(flags int) int { return flags & 0x3 }
 
-// preadSpan is the common pread path: it charges the syscall entry,
-// validates the descriptor and offset, clamps count to EOF and charges the
-// device read for the resulting span (served from the opener node's data
-// cache, a peer's, or the backing device). Content materialization is left
-// to the caller, so count-only reads charge identical simulated time
-// without generating a single byte.
-func (fs *FS) preadSpan(t *sim.Thread, fd int, count, off int64) (*openFile, int64, error) {
+// Pread reads count bytes at off into buf without moving the file offset.
+// It charges the syscall entry, clamps count to EOF and charges the device
+// read for the resulting span (served from the opener node's data cache, a
+// peer's, or the backing device). A nil buf is a count-only read: same
+// cost, same returned count, but the file's bytes are never generated (the
+// whole-file read loops consume only the count). A non-nil buf shorter
+// than count is ErrInvalid, C's EFAULT, and touches no device. Reading at
+// or past EOF returns 0 bytes and no error, the POSIX behaviour
+// TensorFlow's read loop relies on to detect end of file.
+func (fs *FS) Pread(t *sim.Thread, fd int, buf []byte, count, off int64) (int, error) {
 	fs.syscall(t)
 	of, err := fs.lookupFD(fd)
 	if err != nil {
-		return nil, -1, err
+		return -1, err
 	}
 	if accMode(of.flags) == O_WRONLY {
-		return nil, -1, ErrWriteOnly
+		return -1, ErrWriteOnly
 	}
-	if off < 0 || count < 0 {
-		return nil, -1, ErrInvalid
+	if off < 0 || count < 0 || buf != nil && int64(len(buf)) < count {
+		return -1, ErrInvalid
 	}
 	ino := of.inode
 	if off >= ino.Size || count == 0 {
-		return of, 0, nil // EOF: no device access
+		return 0, nil // EOF: no device access
 	}
-	n := count
-	if off+n > ino.Size {
-		n = ino.Size - off
-	}
+	n := min(count, ino.Size-off)
 	if err := fs.dataReadFault(of.node, false); err != nil {
-		return nil, -1, err
+		return -1, err
 	}
 	fs.readData(t, of.node, ino, off, n)
-	return of, n, nil
-}
-
-// Pread reads into buf at the given offset without moving the file offset.
-// Reading at or past EOF returns 0 bytes and no error, the POSIX behaviour
-// TensorFlow's read loop relies on to detect end of file.
-func (fs *FS) Pread(t *sim.Thread, fd int, buf []byte, off int64) (int, error) {
-	of, n, err := fs.preadSpan(t, fd, int64(len(buf)), off)
-	if err != nil {
-		return -1, err
-	}
-	if n > 0 {
-		of.inode.fillContent(buf[:n], off)
+	if buf != nil {
+		ino.fillContent(buf[:n], off)
 	}
 	return int(n), nil
 }
 
-// PreadDiscard is the zero-materialization pread: it behaves exactly like
-// Pread(fd, buf[:count], off) — same syscall CPU, same device read, same
-// returned byte count — but never generates the file's bytes, for callers
-// that only consume the count (TensorFlow's whole-file read loop).
-func (fs *FS) PreadDiscard(t *sim.Thread, fd int, count int64, off int64) (int, error) {
-	_, n, err := fs.preadSpan(t, fd, count, off)
-	if err != nil {
-		return -1, err
-	}
-	return int(n), nil
-}
-
-// writeAt performs the device write and bookkeeping of the STDIO write
-// path (which bypasses the syscall wrappers, as libc's internals bypass the
-// PLT). Only the size and cost of buf count: its bytes are never stored, so
-// a written range reads back as the inode's procedural content like every
+// writeAt performs the device write and bookkeeping of n bytes at off for
+// the STDIO write path (which bypasses the syscall wrappers, as libc's
+// internals bypass the PLT). Writes are counted, never stored, so a
+// written range reads back as the inode's procedural content like every
 // other file.
-func (fs *FS) writeAt(t *sim.Thread, ino *Inode, buf []byte, off int64) (int, error) {
-	n := int64(len(buf))
+func (fs *FS) writeAt(t *sim.Thread, ino *Inode, n, off int64) {
 	if n == 0 {
-		return 0, nil
+		return
 	}
 	if !ino.alloc {
 		fs.allocExtent(ino, 0)
@@ -138,7 +114,6 @@ func (fs *FS) writeAt(t *sim.Thread, ino *Inode, buf []byte, off int64) (int, er
 		ino.Size = end
 	}
 	ino.Mnt.Dev.Write(t, ino.Extent+off, n)
-	return int(n), nil
 }
 
 // OpenFDs returns the number of open descriptors (for leak checks).

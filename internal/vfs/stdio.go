@@ -24,9 +24,12 @@ type Stream struct {
 	read   bool
 	write  bool
 	offset int64
-	buf    []byte
-	bufOff int64 // file offset of buf[0]
-	closed bool
+	// buffered counts the bytes held in the stream buffer, which start at
+	// file offset bufOff. Writes are counted, not stored, so the buffer
+	// is only its fill level.
+	buffered int64
+	bufOff   int64
+	closed   bool
 
 	// Flushes records the number of buffer flushes (visible to tests).
 	Flushes int64
@@ -103,86 +106,52 @@ func (s *Stdio) Fwrite(t *sim.Thread, st *Stream, data []byte) (int, error) {
 	if st.closed || !st.write {
 		return 0, ErrBadFD
 	}
-	if len(data) == 0 {
-		return 0, nil
+	n := int64(len(data))
+	if n >= StdioBufSize {
+		s.fflush(t, st)
+		st.fs.writeAt(t, st.inode, n, st.offset)
+		st.offset += n
+		return int(n), nil
 	}
-	if len(data) >= StdioBufSize {
-		if err := s.fflush(t, st); err != nil {
-			return 0, err
-		}
-		n, err := st.fs.writeAt(t, st.inode, data, st.offset)
-		if n > 0 {
-			st.offset += int64(n)
-		}
-		return n, err
-	}
-	if len(st.buf) == 0 {
+	if st.buffered == 0 {
 		st.bufOff = st.offset
 	}
-	st.buf = append(st.buf, data...)
-	st.offset += int64(len(data))
-	if len(st.buf) >= StdioBufSize {
-		if err := s.fflush(t, st); err != nil {
-			return 0, err
-		}
-	}
-	return len(data), nil
-}
-
-// freadSpan is the common fread path: flush pending output, clamp count to
-// EOF, charge the device read and advance the stream offset. The caller
-// materializes content (or not).
-func (s *Stdio) freadSpan(t *sim.Thread, st *Stream, count int64) (off int64, n int64, err error) {
-	if st.closed || !st.read {
-		return 0, 0, ErrBadFD
-	}
-	if err := s.fflush(t, st); err != nil {
-		return 0, 0, err
-	}
-	ino := st.inode
-	if st.offset >= ino.Size || count <= 0 {
-		return st.offset, 0, nil
-	}
-	n = count
-	if st.offset+n > ino.Size {
-		n = ino.Size - st.offset
-	}
-	off = st.offset
-	// Fault check precedes the offset advance: a retried fread re-reads
-	// the same span, exactly like a userland retry loop over fread(3).
-	if err := s.fs.dataReadFault(st.node, false); err != nil {
-		return 0, 0, err
-	}
-	s.fs.readData(t, st.node, ino, off, n)
+	st.buffered += n
 	st.offset += n
-	return off, n, nil
-}
-
-// Fread reads up to len(buf) bytes from the stream, returning the count
-// (0 at EOF, matching feof semantics closely enough for instrumentation).
-func (s *Stdio) Fread(t *sim.Thread, st *Stream, buf []byte) (int, error) {
-	off, n, err := s.freadSpan(t, st, int64(len(buf)))
-	if err != nil {
-		return 0, err
-	}
-	if n > 0 {
-		st.inode.fillContent(buf[:n], off)
+	if st.buffered >= StdioBufSize {
+		s.fflush(t, st)
 	}
 	return int(n), nil
 }
 
-// FreadDiscard is the zero-materialization fread: identical stream
-// semantics and simulated cost to Fread with a count-byte buffer, but the
-// bytes are never generated. A negative count is ErrInvalid, matching
-// PreadDiscard (a []byte length can never be negative, a count can).
-func (s *Stdio) FreadDiscard(t *sim.Thread, st *Stream, count int64) (int, error) {
-	if count < 0 {
+// Fread reads up to count bytes from the stream into buf, returning the
+// count (0 at EOF, matching feof semantics closely enough for
+// instrumentation). Pending output is flushed first. A nil buf is a
+// count-only read with the same stream semantics and simulated cost; a
+// non-nil buf shorter than count is ErrInvalid and touches no device.
+func (s *Stdio) Fread(t *sim.Thread, st *Stream, buf []byte, count int64) (int, error) {
+	if count < 0 || buf != nil && int64(len(buf)) < count {
 		return 0, ErrInvalid
 	}
-	_, n, err := s.freadSpan(t, st, count)
-	if err != nil {
+	if st.closed || !st.read {
+		return 0, ErrBadFD
+	}
+	s.fflush(t, st)
+	ino := st.inode
+	if st.offset >= ino.Size || count == 0 {
+		return 0, nil
+	}
+	n := min(count, ino.Size-st.offset)
+	// Fault check precedes the offset advance: a retried fread re-reads
+	// the same span, exactly like a userland retry loop over fread(3).
+	if err := s.fs.dataReadFault(st.node, false); err != nil {
 		return 0, err
 	}
+	s.fs.readData(t, st.node, ino, st.offset, n)
+	if buf != nil {
+		ino.fillContent(buf[:n], st.offset)
+	}
+	st.offset += n
 	return int(n), nil
 }
 
@@ -190,18 +159,15 @@ func (s *Stdio) FreadDiscard(t *sim.Thread, st *Stream, count int64) (int, error
 func (s *Stdio) Ftell(st *Stream) int64 { return st.offset }
 
 // fflush writes any buffered data to the device. Only the stream layer
-// calls it: fflush(3) is not on the interposable surface.
-func (s *Stdio) fflush(t *sim.Thread, st *Stream) error {
-	if st.closed {
-		return ErrBadFD
+// calls it, on an open stream: fflush(3) is not on the interposable
+// surface.
+func (s *Stdio) fflush(t *sim.Thread, st *Stream) {
+	if st.buffered == 0 {
+		return
 	}
-	if len(st.buf) == 0 {
-		return nil
-	}
-	_, err := st.fs.writeAt(t, st.inode, st.buf, st.bufOff)
-	st.buf = st.buf[:0]
+	st.fs.writeAt(t, st.inode, st.buffered, st.bufOff)
+	st.buffered = 0
 	st.Flushes++
-	return err
 }
 
 // Fclose flushes and closes the stream.
@@ -209,9 +175,7 @@ func (s *Stdio) Fclose(t *sim.Thread, st *Stream) error {
 	if st.closed {
 		return ErrBadFD
 	}
-	if err := s.fflush(t, st); err != nil {
-		return err
-	}
+	s.fflush(t, st)
 	s.fs.syscall(t)
 	st.closed = true
 	return nil

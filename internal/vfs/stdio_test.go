@@ -52,28 +52,30 @@ func TestFwriteLargeWritesBypassBuffer(t *testing.T) {
 	})
 }
 
-func TestFreadDiscardAdvancesLikeFread(t *testing.T) {
+func TestFreadNilBufferAdvancesLikeRealBuffer(t *testing.T) {
 	fs, _, _, _, _ := testFS()
 	stdio := NewStdioNode(fs, 0)
 	fs.CreateFile("/data/fd", 10)
-	runSim(t, func(th *sim.Thread) {
-		st, err := stdio.Fopen(th, "/data/fd", "r")
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, want := range []int{4, 4, 2, 0} {
-			if n, err := stdio.FreadDiscard(th, st, 4); err != nil || n != want {
-				t.Fatalf("FreadDiscard = %d, %v (want %d)", n, err, want)
+	for _, buf := range [][]byte{nil, make([]byte, 4)} {
+		runSim(t, func(th *sim.Thread) {
+			st, err := stdio.Fopen(th, "/data/fd", "r")
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if off := stdio.Ftell(st); off != 10 {
-			t.Fatalf("offset after discard reads = %d, want 10", off)
-		}
-		if _, err := stdio.FreadDiscard(th, st, -1); !errors.Is(err, ErrInvalid) {
-			t.Fatalf("negative count error = %v", err)
-		}
-		stdio.Fclose(th, st)
-	})
+			for _, want := range []int{4, 4, 2, 0} {
+				if n, err := stdio.Fread(th, st, buf, 4); err != nil || n != want {
+					t.Fatalf("buf len %d: Fread = %d, %v (want %d)", len(buf), n, err, want)
+				}
+			}
+			if off := stdio.Ftell(st); off != 10 {
+				t.Fatalf("buf len %d: offset after reads = %d, want 10", len(buf), off)
+			}
+			if _, err := stdio.Fread(th, st, buf, -1); !errors.Is(err, ErrInvalid) {
+				t.Fatalf("buf len %d: negative count error = %v", len(buf), err)
+			}
+			stdio.Fclose(th, st)
+		})
+	}
 }
 
 // An fwrite/fread round trip returns the written count in order and then
@@ -98,12 +100,12 @@ func TestFreadRoundTrip(t *testing.T) {
 		}
 		buf := make([]byte, 4)
 		for _, off := range []int64{0, 4} {
-			if n, _ := stdio.Fread(th, st, buf); n != 4 {
+			if n, _ := stdio.Fread(th, st, buf, int64(len(buf))); n != 4 {
 				t.Fatalf("Fread at %d = %d", off, n)
 			}
 			wantProcedural(t, ino, off, buf)
 		}
-		if n, _ := stdio.Fread(th, st, buf); n != 0 {
+		if n, _ := stdio.Fread(th, st, buf, int64(len(buf))); n != 0 {
 			t.Fatalf("Fread at EOF = %d", n)
 		}
 		stdio.Fclose(th, st)
@@ -156,7 +158,7 @@ func TestFreadFlushesBufferedOutput(t *testing.T) {
 			t.Fatalf("device writes before fread = %d, want 0 (buffered)", got)
 		}
 		buf := make([]byte, 3)
-		if n, err := stdio.Fread(th, st, buf); n != 0 || err != nil {
+		if n, err := stdio.Fread(th, st, buf, int64(len(buf))); n != 0 || err != nil {
 			t.Fatalf("fread at end of written data = %d, %v; want EOF", n, err)
 		}
 		if got := hdd.Counters().WriteOps; got != 1 {

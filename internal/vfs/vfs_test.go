@@ -45,7 +45,7 @@ func TestOpenReadCloseRoundTrip(t *testing.T) {
 			off  int64
 			want int
 		}{{0, 400}, {400, 400}, {800, 200}, {1000, 0}} { // partial, then EOF
-			if n, err := fs.Pread(th, fd, buf, c.off); err != nil || n != c.want {
+			if n, err := fs.Pread(th, fd, buf, int64(len(buf)), c.off); err != nil || n != c.want {
 				t.Fatalf("Pread at %d = %d, %v; want %d", c.off, n, err, c.want)
 			}
 		}
@@ -72,7 +72,7 @@ func TestPreadAtEOFReturnsZeroWithoutDeviceAccess(t *testing.T) {
 		fd, _ := fs.Open(th, "/data/f", O_RDONLY)
 		buf := make([]byte, 64)
 		before := hdd.Counters().ReadOps
-		n, err := fs.Pread(th, fd, buf, 100)
+		n, err := fs.Pread(th, fd, buf, int64(len(buf)), 100)
 		if n != 0 || err != nil {
 			t.Fatalf("Pread at EOF = %d, %v", n, err)
 		}
@@ -83,18 +83,18 @@ func TestPreadAtEOFReturnsZeroWithoutDeviceAccess(t *testing.T) {
 	})
 }
 
-func TestPreadDiscardMatchesPread(t *testing.T) {
+func TestPreadNilBufferMatchesRealBuffer(t *testing.T) {
 	// Same device traffic, same simulated time, same returned counts as a
 	// materializing pread — just no bytes.
 	fs, _, _, hdd, _ := testFS()
 	fs.CreateFile("/data/d", 1000)
-	var tPread, tDiscard int64
+	var tPread, tNil int64
 	tPread = runSim(t, func(th *sim.Thread) {
 		fd, _ := fs.Open(th, "/data/d", O_RDONLY)
 		buf := make([]byte, 400)
 		var off int64
 		for _, want := range []int{400, 400, 200, 0} {
-			n, err := fs.Pread(th, fd, buf, off)
+			n, err := fs.Pread(th, fd, buf, 400, off)
 			if err != nil || n != want {
 				t.Fatalf("Pread = %d, %v (want %d)", n, err, want)
 			}
@@ -106,42 +106,76 @@ func TestPreadDiscardMatchesPread(t *testing.T) {
 
 	fs2, _, _, hdd2, _ := testFS()
 	fs2.CreateFile("/data/d", 1000)
-	tDiscard = runSim(t, func(th *sim.Thread) {
+	tNil = runSim(t, func(th *sim.Thread) {
 		fd, _ := fs2.Open(th, "/data/d", O_RDONLY)
 		var off int64
 		for _, want := range []int{400, 400, 200, 0} {
-			n, err := fs2.PreadDiscard(th, fd, 400, off)
+			n, err := fs2.Pread(th, fd, nil, 400, off)
 			if err != nil || n != want {
-				t.Fatalf("PreadDiscard = %d, %v (want %d)", n, err, want)
+				t.Fatalf("nil-buffer Pread = %d, %v (want %d)", n, err, want)
 			}
 			off += int64(n)
 		}
 		fs2.Close(th, fd)
 	})
 	if hdd2.Counters().ReadOps != readOps || hdd2.Counters().BytesRead != bytesRead {
-		t.Fatalf("device traffic diverged: discard %+v, pread ops=%d bytes=%d",
+		t.Fatalf("device traffic diverged: nil buffer %+v, real buffer ops=%d bytes=%d",
 			hdd2.Counters(), readOps, bytesRead)
 	}
-	if tPread != tDiscard {
-		t.Fatalf("simulated time diverged: pread %d ns, discard %d ns", tPread, tDiscard)
+	if tPread != tNil {
+		t.Fatalf("simulated time diverged: real buffer %d ns, nil buffer %d ns", tPread, tNil)
 	}
 }
 
-func TestPreadDiscardErrors(t *testing.T) {
+func TestPreadErrors(t *testing.T) {
 	fs, _, _, _, _ := testFS()
 	fs.CreateFile("/data/e", 100)
+	for _, buf := range [][]byte{nil, make([]byte, 10)} {
+		runSim(t, func(th *sim.Thread) {
+			if _, err := fs.Pread(th, 99, buf, 10, 0); !errors.Is(err, ErrBadFD) {
+				t.Fatalf("buf len %d: bad fd error = %v", len(buf), err)
+			}
+			fd, _ := fs.Open(th, "/data/e", O_RDONLY)
+			if _, err := fs.Pread(th, fd, buf, 10, -1); !errors.Is(err, ErrInvalid) {
+				t.Fatalf("buf len %d: negative offset error = %v", len(buf), err)
+			}
+			if _, err := fs.Pread(th, fd, buf, -1, 0); !errors.Is(err, ErrInvalid) {
+				t.Fatalf("buf len %d: negative count error = %v", len(buf), err)
+			}
+			fs.Close(th, fd)
+		})
+	}
+}
+
+// A non-nil buffer shorter than count is C's EFAULT: both read calls
+// return ErrInvalid before any device access (the stream's pending output
+// is not flushed either).
+func TestShortBufferIsInvalid(t *testing.T) {
+	fs, _, _, hdd, _ := testFS()
+	stdio := NewStdioNode(fs, 0)
+	fs.CreateFile("/data/s", 100)
+	short := make([]byte, 3)
 	runSim(t, func(th *sim.Thread) {
-		if _, err := fs.PreadDiscard(th, 99, 10, 0); !errors.Is(err, ErrBadFD) {
-			t.Fatalf("bad fd error = %v", err)
+		fd, _ := fs.Open(th, "/data/s", O_RDONLY)
+		st, _ := stdio.Fopen(th, "/data/s", "r+")
+		if _, err := stdio.Fwrite(th, st, []byte("ab")); err != nil {
+			t.Fatal(err)
 		}
-		fd, _ := fs.Open(th, "/data/e", O_RDONLY)
-		if _, err := fs.PreadDiscard(th, fd, 10, -1); !errors.Is(err, ErrInvalid) {
-			t.Fatalf("negative offset error = %v", err)
+		before := hdd.Counters()
+		if n, err := fs.Pread(th, fd, short, 4, 0); !errors.Is(err, ErrInvalid) {
+			t.Fatalf("Pread(short buf) = %d, %v; want ErrInvalid", n, err)
 		}
-		if _, err := fs.PreadDiscard(th, fd, -1, 0); !errors.Is(err, ErrInvalid) {
-			t.Fatalf("negative count error = %v", err)
+		if n, err := stdio.Fread(th, st, short, 4); !errors.Is(err, ErrInvalid) {
+			t.Fatalf("Fread(short buf) = %d, %v; want ErrInvalid", n, err)
+		}
+		if got := hdd.Counters(); got != before {
+			t.Fatalf("short-buffer reads charged the device: %+v -> %+v", before, got)
+		}
+		if off := stdio.Ftell(st); off != 2 {
+			t.Fatalf("stream offset after rejected fread = %d, want 2", off)
 		}
 		fs.Close(th, fd)
+		stdio.Fclose(th, st)
 	})
 }
 
@@ -215,11 +249,11 @@ func TestWriteReadBackContent(t *testing.T) {
 		}
 		fd, _ := fs.Open(th, "/data/out.bin", O_RDONLY)
 		buf := make([]byte, len(msg))
-		if n, _ := fs.Pread(th, fd, buf, 0); n != len(msg) {
+		if n, _ := fs.Pread(th, fd, buf, int64(len(buf)), 0); n != len(msg) {
 			t.Fatalf("read back %d bytes", n)
 		}
 		wantProcedural(t, ino, 0, buf)
-		if n, _ := fs.Pread(th, fd, buf, int64(len(msg))); n != 0 {
+		if n, _ := fs.Pread(th, fd, buf, int64(len(buf)), int64(len(msg))); n != 0 {
 			t.Fatalf("read at EOF = %d", n)
 		}
 		fs.Close(th, fd)
@@ -235,7 +269,7 @@ func TestProceduralContentDeterministic(t *testing.T) {
 		runSim(t, func(th *sim.Thread) {
 			fd, _ := fs.Open(th, "/data/big", O_RDONLY)
 			buf := make([]byte, 512)
-			fs.Pread(th, fd, buf, 777)
+			fs.Pread(th, fd, buf, int64(len(buf)), 777)
 			out = append([]byte(nil), buf...)
 			fs.Close(th, fd)
 		})
@@ -264,7 +298,7 @@ func TestOpenErrors(t *testing.T) {
 		}
 		fs.CreateFile("/data/wo", 10)
 		fd, _ := fs.Open(th, "/data/wo", O_WRONLY)
-		if _, err := fs.Pread(th, fd, make([]byte, 4), 0); !errors.Is(err, ErrWriteOnly) {
+		if _, err := fs.Pread(th, fd, make([]byte, 4), 4, 0); !errors.Is(err, ErrWriteOnly) {
 			t.Fatalf("read from O_WRONLY err = %v", err)
 		}
 		fs.Close(th, fd)
@@ -304,7 +338,7 @@ func TestMigrateMovesDataToFastTier(t *testing.T) {
 			t.Fatal(err)
 		}
 		buf := make([]byte, 500*storage.KiB)
-		fs.Pread(th, fd, buf, 0)
+		fs.Pread(th, fd, buf, int64(len(buf)), 0)
 		fs.Close(th, fd)
 	})
 	if hdd.Counters().ReadOps != 0 {
@@ -375,7 +409,7 @@ func TestPropertyWriteReadRoundTrip(t *testing.T) {
 			ino, _ := fs.Lookup("/data/rt")
 			fd, _ := fs.Open(th, "/data/rt", O_RDONLY)
 			buf := make([]byte, len(data)+1)
-			n, _ := fs.Pread(th, fd, buf, 0)
+			n, _ := fs.Pread(th, fd, buf, int64(len(buf)), 0)
 			if n != len(data) || ino.Size != int64(len(data)) {
 				ok = false
 			}
@@ -409,7 +443,7 @@ func TestPropertyChunkedScanCoversFile(t *testing.T) {
 			buf := make([]byte, ck)
 			off := int64(0)
 			for {
-				n, err := fs.Pread(th, fd, buf, off)
+				n, err := fs.Pread(th, fd, buf, int64(len(buf)), off)
 				if err != nil || n == 0 {
 					break
 				}

@@ -4,9 +4,9 @@ import "repro/internal/sim"
 
 // View is one node's window onto a shared FS: the same namespace and
 // devices, but node-private client state (warm metadata, data cache).
-// Descriptors opened through a view remember their node, so reads that
-// follow resolve against that node's cache. NodeView(0) behaves exactly
-// like the plain FS methods.
+// Descriptors opened through a view remember their node, so the plain
+// FS.Pread and FS.Close that follow resolve against that node's cache.
+// NodeView(0) behaves exactly like the plain FS methods.
 type View struct {
 	fs   *FS
 	node int
@@ -21,19 +21,6 @@ func (fs *FS) NodeView(node int) *View {
 // Open opens a file as this node, charging the node's cold metadata cost.
 func (v *View) Open(t *sim.Thread, p string, flags int) (int, error) {
 	return v.fs.openNode(t, v.node, p, flags)
-}
-
-// Close closes a descriptor.
-func (v *View) Close(t *sim.Thread, fd int) error { return v.fs.Close(t, fd) }
-
-// Pread reads at an offset; the descriptor's opener node picks the cache.
-func (v *View) Pread(t *sim.Thread, fd int, buf []byte, off int64) (int, error) {
-	return v.fs.Pread(t, fd, buf, off)
-}
-
-// PreadDiscard is the zero-materialization pread.
-func (v *View) PreadDiscard(t *sim.Thread, fd int, count, off int64) (int, error) {
-	return v.fs.PreadDiscard(t, fd, count, off)
 }
 
 // Stdio returns the STDIO layer bound to this node.

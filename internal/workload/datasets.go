@@ -5,7 +5,7 @@
 // use-case. File contents are never inspected by any experiment — only
 // sizes and access patterns matter — so populations are generated
 // size-accurately from deterministic seeds, and the capture functions'
-// whole-file reads ride tfio's zero-materialization read path (count-only
+// whole-file reads ride tfio's zero-materialization read path (nil-buffer
 // preads; tf.Env.VerifyContent re-enables byte generation + checksums).
 package workload
 
