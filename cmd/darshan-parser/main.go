@@ -71,7 +71,7 @@ func run(args []string, w io.Writer) error {
 		}
 	}
 
-	fmt.Fprintf(w, "# darshan log version: %d\n", log.Version)
+	fmt.Fprintf(w, "# darshan log version: %d\n", darshan.LogVersion)
 	fmt.Fprintf(w, "# nprocs: %d\n", log.NProcs)
 	fmt.Fprintf(w, "# run time: %.4f s\n", log.JobEnd)
 	if log.Merged {
@@ -161,22 +161,10 @@ func printModules(w io.Writer, log *darshan.Log, admit func(rank int) bool) {
 }
 
 func printTotals(w io.Writer, log *darshan.Log) {
-	var posix [darshan.PosixNumCounters]int64
-	for i := range log.Posix {
-		for c := range posix {
-			posix[c] += log.Posix[i].Counters[c]
-		}
-	}
 	for c := darshan.PosixCounter(0); c < darshan.PosixNumCounters; c++ {
-		fmt.Fprintf(w, "total_%s: %d\n", c, posix[c])
-	}
-	var stdio [darshan.StdioNumCounters]int64
-	for i := range log.Stdio {
-		for c := range stdio {
-			stdio[c] += log.Stdio[i].Counters[c]
-		}
+		fmt.Fprintf(w, "total_%s: %d\n", c, log.TotalPosix(c))
 	}
 	for c := darshan.StdioCounter(0); c < darshan.StdioNumCounters; c++ {
-		fmt.Fprintf(w, "total_%s: %d\n", c, stdio[c])
+		fmt.Fprintf(w, "total_%s: %d\n", c, log.TotalStdio(c))
 	}
 }

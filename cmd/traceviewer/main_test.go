@@ -262,14 +262,14 @@ func TestSharedRankSegmentErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := darshan.ReadMergedLog(f)
+	m, err := darshan.ReadLog(f)
 	f.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
 	m.Timeline[0].Rank = darshan.MergedRank
 	var log bytes.Buffer
-	if err := darshan.WriteMergedLog(&log, m); err != nil {
+	if err := m.Write(&log); err != nil {
 		t.Fatal(err)
 	}
 	p := filepath.Join(t.TempDir(), "shared-rank.darshan.log")

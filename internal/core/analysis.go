@@ -99,10 +99,10 @@ type SizeOfFunc func(path string) (int64, bool)
 
 // Analyze diffs two Darshan snapshots into session statistics. sizeOf may
 // be nil.
-func Analyze(start, stop *darshan.Snapshot, lookup func(uint64) (string, bool), sizeOf SizeOfFunc) *SessionStats {
+func Analyze(start, stop *darshan.Log, lookup func(uint64) (string, bool), sizeOf SizeOfFunc) *SessionStats {
 	out := &SessionStats{
-		StartTime:     start.Time,
-		EndTime:       stop.Time,
+		StartTime:     start.JobEnd,
+		EndTime:       stop.JobEnd,
 		ReadSizeHist:  stats.NewDarshanSizeHistogram(),
 		WriteSizeHist: stats.NewDarshanSizeHistogram(),
 		FileSizeHist:  stats.NewDarshanSizeHistogram(),
@@ -203,7 +203,7 @@ func Analyze(start, stop *darshan.Snapshot, lookup func(uint64) (string, bool), 
 	for i := range stop.DXT {
 		rec := &stop.DXT[i]
 		for _, seg := range rec.ReadSegs {
-			if seg.Start >= start.Time && seg.End <= stop.Time && seg.Length == 0 {
+			if seg.Start >= start.JobEnd && seg.End <= stop.JobEnd && seg.Length == 0 {
 				out.ZeroReads++
 			}
 		}
@@ -218,8 +218,8 @@ func Analyze(start, stop *darshan.Snapshot, lookup func(uint64) (string, bool), 
 // accumulated lands in the statistics. This is how the cluster advisors
 // turn the per-rank job-end snapshots of a distributed run into the same
 // SessionStats the single-process advisors consume.
-func AnalyzeSnapshot(snap *darshan.Snapshot, sizeOf SizeOfFunc) *SessionStats {
-	return Analyze(&darshan.Snapshot{}, snap, nil, sizeOf)
+func AnalyzeSnapshot(snap *darshan.Log, sizeOf SizeOfFunc) *SessionStats {
+	return Analyze(&darshan.Log{}, snap, nil, sizeOf)
 }
 
 // ToProto converts the analysis into the exported protobuf message.

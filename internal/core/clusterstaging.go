@@ -59,13 +59,13 @@ type ClusterStagingOptions struct {
 }
 
 // AdviseClusterStaging derives one SessionStats per rank from the
-// per-rank job-end snapshots (darshan.Snapshot → Analyze against an empty
+// per-rank job-end logs (darshan.Log → Analyze against an empty
 // baseline) and emits one StagingAdvice per rank, in rank order. Files
 // touched by more than one rank — the shared (rank −1) records of the
 // merged log, e.g. a manifest every rank re-reads — are excluded from
 // every rank's advice: a rank stages only the shard it owns exclusively,
 // so the per-rank plans are disjoint by construction.
-func AdviseClusterStaging(perRank []*darshan.Snapshot, opts ClusterStagingOptions) []*StagingAdvice {
+func AdviseClusterStaging(perRank []*darshan.Log, opts ClusterStagingOptions) []*StagingAdvice {
 	shared := darshan.SharedRecordIDs(perRank)
 	out := make([]*StagingAdvice, len(perRank))
 	for r, snap := range perRank {

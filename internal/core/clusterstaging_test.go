@@ -9,8 +9,8 @@ import (
 
 // rankSnapshot builds a per-rank job-end snapshot whose POSIX records
 // carry enough activity for Analyze to keep them.
-func rankSnapshot(time float64, files map[uint64]string) *darshan.Snapshot {
-	s := &darshan.Snapshot{Time: time, Names: map[uint64]string{}}
+func rankSnapshot(time float64, files map[uint64]string) *darshan.Log {
+	s := &darshan.Log{NProcs: 1, JobEnd: time, Names: map[uint64]string{}}
 	for id, name := range files {
 		s.Names[id] = name
 		rec := darshan.PosixRecord{ID: id}
@@ -38,7 +38,7 @@ func TestAdviseClusterStagingStagesOnlyTheRanksOwnShard(t *testing.T) {
 	}
 	snapA := rankSnapshot(2.0, map[uint64]string{1: "/pfs/a0", 2: "/pfs/a1", 9: "/pfs/manifest"})
 	snapB := rankSnapshot(2.0, map[uint64]string{3: "/pfs/b0", 4: "/pfs/b1", 9: "/pfs/manifest"})
-	advs := AdviseClusterStaging([]*darshan.Snapshot{snapA, snapB}, ClusterStagingOptions{
+	advs := AdviseClusterStaging([]*darshan.Log{snapA, snapB}, ClusterStagingOptions{
 		PerNodeCapacity: 1 << 30,
 		Objective:       StagingMetadataBound,
 		SizeOf:          sizeOfMap(sizes),
@@ -57,7 +57,7 @@ func TestAdviseClusterStagingStagesOnlyTheRanksOwnShard(t *testing.T) {
 func TestAdviseClusterStagingRespectsPerNodeCapacity(t *testing.T) {
 	sizes := map[string]int64{"/pfs/a0": 300 << 10, "/pfs/a1": 300 << 10}
 	snap := rankSnapshot(2.0, map[uint64]string{1: "/pfs/a0", 2: "/pfs/a1"})
-	advs := AdviseClusterStaging([]*darshan.Snapshot{snap}, ClusterStagingOptions{
+	advs := AdviseClusterStaging([]*darshan.Log{snap}, ClusterStagingOptions{
 		PerNodeCapacity: 100 << 10, // nothing fits
 		Objective:       StagingMetadataBound,
 		SizeOf:          sizeOfMap(sizes),
@@ -81,7 +81,7 @@ func TestAdviseClusterStagingRanks1DegeneratesToAdviseStaging(t *testing.T) {
 	})
 	capacity := int64(280 << 30)
 	sizeOf := sizeOfMap(sizes)
-	got := AdviseClusterStaging([]*darshan.Snapshot{snap}, ClusterStagingOptions{
+	got := AdviseClusterStaging([]*darshan.Log{snap}, ClusterStagingOptions{
 		PerNodeCapacity: capacity,
 		Objective:       StagingBytesScarce,
 		SizeOf:          sizeOf,
@@ -96,7 +96,7 @@ func TestAdviseClusterStagingRanks1DegeneratesToAdviseStaging(t *testing.T) {
 }
 
 func TestAdviseClusterStagingNilRank(t *testing.T) {
-	advs := AdviseClusterStaging([]*darshan.Snapshot{nil}, ClusterStagingOptions{})
+	advs := AdviseClusterStaging([]*darshan.Log{nil}, ClusterStagingOptions{})
 	if len(advs) != 1 || advs[0].FileCount != 0 {
 		t.Fatalf("nil snapshot advice: %+v", advs)
 	}

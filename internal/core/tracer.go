@@ -88,8 +88,8 @@ func (h *Handle) BandwidthSeries() (ts []float64, mbps []float64) {
 // Start, snapshot at Stop, analyze the difference at CollectData.
 type DarshanTracer struct {
 	h         *Handle
-	startSnap *darshan.Snapshot
-	stopSnap  *darshan.Snapshot
+	startSnap *darshan.Log
+	stopSnap  *darshan.Log
 }
 
 // Name implements profiler.Tracer.
@@ -167,7 +167,7 @@ func (d *DarshanTracer) populateTimelines(plane *profiler.XPlane, analysis *Sess
 		var events []profiler.XEvent
 		addSegs := func(segs []darshan.Segment, op string) {
 			for _, seg := range segs {
-				if seg.Start < d.startSnap.Time || seg.End > d.stopSnap.Time {
+				if seg.Start < d.startSnap.JobEnd || seg.End > d.stopSnap.JobEnd {
 					continue
 				}
 				ev := profiler.XEvent{

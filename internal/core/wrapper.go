@@ -111,7 +111,7 @@ func (w *Wrapper) Detach() error {
 
 // Snapshot extracts a copy of Darshan's module buffers at the current
 // instant (the paper's augmented data-extraction call).
-func (w *Wrapper) Snapshot(t *sim.Thread) (*darshan.Snapshot, error) {
+func (w *Wrapper) Snapshot(t *sim.Thread) (*darshan.Log, error) {
 	if w.snapFn == nil {
 		return nil, ErrNotAttached
 	}

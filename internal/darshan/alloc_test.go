@@ -46,7 +46,7 @@ func TestSteadyStateDXTAppendZeroAlloc(t *testing.T) {
 // so a 100x longer timeline allocates no more often.
 func TestMergedLogWriteAllocsIndependentOfTimeline(t *testing.T) {
 	allocs := func(segs int) float64 {
-		log := Merge(timelineSnapshots(benchRanks, 16, segs)).Log()
+		log := Merge(timelineSnapshots(benchRanks, 16, segs))
 		return testing.AllocsPerRun(10, func() {
 			if err := log.Write(io.Discard); err != nil {
 				t.Fatal(err)

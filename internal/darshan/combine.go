@@ -1,25 +1,25 @@
 package darshan
 
-// CombineSnapshots folds the snapshots of one rank's successive process
-// incarnations into a single per-rank snapshot, as if one process had
+// CombineSnapshots folds the job-end logs of one rank's successive process
+// incarnations into a single per-rank log, as if one process had
 // recorded the whole job. The failure scenario needs this: a rank that
 // dies and is reborn produces two runtimes — the dead process's records
 // up to the failure instant (which the simulator's failure oracle
 // preserves; real Darshan would lose them with the process) and the
 // reborn process's records from rejoin to job end. Merge cannot take
-// both directly (its snapshot index is the rank), so incarnations are
+// both directly (its slot index is the rank), so incarnations are
 // pre-combined here and the result takes the rank's slot.
 //
 // Records fold exactly as in the cross-rank Merge (recordFold), stamped
 // with rank; DXT segments concatenate per record in incarnation order,
 // which keeps per-record segments time-ordered because a later
-// incarnation only records after the earlier one died. Nil snapshots are
-// skipped, and a single live snapshot is returned as is.
-func CombineSnapshots(rank int, snaps ...*Snapshot) *Snapshot {
-	var live []*Snapshot
-	for _, s := range snaps {
-		if s != nil {
-			live = append(live, s)
+// incarnation only records after the earlier one died. Nil logs are
+// skipped, and a single live log is returned as is.
+func CombineSnapshots(rank int, logs ...*Log) *Log {
+	var live []*Log
+	for _, l := range logs {
+		if l != nil {
+			live = append(live, l)
 		}
 	}
 	if len(live) == 0 {
@@ -30,11 +30,12 @@ func CombineSnapshots(rank int, snaps ...*Snapshot) *Snapshot {
 	}
 
 	f := newRecordFold(live)
+	f.NProcs = 1
 	dxtIdx := make(map[uint64]int)
-	for _, snap := range live {
-		f.add(rank, snap)
-		for i := range snap.DXT {
-			src := &snap.DXT[i]
+	for _, l := range live {
+		f.add(rank, l)
+		for i := range l.DXT {
+			src := &l.DXT[i]
 			j, seen := dxtIdx[src.ID]
 			if !seen {
 				j = len(f.DXT)
@@ -48,5 +49,5 @@ func CombineSnapshots(rank int, snaps ...*Snapshot) *Snapshot {
 		}
 	}
 	f.finish()
-	return f.Snapshot
+	return f.Log
 }

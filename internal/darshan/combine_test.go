@@ -11,7 +11,7 @@ import (
 // process and its reborn successor, sharing POSIX file 1, STDIO file 9
 // and DXT record 1. Records carry Rank 0, as if stamped by independently
 // captured runs, so the combine's own rank stamp is visible.
-func incarnations() (dead, reborn *Snapshot) {
+func incarnations() (dead, reborn *Log) {
 	p1 := PosixRecord{ID: 1}
 	p1.Counters[POSIX_OPENS] = 2
 	p1.Counters[POSIX_READS] = 5
@@ -29,8 +29,9 @@ func incarnations() (dead, reborn *Snapshot) {
 	s9.Counters[STDIO_MAX_BYTE_WRITTEN] = 120
 	s9.FCounters[STDIO_F_OPEN_START_TIMESTAMP] = 0.5
 	s9.FCounters[STDIO_F_WRITE_TIME] = 0.25
-	dead = &Snapshot{
-		Time:   4,
+	dead = &Log{
+		JobEnd: 4,
+		NProcs: 1,
 		Posix:  []PosixRecord{p1},
 		Stdio:  []StdioRecord{s9},
 		DXT:    []DXTRecord{{ID: 1, ReadSegs: []Segment{{Offset: 0, Length: 100, Start: 1, End: 1.5}, {Offset: 100, Length: 100, Start: 1.5, End: 2}}, Dropped: 1}},
@@ -59,10 +60,11 @@ func incarnations() (dead, reborn *Snapshot) {
 	t9.FCounters[STDIO_F_OPEN_START_TIMESTAMP] = 6.5
 	t9.FCounters[STDIO_F_CLOSE_END_TIMESTAMP] = 9.0
 	t9.FCounters[STDIO_F_WRITE_TIME] = 0.5
-	reborn = &Snapshot{
-		Time:  10,
-		Posix: []PosixRecord{q1, q2},
-		Stdio: []StdioRecord{t9},
+	reborn = &Log{
+		JobEnd: 10,
+		NProcs: 1,
+		Posix:  []PosixRecord{q1, q2},
+		Stdio:  []StdioRecord{t9},
 		DXT: []DXTRecord{{
 			ID:        1,
 			ReadSegs:  []Segment{{Offset: 200, Length: 100, Start: 6, End: 6.5}},
@@ -82,8 +84,8 @@ func TestCombineSnapshotsFoldsIncarnations(t *testing.T) {
 	dead, reborn := incarnations()
 	got := CombineSnapshots(3, dead, nil, reborn)
 
-	if got.Time != 10 {
-		t.Errorf("time = %v, want the later incarnation's 10", got.Time)
+	if got.JobEnd != 10 {
+		t.Errorf("job end = %v, want the later incarnation's 10", got.JobEnd)
 	}
 	if want := (FaultCounters{Faults: 3, Retries: 3, Timeouts: 4}); got.Faults != want {
 		t.Errorf("faults = %+v, want %+v", got.Faults, want)
@@ -192,7 +194,7 @@ func TestCombineSnapshotsNilAndSingle(t *testing.T) {
 // own decoded log.
 func TestFoldKeepsEmptyModulesNil(t *testing.T) {
 	for _, module := range []string{"stdio", "posix"} {
-		strip := func(s *Snapshot) *Snapshot {
+		strip := func(s *Log) *Log {
 			if module == "stdio" {
 				s.Stdio = nil
 			} else {
@@ -210,14 +212,14 @@ func TestFoldKeepsEmptyModulesNil(t *testing.T) {
 		dead, reborn := incarnations()
 		dead, reborn = strip(dead), strip(reborn)
 
-		for _, snaps := range [][]*Snapshot{{dead}, {dead, reborn}} {
+		for _, snaps := range [][]*Log{{dead}, {dead, reborn}} {
 			m := Merge(snaps)
 			wantNil(fmt.Sprintf("merge of %d ranks", len(snaps)), m.Posix, m.Stdio)
 			var buf bytes.Buffer
-			if err := WriteMergedLog(&buf, m); err != nil {
+			if err := m.Write(&buf); err != nil {
 				t.Fatal(err)
 			}
-			got, err := ReadMergedLog(bytes.NewReader(buf.Bytes()))
+			got, err := ReadLog(bytes.NewReader(buf.Bytes()))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -229,15 +231,15 @@ func TestFoldKeepsEmptyModulesNil(t *testing.T) {
 		c := CombineSnapshots(3, dead, reborn)
 		wantNil("combine", c.Posix, c.Stdio)
 		var buf bytes.Buffer
-		if err := WriteSnapshotLog(&buf, c); err != nil {
+		if err := c.Write(&buf); err != nil {
 			t.Fatal(err)
 		}
 		got, err := ReadLog(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := LogFromSnapshot(c); !reflect.DeepEqual(got, want) {
-			t.Errorf("no %s: combine did not round-trip:\n got %+v\nwant %+v", module, got, want)
+		if !reflect.DeepEqual(got, c) {
+			t.Errorf("no %s: combine did not round-trip:\n got %+v\nwant %+v", module, got, c)
 		}
 	}
 }

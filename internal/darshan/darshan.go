@@ -107,17 +107,18 @@ func (rt *Runtime) SetRank(rank int) { rt.rank = rank }
 // Rank returns the runtime's rank.
 func (rt *Runtime) Rank() int { return rt.rank }
 
-// Export copies the module buffers at job end without charging simulated
-// time: Darshan's shutdown reduction runs after the application's threads
-// have exited, so there is no instrumented thread to bill. now is the
-// kernel time at export.
-func (rt *Runtime) Export(now int64) *Snapshot {
-	return &Snapshot{
-		Time:  rt.rel(now),
-		Posix: rt.Posix.copyRecords(),
-		Stdio: rt.Stdio.copyRecords(),
-		DXT:   rt.DXT.copyRecords(),
-		Names: rt.NameRecords(),
+// Export copies the module buffers at job end into a single-process log
+// without charging simulated time: Darshan's shutdown reduction runs after
+// the application's threads have exited, so there is no instrumented
+// thread to bill. now is the kernel time at export.
+func (rt *Runtime) Export(now int64) *Log {
+	return &Log{
+		JobEnd: rt.rel(now),
+		NProcs: 1,
+		Posix:  rt.Posix.copyRecords(),
+		Stdio:  rt.Stdio.copyRecords(),
+		DXT:    rt.DXT.copyRecords(),
+		Names:  rt.NameRecords(),
 	}
 }
 
@@ -170,8 +171,9 @@ func (rt *Runtime) chargeNewRecord(t *sim.Thread) {
 // two to obtain session statistics. The copy cost is charged to the
 // calling thread while the core lock is held, so concurrent instrumented
 // I/O stalls for the duration — the consistency price of runtime
-// extraction.
-func (rt *Runtime) Snapshot(t *sim.Thread) *Snapshot {
+// extraction. The snapshot is a single-process log whose JobEnd is the
+// snapshot instant.
+func (rt *Runtime) Snapshot(t *sim.Thread) *Log {
 	rt.mu.Lock(t)
 	nRecords := rt.Posix.RecordCount() + rt.Stdio.RecordCount()
 	if nRecords > 0 {
@@ -182,25 +184,11 @@ func (rt *Runtime) Snapshot(t *sim.Thread) *Snapshot {
 	return snap
 }
 
-// Snapshot is a point-in-time copy of all module buffers.
-type Snapshot struct {
-	// Time is seconds since job start at which the snapshot was taken.
-	Time  float64
-	Posix []PosixRecord
-	Stdio []StdioRecord
-	DXT   []DXTRecord
-	Names map[uint64]string
-	// Faults is the runtime's transient-fault/retry tally (faults.go) —
-	// a side channel outside the v321 wire format, stamped by the caller
-	// after export.
-	Faults FaultCounters
-}
-
 // PosixByID returns the POSIX record with the given id, if present.
-func (s *Snapshot) PosixByID(id uint64) (PosixRecord, bool) {
-	for i := range s.Posix {
-		if s.Posix[i].ID == id {
-			return s.Posix[i], true
+func (l *Log) PosixByID(id uint64) (PosixRecord, bool) {
+	for i := range l.Posix {
+		if l.Posix[i].ID == id {
+			return l.Posix[i], true
 		}
 	}
 	return PosixRecord{}, false

@@ -191,9 +191,9 @@ func TestAccessSizeTop4(t *testing.T) {
 	}
 }
 
-func snapshotNow(t *testing.T, r *rig) *Snapshot {
+func snapshotNow(t *testing.T, r *rig) *Log {
 	t.Helper()
-	var snap *Snapshot
+	var snap *Log
 	r.run(t, func(th *sim.Thread) { snap = r.rt.Snapshot(th) })
 	return snap
 }
@@ -323,7 +323,7 @@ func TestRecordCapUntracked(t *testing.T) {
 func TestSnapshotIsolation(t *testing.T) {
 	r := newRig(DefaultConfig())
 	r.fs.CreateFile("/data/s1", 1000)
-	var snap1 *Snapshot
+	var snap1 *Log
 	r.run(t, func(th *sim.Thread) {
 		readWholeFileTFStyle(th, r.c, "/data/s1", 1<<20)
 		snap1 = r.rt.Snapshot(th)
@@ -347,7 +347,7 @@ func TestSnapshotDiffGivesSessionCounts(t *testing.T) {
 	r := newRig(DefaultConfig())
 	r.fs.CreateFile("/data/w1", 2000)
 	r.fs.CreateFile("/data/w2", 2000)
-	var before, after *Snapshot
+	var before, after *Log
 	r.run(t, func(th *sim.Thread) {
 		readWholeFileTFStyle(th, r.c, "/data/w1", 1<<20)
 		before = r.rt.Snapshot(th)
@@ -364,7 +364,7 @@ func TestSnapshotDiffGivesSessionCounts(t *testing.T) {
 	if sumAfter-sumBefore != 2000 {
 		t.Fatalf("session bytes = %d, want 2000", sumAfter-sumBefore)
 	}
-	if after.Time <= before.Time {
+	if after.JobEnd <= before.JobEnd {
 		t.Fatal("snapshot times not increasing")
 	}
 }

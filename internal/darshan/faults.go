@@ -1,9 +1,9 @@
 package darshan
 
 // FaultCounters is the runtime-side tally of transient-fault activity
-// behind a snapshot: injected I/O errors observed by the process, policy
+// behind a log: injected I/O errors observed by the process, policy
 // retries/timeouts, and the simulated time spent backing off. It rides on
-// Snapshot and MergedLog as a side channel only — the v321 wire format's
+// Log (Log.Faults) as a side channel only — the v321 wire format's
 // POSIX/STDIO counter enums are untouched, so serialized logs (and the
 // committed goldens over them) are byte-identical with or without faults
 // recorded here. Decoded logs carry zero FaultCounters.

@@ -16,11 +16,11 @@ func fuzzSeedLogs(f *testing.F) (single, merged []byte) {
 	// harness: one POSIX record, one STDIO record, DXT segments.
 	snaps := syntheticSnapshots()
 	var sb bytes.Buffer
-	if err := WriteSnapshotLog(&sb, snaps[0]); err != nil {
+	if err := snaps[0].Write(&sb); err != nil {
 		f.Fatal(err)
 	}
 	var mb bytes.Buffer
-	if err := WriteMergedLog(&mb, Merge(snaps)); err != nil {
+	if err := Merge(snaps).Write(&mb); err != nil {
 		f.Fatal(err)
 	}
 	return sb.Bytes(), mb.Bytes()
@@ -29,8 +29,7 @@ func fuzzSeedLogs(f *testing.F) (single, merged []byte) {
 // FuzzReadLog drives the decoder with arbitrary bytes: it must never
 // panic, must reject malformed input with ErrBadLog (truncated headers,
 // corrupt record lengths, out-of-range ranks), and on success the decoded
-// log must survive a write/read round trip intact. ReadMergedLog must
-// agree with the decoded kind.
+// log must survive a write/read round trip intact.
 func FuzzReadLog(f *testing.F) {
 	single, merged := fuzzSeedLogs(f)
 	f.Add(single)
@@ -59,7 +58,6 @@ func FuzzReadLog(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		log, err := ReadLog(bytes.NewReader(data))
-		mergedLog, mergedErr := ReadMergedLog(bytes.NewReader(data))
 
 		// Streaming drain path: opening the reader and skipping straight
 		// to Finish must reach the same accept/reject verdict as the
@@ -79,14 +77,11 @@ func FuzzReadLog(f *testing.F) {
 			if !errors.Is(err, ErrBadLog) {
 				t.Fatalf("decode error does not wrap ErrBadLog: %v", err)
 			}
-			if mergedErr == nil {
-				t.Fatal("ReadMergedLog accepted input ReadLog rejected")
-			}
 			return
 		}
 		// Structural invariants the decoder promises.
-		if log.NProcs < 1 {
-			t.Fatalf("accepted nprocs %d", log.NProcs)
+		if log.NProcs < 1 || (!log.Merged && log.NProcs != 1) {
+			t.Fatalf("accepted nprocs %d (merged %v)", log.NProcs, log.Merged)
 		}
 		for i := range log.Posix {
 			if r := log.Posix[i].Rank; r < MergedRank || (r == MergedRank && !log.Merged) {
@@ -94,15 +89,9 @@ func FuzzReadLog(f *testing.F) {
 			}
 		}
 		for i := range log.Timeline {
-			if r := log.Timeline[i].Rank; r < 0 || int64(r) >= log.NProcs {
+			if r := log.Timeline[i].Rank; r < 0 || r >= log.NProcs {
 				t.Fatalf("accepted timeline rank %d with nprocs %d", r, log.NProcs)
 			}
-		}
-		if log.Merged != (mergedErr == nil) {
-			t.Fatalf("kind disagreement: merged=%v, ReadMergedLog err=%v", log.Merged, mergedErr)
-		}
-		if mergedErr == nil && mergedLog.NProcs != int(log.NProcs) {
-			t.Fatalf("merged view nprocs %d != %d", mergedLog.NProcs, log.NProcs)
 		}
 		// Round trip: rewriting the decoded log and reading it back must
 		// reproduce the same structure.
@@ -153,7 +142,7 @@ func FuzzReadLog(f *testing.F) {
 // Float counters are multiples of 1/64 below 64, so their sums are exact
 // in any order, and each file draws its access sizes from four fixed
 // ones, so a nested fold never truncates its ACCESS1..4 table.
-func foldSnapshots(rng *rand.Rand) []*Snapshot {
+func foldSnapshots(rng *rand.Rand) []*Log {
 	const files = 4
 	floats := func(fs []float64) {
 		for c := range fs {
@@ -162,10 +151,11 @@ func foldSnapshots(rng *rand.Rand) []*Snapshot {
 			}
 		}
 	}
-	snaps := make([]*Snapshot, 3)
+	snaps := make([]*Log, 3)
 	for r := range snaps {
-		s := &Snapshot{
-			Time:   float64(rng.Intn(64)),
+		s := &Log{
+			JobEnd: float64(rng.Intn(64)),
+			NProcs: 1,
 			Names:  make(map[uint64]string),
 			Faults: FaultCounters{Faults: rng.Int63n(4), Retries: rng.Int63n(4), BackoffNs: rng.Int63n(1000)},
 		}
@@ -225,7 +215,7 @@ func FuzzFoldOrderIndependent(f *testing.F) {
 			stdio  [StdioNumCounters]int64
 			stdioF [StdioNumFCounters]float64
 		}
-		perFile := func(m *MergedLog) map[uint64]fileCounters {
+		perFile := func(m *Log) map[uint64]fileCounters {
 			out := make(map[uint64]fileCounters)
 			for _, r := range m.Posix {
 				fc := out[r.ID]
@@ -241,7 +231,7 @@ func FuzzFoldOrderIndependent(f *testing.F) {
 		}
 		want := perFile(Merge(snaps))
 		for _, perm := range [][3]int{{0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {
-			got := perFile(Merge([]*Snapshot{snaps[perm[0]], snaps[perm[1]], snaps[perm[2]]}))
+			got := perFile(Merge([]*Log{snaps[perm[0]], snaps[perm[1]], snaps[perm[2]]}))
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("merge order %v changes per-file counters:\n got %v\nwant %v", perm, got, want)
 			}

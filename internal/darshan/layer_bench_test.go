@@ -8,6 +8,9 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"repro/internal/sim"
+	"repro/internal/vfs"
 )
 
 // timelineSnapshots builds ranks per-rank snapshots over the same files
@@ -15,12 +18,12 @@ import (
 // epoch, each rank walks the files in its own order with read times rising
 // through the job, and each record's run is in completion order (the order
 // DXT appends concurrent readers' segments in), not start order.
-func timelineSnapshots(ranks, files, segs int) []*Snapshot {
+func timelineSnapshots(ranks, files, segs int) []*Log {
 	rng := rand.New(rand.NewSource(1))
 	perRecord := max(1, segs/(ranks*files))
-	snaps := make([]*Snapshot, ranks)
+	snaps := make([]*Log, ranks)
 	for r := range snaps {
-		snap := &Snapshot{Time: float64(files + 1), Names: make(map[uint64]string, files)}
+		snap := &Log{JobEnd: float64(files + 1), NProcs: 1, Names: make(map[uint64]string, files)}
 		for i, f := range rng.Perm(files) {
 			id := uint64(f + 1)
 			snap.Names[id] = fmt.Sprintf("/pfs/train/file-%05d", f)
@@ -62,7 +65,7 @@ const (
 )
 
 // benchFileCounts runs f once per file count as a sub-benchmark.
-func benchFileCounts(b *testing.B, f func(b *testing.B, snaps []*Snapshot)) {
+func benchFileCounts(b *testing.B, f func(b *testing.B, snaps []*Log)) {
 	for _, files := range []int{benchFiles, benchClusterFiles} {
 		b.Run(fmt.Sprintf("files=%d", files), func(b *testing.B) {
 			f(b, timelineSnapshots(benchRanks, files, benchSegs))
@@ -71,7 +74,7 @@ func benchFileCounts(b *testing.B, f func(b *testing.B, snaps []*Snapshot)) {
 }
 
 func BenchmarkMerge(b *testing.B) {
-	benchFileCounts(b, func(b *testing.B, snaps []*Snapshot) {
+	benchFileCounts(b, func(b *testing.B, snaps []*Log) {
 		b.ReportAllocs()
 		for b.Loop() {
 			Merge(snaps)
@@ -83,23 +86,69 @@ func BenchmarkWriteMergedLog(b *testing.B) {
 	m := Merge(timelineSnapshots(benchRanks, benchFiles, benchSegs))
 	b.ReportAllocs()
 	for b.Loop() {
-		if err := WriteMergedLog(io.Discard, m); err != nil {
+		if err := m.Write(io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkReadMergedLog(b *testing.B) {
-	benchFileCounts(b, func(b *testing.B, snaps []*Snapshot) {
+	benchFileCounts(b, func(b *testing.B, snaps []*Log) {
 		var buf bytes.Buffer
-		if err := WriteMergedLog(&buf, Merge(snaps)); err != nil {
+		if err := Merge(snaps).Write(&buf); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		for b.Loop() {
-			if _, err := ReadMergedLog(bytes.NewReader(buf.Bytes())); err != nil {
+			if _, err := ReadLog(bytes.NewReader(buf.Bytes())); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
+}
+
+// wrappedPreadWindow is how many segments BenchmarkWrappedPread lets a DXT
+// record hold before truncating it, so every pread appends a segment
+// (rather than counting a drop past MaxDXTSegsPerRecord) and the trace
+// stays a fixed size however large b.N grows.
+const wrappedPreadWindow = 1 << 12
+
+// BenchmarkWrappedPread measures one instrumented pread on one sim
+// thread: the call through the patched GOT slot, wrapPread's timing and
+// record update under the core lock, the DXT append, and the count-only
+// VFS read beneath them.
+func BenchmarkWrappedPread(b *testing.B) {
+	r := newRig(DefaultConfig())
+	r.fs.CreateFile("/data/file", 1<<20)
+	id := RecordID("/data/file")
+	r.k.Spawn("reader", func(th *sim.Thread) {
+		fd, err := r.c.Open(th, "/data/file", vfs.O_RDONLY)
+		if err != nil {
+			panic(err)
+		}
+		// One read outside the timer creates the file's DXT record.
+		if _, err := r.c.Pread(th, fd, nil, 4096, 0); err != nil {
+			panic(err)
+		}
+		dxt := r.rt.DXT.records[id]
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := range b.N {
+			if len(dxt.ReadSegs) == wrappedPreadWindow {
+				dxt.ReadSegs = dxt.ReadSegs[:0]
+			}
+			if _, err := r.c.Pread(th, fd, nil, 4096, int64(i%256)*4096); err != nil {
+				panic(err)
+			}
+		}
+	})
+	if err := r.k.Run(); err != nil {
+		b.Fatal(err)
+	}
+	if got := r.rt.Posix.records[id].Counters[POSIX_READS]; got != int64(b.N)+1 {
+		b.Fatalf("POSIX_READS = %d after %d preads", got, b.N+1)
+	}
+	if d := r.rt.DXT.records[id].Dropped; d != 0 {
+		b.Fatalf("%d DXT segments dropped", d)
+	}
 }

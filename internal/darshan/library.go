@@ -26,8 +26,9 @@ type (
 	// symbol, wrapping the real implementation; ok is false for symbols
 	// Darshan does not instrument.
 	WrapSymbolFunc func(symbol string, real any) (wrapped any, ok bool)
-	// SnapshotFunc copies the module buffers at the current instant.
-	SnapshotFunc func(t *sim.Thread) *Snapshot
+	// SnapshotFunc copies the module buffers at the current instant into
+	// a single-process log.
+	SnapshotFunc func(t *sim.Thread) *Log
 	// LookupNameFunc resolves a record id to a file path.
 	LookupNameFunc func(id uint64) (string, bool)
 	// RuntimeStateFunc exposes the runtime itself (record counts etc.).

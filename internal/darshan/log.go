@@ -76,13 +76,20 @@ func appendDecoded[T any](s []T, v T, n int) []T {
 // ErrBadLog reports a malformed or foreign log file.
 var ErrBadLog = errors.New("darshan: bad log file")
 
-// Log is a parsed Darshan log, and the canonical serialized form: Write
-// is the exact inverse of ReadLog for both kinds.
+// Log is a Darshan log: the record set of one process (a runtime export
+// or snapshot, or the per-rank log of a cluster run) or, when Merged, the
+// cross-rank reduction of many. It is both the in-memory form every
+// producer returns and the serialized form: Write is the exact inverse of
+// ReadLog for both kinds.
 type Log struct {
-	Version  uint32
-	JobStart float64 // always 0: times are relative to job start
-	JobEnd   float64
-	NProcs   int64
+	// JobEnd is seconds since job start at which the records were copied:
+	// the export or snapshot instant of a single-process log, the latest
+	// per-rank job end of a merged one. Log times are relative to job
+	// start, so the job starts at 0.
+	JobEnd float64
+	// NProcs is 1 for a single-process log and the number of rank slots
+	// merged for a merged one.
+	NProcs int
 	// Merged marks a cross-rank merged log: records may carry the shared
 	// sentinel rank −1 and DXT lives in Timeline instead of DXT.
 	Merged bool
@@ -97,68 +104,11 @@ type Log struct {
 	// DroppedSegments sums DXT segments lost to per-record memory bounds
 	// (merged logs only; single logs keep the count per DXT record).
 	DroppedSegments int64
-}
-
-// LogFromSnapshot builds the single-process log view of a job-end
-// snapshot (the per-rank logs of a cluster run). The snapshot time is the
-// job end.
-func LogFromSnapshot(snap *Snapshot) *Log {
-	return &Log{
-		Version: LogVersion,
-		JobEnd:  snap.Time,
-		NProcs:  1,
-		Names:   snap.Names,
-		Posix:   snap.Posix,
-		Stdio:   snap.Stdio,
-		DXT:     snap.DXT,
-	}
-}
-
-// Log builds the serializable log view of a cross-rank merge: nprocs is
-// the merged rank count, records keep their owning rank (or MergedRank),
-// and the timeline is stored as-is, rank attribution included.
-func (m *MergedLog) Log() *Log {
-	return &Log{
-		Version:         LogVersion,
-		JobEnd:          m.JobEnd,
-		NProcs:          int64(m.NProcs),
-		Merged:          true,
-		Names:           m.Names,
-		Posix:           m.Posix,
-		Stdio:           m.Stdio,
-		Timeline:        m.Timeline,
-		DroppedSegments: m.DroppedSegments,
-	}
-}
-
-// MergedLog converts a parsed merged-kind log back into the in-memory
-// merge result, the inverse of (*MergedLog).Log.
-func (l *Log) MergedLog() (*MergedLog, error) {
-	if !l.Merged {
-		return nil, fmt.Errorf("%w: not a merged log (nprocs %d)", ErrBadLog, l.NProcs)
-	}
-	return &MergedLog{
-		NProcs:          int(l.NProcs),
-		JobEnd:          l.JobEnd,
-		Names:           l.Names,
-		Posix:           l.Posix,
-		Stdio:           l.Stdio,
-		Timeline:        l.Timeline,
-		DroppedSegments: l.DroppedSegments,
-	}, nil
-}
-
-// WriteSnapshotLog serializes a job-end snapshot as a single-process log:
-// the log of a single machine, or one per-rank log of a cluster run.
-func WriteSnapshotLog(w io.Writer, snap *Snapshot) error {
-	return LogFromSnapshot(snap).Write(w)
-}
-
-// WriteMergedLog serializes a cross-rank merge as a merged-kind log:
-// header with nprocs > 1, rank −1 shared records, and the rank-attributed
-// DXT timeline in global start-time order.
-func WriteMergedLog(w io.Writer, m *MergedLog) error {
-	return m.Log().Write(w)
+	// Faults is the transient-fault/retry tally behind the records
+	// (faults.go), stamped by the caller after export and summed by the
+	// fold. It is a side channel, not written: decoded logs carry zero
+	// Faults.
+	Faults FaultCounters
 }
 
 // logChunk is how many encoded bytes the encoder buffers before handing
@@ -241,7 +191,7 @@ func (l *Log) Write(w io.Writer) error {
 
 	// Job record.
 	e.f64(l.JobEnd)
-	e.i64(l.NProcs)
+	e.i64(int64(l.NProcs))
 
 	// Name table, ascending id for a canonical byte stream.
 	ids := make([]uint64, 0, len(l.Names))
@@ -423,11 +373,10 @@ func ReadLog(r io.Reader) (*Log, error) {
 		return nil, err
 	}
 	log := &Log{
-		Version: lr.version,
-		JobEnd:  lr.jobEnd,
-		NProcs:  lr.nprocs,
-		Merged:  lr.merged,
-		Names:   lr.names,
+		JobEnd: lr.jobEnd,
+		NProcs: lr.NProcs(),
+		Merged: lr.merged,
+		Names:  lr.names,
 	}
 	for {
 		rec, ok, err := lr.NextPosix()
@@ -492,12 +441,26 @@ func readSegment(d *logDecoder, s *Segment, what string, i int) error {
 	return nil
 }
 
-// ReadMergedLog decodes a merged-kind log into the in-memory merge
-// result, the exact inverse of WriteMergedLog.
-func ReadMergedLog(r io.Reader) (*MergedLog, error) {
+// Snapshot and MergedLog are the former names of Log.
+//
+// Deprecated: removed with the next bench PR.
+type (
+	Snapshot  = Log
+	MergedLog = Log
+)
+
+// WriteMergedLog is (*Log).Write.
+//
+// Deprecated: removed with the next bench PR.
+func WriteMergedLog(w io.Writer, m *Log) error { return m.Write(w) }
+
+// ReadMergedLog is ReadLog restricted to merged-kind logs.
+//
+// Deprecated: removed with the next bench PR.
+func ReadMergedLog(r io.Reader) (*Log, error) {
 	log, err := ReadLog(r)
-	if err != nil {
-		return nil, err
+	if err == nil && !log.Merged {
+		return nil, fmt.Errorf("%w: not a merged log", ErrBadLog)
 	}
-	return log.MergedLog()
+	return log, err
 }

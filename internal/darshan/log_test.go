@@ -21,9 +21,9 @@ import (
 // writeLog writes rt's records as a single-process log ending at endTime
 // seconds, the way a single machine's job-end export does.
 func writeLog(w io.Writer, rt *Runtime, endTime float64) error {
-	snap := rt.Export(rt.JobStart())
-	snap.Time = endTime
-	return WriteSnapshotLog(w, snap)
+	log := rt.Export(rt.JobStart())
+	log.JobEnd = endTime
+	return log.Write(w)
 }
 
 func TestLogRoundTrip(t *testing.T) {
@@ -46,7 +46,7 @@ func TestLogRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if log.Version != LogVersion || log.NProcs != 1 || log.JobEnd != 12.5 {
+	if log.NProcs != 1 || log.JobEnd != 12.5 {
 		t.Fatalf("header = %+v", log)
 	}
 	if len(log.Posix) != 2 || len(log.Stdio) != 1 {
@@ -84,32 +84,35 @@ func TestLogRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMergedLogRoundTrip: WriteMergedLog followed by ReadMergedLog is the
-// identity on the merge result — every counter, watermark, re-ranked
-// ACCESS entry, name and rank-attributed timeline segment survives.
-func TestMergedLogRoundTrip(t *testing.T) {
-	m := Merge(syntheticSnapshots())
-	var buf bytes.Buffer
-	if err := WriteMergedLog(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadMergedLog(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, m) {
-		t.Fatalf("merged log did not round-trip:\n got %+v\nwant %+v", got, m)
-	}
-	// The generic reader sees the same log with the merged kind flagged.
-	log, err := ReadLog(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !log.Merged || log.NProcs != int64(m.NProcs) {
-		t.Fatalf("header = merged %v nprocs %d", log.Merged, log.NProcs)
-	}
-	if log.DXT != nil {
-		t.Fatal("merged log decoded per-record DXT")
+// TestWriteReadLogRoundTrip: one Log type carries both kinds, and
+// ReadLog(Write(x)) is x itself — header, names, every counter, watermark
+// and re-ranked ACCESS entry, per-file DXT or the rank-attributed
+// timeline — for a runtime export and for a cross-rank merge. Faults is
+// zeroed: it is a side channel the format does not carry.
+func TestWriteReadLogRoundTrip(t *testing.T) {
+	perRank := rankExports(t, 3)
+	for _, tc := range []struct {
+		name string
+		log  *Log
+	}{
+		{"export", perRank[1]},
+		{"merge", Merge(perRank)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			x := tc.log
+			x.Faults = FaultCounters{}
+			var buf bytes.Buffer
+			if err := x.Write(&buf); err != nil {
+				t.Fatal(err)
+			}
+			got, err := ReadLog(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, x) {
+				t.Fatalf("log did not round-trip:\n got %+v\nwant %+v", got, x)
+			}
+		})
 	}
 }
 
@@ -127,7 +130,7 @@ func TestLogWriteIsCanonical(t *testing.T) {
 		t.Fatal(err)
 	}
 	var merged bytes.Buffer
-	if err := WriteMergedLog(&merged, Merge(syntheticSnapshots())); err != nil {
+	if err := Merge(syntheticSnapshots()).Write(&merged); err != nil {
 		t.Fatal(err)
 	}
 	for name, b := range map[string][]byte{"single": single.Bytes(), "merged": merged.Bytes()} {
@@ -141,30 +144,6 @@ func TestLogWriteIsCanonical(t *testing.T) {
 		}
 		if !bytes.Equal(again.Bytes(), b) {
 			t.Fatalf("%s: write(read(x)) diverged from x (%d vs %d bytes)", name, again.Len(), len(b))
-		}
-	}
-}
-
-// TestSnapshotLogRoundTrip covers the per-rank log path of a cluster run:
-// a job-end snapshot serialized with WriteSnapshotLog decodes to exactly
-// the snapshot's record set.
-func TestSnapshotLogRoundTrip(t *testing.T) {
-	snaps := syntheticSnapshots()
-	for rank, snap := range snaps {
-		var buf bytes.Buffer
-		if err := WriteSnapshotLog(&buf, snap); err != nil {
-			t.Fatal(err)
-		}
-		log, err := ReadLog(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if log.Merged || log.NProcs != 1 || log.JobEnd != snap.Time {
-			t.Fatalf("rank %d header: merged %v nprocs %d end %v", rank, log.Merged, log.NProcs, log.JobEnd)
-		}
-		if !reflect.DeepEqual(log.Posix, snap.Posix) || !reflect.DeepEqual(log.Stdio, snap.Stdio) ||
-			!reflect.DeepEqual(log.DXT, snap.DXT) || !reflect.DeepEqual(log.Names, snap.Names) {
-			t.Fatalf("rank %d snapshot did not round-trip", rank)
 		}
 	}
 }
@@ -213,7 +192,8 @@ func rewritePayload(t *testing.T, b []byte, edit func(payload []byte) []byte) []
 // what decoded, not for the claimed count (which would be 560 MiB).
 func TestReadLogFalseCountAllocatesLittle(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteSnapshotLog(&buf, &Snapshot{Time: 1, Posix: []PosixRecord{{ID: 1}}}); err != nil {
+	one := &Log{JobEnd: 1, NProcs: 1, Posix: []PosixRecord{{ID: 1}}}
+	if err := one.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
 	// The kind byte, the job record and an empty name table's count come
@@ -241,7 +221,7 @@ func TestReadLogFalseCountAllocatesLittle(t *testing.T) {
 
 func TestReadLogRejectsStructuralCorruption(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteMergedLog(&buf, Merge(syntheticSnapshots())); err != nil {
+	if err := Merge(syntheticSnapshots()).Write(&buf); err != nil {
 		t.Fatal(err)
 	}
 	valid := buf.Bytes()
@@ -271,7 +251,7 @@ func TestReadLogRejectsStructuralCorruption(t *testing.T) {
 	badRank := Merge(syntheticSnapshots())
 	badRank.Posix[0].Rank = 7
 	var bp bytes.Buffer
-	if err := WriteMergedLog(&bp, badRank); err != nil {
+	if err := badRank.Write(&bp); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ReadLog(bytes.NewReader(bp.Bytes())); !errors.Is(err, ErrBadLog) {
@@ -280,7 +260,7 @@ func TestReadLogRejectsStructuralCorruption(t *testing.T) {
 	badTL := Merge(syntheticSnapshots())
 	badTL.Timeline[0].Rank = -1 // sentinel is record-only; timelines carry concrete ranks
 	var bt bytes.Buffer
-	if err := WriteMergedLog(&bt, badTL); err != nil {
+	if err := badTL.Write(&bt); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ReadLog(bytes.NewReader(bt.Bytes())); !errors.Is(err, ErrBadLog) {
@@ -293,23 +273,11 @@ func TestReadLogRejectsStructuralCorruption(t *testing.T) {
 	badSeg.Timeline[0].Start = 9.0
 	badSeg.Timeline[0].End = 1.0
 	var bs bytes.Buffer
-	if err := WriteMergedLog(&bs, badSeg); err != nil {
+	if err := badSeg.Write(&bs); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ReadLog(bytes.NewReader(bs.Bytes())); !errors.Is(err, ErrBadLog) {
 		t.Errorf("inverted segment window: err = %v, want ErrBadLog", err)
-	}
-
-	// ReadMergedLog refuses single-kind logs.
-	r := newRig(DefaultConfig())
-	r.fs.CreateFile("/data/a.jpg", 4096)
-	r.run(t, func(th *sim.Thread) { readWholeFileTFStyle(th, r.c, "/data/a.jpg", 1<<20) })
-	var single bytes.Buffer
-	if err := writeLog(&single, r.rt, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadMergedLog(bytes.NewReader(single.Bytes())); !errors.Is(err, ErrBadLog) {
-		t.Errorf("ReadMergedLog on single log: err = %v, want ErrBadLog", err)
 	}
 }
 
@@ -358,6 +326,10 @@ func TestPropertyLogRoundTrip(t *testing.T) {
 			return false
 		}
 		if len(log.Posix) != n {
+			return false
+		}
+		if _, err := checkReadReplay(log); err != nil {
+			t.Error(err)
 			return false
 		}
 		for _, rec := range log.Posix {

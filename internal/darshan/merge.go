@@ -26,30 +26,6 @@ type MergedSegment struct {
 	Write bool
 }
 
-// MergedLog is the cross-rank aggregate of per-rank snapshots.
-type MergedLog struct {
-	// NProcs is the number of rank logs merged.
-	NProcs int
-	// JobEnd is the latest snapshot time across ranks (seconds).
-	JobEnd float64
-	// Names is the union of the per-rank name tables.
-	Names map[uint64]string
-	// Posix and Stdio hold one aggregated record per file id, ordered by
-	// first appearance (rank-major, then record order within the rank).
-	// A record's Rank is its owning rank, or MergedRank once a second
-	// rank contributes to the same file.
-	Posix []PosixRecord
-	Stdio []StdioRecord
-	// Timeline is every rank's DXT segments in one globally ordered
-	// sequence (by start time; deterministic tie-breaks).
-	Timeline []MergedSegment
-	// DroppedSegments sums DXT segments lost to per-record memory bounds.
-	DroppedSegments int64
-	// Faults sums the per-rank transient-fault/retry tallies (faults.go).
-	// Side channel only: not part of the serialized merged-log format.
-	Faults FaultCounters
-}
-
 // PosixCounterAdditive reports whether c aggregates across ranks by
 // summation (kindSum in posixCounters).
 func PosixCounterAdditive(c PosixCounter) bool { return posixCounters[c].kind == kindSum }
@@ -77,54 +53,54 @@ func foldStdioCounters(dst, src *StdioRecord) {
 	fold(dst.FCounters[:], src.FCounters[:], stdioFCounters[:])
 }
 
-// recordFold reduces the module records of many snapshots to one record
-// per file id, ordered by first appearance (snapshot order, then record
-// order). Merge feeds it one snapshot per rank, CombineSnapshots one per
-// process incarnation of a single rank. The accumulator is a Snapshot:
-// the latest snapshot time, the summed fault tallies, the union of the
-// name tables and the folded POSIX and STDIO records; DXT is left to the
+// recordFold reduces the module records of many logs to one record per
+// file id, ordered by first appearance (log order, then record order).
+// Merge feeds it one log per rank, CombineSnapshots one per process
+// incarnation of a single rank. The accumulator is a Log: the latest job
+// end, the summed fault tallies, the union of the name tables and the
+// folded POSIX and STDIO records; the header and DXT are left to the
 // caller.
 type recordFold struct {
-	*Snapshot
+	*Log
 	// posixIdx and stdioIdx map a file id to its record's index, assigned
 	// in first-appearance order before any record is folded.
 	posixIdx map[uint64]int
 	stdioIdx map[uint64]int
 }
 
-// newRecordFold sizes a fold of snaps (nil entries skipped) before any
+// newRecordFold sizes a fold of logs (nil entries skipped) before any
 // record is folded: it indexes the union of the record ids in
 // first-appearance order and allocates Posix and Stdio once at the size of
-// that union. A module no snapshot has records of stays nil, as the log
-// decoder leaves an empty block, so folds and decoded logs DeepEqual. The
-// index maps and the name table are sized by the largest per-snapshot
-// count, the least their union can hold.
-func newRecordFold(snaps []*Snapshot) *recordFold {
+// that union. A module no log has records of stays nil, as the log decoder
+// leaves an empty block, so folds and decoded logs DeepEqual. The index
+// maps and the name table are sized by the largest per-log count, the
+// least their union can hold.
+func newRecordFold(logs []*Log) *recordFold {
 	var nNames, nPosix, nStdio int
-	for _, snap := range snaps {
-		if snap != nil {
-			nNames = max(nNames, len(snap.Names))
-			nPosix = max(nPosix, len(snap.Posix))
-			nStdio = max(nStdio, len(snap.Stdio))
+	for _, l := range logs {
+		if l != nil {
+			nNames = max(nNames, len(l.Names))
+			nPosix = max(nPosix, len(l.Posix))
+			nStdio = max(nStdio, len(l.Stdio))
 		}
 	}
 	f := &recordFold{
-		Snapshot: &Snapshot{Names: make(map[uint64]string, nNames)},
+		Log:      &Log{Names: make(map[uint64]string, nNames)},
 		posixIdx: make(map[uint64]int, nPosix),
 		stdioIdx: make(map[uint64]int, nStdio),
 	}
-	for _, snap := range snaps {
-		if snap == nil {
+	for _, l := range logs {
+		if l == nil {
 			continue
 		}
-		for i := range snap.Posix {
-			if _, seen := f.posixIdx[snap.Posix[i].ID]; !seen {
-				f.posixIdx[snap.Posix[i].ID] = len(f.posixIdx)
+		for i := range l.Posix {
+			if _, seen := f.posixIdx[l.Posix[i].ID]; !seen {
+				f.posixIdx[l.Posix[i].ID] = len(f.posixIdx)
 			}
 		}
-		for i := range snap.Stdio {
-			if _, seen := f.stdioIdx[snap.Stdio[i].ID]; !seen {
-				f.stdioIdx[snap.Stdio[i].ID] = len(f.stdioIdx)
+		for i := range l.Stdio {
+			if _, seen := f.stdioIdx[l.Stdio[i].ID]; !seen {
+				f.stdioIdx[l.Stdio[i].ID] = len(f.stdioIdx)
 			}
 		}
 	}
@@ -137,16 +113,16 @@ func newRecordFold(snaps []*Snapshot) *recordFold {
 	return f
 }
 
-// add folds snap, one of the snapshots the fold was sized for, in as
-// rank's, in the order they were given to newRecordFold. A file's record
-// is created where its id was first indexed, stamped with the first rank
-// that touches it, and becomes MergedRank once another rank does.
-func (f *recordFold) add(rank int, snap *Snapshot) {
-	f.Time = max(f.Time, snap.Time)
-	f.Faults.Add(snap.Faults)
-	maps.Copy(f.Names, snap.Names)
-	for i := range snap.Posix {
-		src := &snap.Posix[i]
+// add folds l, one of the logs the fold was sized for, in as rank's, in
+// the order they were given to newRecordFold. A file's record is created
+// where its id was first indexed, stamped with the first rank that touches
+// it, and becomes MergedRank once another rank does.
+func (f *recordFold) add(rank int, l *Log) {
+	f.JobEnd = max(f.JobEnd, l.JobEnd)
+	f.Faults.Add(l.Faults)
+	maps.Copy(f.Names, l.Names)
+	for i := range l.Posix {
+		src := &l.Posix[i]
 		j := f.posixIdx[src.ID]
 		if j == len(f.Posix) {
 			f.Posix = append(f.Posix, PosixRecord{ID: src.ID, Rank: rank})
@@ -157,8 +133,8 @@ func (f *recordFold) add(rank int, snap *Snapshot) {
 		}
 		foldPosixCounters(dst, src)
 	}
-	for i := range snap.Stdio {
-		src := &snap.Stdio[i]
+	for i := range l.Stdio {
+		src := &l.Stdio[i]
 		j := f.stdioIdx[src.ID]
 		if j == len(f.Stdio) {
 			f.Stdio = append(f.Stdio, StdioRecord{ID: src.ID, Rank: rank})
@@ -180,8 +156,12 @@ func (f *recordFold) finish() {
 	}
 }
 
-// Merge reduces per-rank job-end snapshots (index = rank) into one
-// aggregate log. Each counter reduces by its kind in counters.go:
+// Merge reduces per-rank job-end logs (index = rank) into one merged log:
+// JobEnd is the latest per-rank job end, Names the union of the name
+// tables, Posix and Stdio one aggregated record per file id in order of
+// first appearance (rank-major, then record order within the rank), and
+// Timeline every rank's DXT segments in global timeline order. Each
+// counter reduces by its kind in counters.go:
 //
 //   - operation/byte/bucket counters and F_*_TIME accumulators: summed,
 //     so the merged value equals the sum of the per-rank values exactly;
@@ -191,36 +171,37 @@ func (f *recordFold) finish() {
 //   - ACCESS1..4: re-ranked from the union of the per-rank access tables.
 //
 // NProcs is the number of rank slots; a nil slot is a rank without
-// records.
-func Merge(perRank []*Snapshot) *MergedLog {
+// records. Faults sums the per-rank tallies.
+func Merge(perRank []*Log) *Log {
 	f := newRecordFold(perRank)
-	out := &MergedLog{NProcs: len(perRank)}
+	out := f.Log
+	out.NProcs, out.Merged = len(perRank), true
 
 	// The timeline is sized up front; it stays nil without segments, as
 	// the log decoder leaves an empty timeline.
 	nSegs := 0
-	for _, snap := range perRank {
-		if snap == nil {
+	for _, l := range perRank {
+		if l == nil {
 			continue
 		}
-		for i := range snap.DXT {
-			nSegs += len(snap.DXT[i].ReadSegs) + len(snap.DXT[i].WriteSegs)
+		for i := range l.DXT {
+			nSegs += len(l.DXT[i].ReadSegs) + len(l.DXT[i].WriteSegs)
 		}
 	}
 	if nSegs > 0 {
 		out.Timeline = make([]MergedSegment, 0, nSegs)
 	}
 
-	for rank, snap := range perRank {
-		if snap == nil {
+	for rank, l := range perRank {
+		if l == nil {
 			continue
 		}
-		// The snapshot index is the rank, for records and timeline alike
+		// The slot index is the rank, for records and timeline alike
 		// (stamped record ranks may be absent when merging independently
 		// captured runs).
-		f.add(rank, snap)
-		for i := range snap.DXT {
-			rec := &snap.DXT[i]
+		f.add(rank, l)
+		for i := range l.DXT {
+			rec := &l.DXT[i]
 			out.DroppedSegments += rec.Dropped
 			for _, seg := range rec.ReadSegs {
 				out.Timeline = append(out.Timeline, MergedSegment{Segment: seg, Rank: rank, ID: rec.ID})
@@ -233,8 +214,6 @@ func Merge(perRank []*Snapshot) *MergedLog {
 
 	f.finish()
 	sortTimeline(out.Timeline)
-	out.JobEnd, out.Names, out.Faults = f.Time, f.Names, f.Faults
-	out.Posix, out.Stdio = f.Posix, f.Stdio
 	return out
 }
 
@@ -308,31 +287,22 @@ func sortTimeline(tl []MergedSegment) {
 	}
 }
 
-func totalPosix(recs []PosixRecord, c PosixCounter) int64 {
+// TotalPosix sums counter c over the log's POSIX records. On a merged log
+// this equals the sum over the per-rank logs for every additive counter,
+// the merge invariant the cluster experiments check.
+func (l *Log) TotalPosix(c PosixCounter) int64 {
 	var n int64
-	for i := range recs {
-		n += recs[i].Counters[c]
+	for i := range l.Posix {
+		n += l.Posix[i].Counters[c]
 	}
 	return n
 }
 
-func totalStdio(recs []StdioRecord, c StdioCounter) int64 {
+// TotalStdio sums counter c over the log's STDIO records.
+func (l *Log) TotalStdio(c StdioCounter) int64 {
 	var n int64
-	for i := range recs {
-		n += recs[i].Counters[c]
+	for i := range l.Stdio {
+		n += l.Stdio[i].Counters[c]
 	}
 	return n
 }
-
-// TotalPosix sums counter c over the merged POSIX records.
-func (m *MergedLog) TotalPosix(c PosixCounter) int64 { return totalPosix(m.Posix, c) }
-
-// TotalStdio sums counter c over the merged STDIO records.
-func (m *MergedLog) TotalStdio(c StdioCounter) int64 { return totalStdio(m.Stdio, c) }
-
-// TotalPosix sums counter c over a snapshot's POSIX records (the per-rank
-// side of the merge invariant).
-func (s *Snapshot) TotalPosix(c PosixCounter) int64 { return totalPosix(s.Posix, c) }
-
-// TotalStdio sums counter c over a snapshot's STDIO records.
-func (s *Snapshot) TotalStdio(c StdioCounter) int64 { return totalStdio(s.Stdio, c) }

@@ -10,7 +10,7 @@ import (
 
 // syntheticSnapshots builds two rank snapshots sharing one file and each
 // owning a private one, with DXT segments that interleave in time.
-func syntheticSnapshots() []*Snapshot {
+func syntheticSnapshots() []*Log {
 	mkPosix := func(id uint64, rank int, reads, bytes, maxByte int64, rstart, rend float64) PosixRecord {
 		r := PosixRecord{ID: id, Rank: rank}
 		r.Counters[POSIX_OPENS] = 1
@@ -29,9 +29,10 @@ func syntheticSnapshots() []*Snapshot {
 	seg := func(off, length int64, start, end float64, tid int) Segment {
 		return Segment{Offset: off, Length: length, Start: start, End: end, TID: tid}
 	}
-	rank0 := &Snapshot{
-		Time:  10,
-		Posix: []PosixRecord{mkPosix(1, 0, 4, 400_000, 99_999, 0.5, 4.0), mkPosix(7, 0, 2, 200_000, 99_999, 1.0, 2.0)},
+	rank0 := &Log{
+		JobEnd: 10,
+		NProcs: 1,
+		Posix:  []PosixRecord{mkPosix(1, 0, 4, 400_000, 99_999, 0.5, 4.0), mkPosix(7, 0, 2, 200_000, 99_999, 1.0, 2.0)},
 		Stdio: []StdioRecord{func() StdioRecord {
 			r := StdioRecord{ID: 9, Rank: 0}
 			r.Counters[STDIO_WRITES] = 3
@@ -45,9 +46,10 @@ func syntheticSnapshots() []*Snapshot {
 		}},
 		Names: map[uint64]string{1: "/pfs/shared", 7: "/pfs/only0", 9: "/pfs/ckpt"},
 	}
-	rank1 := &Snapshot{
-		Time:  12,
-		Posix: []PosixRecord{mkPosix(1, 1, 6, 600_000, 149_999, 0.25, 6.0), mkPosix(8, 1, 2, 200_000, 99_999, 3.0, 4.0)},
+	rank1 := &Log{
+		JobEnd: 12,
+		NProcs: 1,
+		Posix:  []PosixRecord{mkPosix(1, 1, 6, 600_000, 149_999, 0.25, 6.0), mkPosix(8, 1, 2, 200_000, 99_999, 3.0, 4.0)},
 		Stdio: []StdioRecord{func() StdioRecord {
 			r := StdioRecord{ID: 9, Rank: 1}
 			r.Counters[STDIO_WRITES] = 5
@@ -64,7 +66,7 @@ func syntheticSnapshots() []*Snapshot {
 		}},
 		Names: map[uint64]string{1: "/pfs/shared", 8: "/pfs/only1"},
 	}
-	return []*Snapshot{rank0, rank1}
+	return []*Log{rank0, rank1}
 }
 
 func TestMergeCountersEqualPerRankSums(t *testing.T) {
@@ -184,21 +186,22 @@ func TestMergeTimelineGloballyOrderedWithRankAttribution(t *testing.T) {
 // tieSnapshots builds two ranks whose combined access table is all count
 // ties: the merged ACCESS1..4 ranking is decided purely by the explicit
 // tie-break, and a fifth entry must be the one dropped.
-func tieSnapshots() []*Snapshot {
-	mk := func(rank int, sizes ...int64) *Snapshot {
+func tieSnapshots() []*Log {
+	mk := func(rank int, sizes ...int64) *Log {
 		rec := PosixRecord{ID: 5, Rank: rank}
 		for k, s := range sizes {
 			rec.Counters[POSIX_ACCESS1_ACCESS+PosixCounter(k)] = s
 			rec.Counters[POSIX_ACCESS1_COUNT+PosixCounter(k)] = 2
 		}
-		return &Snapshot{
-			Time:  1,
-			Posix: []PosixRecord{rec},
-			Names: map[uint64]string{5: "/pfs/tied"},
+		return &Log{
+			JobEnd: 1,
+			NProcs: 1,
+			Posix:  []PosixRecord{rec},
+			Names:  map[uint64]string{5: "/pfs/tied"},
 		}
 	}
 	// Five distinct sizes across the ranks, every one with count 2.
-	return []*Snapshot{mk(0, 4096, 100, 9000), mk(1, 512, 70000)}
+	return []*Log{mk(0, 4096, 100, 9000), mk(1, 512, 70000)}
 }
 
 // TestMergeAccessTieBreakExplicit pins the re-ranking order of the merged
@@ -228,14 +231,14 @@ func TestMergeAccessTieBreakExplicit(t *testing.T) {
 // serialize to the same bytes every time — the property the explicit
 // tie-break exists to guarantee.
 func TestMergedLogByteStableAcrossMapOrder(t *testing.T) {
-	serialize := func(snaps []*Snapshot) []byte {
+	serialize := func(snaps []*Log) []byte {
 		var buf bytes.Buffer
-		if err := WriteMergedLog(&buf, Merge(snaps)); err != nil {
+		if err := Merge(snaps).Write(&buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
 	}
-	for _, mk := range []func() []*Snapshot{tieSnapshots, syntheticSnapshots} {
+	for _, mk := range []func() []*Log{tieSnapshots, syntheticSnapshots} {
 		want := serialize(mk())
 		for i := 0; i < 32; i++ {
 			if got := serialize(mk()); !bytes.Equal(got, want) {
@@ -248,7 +251,7 @@ func TestMergedLogByteStableAcrossMapOrder(t *testing.T) {
 // stableTimelineOrder is the reference for Merge's timeline order:
 // sort.SliceStable with the merge's comparator over the segments in input
 // order. Merge's permutation sort must reproduce it exactly.
-func stableTimelineOrder(perRank []*Snapshot) []MergedSegment {
+func stableTimelineOrder(perRank []*Log) []MergedSegment {
 	var tl []MergedSegment
 	for rank, snap := range perRank {
 		if snap == nil {
@@ -290,13 +293,13 @@ func stableTimelineOrder(perRank []*Snapshot) []MergedSegment {
 // starts and ends collide, with deliberate full-key twins: segments equal
 // on start, end, rank, file, offset and direction that differ only in
 // length or thread, whose relative order only stability decides.
-func randomTimelineSnapshots(rng *rand.Rand) []*Snapshot {
-	snaps := make([]*Snapshot, 1+rng.Intn(8))
+func randomTimelineSnapshots(rng *rand.Rand) []*Log {
+	snaps := make([]*Log, 1+rng.Intn(8))
 	for r := range snaps {
 		if rng.Intn(6) == 0 {
 			continue
 		}
-		snap := &Snapshot{Time: 10}
+		snap := &Log{JobEnd: 10, NProcs: 1}
 		for _, f := range rng.Perm(6)[:1+rng.Intn(6)] {
 			rec := DXTRecord{ID: uint64(f + 1)}
 			for _, segs := range []*[]Segment{&rec.ReadSegs, &rec.WriteSegs} {
@@ -357,10 +360,10 @@ func TestMergeWithoutDXTRoundTrips(t *testing.T) {
 		t.Fatalf("DXT-free merge has a non-nil timeline of %d segments", len(m.Timeline))
 	}
 	var buf bytes.Buffer
-	if err := WriteMergedLog(&buf, m); err != nil {
+	if err := m.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadMergedLog(bytes.NewReader(buf.Bytes()))
+	got, err := ReadLog(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,15 +377,15 @@ func TestMergeWithoutDXTRoundTrips(t *testing.T) {
 // the gap stay in range and the merged log reads back as written.
 func TestMergeNilRankSlotRoundTrips(t *testing.T) {
 	snaps := syntheticSnapshots()
-	m := Merge([]*Snapshot{snaps[0], nil, snaps[1]})
+	m := Merge([]*Log{snaps[0], nil, snaps[1]})
 	if m.NProcs != 3 {
 		t.Fatalf("nprocs = %d, want 3 rank slots", m.NProcs)
 	}
 	var buf bytes.Buffer
-	if err := WriteMergedLog(&buf, m); err != nil {
+	if err := m.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadMergedLog(bytes.NewReader(buf.Bytes()))
+	got, err := ReadLog(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,8 @@ package darshan
 
 import "testing"
 
-func posixSnap(time float64, ids ...uint64) *Snapshot {
-	s := &Snapshot{Time: time, Names: map[uint64]string{}}
+func posixSnap(time float64, ids ...uint64) *Log {
+	s := &Log{JobEnd: time, NProcs: 1, Names: map[uint64]string{}}
 	for _, id := range ids {
 		rec := PosixRecord{ID: id}
 		rec.Counters[POSIX_OPENS] = 1
@@ -19,7 +19,7 @@ func TestTotalPosixFSumsAcrossRecordsAndRanks(t *testing.T) {
 	if got := a.TotalPosixF(POSIX_F_META_TIME); got != 1.0 {
 		t.Fatalf("snapshot TotalPosixF = %v, want 1.0", got)
 	}
-	m := Merge([]*Snapshot{a, b})
+	m := Merge([]*Log{a, b})
 	// Merge sums F_META_TIME across ranks: 4 record contributions total.
 	if got := m.TotalPosixF(POSIX_F_META_TIME); got != 2.0 {
 		t.Fatalf("merged TotalPosixF = %v, want 2.0", got)
@@ -27,7 +27,7 @@ func TestTotalPosixFSumsAcrossRecordsAndRanks(t *testing.T) {
 }
 
 func TestSharedRecordIDsMatchesMergeSharedRanking(t *testing.T) {
-	perRank := []*Snapshot{
+	perRank := []*Log{
 		posixSnap(1.0, 1, 2, 5),
 		nil, // dead rank: skipped, like Merge does
 		posixSnap(1.0, 2, 3),

@@ -9,15 +9,6 @@ import (
 	"io"
 )
 
-// binaryReadU32 reads the clear-text version field with ErrBadLog
-// wrapping.
-func binaryReadU32(r io.Reader, v *uint32) error {
-	if err := binary.Read(r, binary.LittleEndian, v); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadLog, err)
-	}
-	return nil
-}
-
 // IsLogData reports whether b begins with the Darshan log magic — the
 // sniff viewers use to tell a binary log from other trace formats.
 func IsLogData(b []byte) bool {
@@ -51,7 +42,6 @@ type LogReader struct {
 	zr *gzip.Reader
 	d  *logDecoder
 
-	version uint32
 	merged  bool
 	jobEnd  float64
 	nprocs  int64
@@ -75,13 +65,14 @@ func NewLogReader(r io.Reader) (*LogReader, error) {
 	if magic != logMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrBadLog)
 	}
+	var version uint32
+	if err := binary.Read(r, binary.LittleEndian, &version); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadLog, err)
+	}
+	if version != LogVersion {
+		return nil, fmt.Errorf("%w: unsupported version %d (want %d)", ErrBadLog, version, LogVersion)
+	}
 	lr := &LogReader{}
-	if err := binaryReadU32(r, &lr.version); err != nil {
-		return nil, err
-	}
-	if lr.version != LogVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d (want %d)", ErrBadLog, lr.version, LogVersion)
-	}
 	zr, err := gzip.NewReader(r)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadLog, err)

@@ -343,8 +343,8 @@ type Result struct {
 	CacheBusy  []sim.Duration
 	// PerWorker is each worker's Darshan record set exported at run end;
 	// Merged is their cross-worker reduction (counters + DXT timeline).
-	PerWorker []*darshan.Snapshot
-	Merged    *darshan.MergedLog
+	PerWorker []*darshan.Log
+	Merged    *darshan.Log
 }
 
 // TotalColdBytes sums the jobs' no-sharing read volumes — the bound the

@@ -99,7 +99,7 @@ type RankResult struct {
 	// Snapshot is the rank's Darshan record set exported at job end.
 	// For a rank that died, the pre-failure incarnations' records are
 	// folded in (darshan.CombineSnapshots).
-	Snapshot *darshan.Snapshot
+	Snapshot *darshan.Log
 	// ShardFiles is the number of files in the rank's per-epoch shard.
 	ShardFiles int
 	// Lifecycle is the rank's state transitions; a run without failures
@@ -138,7 +138,7 @@ type Result struct {
 	// PerRank holds one entry per rank, in rank order.
 	PerRank []RankResult
 	// Merged is the cross-rank reduction of the per-rank Darshan logs.
-	Merged *darshan.MergedLog
+	Merged *darshan.Log
 	// Steps is the nominal lockstep step count of the job (rollback
 	// replays re-run some of them; see Failures).
 	Steps int
@@ -162,16 +162,16 @@ type LogSet struct {
 
 // SerializeLogs writes the run's Darshan record sets as real log files:
 // one merged log for the whole cluster run and one per-rank log each, all
-// round-trippable through darshan.ReadLog/ReadMergedLog.
+// round-trippable through darshan.ReadLog.
 func (r *Result) SerializeLogs() (*LogSet, error) {
 	var merged bytes.Buffer
-	if err := darshan.WriteMergedLog(&merged, r.Merged); err != nil {
+	if err := r.Merged.Write(&merged); err != nil {
 		return nil, fmt.Errorf("distributed: merged log: %w", err)
 	}
 	set := &LogSet{Merged: merged.Bytes(), PerRank: make([][]byte, len(r.PerRank))}
 	for i := range r.PerRank {
 		var buf bytes.Buffer
-		if err := darshan.WriteSnapshotLog(&buf, r.PerRank[i].Snapshot); err != nil {
+		if err := r.PerRank[i].Snapshot.Write(&buf); err != nil {
 			return nil, fmt.Errorf("distributed: rank %d log: %w", i, err)
 		}
 		set.PerRank[i] = buf.Bytes()
@@ -266,10 +266,10 @@ func Run(c *platform.Cluster, paths []string, opts Options) (*Result, error) {
 	// Job-end export of each rank's Darshan record set — with a dead
 	// incarnation's records folded in where a rank died — then the
 	// cross-rank reduction.
-	snaps := make([]*darshan.Snapshot, ranks)
+	snaps := make([]*darshan.Log, ranks)
 	for r, rt := range c.Runtimes() {
 		final := rt.Export(c.K.Now())
-		// Stamp the live process's fault/retry tally on its snapshot (dead
+		// Stamp the live process's fault/retry tally on its log (dead
 		// incarnations were stamped at the death instant); CombineSnapshots
 		// sums the side channel across incarnations.
 		final.Faults = envFaultCounters(c.Nodes[r].Env)

@@ -262,9 +262,9 @@ func TestEpochsReshuffle(t *testing.T) {
 
 // TestLogSerializationRoundTrip is the serialization half of the merge
 // contract, table-driven over the rank ladder: for every rank count the
-// merged log and each per-rank log survive WriteMergedLog/WriteSnapshotLog
-// → ReadMergedLog/ReadLog with every counter, watermark, ACCESS entry,
-// name and DXT segment exactly intact.
+// merged log and each per-rank log survive Write → ReadLog whole: header,
+// every counter, watermark, ACCESS entry, name and DXT segment. The
+// fault tally is a side channel the format does not carry.
 func TestLogSerializationRoundTrip(t *testing.T) {
 	for _, ranks := range []int{1, 2, 4, 8} {
 		res := runRanks(t, ranks, 64, defaultOpts())
@@ -272,15 +272,17 @@ func TestLogSerializationRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ranks=%d: %v", ranks, err)
 		}
-		merged, err := darshan.ReadMergedLog(bytes.NewReader(logs.Merged))
+		merged, err := darshan.ReadLog(bytes.NewReader(logs.Merged))
 		if err != nil {
 			t.Fatalf("ranks=%d: merged decode: %v", ranks, err)
 		}
-		if !reflect.DeepEqual(merged, res.Merged) {
+		want := *res.Merged
+		want.Faults = darshan.FaultCounters{}
+		if !reflect.DeepEqual(merged, &want) {
 			t.Fatalf("ranks=%d: merged log did not round-trip", ranks)
 		}
-		if merged.NProcs != ranks {
-			t.Fatalf("ranks=%d: decoded nprocs %d", ranks, merged.NProcs)
+		if !merged.Merged || merged.NProcs != ranks {
+			t.Fatalf("ranks=%d: decoded merged %v nprocs %d", ranks, merged.Merged, merged.NProcs)
 		}
 		if len(logs.PerRank) != ranks {
 			t.Fatalf("ranks=%d: %d per-rank logs", ranks, len(logs.PerRank))
@@ -290,14 +292,10 @@ func TestLogSerializationRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("ranks=%d rank %d: %v", ranks, r, err)
 			}
-			snap := res.PerRank[r].Snapshot
-			if log.Merged || log.NProcs != 1 || log.JobEnd != snap.Time {
-				t.Fatalf("ranks=%d rank %d header: merged %v nprocs %d end %v",
-					ranks, r, log.Merged, log.NProcs, log.JobEnd)
-			}
-			if !reflect.DeepEqual(log.Posix, snap.Posix) || !reflect.DeepEqual(log.Stdio, snap.Stdio) ||
-				!reflect.DeepEqual(log.DXT, snap.DXT) || !reflect.DeepEqual(log.Names, snap.Names) {
-				t.Fatalf("ranks=%d rank %d record set did not round-trip", ranks, r)
+			want := *res.PerRank[r].Snapshot
+			want.Faults = darshan.FaultCounters{}
+			if !reflect.DeepEqual(log, &want) {
+				t.Fatalf("ranks=%d rank %d log did not round-trip", ranks, r)
 			}
 		}
 	}
@@ -359,7 +357,7 @@ func TestSharedPathsProduceSharedRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := darshan.ReadMergedLog(bytes.NewReader(logs.Merged))
+	m, err := darshan.ReadLog(bytes.NewReader(logs.Merged))
 	if err != nil {
 		t.Fatal(err)
 	}

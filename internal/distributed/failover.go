@@ -183,7 +183,7 @@ type driver struct {
 	// preFail[r] collects rank r's dead incarnations' snapshots, exported
 	// at the death instant (the simulator's failure oracle preserves what
 	// a real crash would lose) and folded into the rank's job-end export.
-	preFail [][]*darshan.Snapshot
+	preFail [][]*darshan.Log
 	// cont is the elastic continuation plan (Plan.Without), computed once
 	// at the failure instant when Options.Elastic is set; contTotal is the
 	// job's total barrier generations under it (elastic.go).
@@ -199,7 +199,7 @@ func newDriver(c *platform.Cluster, opts Options, plan *Plan) *driver {
 		bar:     sim.NewBarrier(ranks),
 		halted:  make([]bool, ranks),
 		fails:   make([]failureState, len(opts.Failures)),
-		preFail: make([][]*darshan.Snapshot, ranks),
+		preFail: make([][]*darshan.Log, ranks),
 	}
 	for i, ev := range opts.Failures {
 		d.fails[i] = failureState{ev: ev}

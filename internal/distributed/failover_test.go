@@ -44,7 +44,7 @@ func runRanksStdioDXT(t *testing.T, ranks, files int, opts Options) *Result {
 // ckptStdioBytesWritten sums STDIO bytes written to checkpoint files in
 // the merged log. Checkpoints go through fwrite, so they appear in the
 // STDIO module and not in POSIX (the paper's Fig. 6 asymmetry).
-func ckptStdioBytesWritten(m *darshan.MergedLog) int64 {
+func ckptStdioBytesWritten(m *darshan.Log) int64 {
 	var n int64
 	for i := range m.Stdio {
 		if strings.HasPrefix(m.Names[m.Stdio[i].ID], ckptDir+"/") {

@@ -53,7 +53,7 @@ func ProduceArtifacts(c Config, useCase string) (*RunArtifacts, error) {
 		return nil, err
 	}
 	var logBuf bytes.Buffer
-	if err := darshan.WriteSnapshotLog(&logBuf, setup.machine.Darshan.Export(setup.machine.K.Now())); err != nil {
+	if err := setup.machine.Darshan.Export(setup.machine.K.Now()).Write(&logBuf); err != nil {
 		return nil, err
 	}
 	return &RunArtifacts{
@@ -79,12 +79,12 @@ func produceDistributedArtifacts(c Config) (*RunArtifacts, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, err := darshan.ReadMergedLog(bytes.NewReader(logs.Merged))
+	m, err := darshan.ReadLog(bytes.NewReader(logs.Merged))
 	if err != nil {
 		return nil, fmt.Errorf("merged log does not round-trip: %w", err)
 	}
-	if m.NProcs != ranks {
-		return nil, fmt.Errorf("merged log decodes to nprocs %d, want %d", m.NProcs, ranks)
+	if !m.Merged || m.NProcs != ranks {
+		return nil, fmt.Errorf("merged log decodes to merged=%v nprocs %d, want a merged log of %d", m.Merged, m.NProcs, ranks)
 	}
 	return &RunArtifacts{DarshanLog: logs.Merged, PerRankLogs: logs.PerRank}, nil
 }

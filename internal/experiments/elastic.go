@@ -88,7 +88,7 @@ var elasticTable = &tableSpec[ElasticRow]{
 // datasetReads sums POSIX bytes read outside the checkpoint prefix — the
 // dataset traffic a protocol actually paid for — and counts the distinct
 // dataset files touched.
-func datasetReads(m *darshan.MergedLog) (bytes int64, files int) {
+func datasetReads(m *darshan.Log) (bytes int64, files int) {
 	for i := range m.Posix {
 		if strings.HasPrefix(m.Names[m.Posix[i].ID], failoverCkptDir+"/") {
 			continue

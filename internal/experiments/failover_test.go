@@ -83,9 +83,12 @@ func TestFailoverReferenceLogUpToDate(t *testing.T) {
 	if len(res.Failures) != 1 || res.Failures[0].CheckpointStep != 2 {
 		t.Fatalf("failures %+v, want one rollback to step 2", res.Failures)
 	}
-	m, err := darshan.ReadMergedLog(bytes.NewReader(want))
+	m, err := darshan.ReadLog(bytes.NewReader(want))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !m.Merged {
+		t.Fatal("failover reference log is not a merged log")
 	}
 	var ckptReads, ckptWrites int
 	for _, s := range m.Timeline {

@@ -86,12 +86,12 @@ func TestMergedReferenceLogUpToDate(t *testing.T) {
 
 	// The committed artifact must carry the full merged-format surface:
 	// nprocs=4, a rank −1 shared record, and DXT attributed to all ranks.
-	m, err := darshan.ReadMergedLog(bytes.NewReader(want))
+	m, err := darshan.ReadLog(bytes.NewReader(want))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.NProcs != 4 {
-		t.Fatalf("nprocs = %d", m.NProcs)
+	if !m.Merged || m.NProcs != 4 {
+		t.Fatalf("merged %v nprocs = %d", m.Merged, m.NProcs)
 	}
 	shared := 0
 	for i := range m.Posix {
@@ -121,12 +121,12 @@ func TestDistributedArtifacts(t *testing.T) {
 	if art.TraceJSONGz != nil || art.ProfilePB != nil {
 		t.Fatal("distributed artifacts should carry logs only")
 	}
-	m, err := darshan.ReadMergedLog(bytes.NewReader(art.DarshanLog))
+	m, err := darshan.ReadLog(bytes.NewReader(art.DarshanLog))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.NProcs != 2 {
-		t.Fatalf("nprocs = %d", m.NProcs)
+	if !m.Merged || m.NProcs != 2 {
+		t.Fatalf("merged %v nprocs = %d", m.Merged, m.NProcs)
 	}
 	if len(art.PerRankLogs) != 2 {
 		t.Fatalf("per-rank logs = %d", len(art.PerRankLogs))

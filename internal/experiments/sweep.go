@@ -222,7 +222,7 @@ func (c Config) clusterStaging(ranks int) (*clusterOutcome, []*core.StagingAdvic
 	if err != nil {
 		return nil, nil, err
 	}
-	snaps := make([]*darshan.Snapshot, len(prof.PerRank))
+	snaps := make([]*darshan.Log, len(prof.PerRank))
 	for r := range prof.PerRank {
 		snaps[r] = prof.PerRank[r].Snapshot
 	}

@@ -16,7 +16,8 @@ func restoredRun(n int, wall float64) *distributed.Result {
 	return &distributed.Result{
 		WallSeconds: wall,
 		Failures:    slices.Repeat([]distributed.FailureRecord{rec}, n),
-		Merged: &darshan.MergedLog{
+		Merged: &darshan.Log{
+			Merged:   true,
 			Names:    map[uint64]string{1: failoverCkptDir + "/ckpt-1"},
 			Timeline: []darshan.MergedSegment{seg},
 		},

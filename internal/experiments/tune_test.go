@@ -151,7 +151,7 @@ func TestTuneRanks1DegeneratesToSingleProcessAdvice(t *testing.T) {
 	}
 	capacity := res.cluster.Nodes[0].Optane.Capacity()
 	snap := res.PerRank[0].Snapshot
-	got := core.AdviseClusterStaging([]*darshan.Snapshot{snap}, core.ClusterStagingOptions{
+	got := core.AdviseClusterStaging([]*darshan.Log{snap}, core.ClusterStagingOptions{
 		PerNodeCapacity: capacity,
 		Objective:       core.StagingBytesScarce,
 		SizeOf:          res.sizeOf,
