@@ -170,10 +170,39 @@ func (e *logEncoder) flush() {
 	e.buf = e.buf[:0]
 }
 
+// checkJobRecord rejects a job record the log cannot carry: an end time
+// that is not a finite, non-negative number of seconds, or a process count
+// outside the log kind's range (1 to maxLogNProcs ranks for a merged log,
+// exactly 1 for a single-process log).
+func checkJobRecord(merged bool, jobEnd float64, nprocs int64) error {
+	if !finiteTime(jobEnd) {
+		return fmt.Errorf("%w: job end time %v", ErrBadLog, jobEnd)
+	}
+	if nprocs < 1 || nprocs > maxLogNProcs || !merged && nprocs != 1 {
+		return fmt.Errorf("%w: nprocs %d out of range (merged %v)", ErrBadLog, nprocs, merged)
+	}
+	return nil
+}
+
 // Write serializes the log. The encoding is canonical: the name table is
 // written in ascending record-id order and record blocks in slice order,
-// so writing a freshly parsed log reproduces the input bytes exactly.
+// so writing a freshly parsed log reproduces the input bytes exactly. A
+// log ReadLog would reject is an ErrBadLog error before any byte is
+// written.
 func (l *Log) Write(w io.Writer) error {
+	if err := checkJobRecord(l.Merged, l.JobEnd, int64(l.NProcs)); err != nil {
+		return err
+	}
+	// Name table ids, ascending for a canonical byte stream.
+	ids := make([]uint64, 0, len(l.Names))
+	for id, name := range l.Names {
+		if len(name) > math.MaxUint16 {
+			return fmt.Errorf("%w: a record name is longer than %d bytes", ErrBadLog, math.MaxUint16)
+		}
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+
 	var header [len(logMagic) + 4]byte
 	copy(header[:], logMagic[:])
 	binary.LittleEndian.PutUint32(header[len(logMagic):], LogVersion)
@@ -193,12 +222,7 @@ func (l *Log) Write(w io.Writer) error {
 	e.f64(l.JobEnd)
 	e.i64(int64(l.NProcs))
 
-	// Name table, ascending id for a canonical byte stream.
-	ids := make([]uint64, 0, len(l.Names))
-	for id := range l.Names {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	// Name table.
 	e.u32(uint32(len(ids)))
 	for _, id := range ids {
 		name := l.Names[id]

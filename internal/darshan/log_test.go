@@ -9,6 +9,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io"
+	"math"
 	"reflect"
 	"runtime"
 	"strings"
@@ -278,6 +279,49 @@ func TestReadLogRejectsStructuralCorruption(t *testing.T) {
 	}
 	if _, err := ReadLog(bytes.NewReader(bs.Bytes())); !errors.Is(err, ErrBadLog) {
 		t.Errorf("inverted segment window: err = %v, want ErrBadLog", err)
+	}
+}
+
+// TestWriteRejectsWhatReadLogRejects: Write refuses a job record or name
+// table ReadLog would reject with an ErrBadLog error, before writing any
+// byte, and accepts the bounds themselves.
+func TestWriteRejectsWhatReadLogRejects(t *testing.T) {
+	long := map[uint64]string{7: strings.Repeat("x", 70000)}
+	for _, tc := range []struct {
+		name string
+		log  *Log
+	}{
+		{"nprocs 0", &Log{JobEnd: 1}},
+		{"merged nprocs 0", &Log{JobEnd: 1, Merged: true}},
+		{"negative nprocs", &Log{JobEnd: 1, NProcs: -1, Merged: true}},
+		{"nprocs over bound", &Log{JobEnd: 1, NProcs: maxLogNProcs + 1, Merged: true}},
+		{"single-process log with 2 procs", &Log{JobEnd: 1, NProcs: 2}},
+		{"negative job end", &Log{JobEnd: -1, NProcs: 1}},
+		{"NaN job end", &Log{JobEnd: math.NaN(), NProcs: 4, Merged: true}},
+		{"infinite job end", &Log{JobEnd: math.Inf(1), NProcs: 1}},
+		{"70,000-byte name", &Log{JobEnd: 1, NProcs: 1, Names: long}},
+		{"70,000-byte name, merged", &Log{JobEnd: 1, NProcs: 4, Merged: true, Names: long}},
+	} {
+		var buf bytes.Buffer
+		if err := tc.log.Write(&buf); !errors.Is(err, ErrBadLog) {
+			t.Errorf("%s: err = %v, want ErrBadLog", tc.name, err)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("%s: wrote %d bytes before failing", tc.name, buf.Len())
+		}
+	}
+	for _, l := range []*Log{
+		{JobEnd: 0, NProcs: 1},
+		{JobEnd: 1, NProcs: maxLogNProcs, Merged: true},
+		{JobEnd: 1, NProcs: 1, Names: map[uint64]string{7: strings.Repeat("x", 1<<16-1)}},
+	} {
+		var buf bytes.Buffer
+		if err := l.Write(&buf); err != nil {
+			t.Fatalf("nprocs %d, merged %v: %v", l.NProcs, l.Merged, err)
+		}
+		if _, err := ReadLog(&buf); err != nil {
+			t.Errorf("nprocs %d, merged %v: read back: %v", l.NProcs, l.Merged, err)
+		}
 	}
 }
 

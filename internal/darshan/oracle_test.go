@@ -173,7 +173,9 @@ func rankExports(t *testing.T, ranks int) []*Log {
 }
 
 // TestDXTReplayMatchesCounters checks the replay oracle on runtime
-// exports, their merge, and the committed single-process reference log.
+// exports, their merge, the committed single-process reference log and
+// the experiments' merged reference logs (four ranks reading, and a
+// failover run with STDIO checkpoints).
 func TestDXTReplayMatchesCounters(t *testing.T) {
 	perRank := rankExports(t, 3)
 	for rank, l := range perRank {
@@ -185,15 +187,21 @@ func TestDXTReplayMatchesCounters(t *testing.T) {
 	}
 	mustReplay(t, "merge", merged)
 
-	b, err := os.ReadFile(filepath.Join("testdata", singleRefLog))
-	if err != nil {
-		t.Fatal(err)
+	for _, path := range []string{
+		filepath.Join("testdata", singleRefLog),
+		filepath.Join("..", "experiments", "testdata", "merged4.darshan.log"),
+		filepath.Join("..", "experiments", "testdata", "failover2.darshan.log"),
+	} {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := ReadLog(bytes.NewReader(b))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		mustReplay(t, path, ref)
 	}
-	ref, err := ReadLog(bytes.NewReader(b))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustReplay(t, singleRefLog, ref)
 }
 
 // TestDXTReplayDetectsCounterDrift: the oracle is not vacuous — a record

@@ -97,14 +97,8 @@ func NewLogReader(r io.Reader) (*LogReader, error) {
 		return nil, d.fail("job record")
 	}
 	lr.jobEnd, lr.nprocs = d.f64(), d.i64()
-	if !finiteTime(lr.jobEnd) {
-		return nil, fmt.Errorf("%w: job end time %v", ErrBadLog, lr.jobEnd)
-	}
-	if lr.nprocs < 1 || lr.nprocs > maxLogNProcs {
-		return nil, fmt.Errorf("%w: nprocs %d out of range", ErrBadLog, lr.nprocs)
-	}
-	if !lr.merged && lr.nprocs != 1 {
-		return nil, fmt.Errorf("%w: single-process log with nprocs %d", ErrBadLog, lr.nprocs)
+	if err := checkJobRecord(lr.merged, lr.jobEnd, lr.nprocs); err != nil {
+		return nil, err
 	}
 
 	// Name table.

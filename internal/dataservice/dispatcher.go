@@ -5,9 +5,7 @@ import (
 )
 
 // DispatcherStats counts control-plane activity. BusyNs is the time the
-// dispatcher spent servicing RPCs — divided by the run's wall time it is
-// the dispatcher's utilization, the number that says whether the control
-// plane (rather than storage) is what saturates under a job ramp.
+// dispatcher spent servicing RPCs, its one-server station's busy time.
 type DispatcherStats struct {
 	Registers     int64 // jobs registered
 	Unregisters   int64 // jobs unregistered
@@ -27,25 +25,16 @@ const dispatcherLatency = 200 * sim.Microsecond
 // fixed service latency, so a flood of concurrent registrations queues —
 // the dispatcher is a saturable resource like the MDS, not bookkeeping.
 type dispatcher struct {
-	mu     sim.Mutex
+	st     *sim.Station
 	active int
 	stats  DispatcherStats
 }
 
-// rpc serializes ops control-plane round trips through the dispatcher,
-// charging the service latency for each to the calling thread.
-func (d *dispatcher) rpc(t *sim.Thread, ops int64) {
-	d.mu.Lock(t)
-	dur := sim.Duration(ops) * dispatcherLatency
-	t.Sleep(dur)
-	d.stats.BusyNs += int64(dur)
-	d.mu.Unlock(t)
-}
-
-// register admits one job and grants its shard leases (one RPC for the
-// registration plus one per lease).
+// register admits one job and grants its shard leases: one RPC for the
+// registration plus one per lease, served back to back by the dispatcher's
+// station at the service latency each.
 func (d *dispatcher) register(t *sim.Thread, leases int) {
-	d.rpc(t, 1+int64(leases))
+	d.st.Serve(t, sim.Duration(1+leases)*dispatcherLatency)
 	d.stats.Registers++
 	d.stats.Leases += int64(leases)
 	d.active++
@@ -54,9 +43,10 @@ func (d *dispatcher) register(t *sim.Thread, leases int) {
 	}
 }
 
-// unregister releases the job's leases and retires it.
+// unregister releases the job's leases and retires it, one RPC each as
+// in register.
 func (d *dispatcher) unregister(t *sim.Thread, leases int) {
-	d.rpc(t, 1+int64(leases))
+	d.st.Serve(t, sim.Duration(1+leases)*dispatcherLatency)
 	d.stats.Unregisters++
 	d.stats.LeaseReleases += int64(leases)
 	d.active--

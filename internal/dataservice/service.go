@@ -17,9 +17,11 @@
 // concurrent requests for a file join the fetch already in flight instead
 // of issuing their own.
 //
-// The saturable resources are explicit: the PFS (OSS bandwidth), the
+// The saturable resources are explicit: the PFS object servers, the
 // shared MDS, the cache tier's NVMe devices, and the dispatcher's
-// serialized control plane. Ramping simultaneous jobs against a fixed
+// serialized control plane. Each queues through sim.Station service
+// stations, and Run reports every resource's utilization under one
+// definition (Utilization). Ramping simultaneous jobs against a fixed
 // fleet finds which knees first — the experiment the dataservice
 // registry artifact runs.
 package dataservice
@@ -128,6 +130,7 @@ func newService(c *platform.Cluster, cfg Config) (*service, error) {
 	s := &service{
 		cluster:  c,
 		cfg:      cfg,
+		disp:     dispatcher{st: sim.NewStation(1)},
 		inflight: make(map[string]*sim.Chan[struct{}]),
 	}
 	if cfg.CacheBytes > 0 {
@@ -332,19 +335,52 @@ type Result struct {
 	Dispatcher DispatcherStats
 	// WallSeconds is the virtual duration of the whole run.
 	WallSeconds float64
-	// PFSBytesRead/PFSMetaOps/PFSBusy are the shared Lustre device's
-	// deltas over the run — what the fleet actually asked of the PFS.
+	// PFSBytesRead is the shared Lustre device's read delta over the run —
+	// what the fleet actually asked of the PFS.
 	PFSBytesRead int64
-	PFSMetaOps   int64
-	PFSBusy      sim.Duration
-	// CacheStats/CacheBusy are the per-worker cache tier counters and
-	// NVMe busy-time deltas (nil/zero when the tier is off).
+	// CacheStats is the per-worker cache tier counters (nil when the tier
+	// is off).
 	CacheStats []vfs.NodeCacheStats
-	CacheBusy  []sim.Duration
+	// Util is each saturable resource's utilization over the run.
+	Util Utilization
 	// PerWorker is each worker's Darshan record set exported at run end;
 	// Merged is their cross-worker reduction (counters + DXT timeline).
 	PerWorker []*darshan.Log
 	Merged    *darshan.Log
+}
+
+// Utilization is the share of a run each saturable resource spent busy:
+// busy server-time ÷ (servers × wall) on the resource's busiest station,
+// so every value is in [0, 1].
+type Utilization struct {
+	PFS        float64 // Lustre object servers: data slots and bus
+	MDS        float64 // the shared metadata server
+	Cache      float64 // the busiest worker's cache NVMe: slots and bus
+	Dispatcher float64 // the control plane
+}
+
+// load is one resource's stations and their busy time when a run began.
+type load struct {
+	stations []*sim.Station
+	before   []sim.Duration
+}
+
+func newLoad(now int64, stations ...*sim.Station) load {
+	l := load{stations: stations}
+	for _, st := range stations {
+		l.before = append(l.before, st.Busy(now))
+	}
+	return l
+}
+
+// util returns the busiest station's utilization since the load began,
+// over wall seconds.
+func (l load) util(now int64, wall float64) float64 {
+	var u float64
+	for i, st := range l.stations {
+		u = max(u, sim.Seconds(st.Busy(now)-l.before[i])/(float64(st.Servers())*wall))
+	}
+	return u
 }
 
 // TotalColdBytes sums the jobs' no-sharing read volumes — the bound the
@@ -369,10 +405,12 @@ func Run(c *platform.Cluster, jobs []JobSpec, cfg Config) (*Result, error) {
 	}
 	startNs := c.K.Now()
 	lustreBefore := c.Lustre.Counters()
-	nvmeBefore := make([]storage.Counters, len(c.Nodes))
-	for i, n := range c.Nodes {
-		nvmeBefore[i] = n.Optane.Counters()
+	var nvme []*sim.Station
+	for _, n := range c.Nodes {
+		nvme = append(nvme, n.Optane.Stations()...)
 	}
+	pfs, mds, cache, disp := newLoad(startNs, c.Lustre.Stations()...), newLoad(startNs, c.Lustre.MDS()),
+		newLoad(startNs, nvme...), newLoad(startNs, svc.disp.st)
 
 	results := make([]JobResult, len(jobs))
 	errs := make([]error, len(jobs))
@@ -403,20 +441,18 @@ func Run(c *platform.Cluster, jobs []JobSpec, cfg Config) (*Result, error) {
 		}
 	}
 
-	res := &Result{
-		Jobs:        results,
-		Dispatcher:  svc.disp.stats,
-		WallSeconds: sim.Seconds(c.K.Now() - startNs),
-		CacheStats:  svc.cacheStats(),
-	}
-	lustreAfter := c.Lustre.Counters().Sub(lustreBefore)
-	res.PFSBytesRead = lustreAfter.BytesRead
-	res.PFSMetaOps = lustreAfter.MetaOps
-	res.PFSBusy = lustreAfter.BusyTime
-	for i, n := range c.Nodes {
-		res.CacheBusy = append(res.CacheBusy, n.Optane.Counters().Sub(nvmeBefore[i]).BusyTime)
-	}
 	now := c.K.Now()
+	svc.disp.stats.BusyNs = svc.disp.st.Busy(now)
+	res := &Result{
+		Jobs:         results,
+		Dispatcher:   svc.disp.stats,
+		WallSeconds:  sim.Seconds(now - startNs),
+		PFSBytesRead: c.Lustre.Counters().Sub(lustreBefore).BytesRead,
+		CacheStats:   svc.cacheStats(),
+	}
+	if wall := res.WallSeconds; wall > 0 {
+		res.Util = Utilization{PFS: pfs.util(now, wall), MDS: mds.util(now, wall), Cache: cache.util(now, wall), Dispatcher: disp.util(now, wall)}
+	}
 	for _, rt := range c.Runtimes() {
 		res.PerWorker = append(res.PerWorker, rt.Export(now))
 	}

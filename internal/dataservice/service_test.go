@@ -163,3 +163,40 @@ func TestServiceSharedDatasetDedup(t *testing.T) {
 		t.Fatalf("cache tier idle: %d local / %d peer hits", local, peer)
 	}
 }
+
+// TestServiceUtilizationBounded: every resource's utilization is busy
+// server-time ÷ (servers × wall) on its busiest station, so it lies in
+// [0, 1], with and without the cache tier; the dispatcher's busy time is
+// exactly its RPCs at the fixed service latency.
+func TestServiceUtilizationBounded(t *testing.T) {
+	const workers, nFiles, jobs = 2, 24, 8
+	const fileSize = int64(96 << 10)
+	for _, cfg := range []Config{{}, {CacheBytes: 2 * nFiles * fileSize, PeerServing: true}} {
+		c, paths := serviceFixture(t, workers, nFiles, fileSize)
+		specs := make([]JobSpec, jobs)
+		for i := range specs {
+			specs[i] = JobSpec{Name: fmt.Sprintf("job%d", i), Paths: paths, Shuffle: testSeed + int64(i), Batch: 4}
+		}
+		cfg.MapFn = workload.ImageNetMap
+		res, err := Run(c, specs, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		u := res.Util
+		for name, v := range map[string]float64{"pfs": u.PFS, "mds": u.MDS, "cache": u.Cache, "dispatcher": u.Dispatcher} {
+			if v < 0 || v > 1 {
+				t.Errorf("cache %d: %s utilization %v outside [0, 1]", cfg.CacheBytes, name, v)
+			}
+		}
+		if u.PFS == 0 || u.MDS == 0 || u.Dispatcher == 0 || (u.Cache == 0) == (cfg.CacheBytes > 0) {
+			t.Errorf("cache %d: utilizations %+v: an active resource reads idle, or the unused cache busy", cfg.CacheBytes, u)
+		}
+		d := res.Dispatcher
+		if want := (d.Registers + d.Leases + d.Unregisters + d.LeaseReleases) * int64(200*sim.Microsecond); d.BusyNs != want {
+			t.Errorf("cache %d: dispatcher busy %d ns, want %d (one 200 µs service per RPC)", cfg.CacheBytes, d.BusyNs, want)
+		}
+		if want := sim.Seconds(d.BusyNs) / res.WallSeconds; u.Dispatcher != want {
+			t.Errorf("cache %d: dispatcher utilization %v, want busy ÷ wall = %v", cfg.CacheBytes, u.Dispatcher, want)
+		}
+	}
+}

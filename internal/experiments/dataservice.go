@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/dataservice"
 	"repro/internal/platform"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -49,12 +48,9 @@ type DataServiceRow struct {
 	// it (jobs-over-one-corpus makes it approach the job count).
 	PFSBytesRead int64
 	DedupX       float64
-	// Utilizations of the four saturable resources over the run's wall
-	// time; Saturated names the largest.
-	PFSUtil   float64
-	MDSUtil   float64
-	CacheUtil float64
-	DispUtil  float64
+	// Util is the four saturable resources' utilizations over the run;
+	// Saturated names the largest.
+	Util      dataservice.Utilization
 	Saturated string
 	// KneeJobs is the fleet's first ramp rung whose aggregate delivered
 	// throughput scaled at under half the ideal ratio from the previous
@@ -78,14 +74,14 @@ var dataserviceTable = &tableSpec[DataServiceRow]{
 		{head: "wall(s)", width: 8, verb: "%8.2f", cell: func(r DataServiceRow) any { return r.WallSec }, metric: "wall_s"},
 		{head: "agg MB/s", width: 9, verb: "%9.1f", cell: func(r DataServiceRow) any { return r.AggMBps }, metric: "agg_MBps"},
 		{head: "dedup", width: 7, verb: "%6.1fx", cell: func(r DataServiceRow) any { return r.DedupX }, metric: "dedup_x"},
-		{head: "pfs%", width: 6, verb: "%5.1f%%", cell: func(r DataServiceRow) any { return r.PFSUtil * 100 },
-			metric: "pfs_util", value: func(r DataServiceRow) float64 { return r.PFSUtil }},
-		{head: "mds%", width: 6, verb: "%5.1f%%", cell: func(r DataServiceRow) any { return r.MDSUtil * 100 },
-			metric: "mds_util", value: func(r DataServiceRow) float64 { return r.MDSUtil }},
-		{head: "cache%", width: 6, verb: "%5.1f%%", cell: func(r DataServiceRow) any { return r.CacheUtil * 100 },
-			metric: "cache_util", value: func(r DataServiceRow) float64 { return r.CacheUtil }},
-		{head: "disp%", width: 6, verb: "%5.1f%%", cell: func(r DataServiceRow) any { return r.DispUtil * 100 },
-			metric: "disp_util", value: func(r DataServiceRow) float64 { return r.DispUtil }},
+		{head: "pfs%", width: 6, verb: "%5.1f%%", cell: func(r DataServiceRow) any { return r.Util.PFS * 100 },
+			metric: "pfs_util", value: func(r DataServiceRow) float64 { return r.Util.PFS }},
+		{head: "mds%", width: 6, verb: "%5.1f%%", cell: func(r DataServiceRow) any { return r.Util.MDS * 100 },
+			metric: "mds_util", value: func(r DataServiceRow) float64 { return r.Util.MDS }},
+		{head: "cache%", width: 6, verb: "%5.1f%%", cell: func(r DataServiceRow) any { return r.Util.Cache * 100 },
+			metric: "cache_util", value: func(r DataServiceRow) float64 { return r.Util.Cache }},
+		{head: "disp%", width: 6, verb: "%5.1f%%", cell: func(r DataServiceRow) any { return r.Util.Dispatcher * 100 },
+			metric: "disp_util", value: func(r DataServiceRow) float64 { return r.Util.Dispatcher }},
 		{head: " saturates", width: -11, verb: " %-10s", cell: func(r DataServiceRow) any { return r.Saturated }},
 	},
 	key: func(r DataServiceRow) string { return fmt.Sprintf("fleet%d_jobs%03d_", r.Fleet, r.Jobs) },
@@ -162,7 +158,7 @@ func (c Config) serveJobs(fleet, jobs int, shared bool) (row DataServiceRow, err
 		return row, err
 	}
 
-	row = DataServiceRow{Fleet: fleet, Jobs: jobs, WallSec: res.WallSeconds, PFSBytesRead: res.PFSBytesRead}
+	row = DataServiceRow{Fleet: fleet, Jobs: jobs, WallSec: res.WallSeconds, PFSBytesRead: res.PFSBytesRead, Util: res.Util}
 	var delivered int64
 	for _, j := range res.Jobs {
 		// Exactness: a served epoch delivers exactly the batches its shard
@@ -188,19 +184,9 @@ func (c Config) serveJobs(fleet, jobs int, shared bool) (row DataServiceRow, err
 	row.DedupX = ratio(float64(cold), float64(row.PFSBytesRead))
 	if row.WallSec > 0 {
 		row.AggMBps = float64(delivered) / 1e6 / row.WallSec
-
-		// Utilization of each saturable resource over the run.
-		p := cluster.Lustre.Params()
-		row.PFSUtil = float64(row.PFSBytesRead) / (p.OSSBandwidth * row.WallSec)
-		row.MDSUtil = float64(res.PFSMetaOps) * sim.Seconds(p.MDSLatency) /
-			(float64(p.MDSConcurrency) * row.WallSec)
-		for _, busy := range res.CacheBusy {
-			row.CacheUtil = max(row.CacheUtil, sim.Seconds(busy)/row.WallSec)
-		}
-		row.DispUtil = sim.Seconds(res.Dispatcher.BusyNs) / row.WallSec
 	}
 	// The saturating resource is the most utilized one (the first on ties).
-	utils := []float64{row.PFSUtil, row.MDSUtil, row.CacheUtil, row.DispUtil}
+	utils := []float64{row.Util.PFS, row.Util.MDS, row.Util.Cache, row.Util.Dispatcher}
 	row.Saturated = []string{"pfs", "mds", "cache", "dispatcher"}[slices.Index(utils, slices.Max(utils))]
 	return row, nil
 }

@@ -3,7 +3,7 @@ package sim
 import "testing"
 
 // The sim layer microbenchmarks: the kernel handoff, a Chan hop, the
-// sleeper heap and a Barrier generation. Each builds one kernel, starts
+// sleeper heap, a Barrier generation and a Station service. Each builds one kernel, starts
 // the timer once its threads are spawned and reports the cost of one
 // operation of the layer, handoffs included.
 
@@ -85,6 +85,31 @@ func BenchmarkBarrierGeneration(b *testing.B) {
 		k.Spawn("party", func(th *Thread) {
 			for range b.N {
 				bar.Await(th)
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkStationServe measures one contended Serve: 8 threads share a
+// 2-server Station, so most services queue, park and are handed a server
+// by a Release.
+func BenchmarkStationServe(b *testing.B) {
+	const clients = 8
+	k := NewKernel()
+	st := NewStation(2)
+	for i := range clients {
+		n := b.N / clients
+		if i < b.N%clients {
+			n++
+		}
+		k.Spawn("client", func(th *Thread) {
+			for range n {
+				st.Serve(th, Microsecond)
 			}
 		})
 	}

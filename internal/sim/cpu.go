@@ -6,9 +6,7 @@ package sim
 // burst holds its core until it finishes, which is accurate enough for the
 // millisecond-scale preprocessing bursts in ML input pipelines.
 type CPUSet struct {
-	sem   *Semaphore
-	cores int
-	busy  int64 // accumulated busy nanoseconds across all cores
+	cores *Station
 }
 
 // NewCPUSet returns a CPU pool with the given number of cores.
@@ -16,22 +14,16 @@ func NewCPUSet(cores int) *CPUSet {
 	if cores <= 0 {
 		panic("sim: CPUSet needs at least one core")
 	}
-	return &CPUSet{sem: NewSemaphore(cores), cores: cores}
+	return &CPUSet{cores: NewStation(cores)}
 }
 
 // Cores returns the number of cores in the pool.
-func (c *CPUSet) Cores() int { return c.cores }
+func (c *CPUSet) Cores() int { return c.cores.Servers() }
 
 // Compute burns d of CPU time on one core, waiting for a free core first.
 func (c *CPUSet) Compute(t *Thread, d Duration) {
 	if d <= 0 {
 		return
 	}
-	c.sem.Acquire(t, 1)
-	t.Sleep(d)
-	c.busy += d
-	c.sem.Release(t, 1)
+	c.cores.Serve(t, d)
 }
-
-// BusyTime returns total CPU-busy nanoseconds accumulated so far.
-func (c *CPUSet) BusyTime() int64 { return c.busy }

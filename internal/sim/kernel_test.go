@@ -218,8 +218,8 @@ func TestCPUSetContention(t *testing.T) {
 	if finished != 20*Millisecond {
 		t.Fatalf("finished at %d, want %d", finished, 20*Millisecond)
 	}
-	if cpu.BusyTime() != 40*Millisecond {
-		t.Fatalf("busy time %d, want %d", cpu.BusyTime(), 40*Millisecond)
+	if busy := cpu.cores.Busy(finished); busy != 40*Millisecond {
+		t.Fatalf("busy time %d, want %d", busy, 40*Millisecond)
 	}
 }
 

@@ -47,7 +47,9 @@ func ownerName(t *Thread) string {
 
 // Semaphore is a counting semaphore with FIFO wakeup. Waiters are stored
 // by value in a head-indexed queue, so a blocked Acquire allocates nothing
-// in steady state (the slice is recycled once drained).
+// in steady state: a full slice with served entries at its head is
+// compacted instead of regrown, so it grows only when every slot holds a
+// waiting thread, even if the queue never drains.
 type Semaphore struct {
 	avail   int
 	waiters []semWaiter
@@ -62,6 +64,9 @@ type semWaiter struct {
 func (s *Semaphore) waiting() int { return len(s.waiters) - s.whead }
 
 func (s *Semaphore) pushWaiter(w semWaiter) {
+	if s.whead > 0 && len(s.waiters) == cap(s.waiters) {
+		s.waiters, s.whead = s.waiters[:copy(s.waiters, s.waiters[s.whead:])], 0
+	}
 	s.waiters = append(s.waiters, w)
 }
 
@@ -69,10 +74,6 @@ func (s *Semaphore) popWaiter() semWaiter {
 	w := s.waiters[s.whead]
 	s.waiters[s.whead] = semWaiter{}
 	s.whead++
-	if s.whead == len(s.waiters) {
-		s.waiters = s.waiters[:0]
-		s.whead = 0
-	}
 	return w
 }
 
@@ -111,9 +112,6 @@ func (s *Semaphore) Release(t *Thread, n int) {
 		t.k.makeReady(w.t)
 	}
 }
-
-// Available returns the number of free permits.
-func (s *Semaphore) Available() int { return s.avail }
 
 // cond is the condition variable behind Barrier, bound to its mutex.
 type cond struct {

@@ -3,6 +3,13 @@
 // and Intel Optane 900p NVMe drive, and Kebnekaise's Lustre parallel file
 // system. Devices charge service time to the calling simulated thread and
 // keep cumulative activity counters that the dstat sampler reads.
+//
+// Every device queues its requests through sim.Station service stations:
+// the HDD's one arm, the metadata server's RPC slots, and the data path
+// that Flash and Lustre's object servers share (command slots, then a
+// one-server transfer bus). A device's busy time is what its stations
+// integrate, so a utilization is busy server-time ÷ (servers × wall) on
+// one station, at most 1.
 package storage
 
 import "repro/internal/sim"
@@ -16,7 +23,6 @@ type Counters struct {
 	MetaOps      int64
 	BytesRead    int64
 	BytesWritten int64
-	BusyTime     sim.Duration // time the device spent servicing requests
 }
 
 // Sub returns c - o, the activity between two snapshots.
@@ -27,7 +33,6 @@ func (c Counters) Sub(o Counters) Counters {
 		MetaOps:      c.MetaOps - o.MetaOps,
 		BytesRead:    c.BytesRead - o.BytesRead,
 		BytesWritten: c.BytesWritten - o.BytesWritten,
-		BusyTime:     c.BusyTime - o.BusyTime,
 	}
 }
 
@@ -56,26 +61,66 @@ type tally struct {
 	c Counters
 }
 
-func (ta *tally) read(n int64, busy sim.Duration) {
+func (ta *tally) read(n int64) {
 	ta.c.ReadOps++
 	ta.c.BytesRead += n
-	ta.c.BusyTime += busy
 }
 
-func (ta *tally) write(n int64, busy sim.Duration) {
+func (ta *tally) write(n int64) {
 	ta.c.WriteOps++
 	ta.c.BytesWritten += n
-	ta.c.BusyTime += busy
 }
 
-func (ta *tally) meta(n int64, busy sim.Duration) {
+func (ta *tally) meta(n int64) {
 	ta.c.MetaOps++
 	ta.c.BytesRead += n
-	ta.c.BusyTime += busy
 }
 
 // Counters returns a snapshot of cumulative activity.
 func (ta *tally) Counters() Counters { return ta.c }
+
+// dataPath is the data path of Flash and of Lustre's object servers, with
+// their Read and Write. A command holds one of the path's slots for the
+// access latency and the transfer, so latencies overlap across slots, and
+// transfers serialize on a one-server bus that carries the bandwidth.
+type dataPath struct {
+	tally
+	slots, bus *sim.Station
+	latency    sim.Duration
+	bandwidth  float64
+}
+
+func newDataPath(slots int, latency sim.Duration, bandwidth float64) dataPath {
+	return dataPath{slots: sim.NewStation(slots), bus: sim.NewStation(1), latency: latency, bandwidth: bandwidth}
+}
+
+// Read implements Device.
+func (p *dataPath) Read(t *sim.Thread, pos, length int64) {
+	if length <= 0 {
+		return
+	}
+	p.serve(t, length)
+	p.read(length)
+}
+
+// Write implements Device.
+func (p *dataPath) Write(t *sim.Thread, pos, length int64) {
+	if length <= 0 {
+		return
+	}
+	p.serve(t, length)
+	p.write(length)
+}
+
+func (p *dataPath) serve(t *sim.Thread, length int64) {
+	p.slots.Acquire(t)
+	t.Sleep(p.latency)
+	p.bus.Serve(t, bytesOver(length, p.bandwidth))
+	p.slots.Release(t)
+}
+
+// Stations returns the path's slot and bus stations.
+func (p *dataPath) Stations() []*sim.Station { return []*sim.Station{p.slots, p.bus} }
 
 // bytesOver converts a byte count and a bytes-per-second rate into a
 // duration.

@@ -45,11 +45,9 @@ func DefaultOptaneParams() FlashParams {
 // There is no positional penalty, which is what makes it a profitable
 // staging target for small-file random access.
 type Flash struct {
-	tally
-	name  string
-	p     FlashParams
-	slots *sim.Semaphore
-	bus   sim.Mutex
+	dataPath
+	name string
+	p    FlashParams
 }
 
 // NewFlash returns a Flash device with the given parameters.
@@ -57,7 +55,7 @@ func NewFlash(name string, p FlashParams) *Flash {
 	if p.Capacity <= 0 || p.Bandwidth <= 0 || p.QueueDepth <= 0 {
 		panic("storage: invalid flash params")
 	}
-	return &Flash{name: name, p: p, slots: sim.NewSemaphore(p.QueueDepth)}
+	return &Flash{name: name, p: p, dataPath: newDataPath(p.QueueDepth, p.Latency, p.Bandwidth)}
 }
 
 // Name implements Device.
@@ -66,37 +64,8 @@ func (d *Flash) Name() string { return d.name }
 // Capacity implements Device.
 func (d *Flash) Capacity() int64 { return d.p.Capacity }
 
-func (d *Flash) service(t *sim.Thread, length int64) sim.Duration {
-	start := t.Now()
-	d.slots.Acquire(t, 1)
-	t.Sleep(d.p.Latency)
-	d.bus.Lock(t)
-	t.Sleep(bytesOver(length, d.p.Bandwidth))
-	d.bus.Unlock(t)
-	d.slots.Release(t, 1)
-	return t.Now() - start
-}
-
-// Read implements Device.
-func (d *Flash) Read(t *sim.Thread, pos, length int64) {
-	if length <= 0 {
-		return
-	}
-	st := d.service(t, length)
-	d.read(length, st)
-}
-
-// Write implements Device.
-func (d *Flash) Write(t *sim.Thread, pos, length int64) {
-	if length <= 0 {
-		return
-	}
-	st := d.service(t, length)
-	d.write(length, st)
-}
-
 // Metadata implements Device.
 func (d *Flash) Metadata(t *sim.Thread, pos int64) {
-	st := d.service(t, d.p.MetadataSize)
-	d.meta(d.p.MetadataSize, st)
+	d.serve(t, d.p.MetadataSize)
+	d.meta(d.p.MetadataSize)
 }

@@ -56,7 +56,7 @@ type HDD struct {
 	tally
 	name string
 	p    HDDParams
-	arm  sim.Mutex
+	arm  *sim.Station
 	head int64
 }
 
@@ -65,7 +65,7 @@ func NewHDD(name string, p HDDParams) *HDD {
 	if p.Capacity <= 0 || p.SeqBandwidth <= 0 {
 		panic("storage: invalid HDD params")
 	}
-	return &HDD{name: name, p: p}
+	return &HDD{name: name, p: p, arm: sim.NewStation(1)}
 }
 
 // Name implements Device.
@@ -91,13 +91,11 @@ func (d *HDD) positionTime(pos int64) sim.Duration {
 	return seek + d.p.AvgRotational
 }
 
-func (d *HDD) service(t *sim.Thread, pos, length int64) sim.Duration {
-	d.arm.Lock(t)
-	st := d.positionTime(pos) + bytesOver(length, d.p.SeqBandwidth)
-	t.Sleep(st)
+func (d *HDD) service(t *sim.Thread, pos, length int64) {
+	d.arm.Acquire(t)
+	t.Sleep(d.positionTime(pos) + bytesOver(length, d.p.SeqBandwidth))
 	d.head = pos + length
-	d.arm.Unlock(t)
-	return st
+	d.arm.Release(t)
 }
 
 // Read implements Device.
@@ -105,8 +103,8 @@ func (d *HDD) Read(t *sim.Thread, pos, length int64) {
 	if length <= 0 {
 		return
 	}
-	st := d.service(t, pos, length)
-	d.read(length, st)
+	d.service(t, pos, length)
+	d.read(length)
 }
 
 // Write implements Device.
@@ -114,13 +112,13 @@ func (d *HDD) Write(t *sim.Thread, pos, length int64) {
 	if length <= 0 {
 		return
 	}
-	st := d.service(t, pos, length)
-	d.write(length, st)
+	d.service(t, pos, length)
+	d.write(length)
 }
 
 // Metadata implements Device. A cold lookup reads one metadata block,
 // paying the positioning cost to reach it.
 func (d *HDD) Metadata(t *sim.Thread, pos int64) {
-	st := d.service(t, pos, d.p.MetadataSize)
-	d.meta(d.p.MetadataSize, st)
+	d.service(t, pos, d.p.MetadataSize)
+	d.meta(d.p.MetadataSize)
 }

@@ -38,15 +38,13 @@ func DefaultLustreParams() LustreParams {
 }
 
 // Lustre models a networked parallel file system: metadata RPCs go to a
-// bounded-concurrency MDS; data RPCs pay a small latency and share OSS
-// bandwidth.
+// bounded-concurrency MDS; data RPCs take the object servers' data path,
+// paying a small latency and sharing OSS bandwidth.
 type Lustre struct {
-	tally
-	name     string
-	p        LustreParams
-	mds      *sim.Semaphore
-	ossSlots *sim.Semaphore
-	ossBus   sim.Mutex
+	dataPath
+	name string
+	p    LustreParams
+	mds  *sim.Station
 }
 
 // NewLustre returns a Lustre device with the given parameters.
@@ -55,58 +53,25 @@ func NewLustre(name string, p LustreParams) *Lustre {
 		panic("storage: invalid lustre params")
 	}
 	return &Lustre{
+		dataPath: newDataPath(p.OSSConcurrency, p.OSSLatency, p.OSSBandwidth),
 		name:     name,
 		p:        p,
-		mds:      sim.NewSemaphore(p.MDSConcurrency),
-		ossSlots: sim.NewSemaphore(p.OSSConcurrency),
+		mds:      sim.NewStation(p.MDSConcurrency),
 	}
 }
 
 // Name implements Device.
 func (d *Lustre) Name() string { return d.name }
 
-// Params returns the configured parameters — the service capacities
-// (OSS bandwidth, MDS latency and concurrency) that experiment-side
-// utilization computations divide observed traffic by.
-func (d *Lustre) Params() LustreParams { return d.p }
+// MDS returns the metadata server's station; Stations returns the object
+// servers'.
+func (d *Lustre) MDS() *sim.Station { return d.mds }
 
 // Capacity implements Device.
 func (d *Lustre) Capacity() int64 { return d.p.Capacity }
 
-func (d *Lustre) data(t *sim.Thread, length int64) sim.Duration {
-	start := t.Now()
-	d.ossSlots.Acquire(t, 1)
-	t.Sleep(d.p.OSSLatency)
-	d.ossBus.Lock(t)
-	t.Sleep(bytesOver(length, d.p.OSSBandwidth))
-	d.ossBus.Unlock(t)
-	d.ossSlots.Release(t, 1)
-	return t.Now() - start
-}
-
-// Read implements Device.
-func (d *Lustre) Read(t *sim.Thread, pos, length int64) {
-	if length <= 0 {
-		return
-	}
-	st := d.data(t, length)
-	d.read(length, st)
-}
-
-// Write implements Device.
-func (d *Lustre) Write(t *sim.Thread, pos, length int64) {
-	if length <= 0 {
-		return
-	}
-	st := d.data(t, length)
-	d.write(length, st)
-}
-
 // Metadata implements Device. One MDS RPC.
 func (d *Lustre) Metadata(t *sim.Thread, pos int64) {
-	start := t.Now()
-	d.mds.Acquire(t, 1)
-	t.Sleep(d.p.MDSLatency)
-	d.mds.Release(t, 1)
-	d.meta(0, t.Now()-start)
+	d.mds.Serve(t, d.p.MDSLatency)
+	d.meta(0)
 }

@@ -205,10 +205,10 @@ func TestLustreSingleClientSeesFullLatency(t *testing.T) {
 }
 
 func TestCountersSub(t *testing.T) {
-	a := Counters{ReadOps: 10, BytesRead: 1000, BusyTime: 500}
-	b := Counters{ReadOps: 4, BytesRead: 300, BusyTime: 100}
+	a := Counters{ReadOps: 10, BytesRead: 1000}
+	b := Counters{ReadOps: 4, BytesRead: 300}
 	got := a.Sub(b)
-	if got.ReadOps != 6 || got.BytesRead != 700 || got.BusyTime != 400 {
+	if got.ReadOps != 6 || got.BytesRead != 700 {
 		t.Fatalf("Sub = %+v", got)
 	}
 }

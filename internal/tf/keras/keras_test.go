@@ -224,8 +224,8 @@ func TestGPUSerializesKernels(t *testing.T) {
 	if m.K.Now() != 20*sim.Millisecond {
 		t.Fatalf("two kernels took %dns, want serialized 20ms", m.K.Now())
 	}
-	if gpu.BusyNs != int64(20*sim.Millisecond) {
-		t.Fatalf("busy = %d", gpu.BusyNs)
+	if busy := gpu.Station.Busy(m.K.Now()); busy != 20*sim.Millisecond {
+		t.Fatalf("busy = %d", busy)
 	}
 }
 

@@ -83,12 +83,12 @@ func (e *Env) Trace(t *sim.Thread, name string) profiler.TraceMe {
 // device tracer while a profiling session is active.
 type GPU struct {
 	Name string
-	busy sim.Mutex
+	// Station is the device's one server; kernels queue on it in FIFO
+	// order.
+	Station *sim.Station
 
 	tracing bool
 	kernels []KernelExec
-	// BusyNs accumulates total device-busy time for utilization stats.
-	BusyNs int64
 }
 
 // KernelExec is one recorded kernel execution.
@@ -99,19 +99,15 @@ type KernelExec struct {
 }
 
 // NewGPU returns a GPU device model.
-func NewGPU(name string) *GPU { return &GPU{Name: name} }
+func NewGPU(name string) *GPU { return &GPU{Name: name, Station: sim.NewStation(1)} }
 
 // Launch runs a kernel of duration d on the device, serializing with other
-// launches.
+// launches. The kernel started d before Serve returns.
 func (g *GPU) Launch(t *sim.Thread, name string, d sim.Duration) {
-	g.busy.Lock(t)
-	start := t.Now()
-	t.Sleep(d)
-	g.BusyNs += d
+	g.Station.Serve(t, d)
 	if g.tracing {
-		g.kernels = append(g.kernels, KernelExec{Name: name, StartNs: start, DurNs: d})
+		g.kernels = append(g.kernels, KernelExec{Name: name, StartNs: t.Now() - d, DurNs: d})
 	}
-	g.busy.Unlock(t)
 }
 
 // DevicePlaneName is the XSpace plane of GPU traces.

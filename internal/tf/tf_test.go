@@ -76,8 +76,8 @@ func TestGPUNotTracedOutsideSession(t *testing.T) {
 	if plane.Lines[0].Events[0].Name != "inside" {
 		t.Fatal("wrong kernel traced")
 	}
-	if env.GPU.BusyNs != int64(3*sim.Millisecond) {
-		t.Fatalf("busy = %d", env.GPU.BusyNs)
+	if busy := env.GPU.Station.Busy(k.Now()); busy != 3*sim.Millisecond {
+		t.Fatalf("busy = %d", busy)
 	}
 }
 
