@@ -2,13 +2,14 @@ package darshan
 
 import (
 	"bufio"
-	"compress/gzip"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"sort"
+
+	"repro/internal/deflate"
 )
 
 // Log file layout: an 8-byte magic + u32 version header in the clear,
@@ -121,7 +122,7 @@ const logChunk = 64 << 10
 // not of how it is split across Write calls, so the chunking never shows
 // in the log bytes.
 type logEncoder struct {
-	zw  *gzip.Writer
+	zw  *deflate.Writer
 	buf []byte
 	err error
 }
@@ -210,7 +211,7 @@ func (l *Log) Write(w io.Writer) error {
 		return err
 	}
 	// Room for a chunk plus the record that crosses its boundary.
-	e := &logEncoder{zw: gzip.NewWriter(w), buf: make([]byte, 0, 2*logChunk)}
+	e := &logEncoder{zw: deflate.NewWriter(w), buf: make([]byte, 0, 2*logChunk)}
 
 	kind := logKindSingle
 	if l.Merged {
@@ -280,9 +281,8 @@ func (l *Log) Write(w io.Writer) error {
 		}
 	}
 	e.flush()
-	if e.err != nil {
-		return e.err
-	}
+	// Close also releases the compressor's workers after a write error,
+	// which is then the error it returns.
 	return e.zw.Close()
 }
 

@@ -15,6 +15,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/sim"
 )
@@ -577,6 +578,40 @@ func TestCounterKindsMatchNames(t *testing.T) {
 			}
 			if want := wantKind(d.name); d.kind != want {
 				t.Errorf("%s: kind %d, want %d", d.name, d.kind, want)
+			}
+		}
+	}
+}
+
+// failAfter accepts n bytes, then fails every write.
+type failAfter struct{ n int }
+
+var errDeviceFull = errors.New("device full")
+
+func (w *failAfter) Write(p []byte) (int, error) {
+	if len(p) > w.n {
+		k := w.n
+		w.n = 0
+		return k, errDeviceFull
+	}
+	w.n -= len(p)
+	return len(p), nil
+}
+
+// TestLogWriteErrorReleasesWorkers: a destination that fails part-way
+// through a multi-megabyte log gives its error back, and the
+// compressor's workers are gone afterwards.
+func TestLogWriteErrorReleasesWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	log := Merge(timelineSnapshots(benchRanks, 16, 100_000))
+	for _, n := range []int{0, 100, 200 << 10} {
+		baseline := runtime.NumGoroutine()
+		if err := log.Write(&failAfter{n: n}); !errors.Is(err, errDeviceFull) {
+			t.Fatalf("write failing after %d bytes returned %v", n, err)
+		}
+		for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > baseline; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d goroutines left running, %d before", runtime.NumGoroutine(), baseline)
 			}
 		}
 	}

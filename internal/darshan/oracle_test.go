@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 
 	"repro/internal/sim"
@@ -17,14 +18,17 @@ import (
 // segments in stored order. replayReads recomputes them from the segments
 // alone; any disagreement is a bug in one of the two implementations.
 
-// replayedReadCounters and replayedReadFCounters are the 19 read-side
-// counters a single-process record's read segments determine.
+// replayedReadCounters and replayedReadFCounters are the 27 read-side
+// counters a single-process record's read segments determine. The
+// simulated POSIX layer counts only reads in ACCESS1..4.
 var (
 	replayedReadCounters = []PosixCounter{
 		POSIX_READS, POSIX_BYTES_READ, POSIX_MAX_BYTE_READ, POSIX_SEQ_READS, POSIX_CONSEC_READS,
 		POSIX_SIZE_READ_0_100, POSIX_SIZE_READ_100_1K, POSIX_SIZE_READ_1K_10K, POSIX_SIZE_READ_10K_100K,
 		POSIX_SIZE_READ_100K_1M, POSIX_SIZE_READ_1M_4M, POSIX_SIZE_READ_4M_10M, POSIX_SIZE_READ_10M_100M,
 		POSIX_SIZE_READ_100M_1G, POSIX_SIZE_READ_1G_PLUS,
+		POSIX_ACCESS1_ACCESS, POSIX_ACCESS2_ACCESS, POSIX_ACCESS3_ACCESS, POSIX_ACCESS4_ACCESS,
+		POSIX_ACCESS1_COUNT, POSIX_ACCESS2_COUNT, POSIX_ACCESS3_COUNT, POSIX_ACCESS4_COUNT,
 	}
 	replayedReadFCounters = []PosixFCounter{
 		POSIX_F_READ_START_TIMESTAMP, POSIX_F_READ_END_TIMESTAMP, POSIX_F_READ_TIME, POSIX_F_MAX_READ_TIME,
@@ -34,10 +38,14 @@ var (
 // replayReads recomputes a POSIX record's read-side counters from its DXT
 // read segments in stored order, starting from Darshan's initial state:
 // no bytes read, last byte read 0 (so a first read at offset > 0 counts
-// as sequential and one at offset 1 as consecutive).
+// as sequential and one at offset 1 as consecutive). ACCESS1..4 are the
+// four most frequent read lengths, most frequent first and the smaller
+// length first on a tie, with their counts.
 func replayReads(segs []Segment) (rec PosixRecord) {
 	var lastByteRead int64
+	lengths := make(map[int64]int64)
 	for _, s := range segs {
+		lengths[s.Length]++
 		rec.Counters[POSIX_READS]++
 		rec.Counters[readSizeBucket(s.Length)]++
 		if s.Offset > lastByteRead {
@@ -56,17 +64,31 @@ func replayReads(segs []Segment) (rec PosixRecord) {
 		rec.FCounters[POSIX_F_READ_TIME] += s.End - s.Start
 		rec.FCounters[POSIX_F_MAX_READ_TIME] = max(rec.FCounters[POSIX_F_MAX_READ_TIME], s.End-s.Start)
 	}
+	byCount := make([]int64, 0, len(lengths))
+	for n := range lengths {
+		byCount = append(byCount, n)
+	}
+	sort.Slice(byCount, func(i, j int) bool {
+		a, b := byCount[i], byCount[j]
+		return lengths[a] > lengths[b] || lengths[a] == lengths[b] && a < b
+	})
+	for i, n := range byCount[:min(4, len(byCount))] {
+		rec.Counters[POSIX_ACCESS1_ACCESS+PosixCounter(i)] = n
+		rec.Counters[POSIX_ACCESS1_COUNT+PosixCounter(i)] = lengths[n]
+	}
 	return rec
 }
 
 // checkReadReplay compares every POSIX record of l against the replay of
 // its DXT read segments and returns how many records it checked. A single
-// log is checked on all 19 read-side counters, exactly (floats bit for
+// log is checked on all 27 read-side counters, exactly (floats bit for
 // bit). A merged log's timeline is in global start order, not per-record
 // call order, so only the order-free READS, BYTES_READ and MAX_BYTE_READ
-// are checked there. Records with dropped segments (a merged log with any)
-// are skipped, and so are ids that also have a STDIO record: with DXTStdio
-// on, their DXT segments mix stream reads into the POSIX record's trace.
+// are checked there (a merge's ACCESS1..4 fold each rank's top four, so
+// they need not be the timeline's). Records with dropped segments (a
+// merged log with any) are skipped, and so are ids that also have a STDIO
+// record: with DXTStdio on, their DXT segments mix stream reads into the
+// POSIX record's trace.
 func checkReadReplay(l *Log) (checked int, err error) {
 	skip := make(map[uint64]bool, len(l.Stdio))
 	for i := range l.Stdio {

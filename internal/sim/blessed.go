@@ -26,4 +26,12 @@ var BlessedExternalGoroutines = []string{
 	// self-contained kernel runs across host cores. It never touches a
 	// live kernel's state; serial/parallel byte-identity tests pin that.
 	"repro/internal/experiments/parallel.go",
+
+	// The gzip writer of the Darshan log and the trace export: worker
+	// goroutines search chunks of the stream for matches while one
+	// compressor emits them in order. It runs on finished data outside
+	// any kernel run, and its output is byte-identical to compress/gzip's
+	// whatever the worker count or timing (its differential tests and
+	// fuzz target pin that).
+	"repro/internal/deflate",
 }

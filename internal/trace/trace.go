@@ -15,6 +15,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/deflate"
 	"repro/internal/tf/profiler"
 )
 
@@ -40,7 +41,7 @@ const chunk = 64 << 10
 // appended as typed JSON straight into one reused buffer instead of
 // going through reflection, an args map and a second compaction pass.
 func WriteJSONGz(w io.Writer, space *profiler.XSpace, sessionStartNs int64) error {
-	jw := &jsonWriter{zw: gzip.NewWriter(w), buf: make([]byte, 0, 2*chunk)}
+	jw := &jsonWriter{zw: deflate.NewWriter(w), buf: make([]byte, 0, 2*chunk)}
 	jw.buf = append(jw.buf, `{"traceEvents":`...)
 	for pi, plane := range space.Planes {
 		pid := int64(pi + 1)
@@ -59,9 +60,8 @@ func WriteJSONGz(w io.Writer, space *profiler.XSpace, sessionStartNs int64) erro
 	}
 	jw.buf = append(jw.buf, "}\n"...)
 	jw.flush()
-	if jw.err != nil {
-		return jw.err
-	}
+	// Close also releases the compressor's workers after a write error,
+	// which is then the error it returns.
 	return jw.zw.Close()
 }
 
@@ -71,7 +71,7 @@ func WriteJSONGz(w io.Writer, space *profiler.XSpace, sessionStartNs int64) erro
 // it is split across Write calls, so the chunking never shows in the
 // trace bytes.
 type jsonWriter struct {
-	zw     *gzip.Writer
+	zw     *deflate.Writer
 	buf    []byte
 	keys   []string // scratch for an event's sorted arg keys
 	events int

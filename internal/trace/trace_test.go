@@ -9,8 +9,10 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/tf/profiler"
 )
@@ -477,5 +479,39 @@ func TestRenderTimelinesTruncation(t *testing.T) {
 	}
 	if !strings.Contains(out, "... 17 more events") {
 		t.Fatalf("event truncation missing:\n%s", out)
+	}
+}
+
+// failAfter accepts n bytes, then fails every write.
+type failAfter struct{ n int }
+
+var errDeviceFull = errors.New("device full")
+
+func (w *failAfter) Write(p []byte) (int, error) {
+	if len(p) > w.n {
+		k := w.n
+		w.n = 0
+		return k, errDeviceFull
+	}
+	w.n -= len(p)
+	return len(p), nil
+}
+
+// TestWriteJSONGzErrorReleasesWorkers: a destination that fails
+// part-way through a multi-megabyte trace gives its error back, and the
+// compressor's workers are gone afterwards.
+func TestWriteJSONGzErrorReleasesWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	space := imagenetSpace(20_000, 4_000)
+	for _, n := range []int{0, 100, 200 << 10} {
+		baseline := runtime.NumGoroutine()
+		if err := WriteJSONGz(&failAfter{n: n}, space, 0); !errors.Is(err, errDeviceFull) {
+			t.Fatalf("write failing after %d bytes returned %v", n, err)
+		}
+		for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > baseline; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d goroutines left running, %d before", runtime.NumGoroutine(), baseline)
+			}
+		}
 	}
 }
