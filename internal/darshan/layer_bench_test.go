@@ -7,7 +7,9 @@ import (
 	"io"
 	"math/rand"
 	"slices"
+	"syscall"
 	"testing"
+	"time"
 
 	"repro/internal/sim"
 	"repro/internal/vfs"
@@ -85,11 +87,30 @@ func BenchmarkMerge(b *testing.B) {
 func BenchmarkWriteMergedLog(b *testing.B) {
 	m := Merge(timelineSnapshots(benchRanks, benchFiles, benchSegs))
 	b.ReportAllocs()
+	defer cpuPerOp(b)()
 	for b.Loop() {
 		if err := m.Write(io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// cpuPerOp starts counting the process's CPU time, user plus system over
+// every thread; the func it returns reports it per iteration as
+// cpu-ms/op, so the gzip writer's workers show next to ns/op.
+func cpuPerOp(b *testing.B) func() {
+	start := processCPU(b)
+	return func() {
+		b.ReportMetric(float64(processCPU(b)-start)/float64(time.Millisecond)/float64(b.N), "cpu-ms/op")
+	}
+}
+
+func processCPU(b *testing.B) time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		b.Fatal(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
 func BenchmarkReadMergedLog(b *testing.B) {

@@ -1,16 +1,16 @@
 // Package deflate is a gzip writer whose output is byte for byte that of
 // compress/gzip's NewWriter at the default compression level, with the
-// match search spread over the host's cores.
+// lazy parse spread over the host's cores.
 //
 // The stream is cut into chunks. Worker goroutines run the default
-// level's lazy parse over each chunk ahead of time and record every match
-// search they make (search.go). One compressor, compress/flate's own code
-// cut down to that level (deflate.go), then compresses the chunks in
-// order and takes each search result from the chunk's record when it is
-// there, searching itself when it is not. That compressor alone decides
-// tokens, blocks, window slides and Huffman codes, so the bytes do not
-// depend on the worker count or on timing; with GOMAXPROCS 1 there are no
-// workers and the same compressor runs alone.
+// level's lazy parse over each chunk (parse.go) and return its tokens.
+// The caller's goroutine splices each chunk's tokens onto the previous
+// chunk's when the worker's parse reached the handoff in the true state,
+// has the chunk parsed again from that state when it did not, and codes
+// the tokens into blocks with compress/flate's own Huffman code
+// (deflate.go). Every token is the one compress/flate emits, so the bytes
+// do not depend on the worker count or on timing; with GOMAXPROCS 1 there
+// are no workers and the caller's goroutine runs the same parse itself.
 //
 // Writers draw their tables and buffers from a small free list, so a
 // process that writes many streams allocates them once.
@@ -26,13 +26,13 @@ import (
 )
 
 const (
-	// chunkSize is the input one worker searches at a time. It is a
-	// multiple of windowSize (search.go relies on that).
+	// chunkSize is the input one worker parses at a time. It is a
+	// multiple of windowSize (parse.go relies on that).
 	chunkSize = 128 << 10
-	// maxWorkers caps the workers per Writer. A worker's search costs
-	// 1.5 to 2.6 times the compressor's share of a chunk (the lookups,
-	// tokens and Huffman coding) on the simulator's logs and traces, so
-	// three workers outpace the compressor, and a fourth would only hold
+	// maxWorkers caps the workers per Writer. A worker's parse costs
+	// several times the compressor's share of a chunk (the token copy and
+	// Huffman coding) on the simulator's logs and traces, so three
+	// workers outpace the compressor, and a fourth would only hold
 	// another set of tables.
 	maxWorkers = 3
 )
@@ -45,14 +45,16 @@ type Writer struct {
 	st          *state
 	workers     int
 	chunk       int // chunkSize; tests shrink it
+	warmup      int // warmup; tests shrink it
 	wroteHeader bool
 	closed      bool
 	digest      uint32
 	size        uint32
 	err         error
 	buf         [8]byte // the trailer
+	reparsed    int     // chunks parsed again from the true state
 
-	fill  *job   // the chunk being filled; nil without workers
+	fill  *job   // the chunk being filled
 	queue []*job // chunks handed to the workers, oldest first
 	wg    sync.WaitGroup
 }
@@ -63,7 +65,7 @@ func NewWriter(w io.Writer) *Writer {
 }
 
 // workerCount is one worker per core up to maxWorkers, and none on a
-// single core, where the compressor searches faster alone.
+// single core, where the caller's goroutine parses faster alone.
 func workerCount() int {
 	if n := runtime.GOMAXPROCS(0); n > 1 {
 		return min(n, maxWorkers)
@@ -72,33 +74,33 @@ func workerCount() int {
 }
 
 func newWriter(w io.Writer, workers, chunk int) *Writer {
-	z := &Writer{dst: w, st: getState(workers), workers: workers, chunk: chunk}
+	z := &Writer{dst: w, st: getState(workers), workers: workers, chunk: chunk, warmup: warmup}
 	z.st.d.reset(w)
-	if workers > 0 {
-		z.queue = z.st.queue[:0]
-		for _, j := range z.st.jobs {
-			j.busy = false
-		}
-		z.fill = z.st.jobs[0]
-		z.fill.reset(0, chunk)
-		z.wg.Add(workers)
-		for _, s := range z.st.searchers[:workers] {
-			s.dirty = true
-			go z.work(s)
-		}
+	z.queue = z.st.queue[:0]
+	for _, j := range z.st.jobs {
+		j.busy = false
+	}
+	z.fill = z.st.jobs[0]
+	z.fill.reset(0, chunk)
+	for _, p := range z.st.parsers {
+		p.dirty = true
+	}
+	z.wg.Add(workers)
+	for _, p := range z.st.parsers[:workers] {
+		go z.work(p)
 	}
 	return z
 }
 
-// work searches the chunks handed over on the state's channel until it
+// work parses the chunks handed over on the state's channel until it
 // receives nil.
-func (z *Writer) work(s *searcher) {
+func (z *Writer) work(p *parser) {
 	defer z.wg.Done()
 	for j := range z.st.todo {
 		if j == nil {
 			return
 		}
-		s.search(j)
+		p.parse(j)
 		j.done <- struct{}{}
 	}
 }
@@ -113,23 +115,19 @@ func (z *Writer) Write(p []byte) (int, error) {
 	}
 	z.size += uint32(len(p))
 	z.digest = crc32.Update(z.digest, crc32.IEEETable, p)
-	if z.fill == nil {
-		if z.err = z.st.d.write(p); z.err != nil {
-			return 0, z.err
-		}
-		return len(p), nil
-	}
 	n := len(p)
 	for len(p) > 0 {
+		// A full chunk is handed on only once more input shows it is not
+		// the last: the last one is parsed to the stream's end.
+		if j := z.fill; len(j.data) == cap(j.data) {
+			if z.next(); z.err != nil {
+				return 0, z.err
+			}
+		}
 		j := z.fill
 		k := min(len(p), cap(j.data)-len(j.data))
 		j.data = append(j.data, p[:k]...)
 		p = p[k:]
-		if len(j.data) == cap(j.data) {
-			if z.dispatch(); z.err != nil {
-				return 0, z.err
-			}
-		}
 	}
 	return n, nil
 }
@@ -142,30 +140,59 @@ func (z *Writer) header() {
 	}
 }
 
-// dispatch hands the full chunk to the workers and starts the next one,
-// compressing the oldest chunk first when no buffer is free.
-func (z *Writer) dispatch() {
+// next hands the full chunk on and starts the next one with the window
+// before it. Without workers it parses and compresses the chunk at once
+// and reuses its buffer; with them it compresses the oldest chunk first
+// when no buffer is free.
+func (z *Writer) next() {
 	j := z.fill
-	z.queue = append(z.queue, j)
-	z.st.todo <- j
-	var next *job
-	for _, c := range z.st.jobs[:z.workers+1] {
-		if !c.busy {
-			next = c
-			break
+	next := j
+	if z.workers == 0 {
+		z.compressHere(j)
+	} else {
+		z.dispatch(j)
+		next = nil
+		for _, c := range z.st.jobs[:z.workers+1] {
+			if !c.busy {
+				next = c
+				break
+			}
+		}
+		if next == nil {
+			next = z.queue[0]
+			z.compressOldest()
 		}
 	}
-	if next == nil {
-		next = z.queue[0]
-		z.compressOldest()
-	}
+	hist := j.data[len(j.data)-windowSize:]
 	next.reset(j.start+len(j.data)-j.hist, z.chunk)
-	next.data = append(next.data, j.data[len(j.data)-next.hist:]...)
+	next.data = append(next.data, hist...)
 	z.fill = next
 }
 
-// compressOldest waits for the oldest queued chunk's search and
+// dispatch hands j to the workers, to parse from cold.
+func (z *Writer) dispatch(j *job) {
+	j.from = parseState{
+		index:  max(j.start-(minMatchLength+maxMatchLength)+1-z.warmup, j.start-j.hist),
+		length: minMatchLength - 1,
+	}
+	z.queue = append(z.queue, j)
+	z.st.todo <- j
+}
+
+// compressHere parses j from the true state on the caller's goroutine and
 // compresses it.
+func (z *Writer) compressHere(j *job) {
+	if z.err != nil {
+		return
+	}
+	j.from = z.st.d.state
+	z.st.parsers[0].parse(j)
+	z.err = z.st.d.writeChunk(j)
+}
+
+// compressOldest waits for the oldest queued chunk's parse and
+// compresses it, having a worker parse it again from the true state when
+// the cold parse reached the handoff in another.
 func (z *Writer) compressOldest() {
 	j := z.queue[0]
 	z.queue = append(z.queue[:0], z.queue[1:]...)
@@ -174,7 +201,13 @@ func (z *Writer) compressOldest() {
 	if z.err != nil {
 		return
 	}
-	z.err = z.st.d.writeChunk(j.data[j.hist:], j.memo, j.start)
+	if j.handoff != z.st.d.state {
+		z.reparsed++
+		j.from = z.st.d.state
+		z.st.todo <- j
+		<-j.done
+	}
+	z.err = z.st.d.writeChunk(j)
 }
 
 // Close compresses what is left, writes the gzip trailer and releases
@@ -186,27 +219,22 @@ func (z *Writer) Close() error {
 	}
 	z.closed = true
 	z.header()
-	if z.fill != nil {
-		// The workers search the tail while the compressor catches up;
-		// a lone chunk is quicker to compress at once.
-		tail := z.fill
-		if len(z.queue) == 0 {
-			if z.err == nil {
-				z.err = z.st.d.write(tail.data[tail.hist:])
-			}
-		} else if len(tail.data) > tail.hist {
-			z.queue = append(z.queue, tail)
-			z.st.todo <- tail
+	if tail := z.fill; z.err == nil && len(tail.data) > tail.hist {
+		tail.final = true
+		if z.workers == 0 {
+			z.compressHere(tail)
+		} else {
+			z.dispatch(tail)
 		}
-		for len(z.queue) > 0 {
-			z.compressOldest()
-		}
-		for range z.workers {
-			z.st.todo <- nil
-		}
-		z.wg.Wait()
-		z.fill = nil
 	}
+	for len(z.queue) > 0 {
+		z.compressOldest()
+	}
+	for range z.workers {
+		z.st.todo <- nil
+	}
+	z.wg.Wait()
+	z.fill = nil
 	if z.err == nil {
 		z.err = z.st.d.close()
 	}
@@ -227,35 +255,42 @@ var errWriterClosed = errors.New("deflate: write after Close")
 // unknown.
 var gzipHeader = [10]byte{0x1f, 0x8b, 8, 0, 0, 0, 0, 0, 0, 255}
 
-// A job is one chunk: the window before it, then the chunk itself.
+// A job is one chunk: the window before it, then the chunk itself, and
+// the parse of it.
 type job struct {
 	buf   []byte // backing store of data, windowSize+chunk bytes
 	data  []byte
-	hist  int // bytes of window before the chunk
-	start int // stream position of the chunk
-	memo  []match
-	last  int // chunk position of the last record in memo
-	done  chan struct{}
-	busy  bool // being filled, searched or waiting to be compressed
+	hist  int  // bytes of window before the chunk
+	start int  // stream position of the chunk
+	final bool // the stream ends with the chunk
+
+	from    parseState // where the parse starts
+	handoff parseState // the parse's state at the chunk's handoff step
+	end     parseState // the parse's state where it stopped
+	tokens  []token    // the tokens from the handoff step on
+	done    chan struct{}
+	busy    bool // being filled, parsed or waiting to be compressed
 }
 
 // reset empties j for the chunk at stream position start.
 func (j *job) reset(start, chunk int) {
-	j.start, j.hist, j.busy = start, min(start, windowSize), true
+	j.start, j.hist, j.final, j.busy = start, min(start, windowSize), false, true
 	if len(j.buf) != windowSize+chunk {
 		j.buf = make([]byte, windowSize+chunk)
-		j.memo = make([]match, 0, chunk/bytesPerRecord)
+		// The chunk plus the bytes between its handoff step and its start.
+		j.tokens = make([]token, 0, chunk+minMatchLength+maxMatchLength)
 	}
 	j.data = j.buf[: 0 : j.hist+chunk]
 }
 
 // state is what a Writer borrows from the free list: the compressor, one
-// searcher per worker and one more chunk buffer than workers.
+// parser per worker (one for the caller's goroutine without workers)
+// and one more chunk buffer than workers.
 type state struct {
-	d         compressor
-	searchers []*searcher
-	jobs      []*job
-	queue     []*job // backing store of Writer.queue
+	d       compressor
+	parsers []*parser
+	jobs    []*job
+	queue   []*job // backing store of Writer.queue
 	// todo hands chunks to the workers, and nil to stop one. Sized for
 	// the most ever unreceived: every chunk buffer, or one nil per
 	// worker, so no send blocks.
@@ -282,8 +317,8 @@ func getState(workers int) *state {
 		st = &state{queue: make([]*job, 0, maxWorkers+1), todo: make(chan *job, maxWorkers+1)}
 		st.d.init()
 	}
-	for len(st.searchers) < workers {
-		st.searchers = append(st.searchers, new(searcher))
+	for len(st.parsers) < max(workers, 1) {
+		st.parsers = append(st.parsers, new(parser))
 	}
 	for len(st.jobs) < workers+1 {
 		st.jobs = append(st.jobs, &job{done: make(chan struct{}, 1)})

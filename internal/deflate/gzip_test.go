@@ -5,10 +5,12 @@ import (
 	"compress/gzip"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
 	"runtime"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -32,9 +34,16 @@ func stdGzip(t testing.TB, in []byte) []byte {
 func compress(t testing.TB, in []byte, workers, chunk int, rng *rand.Rand) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	z := newWriter(&buf, workers, chunk)
+	writeAll(t, newWriter(&buf, workers, chunk), in, rng)
+	return buf.Bytes()
+}
+
+// writeAll writes in through z in Write calls of random lengths up to
+// one and a half chunks, then closes z.
+func writeAll(t testing.TB, z *Writer, in []byte, rng *rand.Rand) {
+	t.Helper()
 	for p := in; len(p) > 0; {
-		k := min(len(p), rng.Intn(3*chunk/2+1))
+		k := min(len(p), rng.Intn(3*z.chunk/2+1))
 		if _, err := z.Write(p[:k]); err != nil {
 			t.Fatal(err)
 		}
@@ -43,7 +52,6 @@ func compress(t testing.TB, in []byte, workers, chunk int, rng *rand.Rand) []byt
 	if err := z.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
 }
 
 // mixed returns n bytes that mix literal runs drawn from alphabet with
@@ -69,34 +77,64 @@ func mixed(rng *rand.Rand, alphabet []byte, n int) []byte {
 	return out
 }
 
-// logShaped returns about n bytes shaped like a merged Darshan log:
-// counter records that are mostly zeros, then DXT segments with rising
-// offsets and times.
+// logShaped returns about n bytes laid out like the merged Darshan log
+// of an ImageNet-style read job: a name table, one POSIX record per file
+// (id, rank, 43 counters of which a dozen are set, 13 timing
+// fcounters), then a timeline of four 49-byte read segments per file in
+// start order. Like the simulator's logs, it is mostly near-repeats a
+// few hundred bytes apart, which is what the parse spends its time on.
 func logShaped(n int) []byte {
+	const perFile = 46 + 16 + 43*8 + 13*8 + 4*49
+	files := max(1, n/perFile)
 	rng := rand.New(rand.NewSource(1))
-	out := make([]byte, 0, n+512)
-	for id := uint64(1); len(out) < n/2; id++ {
-		out = binary.LittleEndian.AppendUint64(out, id*0x9e3779b97f4a7c15)
-		for c := 0; c < 64; c++ {
-			var v int64
-			if rng.Intn(4) == 0 {
-				v = rng.Int63n(1 << uint(4+rng.Intn(24)))
-			}
-			out = binary.LittleEndian.AppendUint64(out, uint64(v))
+	u64 := binary.LittleEndian.AppendUint64
+	f64 := func(b []byte, v float64) []byte { return u64(b, math.Float64bits(v)) }
+	out := make([]byte, 0, files*perFile+64)
+	out = append(out, 1)
+	out = f64(out, 33.05)
+	out = u64(out, 8)
+	out = binary.LittleEndian.AppendUint32(out, uint32(files))
+	ids := make([]uint64, files)
+	half := make([]int64, files)
+	for i := range ids {
+		ids[i], half[i] = rng.Uint64(), 15_000+rng.Int63n(100_000)
+		name := fmt.Sprintf("/pfs/lustre/imagenet/imagenet-%06d", i)
+		out = u64(out, ids[i])
+		out = binary.LittleEndian.AppendUint16(out, uint16(len(name)))
+		out = append(out, name...)
+	}
+	out = binary.LittleEndian.AppendUint32(out, uint32(files))
+	at := 0.0
+	for i, id := range ids {
+		var c [43]int64
+		c[0], c[1], c[6], c[8], c[10], c[12], c[15] = 2, 4, 2*half[i], half[i]-1, 2, 2, 2
+		c[18+rng.Intn(2)], c[36], c[39], c[40] = 2, half[i], 2, 2
+		at += rng.Float64() / 500
+		read, meta := rng.Float64()/100, rng.Float64()/1000
+		f := [13]float64{at, 3.4e-6, 0, meta, at + read, at + read + meta, 0, at + read + 2*meta, read, 0, rng.Float64() / 5, meta, 0}
+		out = u64(out, id)
+		out = u64(out, math.MaxUint64) // rank -1: shared by every rank
+		for _, v := range c {
+			out = u64(out, uint64(v))
+		}
+		for _, v := range f {
+			out = f64(out, v)
 		}
 	}
-	var off int64
-	at := 1.0
-	for len(out) < n {
-		length := int64(1+rng.Intn(4)) << 16
-		out = binary.LittleEndian.AppendUint64(out, uint64(rng.Intn(32000)))
-		out = binary.LittleEndian.AppendUint64(out, uint64(off))
-		out = binary.LittleEndian.AppendUint64(out, uint64(length))
-		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(at))
-		at += rng.Float64() / 1000
-		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(at))
-		out = binary.LittleEndian.AppendUint32(out, uint32(rng.Intn(8)))
-		off += length
+	out = u64(out, 0)
+	out = binary.LittleEndian.AppendUint32(out, uint32(4*files))
+	at = 0
+	for k := range 4 * files {
+		i := rng.Intn(files)
+		at += rng.Float64() / 2000
+		out = u64(out, ids[i])
+		out = binary.LittleEndian.AppendUint32(out, uint32(k%8))
+		out = append(out, 0)
+		out = u64(out, uint64(int64(k/8%2)*half[i]))
+		out = u64(out, uint64(half[i]))
+		out = f64(out, at)
+		out = f64(out, at+rng.Float64()/100)
+		out = binary.LittleEndian.AppendUint32(out, uint32(48+5*(k%8)))
 	}
 	return out
 }
@@ -105,14 +143,21 @@ func TestWriterMatchesGzip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	random := make([]byte, 300<<10)
 	rng.Read(random)
+	alphabet := []byte("abcdefghijklmnop{}\":,0123456789")
 	inputs := map[string][]byte{
 		"empty":      nil,
 		"one byte":   {'x'},
 		"short":      []byte("hello, hello, hello world"),
 		"random":     random,
 		"zeros":      make([]byte, 3*chunkSize+12345),
-		"mixed":      mixed(rng, []byte("abcdefghijklmnop{}\":,0123456789"), 5*chunkSize/2),
+		"mixed":      mixed(rng, alphabet, 5*chunkSize/2),
 		"log-shaped": logShaped(3*chunkSize + 999),
+		// Streams that end in the slide edge before a 32 KiB boundary,
+		// and exactly at one: at the end of a window, and of a chunk.
+		"ends in slide edge":    mixed(rng, alphabet, 5*windowSize-100),
+		"ends at window bound":  mixed(rng, alphabet, 3*windowSize),
+		"ends at chunk bound":   mixed(rng, alphabet, 2*chunkSize),
+		"random ends at window": random[:5*windowSize],
 	}
 	for name, in := range inputs {
 		want := stdGzip(t, in)
@@ -126,27 +171,61 @@ func TestWriterMatchesGzip(t *testing.T) {
 	}
 }
 
-// TestSlideEdgeMatchesGzip pins the slide-edge exclusion. The input is
-// one chunk plus a window, so a worker searches the first chunk. On
-// random bytes the compressor's parse moves one byte at a time, so its
-// first window slide comes at position 65275 and drops positions below
-// 32768.
-// Position p = 65400 is searched after that slide. Its four-byte prefix
-// also starts a 5-byte match at y, inside the window, and a 258-byte
-// match at x = 32700, which the slide dropped. The compressor finds only
-// the 5-byte match; a searcher that recorded p would hand it the 258-byte
-// one.
+// TestSlideEdgeMatchesGzip pins the parse's slide-edge floor. On random
+// bytes the parse steps one byte at a time. Position p = 65400 is one of
+// the last minMatchLength+maxMatchLength-1 positions before the 32 KiB
+// boundary B = 65536. Its four-byte prefix also starts a 5-byte match at
+// y and a longer one at x = 32700, which compress/flate's window slide at
+// B drops when the stream goes on past B. So the step at p must find only
+// the 5-byte match when the stream continues, and the long one when the
+// stream ends inside the slide edge or exactly at B, where no slide comes.
+// With 128 KiB chunks p is inside a worker's chunk; with 32 KiB ones it is
+// one of the positions between a chunk's handoff step and its start.
 func TestSlideEdgeMatchesGzip(t *testing.T) {
-	const x, y, p = 32700, 50000, 65400
-	rng := rand.New(rand.NewSource(2))
-	in := make([]byte, chunkSize+windowSize)
+	const x, y, p, b = 32700, 50000, 65400, 2 * windowSize
+	for _, n := range []int{chunkSize + windowSize, b - 50, b} {
+		rng := rand.New(rand.NewSource(2))
+		in := make([]byte, n)
+		rng.Read(in)
+		k := min(maxMatchLength, n-p)
+		copy(in[p:p+k], in[x:x+k])
+		copy(in[y:y+5], in[x:x+5])
+		want := stdGzip(t, in)
+		for _, workers := range []int{0, 1, 2} {
+			for _, chunk := range []int{windowSize, chunkSize} {
+				if got := compress(t, in, workers, chunk, rng); !bytes.Equal(got, want) {
+					t.Errorf("%d-byte stream, %d workers, %d-byte chunks: %d bytes differ from compress/gzip's %d", n, workers, chunk, len(got), len(want))
+				}
+			}
+		}
+	}
+}
+
+// TestHandoffMismatchMatchesGzip has every cold parse start at its
+// chunk's handoff step, with nothing pending, on input where the true
+// parse is inside a long match there: a 300-byte run of one byte
+// straddles each chunk's handoff step. The cold parse then reaches the
+// handoff in another state than the previous chunk's parse ends in, so
+// the compressor must parse every chunk after the first again from the
+// true state.
+func TestHandoffMismatchMatchesGzip(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	in := make([]byte, 4*windowSize+1000)
 	rng.Read(in)
-	copy(in[p:p+maxMatchLength], in[x:x+maxMatchLength])
-	copy(in[y:y+5], in[x:x+5])
+	for s := windowSize; s < len(in); s += windowSize {
+		copy(in[s-400:s-100], bytes.Repeat([]byte{'z'}, 300))
+	}
 	want := stdGzip(t, in)
 	for _, workers := range []int{1, 2} {
-		if got := compress(t, in, workers, chunkSize, rng); !bytes.Equal(got, want) {
-			t.Errorf("%d workers: %d bytes differ from compress/gzip's %d", workers, len(got), len(want))
+		var buf bytes.Buffer
+		z := newWriter(&buf, workers, windowSize)
+		z.warmup = 0
+		writeAll(t, z, in, rng)
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Errorf("%d workers: %d bytes differ from compress/gzip's %d", workers, buf.Len(), len(want))
+		}
+		if z.reparsed != 4 {
+			t.Errorf("%d workers: %d of the 4 chunks after the first parsed again, want all", workers, z.reparsed)
 		}
 	}
 }
@@ -269,6 +348,7 @@ func BenchmarkGzipWriter(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			b.SetBytes(int64(len(in)))
 			b.ReportAllocs()
+			defer cpuPerOp(b)()
 			for b.Loop() {
 				z := newWriter(io.Discard, bc.workers, chunkSize)
 				z.Write(in)
@@ -278,4 +358,22 @@ func BenchmarkGzipWriter(b *testing.B) {
 			}
 		})
 	}
+}
+
+// cpuPerOp starts counting the process's CPU time, user plus system over
+// every thread; the func it returns reports it per iteration as
+// cpu-ms/op, so work done on other goroutines shows next to ns/op.
+func cpuPerOp(b *testing.B) func() {
+	start := processCPU(b)
+	return func() {
+		b.ReportMetric(float64(processCPU(b)-start)/float64(time.Millisecond)/float64(b.N), "cpu-ms/op")
+	}
+}
+
+func processCPU(b *testing.B) time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		b.Fatal(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }

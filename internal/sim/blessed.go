@@ -28,9 +28,10 @@ var BlessedExternalGoroutines = []string{
 	"repro/internal/experiments/parallel.go",
 
 	// The gzip writer of the Darshan log and the trace export: worker
-	// goroutines search chunks of the stream for matches while one
-	// compressor emits them in order. It runs on finished data outside
-	// any kernel run, and its output is byte-identical to compress/gzip's
+	// goroutines run the lazy parse over chunks of the stream while the
+	// calling goroutine splices their tokens in stream order, checking
+	// each handoff, and codes them. It runs on finished data outside any
+	// kernel run, and its output is byte-identical to compress/gzip's
 	// whatever the worker count or timing (its differential tests and
 	// fuzz target pin that).
 	"repro/internal/deflate",

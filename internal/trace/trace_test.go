@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"runtime"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -392,12 +393,31 @@ func BenchmarkWriteJSONGz(b *testing.B) {
 	}
 	b.SetBytes(int64(len(gunzip(b, buf.Bytes()))))
 	b.ReportAllocs()
+	defer cpuPerOp(b)()
 	for b.Loop() {
 		buf.Reset()
 		if err := WriteJSONGz(&buf, space, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// cpuPerOp starts counting the process's CPU time, user plus system over
+// every thread; the func it returns reports it per iteration as
+// cpu-ms/op, so the gzip writer's workers show next to ns/op.
+func cpuPerOp(b *testing.B) func() {
+	start := processCPU(b)
+	return func() {
+		b.ReportMetric(float64(processCPU(b)-start)/float64(time.Millisecond)/float64(b.N), "cpu-ms/op")
+	}
+}
+
+func processCPU(b *testing.B) time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		b.Fatal(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
 func FuzzWriteJSONGzMatchesOracle(f *testing.F) {
