@@ -112,27 +112,25 @@ func Analyze(start, stop *darshan.Log, lookup func(uint64) (string, bool), sizeO
 	for i := range start.Posix {
 		base[start.Posix[i].ID] = &start.Posix[i]
 	}
-	diff := func(rec *darshan.PosixRecord, c darshan.PosixCounter) int64 {
-		if b, ok := base[rec.ID]; ok {
-			return rec.Counters[c] - b.Counters[c]
-		}
-		return rec.Counters[c]
-	}
-	fdiff := func(rec *darshan.PosixRecord, c darshan.PosixFCounter) float64 {
-		if b, ok := base[rec.ID]; ok {
-			return rec.FCounters[c] - b.FCounters[c]
-		}
-		return rec.FCounters[c]
+	// zero is the baseline of a record the start snapshot does not have.
+	var zero darshan.PosixRecord
+	if len(stop.Posix) > 0 {
+		out.PerFile = make([]FileStats, 0, len(stop.Posix))
 	}
 
 	for i := range stop.Posix {
 		rec := &stop.Posix[i]
-		opens := diff(rec, darshan.POSIX_OPENS)
-		reads := diff(rec, darshan.POSIX_READS)
-		writes := diff(rec, darshan.POSIX_WRITES)
-		seeks := diff(rec, darshan.POSIX_SEEKS)
-		statsN := diff(rec, darshan.POSIX_STATS)
-		fsyncs := diff(rec, darshan.POSIX_FSYNCS)
+		b, ok := base[rec.ID]
+		if !ok {
+			b = &zero
+		}
+		diff := func(c darshan.PosixCounter) int64 { return rec.Counters[c] - b.Counters[c] }
+		opens := diff(darshan.POSIX_OPENS)
+		reads := diff(darshan.POSIX_READS)
+		writes := diff(darshan.POSIX_WRITES)
+		seeks := diff(darshan.POSIX_SEEKS)
+		statsN := diff(darshan.POSIX_STATS)
+		fsyncs := diff(darshan.POSIX_FSYNCS)
 		if opens+reads+writes+seeks+statsN+fsyncs == 0 {
 			continue // untouched during the window
 		}
@@ -142,15 +140,15 @@ func Analyze(start, stop *darshan.Log, lookup func(uint64) (string, bool), sizeO
 		out.Seeks += seeks
 		out.Stats += statsN
 		out.Fsyncs += fsyncs
-		out.BytesRead += diff(rec, darshan.POSIX_BYTES_READ)
-		out.BytesWritten += diff(rec, darshan.POSIX_BYTES_WRITTEN)
-		out.SeqReads += diff(rec, darshan.POSIX_SEQ_READS)
-		out.ConsecReads += diff(rec, darshan.POSIX_CONSEC_READS)
-		out.SeqWrites += diff(rec, darshan.POSIX_SEQ_WRITES)
-		out.ConsecWrite += diff(rec, darshan.POSIX_CONSEC_WRITES)
-		for b := 0; b < 10; b++ {
-			out.ReadSizeHist.Counts[b] += diff(rec, darshan.POSIX_SIZE_READ_0_100+darshan.PosixCounter(b))
-			out.WriteSizeHist.Counts[b] += diff(rec, darshan.POSIX_SIZE_WRITE_0_100+darshan.PosixCounter(b))
+		out.BytesRead += diff(darshan.POSIX_BYTES_READ)
+		out.BytesWritten += diff(darshan.POSIX_BYTES_WRITTEN)
+		out.SeqReads += diff(darshan.POSIX_SEQ_READS)
+		out.ConsecReads += diff(darshan.POSIX_CONSEC_READS)
+		out.SeqWrites += diff(darshan.POSIX_SEQ_WRITES)
+		out.ConsecWrite += diff(darshan.POSIX_CONSEC_WRITES)
+		for k := range darshan.PosixCounter(10) {
+			out.ReadSizeHist.Counts[k] += diff(darshan.POSIX_SIZE_READ_0_100 + k)
+			out.WriteSizeHist.Counts[k] += diff(darshan.POSIX_SIZE_WRITE_0_100 + k)
 		}
 
 		name := ""
@@ -165,8 +163,8 @@ func Analyze(start, stop *darshan.Log, lookup func(uint64) (string, bool), sizeO
 			Opens:     opens,
 			Reads:     reads,
 			Writes:    writes,
-			BytesRead: diff(rec, darshan.POSIX_BYTES_READ),
-			ReadTime:  fdiff(rec, darshan.POSIX_F_READ_TIME),
+			BytesRead: diff(darshan.POSIX_BYTES_READ),
+			ReadTime:  rec.FCounters[darshan.POSIX_F_READ_TIME] - b.FCounters[darshan.POSIX_F_READ_TIME],
 		}
 		if sizeOf != nil && name != "" {
 			if sz, ok := sizeOf(name); ok {

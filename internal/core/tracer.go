@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/darshan"
 	"repro/internal/sim"
@@ -160,14 +161,31 @@ func (d *DarshanTracer) CollectData(t *sim.Thread, space *profiler.XSpace) error
 // TraceViewer line per file, returning the number of segments converted.
 func (d *DarshanTracer) populateTimelines(plane *profiler.XPlane, analysis *SessionStats) int64 {
 	jobStartOffset := func(sec float64) int64 { return int64(sec * 1e9) }
+	inWindow := func(seg *darshan.Segment) bool {
+		return seg.Start >= d.startSnap.JobEnd && seg.End <= d.stopSnap.JobEnd
+	}
 	var converted int64
 	for i := range d.stopSnap.DXT {
 		rec := &d.stopSnap.DXT[i]
+		n := 0
+		for _, segs := range [2][]darshan.Segment{rec.ReadSegs, rec.WriteSegs} {
+			for j := range segs {
+				if inWindow(&segs[j]) {
+					n++
+				}
+			}
+		}
+		if n == 0 {
+			continue
+		}
 		name, _ := d.h.wrapper.LookupName(rec.ID)
-		var events []profiler.XEvent
-		addSegs := func(segs []darshan.Segment, op string) {
-			for _, seg := range segs {
-				if seg.Start < d.startSnap.JobEnd || seg.End > d.stopSnap.JobEnd {
+		line := plane.Line(int64(rec.ID&0x7FFFFFFFFFFFFFFF), name)
+		line.Events = slices.Grow(line.Events, n)
+		for k, segs := range [2][]darshan.Segment{rec.ReadSegs, rec.WriteSegs} {
+			op := [2]string{"pread", "pwrite"}[k]
+			for j := range segs {
+				seg := &segs[j]
+				if !inWindow(seg) {
 					continue
 				}
 				ev := profiler.XEvent{
@@ -178,17 +196,10 @@ func (d *DarshanTracer) populateTimelines(plane *profiler.XPlane, analysis *Sess
 				// Typed args: no per-segment map or formatted strings;
 				// renderers materialize them on demand.
 				ev.SetIO(seg.Offset, seg.Length)
-				events = append(events, ev)
+				line.Events = append(line.Events, ev)
 			}
 		}
-		addSegs(rec.ReadSegs, "pread")
-		addSegs(rec.WriteSegs, "pwrite")
-		if len(events) == 0 {
-			continue
-		}
-		line := plane.Line(int64(rec.ID&0x7FFFFFFFFFFFFFFF), name)
-		line.Events = append(line.Events, events...)
-		converted += int64(len(events))
+		converted += int64(n)
 	}
 	plane.SortLines()
 	return converted

@@ -97,7 +97,8 @@ func BenchmarkWriteMergedLog(b *testing.B) {
 
 // cpuPerOp starts counting the process's CPU time, user plus system over
 // every thread; the func it returns reports it per iteration as
-// cpu-ms/op, so the gzip writer's workers show next to ns/op.
+// cpu-ms/op, so the gzip writer's workers and the gzip reader's inflate
+// worker show next to ns/op.
 func cpuPerOp(b *testing.B) func() {
 	start := processCPU(b)
 	return func() {
@@ -120,6 +121,7 @@ func BenchmarkReadMergedLog(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
+		defer cpuPerOp(b)()
 		for b.Loop() {
 			if _, err := ReadLog(bytes.NewReader(buf.Bytes())); err != nil {
 				b.Fatal(err)

@@ -1,7 +1,6 @@
 package darshan
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -59,15 +58,20 @@ const (
 )
 
 // appendDecoded appends v, one decoded element of a block whose count
-// field declared n elements, to s. A full slice grows to
-// min(n, logAllocChunk) first and then doubles, never past n: a block of
-// up to logAllocChunk elements is allocated once at its size, a larger
-// honest block ends at capacity n exactly, and a false count keeps the
-// slice within logAllocChunk elements or twice the elements that actually
-// decoded, whichever is more.
+// field declared n elements, to s. A full slice grows to the largest of
+// n, n/2, n/4, ... (rounded up) within logAllocChunk elements or twice its
+// length, whichever is more: a block of up to logAllocChunk elements is
+// allocated once at its size, a larger honest block doubles its way up to
+// capacity n exactly, allocating about 2n elements in all, and a false
+// count keeps the slice within logAllocChunk elements or twice the
+// elements that actually decoded.
 func appendDecoded[T any](s []T, v T, n int) []T {
 	if len(s) == cap(s) {
-		grown := make([]T, len(s), min(n, max(2*cap(s), logAllocChunk)))
+		c := n
+		for c > max(2*cap(s), logAllocChunk) {
+			c = (c + 1) / 2
+		}
+		grown := make([]T, len(s), c)
 		copy(grown, s)
 		s = grown
 	}
@@ -113,7 +117,7 @@ type Log struct {
 }
 
 // logChunk is how many encoded bytes the encoder buffers before handing
-// them to the compressor, and the decoder's read-buffer size.
+// them to the compressor.
 const logChunk = 64 << 10
 
 // logEncoder appends typed little-endian fields to a reused buffer and
@@ -295,11 +299,11 @@ const (
 	timelineSegmentBytes = 8 + 4 + 1 + segmentBytes
 )
 
-// logDecoder reads the decompressed stream through a buffered reader, one
-// whole record at a time into a scratch buffer, and then hands out that
-// record's little-endian fields in order. The read error is sticky.
+// logDecoder reads the decompressed stream, one whole record at a time
+// into a scratch buffer, and then hands out that record's little-endian
+// fields in order. The read error is sticky.
 type logDecoder struct {
-	r   *bufio.Reader
+	r   *deflate.Reader
 	buf []byte // the record last read by next
 	off int    // field cursor into buf
 	err error
@@ -390,12 +394,15 @@ func finiteTime(v float64) bool {
 // (magic, version, kind, rank ranges, count bounds, time sanity) happens
 // streamingly: a corrupt count field errors at the record it lies about,
 // never as a huge up-front allocation. Malformed input yields an
-// ErrBadLog-wrapped error; it never panics.
+// ErrBadLog-wrapped error; it never panics. On more than one core the
+// stream inflates on a worker goroutine while this one decodes records;
+// the worker has stopped when ReadLog returns.
 func ReadLog(r io.Reader) (*Log, error) {
-	lr, err := NewLogReader(r)
+	lr, err := newLogReader(r, deflate.NewPipelinedReader)
 	if err != nil {
 		return nil, err
 	}
+	defer lr.zr.Close()
 	log := &Log{
 		JobEnd: lr.jobEnd,
 		NProcs: lr.NProcs(),

@@ -5,6 +5,7 @@ import (
 	"compress/gzip"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -612,6 +613,37 @@ func TestLogWriteErrorReleasesWorkers(t *testing.T) {
 		for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > baseline; time.Sleep(time.Millisecond) {
 			if time.Now().After(deadline) {
 				t.Fatalf("%d goroutines left running, %d before", runtime.NumGoroutine(), baseline)
+			}
+		}
+	}
+}
+
+// TestReadLogReleasesWorker: a multi-megabyte log cut at several points,
+// from inside the gzip header to the trailer's last byte, or with a byte
+// flipped, reads back as an ErrBadLog error, and the inflate worker is
+// gone afterwards, as it is after a clean read.
+func TestReadLogReleasesWorker(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	var buf bytes.Buffer
+	if err := Merge(timelineSnapshots(benchRanks, 16, 100_000)).Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	full := buf.Bytes()
+	flipped := bytes.Clone(full)
+	flipped[len(flipped)/2] ^= 0x40
+	inputs := map[string][]byte{"clean": full, "flipped": flipped}
+	for _, cut := range []int{len(logMagic) + 4 + 5, len(full) / 3, len(full) - 8, len(full) - 1} {
+		inputs[fmt.Sprintf("cut at %d of %d", cut, len(full))] = full[:cut]
+	}
+	for name, in := range inputs {
+		baseline := runtime.NumGoroutine()
+		_, err := ReadLog(bytes.NewReader(in))
+		if name == "clean" && err != nil || name != "clean" && !errors.Is(err, ErrBadLog) {
+			t.Fatalf("%s: ReadLog returned %v", name, err)
+		}
+		for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > baseline; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines left running, %d before", name, runtime.NumGoroutine(), baseline)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package darshan
 import (
 	"cmp"
 	"maps"
+	"math"
 	"slices"
 )
 
@@ -249,34 +250,49 @@ func compareSegments(a, b *MergedSegment) int {
 // compare equal keep their input order (rank-major, record order, reads
 // before writes). Per-record runs are not start-ordered — DXT appends a
 // segment when the operation completes, so concurrent readers interleave
-// — hence a full sort. It sorts an int32 index permutation with the input
-// index as the last tie-break, which is the stable order in O(n log n)
-// without moving 64-byte segments while sorting, then applies the
-// permutation in place along its cycles, so no second timeline is held.
-// Timelines stay far below 2^31 segments (the log format caps them at
-// 2^24).
+// — hence a full sort. It sorts keys bucket<<32 | inputIndex, where
+// bucket is startBuckets' non-decreasing map of Start, so one integer
+// sort orders every pair of segments in different buckets without
+// loading either; each run of equal buckets is then sorted by
+// compareSegments with the input index as the last tie-break. That is
+// the stable order in O(n log n) without moving 64-byte segments while
+// sorting. The permutation is then applied in place along its cycles, so
+// no second timeline is held. Timelines stay far below 2^32 segments (the
+// log format caps them at 2^24).
 func sortTimeline(tl []MergedSegment) {
-	perm := make([]int32, len(tl))
-	for i := range perm {
-		perm[i] = int32(i)
+	keys := make([]uint64, len(tl))
+	bucket := startBuckets(tl)
+	for i := range tl {
+		keys[i] = uint64(bucket(tl[i].Start))<<32 | uint64(i)
 	}
-	slices.SortFunc(perm, func(i, j int32) int {
-		if c := compareSegments(&tl[i], &tl[j]); c != 0 {
-			return c
+	slices.Sort(keys)
+	for lo := 0; lo < len(keys); {
+		hi := lo + 1
+		for hi < len(keys) && keys[hi]>>32 == keys[lo]>>32 {
+			hi++
 		}
-		return cmp.Compare(i, j)
-	})
-	// perm[k] is the input index of the segment that belongs at k; a slot
-	// is marked -1 once filled.
-	for start := range perm {
-		if perm[start] < 0 || int(perm[start]) == start {
+		if hi-lo > 1 {
+			slices.SortFunc(keys[lo:hi], func(a, b uint64) int {
+				if c := compareSegments(&tl[uint32(a)], &tl[uint32(b)]); c != 0 {
+					return c
+				}
+				return cmp.Compare(uint32(a), uint32(b))
+			})
+		}
+		lo = hi
+	}
+	// The low half of keys[k] is the input index of the segment that
+	// belongs at k; a slot is marked filled once it is.
+	const filled = math.MaxUint64
+	for start := range keys {
+		if keys[start] == filled || int(uint32(keys[start])) == start {
 			continue
 		}
 		held := tl[start]
 		k := start
 		for {
-			src := int(perm[k])
-			perm[k] = -1
+			src := int(uint32(keys[k]))
+			keys[k] = filled
 			if src == start {
 				tl[k] = held
 				break
@@ -284,6 +300,35 @@ func sortTimeline(tl []MergedSegment) {
 			tl[k] = tl[src]
 			k = src
 		}
+	}
+}
+
+// startBuckets returns a map of start times onto 32-bit buckets that never
+// decreases in compareSegments' order of starts, cmp.Compare's, and gives
+// equal starts (-0 and +0 too) one bucket: NaN, which cmp.Compare puts
+// first, and -Inf map to bucket 0, +Inf to the last, and the finite
+// starts of tl spread linearly over the buckets between. Rounding in the
+// map only merges buckets; it never reorders them.
+func startBuckets(tl []MergedSegment) func(float64) uint32 {
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for i := range tl {
+		if s := tl[i].Start; !math.IsNaN(s) && !math.IsInf(s, 0) {
+			lo, hi = min(lo, s), max(hi, s)
+		}
+	}
+	scale := math.MaxUint32 / (hi - lo)
+	if !(hi > lo) || math.IsInf(hi-lo, 0) || math.IsInf(scale, 0) {
+		// No spread to map: one run, sorted by compareSegments alone.
+		return func(float64) uint32 { return 0 }
+	}
+	return func(s float64) uint32 {
+		switch {
+		case math.IsNaN(s) || s < lo:
+			return 0
+		case s > hi:
+			return math.MaxUint32
+		}
+		return uint32(min((s-lo)*scale, math.MaxUint32))
 	}
 }
 

@@ -2,8 +2,11 @@ package darshan
 
 import (
 	"bytes"
+	"cmp"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -268,11 +271,12 @@ func stableTimelineOrder(perRank []*Log) []MergedSegment {
 	}
 	sort.SliceStable(tl, func(i, j int) bool {
 		a, b := &tl[i], &tl[j]
-		if a.Start != b.Start {
-			return a.Start < b.Start
+		// cmp.Compare: NaN first and equal to itself, -0 equal to +0.
+		if c := cmp.Compare(a.Start, b.Start); c != 0 {
+			return c < 0
 		}
-		if a.End != b.End {
-			return a.End < b.End
+		if c := cmp.Compare(a.End, b.End); c != 0 {
+			return c < 0
 		}
 		if a.Rank != b.Rank {
 			return a.Rank < b.Rank
@@ -293,7 +297,12 @@ func stableTimelineOrder(perRank []*Log) []MergedSegment {
 // starts and ends collide, with deliberate full-key twins: segments equal
 // on start, end, rank, file, offset and direction that differ only in
 // length or thread, whose relative order only stability decides.
-func randomTimelineSnapshots(rng *rand.Rand) []*Log {
+//
+// With special set, a quarter of the segments take their start and end
+// from specialTimes instead, which no log holds but Merge must still
+// order like cmp.Compare: NaN first, -0 equal to +0, the infinities at
+// the ends.
+func randomTimelineSnapshots(rng *rand.Rand, special bool) []*Log {
 	snaps := make([]*Log, 1+rng.Intn(8))
 	for r := range snaps {
 		if rng.Intn(6) == 0 {
@@ -305,9 +314,14 @@ func randomTimelineSnapshots(rng *rand.Rand) []*Log {
 			for _, segs := range []*[]Segment{&rec.ReadSegs, &rec.WriteSegs} {
 				for n := rng.Intn(30); n > 0; n-- {
 					start := float64(rng.Intn(16)) / 4
+					end := start + float64(rng.Intn(3))/4
+					if special && rng.Intn(4) == 0 {
+						start = specialTimes[rng.Intn(len(specialTimes))]
+						end = specialTimes[rng.Intn(len(specialTimes))]
+					}
 					s := Segment{
 						Offset: int64(rng.Intn(3)) << 12, Length: int64(rng.Intn(3)) << 12,
-						Start: start, End: start + float64(rng.Intn(3))/4, TID: rng.Intn(3),
+						Start: start, End: end, TID: rng.Intn(3),
 					}
 					*segs = append(*segs, s)
 					if rng.Intn(3) == 0 {
@@ -326,13 +340,27 @@ func randomTimelineSnapshots(rng *rand.Rand) []*Log {
 	return snaps
 }
 
+var specialTimes = []float64{math.NaN(), math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), 1.5, 1.5, -2}
+
+// sameTimeline reports whether a and b hold the same segments in the same
+// order, comparing times bit for bit, so NaN equals NaN and -0 is not +0.
+func sameTimeline(a, b []MergedSegment) bool {
+	return slices.EqualFunc(a, b, func(x, y MergedSegment) bool {
+		fx, fy := x, y
+		fx.Start, fx.End, fy.Start, fy.End = 0, 0, 0, 0
+		return fx == fy &&
+			math.Float64bits(x.Start) == math.Float64bits(y.Start) &&
+			math.Float64bits(x.End) == math.Float64bits(y.End)
+	})
+}
+
 func TestMergeTimelineMatchesStableOrder(t *testing.T) {
 	twins := 0
-	for seed := int64(1); seed <= 300; seed++ {
-		snaps := randomTimelineSnapshots(rand.New(rand.NewSource(seed)))
+	for seed := int64(1); seed <= 600; seed++ {
+		snaps := randomTimelineSnapshots(rand.New(rand.NewSource(seed)), seed > 300)
 		want := stableTimelineOrder(snaps)
 		got := Merge(snaps).Timeline
-		if !reflect.DeepEqual(got, want) {
+		if !sameTimeline(got, want) {
 			t.Fatalf("seed %d: timeline order differs from the stable reference", seed)
 		}
 		for i := 1; i < len(want); i++ {

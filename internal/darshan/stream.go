@@ -1,12 +1,12 @@
 package darshan
 
 import (
-	"bufio"
 	"bytes"
-	"compress/gzip"
 	"encoding/binary"
 	"fmt"
 	"io"
+
+	"repro/internal/deflate"
 )
 
 // IsLogData reports whether b begins with the Darshan log magic — the
@@ -39,7 +39,7 @@ const (
 // stream ends exactly at the final block — the same structural guarantee
 // ReadLog gives, which is itself built on this reader.
 type LogReader struct {
-	zr *gzip.Reader
+	zr *deflate.Reader
 	d  *logDecoder
 
 	merged  bool
@@ -56,8 +56,15 @@ type LogReader struct {
 }
 
 // NewLogReader validates the clear-text header, job record and name table
-// and positions the reader before the POSIX block.
+// and positions the reader before the POSIX block. It inflates on the
+// caller's goroutine, as records are asked for.
 func NewLogReader(r io.Reader) (*LogReader, error) {
+	return newLogReader(r, deflate.NewReader)
+}
+
+// newLogReader is NewLogReader with the gzip reader open makes. The gzip
+// reader is closed again when it fails.
+func newLogReader(r io.Reader, open func(io.Reader) (*deflate.Reader, error)) (_ *LogReader, err error) {
 	var magic [8]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadLog, err)
@@ -72,13 +79,16 @@ func NewLogReader(r io.Reader) (*LogReader, error) {
 	if version != LogVersion {
 		return nil, fmt.Errorf("%w: unsupported version %d (want %d)", ErrBadLog, version, LogVersion)
 	}
-	lr := &LogReader{}
-	zr, err := gzip.NewReader(r)
+	zr, err := open(r)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadLog, err)
 	}
-	lr.zr = zr
-	lr.d = &logDecoder{r: bufio.NewReaderSize(zr, logChunk)}
+	defer func() {
+		if err != nil {
+			zr.Close()
+		}
+	}()
+	lr := &LogReader{zr: zr, d: &logDecoder{r: zr}}
 	d := lr.d
 
 	if !d.next(1) {
@@ -106,7 +116,13 @@ func NewLogReader(r io.Reader) (*LogReader, error) {
 	if err != nil {
 		return nil, err
 	}
-	lr.names = make(map[uint64]string, min(nNames, logAllocChunk))
+	// The entries are collected first and the map made at their count, so
+	// it is not rehashed as it grows.
+	type entry struct {
+		id   uint64
+		name string
+	}
+	var names []entry
 	for i := 0; i < nNames; i++ {
 		if !d.next(10) {
 			return nil, d.fail("name table entry %d", i)
@@ -115,7 +131,11 @@ func NewLogReader(r io.Reader) (*LogReader, error) {
 		if !d.next(int(ln)) {
 			return nil, d.fail("name table entry %d", i)
 		}
-		lr.names[id] = string(d.buf)
+		names = appendDecoded(names, entry{id, string(d.buf)}, nNames)
+	}
+	lr.names = make(map[uint64]string, len(names))
+	for _, e := range names {
+		lr.names[e.id] = e.name
 	}
 	return lr, nil
 }

@@ -6,7 +6,6 @@ package trace
 
 import (
 	"bufio"
-	"compress/gzip"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -234,9 +233,11 @@ func appendFloat(b []byte, f float64) []byte {
 // ReadJSONGz parses a trace.json.gz document. Only whitespace may follow
 // the JSON value, and the gzip stream must end cleanly, so a corrupt
 // CRC32 or length trailer, a truncated stream and trailing garbage are
-// all errors.
+// all errors. On more than one core the stream inflates on a worker
+// goroutine while this one parses; the worker has stopped when ReadJSONGz
+// returns.
 func ReadJSONGz(r io.Reader) (*File, error) {
-	zr, err := gzip.NewReader(r)
+	zr, err := deflate.NewPipelinedReader(r)
 	if err != nil {
 		return nil, fmt.Errorf("trace: gzip header: %w", err)
 	}

@@ -535,3 +535,47 @@ func TestWriteJSONGzErrorReleasesWorkers(t *testing.T) {
 		}
 	}
 }
+
+// TestReadJSONGzReleasesWorker: a multi-megabyte trace cut at several
+// points, from inside the gzip header to the trailer's last byte, with a
+// byte flipped, or whose JSON breaks at its first byte while megabytes
+// are left to inflate, reads back as an error, and the inflate worker is
+// gone afterwards, as it is after a clean read.
+func TestReadJSONGzReleasesWorker(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	var buf bytes.Buffer
+	if err := WriteJSONGz(&buf, imagenetSpace(20_000, 4_000), 0); err != nil {
+		t.Fatal(err)
+	}
+	full := bytes.Clone(buf.Bytes())
+	flipped := bytes.Clone(full)
+	flipped[len(flipped)/2] ^= 0x40
+	zr, err := gzip.NewReader(bytes.NewReader(full))
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc[0] = 'x'
+	buf.Reset()
+	zw := gzip.NewWriter(&buf)
+	zw.Write(doc)
+	zw.Close()
+	inputs := map[string][]byte{"clean": full, "flipped": flipped, "bad JSON": buf.Bytes()}
+	for _, cut := range []int{5, len(full) / 3, len(full) - 8, len(full) - 1} {
+		inputs[fmt.Sprintf("cut at %d of %d", cut, len(full))] = full[:cut]
+	}
+	for name, in := range inputs {
+		baseline := runtime.NumGoroutine()
+		if _, err := ReadJSONGz(bytes.NewReader(in)); (err == nil) != (name == "clean") {
+			t.Fatalf("%s: ReadJSONGz returned %v", name, err)
+		}
+		for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > baseline; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines left running, %d before", name, runtime.NumGoroutine(), baseline)
+			}
+		}
+	}
+}
