@@ -4,11 +4,10 @@
 // Two input formats, told apart by their magic bytes:
 //
 //   - trace.json.gz: events per process/thread in time order;
-//   - darshan.log (single or merged kind): one activity lane per rank,
-//     streamed from the log without materializing it — each lane is the
-//     rank's read/write activity over the job, so a failed rank's
-//     downtime gap and the cluster-wide restore read burst that follows
-//     are visible at a glance.
+//   - darshan.log (single or merged kind): one activity lane per rank —
+//     each lane is the rank's read/write activity over the job, so a
+//     failed rank's downtime gap and the cluster-wide restore read burst
+//     that follows are visible at a glance.
 //
 // Usage:
 //
@@ -155,9 +154,8 @@ func renderTrace(w io.Writer, doc *trace.File, limit int) error {
 	return nil
 }
 
-// lane accumulates one rank's streamed timeline statistics: a bucketed
-// activity strip plus counters. Constant memory per rank regardless of
-// segment count.
+// lane accumulates one rank's timeline statistics: a bucketed activity
+// strip plus counters.
 type lane struct {
 	cells      []byte // bitmask per column: 1=read, 2=write
 	segs       int64
@@ -225,68 +223,47 @@ func fmtBytes(n int64) string {
 	return fmt.Sprintf("%.1fMB", float64(n)/1e6)
 }
 
-// renderDarshan streams a binary Darshan log into per-rank activity
-// lanes. Merged logs get one lane per rank from the rank-attributed
-// timeline; single-process logs get one lane fed by the per-file DXT
-// records.
+// renderDarshan renders a binary Darshan log as per-rank activity lanes.
+// Merged logs get one lane per rank from the rank-attributed timeline;
+// single-process logs get one lane fed by the per-file DXT records.
 func renderDarshan(w io.Writer, r io.Reader, cols int) error {
-	lr, err := darshan.NewLogReader(r)
+	log, err := darshan.ReadLog(r)
 	if err != nil {
 		return err
 	}
-	span := lr.JobEnd()
+	span := log.JobEnd
 	if span <= 0 {
 		span = 1
 	}
 	kind := "single"
-	if lr.Merged() {
+	if log.Merged {
 		kind = "merged"
 	}
-	lanes := make([]*lane, lr.NProcs())
+	lanes := make([]*lane, log.NProcs)
 	for i := range lanes {
 		lanes[i] = &lane{cells: make([]byte, cols)}
 	}
 	files := map[uint64]bool{}
-	if lr.Merged() {
-		for {
-			s, ok, err := lr.NextSegment()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
-			files[s.ID] = true
-			lanes[s.Rank].add(s, span)
-		}
-	} else {
-		for {
-			rec, ok, err := lr.NextDXT()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
-			files[rec.ID] = true
-			for dir, segs := range [2][]darshan.Segment{rec.ReadSegs, rec.WriteSegs} {
-				for _, s := range segs {
-					lanes[0].add(darshan.MergedSegment{Segment: s, ID: rec.ID, Write: dir == 1}, span)
-				}
-			}
-		}
+	for _, s := range log.Timeline {
+		files[s.ID] = true
+		lanes[s.Rank].add(s, span)
 	}
-	if err := lr.Finish(); err != nil {
-		return err
+	for _, rec := range log.DXT {
+		files[rec.ID] = true
+		for dir, segs := range [2][]darshan.Segment{rec.ReadSegs, rec.WriteSegs} {
+			for _, s := range segs {
+				lanes[0].add(darshan.MergedSegment{Segment: s, ID: rec.ID, Write: dir == 1}, span)
+			}
+		}
 	}
 
 	var total int64
 	for _, l := range lanes {
 		total += l.segs
 	}
-	fmt.Fprintf(w, "=== darshan %s log: nprocs %d, job end %.3fs ===\n", kind, lr.NProcs(), lr.JobEnd())
+	fmt.Fprintf(w, "=== darshan %s log: nprocs %d, job end %.3fs ===\n", kind, log.NProcs, log.JobEnd)
 	fmt.Fprintf(w, "%d segments (dropped %d) over %d files; %d columns of %.3fs (r=read w=write x=both .=idle)\n",
-		total, lr.DroppedSegments(), len(files), cols, span/float64(cols))
+		total, log.DroppedSegments, len(files), cols, span/float64(cols))
 	for rank, l := range lanes {
 		fmt.Fprintf(w, "rank %d |%s|\n", rank, l.strip())
 		if l.segs == 0 {

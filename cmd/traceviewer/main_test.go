@@ -238,7 +238,7 @@ func TestMalformedTraceEventErrors(t *testing.T) {
 }
 
 // TestTruncatedDarshanLogErrors: a log cut mid-stream must error through
-// the streaming path, not render a partial view.
+// the log reader, not render a partial view.
 func TestTruncatedDarshanLogErrors(t *testing.T) {
 	full, err := os.ReadFile(failoverLog)
 	if err != nil {

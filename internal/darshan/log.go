@@ -1,6 +1,7 @@
 package darshan
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -57,15 +58,17 @@ const (
 	logAllocChunk = 1 << 10
 )
 
-// appendDecoded appends v, one decoded element of a block whose count
-// field declared n elements, to s. A full slice grows to the largest of
-// n, n/2, n/4, ... (rounded up) within logAllocChunk elements or twice its
-// length, whichever is more: a block of up to logAllocChunk elements is
-// allocated once at its size, a larger honest block doubles its way up to
-// capacity n exactly, allocating about 2n elements in all, and a false
-// count keeps the slice within logAllocChunk elements or twice the
-// elements that actually decoded.
-func appendDecoded[T any](s []T, v T, n int) []T {
+// appendDecoded extends s, the slice of a block whose count field
+// declared n elements, by one zero element for the caller to decode the
+// next element into in place. A full slice grows to the largest of n, n/2,
+// n/4, ... (rounded up) within logAllocChunk elements or twice its length,
+// whichever is more: a block of up to logAllocChunk elements is allocated
+// once at its size, a larger honest block doubles its way up to capacity n
+// exactly, allocating about 2n elements in all, and a false count keeps
+// the slice within logAllocChunk elements or twice the elements that
+// actually decoded. s must be nil or a slice appendDecoded returned: the
+// spare capacity it extends into is then zero, as make left it.
+func appendDecoded[T any](s []T, n int) []T {
 	if len(s) == cap(s) {
 		c := n
 		for c > max(2*cap(s), logAllocChunk) {
@@ -75,7 +78,7 @@ func appendDecoded[T any](s []T, v T, n int) []T {
 		copy(grown, s)
 		s = grown
 	}
-	return append(s, v)
+	return s[:len(s)+1]
 }
 
 // ErrBadLog reports a malformed or foreign log file.
@@ -351,19 +354,6 @@ func (d *logDecoder) i32() int32   { return int32(d.u32()) }
 func (d *logDecoder) i64() int64   { return int64(d.u64()) }
 func (d *logDecoder) f64() float64 { return math.Float64frombits(d.u64()) }
 
-// record decodes the fields of one POSIX or STDIO module record.
-func (d *logDecoder) record(id *uint64, counters []int64, fcounters []float64) (rank int64) {
-	*id = d.u64()
-	rank = d.i64()
-	for i := range counters {
-		counters[i] = d.i64()
-	}
-	for i := range fcounters {
-		fcounters[i] = d.f64()
-	}
-	return rank
-}
-
 func (d *logDecoder) fail(format string, args ...any) error {
 	if d.err != nil {
 		return fmt.Errorf("%w: %s: %v", ErrBadLog, fmt.Sprintf(format, args...), d.err)
@@ -389,74 +379,220 @@ func finiteTime(v float64) bool {
 	return !math.IsNaN(v) && !math.IsInf(v, 0) && v >= 0
 }
 
-// ReadLog decodes a log written by (*Log).Write — either kind. It is a
-// thin materializing loop over LogReader, so all structural validation
-// (magic, version, kind, rank ranges, count bounds, time sanity) happens
-// streamingly: a corrupt count field errors at the record it lies about,
-// never as a huge up-front allocation. Malformed input yields an
-// ErrBadLog-wrapped error; it never panics. On more than one core the
+// IsLogData reports whether b begins with the Darshan log magic — the
+// sniff viewers use to tell a binary log from other trace formats.
+func IsLogData(b []byte) bool {
+	return len(b) >= len(logMagic) && bytes.Equal(b[:len(logMagic)], logMagic[:])
+}
+
+// ReadLog decodes a log written by (*Log).Write — either kind — in one
+// pass, checking its structure as it goes: magic, version, kind, rank
+// ranges, count bounds, time sanity, and that the stream ends with the
+// final block. Every block element is decoded in place into a slice grown
+// by appendDecoded, so a corrupt count field errors at the element it
+// lies about, never as a huge up-front allocation. Malformed input yields
+// an ErrBadLog-wrapped error; it never panics. On more than one core the
 // stream inflates on a worker goroutine while this one decodes records;
 // the worker has stopped when ReadLog returns.
 func ReadLog(r io.Reader) (*Log, error) {
-	lr, err := newLogReader(r, deflate.NewPipelinedReader)
+	var magic [8]byte
+	if _, err := io.ReadFull(r, magic[:]); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadLog, err)
+	}
+	if magic != logMagic {
+		return nil, fmt.Errorf("%w: bad magic", ErrBadLog)
+	}
+	var version uint32
+	if err := binary.Read(r, binary.LittleEndian, &version); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadLog, err)
+	}
+	if version != LogVersion {
+		return nil, fmt.Errorf("%w: unsupported version %d (want %d)", ErrBadLog, version, LogVersion)
+	}
+	zr, err := deflate.NewPipelinedReader(r)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadLog, err)
+	}
+	defer zr.Close()
+	d := &logDecoder{r: zr}
+	log := &Log{}
+
+	if !d.next(1) {
+		return nil, d.fail("kind")
+	}
+	switch kind := d.u8(); kind {
+	case logKindSingle:
+	case logKindMerged:
+		log.Merged = true
+	default:
+		return nil, fmt.Errorf("%w: unknown log kind %d", ErrBadLog, kind)
+	}
+
+	// Job record.
+	if !d.next(16) {
+		return nil, d.fail("job record")
+	}
+	jobEnd, nprocs := d.f64(), d.i64()
+	if err := checkJobRecord(log.Merged, jobEnd, nprocs); err != nil {
+		return nil, err
+	}
+	log.JobEnd, log.NProcs = jobEnd, int(nprocs)
+
+	// Name table. The entries are collected first and the map made at
+	// their count, so it is not rehashed as it grows.
+	nNames, err := d.count("name table", maxLogNames)
 	if err != nil {
 		return nil, err
 	}
-	defer lr.zr.Close()
-	log := &Log{
-		JobEnd: lr.jobEnd,
-		NProcs: lr.NProcs(),
-		Merged: lr.merged,
-		Names:  lr.names,
+	type entry struct {
+		id   uint64
+		name string
 	}
-	for {
-		rec, ok, err := lr.NextPosix()
-		if err != nil {
-			return nil, err
+	var names []entry
+	for i := range nNames {
+		names = appendDecoded(names, nNames)
+		if !d.next(10) {
+			return nil, d.fail("name table entry %d", i)
 		}
-		if !ok {
-			break
+		id, ln := d.u64(), d.u16()
+		if !d.next(int(ln)) {
+			return nil, d.fail("name table entry %d", i)
 		}
-		log.Posix = appendDecoded(log.Posix, rec, lr.blockCount())
+		names[i] = entry{id, string(d.buf)}
 	}
-	for {
-		rec, ok, err := lr.NextStdio()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		log.Stdio = appendDecoded(log.Stdio, rec, lr.blockCount())
+	log.Names = make(map[uint64]string, len(names))
+	for _, e := range names {
+		log.Names[e.id] = e.name
 	}
-	if log.Merged {
-		for {
-			ms, ok, err := lr.NextSegment()
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				break
-			}
-			log.Timeline = appendDecoded(log.Timeline, ms, lr.blockCount())
-		}
-		log.DroppedSegments = lr.DroppedSegments()
-	} else {
-		for {
-			rec, ok, err := lr.NextDXT()
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				break
-			}
-			log.DXT = appendDecoded(log.DXT, rec, lr.blockCount())
-		}
-	}
-	if err := lr.Finish(); err != nil {
+
+	if log.Posix, err = readModule(d, log, "posix", posixFields); err != nil {
 		return nil, err
 	}
+	if log.Stdio, err = readModule(d, log, "stdio", stdioFields); err != nil {
+		return nil, err
+	}
+
+	if log.Merged {
+		// Merged DXT: the drop counter, then one flat rank-attributed
+		// timeline.
+		if !d.next(8) {
+			return nil, d.fail("timeline header")
+		}
+		if log.DroppedSegments = d.i64(); log.DroppedSegments < 0 {
+			return nil, fmt.Errorf("%w: negative timeline drop count", ErrBadLog)
+		}
+		n, err := d.count("timeline", maxLogSegments)
+		if err != nil {
+			return nil, err
+		}
+		for i := range n {
+			log.Timeline = appendDecoded(log.Timeline, n)
+			ms := &log.Timeline[i]
+			if !d.next(timelineSegmentBytes) {
+				return nil, d.fail("timeline segment %d", i)
+			}
+			ms.ID = d.u64()
+			rank, write := d.i32(), d.u8()
+			// Timeline segments are always owned by a concrete rank: the
+			// shared sentinel never appears here.
+			if rank < 0 || int64(rank) >= nprocs {
+				return nil, fmt.Errorf("%w: timeline segment %d: rank %d out of range (nprocs %d)", ErrBadLog, i, rank, nprocs)
+			}
+			if write > 1 {
+				return nil, fmt.Errorf("%w: timeline segment %d: direction flag %d", ErrBadLog, i, write)
+			}
+			ms.Rank, ms.Write = int(rank), write == 1
+			if err := readSegment(d, &ms.Segment, "timeline segment", i); err != nil {
+				return nil, err
+			}
+		}
+	} else {
+		// Single-process DXT: per-file records.
+		n, err := d.count("dxt block", maxLogRecords)
+		if err != nil {
+			return nil, err
+		}
+		for i := range n {
+			log.DXT = appendDecoded(log.DXT, n)
+			rec := &log.DXT[i]
+			if !d.next(16) {
+				return nil, d.fail("dxt record %d", i)
+			}
+			if rec.ID, rec.Dropped = d.u64(), d.i64(); rec.Dropped < 0 {
+				return nil, fmt.Errorf("%w: dxt record %d: negative drop count", ErrBadLog, i)
+			}
+			for dir, segs := range [2]*[]Segment{&rec.ReadSegs, &rec.WriteSegs} {
+				what := [2]string{"dxt read segment", "dxt write segment"}[dir]
+				nSegs, err := d.count(what, maxLogSegments)
+				if err != nil {
+					return nil, err
+				}
+				for j := range nSegs {
+					*segs = appendDecoded(*segs, nSegs)
+					if !d.next(segmentBytes) {
+						return nil, d.fail("%s %d", what, j)
+					}
+					if err := readSegment(d, &(*segs)[j], what, j); err != nil {
+						return nil, err
+					}
+				}
+			}
+		}
+	}
+
+	// Trailing bytes mean a corrupt count field upstream.
+	var trailer [1]byte
+	if n, err := zr.Read(trailer[:]); n != 0 || err != io.EOF {
+		return nil, fmt.Errorf("%w: trailing data after final block", ErrBadLog)
+	}
 	return log, nil
+}
+
+// posixFields and stdioFields return the fields readModule decodes a
+// record into: its id, its rank and its counter arrays.
+func posixFields(r *PosixRecord) (*uint64, *int, []int64, []float64) {
+	return &r.ID, &r.Rank, r.Counters[:], r.FCounters[:]
+}
+
+func stdioFields(r *StdioRecord) (*uint64, *int, []int64, []float64) {
+	return &r.ID, &r.Rank, r.Counters[:], r.FCounters[:]
+}
+
+// readModule decodes a POSIX or STDIO block of log: a count, then that
+// many records, each an id, a rank and the counter arrays, decoded in
+// place into the fields that fields returns.
+func readModule[T any](d *logDecoder, log *Log, what string, fields func(*T) (*uint64, *int, []int64, []float64)) ([]T, error) {
+	n, err := d.count(what+" block", maxLogRecords)
+	if err != nil {
+		return nil, err
+	}
+	var recs []T
+	for i := range n {
+		recs = appendDecoded(recs, n)
+		id, rank, counters, fcounters := fields(&recs[i])
+		if !d.next(8 + 8 + 8*len(counters) + 8*len(fcounters)) {
+			return nil, d.fail("%s record %d", what, i)
+		}
+		*id = d.u64()
+		r := d.i64()
+		for j := range counters {
+			counters[j] = d.i64()
+		}
+		for j := range fcounters {
+			fcounters[j] = d.f64()
+		}
+		// Single logs carry plain process ranks, merged logs also the
+		// shared sentinel.
+		valid := r >= 0
+		if log.Merged {
+			valid = r >= MergedRank && r < int64(log.NProcs)
+		}
+		if !valid {
+			return nil, fmt.Errorf("%w: %s record %d: rank %d out of range (nprocs %d)", ErrBadLog, what, i, r, log.NProcs)
+		}
+		*rank = int(r)
+	}
+	return recs, nil
 }
 
 // readSegment decodes and validates one DXT segment from the decoder's

@@ -249,39 +249,66 @@ func TestReadLogRejectsStructuralCorruption(t *testing.T) {
 		}
 	}
 
-	// Rank out of range: a merged log claiming nprocs=2 whose record rank
-	// or timeline rank escapes [-1, 2) must error, never mis-parse.
-	badRank := Merge(syntheticSnapshots())
-	badRank.Posix[0].Rank = 7
-	var bp bytes.Buffer
-	if err := badRank.Write(&bp); err != nil {
-		t.Fatal(err)
+	// One case per field check, each pinned to its own message so that a
+	// case caught by an earlier check shows. Fields Write cannot emit are
+	// patched into a valid payload: the merged timeline is its last block,
+	// and a single log whose one DXT record has no segments ends in that
+	// record's read and write segment counts.
+	nTimeline := len(Merge(syntheticSnapshots()).Timeline)
+	emptyDXT := func() *Log { return &Log{JobEnd: 1, NProcs: 1, DXT: []DXTRecord{{ID: 1}}} }
+	for _, tc := range []struct {
+		name, want string
+		in         []byte
+	}{
+		{"unknown kind byte", "unknown log kind 2",
+			rewritePayload(t, valid, func(p []byte) []byte { p[0] = 2; return p })},
+		// A merged log claiming nprocs=2 whose record rank or timeline rank
+		// escapes [-1, 2) must error, never mis-parse.
+		{"merged posix rank out of range", "posix record 0: rank 7 out of range (nprocs 2)",
+			writeEdited(t, Merge(syntheticSnapshots()), func(l *Log) { l.Posix[0].Rank = 7 })},
+		{"merged stdio rank nprocs", "stdio record 0: rank 2 out of range (nprocs 2)",
+			writeEdited(t, Merge(syntheticSnapshots()), func(l *Log) { l.Stdio[0].Rank = l.NProcs })},
+		// The sentinel is record-only; timelines carry concrete ranks.
+		{"timeline rank -1", "timeline segment 0: rank -1 out of range (nprocs 2)",
+			writeEdited(t, Merge(syntheticSnapshots()), func(l *Log) { l.Timeline[0].Rank = MergedRank })},
+		{"single-process posix rank -1", "posix record 0: rank -1 out of range (nprocs 1)",
+			writeEdited(t, syntheticSnapshots()[0], func(l *Log) { l.Posix[0].Rank = MergedRank })},
+		{"single-process stdio rank -1", "stdio record 0: rank -1 out of range (nprocs 1)",
+			writeEdited(t, syntheticSnapshots()[0], func(l *Log) { l.Stdio[0].Rank = MergedRank })},
+		// A time window that ends before it starts is corruption, not data.
+		{"inverted segment window", "timeline segment 0: invalid segment geometry",
+			writeEdited(t, Merge(syntheticSnapshots()), func(l *Log) { l.Timeline[0].Start, l.Timeline[0].End = 9, 1 })},
+		{"timeline direction flag 2", "timeline segment 0: direction flag 2",
+			rewritePayload(t, valid, func(p []byte) []byte {
+				p[len(p)-nTimeline*timelineSegmentBytes+8+4] = 2
+				return p
+			})},
+		{"negative timeline drop count", "negative timeline drop count",
+			writeEdited(t, Merge(syntheticSnapshots()), func(l *Log) { l.DroppedSegments = -1 })},
+		{"negative dxt drop count", "dxt record 0: negative drop count",
+			writeEdited(t, emptyDXT(), func(l *Log) { l.DXT[0].Dropped = -1 })},
+		{"dxt segment count over bound", fmt.Sprintf("dxt read segment count %d exceeds bound %d", maxLogSegments+1, maxLogSegments),
+			rewritePayload(t, writeEdited(t, emptyDXT(), func(*Log) {}), func(p []byte) []byte {
+				binary.LittleEndian.PutUint32(p[len(p)-8:], maxLogSegments+1)
+				return p
+			})},
+	} {
+		_, err := ReadLog(bytes.NewReader(tc.in))
+		if !errors.Is(err, ErrBadLog) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want ErrBadLog with %q", tc.name, err, tc.want)
+		}
 	}
-	if _, err := ReadLog(bytes.NewReader(bp.Bytes())); !errors.Is(err, ErrBadLog) {
-		t.Errorf("record rank out of range: err = %v, want ErrBadLog", err)
-	}
-	badTL := Merge(syntheticSnapshots())
-	badTL.Timeline[0].Rank = -1 // sentinel is record-only; timelines carry concrete ranks
-	var bt bytes.Buffer
-	if err := badTL.Write(&bt); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadLog(bytes.NewReader(bt.Bytes())); !errors.Is(err, ErrBadLog) {
-		t.Errorf("timeline rank out of range: err = %v, want ErrBadLog", err)
-	}
+}
 
-	// Segment geometry: a time window that ends before it starts is
-	// corruption, not data.
-	badSeg := Merge(syntheticSnapshots())
-	badSeg.Timeline[0].Start = 9.0
-	badSeg.Timeline[0].End = 1.0
-	var bs bytes.Buffer
-	if err := badSeg.Write(&bs); err != nil {
+// writeEdited returns l, after edit, as a log file.
+func writeEdited(t *testing.T, l *Log, edit func(*Log)) []byte {
+	t.Helper()
+	edit(l)
+	var buf bytes.Buffer
+	if err := l.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadLog(bytes.NewReader(bs.Bytes())); !errors.Is(err, ErrBadLog) {
-		t.Errorf("inverted segment window: err = %v, want ErrBadLog", err)
-	}
+	return buf.Bytes()
 }
 
 // TestWriteRejectsWhatReadLogRejects: Write refuses a job record or name

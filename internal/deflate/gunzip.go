@@ -38,10 +38,10 @@ type block struct {
 	err  error // after data
 }
 
-// NewReader returns a Reader that inflates on the caller's goroutine as
+// newReader returns a Reader that inflates on the caller's goroutine as
 // Read asks for output. It reads the first member's header and returns
 // compress/gzip's error when it is bad.
-func NewReader(r io.Reader) (*Reader, error) {
+func newReader(r io.Reader) (*Reader, error) {
 	f := newInflater(r)
 	if f.step(); f.err != nil {
 		return nil, f.err
@@ -49,12 +49,14 @@ func NewReader(r io.Reader) (*Reader, error) {
 	return &Reader{f: f}, nil
 }
 
-// NewPipelinedReader is NewReader for a caller that reads the whole
-// stream: on more than one core a worker goroutine inflates up to a ring
-// of blocks ahead of Read, reading the source on its own, so the caller
-// must not read r while the Reader is open.
+// NewPipelinedReader returns a Reader for a caller that reads the whole
+// stream. It reads the first member's header and returns compress/gzip's
+// error when it is bad. On more than one core a worker goroutine inflates
+// up to a ring of blocks ahead of Read, reading the source on its own, so
+// the caller must not read r while the Reader is open; on one core Read
+// inflates on the caller's goroutine.
 func NewPipelinedReader(r io.Reader) (*Reader, error) {
-	z, err := NewReader(r)
+	z, err := newReader(r)
 	if err != nil || runtime.GOMAXPROCS(0) == 1 {
 		return z, err
 	}

@@ -83,8 +83,8 @@ func openGzip(z []byte, reader string) (io.ReadCloser, error) {
 	switch reader {
 	case "compress/gzip":
 		return gzip.NewReader(bytes.NewReader(z))
-	case "streaming":
-		return NewReader(bytes.NewReader(z))
+	case "inline":
+		return newReader(bytes.NewReader(z))
 	}
 	return NewPipelinedReader(bytes.NewReader(z))
 }
@@ -105,7 +105,7 @@ func gunzipAll(z []byte, reader string) ([]byte, error) {
 func checkLikeGzip(t *testing.T, name string, z []byte) {
 	t.Helper()
 	want, wantErr := gunzipAll(z, "compress/gzip")
-	for _, reader := range []string{"streaming", "pipelined"} {
+	for _, reader := range []string{"inline", "pipelined"} {
 		got, err := gunzipAll(z, reader)
 		if errClass(err) != errClass(wantErr) || !bytes.Equal(got, want) {
 			t.Fatalf("%s, %s: %d bytes and error %v, compress/gzip %d bytes and %v", name, reader, len(got), err, len(want), wantErr)
@@ -214,7 +214,7 @@ func FuzzInflateMatchesGzip(f *testing.F) {
 func BenchmarkGzipReader(b *testing.B) {
 	in := logShaped(16 << 20)
 	z := stdGzip(b, in)
-	for _, reader := range []string{"compress/gzip", "streaming", "pipelined"} {
+	for _, reader := range []string{"compress/gzip", "inline", "pipelined"} {
 		b.Run(reader, func(b *testing.B) {
 			b.SetBytes(int64(len(in)))
 			b.ReportAllocs()
