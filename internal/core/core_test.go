@@ -195,8 +195,8 @@ func TestDarshanPlaneInXSpace(t *testing.T) {
 			t.Fatalf("line %s has %d events", line.Name, len(line.Events))
 		}
 		last := line.Events[len(line.Events)-1]
-		if v, _ := last.Arg("length"); v != "0" {
-			t.Fatalf("final event length = %s, want 0", v)
+		if _, n, ok := last.IO(); !ok || n != 0 {
+			t.Fatalf("final event length = %d (has I/O args: %v), want 0", n, ok)
 		}
 	}
 }

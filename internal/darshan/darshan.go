@@ -96,16 +96,10 @@ func NewRuntime(cfg Config, now int64) *Runtime {
 	return rt
 }
 
-// JobStart returns the virtual time of runtime initialization.
-func (rt *Runtime) JobStart() int64 { return rt.jobStart }
-
 // SetRank stamps all records created from now on with an MPI-style rank.
 // The distributed driver gives each simulated process its own runtime and
 // rank, so per-rank logs carry their origin like Darshan's MPI build.
 func (rt *Runtime) SetRank(rank int) { rt.rank = rank }
-
-// Rank returns the runtime's rank.
-func (rt *Runtime) Rank() int { return rt.rank }
 
 // Export copies the module buffers at job end into a single-process log
 // without charging simulated time: Darshan's shutdown reduction runs after

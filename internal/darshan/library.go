@@ -9,15 +9,14 @@ import (
 // SonameDarshan is the soname of the instrumentation library.
 const SonameDarshan = "libdarshan.so"
 
-// Exported symbol names of the shared library. The first three are the
-// augmentation the paper adds to stock Darshan ("we implemented several
-// data extraction functions in the Darshan shared library"); the wrapper
-// factory is what the GOT patcher redirects symbols to.
+// Exported symbol names of the shared library. They are the augmentation
+// the paper adds to stock Darshan ("we implemented several data extraction
+// functions in the Darshan shared library"); the wrapper factory is what
+// the GOT patcher redirects symbols to.
 const (
-	SymWrapSymbol   = "darshan_wrap_symbol"
-	SymSnapshot     = "darshan_runtime_snapshot"
-	SymLookupName   = "darshan_lookup_record_name"
-	SymRuntimeState = "darshan_runtime_state"
+	SymWrapSymbol = "darshan_wrap_symbol"
+	SymSnapshot   = "darshan_runtime_snapshot"
+	SymLookupName = "darshan_lookup_record_name"
 )
 
 // Exported function signatures (resolved via Dlsym).
@@ -31,8 +30,6 @@ type (
 	SnapshotFunc func(t *sim.Thread) *Log
 	// LookupNameFunc resolves a record id to a file path.
 	LookupNameFunc func(id uint64) (string, bool)
-	// RuntimeStateFunc exposes the runtime itself (record counts etc.).
-	RuntimeStateFunc func() *Runtime
 )
 
 // WrapperFor returns the instrumented replacement for symbol around real.
@@ -64,7 +61,6 @@ func NewSharedLibrary(rt *Runtime) *dynload.Library {
 	lib.Define(SymWrapSymbol, WrapSymbolFunc(rt.WrapperFor))
 	lib.Define(SymSnapshot, SnapshotFunc(rt.Snapshot))
 	lib.Define(SymLookupName, LookupNameFunc(rt.LookupName))
-	lib.Define(SymRuntimeState, RuntimeStateFunc(func() *Runtime { return rt }))
 	return lib
 }
 
@@ -88,6 +84,5 @@ func NewPreloadLibrary(rt *Runtime, base *dynload.Library) *dynload.Library {
 	lib.Define(SymWrapSymbol, WrapSymbolFunc(rt.WrapperFor))
 	lib.Define(SymSnapshot, SnapshotFunc(rt.Snapshot))
 	lib.Define(SymLookupName, LookupNameFunc(rt.LookupName))
-	lib.Define(SymRuntimeState, RuntimeStateFunc(func() *Runtime { return rt }))
 	return lib
 }

@@ -13,7 +13,7 @@ import (
 func TestSharedLibraryExportsExtractionAPI(t *testing.T) {
 	rt := NewRuntime(DefaultConfig(), 0)
 	lib := NewSharedLibrary(rt)
-	for _, sym := range []string{SymWrapSymbol, SymSnapshot, SymLookupName, SymRuntimeState} {
+	for _, sym := range []string{SymWrapSymbol, SymSnapshot, SymLookupName} {
 		if _, ok := lib.Sym(sym); !ok {
 			t.Fatalf("libdarshan.so missing %q", sym)
 		}

@@ -391,9 +391,9 @@ func IsLogData(b []byte) bool {
 // final block. Every block element is decoded in place into a slice grown
 // by appendDecoded, so a corrupt count field errors at the element it
 // lies about, never as a huge up-front allocation. Malformed input yields
-// an ErrBadLog-wrapped error; it never panics. On more than one core the
-// stream inflates on a worker goroutine while this one decodes records;
-// the worker has stopped when ReadLog returns.
+// an ErrBadLog-wrapped error; it never panics. The stream inflates on a
+// worker goroutine while this one decodes records; the worker has stopped
+// when ReadLog returns.
 func ReadLog(r io.Reader) (*Log, error) {
 	var magic [8]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {

@@ -24,7 +24,7 @@ import (
 // writeLog writes rt's records as a single-process log ending at endTime
 // seconds, the way a single machine's job-end export does.
 func writeLog(w io.Writer, rt *Runtime, endTime float64) error {
-	log := rt.Export(rt.JobStart())
+	log := rt.Export(rt.jobStart)
 	log.JobEnd = endTime
 	return log.Write(w)
 }
@@ -630,7 +630,6 @@ func (w *failAfter) Write(p []byte) (int, error) {
 // through a multi-megabyte log gives its error back, and the
 // compressor's workers are gone afterwards.
 func TestLogWriteErrorReleasesWorkers(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
 	log := Merge(timelineSnapshots(benchRanks, 16, 100_000))
 	for _, n := range []int{0, 100, 200 << 10} {
 		baseline := runtime.NumGoroutine()
@@ -650,7 +649,6 @@ func TestLogWriteErrorReleasesWorkers(t *testing.T) {
 // flipped, reads back as an ErrBadLog error, and the inflate worker is
 // gone afterwards, as it is after a clean read.
 func TestReadLogReleasesWorker(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
 	var buf bytes.Buffer
 	if err := Merge(timelineSnapshots(benchRanks, 16, 100_000)).Write(&buf); err != nil {
 		t.Fatal(err)

@@ -3,11 +3,10 @@ package deflate
 import (
 	"errors"
 	"io"
-	"runtime"
 )
 
 const (
-	// ringBlocks and blockSize shape a pipelined Reader's ring: the worker
+	// ringBlocks and blockSize shape a Reader's ring: the worker
 	// inflates into one block while the caller reads another, and a third
 	// absorbs the jitter between the two.
 	ringBlocks = 3
@@ -17,53 +16,43 @@ const (
 // A Reader is an io.ReadCloser that gunzips what it reads from its
 // source, a drop-in for compress/gzip's Reader (multistream, with its
 // header checks and error values; the header's fields are skipped). Close
-// must be called, also after a failed Read: it stops a pipelined Reader's
-// worker.
+// must be called, also after a failed Read: it stops the Reader's worker.
 type Reader struct {
 	f   *inflater
 	err error // sticky, once a block carrying it is read out
 
-	// A pipelined Reader's worker inflates into the blocks of a ring: it
-	// takes them from free and hands them on full, and stops at stop.
+	// The worker inflates into the blocks of a ring: it takes them from
+	// free and hands them on full, and stops at stop.
 	free, full chan *block
 	stop, done chan struct{}
 	cur        *block // the block being read
 	off        int    // read up to here
 }
 
-// A block is one piece of a pipelined Reader's output.
+// A block is one piece of a Reader's output.
 type block struct {
 	buf  []byte
 	data []byte
 	err  error // after data
 }
 
-// newReader returns a Reader that inflates on the caller's goroutine as
-// Read asks for output. It reads the first member's header and returns
-// compress/gzip's error when it is bad.
-func newReader(r io.Reader) (*Reader, error) {
+// NewPipelinedReader returns a Reader for a caller that reads the whole
+// stream. It reads the first member's header and returns compress/gzip's
+// error when it is bad. A worker goroutine then inflates up to a ring of
+// blocks ahead of Read, reading the source on its own, so the caller must
+// not read r while the Reader is open.
+func NewPipelinedReader(r io.Reader) (*Reader, error) {
 	f := newInflater(r)
 	if f.step(); f.err != nil {
 		return nil, f.err
 	}
-	return &Reader{f: f}, nil
-}
-
-// NewPipelinedReader returns a Reader for a caller that reads the whole
-// stream. It reads the first member's header and returns compress/gzip's
-// error when it is bad. On more than one core a worker goroutine inflates
-// up to a ring of blocks ahead of Read, reading the source on its own, so
-// the caller must not read r while the Reader is open; on one core Read
-// inflates on the caller's goroutine.
-func NewPipelinedReader(r io.Reader) (*Reader, error) {
-	z, err := newReader(r)
-	if err != nil || runtime.GOMAXPROCS(0) == 1 {
-		return z, err
+	z := &Reader{
+		f:    f,
+		free: make(chan *block, ringBlocks),
+		full: make(chan *block, ringBlocks),
+		stop: make(chan struct{}),
+		done: make(chan struct{}),
 	}
-	z.free = make(chan *block, ringBlocks)
-	z.full = make(chan *block, ringBlocks)
-	z.stop = make(chan struct{})
-	z.done = make(chan struct{})
 	for range ringBlocks {
 		z.free <- &block{buf: make([]byte, blockSize)}
 	}
@@ -98,14 +87,6 @@ func (z *Reader) Read(p []byte) (int, error) {
 	if z.err != nil || len(p) == 0 {
 		return 0, z.err
 	}
-	if z.full == nil {
-		n, err := z.f.read(p)
-		if n > 0 {
-			return n, nil // the error, if any, comes with the next Read
-		}
-		z.err = err
-		return 0, err
-	}
 	for z.cur == nil || z.off == len(z.cur.data) {
 		if z.cur != nil {
 			if z.cur.err != nil {
@@ -121,13 +102,13 @@ func (z *Reader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// Close stops the worker of a pipelined Reader and waits for it to exit.
-// Reads after it fail. It reports no decoding error: Read does.
+// Close stops the worker and waits for it to exit. Reads after it fail.
+// It reports no decoding error: Read does.
 func (z *Reader) Close() error {
 	if z.stop != nil {
 		close(z.stop)
 		<-z.done
-		z.stop, z.full = nil, nil
+		z.stop = nil
 	}
 	z.err = errReaderClosed
 	return nil

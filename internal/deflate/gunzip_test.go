@@ -77,14 +77,10 @@ func errClass(err error) string {
 	return err.Error()
 }
 
-// openGzip opens z with compress/gzip, or with a Reader, pipelined or
-// not.
+// openGzip opens z with compress/gzip, or with a Reader.
 func openGzip(z []byte, reader string) (io.ReadCloser, error) {
-	switch reader {
-	case "compress/gzip":
+	if reader == "compress/gzip" {
 		return gzip.NewReader(bytes.NewReader(z))
-	case "inline":
-		return newReader(bytes.NewReader(z))
 	}
 	return NewPipelinedReader(bytes.NewReader(z))
 }
@@ -100,16 +96,14 @@ func gunzipAll(z []byte, reader string) ([]byte, error) {
 	return io.ReadAll(r)
 }
 
-// checkLikeGzip fails t unless both Readers read z as compress/gzip
-// does: the same bytes and the same kind of error.
+// checkLikeGzip fails t unless a Reader reads z as compress/gzip does:
+// the same bytes and the same kind of error.
 func checkLikeGzip(t *testing.T, name string, z []byte) {
 	t.Helper()
 	want, wantErr := gunzipAll(z, "compress/gzip")
-	for _, reader := range []string{"inline", "pipelined"} {
-		got, err := gunzipAll(z, reader)
-		if errClass(err) != errClass(wantErr) || !bytes.Equal(got, want) {
-			t.Fatalf("%s, %s: %d bytes and error %v, compress/gzip %d bytes and %v", name, reader, len(got), err, len(want), wantErr)
-		}
+	got, err := gunzipAll(z, "pipelined")
+	if errClass(err) != errClass(wantErr) || !bytes.Equal(got, want) {
+		t.Fatalf("%s: %d bytes and error %v, compress/gzip %d bytes and %v", name, len(got), err, len(want), wantErr)
 	}
 }
 
@@ -210,11 +204,11 @@ func FuzzInflateMatchesGzip(f *testing.F) {
 }
 
 // BenchmarkGzipReader reads a 16 MiB log-shaped stream through
-// compress/gzip and through a Reader with and without its worker.
+// compress/gzip and through a Reader.
 func BenchmarkGzipReader(b *testing.B) {
 	in := logShaped(16 << 20)
 	z := stdGzip(b, in)
-	for _, reader := range []string{"compress/gzip", "inline", "pipelined"} {
+	for _, reader := range []string{"compress/gzip", "pipelined"} {
 		b.Run(reader, func(b *testing.B) {
 			b.SetBytes(int64(len(in)))
 			b.ReportAllocs()

@@ -9,8 +9,9 @@
 // has the chunk parsed again from that state when it did not, and codes
 // the tokens into blocks with compress/flate's own Huffman code
 // (deflate.go). Every token is the one compress/flate emits, so the bytes
-// do not depend on the worker count or on timing; with GOMAXPROCS 1 there
-// are no workers and the caller's goroutine runs the same parse itself.
+// do not depend on the worker count or on timing. There is one worker per
+// core, up to three; on one core the worker and the caller's goroutine
+// take turns.
 //
 // Writers draw their tables and buffers from a small free list, so a
 // process that writes many streams allocates them once.
@@ -59,19 +60,13 @@ type Writer struct {
 	wg    sync.WaitGroup
 }
 
-// NewWriter returns a Writer that writes a gzip stream to w.
+// NewWriter returns a Writer that writes a gzip stream to w, with one
+// worker per core up to maxWorkers.
 func NewWriter(w io.Writer) *Writer {
 	return newWriter(w, workerCount(), chunkSize)
 }
 
-// workerCount is one worker per core up to maxWorkers, and none on a
-// single core, where the caller's goroutine parses faster alone.
-func workerCount() int {
-	if n := runtime.GOMAXPROCS(0); n > 1 {
-		return min(n, maxWorkers)
-	}
-	return 0
-}
+func workerCount() int { return min(runtime.GOMAXPROCS(0), maxWorkers) }
 
 func newWriter(w io.Writer, workers, chunk int) *Writer {
 	z := &Writer{dst: w, st: getState(workers), workers: workers, chunk: chunk, warmup: warmup}
@@ -140,28 +135,22 @@ func (z *Writer) header() {
 	}
 }
 
-// next hands the full chunk on and starts the next one with the window
-// before it. Without workers it parses and compresses the chunk at once
-// and reuses its buffer; with them it compresses the oldest chunk first
-// when no buffer is free.
+// next hands the full chunk to the workers and starts the next one with
+// the window before it, compressing the oldest chunk first when no buffer
+// is free.
 func (z *Writer) next() {
 	j := z.fill
-	next := j
-	if z.workers == 0 {
-		z.compressHere(j)
-	} else {
-		z.dispatch(j)
-		next = nil
-		for _, c := range z.st.jobs[:z.workers+1] {
-			if !c.busy {
-				next = c
-				break
-			}
+	z.dispatch(j)
+	var next *job
+	for _, c := range z.st.jobs[:z.workers+1] {
+		if !c.busy {
+			next = c
+			break
 		}
-		if next == nil {
-			next = z.queue[0]
-			z.compressOldest()
-		}
+	}
+	if next == nil {
+		next = z.queue[0]
+		z.compressOldest()
 	}
 	hist := j.data[len(j.data)-windowSize:]
 	next.reset(j.start+len(j.data)-j.hist, z.chunk)
@@ -177,17 +166,6 @@ func (z *Writer) dispatch(j *job) {
 	}
 	z.queue = append(z.queue, j)
 	z.st.todo <- j
-}
-
-// compressHere parses j from the true state on the caller's goroutine and
-// compresses it.
-func (z *Writer) compressHere(j *job) {
-	if z.err != nil {
-		return
-	}
-	j.from = z.st.d.state
-	z.st.parsers[0].parse(j)
-	z.err = z.st.d.writeChunk(j)
 }
 
 // compressOldest waits for the oldest queued chunk's parse and
@@ -221,11 +199,7 @@ func (z *Writer) Close() error {
 	z.header()
 	if tail := z.fill; z.err == nil && len(tail.data) > tail.hist {
 		tail.final = true
-		if z.workers == 0 {
-			z.compressHere(tail)
-		} else {
-			z.dispatch(tail)
-		}
+		z.dispatch(tail)
 	}
 	for len(z.queue) > 0 {
 		z.compressOldest()
@@ -284,8 +258,7 @@ func (j *job) reset(start, chunk int) {
 }
 
 // state is what a Writer borrows from the free list: the compressor, one
-// parser per worker (one for the caller's goroutine without workers)
-// and one more chunk buffer than workers.
+// parser per worker and one more chunk buffer than workers.
 type state struct {
 	d       compressor
 	parsers []*parser
@@ -317,7 +290,7 @@ func getState(workers int) *state {
 		st = &state{queue: make([]*job, 0, maxWorkers+1), todo: make(chan *job, maxWorkers+1)}
 		st.d.init()
 	}
-	for len(st.parsers) < max(workers, 1) {
+	for len(st.parsers) < workers {
 		st.parsers = append(st.parsers, new(parser))
 	}
 	for len(st.jobs) < workers+1 {

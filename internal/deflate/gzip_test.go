@@ -161,7 +161,7 @@ func TestWriterMatchesGzip(t *testing.T) {
 	}
 	for name, in := range inputs {
 		want := stdGzip(t, in)
-		for _, workers := range []int{0, 1, 2, 3} {
+		for _, workers := range []int{1, 2, 3} {
 			for _, chunk := range []int{windowSize, chunkSize} {
 				if got := compress(t, in, workers, chunk, rng); !bytes.Equal(got, want) {
 					t.Errorf("%s, %d workers, %d-byte chunks: %d bytes differ from compress/gzip's %d", name, workers, chunk, len(got), len(want))
@@ -191,7 +191,7 @@ func TestSlideEdgeMatchesGzip(t *testing.T) {
 		copy(in[p:p+k], in[x:x+k])
 		copy(in[y:y+5], in[x:x+5])
 		want := stdGzip(t, in)
-		for _, workers := range []int{0, 1, 2} {
+		for _, workers := range []int{1, 2} {
 			for _, chunk := range []int{windowSize, chunkSize} {
 				if got := compress(t, in, workers, chunk, rng); !bytes.Equal(got, want) {
 					t.Errorf("%d-byte stream, %d workers, %d-byte chunks: %d bytes differ from compress/gzip's %d", n, workers, chunk, len(got), len(want))
@@ -306,6 +306,40 @@ func waitForGoroutines(t testing.TB, baseline int) {
 	}
 }
 
+// TestWorkersRunOnOneCore: under GOMAXPROCS=1 a Writer still starts its
+// worker, and takes turns with it; the bytes are compress/gzip's, a
+// Reader's worker reads them back, and both workers stop at Close.
+func TestWorkersRunOnOneCore(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	baseline := runtime.NumGoroutine()
+	in := logShaped(1 << 20)
+	var buf bytes.Buffer
+	z := NewWriter(&buf)
+	if z.workers != 1 {
+		t.Fatalf("%d workers on one core, want 1", z.workers)
+	}
+	if _, err := z.Write(in); err != nil {
+		t.Fatal(err)
+	}
+	if err := z.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), stdGzip(t, in)) {
+		t.Fatal("output on one core differs from compress/gzip's")
+	}
+	r, err := NewPipelinedReader(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(r)
+	r.Close()
+	if err != nil || !bytes.Equal(got, in) {
+		t.Fatalf("read back %d of %d bytes, error %v", len(got), len(in), err)
+	}
+	waitForGoroutines(t, baseline)
+}
+
 // TestWriteErrorReleasesWorkers: a destination that fails part-way gives
 // its error back from Write or Close, and Close stops the workers.
 func TestWriteErrorReleasesWorkers(t *testing.T) {
@@ -338,13 +372,14 @@ func FuzzDeflateMatchesGzip(f *testing.F) {
 }
 
 // BenchmarkGzipWriter compresses a 16 MiB log-shaped stream with the
-// workers NewWriter would start and with none, as under GOMAXPROCS=1.
+// workers NewWriter would start and with the one it starts under
+// GOMAXPROCS=1.
 func BenchmarkGzipWriter(b *testing.B) {
 	in := logShaped(16 << 20)
 	for _, bc := range []struct {
 		name    string
 		workers int
-	}{{"serial", 0}, {"workers", workerCount()}} {
+	}{{"one-worker", 1}, {"workers", workerCount()}} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.SetBytes(int64(len(in)))
 			b.ReportAllocs()

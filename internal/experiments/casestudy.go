@@ -188,7 +188,7 @@ func analyzeTimelines(space *profiler.XSpace) (files, zeroTerminated, matched in
 		}
 		files++
 		last := line.Events[len(line.Events)-1]
-		if v, ok := last.Arg("length"); ok && v == "0" {
+		if _, n, ok := last.IO(); ok && n == 0 {
 			zeroTerminated++
 		}
 		segStart := line.Events[0].StartNs

@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
 
 	"repro/internal/sim"
 )
@@ -33,18 +32,6 @@ type TracerFactory func() Tracer
 // protobuf): a set of planes, one per data source.
 type XSpace struct {
 	Planes []*XPlane
-
-	// index maps plane name → plane. Plane/FindPlane are called per trace
-	// event during collection, so lookup must not scan Planes linearly.
-	// The index is rebuilt lazily whenever Planes was appended to directly.
-	index map[string]*XPlane
-}
-
-func (s *XSpace) reindex() {
-	s.index = make(map[string]*XPlane, len(s.Planes))
-	for _, p := range s.Planes {
-		s.index[p.Name] = p
-	}
 }
 
 // Plane returns the plane with the given name, creating it if needed.
@@ -54,16 +41,18 @@ func (s *XSpace) Plane(name string) *XPlane {
 	}
 	p := &XPlane{Name: name}
 	s.Planes = append(s.Planes, p)
-	s.index[name] = p
 	return p
 }
 
-// FindPlane returns the named plane or nil.
+// FindPlane returns the named plane or nil. A space holds one plane per
+// tracer, so a scan is all the lookup needs.
 func (s *XSpace) FindPlane(name string) *XPlane {
-	if s.index == nil || len(s.index) != len(s.Planes) {
-		s.reindex()
+	for _, p := range s.Planes {
+		if p.Name == name {
+			return p
+		}
 	}
-	return s.index[name]
+	return nil
 }
 
 // TotalEvents counts events across all planes and lines.
@@ -142,64 +131,31 @@ type XLine struct {
 // XEvent is one timed event on a line. Times are virtual nanoseconds from
 // session start.
 type XEvent struct {
-	Name     string
-	StartNs  int64
-	DurNs    int64
-	Metadata map[string]string
+	Name    string
+	StartNs int64
+	DurNs   int64
 
-	// hasIO/ioOffset/ioLength are the typed form of the {offset, length}
-	// metadata tf-Darshan attaches to every traced I/O segment. Events are
-	// produced per traced operation, so a map plus two formatted strings
-	// per event dominated collection-time allocation; the typed fields
-	// defer string materialization to Arg/Args (render/export time).
+	// hasIO/ioOffset/ioLength are the {offset, length} arguments tf-Darshan
+	// attaches to every traced I/O segment, the only arguments an event
+	// carries. They are typed so collection formats and allocates nothing;
+	// exporters write the numbers directly.
 	hasIO    bool
 	ioOffset int64
 	ioLength int64
 }
 
-// SetIO attaches typed I/O arguments (file offset and length in bytes).
+// SetIO attaches the event's I/O arguments: file offset and length in
+// bytes.
 func (ev *XEvent) SetIO(offset, length int64) {
 	ev.hasIO = true
 	ev.ioOffset = offset
 	ev.ioLength = length
 }
 
-// IO returns the typed I/O arguments set by SetIO; ok is false when the
-// event carries none. Unlike Arg and Args it formats and allocates
-// nothing, so streaming exporters can write the numbers directly.
+// IO returns the I/O arguments set by SetIO; ok is false when the event
+// carries none.
 func (ev *XEvent) IO() (offset, length int64, ok bool) {
 	return ev.ioOffset, ev.ioLength, ev.hasIO
-}
-
-// Arg returns the named argument as a string, drawing from the typed I/O
-// fields or the Metadata map.
-func (ev *XEvent) Arg(key string) (string, bool) {
-	if ev.hasIO {
-		switch key {
-		case "offset":
-			return strconv.FormatInt(ev.ioOffset, 10), true
-		case "length":
-			return strconv.FormatInt(ev.ioLength, 10), true
-		}
-	}
-	v, ok := ev.Metadata[key]
-	return v, ok
-}
-
-// Args materializes the full argument map (typed I/O fields merged over
-// Metadata). Export paths call it once per rendered event; collection
-// never does.
-func (ev *XEvent) Args() map[string]string {
-	if !ev.hasIO {
-		return ev.Metadata
-	}
-	out := make(map[string]string, len(ev.Metadata)+2)
-	for k, v := range ev.Metadata {
-		out[k] = v
-	}
-	out["offset"] = strconv.FormatInt(ev.ioOffset, 10)
-	out["length"] = strconv.FormatInt(ev.ioLength, 10)
-	return out
 }
 
 // TraceMeRecorder collects host-side op annotations while active. TF ops

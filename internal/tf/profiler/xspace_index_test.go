@@ -5,9 +5,8 @@ import (
 	"testing"
 )
 
-// TestPlaneIndex verifies the name→plane index stays coherent through
-// Plane creation, FindPlane lookups and direct Planes appends (the lazy
-// rebuild path).
+// TestPlaneIndex verifies plane lookup by name through Plane creation,
+// FindPlane lookups and direct Planes appends.
 func TestPlaneIndex(t *testing.T) {
 	s := &XSpace{}
 	if s.FindPlane("missing") != nil {
@@ -21,7 +20,7 @@ func TestPlaneIndex(t *testing.T) {
 	if s.FindPlane("/device:GPU") != b {
 		t.Fatal("FindPlane missed an indexed plane")
 	}
-	// External code may append directly; the index must catch up.
+	// External code may append directly; lookup must see it.
 	ext := &XPlane{Name: "/custom"}
 	s.Planes = append(s.Planes, ext)
 	if s.FindPlane("/custom") != ext {

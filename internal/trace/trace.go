@@ -72,7 +72,6 @@ func WriteJSONGz(w io.Writer, space *profiler.XSpace, sessionStartNs int64) erro
 type jsonWriter struct {
 	zw     *deflate.Writer
 	buf    []byte
-	keys   []string // scratch for an event's sorted arg keys
 	events int
 	err    error
 }
@@ -137,52 +136,17 @@ func (w *jsonWriter) event(ev *profiler.XEvent, pid, tid, sessionStartNs int64) 
 	w.end()
 }
 
-// args writes an event's arguments in sorted key order: the typed I/O
-// offset and length (which override same-named Metadata keys, as
-// XEvent.Args does) merged with Metadata. Nothing is written when there
-// are none.
+// args writes an event's I/O arguments, keys in sorted order, or nothing
+// when it has none.
 func (w *jsonWriter) args(ev *profiler.XEvent) {
-	offset, length, hasIO := ev.IO()
-	if !hasIO && len(ev.Metadata) == 0 {
+	offset, length, ok := ev.IO()
+	if !ok {
 		return
 	}
-	w.buf = append(w.buf, `,"args":{`...)
-	if len(ev.Metadata) == 0 {
-		// The traced-I/O common case: both keys, already in order.
-		w.buf = append(w.buf, `"length":`...)
-		w.quotedInt(length)
-		w.buf = append(w.buf, `,"offset":`...)
-		w.quotedInt(offset)
-		w.buf = append(w.buf, '}')
-		return
-	}
-	keys := w.keys[:0]
-	for k := range ev.Metadata {
-		if hasIO && (k == "offset" || k == "length") {
-			continue
-		}
-		keys = append(keys, k)
-	}
-	if hasIO {
-		keys = append(keys, "offset", "length")
-	}
-	sort.Strings(keys)
-	w.keys = keys
-	for i, k := range keys {
-		if i > 0 {
-			w.buf = append(w.buf, ',')
-		}
-		w.str(k)
-		w.buf = append(w.buf, ':')
-		switch {
-		case hasIO && k == "offset":
-			w.quotedInt(offset)
-		case hasIO && k == "length":
-			w.quotedInt(length)
-		default:
-			w.str(ev.Metadata[k])
-		}
-	}
+	w.buf = append(w.buf, `,"args":{"length":`...)
+	w.quotedInt(length)
+	w.buf = append(w.buf, `,"offset":`...)
+	w.quotedInt(offset)
 	w.buf = append(w.buf, '}')
 }
 
@@ -233,9 +197,8 @@ func appendFloat(b []byte, f float64) []byte {
 // ReadJSONGz parses a trace.json.gz document. Only whitespace may follow
 // the JSON value, and the gzip stream must end cleanly, so a corrupt
 // CRC32 or length trailer, a truncated stream and trailing garbage are
-// all errors. On more than one core the stream inflates on a worker
-// goroutine while this one parses; the worker has stopped when ReadJSONGz
-// returns.
+// all errors. The stream inflates on a worker goroutine while this one
+// parses; the worker has stopped when ReadJSONGz returns.
 func ReadJSONGz(r io.Reader) (*File, error) {
 	zr, err := deflate.NewPipelinedReader(r)
 	if err != nil {
@@ -295,15 +258,8 @@ func RenderTimelines(space *profiler.XSpace, sessionStartNs int64, maxLinesPerPl
 			for _, ev := range events {
 				start := float64(ev.StartNs-sessionStartNs) / 1e6
 				fmt.Fprintf(&b, "     [%12.3fms +%9.3fms] %s", start, float64(ev.DurNs)/1e6, ev.Name)
-				if args := ev.Args(); len(args) > 0 {
-					keys := make([]string, 0, len(args))
-					for k := range args {
-						keys = append(keys, k)
-					}
-					sort.Strings(keys)
-					for _, k := range keys {
-						fmt.Fprintf(&b, " %s=%s", k, args[k])
-					}
+				if off, n, ok := ev.IO(); ok {
+					fmt.Fprintf(&b, " length=%d offset=%d", n, off)
 				}
 				b.WriteByte('\n')
 			}

@@ -26,12 +26,11 @@ func sampleSpace() *profiler.XSpace {
 	d := s.Plane("/host:tf-darshan(POSIX)")
 	d.SetStat("posix_reads", "4")
 	f := d.Line(2, "/data/a.jpg")
-	f.Events = append(f.Events,
-		profiler.XEvent{Name: "pread", StartNs: 1_100_000, DurNs: 500_000,
-			Metadata: map[string]string{"offset": "0", "length": "88064"}},
-		profiler.XEvent{Name: "pread", StartNs: 1_700_000, DurNs: 1_000,
-			Metadata: map[string]string{"offset": "88064", "length": "0"}},
-	)
+	data := profiler.XEvent{Name: "pread", StartNs: 1_100_000, DurNs: 500_000}
+	data.SetIO(0, 88064)
+	eof := profiler.XEvent{Name: "pread", StartNs: 1_700_000, DurNs: 1_000}
+	eof.SetIO(88064, 0)
+	f.Events = append(f.Events, data, eof)
 	return &s
 }
 
@@ -74,6 +73,10 @@ func oracleFromXSpace(space *profiler.XSpace, sessionStartNs int64) *File {
 			add(oracleMetadata{Name: "thread_name", Ph: "M", PID: pid, TID: line.ID,
 				Args: map[string]string{"name": line.Name}})
 			for _, ev := range line.Events {
+				var args map[string]string
+				if off, n, ok := ev.IO(); ok {
+					args = map[string]string{"offset": fmt.Sprint(off), "length": fmt.Sprint(n)}
+				}
 				add(oracleEvent{
 					Name: ev.Name,
 					Ph:   "X",
@@ -81,7 +84,7 @@ func oracleFromXSpace(space *profiler.XSpace, sessionStartNs int64) *File {
 					Dur:  float64(ev.DurNs) / 1e3,
 					PID:  pid,
 					TID:  line.ID,
-					Args: ev.Args(),
+					Args: args,
 				})
 			}
 		}
@@ -243,19 +246,15 @@ func TestWriteJSONGzEdgeCasesMatchOracle(t *testing.T) {
 		add := func(ev profiler.XEvent) { l.Events = append(l.Events, ev) }
 		add(profiler.XEvent{Name: name, StartNs: -1_234_567, DurNs: 0})
 		add(profiler.XEvent{Name: "nil args", StartNs: 1})
-		add(profiler.XEvent{Name: "empty args", StartNs: 999, DurNs: 1, Metadata: map[string]string{}})
-		add(profiler.XEvent{Name: "metadata only", StartNs: 1_000_001, DurNs: 7,
-			Metadata: map[string]string{name: name, "b": "2", "a": "1"}})
-		ioOnly := profiler.XEvent{Name: "io only", StartNs: 5_000, DurNs: 3}
-		ioOnly.SetIO(int64(i)*4096, 88064)
-		add(ioOnly)
-		collide := profiler.XEvent{Name: "io over metadata", StartNs: 6_000, DurNs: 4,
-			Metadata: map[string]string{"offset": "stale", "length": "stale", "m": name, name: "k", "z": ""}}
-		collide.SetIO(-1, 0)
-		add(collide)
-		empty := profiler.XEvent{Name: "io, empty metadata", StartNs: 7_000, Metadata: map[string]string{}}
-		empty.SetIO(math.MaxInt64, math.MinInt64)
-		add(empty)
+		withIO := profiler.XEvent{Name: "io", StartNs: 5_000, DurNs: 3}
+		withIO.SetIO(int64(i)*4096, 88064)
+		add(withIO)
+		negative := profiler.XEvent{Name: "negative io", StartNs: 6_000, DurNs: 4}
+		negative.SetIO(-1, 0)
+		add(negative)
+		extreme := profiler.XEvent{Name: "extreme io", StartNs: 7_000}
+		extreme.SetIO(math.MaxInt64, math.MinInt64)
+		add(extreme)
 		add(profiler.XEvent{Name: "extremes", StartNs: math.MaxInt64, DurNs: math.MinInt64})
 	}
 	for _, start := range []int64{0, 1_000_000, -7, math.MinInt64, math.MaxInt64} {
@@ -275,9 +274,8 @@ func TestWriteJSONGzEmptySpace(t *testing.T) {
 }
 
 // randomSpace draws a small XSpace over the shapes the writer
-// distinguishes: line IDs around 0, events with no, empty, Metadata-only,
-// typed-I/O-only and colliding args, zero durations and times either
-// side of the session start.
+// distinguishes: line IDs around 0, events with and without I/O args,
+// zero durations and times either side of the session start.
 func randomSpace(rng *rand.Rand) *profiler.XSpace {
 	pool := []string{"pread", "pwrite", "/data/train/img_0001.JPEG", "IteratorGetNext",
 		"offset", "length", "name", "a<b", `q"`, "é", "\xfe", " ", "", "\x1b[0m"}
@@ -295,15 +293,6 @@ func randomSpace(rng *rand.Rand) *profiler.XSpace {
 				ev := profiler.XEvent{Name: pick(), StartNs: rng.Int63n(20_000_000) - 1_000_000}
 				if rng.Intn(3) > 0 {
 					ev.DurNs = rng.Int63n(5_000_000)
-				}
-				switch rng.Intn(3) {
-				case 1:
-					ev.Metadata = map[string]string{}
-				case 2:
-					ev.Metadata = map[string]string{}
-					for k := rng.Intn(4); k > 0; k-- {
-						ev.Metadata[pick()] = pick()
-					}
 				}
 				if rng.Intn(2) == 0 {
 					ev.SetIO(rng.Int63n(1<<30), rng.Int63n(1<<20))
@@ -421,16 +410,13 @@ func processCPU(b *testing.B) time.Duration {
 }
 
 func FuzzWriteJSONGzMatchesOracle(f *testing.F) {
-	f.Add("/host:CPU", "main", "pread", "offset", "v", int64(1), int64(1_000_000), int64(500), int64(0), int64(0), int64(88064), true)
-	f.Add("", "", "", "", "", int64(0), int64(0), int64(0), int64(0), int64(0), int64(0), false)
-	f.Add("<&>", " ", "\xff", `"\`, "\x00", int64(-5), int64(-1), int64(1), int64(math.MaxInt64), int64(-1), int64(math.MinInt64), true)
-	f.Fuzz(func(t *testing.T, plane, line, name, key, value string, lineID, startNs, durNs, sessionStartNs, offset, length int64, hasIO bool) {
+	f.Add("/host:CPU", "main", "pread", "v", int64(1), int64(1_000_000), int64(500), int64(0), int64(0), int64(88064), true)
+	f.Add("", "", "", "", int64(0), int64(0), int64(0), int64(0), int64(0), int64(0), false)
+	f.Add("<&>", " ", "\xff", "\x00", int64(-5), int64(-1), int64(1), int64(math.MaxInt64), int64(-1), int64(math.MinInt64), true)
+	f.Fuzz(func(t *testing.T, plane, line, name, value string, lineID, startNs, durNs, sessionStartNs, offset, length int64, hasIO bool) {
 		var s profiler.XSpace
 		l := s.Plane(plane).Line(lineID, line)
 		ev := profiler.XEvent{Name: name, StartNs: startNs, DurNs: durNs}
-		if key != "" {
-			ev.Metadata = map[string]string{key: value, value: key}
-		}
 		if hasIO {
 			ev.SetIO(offset, length)
 		}
@@ -476,7 +462,7 @@ func TestRenderTimelines(t *testing.T) {
 		"=== /host:CPU ===", "train_step",
 		"=== /host:tf-darshan(POSIX) ===",
 		"posix_reads: 4",
-		"/data/a.jpg", "length=0", "offset=88064",
+		"/data/a.jpg", "pread length=0 offset=88064",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q in:\n%s", want, out)
@@ -521,7 +507,6 @@ func (w *failAfter) Write(p []byte) (int, error) {
 // part-way through a multi-megabyte trace gives its error back, and the
 // compressor's workers are gone afterwards.
 func TestWriteJSONGzErrorReleasesWorkers(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
 	space := imagenetSpace(20_000, 4_000)
 	for _, n := range []int{0, 100, 200 << 10} {
 		baseline := runtime.NumGoroutine()
@@ -542,7 +527,6 @@ func TestWriteJSONGzErrorReleasesWorkers(t *testing.T) {
 // are left to inflate, reads back as an error, and the inflate worker is
 // gone afterwards, as it is after a clean read.
 func TestReadJSONGzReleasesWorker(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
 	var buf bytes.Buffer
 	if err := WriteJSONGz(&buf, imagenetSpace(20_000, 4_000), 0); err != nil {
 		t.Fatal(err)
