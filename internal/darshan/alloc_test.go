@@ -62,14 +62,15 @@ func TestMergedLogWriteAllocsIndependentOfTimeline(t *testing.T) {
 // access-size map: ≤4 distinct sizes never allocate the map, >4 spill to
 // it, and ACCESS1..4 finalization sees the union either way.
 func TestAccessSizeInlineTable(t *testing.T) {
-	rec := &PosixRecord{ID: 1}
+	var tab accessTable
 	for _, s := range []int64{100, 200, 100, 300, 400, 100, 200} {
-		rec.bumpAccess(s, 1)
+		tab.bump(s, 1)
 	}
-	if rec.accessSizes != nil {
-		t.Fatalf("map allocated for %d distinct sizes", rec.accessInlineN)
+	if tab.overflow != nil {
+		t.Fatalf("map allocated for %d distinct sizes", tab.n)
 	}
-	finalizeAccessCounters(rec)
+	rec := &PosixRecord{ID: 1}
+	tab.finalize(rec)
 	// Counts: 100×3, 200×2, 300×1, 400×1 → ranked by count desc, size asc.
 	wantSizes := []int64{100, 200, 300, 400}
 	wantCounts := []int64{3, 2, 1, 1}
@@ -84,17 +85,18 @@ func TestAccessSizeInlineTable(t *testing.T) {
 
 	// Spill: a fifth and sixth distinct size overflow to the map; the
 	// re-ranked table draws from both stores.
-	rec2 := &PosixRecord{ID: 2}
+	var tab2 accessTable
 	for _, s := range []int64{1, 2, 3, 4, 5, 5, 5, 6, 2} {
-		rec2.bumpAccess(s, 1)
+		tab2.bump(s, 1)
 	}
-	if rec2.accessSizes == nil {
+	if tab2.overflow == nil {
 		t.Fatal("overflow map not allocated for 6 distinct sizes")
 	}
-	if rec2.accessInlineN != accessInlineCap {
-		t.Fatalf("inline entries = %d, want %d", rec2.accessInlineN, accessInlineCap)
+	if tab2.n != accessInlineCap {
+		t.Fatalf("inline entries = %d, want %d", tab2.n, accessInlineCap)
 	}
-	finalizeAccessCounters(rec2)
+	rec2 := &PosixRecord{ID: 2}
+	tab2.finalize(rec2)
 	// Counts: 5×3, 2×2, then 1,3,4,6 ×1 → top four: 5, 2, 1, 3.
 	wantSizes = []int64{5, 2, 1, 3}
 	wantCounts = []int64{3, 2, 1, 1}
@@ -105,9 +107,5 @@ func TestAccessSizeInlineTable(t *testing.T) {
 		if got := rec2.Counters[POSIX_ACCESS1_COUNT+PosixCounter(i)]; got != wantCounts[i] {
 			t.Errorf("spilled ACCESS%d count = %d, want %d", i+1, got, wantCounts[i])
 		}
-	}
-	rec2.clearAccessState()
-	if rec2.accessSizes != nil || rec2.accessInlineN != 0 {
-		t.Fatal("clearAccessState left runtime state behind")
 	}
 }

@@ -36,7 +36,6 @@ func incarnations() (dead, reborn *Log) {
 		Stdio:  []StdioRecord{s9},
 		DXT:    []DXTRecord{{ID: 1, ReadSegs: []Segment{{Offset: 0, Length: 100, Start: 1, End: 1.5}, {Offset: 100, Length: 100, Start: 1.5, End: 2}}, Dropped: 1}},
 		Names:  map[uint64]string{1: "/pfs/a", 9: "/pfs/ckpt"},
-		Faults: FaultCounters{Faults: 2, Retries: 3},
 	}
 
 	q1 := PosixRecord{ID: 1}
@@ -71,24 +70,20 @@ func incarnations() (dead, reborn *Log) {
 			WriteSegs: []Segment{{Offset: 0, Length: 10, Start: 7.5, End: 7.75}},
 			Dropped:   2,
 		}},
-		Names:  map[uint64]string{1: "/pfs/a", 2: "/pfs/b", 9: "/pfs/ckpt"},
-		Faults: FaultCounters{Faults: 1, Timeouts: 4},
+		Names: map[uint64]string{1: "/pfs/a", 2: "/pfs/b", 9: "/pfs/ckpt"},
 	}
 	return dead, reborn
 }
 
 // TestCombineSnapshotsFoldsIncarnations folds two incarnations of rank 3
 // and checks every counter kind, the access re-rank, STDIO, DXT
-// concatenation, the fault side channel and the rank stamp.
+// concatenation and the rank stamp.
 func TestCombineSnapshotsFoldsIncarnations(t *testing.T) {
 	dead, reborn := incarnations()
 	got := CombineSnapshots(3, dead, nil, reborn)
 
 	if got.JobEnd != 10 {
 		t.Errorf("job end = %v, want the later incarnation's 10", got.JobEnd)
-	}
-	if want := (FaultCounters{Faults: 3, Retries: 3, Timeouts: 4}); got.Faults != want {
-		t.Errorf("faults = %+v, want %+v", got.Faults, want)
 	}
 	if want := map[uint64]string{1: "/pfs/a", 2: "/pfs/b", 9: "/pfs/ckpt"}; !reflect.DeepEqual(got.Names, want) {
 		t.Errorf("names = %v, want %v", got.Names, want)
@@ -139,10 +134,6 @@ func TestCombineSnapshotsFoldsIncarnations(t *testing.T) {
 			t.Errorf("posix %s = %v, want %v", c.name, c.got, c.want)
 		}
 	}
-	if p.accessInlineN != 0 || p.accessSizes != nil {
-		t.Error("combined record keeps its access table")
-	}
-
 	if len(got.Stdio) != 1 {
 		t.Fatalf("stdio records = %d, want 1", len(got.Stdio))
 	}
@@ -200,7 +191,6 @@ func TestFoldKeepsEmptyModulesNil(t *testing.T) {
 			} else {
 				s.Posix = nil
 			}
-			s.Faults = FaultCounters{} // a side channel the log does not carry
 			return s
 		}
 		wantNil := func(what string, posix []PosixRecord, stdio []StdioRecord) {

@@ -7,6 +7,8 @@
 // application can analyze its own I/O while executing.
 package darshan
 
+import "repro/internal/stats"
+
 // counterKind is how a counter reduces when records of one file fold
 // together, across ranks (Merge) or across one rank's process
 // incarnations (CombineSnapshots), as in Darshan's shutdown reduction.
@@ -273,37 +275,10 @@ func (c StdioFCounter) String() string {
 // the paper's Fig. 9 histogram shows the malware workload's 1MiB segments
 // clustered in the 100KB–1MB bin.
 func readSizeBucket(size int64) PosixCounter {
-	return POSIX_SIZE_READ_0_100 + sizeBucketOffset(size)
-}
-
-func sizeBucketOffset(size int64) PosixCounter {
-	switch {
-	case size <= 100:
-		return 0
-	case size <= 1024:
-		return 1
-	case size <= 10*1024:
-		return 2
-	case size <= 100*1024:
-		return 3
-	case size <= 1024*1024:
-		return 4
-	case size <= 4*1024*1024:
-		return 5
-	case size <= 10*1024*1024:
-		return 6
-	case size <= 100*1024*1024:
-		return 7
-	case size <= 1024*1024*1024:
-		return 8
-	default:
-		return 9
+	for i, edge := range stats.DarshanSizeEdges {
+		if size <= edge {
+			return POSIX_SIZE_READ_0_100 + PosixCounter(i)
+		}
 	}
-}
-
-// SizeBucketLabels are the histogram bin labels in bucket order, shared by
-// the TensorBoard panels and the parser output.
-var SizeBucketLabels = []string{
-	"0-100", "100-1K", "1K-10K", "10K-100K", "100K-1M",
-	"1M-4M", "4M-10M", "10M-100M", "100M-1G", "1G+",
+	return POSIX_SIZE_READ_1G_PLUS
 }

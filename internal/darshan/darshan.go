@@ -200,19 +200,19 @@ func accessEntryLess(a, b accessEntry) bool {
 	return a.size < b.size
 }
 
-// finalizeAccessCounters fills the ACCESS1..4 counters from the common
-// access-size table (the inline array plus the overflow map), ordered by
-// accessEntryLess, as darshan-core does during shutdown reduction.
-func finalizeAccessCounters(rec *PosixRecord) {
+// finalize writes the table's four most common sizes into rec's
+// ACCESS1..4 counters, ordered by accessEntryLess, as darshan-core does
+// during shutdown reduction.
+func (a *accessTable) finalize(rec *PosixRecord) {
 	// Stack buffer for the common case (≤4 inline sizes, no overflow map):
 	// finalization runs per record per snapshot, so it must not allocate.
 	var stack [8]accessEntry
 	pairs := stack[:0]
-	if n := rec.accessInlineN + len(rec.accessSizes); n > len(stack) {
+	if n := a.n + len(a.overflow); n > len(stack) {
 		pairs = make([]accessEntry, 0, n)
 	}
-	pairs = append(pairs, rec.accessInline[:rec.accessInlineN]...)
-	for s, c := range rec.accessSizes {
+	pairs = append(pairs, a.inline[:a.n]...)
+	for s, c := range a.overflow {
 		pairs = append(pairs, accessEntry{size: s, count: c})
 	}
 	// Insertion sort for the common tiny table (sort.Slice's
@@ -230,11 +230,11 @@ func finalizeAccessCounters(rec *PosixRecord) {
 			pairs[j+1] = p
 		}
 	} else {
-		slices.SortFunc(pairs, func(a, b accessEntry) int {
-			if accessEntryLess(a, b) {
+		slices.SortFunc(pairs, func(x, y accessEntry) int {
+			if accessEntryLess(x, y) {
 				return -1
 			}
-			if accessEntryLess(b, a) {
+			if accessEntryLess(y, x) {
 				return 1
 			}
 			return 0

@@ -113,7 +113,6 @@ func foldSnapshots(rng *rand.Rand) []*Log {
 			JobEnd: float64(rng.Intn(64)),
 			NProcs: 1,
 			Names:  make(map[uint64]string),
-			Faults: FaultCounters{Faults: rng.Int63n(4), Retries: rng.Int63n(4), BackoffNs: rng.Int63n(1000)},
 		}
 		for id := uint64(1); id <= files; id++ {
 			if rng.Intn(4) == 0 {

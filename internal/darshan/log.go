@@ -112,11 +112,6 @@ type Log struct {
 	// DroppedSegments sums DXT segments lost to per-record memory bounds
 	// (merged logs only; single logs keep the count per DXT record).
 	DroppedSegments int64
-	// Faults is the transient-fault/retry tally behind the records
-	// (faults.go), stamped by the caller after export and summed by the
-	// fold. It is a side channel, not written: decoded logs carry zero
-	// Faults.
-	Faults FaultCounters
 }
 
 // logChunk is how many encoded bytes the encoder buffers before handing

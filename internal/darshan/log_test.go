@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 // writeLog writes rt's records as a single-process log ending at endTime
@@ -90,8 +91,7 @@ func TestLogRoundTrip(t *testing.T) {
 // TestWriteReadLogRoundTrip: one Log type carries both kinds, and
 // ReadLog(Write(x)) is x itself — header, names, every counter, watermark
 // and re-ranked ACCESS entry, per-file DXT or the rank-attributed
-// timeline — for a runtime export and for a cross-rank merge. Faults is
-// zeroed: it is a side channel the format does not carry.
+// timeline — for a runtime export and for a cross-rank merge.
 func TestWriteReadLogRoundTrip(t *testing.T) {
 	perRank := rankExports(t, 3)
 	for _, tc := range []struct {
@@ -103,7 +103,6 @@ func TestWriteReadLogRoundTrip(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			x := tc.log
-			x.Faults = FaultCounters{}
 			var buf bytes.Buffer
 			if err := x.Write(&buf); err != nil {
 				t.Fatal(err)
@@ -116,6 +115,45 @@ func TestWriteReadLogRoundTrip(t *testing.T) {
 				t.Fatalf("log did not round-trip:\n got %+v\nwant %+v", got, x)
 			}
 		})
+	}
+}
+
+// TestLogTypesHaveNoUnexportedFields: a Log holds only what its file
+// stores. Runtime state (access tables, read cursors) lives in the
+// modules, not in the record types, so there is nothing Write can drop
+// and ReadLog(Write(x)) equals x with no field zeroed.
+func TestLogTypesHaveNoUnexportedFields(t *testing.T) {
+	seen := map[reflect.Type]bool{}
+	var walk func(typ reflect.Type)
+	walk = func(typ reflect.Type) {
+		if seen[typ] {
+			return
+		}
+		seen[typ] = true
+		switch typ.Kind() {
+		case reflect.Array, reflect.Slice, reflect.Pointer:
+			walk(typ.Elem())
+		case reflect.Map:
+			walk(typ.Key())
+			walk(typ.Elem())
+		case reflect.Struct:
+			for i := range typ.NumField() {
+				f := typ.Field(i)
+				if !f.IsExported() {
+					t.Errorf("%v has unexported field %s", typ, f.Name)
+				}
+				walk(f.Type)
+			}
+		}
+	}
+	walk(reflect.TypeFor[Log]())
+	for _, typ := range []reflect.Type{
+		reflect.TypeFor[PosixRecord](), reflect.TypeFor[StdioRecord](),
+		reflect.TypeFor[DXTRecord](), reflect.TypeFor[MergedSegment](),
+	} {
+		if !seen[typ] {
+			t.Errorf("%v is not reachable from Log", typ)
+		}
 	}
 }
 
@@ -518,6 +556,19 @@ func TestSizeBucketEdges(t *testing.T) {
 	for _, c := range cases {
 		if got := readSizeBucket(c.size); got != c.want {
 			t.Errorf("readSizeBucket(%d) = %v, want %v", c.size, got, c.want)
+		}
+	}
+	// The counters and the analysis histograms bucket every edge and the
+	// size past it alike.
+	h := stats.NewDarshanSizeHistogram()
+	if got, want := len(h.Counts), int(POSIX_SIZE_READ_1G_PLUS-POSIX_SIZE_READ_0_100)+1; got != want {
+		t.Fatalf("%d histogram buckets, %d size counters", got, want)
+	}
+	for _, edge := range stats.DarshanSizeEdges {
+		for _, size := range []int64{edge, edge + 1} {
+			if got, want := readSizeBucket(size), POSIX_SIZE_READ_0_100+PosixCounter(h.BucketFor(size)); got != want {
+				t.Errorf("readSizeBucket(%d) = %v, histogram bucket %v", size, got, want)
+			}
 		}
 	}
 }

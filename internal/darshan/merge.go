@@ -38,12 +38,12 @@ func StdioCounterAdditive(c StdioCounter) bool { return stdioCounters[c].kind ==
 // foldPosixCounters folds src's POSIX counters into dst by their kinds,
 // adding src's ACCESS1..4 entries to dst's access table for the combined
 // re-rank in recordFold.finish.
-func foldPosixCounters(dst, src *PosixRecord) {
+func foldPosixCounters(dst *PosixRecord, access *accessTable, src *PosixRecord) {
 	fold(dst.Counters[:], src.Counters[:], posixCounters[:])
 	fold(dst.FCounters[:], src.FCounters[:], posixFCounters[:])
 	for k := range PosixCounter(4) {
 		if count := src.Counters[POSIX_ACCESS1_COUNT+k]; count > 0 {
-			dst.bumpAccess(src.Counters[POSIX_ACCESS1_ACCESS+k], count)
+			access.bump(src.Counters[POSIX_ACCESS1_ACCESS+k], count)
 		}
 	}
 }
@@ -58,11 +58,13 @@ func foldStdioCounters(dst, src *StdioRecord) {
 // file id, ordered by first appearance (log order, then record order).
 // Merge feeds it one log per rank, CombineSnapshots one per process
 // incarnation of a single rank. The accumulator is a Log: the latest job
-// end, the summed fault tallies, the union of the name tables and the
-// folded POSIX and STDIO records; the header and DXT are left to the
-// caller.
+// end, the union of the name tables and the folded POSIX and STDIO
+// records; the header and DXT are left to the caller.
 type recordFold struct {
 	*Log
+	// access holds each folded POSIX record's combined access table,
+	// index for index with Posix.
+	access []accessTable
 	// posixIdx and stdioIdx map a file id to its record's index, assigned
 	// in first-appearance order before any record is folded.
 	posixIdx map[uint64]int
@@ -107,6 +109,7 @@ func newRecordFold(logs []*Log) *recordFold {
 	}
 	if n := len(f.posixIdx); n > 0 {
 		f.Posix = make([]PosixRecord, 0, n)
+		f.access = make([]accessTable, n)
 	}
 	if n := len(f.stdioIdx); n > 0 {
 		f.Stdio = make([]StdioRecord, 0, n)
@@ -120,7 +123,6 @@ func newRecordFold(logs []*Log) *recordFold {
 // it, and becomes MergedRank once another rank does.
 func (f *recordFold) add(rank int, l *Log) {
 	f.JobEnd = max(f.JobEnd, l.JobEnd)
-	f.Faults.Add(l.Faults)
 	maps.Copy(f.Names, l.Names)
 	for i := range l.Posix {
 		src := &l.Posix[i]
@@ -132,7 +134,7 @@ func (f *recordFold) add(rank int, l *Log) {
 		if dst.Rank != rank {
 			dst.Rank = MergedRank
 		}
-		foldPosixCounters(dst, src)
+		foldPosixCounters(dst, &f.access[j], src)
 	}
 	for i := range l.Stdio {
 		src := &l.Stdio[i]
@@ -149,11 +151,10 @@ func (f *recordFold) add(rank int, l *Log) {
 }
 
 // finish re-ranks every folded POSIX record's combined access table into
-// ACCESS1..4 and drops the table.
+// ACCESS1..4.
 func (f *recordFold) finish() {
 	for i := range f.Posix {
-		finalizeAccessCounters(&f.Posix[i])
-		f.Posix[i].clearAccessState()
+		f.access[i].finalize(&f.Posix[i])
 	}
 }
 
@@ -172,7 +173,7 @@ func (f *recordFold) finish() {
 //   - ACCESS1..4: re-ranked from the union of the per-rank access tables.
 //
 // NProcs is the number of rank slots; a nil slot is a rank without
-// records. Faults sums the per-rank tallies.
+// records.
 func Merge(perRank []*Log) *Log {
 	f := newRecordFold(perRank)
 	out := f.Log

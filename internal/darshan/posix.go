@@ -18,64 +18,53 @@ type accessEntry struct {
 const accessInlineCap = 4
 
 // PosixRecord is one file's POSIX-module record: the counter arrays that
-// darshan-parser reports and the internal access-pattern state Darshan
-// keeps per file at runtime.
+// darshan-parser reports, all a log carries.
 type PosixRecord struct {
 	ID        uint64
 	Rank      int // 0 for the paper's non-MPI runtime; the owning rank in cluster runs; -1 once merged across ranks
 	Counters  [PosixNumCounters]int64
 	FCounters [PosixNumFCounters]float64
-
-	// accessInline fronts accessSizes: the first accessInlineCap distinct
-	// sizes are counted in this embedded array; the map is only allocated
-	// once a file exceeds that, so the per-operation bump is zero-alloc
-	// and hash-free for typical files.
-	accessInline  [accessInlineCap]accessEntry
-	accessInlineN int
-	accessSizes   map[int64]int64
-	// lastByteRead holds the offset of the last byte read, the state
-	// behind Darshan's sequential/consecutive classification.
-	lastByteRead int64
-	everRead     bool
 }
 
-// bumpAccess counts count accesses of the given size: one per operation
-// at runtime, a whole ACCESS1..4 entry when merging records.
-func (rec *PosixRecord) bumpAccess(size, count int64) {
-	for i := 0; i < rec.accessInlineN; i++ {
-		if rec.accessInline[i].size == size {
-			rec.accessInline[i].count += count
+// accessTable is the access-size table Darshan keeps per file at runtime,
+// the source of the ACCESS1..4 counters. The first accessInlineCap
+// distinct sizes are counted in the inline array; the overflow map is only
+// allocated once a file exceeds that, so the per-operation bump is
+// zero-alloc and hash-free for typical files.
+type accessTable struct {
+	inline   [accessInlineCap]accessEntry
+	n        int
+	overflow map[int64]int64
+}
+
+// bump counts count accesses of the given size: one per operation at
+// runtime, a whole ACCESS1..4 entry when merging records.
+func (a *accessTable) bump(size, count int64) {
+	for i := 0; i < a.n; i++ {
+		if a.inline[i].size == size {
+			a.inline[i].count += count
 			return
 		}
 	}
-	if rec.accessInlineN < accessInlineCap {
-		rec.accessInline[rec.accessInlineN] = accessEntry{size: size, count: count}
-		rec.accessInlineN++
+	if a.n < accessInlineCap {
+		a.inline[a.n] = accessEntry{size: size, count: count}
+		a.n++
 		return
 	}
-	if rec.accessSizes == nil {
-		rec.accessSizes = make(map[int64]int64)
+	if a.overflow == nil {
+		a.overflow = make(map[int64]int64)
 	}
-	rec.accessSizes[size] += count
+	a.overflow[size] += count
 }
 
-// clearAccessState drops the runtime access-pattern table after the
-// ACCESS1..4 counters have been finalized (snapshot copies carry only the
-// counter arrays, as in Darshan's binary format).
-func (rec *PosixRecord) clearAccessState() {
-	rec.accessInline = [accessInlineCap]accessEntry{}
-	rec.accessInlineN = 0
-	rec.accessSizes = nil
-}
-
-// clearRuntimeState strips everything a serialized record cannot carry:
-// the access table plus the sequential/consecutive classification
-// cursors. Snapshot copies go through it so a snapshot equals its own
-// log round trip field for field.
-func (rec *PosixRecord) clearRuntimeState() {
-	rec.clearAccessState()
-	rec.lastByteRead = 0
-	rec.everRead = false
+// posixLive is the POSIX module's runtime state for one file: the record
+// a log carries plus the access-size table and the last byte read, the
+// state behind Darshan's sequential/consecutive classification.
+type posixLive struct {
+	PosixRecord
+	access       accessTable
+	lastByteRead int64
+	everRead     bool
 }
 
 // Name is resolved through the runtime name registry by callers; records
@@ -84,30 +73,31 @@ func (rec *PosixRecord) clearRuntimeState() {
 // PosixModule instruments the POSIX I/O functions.
 type PosixModule struct {
 	rt      *Runtime
-	records map[uint64]*PosixRecord
+	records map[uint64]*posixLive
 	order   []uint64
 	// fds maps each open descriptor to its file's record; a nil record
 	// means the file is open but beyond the record cap.
-	fds       map[int]*PosixRecord
+	fds       map[int]*posixLive
 	Untracked int64 // files beyond the record cap
 }
 
 func newPosixModule(rt *Runtime) *PosixModule {
 	return &PosixModule{
 		rt:      rt,
-		records: make(map[uint64]*PosixRecord),
-		fds:     make(map[int]*PosixRecord),
+		records: make(map[uint64]*posixLive),
+		fds:     make(map[int]*posixLive),
 	}
 }
 
 // RecordCount returns the number of tracked files.
 func (m *PosixModule) RecordCount() int { return len(m.records) }
 
-// Records returns the live records in first-seen order (not copies).
+// Records returns the live records in first-seen order (not copies);
+// their ACCESS1..4 counters are filled only in exported copies.
 func (m *PosixModule) Records() []*PosixRecord {
 	out := make([]*PosixRecord, 0, len(m.order))
 	for _, id := range m.order {
-		out = append(out, m.records[id])
+		out = append(out, &m.records[id].PosixRecord)
 	}
 	return out
 }
@@ -120,17 +110,16 @@ func (m *PosixModule) copyRecords() []PosixRecord {
 	}
 	out := make([]PosixRecord, 0, len(m.order))
 	for _, id := range m.order {
-		rec := *m.records[id] // value copy: counter arrays are copied
-		finalizeAccessCounters(&rec)
-		rec.clearRuntimeState()
-		out = append(out, rec)
+		live := m.records[id]
+		out = append(out, live.PosixRecord) // value copy: counter arrays are copied
+		live.access.finalize(&out[len(out)-1])
 	}
 	return out
 }
 
 // recordFor finds or creates the record for path, honouring the module
 // memory cap.
-func (m *PosixModule) recordFor(t *sim.Thread, path string) *PosixRecord {
+func (m *PosixModule) recordFor(t *sim.Thread, path string) *posixLive {
 	id := RecordID(path)
 	if rec, ok := m.records[id]; ok {
 		return rec
@@ -140,7 +129,7 @@ func (m *PosixModule) recordFor(t *sim.Thread, path string) *PosixRecord {
 		return nil
 	}
 	m.rt.chargeNewRecord(t)
-	rec := &PosixRecord{ID: id, Rank: m.rt.rank}
+	rec := &posixLive{PosixRecord: PosixRecord{ID: id, Rank: m.rt.rank}}
 	m.records[id] = rec
 	m.order = append(m.order, id)
 	m.rt.registerName(id, path)
@@ -156,7 +145,7 @@ func setFirst(f *float64, v float64) {
 }
 
 // recordOpen applies open semantics to rec.
-func (m *PosixModule) recordOpen(rec *PosixRecord, start, end float64) {
+func (m *PosixModule) recordOpen(rec *posixLive, start, end float64) {
 	rec.Counters[POSIX_OPENS]++
 	setFirst(&rec.FCounters[POSIX_F_OPEN_START_TIMESTAMP], start)
 	rec.FCounters[POSIX_F_OPEN_END_TIMESTAMP] = end
@@ -166,10 +155,10 @@ func (m *PosixModule) recordOpen(rec *PosixRecord, start, end float64) {
 // recordRead applies Darshan's read semantics: size is the *returned* byte
 // count, so TensorFlow's EOF-probing zero reads land in the 0–100 bucket
 // and count as consecutive — the signature behaviour of paper Figs. 7a/8.
-func (m *PosixModule) recordRead(t *sim.Thread, rec *PosixRecord, offset, size int64, start, end float64) {
+func (m *PosixModule) recordRead(t *sim.Thread, rec *posixLive, offset, size int64, start, end float64) {
 	rec.Counters[POSIX_READS]++
 	rec.Counters[readSizeBucket(size)]++
-	rec.bumpAccess(size, 1)
+	rec.access.bump(size, 1)
 	if rec.everRead {
 		if offset > rec.lastByteRead {
 			rec.Counters[POSIX_SEQ_READS]++

@@ -112,6 +112,9 @@ type RankResult struct {
 	// RestoreBytes/RestoreNs total the rank's restore read bursts.
 	RestoreBytes int64
 	RestoreNs    int64
+	// Retry sums the retry-policy tallies of the rank's incarnations,
+	// each taken when its process ends (death or job end).
+	Retry tf.RetryStats
 }
 
 // CkptBytes totals the bytes this rank wrote as checkpoints.
@@ -146,6 +149,8 @@ type Result struct {
 	WallSeconds float64
 	// Failures holds one record per completed failure/recovery cycle.
 	Failures []FailureRecord
+	// Retry sums the ranks' retry tallies.
+	Retry tf.RetryStats
 }
 
 // LogSet is the serialized Darshan artifacts of one cluster run: the
@@ -269,12 +274,12 @@ func Run(c *platform.Cluster, paths []string, opts Options) (*Result, error) {
 	snaps := make([]*darshan.Log, ranks)
 	for r, rt := range c.Runtimes() {
 		final := rt.Export(c.K.Now())
-		// Stamp the live process's fault/retry tally on its log (dead
-		// incarnations were stamped at the death instant); CombineSnapshots
-		// sums the side channel across incarnations.
-		final.Faults = envFaultCounters(c.Nodes[r].Env)
 		snaps[r] = darshan.CombineSnapshots(r, append(d.preFail[r], final)...)
-		res.PerRank[r].Snapshot = snaps[r]
+		rr := &res.PerRank[r]
+		rr.Snapshot = snaps[r]
+		// Dead incarnations added their tallies at the death instant.
+		rr.Retry.Add(c.Nodes[r].Env.RetryStats)
+		res.Retry.Add(rr.Retry)
 	}
 	res.Merged = darshan.Merge(snaps)
 	return res, nil

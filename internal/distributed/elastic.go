@@ -3,7 +3,6 @@ package distributed
 import (
 	"errors"
 
-	"repro/internal/darshan"
 	"repro/internal/sim"
 	"repro/internal/tf"
 	"repro/internal/tf/keras"
@@ -32,19 +31,6 @@ const (
 // nobody left to carry the epoch, elastic mode aborts the job with a
 // structured error instead of panicking in the barrier.
 var ErrNoSurvivors = errors.New("distributed: no surviving ranks")
-
-// envFaultCounters maps a process env's retry tally into the Darshan-side
-// fault counters stamped on that process's exported snapshot.
-func envFaultCounters(env *tf.Env) darshan.FaultCounters {
-	s := env.RetryStats
-	return darshan.FaultCounters{
-		Faults:    s.Faults,
-		Retries:   s.Retries,
-		Giveups:   s.Giveups,
-		Timeouts:  s.Timeouts,
-		BackoffNs: s.BackoffNs,
-	}
-}
 
 // ensureContinuation computes the elastic continuation once per job. It
 // is a pure function of the run plan and the failure event, so whichever

@@ -174,10 +174,10 @@ func TestElasticCheckpointTimelineReads(t *testing.T) {
 	}
 }
 
-// TestElasticDeterministicUnderFaults: elastic recovery under an armed
-// fault ladder and retry policy serializes byte-identical logs run to run.
-func TestElasticDeterministicUnderFaults(t *testing.T) {
-	plan := &vfs.FaultPlan{
+// stormPlan is a fault plan with transient read errors, an MDS brownout
+// and degraded OSTs early in a 2-rank, 64-file run.
+func stormPlan() *vfs.FaultPlan {
+	return &vfs.FaultPlan{
 		Seed:       testSeed,
 		ReadErrNth: 41,
 		MDSBrownouts: []vfs.FaultWindow{
@@ -187,10 +187,16 @@ func TestElasticDeterministicUnderFaults(t *testing.T) {
 			{Start: 100 * sim.Millisecond, End: 500 * sim.Millisecond, Factor: 4},
 		},
 	}
+}
+
+// TestElasticDeterministicUnderFaults: elastic recovery under an armed
+// fault ladder and retry policy serializes byte-identical logs and
+// reports identical retry tallies run to run.
+func TestElasticDeterministicUnderFaults(t *testing.T) {
 	opts := elasticOpts(CkptRank0)
 	opts.Retry = testRetryPolicy()
-	a := runRanksFaulted(t, 2, 64, opts, plan)
-	b := runRanksFaulted(t, 2, 64, opts, plan)
+	a := runRanksFaulted(t, 2, 64, opts, stormPlan())
+	b := runRanksFaulted(t, 2, 64, opts, stormPlan())
 	if a.WallSeconds != b.WallSeconds {
 		t.Fatalf("wall diverges: %.9fs vs %.9fs", a.WallSeconds, b.WallSeconds)
 	}
@@ -205,11 +211,50 @@ func TestElasticDeterministicUnderFaults(t *testing.T) {
 	if string(sa.Merged) != string(sb.Merged) {
 		t.Fatal("faulted elastic runs are not deterministic")
 	}
-	if a.Merged.Faults != b.Merged.Faults {
-		t.Fatalf("fault tallies diverge: %+v vs %+v", a.Merged.Faults, b.Merged.Faults)
+	if a.Retry != b.Retry {
+		t.Fatalf("retry tallies diverge: %+v vs %+v", a.Retry, b.Retry)
 	}
-	if a.Merged.Faults.Faults == 0 || a.Merged.Faults.Retries == 0 {
-		t.Fatalf("fault tally %+v, want injected faults and retries", a.Merged.Faults)
+	if a.Retry.Faults == 0 || a.Retry.Retries == 0 {
+		t.Fatalf("retry tally %+v, want injected faults and retries", a.Retry)
+	}
+}
+
+// TestRetryTallyFoldsIncarnations: a rank killed under an armed fault
+// plan reports the retry tallies of its dead and its reborn process
+// summed, and the run reports the sum over ranks.
+func TestRetryTallyFoldsIncarnations(t *testing.T) {
+	opts := elasticOpts(CkptRank0)
+	opts.Retry = testRetryPolicy()
+	victim := opts.Failures[0].Rank
+	c := platform.NewKebnekaiseCluster(2, platform.Options{PreloadDarshan: true})
+	d := buildDataset(t, c, 64)
+	c.FS.InjectFaults(*stormPlan())
+	dead := c.Nodes[victim].Env
+	res, err := Run(c, d.Paths, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reborn := c.Nodes[victim].Env
+	if reborn == dead {
+		t.Fatal("the victim's process was not replaced")
+	}
+	want := dead.RetryStats
+	want.Add(reborn.RetryStats)
+	if dead.RetryStats.Ops == 0 || reborn.RetryStats.Ops == 0 || want.Faults == 0 {
+		t.Fatalf("dead %+v, reborn %+v: want guarded reads in both processes and injected faults", dead.RetryStats, reborn.RetryStats)
+	}
+	if got := res.PerRank[victim].Retry; got != want {
+		t.Errorf("victim retry tally %+v, want dead + reborn %+v", got, want)
+	}
+	var sum tf.RetryStats
+	for r := range res.PerRank {
+		if r != victim && res.PerRank[r].Retry != c.Nodes[r].Env.RetryStats {
+			t.Errorf("rank %d retry tally %+v, want its process's %+v", r, res.PerRank[r].Retry, c.Nodes[r].Env.RetryStats)
+		}
+		sum.Add(res.PerRank[r].Retry)
+	}
+	if res.Retry != sum {
+		t.Errorf("run retry tally %+v, want the sum over ranks %+v", res.Retry, sum)
 	}
 }
 
@@ -235,8 +280,10 @@ func TestElasticRetryArmedCleanIsByteIdentical(t *testing.T) {
 	if string(sa.Merged) != string(sb.Merged) {
 		t.Fatal("armed-but-clean retry policy changed the serialized log")
 	}
-	if !armed.Merged.Faults.Zero() {
-		t.Fatalf("clean run recorded faults: %+v", armed.Merged.Faults)
+	clean := armed.Retry
+	clean.Ops = 0 // guarded reads are counted with or without faults
+	if clean != (tf.RetryStats{}) || armed.Retry.Ops == 0 {
+		t.Fatalf("clean run retry tally %+v, want guarded reads and no fault activity", armed.Retry)
 	}
 }
 

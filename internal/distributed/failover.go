@@ -485,9 +485,9 @@ func (d *driver) runRank(t *sim.Thread, r int) (err error) {
 
 // fitSegment runs one fit over the segment's iterator, catching the
 // scheduled-death panic: a killed rank's partial fit history dies with
-// the process, its Darshan records are exported at the death instant
-// (the simulator's failure oracle) and the dead incarnation's pipeline
-// threads are reaped (a real crash takes its threads with it).
+// the process, its Darshan records and retry tally are taken at the death
+// instant (the simulator's failure oracle) and the dead incarnation's
+// pipeline threads are reaped (a real crash takes its threads with it).
 func (d *driver) fitSegment(t *sim.Thread, node *platform.Machine, model *keras.Model, it *tfdata.Iterator, cb *rankCallback, allReduce func(*sim.Thread, int), steps int) (hist *keras.History, killed int, err error) {
 	r := cb.rank
 	defer func() {
@@ -500,9 +500,8 @@ func (d *driver) fitSegment(t *sim.Thread, node *platform.Machine, model *keras.
 			panic(p)
 		}
 		killed = k.step
-		snap := node.Darshan.Export(t.Now())
-		snap.Faults = envFaultCounters(node.Env)
-		d.preFail[r] = append(d.preFail[r], snap)
+		d.preFail[r] = append(d.preFail[r], node.Darshan.Export(t.Now()))
+		d.res.PerRank[r].Retry.Add(node.Env.RetryStats)
 		it.Close(t)
 	}()
 	hist, err = model.Fit(t, node.Env, it, keras.FitOptions{

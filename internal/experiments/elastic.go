@@ -46,7 +46,7 @@ type ElasticRow struct {
 	// this rung's faults.
 	RollbackSec float64
 	ElasticSec  float64
-	// Faults/Retries are the elastic run's merged retry tally.
+	// Faults/Retries are the elastic run's retry tally summed over ranks.
 	Faults  int64
 	Retries int64
 }
@@ -170,13 +170,20 @@ func checkElasticRung(rollback, elastic, noFail *distributed.Result, faulty bool
 	if rBytes < eBytes {
 		return fmt.Errorf("dataset bytes not conserved: nofail %d, elastic %d, rollback %d", nfBytes, eBytes, rBytes)
 	}
-	if !faulty && (!elastic.Merged.Faults.Zero() || !rollback.Merged.Faults.Zero()) {
-		return fmt.Errorf("clean rung recorded faults (%+v / %+v)", elastic.Merged.Faults, rollback.Merged.Faults)
+	if !faulty && (!faultFree(elastic.Retry) || !faultFree(rollback.Retry)) {
+		return fmt.Errorf("clean rung recorded faults (%+v / %+v)", elastic.Retry, rollback.Retry)
 	}
-	if faulty && (elastic.Merged.Faults.Retries == 0 || rollback.Merged.Faults.Retries == 0) {
-		return fmt.Errorf("fault rung recorded no retries (%+v / %+v)", elastic.Merged.Faults, rollback.Merged.Faults)
+	if faulty && (elastic.Retry.Retries == 0 || rollback.Retry.Retries == 0) {
+		return fmt.Errorf("fault rung recorded no retries (%+v / %+v)", elastic.Retry, rollback.Retry)
 	}
 	return nil
+}
+
+// faultFree reports whether a retry tally saw no fault activity. Ops is
+// left out: it counts guarded operations on a clean run too.
+func faultFree(s tf.RetryStats) bool {
+	s.Ops = 0
+	return s == tf.RetryStats{}
 }
 
 // elasticPoint runs the fault ladder at one rank count.
@@ -221,8 +228,8 @@ func (c Config) elasticPoint(ranks int) (rows []ElasticRow, err error) {
 	if err != nil {
 		return nil, err
 	}
-	if !noFail.Merged.Faults.Zero() {
-		return nil, fmt.Errorf("clean baseline recorded faults %+v", noFail.Merged.Faults)
+	if !faultFree(noFail.Retry) {
+		return nil, fmt.Errorf("clean baseline recorded faults %+v", noFail.Retry)
 	}
 	// The fault ladder. Windows are placed in the pre-failure phase
 	// (fractions of the no-failure wall time), so both protocols degrade
@@ -264,8 +271,8 @@ func (c Config) elasticPoint(ranks int) (rows []ElasticRow, err error) {
 			Rung:           rung.Name,
 			RollbackSec:    rollback.WallSeconds,
 			ElasticSec:     elastic.WallSeconds,
-			Faults:         elastic.Merged.Faults.Faults,
-			Retries:        elastic.Merged.Faults.Retries,
+			Faults:         elastic.Retry.Faults,
+			Retries:        elastic.Retry.Retries,
 		})
 	}
 	return rows, nil
