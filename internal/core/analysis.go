@@ -246,9 +246,11 @@ func (s *SessionStats) ToProto() *proto.DarshanProfile {
 		StdioBytesWritten:  s.StdioBytesWritten,
 		StdioReads:         s.StdioReads,
 		StdioBytesRead:     s.StdioBytesRead,
+		Files:              make([]proto.FileProfile, len(s.PerFile)),
 	}
-	for _, f := range s.PerFile {
-		p.Files = append(p.Files, proto.FileProfile{
+	for i := range s.PerFile {
+		f := &s.PerFile[i]
+		p.Files[i] = proto.FileProfile{
 			RecordID:  f.ID,
 			Name:      f.Name,
 			Opens:     f.Opens,
@@ -257,7 +259,7 @@ func (s *SessionStats) ToProto() *proto.DarshanProfile {
 			BytesRead: f.BytesRead,
 			ReadTime:  f.ReadTime,
 			Size:      f.Size,
-		})
+		}
 	}
 	return p
 }

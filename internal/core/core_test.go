@@ -300,6 +300,31 @@ func TestExportArtifacts(t *testing.T) {
 	}
 }
 
+// TestCollectReleasesSnapshots: once a session is stopped and collected,
+// its tf-Darshan tracer holds neither snapshot, and the session's tracers
+// still yield the analysis.
+func TestCollectReleasesSnapshots(t *testing.T) {
+	m, h, paths := smallStream(8, 50_000)
+	tb, _ := trainProfiled(t, m, paths, 2, 4, 2)
+	found := 0
+	for _, tr := range tb.Session.Tracers() {
+		d, ok := tr.(*DarshanTracer)
+		if !ok {
+			continue
+		}
+		found++
+		if d.startSnap != nil || d.stopSnap != nil {
+			t.Errorf("collected tracer still holds its snapshots (start %v, stop %v)", d.startSnap != nil, d.stopSnap != nil)
+		}
+		if a := d.Analysis(); a == nil || a != h.Last || a.Opens != 8 {
+			t.Errorf("tracer analysis = %+v, want the handle's last session with 8 opens", a)
+		}
+	}
+	if found != 1 {
+		t.Fatalf("session has %d tf-Darshan tracers, want 1", found)
+	}
+}
+
 func TestAnalysisOverheadChargedAtCollect(t *testing.T) {
 	// CollectData charges exactly the in-situ analysis cost — per file
 	// accessed in the window plus per DXT segment converted — the

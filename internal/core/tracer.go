@@ -124,7 +124,7 @@ func (d *DarshanTracer) Stop(t *sim.Thread) error {
 // CollectData implements profiler.Tracer: diff the snapshots, charge the
 // in-situ analysis cost, populate the tf-Darshan plane with per-file
 // timelines and session statistics, and retain the typed analysis on the
-// handle.
+// handle. It releases the snapshots, so a tracer collects once.
 func (d *DarshanTracer) CollectData(t *sim.Thread, space *profiler.XSpace) error {
 	if d.startSnap == nil || d.stopSnap == nil {
 		return fmt.Errorf("core: collect before start/stop")
@@ -135,6 +135,10 @@ func (d *DarshanTracer) CollectData(t *sim.Thread, space *profiler.XSpace) error
 
 	plane := space.Plane(DarshanPlaneName)
 	windowSegs := d.populateTimelines(plane, analysis)
+	// The analysis and the timelines hold all the session needs; the
+	// snapshots (a copy of every record and DXT segment) need not stay
+	// live for as long as the session does.
+	d.startSnap, d.stopSnap = nil, nil
 
 	// In-situ log analysis cost: proportional to files active during the
 	// window plus the trace segments falling inside it (the paper's

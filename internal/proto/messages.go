@@ -51,9 +51,11 @@ type FileProfile struct {
 	Size      int64   // 8
 }
 
-// Marshal encodes the message.
+// Marshal encodes the message in one buffer of its exact encoded size:
+// each file's key, length and fields are written in place, with no nested
+// encoder to copy from.
 func (p *DarshanProfile) Marshal() []byte {
-	var e Encoder
+	e := Encoder{buf: make([]byte, 0, p.size())}
 	e.Double(1, p.StartTime)
 	e.Double(2, p.EndTime)
 	e.Int64(3, p.BytesRead)
@@ -84,11 +86,37 @@ func (p *DarshanProfile) Marshal() []byte {
 	e.Int64(22, p.StdioReads)
 	e.Int64(23, p.StdioBytesRead)
 	for i := range p.Files {
-		var fe Encoder
-		p.Files[i].marshal(&fe)
-		e.Message(24, &fe)
+		f := &p.Files[i]
+		e.key(24, WireBytes)
+		e.varint(uint64(f.size()))
+		f.marshal(&e)
 	}
-	return e.Bytes()
+	return e.buf
+}
+
+// size returns the encoded length of the message.
+func (p *DarshanProfile) size() int {
+	n := sizeDouble(1) + sizeDouble(2) + sizeDouble(10) + sizeDouble(11) +
+		sizeInt64(3, p.BytesRead) + sizeInt64(4, p.BytesWritten) +
+		sizeInt64(5, p.Opens) + sizeInt64(6, p.Reads) + sizeInt64(7, p.Writes) +
+		sizeInt64(8, p.Seeks) + sizeInt64(9, p.Stats) +
+		sizeInt64(12, p.ZeroReads) + sizeInt64(13, p.SeqReads) + sizeInt64(14, p.ConsecReads) +
+		sizeInt64(18, p.FilesAccessed) +
+		sizeInt64(19, p.StdioOpens) + sizeInt64(20, p.StdioWrites) + sizeInt64(21, p.StdioBytesWritten) +
+		sizeInt64(22, p.StdioReads) + sizeInt64(23, p.StdioBytesRead)
+	for _, v := range p.ReadSizeBuckets {
+		n += sizeInt64(15, v)
+	}
+	for _, v := range p.WriteSizeBuckets {
+		n += sizeInt64(16, v)
+	}
+	for _, v := range p.FileSizeBuckets {
+		n += sizeInt64(17, v)
+	}
+	for i := range p.Files {
+		n += sizeBytes(24, p.Files[i].size())
+	}
+	return n
 }
 
 func (f *FileProfile) marshal(e *Encoder) {
@@ -100,6 +128,15 @@ func (f *FileProfile) marshal(e *Encoder) {
 	e.Int64(6, f.BytesRead)
 	e.Double(7, f.ReadTime)
 	e.Int64(8, f.Size)
+}
+
+// size returns the encoded length of the embedded message, without its
+// key and length prefix.
+func (f *FileProfile) size() int {
+	return sizeKey(1) + sizeVarint(f.RecordID) +
+		sizeBytes(2, len(f.Name)) +
+		sizeInt64(3, f.Opens) + sizeInt64(4, f.Reads) + sizeInt64(5, f.Writes) +
+		sizeInt64(6, f.BytesRead) + sizeDouble(7) + sizeInt64(8, f.Size)
 }
 
 // UnmarshalDarshanProfile decodes a message produced by Marshal, skipping

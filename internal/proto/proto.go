@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Wire types.
@@ -77,6 +78,23 @@ func (e *Encoder) BytesField(field int, b []byte) {
 func (e *Encoder) Message(field int, m *Encoder) {
 	e.BytesField(field, m.Bytes())
 }
+
+// sizeVarint returns the encoded length of v as a varint: one byte per
+// started group of seven bits, and one byte for zero.
+func sizeVarint(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// sizeKey returns the encoded length of a field's key.
+func sizeKey(field int) int { return sizeVarint(uint64(field) << 3) }
+
+// sizeInt64 returns the encoded length of an Int64 field.
+func sizeInt64(field int, v int64) int { return sizeKey(field) + sizeVarint(uint64(v)) }
+
+// sizeDouble returns the encoded length of a Double field.
+func sizeDouble(field int) int { return sizeKey(field) + 8 }
+
+// sizeBytes returns the encoded length of a length-delimited field with
+// an n-byte payload.
+func sizeBytes(field int, n int) int { return sizeKey(field) + sizeVarint(uint64(n)) + n }
 
 // Decoder reads wire-format fields from a buffer.
 type Decoder struct {

@@ -3,7 +3,10 @@ package proto
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
+	"math/rand/v2"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -166,5 +169,194 @@ func TestPropertyProfileRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// marshalNested is the nested-encoder Marshal that the one-pass Marshal
+// replaced: one Encoder per file, copied into the parent by Message. It
+// is kept as the oracle the one-pass encoding must equal byte for byte.
+func marshalNested(p *DarshanProfile) []byte {
+	var e Encoder
+	e.Double(1, p.StartTime)
+	e.Double(2, p.EndTime)
+	e.Int64(3, p.BytesRead)
+	e.Int64(4, p.BytesWritten)
+	e.Int64(5, p.Opens)
+	e.Int64(6, p.Reads)
+	e.Int64(7, p.Writes)
+	e.Int64(8, p.Seeks)
+	e.Int64(9, p.Stats)
+	e.Double(10, p.ReadBandwidthMBps)
+	e.Double(11, p.WriteBandwidthMBps)
+	e.Int64(12, p.ZeroReads)
+	e.Int64(13, p.SeqReads)
+	e.Int64(14, p.ConsecReads)
+	for _, v := range p.ReadSizeBuckets {
+		e.Int64(15, v)
+	}
+	for _, v := range p.WriteSizeBuckets {
+		e.Int64(16, v)
+	}
+	for _, v := range p.FileSizeBuckets {
+		e.Int64(17, v)
+	}
+	e.Int64(18, p.FilesAccessed)
+	e.Int64(19, p.StdioOpens)
+	e.Int64(20, p.StdioWrites)
+	e.Int64(21, p.StdioBytesWritten)
+	e.Int64(22, p.StdioReads)
+	e.Int64(23, p.StdioBytesRead)
+	for i := range p.Files {
+		var fe Encoder
+		f := &p.Files[i]
+		fe.Uint64(1, f.RecordID)
+		fe.String(2, f.Name)
+		fe.Int64(3, f.Opens)
+		fe.Int64(4, f.Reads)
+		fe.Int64(5, f.Writes)
+		fe.Int64(6, f.BytesRead)
+		fe.Double(7, f.ReadTime)
+		fe.Int64(8, f.Size)
+		e.Message(24, &fe)
+	}
+	return e.Bytes()
+}
+
+// randomProfile fills every field of a profile from r. Integers are drawn
+// across every varint length, negatives included (ten bytes each);
+// doubles include NaN, ±Inf and −0; names run from empty to past 127
+// bytes, where the length prefix takes two bytes; bucket slices may be
+// nil, empty or long.
+func randomProfile(r *rand.Rand) *DarshanProfile {
+	i64 := func() int64 {
+		v := r.Int64() >> r.IntN(64)
+		switch r.IntN(4) {
+		case 0:
+			return 0
+		case 1:
+			return -v
+		default:
+			return v
+		}
+	}
+	f64 := func() float64 {
+		switch r.IntN(6) {
+		case 0:
+			return math.NaN()
+		case 1:
+			return math.Inf(1 - 2*r.IntN(2))
+		case 2:
+			return math.Copysign(0, -1)
+		default:
+			return r.NormFloat64() * 1e6
+		}
+	}
+	buckets := func() []int64 {
+		switch r.IntN(3) {
+		case 0:
+			return nil
+		case 1:
+			return []int64{}
+		}
+		b := make([]int64, r.IntN(12))
+		for i := range b {
+			b[i] = i64()
+		}
+		return b
+	}
+	p := &DarshanProfile{
+		StartTime: f64(), EndTime: f64(),
+		BytesRead: i64(), BytesWritten: i64(),
+		Opens: i64(), Reads: i64(), Writes: i64(), Seeks: i64(), Stats: i64(),
+		ReadBandwidthMBps: f64(), WriteBandwidthMBps: f64(),
+		ZeroReads: i64(), SeqReads: i64(), ConsecReads: i64(),
+		ReadSizeBuckets: buckets(), WriteSizeBuckets: buckets(), FileSizeBuckets: buckets(),
+		FilesAccessed: i64(),
+		StdioOpens:    i64(), StdioWrites: i64(), StdioBytesWritten: i64(),
+		StdioReads: i64(), StdioBytesRead: i64(),
+	}
+	if r.IntN(4) > 0 {
+		p.Files = make([]FileProfile, r.IntN(20))
+	}
+	for i := range p.Files {
+		p.Files[i] = FileProfile{
+			RecordID: r.Uint64() >> uint(r.IntN(64)),
+			Name:     strings.Repeat("d", r.IntN(300)),
+			Opens:    i64(), Reads: i64(), Writes: i64(), BytesRead: i64(),
+			ReadTime: f64(), Size: i64(),
+		}
+	}
+	return p
+}
+
+// TestMarshalMatchesNestedEncoder: the one-pass Marshal writes exactly
+// the bytes of the nested-encoder oracle, over random profiles and the
+// edge cases named in randomProfile.
+func TestMarshalMatchesNestedEncoder(t *testing.T) {
+	r := rand.New(rand.NewPCG(1, 2))
+	cases := []*DarshanProfile{
+		{},
+		{Files: []FileProfile{}},
+		{Files: []FileProfile{{}}},
+		{Files: []FileProfile{{Name: strings.Repeat("x", 127)}, {Name: strings.Repeat("y", 128)}, {Name: strings.Repeat("z", 1<<14)}}},
+		{Opens: -1, Files: []FileProfile{{Opens: math.MinInt64, Size: -1, RecordID: math.MaxUint64}}},
+		{StartTime: math.NaN(), EndTime: math.Inf(-1), ReadBandwidthMBps: math.Inf(1), WriteBandwidthMBps: math.Copysign(0, -1)},
+		{ReadSizeBuckets: []int64{}, WriteSizeBuckets: nil, FileSizeBuckets: []int64{0, -1, math.MaxInt64}},
+	}
+	for range 500 {
+		cases = append(cases, randomProfile(r))
+	}
+	for i, p := range cases {
+		got, want := p.Marshal(), marshalNested(p)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("case %d: Marshal wrote %d bytes, the nested encoder %d; first difference at %d",
+				i, len(got), len(want), firstDiff(got, want))
+		}
+		if cap(got) != len(got) {
+			t.Fatalf("case %d: Marshal returned %d bytes in capacity %d, want one buffer of the exact size", i, len(got), cap(got))
+		}
+	}
+}
+
+func firstDiff(a, b []byte) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return min(len(a), len(b))
+}
+
+// TestSizeVarintMatchesEncoding: sizeVarint agrees with the encoder at
+// every length boundary.
+func TestSizeVarintMatchesEncoding(t *testing.T) {
+	for shift := range 64 {
+		for _, v := range []uint64{1<<shift - 1, 1 << shift, 1<<shift + 1} {
+			var e Encoder
+			e.varint(v)
+			if got := sizeVarint(v); got != len(e.Bytes()) {
+				t.Fatalf("sizeVarint(%d) = %d, encoding has %d bytes", v, got, len(e.Bytes()))
+			}
+		}
+	}
+	if sizeVarint(math.MaxUint64) != 10 {
+		t.Fatalf("sizeVarint(MaxUint64) = %d, want 10", sizeVarint(math.MaxUint64))
+	}
+}
+
+// BenchmarkMarshal encodes a profile of 64,000 files, imagenet-profiled's
+// session size; one buffer of the exact size is the only allocation.
+func BenchmarkMarshal(b *testing.B) {
+	p := &DarshanProfile{ReadSizeBuckets: make([]int64, 10), WriteSizeBuckets: make([]int64, 10), FileSizeBuckets: make([]int64, 10)}
+	p.Files = make([]FileProfile, 64000)
+	for i := range p.Files {
+		p.Files[i] = FileProfile{
+			RecordID: uint64(i+1) * 0x9E3779B97F4A7C15, Name: fmt.Sprintf("/lustre/imagenet/train/n%08d/n%08d_%d.JPEG", i/1300, i/1300, i),
+			Opens: 1, Reads: 2, BytesRead: 110_000, ReadTime: 4e-4, Size: 110_000,
+		}
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		p.Marshal()
 	}
 }

@@ -36,7 +36,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"iter"
 	"sort"
@@ -243,7 +242,7 @@ func (k *Kernel) Run() error {
 			continue
 		}
 		if len(k.sleepers) > 0 {
-			t := heap.Pop(&k.sleepers).(*Thread)
+			t := k.sleepers.pop()
 			if t.wake < k.now {
 				panic("sim: sleeper woke in the past")
 			}
@@ -390,35 +389,69 @@ func (t *Thread) Sleep(d Duration) {
 	t.wake = deadline
 	t.wakeSeq = k.seq
 	k.seq++
-	heap.Push(&k.sleepers, t)
+	k.sleepers.push(t)
 	t.park(stateSleeping, "sleep")
 }
 
-// sleeperHeap orders sleeping threads by wake time, breaking ties by the
-// order in which they went to sleep, which keeps the schedule
-// deterministic.
+// sleeperHeap is a binary min-heap of sleeping threads ordered by wake
+// time, breaking ties by the order in which they went to sleep, which
+// keeps the schedule deterministic. The (wake, wakeSeq) keys are unique,
+// so the pop order is the same for any valid heap layout.
 type sleeperHeap []*Thread
 
-func (h sleeperHeap) Len() int { return len(h) }
-
-func (h sleeperHeap) Less(i, j int) bool {
-	if h[i].wake != h[j].wake {
-		return h[i].wake < h[j].wake
+// wakesBefore reports whether a is due to wake before b.
+func wakesBefore(a, b *Thread) bool {
+	if a.wake != b.wake {
+		return a.wake < b.wake
 	}
-	return h[i].wakeSeq < h[j].wakeSeq
+	return a.wakeSeq < b.wakeSeq
 }
 
-func (h sleeperHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+// push adds t, sifting it up from the bottom.
+func (h *sleeperHeap) push(t *Thread) {
+	*h = append(*h, t)
+	s := *h
+	i := len(s) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !wakesBefore(t, s[parent]) {
+			break
+		}
+		s[i] = s[parent]
+		i = parent
+	}
+	s[i] = t
+}
 
-func (h *sleeperHeap) Push(x any) { *h = append(*h, x.(*Thread)) }
-
-func (h *sleeperHeap) Pop() any {
-	old := *h
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return t
+// pop removes and returns the earliest sleeper, sifting the last one down
+// from the top.
+func (h *sleeperHeap) pop() *Thread {
+	s := *h
+	n := len(s) - 1
+	top, last := s[0], s[n]
+	s[n] = nil
+	s = s[:n]
+	*h = s
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && wakesBefore(s[r], s[c]) {
+			c = r
+		}
+		if !wakesBefore(s[c], last) {
+			break
+		}
+		s[i] = s[c]
+		i = c
+	}
+	s[i] = last
+	return top
 }
 
 // Yield requeues the thread at the back of the run queue without advancing

@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"errors"
+	"math/rand/v2"
+	"slices"
 	"testing"
 )
 
@@ -165,6 +168,36 @@ func TestSameDeadlineSleepersWakeInSpawnOrder(t *testing.T) {
 	for i, v := range order {
 		if v != i+1 {
 			t.Fatalf("same-deadline sleepers woke out of order: %v", order)
+		}
+	}
+}
+
+// TestSleeperHeapPopsInKeyOrder drives the sleeper heap directly with
+// interleaved pushes and pops of random (wake, wakeSeq) keys, many of
+// them sharing a wake time, and checks every pop is the least key left.
+func TestSleeperHeapPopsInKeyOrder(t *testing.T) {
+	r := rand.New(rand.NewPCG(3, 4))
+	var h sleeperHeap
+	var left []*Thread
+	var seq uint64
+	for step := range 6000 {
+		if len(h) == 0 || r.IntN(3) > 0 && step < 4000 {
+			th := &Thread{wake: r.Int64N(64), wakeSeq: seq}
+			seq++
+			h.push(th)
+			left = append(left, th)
+			continue
+		}
+		got := h.pop()
+		least := slices.MinFunc(left, func(a, b *Thread) int {
+			return cmp.Or(cmp.Compare(a.wake, b.wake), cmp.Compare(a.wakeSeq, b.wakeSeq))
+		})
+		if got != least {
+			t.Fatalf("step %d: popped (%d, %d), want (%d, %d)", step, got.wake, got.wakeSeq, least.wake, least.wakeSeq)
+		}
+		left = slices.DeleteFunc(left, func(th *Thread) bool { return th == got })
+		if len(h) != len(left) {
+			t.Fatalf("step %d: heap holds %d sleepers, want %d", step, len(h), len(left))
 		}
 	}
 }

@@ -119,14 +119,22 @@ func (p *ProfileData) InputPipelineText() string {
 	return b.String()
 }
 
+// topFilesByReadTime sorts an index of the per-file rows rather than a
+// copy of them. sort.Slice's result depends only on the comparisons'
+// outcomes, so the index comes out in the order the rows themselves
+// would, ties included.
 func topFilesByReadTime(a *core.SessionStats, n int) []string {
-	files := append([]core.FileStats(nil), a.PerFile...)
-	sort.Slice(files, func(i, j int) bool { return files[i].ReadTime > files[j].ReadTime })
-	if len(files) > n {
-		files = files[:n]
+	idx := make([]int32, len(a.PerFile))
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	sort.Slice(idx, func(i, j int) bool { return a.PerFile[idx[i]].ReadTime > a.PerFile[idx[j]].ReadTime })
+	if len(idx) > n {
+		idx = idx[:n]
 	}
 	var rows []string
-	for _, f := range files {
+	for _, i := range idx {
+		f := &a.PerFile[i]
 		rows = append(rows, fmt.Sprintf("%-50s %8.3fms %3d reads %10d bytes",
 			f.Name, f.ReadTime*1e3, f.Reads, f.BytesRead))
 	}

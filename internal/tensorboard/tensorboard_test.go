@@ -5,6 +5,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -159,5 +161,26 @@ func TestServerPages(t *testing.T) {
 	}
 	if code, _ := get("/nothing"); code != 404 {
 		t.Fatalf("bad path: %d", code)
+	}
+}
+
+// TestTopFilesMatchesSortedCopy: sorting an index of the per-file rows
+// picks the same rows, in the same order, as sorting a copy of them,
+// ties included.
+func TestTopFilesMatchesSortedCopy(t *testing.T) {
+	for _, n := range []int{0, 3, 5, 12, 300} {
+		a := &core.SessionStats{PerFile: make([]core.FileStats, n)}
+		for i := range a.PerFile {
+			a.PerFile[i] = core.FileStats{Name: fmt.Sprintf("/f%03d", i), Reads: int64(i), ReadTime: float64(i*7%5) * 1e-3}
+		}
+		files := append([]core.FileStats(nil), a.PerFile...)
+		sort.Slice(files, func(i, j int) bool { return files[i].ReadTime > files[j].ReadTime })
+		var want []string
+		for _, f := range files[:min(n, 5)] {
+			want = append(want, fmt.Sprintf("%-50s %8.3fms %3d reads %10d bytes", f.Name, f.ReadTime*1e3, f.Reads, f.BytesRead))
+		}
+		if got := topFilesByReadTime(a, 5); !slices.Equal(got, want) {
+			t.Fatalf("%d files: top rows\n%q\nwant\n%q", n, got, want)
+		}
 	}
 }

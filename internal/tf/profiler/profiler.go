@@ -266,7 +266,8 @@ func (h *HostTracer) Stop(t *sim.Thread) error {
 }
 
 // CollectData implements Tracer: one line per host thread, each line's
-// events allocated once at that thread's event count.
+// events allocated once at that thread's event count. The recorded pages
+// are released once converted.
 func (h *HostTracer) CollectData(t *sim.Thread, space *XSpace) error {
 	perThread := make(map[int]int)
 	for _, page := range h.pages {
@@ -290,6 +291,7 @@ func (h *HostTracer) CollectData(t *sim.Thread, space *XSpace) error {
 		}
 	}
 	plane.SortLines()
+	h.pages = nil
 	return nil
 }
 

@@ -260,13 +260,45 @@ func TestHostTracerPagesAndLines(t *testing.T) {
 	}
 }
 
+// TestSessionReleasesHostPages: a stopped and collected session's host
+// tracer holds no TraceMe pages; the events live on in the host plane.
+func TestSessionReleasesHostPages(t *testing.T) {
+	p := New()
+	var s *Session
+	var space *XSpace
+	run(t, func(th *sim.Thread) {
+		var err error
+		if s, err = p.Start(th); err != nil {
+			t.Fatal(err)
+		}
+		for range traceMePage + 1 {
+			tm := p.Recorder().Begin(th, "op")
+			th.Sleep(sim.Microsecond)
+			tm.End(th)
+		}
+		if space, err = p.Stop(th); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got := space.TotalEvents(); got != traceMePage+1 {
+		t.Fatalf("host plane holds %d events, want %d", got, traceMePage+1)
+	}
+	for _, tr := range s.Tracers() {
+		if h, ok := tr.(*HostTracer); ok && h.pages != nil {
+			t.Fatalf("collected host tracer still holds %d pages", len(h.pages))
+		}
+	}
+}
+
 // BenchmarkHostTracerCollectData converts a session of 200k TraceMe
 // events over 4 host threads, about an ImageNet epoch's worth, into the
 // host plane.
 func BenchmarkHostTracerCollectData(b *testing.B) {
 	h := recordHostEvents(b, 4, 50_000)
+	pages := h.pages
 	b.ReportAllocs()
 	for b.Loop() {
+		h.pages = pages // CollectData releases them
 		if err := h.CollectData(nil, &XSpace{}); err != nil {
 			b.Fatal(err)
 		}
