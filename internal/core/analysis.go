@@ -9,17 +9,9 @@ import (
 	"repro/internal/stats"
 )
 
-// FileStats is the per-file row of a session analysis.
-type FileStats struct {
-	ID        uint64
-	Name      string
-	Size      int64
-	Opens     int64
-	Reads     int64
-	Writes    int64
-	BytesRead int64
-	ReadTime  float64
-}
+// FileStats is the per-file row of a session analysis: profile.pb's own
+// per-file message, so ToProto hands the rows over as they are.
+type FileStats = proto.FileProfile
 
 // SessionStats is tf-Darshan's in-situ analysis of one profiling window:
 // the difference between the Darshan buffer snapshots taken at session
@@ -158,7 +150,7 @@ func Analyze(start, stop *darshan.Log, lookup func(uint64) (string, bool), sizeO
 			name = n
 		}
 		fileRow := FileStats{
-			ID:        rec.ID,
+			RecordID:  rec.ID,
 			Name:      name,
 			Opens:     opens,
 			Reads:     reads,
@@ -220,7 +212,8 @@ func AnalyzeSnapshot(snap *darshan.Log, sizeOf SizeOfFunc) *SessionStats {
 	return Analyze(&darshan.Log{}, snap, nil, sizeOf)
 }
 
-// ToProto converts the analysis into the exported protobuf message.
+// ToProto converts the analysis into the exported protobuf message. The
+// message's Files is PerFile itself, not a copy.
 func (s *SessionStats) ToProto() *proto.DarshanProfile {
 	p := &proto.DarshanProfile{
 		StartTime:          s.StartTime,
@@ -246,20 +239,7 @@ func (s *SessionStats) ToProto() *proto.DarshanProfile {
 		StdioBytesWritten:  s.StdioBytesWritten,
 		StdioReads:         s.StdioReads,
 		StdioBytesRead:     s.StdioBytesRead,
-		Files:              make([]proto.FileProfile, len(s.PerFile)),
-	}
-	for i := range s.PerFile {
-		f := &s.PerFile[i]
-		p.Files[i] = proto.FileProfile{
-			RecordID:  f.ID,
-			Name:      f.Name,
-			Opens:     f.Opens,
-			Reads:     f.Reads,
-			Writes:    f.Writes,
-			BytesRead: f.BytesRead,
-			ReadTime:  f.ReadTime,
-			Size:      f.Size,
-		}
+		Files:              s.PerFile,
 	}
 	return p
 }

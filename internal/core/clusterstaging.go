@@ -77,7 +77,7 @@ func AdviseClusterStaging(perRank []*darshan.Log, opts ClusterStagingOptions) []
 		if len(shared) > 0 {
 			kept := stats.PerFile[:0]
 			for _, f := range stats.PerFile {
-				if !shared[f.ID] {
+				if !shared[f.RecordID] {
 					kept = append(kept, f)
 				}
 			}

@@ -35,7 +35,7 @@ func syntheticSession(n int) (*profiler.XSpace, *core.SessionStats) {
 		name := fmt.Sprintf("/lustre/imagenet/train/n%08d/n%08d_%d.JPEG", i/1300, i/1300, i)
 		size := int64(60_000 + i*7919%90_000)
 		a.PerFile[i] = core.FileStats{
-			ID: uint64(i+1) * 0x9E3779B97F4A7C15, Name: name, Size: size,
+			RecordID: uint64(i+1) * 0x9E3779B97F4A7C15, Name: name, Size: size,
 			Opens: 1, Reads: 2, BytesRead: size, ReadTime: float64(i*977%4001) * 1e-6,
 		}
 		a.Opens++
@@ -51,7 +51,7 @@ func syntheticSession(n int) (*profiler.XSpace, *core.SessionStats) {
 		data.SetIO(0, size)
 		zero := profiler.XEvent{Name: "pread", StartNs: start + 41_000, DurNs: 2_000}
 		zero.SetIO(size, 0)
-		plane.Line(int64(a.PerFile[i].ID&0x7FFFFFFFFFFFFFFF), name).Events = []profiler.XEvent{data, zero}
+		plane.Line(int64(a.PerFile[i].RecordID&0x7FFFFFFFFFFFFFFF), name).Events = []profiler.XEvent{data, zero}
 
 		thread := host.Line(int64(i%4), fmt.Sprintf("tf_data_worker_%d", i%4))
 		thread.Events = append(thread.Events, profiler.XEvent{Name: "ReadFile", StartNs: start, DurNs: 43_000})

@@ -1,6 +1,7 @@
 package deflate
 
 import (
+	"compress/gzip"
 	"errors"
 	"io"
 )
@@ -14,11 +15,11 @@ const (
 )
 
 // A Reader is an io.ReadCloser that gunzips what it reads from its
-// source, a drop-in for compress/gzip's Reader (multistream, with its
-// header checks and error values; the header's fields are skipped). Close
-// must be called, also after a failed Read: it stops the Reader's worker.
+// source with compress/gzip on a worker goroutine, so it reads the same
+// bytes and fails with the same errors. Close must be called, also after a
+// failed Read: it stops the Reader's worker.
 type Reader struct {
-	f   *inflater
+	zr  *gzip.Reader
 	err error // sticky, once a block carrying it is read out
 
 	// The worker inflates into the blocks of a ring: it takes them from
@@ -42,12 +43,12 @@ type block struct {
 // blocks ahead of Read, reading the source on its own, so the caller must
 // not read r while the Reader is open.
 func NewPipelinedReader(r io.Reader) (*Reader, error) {
-	f := newInflater(r)
-	if f.step(); f.err != nil {
-		return nil, f.err
+	zr, err := gzip.NewReader(r)
+	if err != nil {
+		return nil, err
 	}
 	z := &Reader{
-		f:    f,
+		zr:   zr,
 		free: make(chan *block, ringBlocks),
 		full: make(chan *block, ringBlocks),
 		stop: make(chan struct{}),
@@ -71,7 +72,7 @@ func (z *Reader) work() {
 		case <-z.stop:
 			return
 		}
-		n, err := z.f.read(b.buf)
+		n, err := z.fill(b.buf)
 		b.data, b.err = b.buf[:n], err
 		z.full <- b // never blocks: the ring has room for every block
 		if err != nil {
@@ -80,9 +81,21 @@ func (z *Reader) work() {
 	}
 }
 
+// fill reads into buf until it is full or the stream ends or fails.
+func (z *Reader) fill(buf []byte) (int, error) {
+	n := 0
+	for n < len(buf) {
+		k, err := z.zr.Read(buf[n:])
+		n += k
+		if err != nil {
+			return n, err
+		}
+	}
+	return n, nil
+}
+
 // Read reads inflated bytes into p. At the end of the stream it returns
-// io.EOF; for a damaged stream, compress/gzip's error (gzip.ErrHeader,
-// gzip.ErrChecksum or io.ErrUnexpectedEOF) or a corrupt-input error.
+// io.EOF; for a damaged stream, compress/gzip's error.
 func (z *Reader) Read(p []byte) (int, error) {
 	if z.err != nil || len(p) == 0 {
 		return 0, z.err

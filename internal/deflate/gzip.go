@@ -15,6 +15,11 @@
 //
 // Writers draw their tables and buffers from a small free list, so a
 // process that writes many streams allocates them once.
+//
+// The package has no DEFLATE decoder of its own: its Reader (gunzip.go)
+// runs compress/gzip on a worker goroutine that fills a ring of blocks
+// ahead of the caller, so a reader of a whole stream inflates and decodes
+// at once.
 package deflate
 
 import (

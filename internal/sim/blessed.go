@@ -30,11 +30,11 @@ var BlessedExternalGoroutines = []string{
 	// The gzip writer of the Darshan log and the trace export: worker
 	// goroutines run the lazy parse over chunks of the stream while the
 	// calling goroutine splices their tokens in stream order, checking
-	// each handoff, and codes them. Its reader of whole streams inflates
-	// on one worker goroutine into a ring of blocks the caller reads in
-	// order. Both run on finished data outside any kernel run, and their
-	// output is byte-identical to compress/gzip's whatever the worker
-	// count or timing (their differential tests and fuzz targets pin
-	// that).
+	// each handoff, and codes them. Its reader of whole streams runs
+	// compress/gzip on one worker goroutine into a ring of blocks the
+	// caller reads in order. Both run on finished data outside any kernel
+	// run, and their output is byte-identical to compress/gzip's whatever
+	// the worker count or timing (the writer's differential tests and
+	// fuzz target, and the reader's differential test, pin that).
 	"repro/internal/deflate",
 }

@@ -7,7 +7,7 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/core"
+	"repro/internal/trace"
 )
 
 // Server is a minimal TensorBoard-like web server over profiled runs: an
@@ -92,13 +92,14 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	case "timelines":
 		renderPage(fmt.Sprintf("TraceViewer — %s", run), data.TraceViewerText(40, 30))
 	case "trace.json.gz":
-		art, err := core.Export(data.Space, data.Analysis, data.SessionStartNs)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
+		if data.Space == nil {
+			http.NotFound(w, r)
 			return
 		}
 		w.Header().Set("Content-Type", "application/gzip")
-		w.Write(art.TraceJSONGz)
+		// Its only error is a failed write to the client, after the
+		// response has begun.
+		trace.WriteJSONGz(w, data.Space, data.SessionStartNs)
 	case "profile.pb":
 		if data.Analysis == nil {
 			http.NotFound(w, r)

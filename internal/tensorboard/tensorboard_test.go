@@ -116,7 +116,7 @@ func TestBandwidthComparisonText(t *testing.T) {
 
 func TestServerPages(t *testing.T) {
 	p := profiledRun(t)
-	srv := httptest.NewServer(NewServer(map[string]*ProfileData{"stream-test": p}))
+	srv := httptest.NewServer(NewServer(map[string]*ProfileData{"stream-test": p, "no-trace": {Run: "no-trace"}}))
 	defer srv.Close()
 
 	get := func(path string) (int, string) {
@@ -146,12 +146,19 @@ func TestServerPages(t *testing.T) {
 		t.Fatalf("timelines: %d", code)
 	}
 	code, body = get("/run/stream-test/trace.json.gz")
-	if code != 200 || len(body) == 0 {
-		t.Fatalf("trace: %d", code)
+	art, err := core.Export(p.Space, p.Analysis, p.SessionStartNs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code != 200 || body != string(art.TraceJSONGz) {
+		t.Fatalf("trace: %d, %d bytes, Export's trace.json.gz %d bytes", code, len(body), len(art.TraceJSONGz))
 	}
 	code, body = get("/run/stream-test/profile.pb")
 	if code != 200 || len(body) == 0 {
 		t.Fatalf("profile.pb: %d", code)
+	}
+	if code, _ := get("/run/no-trace/trace.json.gz"); code != 404 {
+		t.Fatalf("run without a trace: %d", code)
 	}
 	if code, _ := get("/run/missing/overview"); code != 404 {
 		t.Fatalf("missing run: %d", code)
