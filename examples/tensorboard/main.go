@@ -81,7 +81,7 @@ func run() (map[string]*tensorboard.ProfileData, error) {
 			return nil, err
 		}
 		runs[pd.Run] = pd
-		fmt.Printf("profiled %s: %.2f MB/s\n", pd.Run, pd.Analysis.ReadBandwidthMBps())
+		fmt.Printf("profiled %s: %.2f MB/s\n", pd.Run, pd.Analysis.ReadBandwidthMBps)
 	}
 	return runs, nil
 }

@@ -22,9 +22,9 @@ func TestServesBothRuns(t *testing.T) {
 	if one == nil || eight == nil {
 		t.Fatalf("runs = %v, want imagenet-1threads and imagenet-8threads", runs)
 	}
-	if eight.Analysis.ReadBandwidthMBps() <= one.Analysis.ReadBandwidthMBps() {
+	if eight.Analysis.ReadBandwidthMBps <= one.Analysis.ReadBandwidthMBps {
 		t.Fatalf("8 threads read at %.2f MB/s, not faster than 1 thread's %.2f",
-			eight.Analysis.ReadBandwidthMBps(), one.Analysis.ReadBandwidthMBps())
+			eight.Analysis.ReadBandwidthMBps, one.Analysis.ReadBandwidthMBps)
 	}
 	srv := httptest.NewServer(tensorboard.NewServer(runs))
 	defer srv.Close()

@@ -10,70 +10,31 @@ import (
 )
 
 // FileStats is the per-file row of a session analysis: profile.pb's own
-// per-file message, so ToProto hands the rows over as they are.
+// per-file message.
 type FileStats = proto.FileProfile
 
 // SessionStats is tf-Darshan's in-situ analysis of one profiling window:
 // the difference between the Darshan buffer snapshots taken at session
 // start and stop (paper §III-C), organized into the quantities the
-// TensorBoard panels display (paper Figs. 7a/9).
+// TensorBoard panels display (paper Figs. 7a/9). It is the profile.pb
+// message itself (the promoted Marshal encodes it), plus what the panels
+// read and the message does not carry.
 type SessionStats struct {
-	StartTime float64
-	EndTime   float64
+	proto.DarshanProfile
 
-	Opens  int64
-	Reads  int64
-	Writes int64
-	Seeks  int64
-	Stats  int64
-	Fsyncs int64
+	// StdioFlushes counts the window's fflush calls (the InputPipeline
+	// page shows them).
+	StdioFlushes int64
 
-	BytesRead    int64
-	BytesWritten int64
-
-	ZeroReads   int64
-	SeqReads    int64
-	ConsecReads int64
-	SeqWrites   int64
-	ConsecWrite int64
-
+	// The size histograms; their Counts are the message's
+	// ReadSizeBuckets, WriteSizeBuckets and FileSizeBuckets.
 	ReadSizeHist  *stats.Histogram
 	WriteSizeHist *stats.Histogram
 	FileSizeHist  *stats.Histogram
-
-	StdioOpens        int64
-	StdioReads        int64
-	StdioWrites       int64
-	StdioFlushes      int64
-	StdioBytesRead    int64
-	StdioBytesWritten int64
-
-	FilesAccessed int
-	PerFile       []FileStats
 }
 
 // Duration returns the session window length in seconds.
 func (s *SessionStats) Duration() float64 { return s.EndTime - s.StartTime }
-
-// ReadBandwidthMBps returns POSIX read bandwidth over the window, the
-// paper's headline metric (bytes transferred / elapsed wall-clock of the
-// profiling session).
-func (s *SessionStats) ReadBandwidthMBps() float64 {
-	d := s.Duration()
-	if d <= 0 {
-		return 0
-	}
-	return float64(s.BytesRead) / 1e6 / d
-}
-
-// WriteBandwidthMBps returns POSIX write bandwidth over the window.
-func (s *SessionStats) WriteBandwidthMBps() float64 {
-	d := s.Duration()
-	if d <= 0 {
-		return 0
-	}
-	return float64(s.BytesWritten) / 1e6 / d
-}
 
 // NonSeqNonConsecReads returns reads that were neither sequential nor
 // consecutive (the "50% of reads" observation of Fig. 7a).
@@ -93,12 +54,14 @@ type SizeOfFunc func(path string) (int64, bool)
 // be nil.
 func Analyze(start, stop *darshan.Log, lookup func(uint64) (string, bool), sizeOf SizeOfFunc) *SessionStats {
 	out := &SessionStats{
-		StartTime:     start.JobEnd,
-		EndTime:       stop.JobEnd,
-		ReadSizeHist:  stats.NewDarshanSizeHistogram(),
-		WriteSizeHist: stats.NewDarshanSizeHistogram(),
-		FileSizeHist:  stats.NewDarshanSizeHistogram(),
+		DarshanProfile: proto.DarshanProfile{StartTime: start.JobEnd, EndTime: stop.JobEnd},
+		ReadSizeHist:   stats.NewDarshanSizeHistogram(),
+		WriteSizeHist:  stats.NewDarshanSizeHistogram(),
+		FileSizeHist:   stats.NewDarshanSizeHistogram(),
 	}
+	out.ReadSizeBuckets = out.ReadSizeHist.Counts
+	out.WriteSizeBuckets = out.WriteSizeHist.Counts
+	out.FileSizeBuckets = out.FileSizeHist.Counts
 
 	base := make(map[uint64]*darshan.PosixRecord, len(start.Posix))
 	for i := range start.Posix {
@@ -107,7 +70,7 @@ func Analyze(start, stop *darshan.Log, lookup func(uint64) (string, bool), sizeO
 	// zero is the baseline of a record the start snapshot does not have.
 	var zero darshan.PosixRecord
 	if len(stop.Posix) > 0 {
-		out.PerFile = make([]FileStats, 0, len(stop.Posix))
+		out.Files = make([]FileStats, 0, len(stop.Posix))
 	}
 
 	for i := range stop.Posix {
@@ -122,8 +85,7 @@ func Analyze(start, stop *darshan.Log, lookup func(uint64) (string, bool), sizeO
 		writes := diff(darshan.POSIX_WRITES)
 		seeks := diff(darshan.POSIX_SEEKS)
 		statsN := diff(darshan.POSIX_STATS)
-		fsyncs := diff(darshan.POSIX_FSYNCS)
-		if opens+reads+writes+seeks+statsN+fsyncs == 0 {
+		if opens+reads+writes+seeks+statsN+diff(darshan.POSIX_FSYNCS) == 0 {
 			continue // untouched during the window
 		}
 		out.Opens += opens
@@ -131,13 +93,10 @@ func Analyze(start, stop *darshan.Log, lookup func(uint64) (string, bool), sizeO
 		out.Writes += writes
 		out.Seeks += seeks
 		out.Stats += statsN
-		out.Fsyncs += fsyncs
 		out.BytesRead += diff(darshan.POSIX_BYTES_READ)
 		out.BytesWritten += diff(darshan.POSIX_BYTES_WRITTEN)
 		out.SeqReads += diff(darshan.POSIX_SEQ_READS)
 		out.ConsecReads += diff(darshan.POSIX_CONSEC_READS)
-		out.SeqWrites += diff(darshan.POSIX_SEQ_WRITES)
-		out.ConsecWrite += diff(darshan.POSIX_CONSEC_WRITES)
 		for k := range darshan.PosixCounter(10) {
 			out.ReadSizeHist.Counts[k] += diff(darshan.POSIX_SIZE_READ_0_100 + k)
 			out.WriteSizeHist.Counts[k] += diff(darshan.POSIX_SIZE_WRITE_0_100 + k)
@@ -164,7 +123,7 @@ func Analyze(start, stop *darshan.Log, lookup func(uint64) (string, bool), sizeO
 				out.FileSizeHist.Add(sz)
 			}
 		}
-		out.PerFile = append(out.PerFile, fileRow)
+		out.Files = append(out.Files, fileRow)
 		out.FilesAccessed++
 	}
 
@@ -199,7 +158,13 @@ func Analyze(start, stop *darshan.Log, lookup func(uint64) (string, bool), sizeO
 		}
 	}
 
-	sort.Slice(out.PerFile, func(i, j int) bool { return out.PerFile[i].Name < out.PerFile[j].Name })
+	sort.Slice(out.Files, func(i, j int) bool { return out.Files[i].Name < out.Files[j].Name })
+	// Bandwidth is bytes over the profiling session's elapsed time, the
+	// paper's headline metric.
+	if d := out.Duration(); d > 0 {
+		out.ReadBandwidthMBps = float64(out.BytesRead) / 1e6 / d
+		out.WriteBandwidthMBps = float64(out.BytesWritten) / 1e6 / d
+	}
 	return out
 }
 
@@ -212,38 +177,6 @@ func AnalyzeSnapshot(snap *darshan.Log, sizeOf SizeOfFunc) *SessionStats {
 	return Analyze(&darshan.Log{}, snap, nil, sizeOf)
 }
 
-// ToProto converts the analysis into the exported protobuf message. The
-// message's Files is PerFile itself, not a copy.
-func (s *SessionStats) ToProto() *proto.DarshanProfile {
-	p := &proto.DarshanProfile{
-		StartTime:          s.StartTime,
-		EndTime:            s.EndTime,
-		BytesRead:          s.BytesRead,
-		BytesWritten:       s.BytesWritten,
-		Opens:              s.Opens,
-		Reads:              s.Reads,
-		Writes:             s.Writes,
-		Seeks:              s.Seeks,
-		Stats:              s.Stats,
-		ReadBandwidthMBps:  s.ReadBandwidthMBps(),
-		WriteBandwidthMBps: s.WriteBandwidthMBps(),
-		ZeroReads:          s.ZeroReads,
-		SeqReads:           s.SeqReads,
-		ConsecReads:        s.ConsecReads,
-		ReadSizeBuckets:    append([]int64(nil), s.ReadSizeHist.Counts...),
-		WriteSizeBuckets:   append([]int64(nil), s.WriteSizeHist.Counts...),
-		FileSizeBuckets:    append([]int64(nil), s.FileSizeHist.Counts...),
-		FilesAccessed:      int64(s.FilesAccessed),
-		StdioOpens:         s.StdioOpens,
-		StdioWrites:        s.StdioWrites,
-		StdioBytesWritten:  s.StdioBytesWritten,
-		StdioReads:         s.StdioReads,
-		StdioBytesRead:     s.StdioBytesRead,
-		Files:              s.PerFile,
-	}
-	return p
-}
-
 // Summary renders the analysis as the one-screen text the TensorBoard
 // input-pipeline panel shows.
 func (s *SessionStats) Summary() string {
@@ -252,6 +185,6 @@ func (s *SessionStats) Summary() string {
 			"%d writes | %.2f MB read (%.2f MB/s) | %d files | STDIO %d opens %d fwrites (%.2f MB)",
 		s.StartTime, s.EndTime, s.Duration(),
 		s.Opens, s.Reads, s.ZeroReads, s.SeqReads, s.ConsecReads,
-		s.Writes, float64(s.BytesRead)/1e6, s.ReadBandwidthMBps(),
+		s.Writes, float64(s.BytesRead)/1e6, s.ReadBandwidthMBps,
 		s.FilesAccessed, s.StdioOpens, s.StdioWrites, float64(s.StdioBytesWritten)/1e6)
 }

@@ -216,7 +216,7 @@ func probeBandwidth(build func() (*platform.Machine, *Handle, []string), steps i
 		if h.Last == nil {
 			return 0, fmt.Errorf("no analysis")
 		}
-		return h.Last.ReadBandwidthMBps(), nil
+		return h.Last.ReadBandwidthMBps, nil
 	}
 }
 

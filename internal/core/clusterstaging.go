@@ -75,13 +75,13 @@ func AdviseClusterStaging(perRank []*darshan.Log, opts ClusterStagingOptions) []
 		}
 		stats := AnalyzeSnapshot(snap, opts.SizeOf)
 		if len(shared) > 0 {
-			kept := stats.PerFile[:0]
-			for _, f := range stats.PerFile {
+			kept := stats.Files[:0]
+			for _, f := range stats.Files {
 				if !shared[f.RecordID] {
 					kept = append(kept, f)
 				}
 			}
-			stats.PerFile = kept
+			stats.Files = kept
 		}
 		out[r] = adviseStagingWeighted(stats, opts.PerNodeCapacity, opts.Objective.byteWeight())
 	}

@@ -154,7 +154,7 @@ func TestEndToEndProfiledTraining(t *testing.T) {
 	if a.BytesRead != 64*88*1024 {
 		t.Errorf("bytes = %d", a.BytesRead)
 	}
-	if a.ReadBandwidthMBps() <= 0 {
+	if a.ReadBandwidthMBps <= 0 {
 		t.Error("bandwidth not positive")
 	}
 	// Read size histogram: 64 zero reads in 0-100, 64 data in 10K-100K.
@@ -165,10 +165,10 @@ func TestEndToEndProfiledTraining(t *testing.T) {
 	if a.FileSizeHist.Counts[3] != 64 {
 		t.Errorf("file size hist = %v", a.FileSizeHist.Counts)
 	}
-	if a.FilesAccessed != 64 || len(a.PerFile) != 64 {
-		t.Errorf("files accessed = %d / %d", a.FilesAccessed, len(a.PerFile))
+	if a.FilesAccessed != 64 || len(a.Files) != 64 {
+		t.Errorf("files accessed = %d / %d", a.FilesAccessed, len(a.Files))
 	}
-	for _, f := range a.PerFile {
+	for _, f := range a.Files {
 		if f.Size != 88*1024 || f.Reads != 2 || f.Opens != 1 {
 			t.Fatalf("per-file row wrong: %+v", f)
 		}
@@ -239,7 +239,7 @@ func TestManualSessionsProduceBandwidthSeries(t *testing.T) {
 	var totalBytes int64
 	for _, s := range h.Sessions {
 		totalBytes += s.BytesRead
-		if s.ReadBandwidthMBps() <= 0 {
+		if s.ReadBandwidthMBps <= 0 {
 			t.Fatal("session bandwidth not positive")
 		}
 	}
@@ -258,7 +258,7 @@ func TestManualSessionsProduceBandwidthSeries(t *testing.T) {
 func TestProtoRoundTripOfAnalysis(t *testing.T) {
 	m, h, paths := smallStream(8, 88*1024)
 	trainProfiled(t, m, paths, 2, 4, 2)
-	pb := h.Last.ToProto().Marshal()
+	pb := h.Last.Marshal()
 	got, err := proto.UnmarshalDarshanProfile(pb)
 	if err != nil {
 		t.Fatal(err)
@@ -266,10 +266,10 @@ func TestProtoRoundTripOfAnalysis(t *testing.T) {
 	if got.Opens != h.Last.Opens || got.Reads != h.Last.Reads || got.ZeroReads != h.Last.ZeroReads {
 		t.Fatalf("proto round trip: %+v vs %+v", got, h.Last)
 	}
-	if got.ReadBandwidthMBps != h.Last.ReadBandwidthMBps() {
+	if got.ReadBandwidthMBps != h.Last.ReadBandwidthMBps {
 		t.Fatal("bandwidth lost")
 	}
-	if len(got.Files) != len(h.Last.PerFile) {
+	if len(got.Files) != len(h.Last.Files) {
 		t.Fatalf("files = %d", len(got.Files))
 	}
 	if len(got.ReadSizeBuckets) != 10 {
@@ -370,10 +370,10 @@ func TestStagingAdvisorPicksSmallFiles(t *testing.T) {
 	// Mixed population: 40 small files (1MB) + 60 large (10MB).
 	s := &SessionStats{}
 	for i := 0; i < 40; i++ {
-		s.PerFile = append(s.PerFile, FileStats{Name: fmt.Sprintf("small%02d", i), Size: 1 << 20})
+		s.Files = append(s.Files, FileStats{Name: fmt.Sprintf("small%02d", i), Size: 1 << 20})
 	}
 	for i := 0; i < 60; i++ {
-		s.PerFile = append(s.PerFile, FileStats{Name: fmt.Sprintf("large%02d", i), Size: 10 << 20})
+		s.Files = append(s.Files, FileStats{Name: fmt.Sprintf("large%02d", i), Size: 10 << 20})
 	}
 	adv := AdviseStaging(s, 480<<30)
 	// With the upper-inclusive threshold the 1MB rung already captures the
@@ -403,10 +403,10 @@ func TestStagingThresholdEdgeInclusive(t *testing.T) {
 	// file-size panel but was silently skipped by the staging advice.
 	s := &SessionStats{}
 	for i := 0; i < 40; i++ {
-		s.PerFile = append(s.PerFile, FileStats{Name: fmt.Sprintf("edge%02d", i), Size: 2 << 20})
+		s.Files = append(s.Files, FileStats{Name: fmt.Sprintf("edge%02d", i), Size: 2 << 20})
 	}
 	for i := 0; i < 60; i++ {
-		s.PerFile = append(s.PerFile, FileStats{Name: fmt.Sprintf("large%02d", i), Size: 50 << 20})
+		s.Files = append(s.Files, FileStats{Name: fmt.Sprintf("large%02d", i), Size: 50 << 20})
 	}
 	adv := AdviseStaging(s, 480<<30)
 	if adv.Threshold != 2<<20 {
@@ -427,10 +427,10 @@ func TestStagingThresholdEdgeInclusive(t *testing.T) {
 func TestStagingRespectsCapacity(t *testing.T) {
 	s := &SessionStats{}
 	for i := 0; i < 10; i++ {
-		s.PerFile = append(s.PerFile, FileStats{Name: fmt.Sprintf("f%d", i), Size: 1 << 20})
+		s.Files = append(s.Files, FileStats{Name: fmt.Sprintf("f%d", i), Size: 1 << 20})
 	}
 	for i := 0; i < 10; i++ {
-		s.PerFile = append(s.PerFile, FileStats{Name: fmt.Sprintf("g%d", i), Size: 100 << 20})
+		s.Files = append(s.Files, FileStats{Name: fmt.Sprintf("g%d", i), Size: 100 << 20})
 	}
 	adv := AdviseStaging(s, 5<<20) // capacity below the 10MB of small files
 	if adv.Bytes > 5<<20 {
@@ -450,7 +450,7 @@ func TestAdvisorRefusesUniformPopulation(t *testing.T) {
 	// would stage 100% of the bytes), so the advisor stages nothing.
 	s := &SessionStats{}
 	for i := 0; i < 16; i++ {
-		s.PerFile = append(s.PerFile, FileStats{Name: fmt.Sprintf("u%d", i), Size: 500_000})
+		s.Files = append(s.Files, FileStats{Name: fmt.Sprintf("u%d", i), Size: 500_000})
 	}
 	if adv := AdviseStaging(s, 1<<40); adv.FileCount != 0 {
 		t.Fatalf("advisor staged %d files of a uniform population", adv.FileCount)

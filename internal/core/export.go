@@ -32,7 +32,7 @@ func Export(space *profiler.XSpace, analysis *SessionStats, sessionStartNs int64
 		return nil, fmt.Errorf("core: export trace: %w", err)
 	}
 	return &Artifacts{
-		ProfilePB:   analysis.ToProto().Marshal(),
+		ProfilePB:   analysis.Marshal(),
 		TraceJSONGz: slices.Concat(gz.pages...),
 	}, nil
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/proto"
 	"repro/internal/stats"
 	"repro/internal/tensorboard"
 	"repro/internal/tf/profiler"
@@ -20,21 +21,26 @@ import (
 // host plane of four threads with n TraceMe events between them.
 func syntheticSession(n int) (*profiler.XSpace, *core.SessionStats) {
 	a := &core.SessionStats{
-		StartTime:     1,
-		EndTime:       9,
+		DarshanProfile: proto.DarshanProfile{
+			StartTime:     1,
+			EndTime:       9,
+			FilesAccessed: int64(n),
+			Files:         make([]core.FileStats, n),
+		},
 		ReadSizeHist:  stats.NewDarshanSizeHistogram(),
 		WriteSizeHist: stats.NewDarshanSizeHistogram(),
 		FileSizeHist:  stats.NewDarshanSizeHistogram(),
-		FilesAccessed: n,
-		PerFile:       make([]core.FileStats, n),
 	}
+	a.ReadSizeBuckets = a.ReadSizeHist.Counts
+	a.WriteSizeBuckets = a.WriteSizeHist.Counts
+	a.FileSizeBuckets = a.FileSizeHist.Counts
 	space := &profiler.XSpace{}
 	host := space.Plane(profiler.HostPlaneName)
 	plane := space.Plane(core.DarshanPlaneName)
 	for i := range n {
 		name := fmt.Sprintf("/lustre/imagenet/train/n%08d/n%08d_%d.JPEG", i/1300, i/1300, i)
 		size := int64(60_000 + i*7919%90_000)
-		a.PerFile[i] = core.FileStats{
+		a.Files[i] = core.FileStats{
 			RecordID: uint64(i+1) * 0x9E3779B97F4A7C15, Name: name, Size: size,
 			Opens: 1, Reads: 2, BytesRead: size, ReadTime: float64(i*977%4001) * 1e-6,
 		}
@@ -51,11 +57,12 @@ func syntheticSession(n int) (*profiler.XSpace, *core.SessionStats) {
 		data.SetIO(0, size)
 		zero := profiler.XEvent{Name: "pread", StartNs: start + 41_000, DurNs: 2_000}
 		zero.SetIO(size, 0)
-		plane.Line(int64(a.PerFile[i].RecordID&0x7FFFFFFFFFFFFFFF), name).Events = []profiler.XEvent{data, zero}
+		plane.Line(int64(a.Files[i].RecordID&0x7FFFFFFFFFFFFFFF), name).Events = []profiler.XEvent{data, zero}
 
 		thread := host.Line(int64(i%4), fmt.Sprintf("tf_data_worker_%d", i%4))
 		thread.Events = append(thread.Events, profiler.XEvent{Name: "ReadFile", StartNs: start, DurNs: 43_000})
 	}
+	a.ReadBandwidthMBps = float64(a.BytesRead) / 1e6 / a.Duration()
 	plane.SortLines()
 	return space, a
 }

@@ -72,10 +72,10 @@ func AdviseStaging(s *SessionStats, fastCapacity int64) *StagingAdvice {
 // node-local capacity roomy: every staged file saves a shared MDS RPC, so
 // the best feasible threshold is the one staging the most files).
 func adviseStagingWeighted(s *SessionStats, fastCapacity int64, byteWeight float64) *StagingAdvice {
-	if s == nil || len(s.PerFile) == 0 {
+	if s == nil || len(s.Files) == 0 {
 		return &StagingAdvice{}
 	}
-	files := s.PerFile
+	files := s.Files
 	totalBytes := int64(0)
 	for _, f := range files {
 		totalBytes += f.Size

@@ -80,7 +80,7 @@ func (h *Handle) Wrapper() *Wrapper { return h.wrapper }
 func (h *Handle) BandwidthSeries() (ts []float64, mbps []float64) {
 	for _, s := range h.Sessions {
 		ts = append(ts, s.EndTime)
-		mbps = append(mbps, s.ReadBandwidthMBps())
+		mbps = append(mbps, s.ReadBandwidthMBps)
 	}
 	return ts, mbps
 }
@@ -150,7 +150,7 @@ func (d *DarshanTracer) CollectData(t *sim.Thread, space *profiler.XSpace) error
 	if windowSegs > 0 {
 		t.Sleep(sim.Duration(windowSegs) * analysisPerSegmentCPU)
 	}
-	plane.SetStat("posix_read_bandwidth_MBps", fmt.Sprintf("%.2f", analysis.ReadBandwidthMBps()))
+	plane.SetStat("posix_read_bandwidth_MBps", fmt.Sprintf("%.2f", analysis.ReadBandwidthMBps))
 	plane.SetStat("posix_opens", fmt.Sprintf("%d", analysis.Opens))
 	plane.SetStat("posix_reads", fmt.Sprintf("%d", analysis.Reads))
 	plane.SetStat("posix_zero_reads", fmt.Sprintf("%d", analysis.ZeroReads))

@@ -1,6 +1,7 @@
 package darshan
 
 import (
+	"cmp"
 	"hash/fnv"
 	"slices"
 
@@ -74,8 +75,7 @@ type Runtime struct {
 	// even in deeply prefetched pipelines (Fig. 5).
 	mu sim.Mutex
 
-	names     map[uint64]string
-	nameOrder []uint64
+	names map[uint64]string
 
 	Posix *PosixModule
 	Stdio *StdioModule
@@ -126,7 +126,6 @@ func (rt *Runtime) rel(now int64) float64 {
 func (rt *Runtime) registerName(id uint64, path string) {
 	if _, ok := rt.names[id]; !ok {
 		rt.names[id] = path
-		rt.nameOrder = append(rt.nameOrder, id)
 	}
 }
 
@@ -188,20 +187,20 @@ func (l *Log) PosixByID(id uint64) (PosixRecord, bool) {
 	return PosixRecord{}, false
 }
 
-// accessEntryLess is the explicit ACCESS1..4 ranking order: larger count
+// compareAccess is the explicit ACCESS1..4 ranking order: larger count
 // first, count ties broken by smaller size. Sizes are unique table keys,
 // so the order is total — re-ranking is byte-stable regardless of the map
 // iteration order that feeds the sort (both the per-record overflow map
 // and Merge's combined cross-rank tables).
-func accessEntryLess(a, b accessEntry) bool {
-	if a.count != b.count {
-		return a.count > b.count
+func compareAccess(a, b accessEntry) int {
+	if c := cmp.Compare(b.count, a.count); c != 0 {
+		return c
 	}
-	return a.size < b.size
+	return cmp.Compare(a.size, b.size)
 }
 
 // finalize writes the table's four most common sizes into rec's
-// ACCESS1..4 counters, ordered by accessEntryLess, as darshan-core does
+// ACCESS1..4 counters, ordered by compareAccess, as darshan-core does
 // during shutdown reduction.
 func (a *accessTable) finalize(rec *PosixRecord) {
 	// Stack buffer for the common case (≤4 inline sizes, no overflow map):
@@ -215,31 +214,9 @@ func (a *accessTable) finalize(rec *PosixRecord) {
 	for s, c := range a.overflow {
 		pairs = append(pairs, accessEntry{size: s, count: c})
 	}
-	// Insertion sort for the common tiny table (sort.Slice's
-	// reflection-based swapper would allocate); generic slices.SortFunc
-	// (also allocation-free) past that, where O(n²) would bite files with
-	// many distinct access sizes. Both branches order by accessEntryLess.
-	if len(pairs) <= 16 {
-		for i := 1; i < len(pairs); i++ {
-			p := pairs[i]
-			j := i - 1
-			for j >= 0 && accessEntryLess(p, pairs[j]) {
-				pairs[j+1] = pairs[j]
-				j--
-			}
-			pairs[j+1] = p
-		}
-	} else {
-		slices.SortFunc(pairs, func(x, y accessEntry) int {
-			if accessEntryLess(x, y) {
-				return -1
-			}
-			if accessEntryLess(y, x) {
-				return 1
-			}
-			return 0
-		})
-	}
+	// slices.SortFunc is generic, so it does not allocate at any size
+	// (sort.Slice's reflection-based swapper would).
+	slices.SortFunc(pairs, compareAccess)
 	for i := 0; i < 4; i++ {
 		var s, c int64
 		if i < len(pairs) {

@@ -1,6 +1,7 @@
 package darshan
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/dynload"
@@ -340,6 +341,114 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 	if rec1.Counters[POSIX_READS] != 2 {
 		t.Fatal("snapshot mutated by later I/O")
+	}
+}
+
+// TestStdioAndDXTRecordCaps runs POSIX and STDIO traffic over five files
+// with a cap of two records per module and STDIO tracing on: STDIO keeps
+// its first two files and counts every fopen past them as untracked; DXT,
+// fed by both modules, keeps the first two files either traces, whichever
+// module traced them; and a snapshot's STDIO records and DXT segments do
+// not move under later I/O.
+func TestStdioAndDXTRecordCaps(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.MaxRecordsPerModule = 2
+	cfg.DXTStdio = true
+	r := newRig(cfg)
+	for _, n := range []string{"p1", "p2", "s2"} {
+		r.fs.CreateFile("/data/"+n, 1000)
+	}
+	id := RecordID
+	var snap *Log
+	var snapDXT []DXTRecord // deep copy of snap.DXT taken at the snapshot
+	r.run(t, func(th *sim.Thread) {
+		readWholeFileTFStyle(th, r.c, "/data/p1", 1<<20) // POSIX and DXT record 1
+		s1, err := r.c.Fopen(th, "/data/s1", "w")        // STDIO record 1
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.c.Fwrite(th, s1, make([]byte, 100))     // DXT record 2
+		s2, err := r.c.Fopen(th, "/data/s2", "r") // STDIO record 2
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.c.Fread(th, s2, nil, 200)               // DXT full: not traced
+		s3, err := r.c.Fopen(th, "/data/s3", "w") // STDIO full: untracked
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.c.Fwrite(th, s3, make([]byte, 50))
+		r.c.Fclose(th, s3)
+		readWholeFileTFStyle(th, r.c, "/data/p2", 1<<20) // POSIX record 2, DXT full
+
+		snap = r.rt.Snapshot(th)
+		for _, rec := range snap.DXT {
+			rec.ReadSegs = append([]Segment(nil), rec.ReadSegs...)
+			rec.WriteSegs = append([]Segment(nil), rec.WriteSegs...)
+			snapDXT = append(snapDXT, rec)
+		}
+
+		r.c.Fwrite(th, s1, make([]byte, 100))
+		r.c.Fread(th, s2, nil, 200)
+		readWholeFileTFStyle(th, r.c, "/data/p1", 1<<20)
+		if s3, err = r.c.Fopen(th, "/data/s3", "r"); err != nil {
+			t.Fatal(err)
+		}
+		for _, st := range []*vfs.Stream{s1, s2, s3} {
+			r.c.Fclose(th, st)
+		}
+	})
+
+	// STDIO cap: the first two files, in first-seen order; each fopen
+	// past the cap counts once.
+	stdio := r.rt.Stdio.Records()
+	if len(stdio) != 2 || stdio[0].ID != id("/data/s1") || stdio[1].ID != id("/data/s2") {
+		t.Fatalf("STDIO records = %+v, want s1 and s2", stdio)
+	}
+	if r.rt.Stdio.Untracked != 2 {
+		t.Fatalf("STDIO untracked = %d, want 2", r.rt.Stdio.Untracked)
+	}
+	if w, b := stdio[0].Counters[STDIO_WRITES], stdio[0].Counters[STDIO_BYTES_WRITTEN]; w != 2 || b != 200 {
+		t.Fatalf("live s1 writes = %d, bytes = %d, want 2, 200", w, b)
+	}
+	if got := stdio[1].Counters[STDIO_READS]; got != 2 {
+		t.Fatalf("live s2 reads = %d, want 2", got)
+	}
+	if got := r.rt.Posix.RecordCount(); got != 2 || r.rt.Posix.Untracked != 0 {
+		t.Fatalf("POSIX records = %d, untracked = %d, want 2, 0", got, r.rt.Posix.Untracked)
+	}
+
+	// DXT cap: the first two files traced by either module, so p2 (a
+	// tracked POSIX record) and s2 (a tracked STDIO record) have none.
+	dxt := r.rt.DXT.Records()
+	if len(dxt) != 2 || dxt[0].ID != id("/data/p1") || dxt[1].ID != id("/data/s1") {
+		t.Fatalf("DXT records = %d, want p1 then s1", len(dxt))
+	}
+	if len(dxt[0].ReadSegs) != 4 || len(dxt[0].WriteSegs) != 0 {
+		t.Fatalf("live p1 segments = %d read, %d write, want 4, 0", len(dxt[0].ReadSegs), len(dxt[0].WriteSegs))
+	}
+	if len(dxt[1].WriteSegs) != 2 || len(dxt[1].ReadSegs) != 0 || dxt[1].WriteSegs[1].Offset != 100 {
+		t.Fatalf("live s1 segments = %+v, want two writes at 0 and 100", dxt[1].WriteSegs)
+	}
+
+	// The snapshot holds the counts and segments of its instant.
+	if len(snap.Stdio) != 2 {
+		t.Fatalf("snapshot STDIO records = %d", len(snap.Stdio))
+	}
+	if w, b := snap.Stdio[0].Counters[STDIO_WRITES], snap.Stdio[0].Counters[STDIO_BYTES_WRITTEN]; w != 1 || b != 100 {
+		t.Fatalf("snapshot s1 writes = %d, bytes = %d, want 1, 100", w, b)
+	}
+	if got := snap.Stdio[1].Counters[STDIO_READS]; got != 1 {
+		t.Fatalf("snapshot s2 reads = %d, want 1", got)
+	}
+	if !reflect.DeepEqual(snap.DXT, snapDXT) {
+		t.Fatalf("snapshot DXT changed under later I/O:\n%+v\nwant\n%+v", snap.DXT, snapDXT)
+	}
+	if len(snap.DXT) != 2 || len(snap.DXT[0].ReadSegs) != 2 || len(snap.DXT[1].WriteSegs) != 1 {
+		t.Fatalf("snapshot DXT = %+v, want p1 with 2 reads and s1 with 1 write", snap.DXT)
+	}
+	if &snap.DXT[0].ReadSegs[0] == &dxt[0].ReadSegs[0] || &snap.DXT[1].WriteSegs[0] == &dxt[1].WriteSegs[0] {
+		t.Fatal("snapshot DXT segments share storage with the live records")
 	}
 }
 

@@ -1,6 +1,10 @@
 package darshan
 
-import "repro/internal/sim"
+import (
+	"slices"
+
+	"repro/internal/sim"
+)
 
 // Segment is one DXT trace segment: a single read or write with its file
 // offset, length and wall-clock window (seconds since job start). This is
@@ -28,7 +32,7 @@ type DXTRecord struct {
 type DXTModule struct {
 	rt      *Runtime
 	records map[uint64]*DXTRecord
-	order   []uint64
+	order   []*DXTRecord // records in first-seen order
 }
 
 func newDXTModule(rt *Runtime) *DXTModule {
@@ -37,11 +41,7 @@ func newDXTModule(rt *Runtime) *DXTModule {
 
 // Records returns live records in first-seen order (not copies).
 func (m *DXTModule) Records() []*DXTRecord {
-	out := make([]*DXTRecord, 0, len(m.order))
-	for _, id := range m.order {
-		out = append(out, m.records[id])
-	}
-	return out
+	return slices.Clone(m.order)
 }
 
 func (m *DXTModule) copyRecords() []DXTRecord {
@@ -49,8 +49,7 @@ func (m *DXTModule) copyRecords() []DXTRecord {
 		return nil // match the log decoder's absent-block convention
 	}
 	out := make([]DXTRecord, 0, len(m.order))
-	for _, id := range m.order {
-		src := m.records[id]
+	for _, src := range m.order {
 		out = append(out, DXTRecord{
 			ID:        src.ID,
 			ReadSegs:  append([]Segment(nil), src.ReadSegs...),
@@ -90,7 +89,7 @@ func (m *DXTModule) recordFor(id uint64) *DXTRecord {
 	}
 	rec := &DXTRecord{ID: id}
 	m.records[id] = rec
-	m.order = append(m.order, id)
+	m.order = append(m.order, rec)
 	return rec
 }
 

@@ -209,7 +209,7 @@ func tieSnapshots() []*Log {
 
 // TestMergeAccessTieBreakExplicit pins the re-ranking order of the merged
 // access table: count descending, count ties broken by ascending size
-// (accessEntryLess). With all counts tied, ACCESS1..4 must be the four
+// (compareAccess). With all counts tied, ACCESS1..4 must be the four
 // smallest sizes in ascending order, independent of which rank
 // contributed them or any map iteration order.
 func TestMergeAccessTieBreakExplicit(t *testing.T) {

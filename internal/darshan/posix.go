@@ -74,7 +74,7 @@ type posixLive struct {
 type PosixModule struct {
 	rt      *Runtime
 	records map[uint64]*posixLive
-	order   []uint64
+	order   []*posixLive // records in first-seen order
 	// fds maps each open descriptor to its file's record; a nil record
 	// means the file is open but beyond the record cap.
 	fds       map[int]*posixLive
@@ -96,8 +96,8 @@ func (m *PosixModule) RecordCount() int { return len(m.records) }
 // their ACCESS1..4 counters are filled only in exported copies.
 func (m *PosixModule) Records() []*PosixRecord {
 	out := make([]*PosixRecord, 0, len(m.order))
-	for _, id := range m.order {
-		out = append(out, &m.records[id].PosixRecord)
+	for _, live := range m.order {
+		out = append(out, &live.PosixRecord)
 	}
 	return out
 }
@@ -109,8 +109,7 @@ func (m *PosixModule) copyRecords() []PosixRecord {
 		return nil
 	}
 	out := make([]PosixRecord, 0, len(m.order))
-	for _, id := range m.order {
-		live := m.records[id]
+	for _, live := range m.order {
 		out = append(out, live.PosixRecord) // value copy: counter arrays are copied
 		live.access.finalize(&out[len(out)-1])
 	}
@@ -131,7 +130,7 @@ func (m *PosixModule) recordFor(t *sim.Thread, path string) *posixLive {
 	m.rt.chargeNewRecord(t)
 	rec := &posixLive{PosixRecord: PosixRecord{ID: id, Rank: m.rt.rank}}
 	m.records[id] = rec
-	m.order = append(m.order, id)
+	m.order = append(m.order, rec)
 	m.rt.registerName(id, path)
 	return rec
 }

@@ -1,6 +1,8 @@
 package darshan
 
 import (
+	"slices"
+
 	"repro/internal/libc"
 	"repro/internal/sim"
 	"repro/internal/vfs"
@@ -21,7 +23,7 @@ type StdioRecord struct {
 type StdioModule struct {
 	rt      *Runtime
 	records map[uint64]*StdioRecord
-	order   []uint64
+	order   []*StdioRecord // records in first-seen order
 	// streams maps each open stream to its file's record; a nil record
 	// means the file is open but beyond the record cap.
 	streams   map[*vfs.Stream]*StdioRecord
@@ -41,11 +43,7 @@ func (m *StdioModule) RecordCount() int { return len(m.records) }
 
 // Records returns the live records in first-seen order (not copies).
 func (m *StdioModule) Records() []*StdioRecord {
-	out := make([]*StdioRecord, 0, len(m.order))
-	for _, id := range m.order {
-		out = append(out, m.records[id])
-	}
-	return out
+	return slices.Clone(m.order)
 }
 
 func (m *StdioModule) copyRecords() []StdioRecord {
@@ -53,8 +51,8 @@ func (m *StdioModule) copyRecords() []StdioRecord {
 		return nil // match the log decoder's absent-block convention
 	}
 	out := make([]StdioRecord, 0, len(m.order))
-	for _, id := range m.order {
-		out = append(out, *m.records[id])
+	for _, rec := range m.order {
+		out = append(out, *rec)
 	}
 	return out
 }
@@ -71,7 +69,7 @@ func (m *StdioModule) recordFor(t *sim.Thread, path string) *StdioRecord {
 	m.rt.chargeNewRecord(t)
 	rec := &StdioRecord{ID: id, Rank: m.rt.rank}
 	m.records[id] = rec
-	m.order = append(m.order, id)
+	m.order = append(m.order, rec)
 	m.rt.registerName(id, path)
 	return rec
 }

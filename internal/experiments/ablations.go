@@ -243,7 +243,7 @@ func AblationAutotune(c Config) (*AutotuneResult, error) {
 		if err != nil {
 			return 0, err
 		}
-		return h.Last.ReadBandwidthMBps(), nil
+		return h.Last.ReadBandwidthMBps, nil
 	}
 	chosen, err := at.Tune(probe, 8)
 	if err != nil {

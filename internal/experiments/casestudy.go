@@ -9,24 +9,16 @@ import (
 	"repro/internal/tf/profiler"
 )
 
-// CaseStudyResult is a profiled training epoch (Figs. 7a/7b/9/11a/11b).
+// CaseStudyResult is a profiled training epoch (Figs. 7a/7b/9/11a/11b):
+// the tf-Darshan analysis of the epoch plus what the run adds to it.
 type CaseStudyResult struct {
-	Artifact string
-	Label    string
+	*core.SessionStats
 
-	BandwidthMBps float64
-	Opens         int64
-	Reads         int64
-	ZeroReads     int64
-	SeqReads      int64
-	ConsecReads   int64
-	FilesAccessed int
+	Artifact      string
+	Label         string
 	BytesReadMB   float64
 	InputBoundPct float64
 	WallSec       float64
-
-	ReadHist []int64
-	FileHist []int64
 
 	Pages string // rendered TensorBoard pages
 }
@@ -58,7 +50,7 @@ func (r *CaseStudyResult) SeqFraction() float64 {
 // Metrics implements Result.
 func (r *CaseStudyResult) Metrics() map[string]float64 {
 	return map[string]float64{
-		"bandwidth_MBps":  r.BandwidthMBps,
+		"bandwidth_MBps":  r.ReadBandwidthMBps,
 		"opens":           float64(r.Opens),
 		"reads":           float64(r.Reads),
 		"zero_read_frac":  r.ZeroReadFraction(),
@@ -89,24 +81,15 @@ func runCaseStudy(artifact, label string, setup *trainSetup) (*CaseStudyResult, 
 	if out.tb.Session != nil {
 		pd.SessionStartNs = out.tb.Session.StartNs
 	}
-	res := &CaseStudyResult{
+	return &CaseStudyResult{
+		SessionStats:  a,
 		Artifact:      artifact,
 		Label:         label,
-		BandwidthMBps: a.ReadBandwidthMBps(),
-		Opens:         a.Opens,
-		Reads:         a.Reads,
-		ZeroReads:     a.ZeroReads,
-		SeqReads:      a.SeqReads,
-		ConsecReads:   a.ConsecReads,
-		FilesAccessed: a.FilesAccessed,
 		BytesReadMB:   float64(a.BytesRead) / 1e6,
 		InputBoundPct: out.history.InputBoundFraction() * 100,
 		WallSec:       out.wallSeconds,
-		ReadHist:      append([]int64(nil), a.ReadSizeHist.Counts...),
-		FileHist:      append([]int64(nil), a.FileSizeHist.Counts...),
 		Pages:         pd.OverviewText() + "\n" + pd.InputPipelineText(),
-	}
-	return res, nil
+	}, nil
 }
 
 // Fig7a profiles the ImageNet epoch with one preprocessing thread (paper

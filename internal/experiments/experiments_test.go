@@ -198,8 +198,8 @@ func TestFig7ImageNetFindings(t *testing.T) {
 		t.Fatalf("input bound = %.1f%%, want >90", a.InputBoundPct)
 	}
 	// Half the reads in the 0-100 bucket (zero reads).
-	if a.ReadHist[0] != a.ZeroReads {
-		t.Fatalf("hist[0]=%d zero=%d", a.ReadHist[0], a.ZeroReads)
+	if a.ReadSizeBuckets[0] != a.ZeroReads {
+		t.Fatalf("hist[0]=%d zero=%d", a.ReadSizeBuckets[0], a.ZeroReads)
 	}
 
 	b, err := Fig7b(cfg)
@@ -207,7 +207,7 @@ func TestFig7ImageNetFindings(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Paper Fig. 7b: ~8x bandwidth from threading (3 -> 24 MB/s).
-	ratio := b.BandwidthMBps / a.BandwidthMBps
+	ratio := b.ReadBandwidthMBps / a.ReadBandwidthMBps
 	if ratio < 5 || ratio > 12 {
 		t.Fatalf("threading speedup = %.2fx, want ~8x", ratio)
 	}
@@ -247,16 +247,16 @@ func TestFig9MalwareFindings(t *testing.T) {
 	if f := res.ZeroReadFraction(); f > 0.3 {
 		t.Fatalf("zero fraction = %v, want small", f)
 	}
-	if res.BandwidthMBps < 60 || res.BandwidthMBps > 130 {
-		t.Fatalf("bandwidth = %.1f, want ~94", res.BandwidthMBps)
+	if res.ReadBandwidthMBps < 60 || res.ReadBandwidthMBps > 130 {
+		t.Fatalf("bandwidth = %.1f, want ~94", res.ReadBandwidthMBps)
 	}
 	// Majority of reads in the 100K-1M bucket (index 4).
 	var total int64
-	for _, c := range res.ReadHist {
+	for _, c := range res.ReadSizeBuckets {
 		total += c
 	}
-	if res.ReadHist[4]*2 < total {
-		t.Fatalf("read hist = %v, want majority in 100K-1M", res.ReadHist)
+	if res.ReadSizeBuckets[4]*2 < total {
+		t.Fatalf("read hist = %v, want majority in 100K-1M", res.ReadSizeBuckets)
 	}
 	if res.InputBoundPct < 95 {
 		t.Fatalf("input bound = %.1f%%, want ~99", res.InputBoundPct)
@@ -289,10 +289,10 @@ func TestFig11ThreadingHurtsAndStagingHelps(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Paper Fig. 11a: 16 threads DROP bandwidth (94 -> 77 MB/s).
-	if threaded.BandwidthMBps >= base.BandwidthMBps {
-		t.Fatalf("threading should hurt: %.1f vs %.1f", threaded.BandwidthMBps, base.BandwidthMBps)
+	if threaded.ReadBandwidthMBps >= base.ReadBandwidthMBps {
+		t.Fatalf("threading should hurt: %.1f vs %.1f", threaded.ReadBandwidthMBps, base.ReadBandwidthMBps)
 	}
-	drop := threaded.BandwidthMBps / base.BandwidthMBps
+	drop := threaded.ReadBandwidthMBps / base.ReadBandwidthMBps
 	if drop < 0.6 || drop > 0.95 {
 		t.Fatalf("drop ratio = %.2f, want ~0.82", drop)
 	}
@@ -393,7 +393,7 @@ func TestDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.BandwidthMBps != b.BandwidthMBps || a.Reads != b.Reads || a.WallSec != b.WallSec {
+	if a.ReadBandwidthMBps != b.ReadBandwidthMBps || a.Reads != b.Reads || a.WallSec != b.WallSec {
 		t.Fatalf("non-deterministic: %+v vs %+v", a.Metrics(), b.Metrics())
 	}
 }

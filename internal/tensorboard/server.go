@@ -106,7 +106,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Write(data.Analysis.ToProto().Marshal())
+		w.Write(data.Analysis.Marshal())
 	default:
 		http.NotFound(w, r)
 	}

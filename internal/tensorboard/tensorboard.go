@@ -85,8 +85,8 @@ func (p *ProfileData) InputPipelineText() string {
 		return b.String()
 	}
 	fmt.Fprintf(&b, "\n[tf-Darshan] POSIX I/O statistics over window %.2fs–%.2fs\n", a.StartTime, a.EndTime)
-	fmt.Fprintf(&b, "  read bandwidth:  %8.2f MB/s\n", a.ReadBandwidthMBps())
-	fmt.Fprintf(&b, "  write bandwidth: %8.2f MB/s\n", a.WriteBandwidthMBps())
+	fmt.Fprintf(&b, "  read bandwidth:  %8.2f MB/s\n", a.ReadBandwidthMBps)
+	fmt.Fprintf(&b, "  write bandwidth: %8.2f MB/s\n", a.WriteBandwidthMBps)
 	fmt.Fprintf(&b, "  opens=%d reads=%d writes=%d seeks=%d stats=%d files=%d\n",
 		a.Opens, a.Reads, a.Writes, a.Seeks, a.Stats, a.FilesAccessed)
 	fmt.Fprintf(&b, "  bytes read=%.2f MB written=%.2f MB\n",
@@ -124,17 +124,17 @@ func (p *ProfileData) InputPipelineText() string {
 // outcomes, so the index comes out in the order the rows themselves
 // would, ties included.
 func topFilesByReadTime(a *core.SessionStats, n int) []string {
-	idx := make([]int32, len(a.PerFile))
+	idx := make([]int32, len(a.Files))
 	for i := range idx {
 		idx[i] = int32(i)
 	}
-	sort.Slice(idx, func(i, j int) bool { return a.PerFile[idx[i]].ReadTime > a.PerFile[idx[j]].ReadTime })
+	sort.Slice(idx, func(i, j int) bool { return a.Files[idx[i]].ReadTime > a.Files[idx[j]].ReadTime })
 	if len(idx) > n {
 		idx = idx[:n]
 	}
 	var rows []string
 	for _, i := range idx {
-		f := &a.PerFile[i]
+		f := &a.Files[i]
 		rows = append(rows, fmt.Sprintf("%-50s %8.3fms %3d reads %10d bytes",
 			f.Name, f.ReadTime*1e3, f.Reads, f.BytesRead))
 	}

@@ -176,11 +176,12 @@ func TestServerPages(t *testing.T) {
 // ties included.
 func TestTopFilesMatchesSortedCopy(t *testing.T) {
 	for _, n := range []int{0, 3, 5, 12, 300} {
-		a := &core.SessionStats{PerFile: make([]core.FileStats, n)}
-		for i := range a.PerFile {
-			a.PerFile[i] = core.FileStats{Name: fmt.Sprintf("/f%03d", i), Reads: int64(i), ReadTime: float64(i*7%5) * 1e-3}
+		a := &core.SessionStats{}
+		a.Files = make([]core.FileStats, n)
+		for i := range a.Files {
+			a.Files[i] = core.FileStats{Name: fmt.Sprintf("/f%03d", i), Reads: int64(i), ReadTime: float64(i*7%5) * 1e-3}
 		}
-		files := append([]core.FileStats(nil), a.PerFile...)
+		files := append([]core.FileStats(nil), a.Files...)
 		sort.Slice(files, func(i, j int) bool { return files[i].ReadTime > files[j].ReadTime })
 		var want []string
 		for _, f := range files[:min(n, 5)] {

@@ -91,21 +91,6 @@ type faultState struct {
 	stats     []FaultStats
 }
 
-func bumpAt(s *[]int64, node int) int64 {
-	for len(*s) <= node {
-		*s = append(*s, 0)
-	}
-	(*s)[node]++
-	return (*s)[node]
-}
-
-func (f *faultState) statsAt(node int) *FaultStats {
-	for len(f.stats) <= node {
-		f.stats = append(f.stats, FaultStats{})
-	}
-	return &f.stats[node]
-}
-
 // InjectFaults arms plan on the file system; it applies to every node's
 // traffic from now on. A plan that can inject nothing disarms (hooks
 // return to their zero-cost path).
@@ -158,19 +143,20 @@ func (fs *FS) dataReadFault(node int, fetch bool) error {
 	if f == nil {
 		return nil
 	}
-	n := bumpAt(&f.readCount, node)
+	n := nodeSlot(&f.readCount, node)
+	*n++
 	p := &f.plan
-	hit := p.ReadErrNth > 0 && n%int64(p.ReadErrNth) == 0
-	if !hit && p.ReadErrRate > 0 && f.roll(node, n) < p.ReadErrRate {
+	hit := p.ReadErrNth > 0 && *n%int64(p.ReadErrNth) == 0
+	if !hit && p.ReadErrRate > 0 && f.roll(node, *n) < p.ReadErrRate {
 		hit = true
 	}
 	if !hit {
 		return nil
 	}
 	if fetch {
-		f.statsAt(node).FetchFaults++
+		nodeSlot(&f.stats, node).FetchFaults++
 	} else {
-		f.statsAt(node).ReadFaults++
+		nodeSlot(&f.stats, node).ReadFaults++
 	}
 	return ErrIO
 }
@@ -182,10 +168,12 @@ func (fs *FS) peerServeFault(node int) bool {
 	if f == nil || f.plan.PeerServeFailNth <= 0 {
 		return false
 	}
-	if bumpAt(&f.peerCount, node)%int64(f.plan.PeerServeFailNth) != 0 {
+	n := nodeSlot(&f.peerCount, node)
+	*n++
+	if *n%int64(f.plan.PeerServeFailNth) != 0 {
 		return false
 	}
-	f.statsAt(node).PeerServeFaults++
+	nodeSlot(&f.stats, node).PeerServeFaults++
 	return true
 }
 
@@ -202,7 +190,7 @@ func (f *faultState) penalize(t *sim.Thread, node int, startNs int64, windows []
 			return
 		}
 		t.Sleep(extra)
-		st := f.statsAt(node)
+		st := nodeSlot(&f.stats, node)
 		if meta {
 			st.BrownoutOps++
 			st.BrownoutNs += int64(extra)

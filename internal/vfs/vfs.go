@@ -91,13 +91,13 @@ type Mount struct {
 	dirAcc  []float64
 }
 
-// accAt returns the node's slot of a per-node accumulator slice, growing
-// the slice on demand.
-func accAt(acc *[]float64, node int) *float64 {
-	for len(*acc) <= node {
-		*acc = append(*acc, 0)
+// nodeSlot returns the node's slot of a per-node slice, growing the
+// slice with zero values on demand.
+func nodeSlot[T any](s *[]T, node int) *T {
+	if len(*s) <= node {
+		*s = append(*s, make([]T, node+1-len(*s))...)
 	}
-	return &(*acc)[node]
+	return &(*s)[node]
 }
 
 type dirState struct {
@@ -350,7 +350,7 @@ func (fs *FS) chargeColdOpen(t *sim.Thread, node int, ino *Inode) {
 	ds := fs.dirs[dir]
 	if ds != nil && !ds.warm.has(node) {
 		ds.warm.add(node)
-		acc := accAt(&m.dirAcc, node)
+		acc := nodeSlot(&m.dirAcc, node)
 		*acc += m.DirMetaTrips
 		for *acc >= 1 {
 			fs.chargeMeta(t, m, node, ino.Extent)
@@ -362,7 +362,7 @@ func (fs *FS) chargeColdOpen(t *sim.Thread, node int, ino *Inode) {
 		if fs.peerMetaServe(t, node, ino) {
 			return
 		}
-		acc := accAt(&m.metaAcc, node)
+		acc := nodeSlot(&m.metaAcc, node)
 		*acc += m.OpenMetaTrips
 		for *acc >= 1 {
 			// ext4 places inode tables in the file's block group, so the

@@ -232,10 +232,3 @@ func BuildStreamMalware(fs *vfs.FS, spec DatasetSpec) (*Dataset, error) {
 	scaleTo(sizes, spec.TotalBytes)
 	return Generate(fs, spec, sizes)
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
