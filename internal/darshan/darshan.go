@@ -75,8 +75,6 @@ type Runtime struct {
 	// even in deeply prefetched pipelines (Fig. 5).
 	mu sim.Mutex
 
-	names map[uint64]string
-
 	Posix *PosixModule
 	Stdio *StdioModule
 	DXT   *DXTModule
@@ -88,7 +86,6 @@ func NewRuntime(cfg Config, now int64) *Runtime {
 	rt := &Runtime{
 		cfg:      cfg,
 		jobStart: now,
-		names:    make(map[uint64]string),
 	}
 	rt.Posix = newPosixModule(rt)
 	rt.Stdio = newStdioModule(rt)
@@ -122,25 +119,27 @@ func (rt *Runtime) rel(now int64) float64 {
 	return float64(now-rt.jobStart) / 1e9
 }
 
-// registerName maps a record id to its path, once.
-func (rt *Runtime) registerName(id uint64, path string) {
-	if _, ok := rt.names[id]; !ok {
-		rt.names[id] = path
-	}
-}
-
 // LookupName resolves a record id to the file path, the helper the paper
-// exports from the shared library via dlsym.
+// exports from the shared library via dlsym. The path lives on the file's
+// live record, POSIX first, then STDIO.
 func (rt *Runtime) LookupName(id uint64) (string, bool) {
-	p, ok := rt.names[id]
-	return p, ok
+	if rec, ok := rt.Posix.records[id]; ok {
+		return rec.path, true
+	}
+	if rec, ok := rt.Stdio.records[id]; ok {
+		return rec.path, true
+	}
+	return "", false
 }
 
-// NameRecords returns a copy of the id→path table.
+// NameRecords returns the id→path table of every tracked file.
 func (rt *Runtime) NameRecords() map[uint64]string {
-	out := make(map[uint64]string, len(rt.names))
-	for k, v := range rt.names {
-		out[k] = v
+	out := make(map[uint64]string, len(rt.Posix.order)+len(rt.Stdio.order))
+	for _, rec := range rt.Posix.order {
+		out[rec.ID] = rec.path
+	}
+	for _, rec := range rt.Stdio.order {
+		out[rec.ID] = rec.path
 	}
 	return out
 }
@@ -207,10 +206,15 @@ func (a *accessTable) finalize(rec *PosixRecord) {
 	// finalization runs per record per snapshot, so it must not allocate.
 	var stack [8]accessEntry
 	pairs := stack[:0]
-	if n := a.n + len(a.overflow); n > len(stack) {
+	if n := accessInlineCap + len(a.overflow); n > len(stack) {
 		pairs = make([]accessEntry, 0, n)
 	}
-	pairs = append(pairs, a.inline[:a.n]...)
+	for _, e := range a.inline {
+		if e.count == 0 {
+			break
+		}
+		pairs = append(pairs, e)
+	}
 	for s, c := range a.overflow {
 		pairs = append(pairs, accessEntry{size: s, count: c})
 	}

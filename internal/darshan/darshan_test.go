@@ -60,9 +60,9 @@ func (r *rig) run(t *testing.T, fn func(th *sim.Thread)) {
 
 func (r *rig) posixRec(t *testing.T, path string) *PosixRecord {
 	t.Helper()
-	for _, rec := range r.rt.Posix.Records() {
+	for _, rec := range r.rt.Posix.order {
 		if name, _ := r.rt.LookupName(rec.ID); name == path {
-			return rec
+			return &rec.PosixRecord
 		}
 	}
 	t.Fatalf("no POSIX record for %s", path)
@@ -232,7 +232,7 @@ func TestStdioCheckpointPattern(t *testing.T) {
 		}
 		r.c.Fclose(th, st)
 	})
-	recs := r.rt.Stdio.Records()
+	recs := r.rt.Stdio.order
 	if len(recs) != 1 {
 		t.Fatalf("stdio records = %d", len(recs))
 	}
@@ -248,7 +248,7 @@ func TestStdioCheckpointPattern(t *testing.T) {
 	}
 	// STDIO writes must NOT appear in the POSIX module: libc internals
 	// bypass the PLT.
-	for _, prec := range r.rt.Posix.Records() {
+	for _, prec := range r.rt.Posix.order {
 		if prec.Counters[POSIX_WRITES] != 0 {
 			t.Error("stdio flush leaked into POSIX module")
 		}
@@ -261,7 +261,7 @@ func TestDXTSegments(t *testing.T) {
 	r.run(t, func(th *sim.Thread) {
 		readWholeFileTFStyle(th, r.c, "/data/tr", 1<<20)
 	})
-	recs := r.rt.DXT.Records()
+	recs := r.rt.DXT.order
 	if len(recs) != 1 {
 		t.Fatalf("dxt records = %d", len(recs))
 	}
@@ -291,7 +291,7 @@ func TestDXTSegmentCap(t *testing.T) {
 	r.run(t, func(th *sim.Thread) {
 		readWholeFileTFStyle(th, r.c, "/data/capped", 1<<20)
 	})
-	rec := r.rt.DXT.Records()[0]
+	rec := r.rt.DXT.order[0]
 	if len(rec.ReadSegs) != 3 {
 		t.Fatalf("segments = %d, want cap 3", len(rec.ReadSegs))
 	}
@@ -401,7 +401,7 @@ func TestStdioAndDXTRecordCaps(t *testing.T) {
 
 	// STDIO cap: the first two files, in first-seen order; each fopen
 	// past the cap counts once.
-	stdio := r.rt.Stdio.Records()
+	stdio := r.rt.Stdio.order
 	if len(stdio) != 2 || stdio[0].ID != id("/data/s1") || stdio[1].ID != id("/data/s2") {
 		t.Fatalf("STDIO records = %+v, want s1 and s2", stdio)
 	}
@@ -420,7 +420,7 @@ func TestStdioAndDXTRecordCaps(t *testing.T) {
 
 	// DXT cap: the first two files traced by either module, so p2 (a
 	// tracked POSIX record) and s2 (a tracked STDIO record) have none.
-	dxt := r.rt.DXT.Records()
+	dxt := r.rt.DXT.order
 	if len(dxt) != 2 || dxt[0].ID != id("/data/p1") || dxt[1].ID != id("/data/s1") {
 		t.Fatalf("DXT records = %d, want p1 then s1", len(dxt))
 	}
@@ -449,6 +449,88 @@ func TestStdioAndDXTRecordCaps(t *testing.T) {
 	}
 	if &snap.DXT[0].ReadSegs[0] == &dxt[0].ReadSegs[0] || &snap.DXT[1].WriteSegs[0] == &dxt[1].WriteSegs[0] {
 		t.Fatal("snapshot DXT segments share storage with the live records")
+	}
+}
+
+// TestOneRecordPerFileAcrossModules checks the per-file layout: a file's
+// path and DXT record live on its POSIX or STDIO record. A STDIO-only file
+// still resolves by id and is named in the export; a file traced through
+// both modules (STDIO first or POSIX first) has one DXT record holding
+// both modules' segments; and the DXT cap counts each file once across
+// both modules.
+func TestOneRecordPerFileAcrossModules(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.MaxRecordsPerModule = 4
+	cfg.DXTStdio = true
+	r := newRig(cfg)
+	for _, n := range []string{"both2", "p4", "p5"} {
+		r.fs.CreateFile("/data/"+n, 1000)
+	}
+	id := RecordID
+	var log *Log
+	r.run(t, func(th *sim.Thread) {
+		write := func(path string, n int) {
+			st, err := r.c.Fopen(th, path, "w")
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.c.Fwrite(th, st, make([]byte, n))
+			r.c.Fclose(th, st)
+		}
+		write("/data/both", 300)                           // DXT record 1, through STDIO
+		write("/data/stdio-only", 100)                     // DXT record 2
+		readWholeFileTFStyle(th, r.c, "/data/both", 1<<20) // shares DXT record 1
+		readWholeFileTFStyle(th, r.c, "/data/both2", 1<<20)
+		st, err := r.c.Fopen(th, "/data/both2", "r") // shares DXT record 3
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.c.Fread(th, st, nil, 400)
+		r.c.Fclose(th, st)
+		readWholeFileTFStyle(th, r.c, "/data/p4", 1<<20) // DXT record 4
+		readWholeFileTFStyle(th, r.c, "/data/p5", 1<<20) // DXT full: not traced
+		log = r.rt.Export(th.Now())
+	})
+
+	if name, ok := r.rt.LookupName(id("/data/stdio-only")); !ok || name != "/data/stdio-only" {
+		t.Fatalf("LookupName(stdio-only) = %q, %v", name, ok)
+	}
+	if _, ok := r.rt.LookupName(id("/data/never")); ok {
+		t.Fatal("LookupName resolved an untracked id")
+	}
+	wantNames := map[uint64]string{}
+	for _, n := range []string{"both", "stdio-only", "both2", "p4", "p5"} {
+		wantNames[id("/data/"+n)] = "/data/" + n
+	}
+	if !reflect.DeepEqual(log.Names, wantNames) {
+		t.Fatalf("exported names = %v, want %v", log.Names, wantNames)
+	}
+
+	if got := len(r.rt.Posix.order) + len(r.rt.Stdio.order); got != 7 {
+		t.Fatalf("POSIX + STDIO records = %d, want 4 + 3", got)
+	}
+	for _, n := range []string{"both", "both2"} {
+		p, s := r.rt.Posix.records[id("/data/"+n)], r.rt.Stdio.records[id("/data/"+n)]
+		if p.dxt == nil || p.dxt != s.dxt {
+			t.Fatalf("%s: POSIX DXT %p, STDIO DXT %p, want one shared record", n, p.dxt, s.dxt)
+		}
+	}
+	if len(log.DXT) != 4 {
+		t.Fatalf("DXT records = %d, want 4 (cap)", len(log.DXT))
+	}
+	for i, n := range []string{"both", "stdio-only", "both2", "p4"} {
+		if log.DXT[i].ID != id("/data/"+n) {
+			t.Fatalf("DXT record %d is not %s", i, n)
+		}
+	}
+	if both := log.DXT[0]; len(both.WriteSegs) != 1 || len(both.ReadSegs) != 2 {
+		t.Fatalf("both: %d write, %d read segments, want 1 (STDIO) and 2 (POSIX)", len(both.WriteSegs), len(both.ReadSegs))
+	}
+	if both2 := log.DXT[2]; len(both2.ReadSegs) != 3 || both2.ReadSegs[2].Length != 400 {
+		t.Fatalf("both2 read segments = %+v, want 2 POSIX then 1 STDIO of 400 bytes", both2.ReadSegs)
+	}
+	if p5 := r.rt.Posix.records[id("/data/p5")]; p5 == nil || p5.dxt != nil {
+		t.Fatal("p5 wants a POSIX record and no DXT record")
 	}
 }
 
@@ -538,7 +620,7 @@ func TestNilBufferReadsRecordLikeRealBuffer(t *testing.T) {
 	if pm.Counters != pd.Counters {
 		t.Fatalf("POSIX counters diverged:\nreal buffer %v\nnil buffer  %v", pm.Counters, pd.Counters)
 	}
-	sm, sd := withBuf.rt.Stdio.Records(), nilBuf.rt.Stdio.Records()
+	sm, sd := withBuf.rt.Stdio.order, nilBuf.rt.Stdio.order
 	if len(sm) != 1 || len(sd) != 1 {
 		t.Fatalf("stdio records = %d, %d", len(sm), len(sd))
 	}

@@ -1,10 +1,6 @@
 package darshan
 
-import (
-	"slices"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // Segment is one DXT trace segment: a single read or write with its file
 // offset, length and wall-clock window (seconds since job start). This is
@@ -28,20 +24,16 @@ type DXTRecord struct {
 	Dropped int64
 }
 
-// DXTModule implements Darshan eXtended Tracing for POSIX operations.
+// DXTModule implements Darshan eXtended Tracing for POSIX operations (and
+// STDIO ones with Config.DXTStdio). A file's record hangs off its live
+// POSIX or STDIO record; the module keeps only the first-seen order.
 type DXTModule struct {
-	rt      *Runtime
-	records map[uint64]*DXTRecord
-	order   []*DXTRecord // records in first-seen order
+	rt    *Runtime
+	order []*DXTRecord // records in first-seen order
 }
 
 func newDXTModule(rt *Runtime) *DXTModule {
-	return &DXTModule{rt: rt, records: make(map[uint64]*DXTRecord)}
-}
-
-// Records returns live records in first-seen order (not copies).
-func (m *DXTModule) Records() []*DXTRecord {
-	return slices.Clone(m.order)
+	return &DXTModule{rt: rt}
 }
 
 func (m *DXTModule) copyRecords() []DXTRecord {
@@ -80,23 +72,38 @@ func appendSeg(segs []Segment, s Segment) []Segment {
 // floor of 16 would hold 640 B per file for 80 B of trace.
 const dxtSegFloor = 4
 
-func (m *DXTModule) recordFor(id uint64) *DXTRecord {
-	if rec, ok := m.records[id]; ok {
-		return rec
+// recordFor returns the DXT record in slot, the field of the file's live
+// POSIX or STDIO record, creating it on the file's first traced segment.
+// A file traced through both modules shares one record, so a new slot
+// takes the other module's record if it has one. Nil once the module
+// holds MaxRecordsPerModule files.
+func (m *DXTModule) recordFor(slot **DXTRecord, id uint64) *DXTRecord {
+	if *slot != nil {
+		return *slot
 	}
-	if len(m.records) >= m.rt.cfg.MaxRecordsPerModule {
+	if m.rt.cfg.DXTStdio {
+		if p, ok := m.rt.Posix.records[id]; ok && p.dxt != nil {
+			*slot = p.dxt
+			return *slot
+		}
+		if s, ok := m.rt.Stdio.records[id]; ok && s.dxt != nil {
+			*slot = s.dxt
+			return *slot
+		}
+	}
+	if len(m.order) >= m.rt.cfg.MaxRecordsPerModule {
 		return nil
 	}
-	rec := &DXTRecord{ID: id}
-	m.records[id] = rec
-	m.order = append(m.order, rec)
-	return rec
+	*slot = &DXTRecord{ID: id}
+	m.order = append(m.order, *slot)
+	return *slot
 }
 
-// add traces one read or write segment of file id, or counts it as
-// dropped once the record holds its per-direction segment bound.
-func (m *DXTModule) add(t *sim.Thread, id uint64, write bool, offset, length int64, start, end float64) {
-	rec := m.recordFor(id)
+// add traces one read or write segment of file id into its DXT record in
+// slot, or counts it as dropped once the record holds its per-direction
+// segment bound.
+func (m *DXTModule) add(t *sim.Thread, slot **DXTRecord, id uint64, write bool, offset, length int64, start, end float64) {
+	rec := m.recordFor(slot, id)
 	if rec == nil {
 		return
 	}

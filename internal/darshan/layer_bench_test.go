@@ -153,7 +153,7 @@ func BenchmarkWrappedPread(b *testing.B) {
 		if _, err := r.c.Pread(th, fd, nil, 4096, 0); err != nil {
 			panic(err)
 		}
-		dxt := r.rt.DXT.records[id]
+		dxt := r.rt.Posix.records[id].dxt
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := range b.N {
@@ -171,7 +171,7 @@ func BenchmarkWrappedPread(b *testing.B) {
 	if got := r.rt.Posix.records[id].Counters[POSIX_READS]; got != int64(b.N)+1 {
 		b.Fatalf("POSIX_READS = %d after %d preads", got, b.N+1)
 	}
-	if d := r.rt.DXT.records[id].Dropped; d != 0 {
+	if d := r.rt.Posix.records[id].dxt.Dropped; d != 0 {
 		b.Fatalf("%d DXT segments dropped", d)
 	}
 }

@@ -106,7 +106,7 @@ func TestPreloadLibraryInstrumentsWholeRun(t *testing.T) {
 	if len(proc.PatchedSymbols()) != 0 {
 		t.Fatal("preload mode should not patch the GOT")
 	}
-	rec := rt.Posix.Records()
+	rec := rt.Posix.order
 	if len(rec) != 1 || rec[0].Counters[POSIX_READS] != 1 {
 		t.Fatalf("preload instrumentation missed I/O: %+v", rec)
 	}

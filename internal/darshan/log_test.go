@@ -444,11 +444,10 @@ func TestPropertyLogRoundTrip(t *testing.T) {
 			return false
 		}
 		for _, rec := range log.Posix {
-			live := r.rt.Posix.Records()
 			var match *PosixRecord
-			for _, lr := range live {
+			for _, lr := range r.rt.Posix.order {
 				if lr.ID == rec.ID {
-					match = lr
+					match = &lr.PosixRecord
 				}
 			}
 			if match == nil {
@@ -489,7 +488,7 @@ func TestPropertyBytesReadAccounting(t *testing.T) {
 			}
 		})
 		var got int64
-		for _, rec := range r.rt.Posix.Records() {
+		for _, rec := range r.rt.Posix.order {
 			got += rec.Counters[POSIX_BYTES_READ]
 		}
 		return got == want
@@ -517,7 +516,7 @@ func TestPropertySizeBucketsSumToReads(t *testing.T) {
 				readWholeFileTFStyle(th, r.c, p, ck)
 			}
 		})
-		for _, rec := range r.rt.Posix.Records() {
+		for _, rec := range r.rt.Posix.order {
 			var sum int64
 			for b := POSIX_SIZE_READ_0_100; b <= POSIX_SIZE_READ_1G_PLUS; b++ {
 				sum += rec.Counters[b]

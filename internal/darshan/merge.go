@@ -76,8 +76,10 @@ type recordFold struct {
 // first-appearance order and allocates Posix and Stdio once at the size of
 // that union. A module no log has records of stays nil, as the log decoder
 // leaves an empty block, so folds and decoded logs DeepEqual. The index
-// maps and the name table are sized by the largest per-log count, the
-// least their union can hold.
+// maps are sized by the largest per-log count, the least their union can
+// hold; the name table, once they are built, by the larger of the largest
+// per-log name count and the indexed POSIX and STDIO ids, which a log's
+// names cover.
 func newRecordFold(logs []*Log) *recordFold {
 	var nNames, nPosix, nStdio int
 	for _, l := range logs {
@@ -88,7 +90,7 @@ func newRecordFold(logs []*Log) *recordFold {
 		}
 	}
 	f := &recordFold{
-		Log:      &Log{Names: make(map[uint64]string, nNames)},
+		Log:      &Log{},
 		posixIdx: make(map[uint64]int, nPosix),
 		stdioIdx: make(map[uint64]int, nStdio),
 	}
@@ -107,6 +109,7 @@ func newRecordFold(logs []*Log) *recordFold {
 			}
 		}
 	}
+	f.Names = make(map[uint64]string, max(nNames, len(f.posixIdx)+len(f.stdioIdx)))
 	if n := len(f.posixIdx); n > 0 {
 		f.Posix = make([]PosixRecord, 0, n)
 		f.access = make([]accessTable, n)

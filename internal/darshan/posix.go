@@ -30,26 +30,27 @@ type PosixRecord struct {
 // the source of the ACCESS1..4 counters. The first accessInlineCap
 // distinct sizes are counted in the inline array; the overflow map is only
 // allocated once a file exceeds that, so the per-operation bump is
-// zero-alloc and hash-free for typical files.
+// zero-alloc and hash-free for typical files. Every inline entry in use
+// has a count of at least one, so the first zero count ends them.
 type accessTable struct {
-	inline   [accessInlineCap]accessEntry
-	n        int
 	overflow map[int64]int64
+	inline   [accessInlineCap]accessEntry
 }
 
 // bump counts count accesses of the given size: one per operation at
-// runtime, a whole ACCESS1..4 entry when merging records.
+// runtime, a whole ACCESS1..4 entry when merging records. count must be
+// positive.
 func (a *accessTable) bump(size, count int64) {
-	for i := 0; i < a.n; i++ {
-		if a.inline[i].size == size {
-			a.inline[i].count += count
+	for i := range a.inline {
+		e := &a.inline[i]
+		if e.count == 0 {
+			*e = accessEntry{size: size, count: count}
 			return
 		}
-	}
-	if a.n < accessInlineCap {
-		a.inline[a.n] = accessEntry{size: size, count: count}
-		a.n++
-		return
+		if e.size == size {
+			e.count += count
+			return
+		}
 	}
 	if a.overflow == nil {
 		a.overflow = make(map[int64]int64)
@@ -57,18 +58,19 @@ func (a *accessTable) bump(size, count int64) {
 	a.overflow[size] += count
 }
 
-// posixLive is the POSIX module's runtime state for one file: the record
-// a log carries plus the access-size table and the last byte read, the
-// state behind Darshan's sequential/consecutive classification.
+// posixLive is the POSIX module's runtime state for one file: its path,
+// its DXT record (nil until its first traced segment), the access-size
+// table and the last byte read (the state behind Darshan's
+// sequential/consecutive classification), and the record a log carries.
+// The pointer fields lead, so the GC scans a short prefix, and the struct
+// stays within the 576-byte size class.
 type posixLive struct {
-	PosixRecord
+	path         string
+	dxt          *DXTRecord
 	access       accessTable
 	lastByteRead int64
-	everRead     bool
+	PosixRecord
 }
-
-// Name is resolved through the runtime name registry by callers; records
-// themselves carry only the id, as in Darshan's binary format.
 
 // PosixModule instruments the POSIX I/O functions.
 type PosixModule struct {
@@ -91,16 +93,6 @@ func newPosixModule(rt *Runtime) *PosixModule {
 
 // RecordCount returns the number of tracked files.
 func (m *PosixModule) RecordCount() int { return len(m.records) }
-
-// Records returns the live records in first-seen order (not copies);
-// their ACCESS1..4 counters are filled only in exported copies.
-func (m *PosixModule) Records() []*PosixRecord {
-	out := make([]*PosixRecord, 0, len(m.order))
-	for _, live := range m.order {
-		out = append(out, &live.PosixRecord)
-	}
-	return out
-}
 
 func (m *PosixModule) copyRecords() []PosixRecord {
 	// nil when empty: snapshots and decoded logs agree exactly (the log
@@ -128,10 +120,9 @@ func (m *PosixModule) recordFor(t *sim.Thread, path string) *posixLive {
 		return nil
 	}
 	m.rt.chargeNewRecord(t)
-	rec := &posixLive{PosixRecord: PosixRecord{ID: id, Rank: m.rt.rank}}
+	rec := &posixLive{path: path, PosixRecord: PosixRecord{ID: id, Rank: m.rt.rank}}
 	m.records[id] = rec
 	m.order = append(m.order, rec)
-	m.rt.registerName(id, path)
 	return rec
 }
 
@@ -158,22 +149,12 @@ func (m *PosixModule) recordRead(t *sim.Thread, rec *posixLive, offset, size int
 	rec.Counters[POSIX_READS]++
 	rec.Counters[readSizeBucket(size)]++
 	rec.access.bump(size, 1)
-	if rec.everRead {
-		if offset > rec.lastByteRead {
-			rec.Counters[POSIX_SEQ_READS]++
-		}
-		if offset == rec.lastByteRead+1 {
-			rec.Counters[POSIX_CONSEC_READS]++
-		}
-	} else {
-		// First read: Darshan compares against initial state 0.
-		if offset > 0 {
-			rec.Counters[POSIX_SEQ_READS]++
-		}
-		if offset == 1 {
-			rec.Counters[POSIX_CONSEC_READS]++
-		}
-		rec.everRead = true
+	// The first read compares against Darshan's initial last byte, 0.
+	if offset > rec.lastByteRead {
+		rec.Counters[POSIX_SEQ_READS]++
+	}
+	if offset == rec.lastByteRead+1 {
+		rec.Counters[POSIX_CONSEC_READS]++
 	}
 	rec.lastByteRead = offset + size - 1
 	rec.Counters[POSIX_BYTES_READ] += size
@@ -182,7 +163,7 @@ func (m *PosixModule) recordRead(t *sim.Thread, rec *posixLive, offset, size int
 	rec.FCounters[POSIX_F_READ_END_TIMESTAMP] = end
 	rec.FCounters[POSIX_F_READ_TIME] += end - start
 	rec.FCounters[POSIX_F_MAX_READ_TIME] = max(rec.FCounters[POSIX_F_MAX_READ_TIME], end-start)
-	m.rt.DXT.add(t, rec.ID, false, offset, size, start, end)
+	m.rt.DXT.add(t, &rec.dxt, rec.ID, false, offset, size, start, end)
 }
 
 // wrapOpen builds the instrumented open(2).

@@ -1,8 +1,6 @@
 package darshan
 
 import (
-	"slices"
-
 	"repro/internal/libc"
 	"repro/internal/sim"
 	"repro/internal/vfs"
@@ -19,32 +17,36 @@ type StdioRecord struct {
 	FCounters [StdioNumFCounters]float64
 }
 
+// stdioLive is the STDIO module's runtime state for one file: its path,
+// its DXT record (nil until its first traced segment, and only with
+// Config.DXTStdio), and the record a log carries.
+type stdioLive struct {
+	path string
+	dxt  *DXTRecord
+	StdioRecord
+}
+
 // StdioModule instruments the stdio stream functions.
 type StdioModule struct {
 	rt      *Runtime
-	records map[uint64]*StdioRecord
-	order   []*StdioRecord // records in first-seen order
+	records map[uint64]*stdioLive
+	order   []*stdioLive // records in first-seen order
 	// streams maps each open stream to its file's record; a nil record
 	// means the file is open but beyond the record cap.
-	streams   map[*vfs.Stream]*StdioRecord
+	streams   map[*vfs.Stream]*stdioLive
 	Untracked int64
 }
 
 func newStdioModule(rt *Runtime) *StdioModule {
 	return &StdioModule{
 		rt:      rt,
-		records: make(map[uint64]*StdioRecord),
-		streams: make(map[*vfs.Stream]*StdioRecord),
+		records: make(map[uint64]*stdioLive),
+		streams: make(map[*vfs.Stream]*stdioLive),
 	}
 }
 
 // RecordCount returns the number of tracked files.
 func (m *StdioModule) RecordCount() int { return len(m.records) }
-
-// Records returns the live records in first-seen order (not copies).
-func (m *StdioModule) Records() []*StdioRecord {
-	return slices.Clone(m.order)
-}
 
 func (m *StdioModule) copyRecords() []StdioRecord {
 	if len(m.order) == 0 {
@@ -52,12 +54,12 @@ func (m *StdioModule) copyRecords() []StdioRecord {
 	}
 	out := make([]StdioRecord, 0, len(m.order))
 	for _, rec := range m.order {
-		out = append(out, *rec)
+		out = append(out, rec.StdioRecord)
 	}
 	return out
 }
 
-func (m *StdioModule) recordFor(t *sim.Thread, path string) *StdioRecord {
+func (m *StdioModule) recordFor(t *sim.Thread, path string) *stdioLive {
 	id := RecordID(path)
 	if rec, ok := m.records[id]; ok {
 		return rec
@@ -67,10 +69,9 @@ func (m *StdioModule) recordFor(t *sim.Thread, path string) *StdioRecord {
 		return nil
 	}
 	m.rt.chargeNewRecord(t)
-	rec := &StdioRecord{ID: id, Rank: m.rt.rank}
+	rec := &stdioLive{path: path, StdioRecord: StdioRecord{ID: id, Rank: m.rt.rank}}
 	m.records[id] = rec
 	m.order = append(m.order, rec)
-	m.rt.registerName(id, path)
 	return rec
 }
 
@@ -113,7 +114,7 @@ func (m *StdioModule) wrapFread(real libc.FreadFunc) libc.FreadFunc {
 				rec.Counters[STDIO_MAX_BYTE_READ] = max(rec.Counters[STDIO_MAX_BYTE_READ], int64(n))
 				rec.FCounters[STDIO_F_READ_TIME] += end - start
 				if m.rt.cfg.DXTStdio {
-					m.rt.DXT.add(t, rec.ID, false, st.Offset()-int64(n), int64(n), start, end)
+					m.rt.DXT.add(t, &rec.dxt, rec.ID, false, st.Offset()-int64(n), int64(n), start, end)
 				}
 			}
 		})
@@ -136,7 +137,7 @@ func (m *StdioModule) wrapFwrite(real libc.FwriteFunc) libc.FwriteFunc {
 				rec.Counters[STDIO_MAX_BYTE_WRITTEN] = max(rec.Counters[STDIO_MAX_BYTE_WRITTEN], int64(n))
 				rec.FCounters[STDIO_F_WRITE_TIME] += end - start
 				if m.rt.cfg.DXTStdio {
-					m.rt.DXT.add(t, rec.ID, true, st.Offset()-int64(n), int64(n), start, end)
+					m.rt.DXT.add(t, &rec.dxt, rec.ID, true, st.Offset()-int64(n), int64(n), start, end)
 				}
 			}
 		})

@@ -117,8 +117,8 @@ func TestPreloadAndRuntimeAttachAgree(t *testing.T) {
 	}
 	workloadFn(att)
 
-	preRecs := pre.Darshan.Posix.Records()
-	attRecs := att.Darshan.Posix.Records()
+	preRecs := pre.Darshan.Export(pre.K.Now()).Posix
+	attRecs := att.Darshan.Export(att.K.Now()).Posix
 	if len(preRecs) != len(attRecs) {
 		t.Fatalf("record counts differ: %d vs %d", len(preRecs), len(attRecs))
 	}

@@ -14,29 +14,18 @@ import (
 )
 
 // equivalenceArtifacts is everything a run produces that the paper's
-// figures are derived from: the full Darshan module state and the virtual
-// clock at completion.
+// figures are derived from: the exported Darshan log (records with
+// ACCESS1..4, DXT segments, name table) and the virtual clock at
+// completion.
 type equivalenceArtifacts struct {
 	EndNs int64
-	Posix []darshan.PosixRecord
-	Stdio []darshan.StdioRecord
-	DXT   []darshan.DXTRecord
+	*darshan.Log
 }
 
-// collectArtifacts snapshots a machine's full Darshan module state and
-// clock, the comparison payload of every equivalence test.
+// collectArtifacts exports a machine's Darshan log at its clock, the
+// comparison payload of every equivalence test.
 func collectArtifacts(m *platform.Machine) equivalenceArtifacts {
-	out := equivalenceArtifacts{EndNs: m.K.Now()}
-	for _, r := range m.Darshan.Posix.Records() {
-		out.Posix = append(out.Posix, *r)
-	}
-	for _, r := range m.Darshan.Stdio.Records() {
-		out.Stdio = append(out.Stdio, *r)
-	}
-	for _, r := range m.Darshan.DXT.Records() {
-		out.DXT = append(out.DXT, *r)
-	}
-	return out
+	return equivalenceArtifacts{EndNs: m.K.Now(), Log: m.Darshan.Export(m.K.Now())}
 }
 
 // runForEquivalence executes a small instrumented epoch with the read fast
@@ -109,6 +98,9 @@ func TestStdioFastPathEquivalence(t *testing.T) {
 	if !reflect.DeepEqual(lazy.DXT, full.DXT) {
 		t.Errorf("DXT segments diverged between lazy and materialized restores")
 	}
+	if !reflect.DeepEqual(lazy.Names, full.Names) {
+		t.Errorf("name tables diverged between lazy and materialized restores")
+	}
 	if len(lazy.Stdio) == 0 {
 		t.Fatal("no STDIO records captured")
 	}
@@ -168,6 +160,9 @@ func TestFastPathEquivalence(t *testing.T) {
 			}
 			if !reflect.DeepEqual(lazy.DXT, full.DXT) {
 				t.Errorf("DXT segments diverged between lazy and materialized runs")
+			}
+			if !reflect.DeepEqual(lazy.Names, full.Names) {
+				t.Errorf("name tables diverged between lazy and materialized runs")
 			}
 			if len(lazy.Posix) == 0 || len(lazy.DXT) == 0 {
 				t.Fatalf("no Darshan records captured (posix=%d dxt=%d)", len(lazy.Posix), len(lazy.DXT))

@@ -94,13 +94,6 @@ type Stats struct {
 	FetchFaults  int64 // schedule entries abandoned after a transient fetch fault
 }
 
-// inflight is one fetched-but-unconsumed schedule entry: the permits it
-// holds until the consumer's first read of the file releases them.
-type inflight struct {
-	bytes    int
-	released bool
-}
-
 // Prefetcher is one node's clairvoyant prefetch daemon.
 type Prefetcher struct {
 	fs       *vfs.FS
@@ -109,9 +102,12 @@ type Prefetcher struct {
 	cfg      Config
 	schedule []string
 
-	window   *sim.Semaphore // Depth permits: files in flight
-	bytes    *sim.Semaphore // byteBound permits: bytes in flight
-	inflight map[string]*inflight
+	window *sim.Semaphore // Depth permits: files in flight
+	bytes  *sim.Semaphore // byteBound permits: bytes in flight
+	// inflight maps each fetched-but-unconsumed schedule entry to the need
+	// bytes it holds (with one window slot) until the consumer's first
+	// read of the file releases them and deletes the entry.
+	inflight map[string]int
 	next     int // shared schedule cursor of the fetch workers
 	stopped  bool
 
@@ -145,7 +141,7 @@ func Start(k *sim.Kernel, fs *vfs.FS, node int, dev storage.Device, schedule []s
 		schedule: schedule,
 		window:   sim.NewSemaphore(cfg.Depth),
 		bytes:    sim.NewSemaphore(cfg.byteBound()),
-		inflight: make(map[string]*inflight),
+		inflight: make(map[string]int),
 	}
 	cache.OnConsume(p.consumed)
 	k.Spawn(fmt.Sprintf("statahead%d", node), p.statahead)
@@ -215,12 +211,12 @@ func (p *Prefetcher) fetchLoop(t *sim.Thread) {
 		}
 		p.stats.Fetched++
 		p.stats.FetchedBytes += ino.Size
-		if e, ok := p.inflight[path]; ok && !e.released {
+		if _, ok := p.inflight[path]; ok {
 			// Refetched while still in-window (epoch boundary): the entry
 			// already holds permits; drop this fetch's immediately.
 			p.release(t, need)
 		} else {
-			p.inflight[path] = &inflight{bytes: need}
+			p.inflight[path] = need
 		}
 	}
 }
@@ -228,12 +224,12 @@ func (p *Prefetcher) fetchLoop(t *sim.Thread) {
 // consumed is the cache's consumption signal: the consumer's first read of
 // a fetched file returns its window slot and bytes to the daemon.
 func (p *Prefetcher) consumed(t *sim.Thread, path string) {
-	e, ok := p.inflight[path]
-	if !ok || e.released {
+	need, ok := p.inflight[path]
+	if !ok {
 		return
 	}
-	e.released = true
-	p.release(t, e.bytes)
+	delete(p.inflight, path)
+	p.release(t, need)
 }
 
 // release returns one entry's window slot and its need bytes.

@@ -81,6 +81,11 @@ func TestEvictionLadder(t *testing.T) {
 				if got := p.Cache().Used(); got > capacity {
 					t.Errorf("rung %d: cache exceeded bound mid-run: %d > %d", rf, got, capacity)
 				}
+				// Each ledger entry holds a window slot until consumed, so
+				// consumed entries must be gone from it.
+				if n := len(p.inflight); n > 8 {
+					t.Errorf("rung %d: %d ledger entries past a window of 8", rf, n)
+				}
 			}
 			afterEp1 := p.Cache().Stats().LocalHits
 			for _, f := range epoch2(paths) {

@@ -296,6 +296,10 @@ func (it *Iterator) batcher(t *sim.Thread) {
 		if it.cancel {
 			continue // drain so blocked workers can exit
 		}
+		if cur == nil {
+			// A batch starts: allocate it at its full size.
+			cur = make([]Sample, 0, max(it.d.batchSize, 1))
+		}
 		cur = append(cur, s)
 		bytes += s.Bytes
 		if len(cur) == it.d.batchSize {

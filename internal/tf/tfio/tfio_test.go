@@ -35,7 +35,7 @@ func TestReadFileChunksAndZeroRead(t *testing.T) {
 		}
 	})
 	// Darshan (preloaded) sees 4 data reads + 1 zero read.
-	recs := m.Darshan.Posix.Records()
+	recs := m.Darshan.Export(m.K.Now()).Posix
 	if len(recs) != 1 {
 		t.Fatalf("records = %d", len(recs))
 	}
@@ -52,7 +52,7 @@ func TestReadFileSmallFileTwoReads(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	recs := m.Darshan.Posix.Records()
+	recs := m.Darshan.Export(m.K.Now()).Posix
 	if got := recs[0].Counters[1]; got != 2 { // one data read + EOF probe
 		t.Fatalf("reads = %d, want 2", got)
 	}
@@ -85,7 +85,7 @@ func TestReadFileVerifyContentMatchesDiscard(t *testing.T) {
 				t.Fatalf("verify=%v: read %d bytes, want %d", verify, n, size)
 			}
 		})
-		recs := m.Darshan.Posix.Records()
+		recs := m.Darshan.Export(m.K.Now()).Posix
 		if len(recs) != 1 {
 			t.Fatalf("verify=%v: records = %d", verify, len(recs))
 		}
@@ -139,7 +139,7 @@ func TestWritableFileAppendsViaFwrite(t *testing.T) {
 			t.Fatalf("appends = %d", w.Appends)
 		}
 	})
-	srecs := m.Darshan.Stdio.Records()
+	srecs := m.Darshan.Export(m.K.Now()).Stdio
 	if len(srecs) != 1 || srecs[0].Counters[2] != 7 { // STDIO_WRITES
 		t.Fatalf("stdio writes: %+v", srecs)
 	}
@@ -225,7 +225,7 @@ func TestRestoreCheckpointReadsOnStdioLayer(t *testing.T) {
 		}
 	})
 	var freads, fbytes int64
-	for _, r := range m.Darshan.Stdio.Records() {
+	for _, r := range m.Darshan.Export(m.K.Now()).Stdio {
 		freads += r.Counters[darshan.STDIO_READS]
 		fbytes += r.Counters[darshan.STDIO_BYTES_READ]
 	}
@@ -236,7 +236,7 @@ func TestRestoreCheckpointReadsOnStdioLayer(t *testing.T) {
 	if fbytes != wantBytes {
 		t.Fatalf("stdio bytes read = %d, want %d", fbytes, wantBytes)
 	}
-	for _, r := range m.Darshan.Posix.Records() {
+	for _, r := range m.Darshan.Export(m.K.Now()).Posix {
 		if r.Counters[darshan.POSIX_READS] != 0 {
 			t.Fatalf("restore leaked %d reads into the POSIX module", r.Counters[darshan.POSIX_READS])
 		}

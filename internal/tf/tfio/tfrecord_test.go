@@ -80,7 +80,7 @@ func TestScanShardSequentialLargeReads(t *testing.T) {
 	}
 	// The shard scan issues few large reads instead of 2 per sample: with
 	// an 8MiB buffer, a ~2.8MiB shard takes 1 data read + 1 EOF read.
-	for _, rec := range m.Darshan.Posix.Records() {
+	for _, rec := range m.Darshan.Export(m.K.Now()).Posix {
 		name, _ := m.Darshan.LookupName(rec.ID)
 		if name == shards[0].Path {
 			if got := rec.Counters[1]; got > 3 { // POSIX_READS
